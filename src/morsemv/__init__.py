@@ -64,7 +64,6 @@ from .mv import (
     mv_generators,
     mv_homology,
     mv_trajectories_from,
-    mv_weight,
     validate_mv_trajectory,
 )
 from .formats import (
@@ -108,7 +107,7 @@ __all__ = [
     "thom_smale_boundary", "thom_smale_complex", "greedy_gvf",
     # mv
     "FROM_A", "FROM_B", "SHIFTED", "MVGenerator", "Decomposition",
-    "build_decomposition", "mv_generators", "MVTrajectory", "mv_weight",
+    "build_decomposition", "mv_generators", "MVTrajectory",
     "mv_trajectories_from", "enumerate_mv", "validate_mv_trajectory",
     "mv_boundary", "mv_chain_complex", "mv_homology",
     # formats

@@ -115,7 +115,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
 def _load_decomposition(args) -> tuple[SimplicialComplex, Decomposition, str, int | None]:

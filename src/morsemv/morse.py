@@ -289,13 +289,32 @@ class Trajectory:
         return "Trajectory(" + ", ".join(str(s) for s in self.steps) + ")"
 
 
-def trajectory_weight(t: Trajectory) -> int:
-    """The sign w(t), from the incidence numbers along the trajectory."""
+def trajectory_weight(t) -> int:
+    """The sign of a trajectory: a Trajectory, or an MVTrajectory (any
+    object whose `steps` is a simplex sequence).  One rule covers every
+    route, read off the dimensions of consecutive steps x -> y:
+
+    * a downward step contributes <x, y>;
+    * an upward step contributes -<y, x>;
+    * a same-dimension step (the transfer of cases 4/5) contributes nothing.
+
+    An MVTrajectory then multiplies this by the sign of its case:
+
+        case   1   2   3   4   5
+        sign  +1  +1  -1  -1  +1
+
+    For an extended trajectory the rule gives the weight w of the module
+    docstring.
+    """
     steps = t.steps
     w = 1
-    for i in range(0, len(steps) - 2, 2):
-        w *= -incidence(steps[i], steps[i + 1]) * incidence(steps[i + 2], steps[i + 1])
-    return w * incidence(steps[-2], steps[-1])
+    for x, y in zip(steps, steps[1:]):
+        dx, dy = len(x.vertices), len(y.vertices)
+        if dx > dy:
+            w *= incidence(x, y)
+        elif dx < dy:
+            w *= -incidence(y, x)
+    return w
 
 
 def validate_trajectory(gvf: GradientField, t: Trajectory) -> None:
@@ -339,31 +358,64 @@ def trajectories_from(gvf: GradientField, tau: Simplex) -> dict[Simplex, list[Tr
         raise FieldError(f"{tau} is not critical")
     if tau not in x:
         raise FieldError(f"{tau} is not in the complex")
-    if tau.dim == 0:
-        return {}
+
+    up, down = v._up, v._down
+
+    def step(seq):
+        # from tau, every facet sigma other than down(tau) either continues
+        # to up(sigma) or, when critical, ends the trajectory; every simplex
+        # here is positively oriented, as the field's own keys are
+        here = seq[-1]
+        skip = down.get(here)
+        for sigma in here.facets():
+            if sigma == skip:
+                continue
+            nxt = up.get(sigma)
+            if nxt is not None:
+                yield (sigma, nxt), False
+            elif sigma not in down:
+                yield (sigma,), True
 
     out: dict[Simplex, list[Trajectory]] = {}
-    seq: list[Simplex] = [tau]
-    stack = [iter(x.facets(tau))]
-    while stack:
-        moved = False
-        current = seq[-1]
-        for sigma in stack[-1]:
-            if v.down(current) == sigma:
-                continue
-            nxt = v.up(sigma)
-            if nxt is None and not v.is_matched(sigma):
-                out.setdefault(sigma, []).append(Trajectory(tuple(seq) + (sigma,)))
-            if nxt is not None:
-                seq += [sigma, nxt]
-                stack.append(iter(x.facets(nxt)))
-                moved = True
-                break
-        if not moved:
-            stack.pop()
-            if len(seq) > 1:
-                del seq[-2:]
+    for steps in _walk(tau, step):
+        out.setdefault(steps[-1], []).append(Trajectory(steps))
     return out
+
+
+def _walk(start: Simplex, step) -> Iterator[tuple[Simplex, ...]]:
+    """Every step sequence grown from `start`, depth-first.
+
+    `step(seq)` yields `(extension, final)` pairs in order: a final
+    extension completes a sequence, which is yielded; any other is appended
+    and explored before the next pair is taken.  Whenever a step generator
+    runs, `seq` holds the sequence it was created for.  The walk keeps an
+    explicit stack, so a sequence may be arbitrarily long.
+    """
+    seq = [start]
+    stack = [(step(seq), 0)]
+    while stack:
+        for ext, final in stack[-1][0]:
+            if final:
+                yield (*seq, *ext)
+            else:
+                seq += ext
+                stack.append((step(seq), len(ext)))
+                break
+        else:
+            _, grown = stack.pop()
+            if grown:
+                del seq[-grown:]
+
+
+def _boundary_matrix(rows, cols, paths_from) -> list[list[int]]:
+    """The matrix with rows and columns indexed by the given sequences whose
+    (r, c) entry sums the weights of the trajectories `paths_from(c)[r]`."""
+    index = {r: i for i, r in enumerate(rows)}
+    matrix = [[0] * len(cols) for _ in rows]
+    for j, c in enumerate(cols):
+        for r, paths in paths_from(c).items():
+            matrix[index[r]][j] = sum(t.weight for t in paths)
+    return matrix
 
 
 def enumerate_trajectories(
@@ -381,14 +433,9 @@ def thom_smale_boundary(gvf: GradientField, q: int) -> list[list[int]]:
     """The degree-q boundary matrix of the Thom-Smale complex: rows indexed
     by critical (q-1)-simplices, columns by critical q-simplices, both in
     canonical order; entries are summed trajectory weights."""
-    rows = gvf.critical(q - 1)
-    cols = gvf.critical(q)
-    index = {s: i for i, s in enumerate(rows)}
-    matrix = [[0] * len(cols) for _ in rows]
-    for j, tau in enumerate(cols):
-        for sigma, paths in trajectories_from(gvf, tau).items():
-            matrix[index[sigma]][j] = sum(t.weight for t in paths)
-    return matrix
+    return _boundary_matrix(
+        gvf.critical(q - 1), gvf.critical(q), lambda tau: trajectories_from(gvf, tau)
+    )
 
 
 def thom_smale_complex(gvf: GradientField) -> IntegerChainComplex:

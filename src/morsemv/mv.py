@@ -14,36 +14,35 @@ five situations, keyed by the tags:
 
   1. FromA -> FromA: an extended gradient trajectory inside the A-copy.
   2. FromB -> FromB: the same inside the B-copy.
-  3. Shifted -> Shifted: an extended trajectory inside the I-copy; its
-     weight is the *negative* of the usual trajectory weight.
+  3. Shifted -> Shifted: an extended trajectory inside the I-copy.
   4. Shifted -> FromA: a descending trajectory piece inside the I-copy
      (tau_0, sigma_1, ..., tau_p, no terminal facet step), a transfer of
      tau_p into the A-copy along the inclusion of the intersection, then an
-     ascending zigzag through the A-copy field ending at the critical target:
+     ascending zigzag through the A-copy field ending at the critical
+     target, with p >= 0 descent steps and l >= 0 ascent steps.
+  5. Shifted -> FromB: as 4 into the B-copy.
 
-         w = - ( prod_{i<p} -<tau_i, sigma_{i+1}> <tau_{i+1}, sigma_{i+1}> )
-               ( prod_{p<=i<p+l} -<alpha_i, tau_i> <alpha_i, tau_{i+1}> ),
+All other tag combinations admit no trajectories.
 
-     with p >= 0 descent steps and l >= 0 ascent steps.
-  5. Shifted -> FromB: as 4 into the B-copy, without the leading minus sign.
+Every route has the same sign rule (`trajectory_weight`).  Each step x -> y
+of the simplex sequence contributes <x, y> when it goes down a dimension,
+-<y, x> when it goes up one, and nothing when it keeps the dimension (the
+transfer of cases 4/5).  The product is then multiplied by a per-case sign:
 
-All other tag combinations admit no trajectories.  The resulting boundary
-squares to zero and the homology of (D_*, d) is the simplicial homology of
-X; both facts are exercised heavily by the test suite rather than trusted.
+    case   1   2   3   4   5
+    sign  +1  +1  -1  -1  +1
+
+Enumeration is one iterative depth-first walk for every case, so it has no
+depth limit.  The resulting boundary squares to zero and the homology of
+(D_*, d) is the simplicial homology of X; both facts are exercised heavily
+by the test suite rather than trusted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .complexes import (
-    ComplexCopy,
-    Simplex,
-    SimplicialComplex,
-    copy_relabel,
-    incidence,
-    union,
-)
+from .complexes import ComplexCopy, Simplex, SimplicialComplex, copy_relabel, union
 from .errors import DecompositionError, FieldError, InternalConsistencyError
 from .homology import HomologyResult, IntegerChainComplex, homology
 from .morse import (
@@ -51,6 +50,8 @@ from .morse import (
     GradientField,
     Trajectory,
     VectorField,
+    _boundary_matrix,
+    _walk,
     greedy_gvf,
     trajectories_from,
     trajectory_weight,
@@ -68,7 +69,6 @@ __all__ = [
     "mv_generators",
     "enumerate_mv",
     "mv_trajectories_from",
-    "mv_weight",
     "validate_mv_trajectory",
     "mv_boundary",
     "mv_chain_complex",
@@ -79,6 +79,8 @@ FROM_A = "FromA"
 FROM_B = "FromB"
 SHIFTED = "Shifted"
 _TAG_RANK = {FROM_A: 0, FROM_B: 1, SHIFTED: 2}
+# the per-case sign applied on top of `trajectory_weight`
+_CASE_SIGN = {1: 1, 2: 1, 3: -1, 4: -1, 5: 1}
 
 
 @dataclass(frozen=True)
@@ -237,15 +239,10 @@ def _max_degree(d: Decomposition) -> int:
 def mv_generators(d: Decomposition, q: int | None = None) -> tuple[MVGenerator, ...]:
     """D_q in canonical order (FromA, then FromB, then Shifted, each block
     by simplex), or every degree ascending when q is None."""
-    if q is None:
-        out: list[MVGenerator] = []
-        for degree in range(_max_degree(d) + 1):
-            out.extend(mv_generators(d, degree))
-        return tuple(out)
     gens = [_generator(FROM_A, s) for s in d.w_a.critical(q)]
     gens += [_generator(FROM_B, s) for s in d.w_b.critical(q)]
-    if d.w_i is not None and q >= 1:
-        gens += [_generator(SHIFTED, s) for s in d.w_i.critical(q - 1)]
+    if d.w_i is not None:
+        gens += [_generator(SHIFTED, s) for s in d.w_i.critical(None if q is None else q - 1)]
     return tuple(sorted(gens, key=lambda g: g.sort_key))
 
 
@@ -272,38 +269,13 @@ class MVTrajectory:
 
     @property
     def weight(self) -> int:
-        return mv_weight(self)
+        if self.case not in _CASE_SIGN:
+            raise InternalConsistencyError(f"unknown trajectory case {self.case}")
+        return _CASE_SIGN[self.case] * trajectory_weight(self)
 
     def __str__(self) -> str:
         arrows = ", ".join(str(s) for s in self.steps)
         return f"case {self.case} [{arrows}] (weight {self.weight:+d})"
-
-
-def mv_weight(t: MVTrajectory) -> int:
-    """The weight of an MV trajectory, recomputed from its steps."""
-    if t.case in (1, 2, 3):
-        w = trajectory_weight_of_steps(t.steps)
-        return -w if t.case == 3 else w
-    if t.case not in (4, 5):
-        raise InternalConsistencyError(f"unknown trajectory case {t.case}")
-    cut = 2 * t.p + 1
-    i_steps = t.steps[:cut]
-    a_steps = t.steps[cut:]
-    w = 1
-    for j in range(0, len(i_steps) - 2, 2):
-        w *= -incidence(i_steps[j], i_steps[j + 1]) * incidence(
-            i_steps[j + 2], i_steps[j + 1]
-        )
-    for j in range(0, len(a_steps) - 2, 2):
-        w *= -incidence(a_steps[j + 1], a_steps[j]) * incidence(
-            a_steps[j + 1], a_steps[j + 2]
-        )
-    return -w if t.case == 4 else w
-
-
-def trajectory_weight_of_steps(steps: Sequence[Simplex]) -> int:
-    """Weight of an extended trajectory given as a raw step sequence."""
-    return trajectory_weight(Trajectory(steps))
 
 
 def _forman_cases(
@@ -333,43 +305,40 @@ def _mixed_cases(
     tag = FROM_A if case == 4 else FROM_B
     pv = (d.w_a if case == 4 else d.w_b).field
     wi = d.w_i.field
+
+    # The descent grows the start by pairs and the transfer by one simplex,
+    # so an odd-length sequence ends in the I-copy and an even one in the piece.
+    def step(seq):
+        here = seq[-1]
+        if len(seq) % 2:
+            # (tau_p)_I: first the transfer into the piece, then the descent
+            yield (d.transfer(here, tag),), False
+            down = wi.down(here)
+            for sigma in here.facets():
+                if sigma != down:
+                    nxt = wi.up(sigma)
+                    if nxt is not None:
+                        yield (sigma, nxt), False
+        elif not pv.is_matched(here):
+            yield (), True
+        else:
+            a = pv.up(here)
+            if a is not None:  # matched downward: the ascent cannot pass through
+                for nxt in a.facets():
+                    if nxt != here:
+                        yield (a, nxt), False
+
+    size = len(beta.simplex.vertices)
     out: dict[MVGenerator, list[MVTrajectory]] = {}
-
-    def ascend(aseq: list[Simplex]):
-        t = aseq[-1]
-        if not pv.is_matched(t):
-            yield tuple(aseq)
-            return
-        a = pv.up(t)
-        if a is None:  # matched downward: the ascent cannot pass through
-            return
-        for tn in a.facets():
-            if tn != t:
-                yield from ascend(aseq + [a, tn])
-
-    def descend(iseq: list[Simplex]):
-        tp = iseq[-1]
-        entry = d.transfer(tp, tag)
-        for aseq in ascend([entry]):
-            alpha = _generator(tag, aseq[-1])
-            out.setdefault(alpha, []).append(
-                MVTrajectory(
-                    case,
-                    beta,
-                    alpha,
-                    tuple(iseq) + aseq,
-                    p=(len(iseq) - 1) // 2,
-                    l=(len(aseq) - 1) // 2,
-                )
-            )
-        for sigma in tp.facets():
-            if wi.down(tp) == sigma:
-                continue
-            tn = wi.up(sigma)
-            if tn is not None:
-                descend(iseq + [sigma, tn])
-
-    descend([beta.simplex])
+    for steps in _walk(beta.simplex, step):
+        # the transfer is the first odd-indexed step with beta's dimension
+        cut = 1
+        while len(steps[cut].vertices) != size:
+            cut += 2
+        alpha = _generator(tag, steps[-1])
+        out.setdefault(alpha, []).append(
+            MVTrajectory(case, beta, alpha, steps, p=cut // 2, l=(len(steps) - cut) // 2)
+        )
     return out
 
 
@@ -459,14 +428,9 @@ def validate_mv_trajectory(d: Decomposition, t: MVTrajectory) -> None:
 def mv_boundary(d: Decomposition, q: int) -> list[list[int]]:
     """The boundary matrix D_q -> D_{q-1}: rows over D_{q-1}, columns over
     D_q, entries the summed trajectory weights."""
-    rows = mv_generators(d, q - 1)
-    cols = mv_generators(d, q)
-    index = {g: i for i, g in enumerate(rows)}
-    matrix = [[0] * len(cols) for _ in rows]
-    for j, beta in enumerate(cols):
-        for alpha, ts in mv_trajectories_from(d, beta).items():
-            matrix[index[alpha]][j] = sum(t.weight for t in ts)
-    return matrix
+    return _boundary_matrix(
+        mv_generators(d, q - 1), mv_generators(d, q), lambda b: mv_trajectories_from(d, b)
+    )
 
 
 def mv_chain_complex(d: Decomposition) -> IntegerChainComplex:

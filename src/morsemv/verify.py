@@ -43,7 +43,13 @@ from .homology import (
     simplicial_chain_complex,
     simplicial_homology,
 )
-from .morse import GradientField, Trajectory, VectorField, trajectories_from
+from .morse import (
+    GradientField,
+    Trajectory,
+    VectorField,
+    _boundary_matrix,
+    trajectories_from,
+)
 from .mv import (
     FROM_A,
     FROM_B,
@@ -52,9 +58,7 @@ from .mv import (
     MVGenerator,
     _generator,
     _max_degree,
-    mv_boundary,
     mv_generators,
-    mv_homology,
     mv_trajectories_from,
 )
 
@@ -257,49 +261,35 @@ def check_iso_simplicial(xt: XTilde) -> VerifyReport:
         q: sorted(v.critical(q), key=lambda s: _g_image(xt, s).key)
         for q in range(x.dim + 1)
     }
+    ranks = [len(ordered[q]) for q in range(x.dim + 1)]
+    got = [
+        _boundary_matrix(ordered[q - 1], ordered[q], lambda tau: trajectories_from(v, tau))
+        for q in range(1, x.dim + 1)
+    ]
     matrices_ok = True
     detail = ""
     for q in range(1, x.dim + 1):
-        rows = {s: i for i, s in enumerate(ordered[q - 1])}
-        got = [[0] * len(ordered[q]) for _ in ordered[q - 1]]
-        for j, tau in enumerate(ordered[q]):
-            for sigma, paths in trajectories_from(v, tau).items():
-                got[rows[sigma]][j] = sum(t.weight for t in paths)
-        want = scc.boundary(q)
-        if got != want:
+        have, want = got[q - 1], scc.boundary(q)
+        if have != want:
             matrices_ok = False
             spots = [
                 (i, j)
                 for i in range(len(want))
                 for j in range(len(want[0]) if want else 0)
-                if got[i][j] != want[i][j]
+                if have[i][j] != want[i][j]
             ]
             detail = f"degree {q} differs at entries {spots[:5]}"
             break
     checks.add("boundary_matrices_equal", matrices_ok, detail)
 
-    hx = simplicial_homology(x)
-    hv = homology(_thom_smale_in_order(v, ordered))
+    hx = homology(scc)
+    hv = homology(IntegerChainComplex(ranks, got))
     checks.add(
         "homology_equal",
         hv == hx,
         str(hv) if hv == hx else f"X: {hx}  vs  (X~,V): {hv}",
     )
     return checks.report()
-
-
-def _thom_smale_in_order(gvf: GradientField, ordered: dict[int, list[Simplex]]):
-    top = max(ordered)
-    ranks = [len(ordered.get(q, [])) for q in range(top + 1)]
-    boundaries = []
-    for q in range(1, top + 1):
-        rows = {s: i for i, s in enumerate(ordered.get(q - 1, []))}
-        m = [[0] * ranks[q] for _ in range(ranks[q - 1])]
-        for j, tau in enumerate(ordered.get(q, [])):
-            for sigma, paths in trajectories_from(gvf, tau).items():
-                m[rows[sigma]][j] = sum(t.weight for t in paths)
-        boundaries.append(m)
-    return IntegerChainComplex(ranks, boundaries)
 
 
 def _f_image(xt: XTilde, s: Simplex) -> MVGenerator:
@@ -385,16 +375,17 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
     if not ok_f:
         return checks.report()
 
+    # every trajectory upstairs and in MV, enumerated once per critical cell
+    gamma = {tau: trajectories_from(gvf, tau) for tau in gvf.critical() if tau.dim}
+    mv = {beta: mv_trajectories_from(d, beta) for beta in mv_generators(d) if beta.degree}
     counts_ok = weights_ok = classes_ok = True
     c_detail = w_detail = k_detail = ""
     pairs_compared = 0
     for q in range(1, top + 1):
         for tau in gvf.critical(q):
-            gamma = trajectories_from(gvf, tau)
-            mv = mv_trajectories_from(d, f_of[tau])
             for sigma in gvf.critical(q - 1):
-                g_list = gamma.get(sigma, [])
-                m_list = mv.get(f_of[sigma], [])
+                g_list = gamma[tau].get(sigma, [])
+                m_list = mv[f_of[tau]].get(f_of[sigma], [])
                 pairs_compared += 1
                 if counts_ok and len(g_list) != len(m_list):
                     counts_ok = False
@@ -423,27 +414,25 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
     checks.add("trajectory_weights_match", weights_ok, w_detail)
     checks.add("trajectory_classification", classes_ok, k_detail)
 
-    ordered = {
-        q: sorted(gvf.critical(q), key=lambda s: f_of[s].sort_key)
-        for q in range(top + 1)
-    }
+    # Both boundaries, the Thom-Smale one with each degree's critical cells
+    # ordered by their f-image, from the trajectories listed above.
+    top_mv = _max_degree(d)
+    qmax = max(top, top_mv)
+    ordered = [sorted(gvf.critical(q), key=lambda s: f_of[s].sort_key) for q in range(qmax + 1)]
+    gens = [mv_generators(d, q) for q in range(qmax + 1)]
+    got = [_boundary_matrix(ordered[q - 1], ordered[q], gamma.get) for q in range(1, qmax + 1)]
+    want = [_boundary_matrix(gens[q - 1], gens[q], mv.get) for q in range(1, qmax + 1)]
     matrices_ok = True
     detail = ""
-    for q in range(1, max(top, _max_degree(d)) + 1):
-        rows = {s: i for i, s in enumerate(ordered.get(q - 1, []))}
-        got = [[0] * len(ordered.get(q, [])) for _ in ordered.get(q - 1, [])]
-        for j, tau in enumerate(ordered.get(q, [])):
-            for sigma, paths in trajectories_from(gvf, tau).items():
-                got[rows[sigma]][j] = sum(t.weight for t in paths)
-        want = mv_boundary(d, q)
-        if got != want:
+    for q in range(1, qmax + 1):
+        if got[q - 1] != want[q - 1]:
             matrices_ok = False
             detail = f"degree {q}: Thom-Smale and MV boundary matrices differ"
             break
     checks.add("boundary_matrices_equal", matrices_ok, detail)
 
-    hw = homology(_thom_smale_in_order(gvf, ordered))
-    hd = mv_homology(d)
+    hw = homology(IntegerChainComplex([len(c) for c in ordered[: top + 1]], got[:top]))
+    hd = homology(IntegerChainComplex([len(g) for g in gens[: top_mv + 1]], want[:top_mv]))
     hx = simplicial_homology(d.x)
     hom_ok = hw == hd == hx
     checks.add(

@@ -13,8 +13,10 @@ import time
 import pytest
 
 from morsemv import (
+    HomologyResult,
     MVGenerator,
     Simplex,
+    build_complex,
     build_decomposition,
     build_xtilde,
     check_iso_simplicial,
@@ -28,6 +30,7 @@ from morsemv import (
     mv_homology,
     simplicial_homology,
     thom_smale_complex,
+    validate_mv_trajectory,
 )
 from morsemv.cli import main
 from conftest import (
@@ -144,6 +147,33 @@ def test_structural_checks_pass_on_every_corpus_decomposition():
         main_iso = check_main_iso(xt)
         assert main_iso.ok, str(main_iso)
     assert time.perf_counter() - started < 120.0
+
+
+def test_long_path_has_no_depth_limit(tmp_path, capsys):
+    # A path p0 - ... - p1500 with the pendant edge a - p1500 in A and
+    # b - p0 in B; both pieces hold the whole path, so the single case-4
+    # trajectory from I:p0 ascends all of it.  X is contractible.
+    n = 1500
+    path = [f"p{i} p{i + 1}" for i in range(n)]
+    a_lines, b_lines = path + [f"a p{n}"], path + ["b p0"]
+    x = build_complex(a_lines + b_lines[-1:])
+    d = build_decomposition(x, build_complex(a_lines), build_complex(b_lines))
+    assert mv_homology(d) == HomologyResult([(1, ())])
+
+    beta = MVGenerator("Shifted", Simplex("I:p0"), 1)
+    (t,) = enumerate_mv(d, beta, MVGenerator("FromA", Simplex("A:a"), 0))
+    assert t.weight in (-1, 1) and t.l == n + 1
+    validate_mv_trajectory(d, t)
+
+    cx, dec = tmp_path / "path.cx", tmp_path / "path.dec"
+    cx.write_text("\n".join(a_lines + b_lines[-1:]) + "\n")
+    dec.write_text("\n".join(["[A]", *a_lines, "[B]", *b_lines]) + "\n")
+    files = ["--complex", str(cx), "--decomposition", str(dec), "--output", "json"]
+    assert main(["homology", *files]) == 0
+    groups = [row["group"] for row in json.loads(capsys.readouterr().out)["homology"]]
+    assert groups == ["Z", "0"]
+    assert main(["trajectories", *files, "I:p0", "A:a"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 1
 
 
 def test_projective_plane_torsion_through_mv():

@@ -219,6 +219,13 @@ class TestExitCodes:
         assert main(["oracle", "--complex", str(cx)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_utf8_input(self, tmp_path, capsys):
+        cx = tmp_path / "binary.cx"
+        cx.write_bytes(b"\xff\xfe\x00")
+        assert main(["oracle", "--complex", str(cx)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "UTF-8" in err
+
     def test_bad_cover(self, files, tmp_path, capsys):
         cx, _ = files
         dec = tmp_path / "bad.dec"

@@ -17,6 +17,7 @@ from morsemv import (
     SimplicialComplex,
     build_complex,
     build_decomposition,
+    incidence,
     mv_boundary,
     mv_chain_complex,
     mv_generators,
@@ -33,11 +34,101 @@ from conftest import (
     octahedron_pieces,
     random_cover,
 )
+from test_morse import brute_trajectories
 
 ALLOWED_ROUTES = {
     ("FromA", "FromA"), ("FromB", "FromB"), ("Shifted", "Shifted"),
     ("Shifted", "FromA"), ("Shifted", "FromB"),
 }
+
+
+def cover_decompositions(name: str, strategy: str):
+    """Three seeded random covers of a corpus complex, with fields built by
+    the given strategy."""
+    x = corpus_complexes()[name]
+    rng = random.Random(sum(map(ord, name)))
+    for _ in range(3):
+        a, b = random_cover(x, rng)
+        yield build_decomposition(x, a, b, strategy=strategy, seed=7)
+
+
+COVERS = [
+    (name, strategy)
+    for name in sorted(corpus_complexes())
+    for strategy in ("lexicographic", "random")
+]
+
+
+def forman_weight(steps) -> int:
+    """The extended-trajectory weight, straight from its product formula."""
+    w = 1
+    for i in range(0, len(steps) - 2, 2):
+        w *= -incidence(steps[i], steps[i + 1]) * incidence(steps[i + 2], steps[i + 1])
+    return w * incidence(steps[-2], steps[-1])
+
+
+def brute_mv_trajectories(d, beta: MVGenerator):
+    """Every MV trajectory out of beta as (case, steps, p, l, weight),
+    grouped by target in depth-first order, straight from the definition:
+    cases 1-3 by `brute_trajectories`, cases 4/5 by recursive descent in the
+    I-copy and ascent in the piece, with the weight formulas of each case.
+    Independent of the library's walker and sign rule."""
+    out: dict[MVGenerator, list] = {}
+    shift = 1 if beta.tag == SHIFTED else 0
+    gvf = {"FromA": d.w_a, "FromB": d.w_b, SHIFTED: d.w_i}[beta.tag]
+    case = {"FromA": 1, "FromB": 2, SHIFTED: 3}[beta.tag]
+    for t in brute_trajectories(gvf, beta.simplex):
+        alpha = MVGenerator(beta.tag, t.end, t.end.dim + shift)
+        w = forman_weight(t.steps)
+        out.setdefault(alpha, []).append((case, t.steps, None, None, -w if case == 3 else w))
+    if beta.tag != SHIFTED:
+        return out
+
+    wi = d.w_i.field
+    for case, tag, piece in ((4, "FromA", d.w_a), (5, "FromB", d.w_b)):
+        pv = piece.field
+
+        def ascend(aseq):
+            t = aseq[-1]
+            if not pv.is_matched(t):
+                yield tuple(aseq)
+                return
+            a = pv.up(t)
+            if a is None:  # matched downward: the ascent cannot pass through
+                return
+            for tn in a.facets():
+                if tn != t:
+                    yield from ascend(aseq + [a, tn])
+
+        def weight(i_steps, a_steps):
+            w = 1
+            for j in range(0, len(i_steps) - 2, 2):
+                w *= -incidence(i_steps[j], i_steps[j + 1]) * incidence(
+                    i_steps[j + 2], i_steps[j + 1]
+                )
+            for j in range(0, len(a_steps) - 2, 2):
+                w *= -incidence(a_steps[j + 1], a_steps[j]) * incidence(
+                    a_steps[j + 1], a_steps[j + 2]
+                )
+            return -w if case == 4 else w
+
+        def descend(iseq):
+            tp = iseq[-1]
+            for aseq in ascend([d.transfer(tp, tag)]):
+                alpha = MVGenerator(tag, aseq[-1], aseq[-1].dim)
+                out.setdefault(alpha, []).append((
+                    case, tuple(iseq) + aseq, (len(iseq) - 1) // 2,
+                    (len(aseq) - 1) // 2, weight(iseq, aseq),
+                ))
+            for sigma in tp.facets():
+                if wi.down(tp) == sigma:
+                    continue
+                tn = wi.up(sigma)
+                if tn is not None:
+                    descend(iseq + [sigma, tn])
+
+        descend([beta.simplex])
+    return out
 
 
 def wedge_decomposition():
@@ -218,15 +309,27 @@ class TestTrajectories:
         with pytest.raises(FieldError):
             enumerate_mv(d, t, a5)
 
-    def test_every_enumerated_trajectory_validates(self):
-        d = wedge_decomposition()
-        for beta in mv_generators(d):
-            if beta.degree == 0:
-                continue
-            for ts in mv_trajectories_from(d, beta).values():
-                for t in ts:
-                    validate_mv_trajectory(d, t)
-                    assert t.weight in (-1, 1)
+    @pytest.mark.parametrize("name,strategy", COVERS)
+    def test_every_enumerated_trajectory_validates(self, name, strategy):
+        for d in cover_decompositions(name, strategy):
+            for beta in mv_generators(d):
+                if beta.degree == 0:
+                    continue
+                for ts in mv_trajectories_from(d, beta).values():
+                    for t in ts:
+                        validate_mv_trajectory(d, t)
+                        assert t.weight in (-1, 1)
+
+    @pytest.mark.parametrize("name,strategy", COVERS)
+    def test_walker_matches_brute_force(self, name, strategy):
+        # same targets, same trajectories in the same order, same weights
+        for d in cover_decompositions(name, strategy):
+            for beta in mv_generators(d):
+                got = {
+                    alpha: [(t.case, t.steps, t.p, t.l, t.weight) for t in ts]
+                    for alpha, ts in mv_trajectories_from(d, beta).items()
+                }
+                assert list(got.items()) == list(brute_mv_trajectories(d, beta).items())
 
     def test_validate_rejects_tampering(self, oct_decomposition):
         d = oct_decomposition
