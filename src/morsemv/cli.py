@@ -294,11 +294,7 @@ def _cmd_verify(args) -> int:
     for stage, report in stages:
         print(f"{stage}:")
         for c in report.checks:
-            mark = "ok  " if c.ok else "FAIL"
-            line = f"  {mark} {c.name}"
-            if c.detail:
-                line += f": {c.detail}"
-            print(line)
+            print(f"  {c}")
     count = sum(len(report.checks) for _, report in stages)
     print(f"verdict: {'PASS' if ok else 'FAIL'} ({count} checks)")
     return 0 if ok else 5

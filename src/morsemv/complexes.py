@@ -449,27 +449,6 @@ class PrismComplex:
         if abs(alpha) not in self.base:
             raise ComplexError(f"{alpha} is not a simplex of the base")
 
-    def a_members(self, alpha: Simplex) -> tuple[Simplex, ...]:
-        self._blocks_guard(alpha)
-        return tuple(self.a_member(alpha, r) for r in range(abs(alpha).dim + 1))
-
-    def b_members(self, alpha: Simplex) -> tuple[Simplex, ...]:
-        self._blocks_guard(alpha)
-        return tuple(self.b_member(alpha, r) for r in range(abs(alpha).dim + 2))
-
-    def pure_a(self, alpha: Simplex) -> Simplex:
-        """The bottom copy of alpha."""
-        return self.b_member(alpha, abs(alpha).dim + 1)
-
-    def pure_b(self, alpha: Simplex) -> Simplex:
-        """The top copy of alpha."""
-        return self.b_member(alpha, 0)
-
-    def block(self, alpha: Simplex) -> tuple[Simplex, ...]:
-        """S_alpha: every prism cell over alpha, canonically ordered."""
-        cells = self.a_members(alpha) + self.b_members(alpha)
-        return tuple(sorted(cells, key=lambda s: s.key))
-
     def is_pure_a(self, cell: Simplex) -> bool:
         return all(v in self._a_names for v in cell.vertices)
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .complexes import ComplexCopy, Simplex, SimplicialComplex, copy_relabel, union
+from .complexes import ComplexCopy, Simplex, SimplicialComplex, copy_relabel, intersection
 from .errors import DecompositionError, FieldError, InternalConsistencyError
 from .homology import HomologyResult, IntegerChainComplex, homology
 from .morse import (
@@ -198,7 +198,9 @@ def build_decomposition(
         raise DecompositionError("A is not a subcomplex of X")
     if not b.is_subcomplex_of(x):
         raise DecompositionError("B is not a subcomplex of X")
-    if union(a, b) != x:
+    # A and B lie in X, so they cover it exactly when |A| + |B| - |A n B| = |X|.
+    iab = intersection(a, b) if set(a.vertices) & set(b.vertices) else None
+    if len(a) + len(b) - (len(iab) if iab is not None else 0) != len(x):
         raise DecompositionError("A u B does not cover X")
     fields = dict(fields or {})
     unknown = set(fields) - {"A", "B", "I"}
@@ -207,8 +209,6 @@ def build_decomposition(
 
     a_bar = copy_relabel(a, "A:")
     b_bar = copy_relabel(b, "B:")
-    shared = [s for s in a.simplices() if s in b]
-    iab = SimplicialComplex(shared) if shared else None
     iab_bar = copy_relabel(iab, "I:") if iab is not None else None
     if iab is None and fields.get("I") is not None:
         raise DecompositionError("a field was supplied for an empty intersection")

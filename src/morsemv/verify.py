@@ -30,18 +30,27 @@ Two gradient fields on X~ carry the theory:
 
 `check_iso_simplicial` and `check_main_iso` re-derive all of this on a given
 decomposition and report each comparison separately, with counterexamples.
+Both read one shared context: `build_xtilde` computes the simplicial chain
+complex C_*(X) and its homology once, and both checks compare against those
+fields.  Both also run one comparison routine: the critical cells map
+bijectively onto the target's generators, the Thom-Smale boundaries in
+target order equal the target's, and the Thom-Smale homology equals the
+target's.  Once the bijection and every matrix match, the Thom-Smale complex
+is the target complex, so its homology is taken from the target; it is
+computed from the Thom-Smale matrices only when a matrix differs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Hashable, Sequence
 
 from .complexes import PrismComplex, Simplex, SimplicialComplex, prism, union
 from .errors import InternalConsistencyError, MorsemvError
 from .homology import (
+    HomologyResult,
     IntegerChainComplex,
     homology,
     simplicial_chain_complex,
-    simplicial_homology,
 )
 from .morse import (
     GradientField,
@@ -78,24 +87,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class XTilde:
-    """The glued complex A-copy u prism(intersection copy) u B-copy.
-    `prism` is None when the intersection is empty (then X~ = A-copy |_| B-copy)."""
+    """The glued complex A-copy u prism(intersection copy) u B-copy, with the
+    context both checks share.
+
+    `prism` is None when the intersection is empty (then X~ = A-copy |_| B-copy).
+    `x_chains` is the simplicial chain complex C_*(X), generators labelled in
+    canonical order, and `x_homology` its homology: the target of
+    `check_iso_simplicial` and the reference of `check_main_iso`, each
+    computed once per verify run."""
 
     decomposition: Decomposition
     complex: SimplicialComplex
     prism: PrismComplex | None
     interior: frozenset[Simplex]
+    x_chains: IntegerChainComplex
+    x_homology: HomologyResult
 
 
 def build_xtilde(d: Decomposition) -> XTilde:
+    x_chains = simplicial_chain_complex(d.x)
+    shared = (x_chains, homology(x_chains))
     if d.iab_bar is None:
-        return XTilde(d, union(d.a_bar.complex, d.b_bar.complex), None, frozenset())
+        return XTilde(d, union(d.a_bar.complex, d.b_bar.complex), None, frozenset(), *shared)
     base = d.iab_bar.complex
     a_name = {v: d.a_bar.to_copy[d.iab_bar.from_copy[v]] for v in base.vertices}
     b_name = {v: d.b_bar.to_copy[d.iab_bar.from_copy[v]] for v in base.vertices}
     p = prism(base, a_name, b_name)
     glued = union(union(d.a_bar.complex, p.complex), d.b_bar.complex)
-    return XTilde(d, glued, p, p.interior_cells())
+    return XTilde(d, glued, p, p.interior_cells(), *shared)
 
 
 def build_v_field(xt: XTilde) -> GradientField:
@@ -205,6 +224,75 @@ class _Checks:
         return VerifyReport(tuple(self.results))
 
 
+def _compare(
+    checks: _Checks,
+    gvf: GradientField,
+    source: str,
+    image: Callable[[Simplex], Hashable],
+    bijective: str,
+    target: IntegerChainComplex,
+    homologies: Sequence[tuple[str, HomologyResult]],
+    paths_from: Callable[[Simplex], dict],
+    pair_checks: Callable[[dict[Simplex, Hashable]], None] | None = None,
+) -> None:
+    """Compare the Thom-Smale complex of `gvf`, named `source` in reports,
+    with `target`, whose labels name its generators in target order.
+
+    Adds the check `bijective` (`image` maps the critical cells of each
+    degree bijectively onto that degree's labels), then whatever
+    `pair_checks` adds given the image of every critical cell, then
+    `boundary_matrices_equal` (with each degree's cells ordered by their
+    image, the Thom-Smale boundaries equal the target's) and `homology_equal`
+    (the Thom-Smale homology equals each named group, the target's first).
+    Stops after the first check when the bijection fails."""
+    try:
+        image_of = {s: image(s) for s in gvf.critical()}
+    except InternalConsistencyError as e:
+        checks.add(bijective, False, str(e))
+        return
+    top = max((s.dim for s in image_of), default=0)
+    detail = ""
+    for q in range(max(top, target.top) + 1):
+        labels = target.labels[q] if q <= target.top else ()
+        images = [image_of[s] for s in gvf.critical(q)]
+        if len(images) != len(labels) or set(images) != set(labels):
+            detail = f"images in degree {q} do not match the target generators"
+            break
+    if not checks.add(bijective, not detail, detail):
+        return
+    if pair_checks is not None:
+        pair_checks(image_of)
+
+    preimage = {label: s for s, label in image_of.items()}
+    ordered = [[preimage[label] for label in labels] for labels in target.labels]
+    got = [
+        _boundary_matrix(ordered[q - 1], ordered[q], paths_from)
+        for q in range(1, target.top + 1)
+    ]
+    matrices_ok = True
+    for q, have in enumerate(got, start=1):
+        want = target.boundary(q)
+        if have != want:
+            matrices_ok = False
+            spots = [
+                (i, j) for i, row in enumerate(want) for j, v in enumerate(row) if have[i][j] != v
+            ]
+            detail = f"degree {q} differs at entries {spots[:5]}"
+            break
+    checks.add("boundary_matrices_equal", matrices_ok, detail)
+
+    # Equal generators and equal matrices make the Thom-Smale complex the
+    # target complex itself, so its homology is the target's.
+    own = homologies[0][1] if matrices_ok else homology(IntegerChainComplex(target.ranks, got))
+    named = [(source, own), *homologies]
+    ok = all(h == own for _, h in named)
+    checks.add(
+        "homology_equal",
+        ok,
+        str(homologies[-1][1]) if ok else "  vs  ".join(f"{n}: {h}" for n, h in named),
+    )
+
+
 def _g_image(xt: XTilde, s: Simplex) -> Simplex:
     """g: critical cells of V -> simplices of X (drop the copy tag)."""
     d = xt.decomposition
@@ -218,7 +306,6 @@ def check_iso_simplicial(xt: XTilde) -> VerifyReport:
     critical-cell census, bijectivity of g, equality of every boundary
     matrix, and equality of homology."""
     d = xt.decomposition
-    x = d.x
     checks = _Checks()
     try:
         v = build_v_field(xt)
@@ -241,53 +328,9 @@ def check_iso_simplicial(xt: XTilde) -> VerifyReport:
         if actual == expected
         else f"unexpected {sorted(actual - expected)[:3]}, missing {sorted(expected - actual)[:3]}",
     )
-
-    ok_bij = True
-    detail = ""
-    for q in range(x.dim + 1):
-        images = sorted((_g_image(xt, s) for s in v.critical(q)), key=lambda s: s.key)
-        if images != list(x.simplices(q)):
-            ok_bij = False
-            detail = f"g images in degree {q} do not match X"
-            break
-    checks.add("g_bijective", ok_bij, detail)
-    if not (actual == expected and ok_bij):
-        return checks.report()
-
-    # Boundary matrices of the Thom-Smale complex, with each degree's
-    # critical cells ordered by their g-image, against the simplicial ones.
-    scc = simplicial_chain_complex(x)
-    ordered = {
-        q: sorted(v.critical(q), key=lambda s: _g_image(xt, s).key)
-        for q in range(x.dim + 1)
-    }
-    ranks = [len(ordered[q]) for q in range(x.dim + 1)]
-    got = [
-        _boundary_matrix(ordered[q - 1], ordered[q], lambda tau: trajectories_from(v, tau))
-        for q in range(1, x.dim + 1)
-    ]
-    matrices_ok = True
-    detail = ""
-    for q in range(1, x.dim + 1):
-        have, want = got[q - 1], scc.boundary(q)
-        if have != want:
-            matrices_ok = False
-            spots = [
-                (i, j)
-                for i in range(len(want))
-                for j in range(len(want[0]) if want else 0)
-                if have[i][j] != want[i][j]
-            ]
-            detail = f"degree {q} differs at entries {spots[:5]}"
-            break
-    checks.add("boundary_matrices_equal", matrices_ok, detail)
-
-    hx = homology(scc)
-    hv = homology(IntegerChainComplex(ranks, got))
-    checks.add(
-        "homology_equal",
-        hv == hx,
-        str(hv) if hv == hx else f"X: {hx}  vs  (X~,V): {hv}",
+    _compare(
+        checks, v, "(X~,V)", lambda s: _g_image(xt, s), "g_bijective",
+        xt.x_chains, [("X", xt.x_homology)], lambda tau: trajectories_from(v, tau),
     )
     return checks.report()
 
@@ -352,39 +395,24 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
         checks.add("w_field_certified", False, str(e))
         return checks.report()
 
-    gvf = wf.gvf
-    top = max((s.dim for s in gvf.critical()), default=0)
-    ok_f = True
-    detail = ""
-    f_of: dict[Simplex, MVGenerator] = {}
-    try:
-        for s in gvf.critical():
-            f_of[s] = _f_image(xt, s)
-    except InternalConsistencyError as e:
-        ok_f, detail = False, str(e)
-    if ok_f:
-        for q in range(top + 1):
-            images = sorted(
-                (f_of[s] for s in gvf.critical(q)), key=lambda g: g.sort_key
-            )
-            if images != list(mv_generators(d, q)):
-                ok_f = False
-                detail = f"f images in degree {q} do not match the generators"
-                break
-    checks.add("f_bijective_onto_generators", ok_f, detail)
-    if not ok_f:
-        return checks.report()
-
     # every trajectory upstairs and in MV, enumerated once per critical cell
+    gvf = wf.gvf
     gamma = {tau: trajectories_from(gvf, tau) for tau in gvf.critical() if tau.dim}
     mv = {beta: mv_trajectories_from(d, beta) for beta in mv_generators(d) if beta.degree}
-    counts_ok = weights_ok = classes_ok = True
-    c_detail = w_detail = k_detail = ""
-    pairs_compared = 0
-    for q in range(1, top + 1):
-        for tau in gvf.critical(q):
-            for sigma in gvf.critical(q - 1):
-                g_list = gamma[tau].get(sigma, [])
+    gens = [mv_generators(d, q) for q in range(_max_degree(d) + 1)]
+    target = IntegerChainComplex(
+        [len(g) for g in gens],
+        [_boundary_matrix(gens[q - 1], gens[q], mv.get) for q in range(1, len(gens))],
+        gens,
+    )
+
+    def pair_checks(f_of: dict[Simplex, MVGenerator]) -> None:
+        counts_ok = weights_ok = classes_ok = True
+        c_detail = w_detail = k_detail = ""
+        pairs_compared = 0
+        for tau, paths in gamma.items():
+            for sigma in gvf.critical(tau.dim - 1):
+                g_list = paths.get(sigma, [])
                 m_list = mv[f_of[tau]].get(f_of[sigma], [])
                 pairs_compared += 1
                 if counts_ok and len(g_list) != len(m_list):
@@ -406,38 +434,16 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
                     if up is not None and up != sorted(t.case for t in m_list):
                         classes_ok = False
                         k_detail = f"{f_of[tau]} -> {f_of[sigma]}: case multisets differ"
-    checks.add(
-        "trajectory_counts_match",
-        counts_ok,
-        c_detail or f"{pairs_compared} critical pairs compared",
-    )
-    checks.add("trajectory_weights_match", weights_ok, w_detail)
-    checks.add("trajectory_classification", classes_ok, k_detail)
+        checks.add(
+            "trajectory_counts_match",
+            counts_ok,
+            c_detail or f"{pairs_compared} critical pairs compared",
+        )
+        checks.add("trajectory_weights_match", weights_ok, w_detail)
+        checks.add("trajectory_classification", classes_ok, k_detail)
 
-    # Both boundaries, the Thom-Smale one with each degree's critical cells
-    # ordered by their f-image, from the trajectories listed above.
-    top_mv = _max_degree(d)
-    qmax = max(top, top_mv)
-    ordered = [sorted(gvf.critical(q), key=lambda s: f_of[s].sort_key) for q in range(qmax + 1)]
-    gens = [mv_generators(d, q) for q in range(qmax + 1)]
-    got = [_boundary_matrix(ordered[q - 1], ordered[q], gamma.get) for q in range(1, qmax + 1)]
-    want = [_boundary_matrix(gens[q - 1], gens[q], mv.get) for q in range(1, qmax + 1)]
-    matrices_ok = True
-    detail = ""
-    for q in range(1, qmax + 1):
-        if got[q - 1] != want[q - 1]:
-            matrices_ok = False
-            detail = f"degree {q}: Thom-Smale and MV boundary matrices differ"
-            break
-    checks.add("boundary_matrices_equal", matrices_ok, detail)
-
-    hw = homology(IntegerChainComplex([len(c) for c in ordered[: top + 1]], got[:top]))
-    hd = homology(IntegerChainComplex([len(g) for g in gens[: top_mv + 1]], want[:top_mv]))
-    hx = simplicial_homology(d.x)
-    hom_ok = hw == hd == hx
-    checks.add(
-        "homology_equal",
-        hom_ok,
-        str(hx) if hom_ok else f"(X~,W): {hw}  vs  MV: {hd}  vs  X: {hx}",
+    _compare(
+        checks, gvf, "(X~,W)", lambda s: _f_image(xt, s), "f_bijective_onto_generators",
+        target, [("MV", homology(target)), ("X", xt.x_homology)], gamma.get, pair_checks,
     )
     return checks.report()

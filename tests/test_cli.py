@@ -1,9 +1,14 @@
 """The command-line interface: reports, output formats, and exit codes."""
 from __future__ import annotations
 
+import contextlib
+import importlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morsemv.cli import main
 
@@ -189,6 +194,20 @@ class TestVerifyCommand:
         assert len(payload["checks"]) == 12
         assert all(c["ok"] for c in payload["checks"])
 
+    @pytest.mark.parametrize("name", ["trajectories_from", "mv_trajectories_from"])
+    def test_failing_check_exits_5(self, files, capsys, monkeypatch, name):
+        monkeypatch.setattr(importlib.import_module("morsemv.verify"), name,
+                            lambda *args: {})
+        cx, dec = files
+        assert main(["verify", "--complex", cx, "--decomposition", dec]) == 5
+        out = capsys.readouterr().out
+        assert "  FAIL boundary_matrices_equal: degree 1 differs at entries" in out
+        assert "  FAIL homology_equal: " in out
+        assert "verdict: FAIL (12 checks)" in out
+        assert main(["verify", "--complex", cx, "--decomposition", dec,
+                     "--output", "json"]) == 5
+        assert json.loads(capsys.readouterr().out)["ok"] is False
+
 
 class TestOracleCommand:
     def test_text(self, files, capsys):
@@ -271,3 +290,65 @@ class TestDeterminism:
         argv = ["homology", "--complex", cx, "--decomposition", str(plain),
                 "--strategy", "random", "--seed", "11", "--output", "json"]
         assert self.run_json(argv, capsys) == self.run_json(argv, capsys)
+
+
+# ---------------------------------------------------------------------------
+# no input ends in a traceback
+
+VERTICES = [f"v{i}" for i in range(6)]
+simplex = st.lists(st.sampled_from(VERTICES), min_size=1, max_size=4, unique=True)
+junk_line = st.sampled_from(["", "# comment", "[C]", "v0 v0", "A: v0 -> v0", "auto",
+                             "C: v0 -> v0 v1"])
+generator_token = st.builds(
+    lambda tag, vs: ",".join(tag + v for v in vs),
+    st.sampled_from(["A:", "B:", "I:", "X:", ""]),
+    st.lists(st.sampled_from(VERTICES[:3]), min_size=1, max_size=3),
+)
+
+
+def lines(items) -> str:
+    return "".join(item + "\n" for item in items)
+
+
+@st.composite
+def cli_inputs(draw):
+    """Complex and decomposition texts: the pieces are drawn from the
+    complex's own lines, so covers (and failures past parsing) are common;
+    field lines are strategy lines or pairs, most of them not valid."""
+    maximal = [" ".join(s) for s in draw(st.lists(simplex, min_size=1, max_size=6))]
+    a = [m for m in maximal if draw(st.booleans())] or maximal[:1]
+    b = [m for m in maximal if draw(st.booleans())] or maximal[-1:]
+    junk = st.lists(junk_line, max_size=1) | st.just([])
+    # (tau minus its k-th vertex, tau): a facet pair unless k is out of range
+    pair = st.builds(
+        lambda piece, tau, k: f"{piece}: {' '.join(tau[:k] + tau[k + 1:]) or tau[0]} -> "
+                              + " ".join(tau),
+        st.sampled_from(["A", "B", "I"]), simplex, st.integers(0, 3),
+    )
+    auto = st.sampled_from(["auto lexicographic", "auto random", "auto random 3",
+                            "auto random x", "auto greedy"])
+    fields = draw(st.none() | auto.map(lambda line: [line]) | st.lists(pair, max_size=4))
+    x_text = lines(maximal + draw(junk))
+    dec_text = "[A]\n" + lines(a) + "[B]\n" + lines(b + draw(junk))
+    if fields is not None:
+        dec_text += "[fields]\n" + lines(fields)
+    return x_text, dec_text
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(texts=cli_inputs(), beta=generator_token, alpha=generator_token,
+       strategy=st.sampled_from([[], ["--strategy", "random", "--seed", "2"],
+                                 ["--strategy", "lex"]]),
+       output=st.sampled_from(["text", "json"]))
+def test_no_input_raises(tmp_path_factory, texts, beta, alpha, strategy, output):
+    directory = tmp_path_factory.mktemp("fuzz")
+    cx, dx = directory / "x.cx", directory / "x.dec"
+    cx.write_text(texts[0])
+    dx.write_text(texts[1])
+    common = ["--complex", str(cx), "--output", output]
+    pieces = [*common, "--decomposition", str(dx), *strategy]
+    for argv in (["homology", *pieces], ["trajectories", *pieces, beta, alpha],
+                 ["verify", *pieces], ["oracle", *common]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3, 4, 5), argv

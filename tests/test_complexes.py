@@ -229,8 +229,9 @@ class TestPrism:
         assert p.b_member(e, 0) == Simplex("Pb:x0 Pb:x1")
         assert p.b_member(e, 1) == Simplex("Pa:x0 Pb:x1")
         assert p.b_member(e, 2) == Simplex("Pa:x0 Pa:x1")
-        assert p.pure_b(e) == p.b_member(e, 0)
-        assert p.pure_a(e) == p.b_member(e, 2)
+        # the outer b_members are the pure top and bottom copies of the edge
+        assert p.is_pure_b(p.b_member(e, 0)) and not p.is_pure_a(p.b_member(e, 0))
+        assert p.is_pure_a(p.b_member(e, 2)) and not p.is_pure_b(p.b_member(e, 2))
 
     def test_member_index_ranges(self):
         p = prism(build_complex(["x0 x1"]))
@@ -247,7 +248,8 @@ class TestPrism:
         p = prism(base)
         seen: list[Simplex] = []
         for alpha in base.simplices():
-            block = p.block(alpha)
+            block = [p.a_member(alpha, r) for r in range(alpha.dim + 1)]
+            block += [p.b_member(alpha, r) for r in range(alpha.dim + 2)]
             assert len(block) == 2 * alpha.dim + 3
             assert all(p.ground_simplex(c) == alpha for c in block)
             seen.extend(block)

@@ -2,6 +2,7 @@
 tying the Mayer-Vietoris complex to plain simplicial homology."""
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
@@ -18,11 +19,17 @@ from morsemv import (
     check_iso_simplicial,
     check_main_iso,
     classify_w_trajectory,
+    homology,
     mv_generators,
     simplicial_homology,
+    thom_smale_complex,
     trajectories_from,
 )
 from conftest import corpus_complexes, octahedron_pieces, random_cover
+
+# the modules themselves: the package re-exports a function named `homology`
+homology_module = importlib.import_module("morsemv.homology")
+verify_module = importlib.import_module("morsemv.verify")
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +97,8 @@ class TestVField:
             for r in range(alpha.dim + 1):
                 assert v.up(xt.prism.b_member(alpha, r)) == xt.prism.a_member(alpha, r)
             # the top copy of alpha is swept away, the bottom copy survives
-            assert v.field.is_matched(xt.prism.pure_b(alpha))
-            assert not v.field.is_matched(xt.prism.pure_a(alpha))
+            assert v.field.is_matched(xt.prism.b_member(alpha, 0))
+            assert not v.field.is_matched(xt.prism.b_member(alpha, alpha.dim + 1))
 
 
 class TestWField:
@@ -182,8 +189,67 @@ class TestChecks:
         assert check_iso_simplicial(xt).ok, str(check_iso_simplicial(xt))
         assert check_main_iso(xt).ok, str(check_main_iso(xt))
         assert simplicial_homology(xt.complex) == simplicial_homology(x)
+        # the shared context against the slow references it replaces
+        assert (
+            xt.x_homology
+            == simplicial_homology(x)
+            == homology(thom_smale_complex(build_v_field(xt)))
+        )
+
+    def test_chain_complex_of_x_built_once(self, oct_decomposition, monkeypatch):
+        calls = []
+        real = homology_module.simplicial_chain_complex
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(homology_module, "simplicial_chain_complex", counting)
+        monkeypatch.setattr(verify_module, "simplicial_chain_complex", counting)
+        xt = build_xtilde(oct_decomposition)
+        assert check_iso_simplicial(xt).ok and check_main_iso(xt).ok
+        assert calls == [oct_decomposition.x]
 
     def test_report_rendering(self, oct_xtilde):
         report = check_iso_simplicial(oct_xtilde)
         text = str(report)
         assert "ok" in text and "v_field_certified" in text
+
+
+class TestFailingChecks:
+    """Losing every trajectory leaves zero boundary matrices, which still
+    square to zero, so the checks run to the end and must fail there."""
+
+    @staticmethod
+    def failed(report):
+        return [c.name for c in report.failures]
+
+    def test_without_field_trajectories(self, oct_xtilde, monkeypatch):
+        monkeypatch.setattr(verify_module, "trajectories_from", lambda *args: {})
+        r1 = check_iso_simplicial(oct_xtilde)
+        assert not r1.ok
+        assert self.failed(r1) == ["boundary_matrices_equal", "homology_equal"]
+        # homology from the zero Thom-Smale matrices: one generator per cell
+        assert r1.checks[-1].detail.startswith("(X~,V): H_0 = Z^6, H_1 = Z^12, H_2 = Z^8  vs  X:")
+        r2 = check_main_iso(oct_xtilde)
+        assert not r2.ok
+        assert self.failed(r2) == [
+            "trajectory_counts_match", "trajectory_weights_match",
+            "trajectory_classification", "boundary_matrices_equal", "homology_equal",
+        ]
+        assert r2.checks[-1].detail.startswith("(X~,W): H_0 = Z^2, H_1 = Z, H_2 = Z  vs  MV:")
+
+    def test_without_mv_trajectories(self, oct_xtilde, monkeypatch):
+        monkeypatch.setattr(verify_module, "mv_trajectories_from", lambda *args: {})
+        assert check_iso_simplicial(oct_xtilde).ok
+        r2 = check_main_iso(oct_xtilde)
+        assert not r2.ok
+        assert self.failed(r2) == [
+            "trajectory_counts_match", "trajectory_weights_match",
+            "trajectory_classification", "boundary_matrices_equal", "homology_equal",
+        ]
+        # the Thom-Smale side is still right; the zero MV matrices are not
+        assert r2.checks[-1].detail == (
+            "(X~,W): H_0 = Z, H_1 = 0, H_2 = Z  vs  "
+            "MV: H_0 = Z^2, H_1 = Z, H_2 = Z  vs  X: H_0 = Z, H_1 = 0, H_2 = Z"
+        )
