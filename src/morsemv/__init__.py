@@ -29,7 +29,6 @@ from .homology import (
     HomologyResult,
     IntegerChainComplex,
     homology,
-    matrix_rank,
     simplicial_chain_complex,
     simplicial_homology,
     smith_normal_form,
@@ -97,7 +96,7 @@ __all__ = [
     "MorsemvError", "ParseError", "ComplexError", "FieldError",
     "NotAcyclicError", "DecompositionError", "InternalConsistencyError",
     # homology
-    "smith_normal_form", "matrix_rank", "IntegerChainComplex",
+    "smith_normal_form", "IntegerChainComplex",
     "HomologyResult", "homology", "simplicial_chain_complex",
     "simplicial_homology",
     # morse

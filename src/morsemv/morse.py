@@ -37,7 +37,7 @@ from typing import Iterable, Iterator
 
 from .complexes import Simplex, SimplicialComplex, incidence
 from .errors import FieldError, InternalConsistencyError, NotAcyclicError
-from .homology import IntegerChainComplex
+from .homology import Column, IntegerChainComplex, _dense
 
 __all__ = [
     "DEFAULT_SEED",
@@ -407,15 +407,29 @@ def _walk(start: Simplex, step) -> Iterator[tuple[Simplex, ...]]:
                 del seq[-grown:]
 
 
-def _boundary_matrix(rows, cols, paths_from) -> list[list[int]]:
-    """The matrix with rows and columns indexed by the given sequences whose
-    (r, c) entry sums the weights of the trajectories `paths_from(c)[r]`."""
+def _boundary_columns(rows, cols, paths_from) -> list[Column]:
+    """The sparse columns of the matrix with rows and columns indexed by the
+    given sequences whose (r, c) entry sums the weights of the trajectories
+    `paths_from(c)[r]`; entries that sum to zero are left out."""
     index = {r: i for i, r in enumerate(rows)}
-    matrix = [[0] * len(cols) for _ in rows]
-    for j, c in enumerate(cols):
+    columns = []
+    for c in cols:
+        col = {}
         for r, paths in paths_from(c).items():
-            matrix[index[r]][j] = sum(t.weight for t in paths)
-    return matrix
+            w = sum(t.weight for t in paths)
+            if w:
+                col[index[r]] = w
+        columns.append(col)
+    return columns
+
+
+def _trajectory_complex(labels, paths_from) -> IntegerChainComplex:
+    """The chain complex with generators `labels[q]` in degree q whose
+    boundary columns come from `_boundary_columns`."""
+    columns = [
+        _boundary_columns(labels[q - 1], labels[q], paths_from) for q in range(1, len(labels))
+    ]
+    return IntegerChainComplex.from_columns([len(ls) for ls in labels], columns, labels)
 
 
 def enumerate_trajectories(
@@ -433,18 +447,16 @@ def thom_smale_boundary(gvf: GradientField, q: int) -> list[list[int]]:
     """The degree-q boundary matrix of the Thom-Smale complex: rows indexed
     by critical (q-1)-simplices, columns by critical q-simplices, both in
     canonical order; entries are summed trajectory weights."""
-    return _boundary_matrix(
-        gvf.critical(q - 1), gvf.critical(q), lambda tau: trajectories_from(gvf, tau)
-    )
+    rows = gvf.critical(q - 1)
+    paths = lambda tau: trajectories_from(gvf, tau)
+    return _dense(_boundary_columns(rows, gvf.critical(q), paths), len(rows))
 
 
 def thom_smale_complex(gvf: GradientField) -> IntegerChainComplex:
     """The full Thom-Smale chain complex of (X, V); its homology equals the
     simplicial homology of X."""
-    top = gvf.complex.dim
-    labels = [gvf.critical(q) for q in range(top + 1)]
-    boundaries = [thom_smale_boundary(gvf, q) for q in range(1, top + 1)]
-    return IntegerChainComplex([len(ls) for ls in labels], boundaries, labels)
+    labels = [gvf.critical(q) for q in range(gvf.complex.dim + 1)]
+    return _trajectory_complex(labels, lambda tau: trajectories_from(gvf, tau))
 
 
 def greedy_gvf(

@@ -44,13 +44,14 @@ from typing import Iterable, Mapping
 
 from .complexes import ComplexCopy, Simplex, SimplicialComplex, copy_relabel, intersection
 from .errors import DecompositionError, FieldError, InternalConsistencyError
-from .homology import HomologyResult, IntegerChainComplex, homology
+from .homology import HomologyResult, IntegerChainComplex, _dense, homology
 from .morse import (
     DEFAULT_SEED,
     GradientField,
     Trajectory,
     VectorField,
-    _boundary_matrix,
+    _boundary_columns,
+    _trajectory_complex,
     _walk,
     greedy_gvf,
     trajectories_from,
@@ -428,18 +429,16 @@ def validate_mv_trajectory(d: Decomposition, t: MVTrajectory) -> None:
 def mv_boundary(d: Decomposition, q: int) -> list[list[int]]:
     """The boundary matrix D_q -> D_{q-1}: rows over D_{q-1}, columns over
     D_q, entries the summed trajectory weights."""
-    return _boundary_matrix(
-        mv_generators(d, q - 1), mv_generators(d, q), lambda b: mv_trajectories_from(d, b)
-    )
+    rows = mv_generators(d, q - 1)
+    paths = lambda b: mv_trajectories_from(d, b)
+    return _dense(_boundary_columns(rows, mv_generators(d, q), paths), len(rows))
 
 
 def mv_chain_complex(d: Decomposition) -> IntegerChainComplex:
     """The full Mayer-Vietoris chain complex.  Construction re-verifies that
     the boundary squares to zero and fails hard otherwise."""
-    top = _max_degree(d)
-    labels = [mv_generators(d, q) for q in range(top + 1)]
-    boundaries = [mv_boundary(d, q) for q in range(1, top + 1)]
-    return IntegerChainComplex([len(ls) for ls in labels], boundaries, labels)
+    labels = [mv_generators(d, q) for q in range(_max_degree(d) + 1)]
+    return _trajectory_complex(labels, lambda b: mv_trajectories_from(d, b))
 
 
 def mv_homology(d: Decomposition) -> HomologyResult:

@@ -56,7 +56,8 @@ from .morse import (
     GradientField,
     Trajectory,
     VectorField,
-    _boundary_matrix,
+    _boundary_columns,
+    _trajectory_complex,
     trajectories_from,
 )
 from .mv import (
@@ -266,24 +267,29 @@ def _compare(
     preimage = {label: s for s, label in image_of.items()}
     ordered = [[preimage[label] for label in labels] for labels in target.labels]
     got = [
-        _boundary_matrix(ordered[q - 1], ordered[q], paths_from)
+        _boundary_columns(ordered[q - 1], ordered[q], paths_from)
         for q in range(1, target.top + 1)
     ]
     matrices_ok = True
-    for q, have in enumerate(got, start=1):
-        want = target.boundary(q)
+    for q, (have, want) in enumerate(zip(got, target.columns), start=1):
         if have != want:
             matrices_ok = False
-            spots = [
-                (i, j) for i, row in enumerate(want) for j, v in enumerate(row) if have[i][j] != v
-            ]
+            spots = sorted(
+                (i, j)
+                for j, (h, w) in enumerate(zip(have, want))
+                for i in h.keys() | w.keys()
+                if h.get(i) != w.get(i)
+            )
             detail = f"degree {q} differs at entries {spots[:5]}"
             break
     checks.add("boundary_matrices_equal", matrices_ok, detail)
 
     # Equal generators and equal matrices make the Thom-Smale complex the
     # target complex itself, so its homology is the target's.
-    own = homologies[0][1] if matrices_ok else homology(IntegerChainComplex(target.ranks, got))
+    own = (
+        homologies[0][1] if matrices_ok
+        else homology(IntegerChainComplex.from_columns(target.ranks, got))
+    )
     named = [(source, own), *homologies]
     ok = all(h == own for _, h in named)
     checks.add(
@@ -400,11 +406,7 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
     gamma = {tau: trajectories_from(gvf, tau) for tau in gvf.critical() if tau.dim}
     mv = {beta: mv_trajectories_from(d, beta) for beta in mv_generators(d) if beta.degree}
     gens = [mv_generators(d, q) for q in range(_max_degree(d) + 1)]
-    target = IntegerChainComplex(
-        [len(g) for g in gens],
-        [_boundary_matrix(gens[q - 1], gens[q], mv.get) for q in range(1, len(gens))],
-        gens,
-    )
+    target = _trajectory_complex(gens, mv.get)
 
     def pair_checks(f_of: dict[Simplex, MVGenerator]) -> None:
         counts_ok = weights_ok = classes_ok = True

@@ -149,13 +149,22 @@ def test_structural_checks_pass_on_every_corpus_decomposition():
     assert time.perf_counter() - started < 120.0
 
 
-def test_long_path_has_no_depth_limit(tmp_path, capsys):
-    # A path p0 - ... - p1500 with the pendant edge a - p1500 in A and
-    # b - p0 in B; both pieces hold the whole path, so the single case-4
-    # trajectory from I:p0 ascends all of it.  X is contractible.
-    n = 1500
+def long_path(directory, n=1500):
+    """A path p0 - ... - pn with the pendant edge a - pn in A and b - p0 in
+    B; both pieces hold the whole path, so the single case-4 trajectory from
+    I:p0 ascends all of it.  X is contractible.  Writes X and the split to
+    `directory`; returns the lines of A and of B and the CLI file options."""
     path = [f"p{i} p{i + 1}" for i in range(n)]
     a_lines, b_lines = path + [f"a p{n}"], path + ["b p0"]
+    cx, dec = directory / "path.cx", directory / "path.dec"
+    cx.write_text("\n".join(a_lines + b_lines[-1:]) + "\n")
+    dec.write_text("\n".join(["[A]", *a_lines, "[B]", *b_lines]) + "\n")
+    return a_lines, b_lines, ["--complex", str(cx), "--decomposition", str(dec)]
+
+
+def test_long_path_has_no_depth_limit(tmp_path, capsys):
+    n = 1500
+    a_lines, b_lines, files = long_path(tmp_path, n)
     x = build_complex(a_lines + b_lines[-1:])
     d = build_decomposition(x, build_complex(a_lines), build_complex(b_lines))
     assert mv_homology(d) == HomologyResult([(1, ())])
@@ -165,15 +174,26 @@ def test_long_path_has_no_depth_limit(tmp_path, capsys):
     assert t.weight in (-1, 1) and t.l == n + 1
     validate_mv_trajectory(d, t)
 
-    cx, dec = tmp_path / "path.cx", tmp_path / "path.dec"
-    cx.write_text("\n".join(a_lines + b_lines[-1:]) + "\n")
-    dec.write_text("\n".join(["[A]", *a_lines, "[B]", *b_lines]) + "\n")
-    files = ["--complex", str(cx), "--decomposition", str(dec), "--output", "json"]
+    files += ["--output", "json"]
     assert main(["homology", *files]) == 0
     groups = [row["group"] for row in json.loads(capsys.readouterr().out)["homology"]]
     assert groups == ["Z", "0"]
     assert main(["trajectories", *files, "I:p0", "A:a"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 1
+
+
+def test_long_path_oracle_and_verify(tmp_path, capsys):
+    # Budget: under thirty seconds for both commands, tolerance exact.  With
+    # dense matrices of C_*(X) they took about forty seconds at 900 edges.
+    started = time.perf_counter()
+    _, _, files = long_path(tmp_path)
+    assert main(["oracle", *files[:2], "--output", "json"]) == 0
+    groups = [row["group"] for row in json.loads(capsys.readouterr().out)["homology"]]
+    assert groups == ["Z", "0"]
+    assert main(["verify", *files, "--output", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True and all(c["ok"] for c in report["checks"])
+    assert time.perf_counter() - started < 30.0
 
 
 def test_projective_plane_torsion_through_mv():

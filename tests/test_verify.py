@@ -2,12 +2,14 @@
 tying the Mayer-Vietoris complex to plain simplicial homology."""
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import random
 
 import pytest
 
 from morsemv import (
+    IntegerChainComplex,
     InternalConsistencyError,
     Simplex,
     Trajectory,
@@ -253,3 +255,22 @@ class TestFailingChecks:
             "(X~,W): H_0 = Z, H_1 = 0, H_2 = Z  vs  "
             "MV: H_0 = Z^2, H_1 = Z, H_2 = Z  vs  X: H_0 = Z, H_1 = 0, H_2 = Z"
         )
+
+    def test_corrupted_target_reports_first_entries_row_major(self, oct_xtilde):
+        # Negating three columns of d_2 keeps d o d = 0 and changes nine
+        # entries; the report names the first five in row-major order.
+        x = oct_xtilde.x_chains
+        bad = x.boundary(2)
+        for row in bad:
+            row[:3] = [-v for v in row[:3]]
+        corrupt = IntegerChainComplex(x.ranks, [x.boundary(1), bad], x.labels)
+        report = check_iso_simplicial(dataclasses.replace(oct_xtilde, x_chains=corrupt))
+        assert self.failed(report) == ["boundary_matrices_equal"]
+        good = x.boundary(2)
+        spots = [(i, j) for i, row in enumerate(bad) for j, v in enumerate(row)
+                 if good[i][j] != v]
+        assert len(spots) == 9
+        detail = report.checks[-2].detail
+        assert detail == f"degree 2 differs at entries {spots[:5]}"
+        # the text the dense comparison produced, entry for entry
+        assert detail == "degree 2 differs at entries [(0, 0), (0, 1), (1, 2), (2, 0), (2, 2)]"
