@@ -157,6 +157,8 @@ def _complex_info(x: SimplicialComplex) -> dict:
 
 
 def _homology_rows(result: HomologyResult, degree: int | None, top: int) -> list[dict]:
+    if degree is not None and degree < 0:
+        raise ParseError(f"--degree must be nonnegative, got {degree}")
     degrees = range(top + 1) if degree is None else [degree]
     return [
         {
@@ -221,7 +223,7 @@ def _cmd_homology(args) -> int:
 def _resolve_generator(d: Decomposition, token: str) -> MVGenerator:
     tag, simplex = parse_generator_name(token)
     degree = simplex.dim + (1 if tag == SHIFTED else 0)
-    candidate = MVGenerator(tag, simplex, degree)
+    candidate = MVGenerator(tag, abs(simplex), degree)
     if candidate not in mv_generators(d, degree):
         raise ParseError(f"unknown generator {token!r}")
     return candidate

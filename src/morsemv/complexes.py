@@ -15,7 +15,12 @@ extended to oriented simplices by multiplying both signs, and zero whenever
 sigma is not a facet of tau.  With this convention the simplicial boundary
 satisfies boundary-of-boundary = 0 (see Hatcher, "Algebraic Topology", ch. 2).
 
-A `SimplicialComplex` is the downward closure of a finite generating family.
+A `SimplicialComplex` closes a finite generating family downward one facet
+at a time into its facet table: each member's facets, themselves members, in
+vertex-drop order, so facet k of a positive tau has <tau, facet k> = (-1)^k.
+That table is the single source of facet order and boundary sign; every
+layer reads it through `facets` and `cofacets`.
+
 `PrismComplex` models Y x [0,1] over a base complex Y, triangulated the
 standard way: each base simplex [x_{i_0}, ..., x_{i_q}] contributes the
 maximal cells [a_{i_0}, ..., a_{i_r}, b_{i_r}, ..., b_{i_q}] for 0 <= r <= q,
@@ -131,26 +136,25 @@ class Simplex:
     # -- combinatorics -----------------------------------------------------
 
     def facets(self) -> tuple["Simplex", ...]:
-        """The positively oriented codimension-1 faces, in canonical order."""
+        """The positively oriented codimension-1 faces in vertex-drop order:
+        the k-th drops the k-th vertex."""
         if self.dim == 0:
             return ()
         vs = self.vertices
-        return tuple(
-            Simplex(vs[:i] + vs[i + 1 :]) for i in range(len(vs))
-        )
-
-    def faces(self) -> Iterator["Simplex"]:
-        """All positively oriented faces, the simplex itself included."""
-        vs = self.vertices
-        for k in range(1, len(vs) + 1):
-            for combo in itertools.combinations(vs, k):
-                yield Simplex(combo)
+        return tuple(_canonical(vs[:i] + vs[i + 1 :]) for i in range(len(vs)))
 
     def is_face_of(self, other: "Simplex") -> bool:
         return set(self.vertices) <= set(other.vertices)
 
     def relabel(self, mapping: Mapping[str, str]) -> "Simplex":
         return Simplex((mapping[v] for v in self.vertices), self.sign)
+
+
+def _canonical(vertices: tuple[str, ...]) -> Simplex:
+    """The positive simplex on valid, increasing vertices, built unchecked."""
+    s = object.__new__(Simplex)
+    s.vertices, s.sign = vertices, 1
+    return s
 
 
 def incidence(tau: Simplex, sigma: Simplex) -> int:
@@ -188,28 +192,42 @@ class SimplicialComplex:
         gens = [g if isinstance(g, Simplex) else Simplex(g) for g in generators]
         if not gens:
             raise ComplexError("a simplicial complex needs at least one simplex")
-        closure: set[Simplex] = set()
+        # Close downward one facet at a time.  A facet is looked up by its
+        # vertex tuple and added when new, so each simplex is stored once and
+        # every stored facet is the member object itself.
+        member: dict[tuple[str, ...], Simplex] = {}
         for g in gens:
-            closure.update(g.faces())
+            member.setdefault(g.vertices, abs(g))
+        pending = list(member.values())
+        facets: dict[tuple[str, ...], tuple[Simplex, ...]] = {}
+        while pending:
+            s = pending.pop()
+            own = []
+            for f in s.facets():
+                m = member.get(f.vertices)
+                if m is None:
+                    member[f.vertices] = m = f
+                    pending.append(f)
+                own.append(m)
+            facets[s.vertices] = tuple(own)
+        self._facets = facets
+
         by_dim: dict[int, list[Simplex]] = {}
-        for s in closure:
+        for s in member.values():
             by_dim.setdefault(s.dim, []).append(s)
         self._by_dim: dict[int, tuple[Simplex, ...]] = {
             q: tuple(sorted(ss, key=lambda s: s.key)) for q, ss in sorted(by_dim.items())
         }
-        self._members: frozenset[tuple[str, ...]] = frozenset(
-            s.vertices for s in closure
-        )
-        cof: dict[Simplex, list[Simplex]] = {s: [] for s in closure}
-        for s in closure:
-            for f in s.facets():
-                cof[f].append(s)
-        self._cofacets: dict[Simplex, tuple[Simplex, ...]] = {
-            s: tuple(sorted(cs, key=lambda t: t.key)) for s, cs in cof.items()
+        cof: dict[tuple[str, ...], list[Simplex]] = {vs: [] for vs in facets}
+        for vs, own in facets.items():
+            for f in own:
+                cof[f.vertices].append(member[vs])
+        self._cofacets: dict[tuple[str, ...], tuple[Simplex, ...]] = {
+            vs: tuple(sorted(cs, key=lambda t: t.key)) for vs, cs in cof.items()
         }
         self.maximal_simplices: tuple[Simplex, ...] = tuple(
             sorted(
-                (s for s in closure if not self._cofacets[s]),
+                (s for s in member.values() if not self._cofacets[s.vertices]),
                 key=lambda s: s.key,
             )
         )
@@ -237,17 +255,17 @@ class SimplicialComplex:
         return iter(self.simplices())
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._facets)
 
     def __contains__(self, s) -> bool:
         if isinstance(s, Simplex):
-            return s.vertices in self._members
+            return s.vertices in self._facets
         if isinstance(s, str):
-            return tuple(sorted(s.split())) in self._members
-        return tuple(sorted(s)) in self._members
+            return tuple(sorted(s.split())) in self._facets
+        return tuple(sorted(s)) in self._facets
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SimplicialComplex) and self._members == other._members
+        return isinstance(other, SimplicialComplex) and self._facets.keys() == other._facets.keys()
 
     def __repr__(self) -> str:
         return f"<SimplicialComplex dim {self.dim}, f-vector {self.f_vector()}>"
@@ -259,19 +277,22 @@ class SimplicialComplex:
         return sum((-1) ** q * n for q, n in enumerate(self.f_vector()))
 
     def facets(self, s: Simplex) -> tuple[Simplex, ...]:
-        """Codimension-1 faces of a member simplex (all members, by closure)."""
-        if s.vertices not in self._members:
-            raise ComplexError(f"{s} is not in the complex")
-        return abs(s).facets()
+        """The facets of a member simplex, as members, in vertex-drop order:
+        the k-th drops the k-th vertex and has incidence (-1)^k with s."""
+        try:
+            return self._facets[s.vertices]
+        except KeyError:
+            raise ComplexError(f"{s} is not in the complex") from None
 
     def cofacets(self, s: Simplex) -> tuple[Simplex, ...]:
         """Members having s as a facet."""
-        if s.vertices not in self._members:
-            raise ComplexError(f"{s} is not in the complex")
-        return self._cofacets[abs(s)]
+        try:
+            return self._cofacets[s.vertices]
+        except KeyError:
+            raise ComplexError(f"{s} is not in the complex") from None
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return self._members <= other._members
+        return self._facets.keys() <= other._facets.keys()
 
 
 def build_complex(maximal_simplices: Iterable[Simplex | str]) -> SimplicialComplex:
@@ -279,8 +300,10 @@ def build_complex(maximal_simplices: Iterable[Simplex | str]) -> SimplicialCompl
     return SimplicialComplex(maximal_simplices)
 
 
-def union(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
-    return SimplicialComplex(itertools.chain(x.maximal_simplices, y.maximal_simplices))
+def union(*complexes: SimplicialComplex) -> SimplicialComplex:
+    return SimplicialComplex(
+        itertools.chain.from_iterable(c.maximal_simplices for c in complexes)
+    )
 
 
 def intersection(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
@@ -347,10 +370,8 @@ class PrismComplex:
           for 0 <= r <= q+1 (disjoint prefix/suffix; r = 0 is the pure top
           copy of alpha, r = q+1 the pure bottom copy).
 
-    Cells over alpha are recognised by their ground: the a-indices of a
-    prism cell always form a prefix and the b-indices a suffix of the ground
-    simplex's vertex list, overlapping in exactly one index (an a_member) or
-    not at all (a b_member).
+    The ground map comes from enumerating every block with `a_member` and
+    `b_member`; construction checks that the blocks partition the cells.
     """
 
     def __init__(
@@ -381,53 +402,39 @@ class PrismComplex:
         self.base = base
         self.a_name = dict(a_name)
         self.b_name = dict(b_name)
-        self._base_of = {w: v for v, w in self.a_name.items()}
-        self._base_of.update({w: v for v, w in self.b_name.items()})
         self._a_names = frozenset(self.a_name.values())
 
-        maximal = []
-        for alpha in base.maximal_simplices:
-            xs = alpha.vertices
-            for r in range(len(xs)):
-                maximal.append(
-                    Simplex(
-                        tuple(self.a_name[v] for v in xs[: r + 1])
-                        + tuple(self.b_name[v] for v in xs[r:])
-                    )
-                )
-        self.complex = SimplicialComplex(maximal)
+        self.complex = SimplicialComplex(
+            self.a_member(alpha, r)
+            for alpha in base.maximal_simplices
+            for r in range(alpha.dim + 1)
+        )
 
-        # Ground map and classification, with the structural invariants
-        # (prefix/suffix shape, block sizes) checked on the way.
-        self._ground: dict[Simplex, Simplex] = {}
-        blocks: dict[Simplex, set[Simplex]] = {abs(s): set() for s in base.simplices()}
-        for cell in self.complex.simplices():
-            ia = [self._base_of[v] for v in cell.vertices if v in self._a_names]
-            ib = [self._base_of[v] for v in cell.vertices if v not in self._a_names]
-            ground = Simplex(sorted(set(ia) | set(ib)))
-            gs = ground.vertices
-            shared = set(ia) & set(ib)
-            if len(shared) > 1 or ia != list(gs[: len(ia)]) or ib != list(gs[len(gs) - len(ib) :]):
-                raise ComplexError(f"prism cell {cell} is not a prefix/suffix cell")
-            self._ground[cell] = ground
-            blocks[ground].add(cell)
-        for alpha, cells in blocks.items():
-            if len(cells) != 2 * alpha.dim + 3:
-                raise ComplexError(
-                    f"block over {alpha} has {len(cells)} cells, expected {2 * alpha.dim + 3}"
-                )
+        # The ground map, from the blocks, which must partition the cells:
+        # each block cell lies in the prism and in no other block, and the
+        # blocks hold as many cells as the prism.
+        self._ground: dict[tuple[str, ...], Simplex] = {}
+        for alpha in base.simplices():
+            block = [self.a_member(alpha, r) for r in range(alpha.dim + 1)]
+            block += [self.b_member(alpha, r) for r in range(alpha.dim + 2)]
+            for cell in block:
+                if cell not in self.complex or cell.vertices in self._ground:
+                    raise ComplexError(f"the blocks over {alpha} do not partition the prism")
+                self._ground[cell.vertices] = alpha
+        if len(self._ground) != len(self.complex):
+            raise ComplexError("the blocks do not cover the prism")
 
     def ground_simplex(self, cell: Simplex) -> Simplex:
         """The base simplex a prism cell lies over."""
         try:
-            return self._ground[abs(cell)]
+            return self._ground[cell.vertices]
         except KeyError:
             raise ComplexError(f"{cell} is not a cell of the prism") from None
 
     def a_member(self, alpha: Simplex, r: int) -> Simplex:
         """The cell over alpha whose a-part and b-part share index r."""
         self._blocks_guard(alpha)
-        xs = abs(alpha).vertices
+        xs = alpha.vertices
         if not 0 <= r <= len(xs) - 1:
             raise ComplexError(f"a_member index {r} out of range for {alpha}")
         return Simplex(
@@ -438,7 +445,7 @@ class PrismComplex:
     def b_member(self, alpha: Simplex, r: int) -> Simplex:
         """The cell over alpha with a-part {x_0..x_{r-1}} and b-part {x_r..x_q}."""
         self._blocks_guard(alpha)
-        xs = abs(alpha).vertices
+        xs = alpha.vertices
         if not 0 <= r <= len(xs):
             raise ComplexError(f"b_member index {r} out of range for {alpha}")
         return Simplex(
@@ -446,7 +453,7 @@ class PrismComplex:
         )
 
     def _blocks_guard(self, alpha: Simplex) -> None:
-        if abs(alpha) not in self.base:
+        if alpha not in self.base:
             raise ComplexError(f"{alpha} is not a simplex of the base")
 
     def is_pure_a(self, cell: Simplex) -> bool:

@@ -372,15 +372,13 @@ def homology(c: IntegerChainComplex) -> HomologyResult:
 
 def simplicial_chain_complex(x: SimplicialComplex) -> IntegerChainComplex:
     """The simplicial chain complex of x, generators in canonical order.
-    The column of a q-simplex holds (-1)^k at the row of the facet that
-    drops its k-th vertex."""
+    The column of a q-simplex t holds (-1)^k at the row of `x.facets(t)[k]`."""
     labels = [x.simplices(q) for q in range(x.dim + 1)]
     columns = []
     for q in range(1, x.dim + 1):
         row_of = {s.vertices: i for i, s in enumerate(labels[q - 1])}
         columns.append([
-            {row_of[t.vertices[:k] + t.vertices[k + 1:]]: -1 if k % 2 else 1
-             for k in range(q + 1)}
+            {row_of[f.vertices]: (-1) ** k for k, f in enumerate(x.facets(t))}
             for t in labels[q]
         ])
     return IntegerChainComplex.from_columns([len(ls) for ls in labels], columns, labels)

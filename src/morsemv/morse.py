@@ -152,13 +152,7 @@ def is_acyclic(v: VectorField, x: SimplicialComplex) -> AcyclicityReport:
     _check_membership(v, x)
 
     def arcs(tau: Simplex):
-        down = v.down(tau)
-        for sigma in x.facets(tau):
-            if sigma == down:
-                continue
-            nxt = v.up(sigma)
-            if nxt is not None:
-                yield sigma, nxt
+        return ((sigma, nxt) for sigma, nxt in _steps(v, x, tau) if nxt is not None)
 
     WHITE, GRAY, BLACK = 0, 1, 2
     for q in range(1, x.dim + 1):
@@ -359,27 +353,27 @@ def trajectories_from(gvf: GradientField, tau: Simplex) -> dict[Simplex, list[Tr
     if tau not in x:
         raise FieldError(f"{tau} is not in the complex")
 
-    up, down = v._up, v._down
-
     def step(seq):
-        # from tau, every facet sigma other than down(tau) either continues
-        # to up(sigma) or, when critical, ends the trajectory; every simplex
-        # here is positively oriented, as the field's own keys are
-        here = seq[-1]
-        skip = down.get(here)
-        for sigma in here.facets():
-            if sigma == skip:
-                continue
-            nxt = up.get(sigma)
+        # a step continues to up(sigma) or, at a critical sigma, ends
+        for sigma, nxt in _steps(v, x, seq[-1]):
             if nxt is not None:
                 yield (sigma, nxt), False
-            elif sigma not in down:
+            elif not v.is_matched(sigma):
                 yield (sigma,), True
 
     out: dict[Simplex, list[Trajectory]] = {}
     for steps in _walk(tau, step):
         out.setdefault(steps[-1], []).append(Trajectory(steps))
     return out
+
+
+def _steps(v: VectorField, x: SimplicialComplex, tau: Simplex):
+    """Forman's step rule: `(sigma, v.up(sigma))` for every facet sigma of
+    a positively oriented tau other than `v.down(tau)`, in vertex-drop order."""
+    up, down = v._up.get, v._down.get(tau)
+    for sigma in x.facets(tau):
+        if sigma != down:
+            yield sigma, up(sigma)
 
 
 def _walk(start: Simplex, step) -> Iterator[tuple[Simplex, ...]]:

@@ -51,6 +51,7 @@ from .morse import (
     Trajectory,
     VectorField,
     _boundary_columns,
+    _steps,
     _trajectory_complex,
     _walk,
     greedy_gvf,
@@ -304,8 +305,9 @@ def _mixed_cases(
 ) -> dict[MVGenerator, list[MVTrajectory]]:
     """Cases 4 (Shifted -> FromA) and 5 (Shifted -> FromB)."""
     tag = FROM_A if case == 4 else FROM_B
-    pv = (d.w_a if case == 4 else d.w_b).field
-    wi = d.w_i.field
+    piece = d.w_a if case == 4 else d.w_b
+    pv = piece.field
+    wi = d.w_i
 
     # The descent grows the start by pairs and the transfer by one simplex,
     # so an odd-length sequence ends in the I-copy and an even one in the piece.
@@ -314,18 +316,15 @@ def _mixed_cases(
         if len(seq) % 2:
             # (tau_p)_I: first the transfer into the piece, then the descent
             yield (d.transfer(here, tag),), False
-            down = wi.down(here)
-            for sigma in here.facets():
-                if sigma != down:
-                    nxt = wi.up(sigma)
-                    if nxt is not None:
-                        yield (sigma, nxt), False
+            for sigma, nxt in _steps(wi.field, wi.complex, here):
+                if nxt is not None:
+                    yield (sigma, nxt), False
         elif not pv.is_matched(here):
             yield (), True
         else:
             a = pv.up(here)
             if a is not None:  # matched downward: the ascent cannot pass through
-                for nxt in a.facets():
+                for nxt in piece.complex.facets(a):
                     if nxt != here:
                         yield (a, nxt), False
 

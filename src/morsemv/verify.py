@@ -114,7 +114,7 @@ def build_xtilde(d: Decomposition) -> XTilde:
     a_name = {v: d.a_bar.to_copy[d.iab_bar.from_copy[v]] for v in base.vertices}
     b_name = {v: d.b_bar.to_copy[d.iab_bar.from_copy[v]] for v in base.vertices}
     p = prism(base, a_name, b_name)
-    glued = union(union(d.a_bar.complex, p.complex), d.b_bar.complex)
+    glued = union(d.a_bar.complex, p.complex, d.b_bar.complex)
     return XTilde(d, glued, p, p.interior_cells(), *shared)
 
 

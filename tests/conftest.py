@@ -164,12 +164,17 @@ def random_cover(
     return SimplicialComplex(a_part), SimplicialComplex(b_part)
 
 
-def random_small_complex(rng: random.Random) -> SimplicialComplex:
-    """A random complex on at most 10 vertices, dimension at most 3."""
+def random_generators(rng: random.Random) -> list[Simplex]:
+    """Up to 12 random simplices on at most 10 vertices, dimension at most 3."""
     n = rng.randint(1, 10)
     names = [f"v{i}" for i in range(n)]
     generators = []
     for _ in range(rng.randint(1, 12)):
         size = rng.randint(1, min(4, n))
         generators.append(Simplex(rng.sample(names, size)))
-    return SimplicialComplex(generators)
+    return generators
+
+
+def random_small_complex(rng: random.Random) -> SimplicialComplex:
+    """A random complex on at most 10 vertices, dimension at most 3."""
+    return SimplicialComplex(random_generators(rng))

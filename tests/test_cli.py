@@ -102,6 +102,14 @@ class TestHomologyCommand:
             {"degree": 2, "betti": 1, "torsion": [], "group": "Z"},
         ]
 
+    def test_negative_degree_exits_2(self, files, capsys):
+        cx, dec = files
+        assert main(["homology", "--complex", cx, "--decomposition", dec,
+                     "--degree", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--degree" in captured.err
+        assert captured.out == ""
+
     def test_strategy_flags_do_not_change_homology(self, files, tmp_path, capsys):
         cx, _ = files
         plain = tmp_path / "plain.dec"
@@ -170,6 +178,16 @@ class TestTrajectoriesCommand:
         assert payload["count"] == 0 and payload["weight_sum"] == 0
         assert payload["trajectories"] == []
 
+    def test_generator_vertices_in_any_order(self, files, capsys):
+        cx, dec = files
+        outputs = []
+        for beta in ("I:v2,I:v3", "I:v3,I:v2"):
+            assert main(["trajectories", "--complex", cx, "--decomposition", dec,
+                         beta, "I:v2", "--output", "json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["count"] == 2
+
     def test_unknown_generator_exits_2(self, files, capsys):
         cx, dec = files
         assert main(["trajectories", "--complex", cx, "--decomposition", dec,
@@ -215,6 +233,13 @@ class TestOracleCommand:
         assert main(["oracle", "--complex", cx]) == 0
         out = capsys.readouterr().out
         assert "H_0 = Z" in out and "H_2 = Z" in out
+
+    def test_negative_degree_exits_2(self, files, capsys):
+        cx, _ = files
+        assert main(["oracle", "--complex", cx, "--degree", "-1", "--output", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--degree" in captured.err
+        assert captured.out == ""
 
     def test_json_torsion(self, tmp_path, capsys):
         cx = tmp_path / "rp2.cx"
