@@ -237,6 +237,11 @@ def _cmd_trajectories(args) -> int:
     _, d, _, _ = _load_decomposition(args)
     beta = _resolve_generator(d, args.beta)
     alpha = _resolve_generator(d, args.alpha)
+    if alpha.degree != beta.degree - 1:
+        raise ParseError(
+            f"BETA {args.beta!r} has degree {beta.degree} and ALPHA {args.alpha!r} "
+            f"degree {alpha.degree}: ALPHA must be one degree below BETA"
+        )
     found = enumerate_mv(d, beta, alpha)
     total = sum(t.weight for t in found)
     if args.output == "json":

@@ -332,7 +332,6 @@ class ComplexCopy:
         values = list(to_copy.values())
         if len(set(values)) != len(values):
             raise ComplexError("vertex relabelling is not injective")
-        self.source = source
         self.to_copy = dict(to_copy)
         self.from_copy = {w: v for v, w in self.to_copy.items()}
         self.complex = SimplicialComplex(
@@ -370,8 +369,9 @@ class PrismComplex:
           for 0 <= r <= q+1 (disjoint prefix/suffix; r = 0 is the pure top
           copy of alpha, r = q+1 the pure bottom copy).
 
-    The ground map comes from enumerating every block with `a_member` and
-    `b_member`; construction checks that the blocks partition the cells.
+    Construction enumerates every block once and checks that the blocks
+    partition the cells; `a_member`, `b_member` and the ground map read the
+    stored blocks.
     """
 
     def __init__(
@@ -404,25 +404,40 @@ class PrismComplex:
         self.b_name = dict(b_name)
         self._a_names = frozenset(self.a_name.values())
 
+        blocks = {alpha: self._block(alpha) for alpha in base.simplices()}
         self.complex = SimplicialComplex(
-            self.a_member(alpha, r)
-            for alpha in base.maximal_simplices
-            for r in range(alpha.dim + 1)
+            _canonical(cell) for alpha in base.maximal_simplices for cell in blocks[alpha][0]
         )
 
-        # The ground map, from the blocks, which must partition the cells:
-        # each block cell lies in the prism and in no other block, and the
-        # blocks hold as many cells as the prism.
+        # The blocks must partition the cells: each block cell lies in the
+        # prism and in no other block, and no cell is left over.  Each block
+        # keeps the prism's member objects for `a_member` and `b_member`.
+        members = {s.vertices: s for s in self.complex.simplices()}
         self._ground: dict[tuple[str, ...], Simplex] = {}
-        for alpha in base.simplices():
-            block = [self.a_member(alpha, r) for r in range(alpha.dim + 1)]
-            block += [self.b_member(alpha, r) for r in range(alpha.dim + 2)]
-            for cell in block:
-                if cell not in self.complex or cell.vertices in self._ground:
+        self._blocks: dict[tuple[str, ...], tuple[tuple[Simplex, ...], ...]] = {}
+        for alpha, (a_cells, b_cells) in blocks.items():
+            cells = []
+            for vs in a_cells + b_cells:
+                cell = members.pop(vs, None)
+                if cell is None:
                     raise ComplexError(f"the blocks over {alpha} do not partition the prism")
-                self._ground[cell.vertices] = alpha
-        if len(self._ground) != len(self.complex):
+                self._ground[vs] = alpha
+                cells.append(cell)
+            n = len(a_cells)
+            self._blocks[alpha.vertices] = (tuple(cells[:n]), tuple(cells[n:]))
+        if members:
             raise ComplexError("the blocks do not cover the prism")
+
+    def _block(self, alpha: Simplex) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
+        """The vertex tuples of a_member(alpha, r) for 0 <= r <= q and of
+        b_member(alpha, r) for 0 <= r <= q+1.  Both are sorted, since the
+        renamings preserve order and bottom names sort before top ones."""
+        a = [self.a_name[v] for v in alpha.vertices]
+        b = [self.b_name[v] for v in alpha.vertices]
+        return (
+            [(*a[: r + 1], *b[r:]) for r in range(len(a))],
+            [(*a[:r], *b[r:]) for r in range(len(a) + 1)],
+        )
 
     def ground_simplex(self, cell: Simplex) -> Simplex:
         """The base simplex a prism cell lies over."""
@@ -433,28 +448,23 @@ class PrismComplex:
 
     def a_member(self, alpha: Simplex, r: int) -> Simplex:
         """The cell over alpha whose a-part and b-part share index r."""
-        self._blocks_guard(alpha)
-        xs = alpha.vertices
-        if not 0 <= r <= len(xs) - 1:
+        cells = self._block_of(alpha)[0]
+        if not 0 <= r < len(cells):
             raise ComplexError(f"a_member index {r} out of range for {alpha}")
-        return Simplex(
-            tuple(self.a_name[v] for v in xs[: r + 1])
-            + tuple(self.b_name[v] for v in xs[r:])
-        )
+        return cells[r]
 
     def b_member(self, alpha: Simplex, r: int) -> Simplex:
         """The cell over alpha with a-part {x_0..x_{r-1}} and b-part {x_r..x_q}."""
-        self._blocks_guard(alpha)
-        xs = alpha.vertices
-        if not 0 <= r <= len(xs):
+        cells = self._block_of(alpha)[1]
+        if not 0 <= r < len(cells):
             raise ComplexError(f"b_member index {r} out of range for {alpha}")
-        return Simplex(
-            tuple(self.a_name[v] for v in xs[:r]) + tuple(self.b_name[v] for v in xs[r:])
-        )
+        return cells[r]
 
-    def _blocks_guard(self, alpha: Simplex) -> None:
-        if alpha not in self.base:
-            raise ComplexError(f"{alpha} is not a simplex of the base")
+    def _block_of(self, alpha: Simplex) -> tuple[tuple[Simplex, ...], ...]:
+        try:
+            return self._blocks[alpha.vertices]
+        except KeyError:
+            raise ComplexError(f"{alpha} is not a simplex of the base") from None
 
     def is_pure_a(self, cell: Simplex) -> bool:
         return all(v in self._a_names for v in cell.vertices)

@@ -2,9 +2,9 @@
 
 All arithmetic is exact, over Python's arbitrary-precision integers.  A
 boundary is stored as sparse columns, one per generator of its domain, each
-a dict from row index to nonzero coefficient.  Functions that return a
-matrix return a dense view: a list of rows of ints.  For a chain complex
-with boundary maps d_q : C_q -> C_{q-1} satisfying d o d = 0,
+a dict from row index to nonzero coefficient; `smith_normal_form` takes a
+dense matrix, a list of rows of ints.  For a chain complex with boundary
+maps d_q : C_q -> C_{q-1} satisfying d o d = 0,
 
     H_q = Z^{b_q}  +  Z/t_1 + ... + Z/t_m,
 
@@ -282,18 +282,9 @@ class IntegerChainComplex:
     @property
     def boundaries(self) -> list[Matrix]:
         """The matrices of d_1, ..., d_top, as dense views."""
-        return [self.boundary(q) for q in range(1, self.top + 1)]
-
-    def boundary(self, q: int) -> Matrix:
-        """The matrix of d_q as a dense view, a zero-shaped matrix outside
-        1 <= q <= top."""
-        if 1 <= q <= self.top:
-            return _dense(self.columns[q - 1], self.ranks[q - 1])
-        if q == self.top + 1:
-            return _dense([], self.ranks[self.top])
-        if q == 0:
-            return []
-        raise IndexError(f"no boundary in degree {q}")
+        return [
+            _dense(cols, self.ranks[q - 1]) for q, cols in enumerate(self.columns, start=1)
+        ]
 
 
 class HomologyResult:

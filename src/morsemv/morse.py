@@ -32,26 +32,23 @@ search; a failure is reported with an explicit closed trajectory.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from typing import Iterable, Iterator
 
 from .complexes import Simplex, SimplicialComplex, incidence
 from .errors import FieldError, InternalConsistencyError, NotAcyclicError
-from .homology import Column, IntegerChainComplex, _dense
+from .homology import Column, IntegerChainComplex
 
 __all__ = [
     "DEFAULT_SEED",
     "VectorField",
     "GradientField",
-    "AcyclicityReport",
     "Trajectory",
     "is_acyclic",
-    "critical_simplices",
-    "enumerate_trajectories",
     "trajectories_from",
     "trajectory_weight",
     "validate_trajectory",
-    "thom_smale_boundary",
     "thom_smale_complex",
     "greedy_gvf",
 ]
@@ -118,36 +115,24 @@ class VectorField:
         return f"<VectorField with {len(self.pairs)} pairs>"
 
 
-class AcyclicityReport:
-    """Outcome of the acyclicity check.  `witness` is a closed trajectory
-    (tau_0, sigma_1, ..., sigma_k, tau_k) with tau_k == tau_0 when the field
-    is not acyclic, else None."""
-
-    def __init__(self, acyclic: bool, witness: tuple[Simplex, ...] | None = None):
-        self.acyclic = acyclic
-        self.witness = witness
-
-    def __bool__(self) -> bool:
-        return self.acyclic
-
-    def __repr__(self) -> str:
-        if self.acyclic:
-            return "AcyclicityReport(acyclic)"
-        return f"AcyclicityReport(closed trajectory through {self.witness[0]})"
-
-
 def _check_membership(v: VectorField, x: SimplicialComplex) -> None:
     for s in v.support:
         if s not in x:
             raise FieldError(f"field references {s}, which is not in the complex")
 
 
-def is_acyclic(v: VectorField, x: SimplicialComplex) -> AcyclicityReport:
-    """Decide whether v is a gradient field on x.
+def is_acyclic(v: VectorField, x: SimplicialComplex) -> bool:
+    """Whether v is a gradient field on x."""
+    return _closed_trajectory(v, x) is None
+
+
+def _closed_trajectory(v: VectorField, x: SimplicialComplex) -> tuple[Simplex, ...] | None:
+    """A closed trajectory (tau_0, sigma_1, ..., sigma_k, tau_k) of v on x
+    with tau_k == tau_0, or None when v is a gradient field on x.
 
     Runs one three-colour DFS per dimension over the arcs tau -> up(sigma)
     for sigma a facet of tau other than down(tau); a grey-on-grey arc closes
-    a trajectory, which is reconstructed from the DFS stack as the witness.
+    a trajectory, which is reconstructed from the DFS stack.
     """
     _check_membership(v, x)
 
@@ -174,7 +159,7 @@ def is_acyclic(v: VectorField, x: SimplicialComplex) -> AcyclicityReport:
                         for j in range(i, len(path) - 1):
                             witness += [path[j], via[j]]
                         witness += [path[-1], sigma, nxt]
-                        return AcyclicityReport(False, tuple(witness))
+                        return tuple(witness)
                     if c == WHITE:
                         colour[nxt] = GRAY
                         path.append(nxt)
@@ -188,14 +173,15 @@ def is_acyclic(v: VectorField, x: SimplicialComplex) -> AcyclicityReport:
                     path.pop()
                     if via:
                         via.pop()
-    return AcyclicityReport(True)
+    return None
 
 
 class GradientField:
     """A vector field together with its complex and an acyclicity
     certificate.  The only way to obtain one is `GradientField.certify`
     (used by `greedy_gvf` too), so holding a GradientField is holding the
-    proof that trajectory enumeration terminates."""
+    proof that trajectory enumeration terminates.  Certification also lists
+    the critical simplices of each degree, once; `critical` reads that list."""
 
     _TOKEN = object()
 
@@ -204,46 +190,32 @@ class GradientField:
             raise FieldError("use GradientField.certify(field, complex)")
         self.field = field
         self.complex = complex
+        self._critical = tuple(
+            tuple(s for s in complex.simplices(q) if not field.is_matched(s))
+            for q in range(complex.dim + 1)
+        )
 
     @classmethod
     def certify(cls, field: VectorField, complex: SimplicialComplex) -> "GradientField":
-        report = is_acyclic(field, complex)
-        if not report:
-            raise NotAcyclicError(
-                f"closed trajectory through {report.witness[0]}", report.witness
-            )
+        witness = _closed_trajectory(field, complex)
+        if witness is not None:
+            raise NotAcyclicError(f"closed trajectory through {witness[0]}", witness)
         return cls(field, complex, _token=cls._TOKEN)
-
-    # conveniences delegated to the underlying field
-    def up(self, s: Simplex) -> Simplex | None:
-        return self.field.up(s)
-
-    def down(self, s: Simplex) -> Simplex | None:
-        return self.field.down(s)
 
     @property
     def pairs(self) -> tuple[tuple[Simplex, Simplex], ...]:
         return self.field.pairs
 
     def critical(self, q: int | None = None) -> tuple[Simplex, ...]:
-        return critical_simplices(self.field, self.complex, q)
+        """The unmatched simplices of dimension q (empty tuple if none), or
+        every one by ascending dimension when q is None; each degree in
+        canonical order."""
+        if q is None:
+            return tuple(itertools.chain.from_iterable(self._critical))
+        return self._critical[q] if 0 <= q < len(self._critical) else ()
 
     def __repr__(self) -> str:
         return f"<GradientField with {len(self.field)} pairs on {self.complex!r}>"
-
-
-def critical_simplices(
-    v: VectorField | GradientField,
-    x: SimplicialComplex | None = None,
-    q: int | None = None,
-) -> tuple[Simplex, ...]:
-    """The unmatched simplices of x (of dimension q, or all), in canonical
-    order.  Works for any vector field; acyclicity is irrelevant here."""
-    if isinstance(v, GradientField):
-        v, x = v.field, v.complex
-    if x is None:
-        raise FieldError("critical_simplices needs the complex for a bare field")
-    return tuple(s for s in x.simplices(q) if not v.is_matched(s))
 
 
 class Trajectory:
@@ -256,18 +228,6 @@ class Trajectory:
         self.steps = tuple(steps)
         if len(self.steps) < 2 or len(self.steps) % 2:
             raise FieldError("an extended trajectory alternates tau, sigma, ..., sigma")
-
-    @property
-    def k(self) -> int:
-        return len(self.steps) // 2 - 1
-
-    @property
-    def start(self) -> Simplex:
-        return self.steps[0]
-
-    @property
-    def end(self) -> Simplex:
-        return self.steps[-1]
 
     @property
     def weight(self) -> int:
@@ -424,26 +384,6 @@ def _trajectory_complex(labels, paths_from) -> IntegerChainComplex:
         _boundary_columns(labels[q - 1], labels[q], paths_from) for q in range(1, len(labels))
     ]
     return IntegerChainComplex.from_columns([len(ls) for ls in labels], columns, labels)
-
-
-def enumerate_trajectories(
-    gvf: GradientField, tau: Simplex, sigma: Simplex
-) -> list[Trajectory]:
-    """Gamma(tau, sigma): the extended trajectories from critical tau to
-    critical sigma, in deterministic (depth-first) order."""
-    sigma = abs(sigma)
-    if isinstance(gvf, GradientField) and gvf.field.is_matched(sigma):
-        raise FieldError(f"{sigma} is not critical")
-    return trajectories_from(gvf, tau).get(sigma, [])
-
-
-def thom_smale_boundary(gvf: GradientField, q: int) -> list[list[int]]:
-    """The degree-q boundary matrix of the Thom-Smale complex: rows indexed
-    by critical (q-1)-simplices, columns by critical q-simplices, both in
-    canonical order; entries are summed trajectory weights."""
-    rows = gvf.critical(q - 1)
-    paths = lambda tau: trajectories_from(gvf, tau)
-    return _dense(_boundary_columns(rows, gvf.critical(q), paths), len(rows))
 
 
 def thom_smale_complex(gvf: GradientField) -> IntegerChainComplex:

@@ -74,15 +74,11 @@ from .mv import (
 
 __all__ = [
     "XTilde",
-    "WField",
     "CheckResult",
     "VerifyReport",
     "build_xtilde",
-    "build_v_field",
     "check_iso_simplicial",
-    "build_w_field",
     "check_main_iso",
-    "classify_w_trajectory",
 ]
 
 
@@ -118,7 +114,7 @@ def build_xtilde(d: Decomposition) -> XTilde:
     return XTilde(d, glued, p, p.interior_cells(), *shared)
 
 
-def build_v_field(xt: XTilde) -> GradientField:
+def _build_v_field(xt: XTilde) -> GradientField:
     """The collapse-the-prism field V on X~ (empty when there is no prism)."""
     pairs: list[tuple[Simplex, Simplex]] = []
     if xt.prism is not None:
@@ -126,16 +122,6 @@ def build_v_field(xt: XTilde) -> GradientField:
             for r in range(alpha.dim + 1):
                 pairs.append((xt.prism.b_member(alpha, r), xt.prism.a_member(alpha, r)))
     return GradientField.certify(VectorField(pairs), xt.complex)
-
-
-@dataclass(frozen=True)
-class WField:
-    """The combined field W on X~: the A- and B-copy fields plus the prism
-    interior extension, with the interior bookkeeping kept for inspection."""
-
-    gvf: GradientField
-    prism_pairs: tuple[tuple[Simplex, Simplex], ...]
-    interior_criticals: tuple[Simplex, ...]
 
 
 def _prism_extension(xt: XTilde) -> tuple[list[tuple[Simplex, Simplex]], list[Simplex]]:
@@ -166,7 +152,7 @@ def _prism_extension(xt: XTilde) -> tuple[list[tuple[Simplex, Simplex]], list[Si
     return pairs, criticals
 
 
-def build_w_field(xt: XTilde) -> WField:
+def _build_w_field(xt: XTilde) -> GradientField:
     """Assemble W and certify it, checking the critical-cell census against
     the predicted one (A-copy criticals, B-copy criticals, one interior cell
     per intersection critical)."""
@@ -181,7 +167,7 @@ def build_w_field(xt: XTilde) -> WField:
             "W-field critical census mismatch: "
             f"unexpected {sorted(actual - expected)}, missing {sorted(expected - actual)}"
         )
-    return WField(gvf, tuple(prism_pairs), tuple(interior_crit))
+    return gvf
 
 
 @dataclass(frozen=True)
@@ -202,10 +188,6 @@ class VerifyReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.ok)
 
     def __str__(self) -> str:
         return "\n".join(str(c) for c in self.checks)
@@ -314,7 +296,7 @@ def check_iso_simplicial(xt: XTilde) -> VerifyReport:
     d = xt.decomposition
     checks = _Checks()
     try:
-        v = build_v_field(xt)
+        v = _build_v_field(xt)
         checks.add("v_field_certified", True, f"{len(v.pairs)} pairs, acyclic")
     except MorsemvError as e:
         checks.add("v_field_certified", False, str(e))
@@ -356,7 +338,7 @@ def _f_image(xt: XTilde, s: Simplex) -> MVGenerator:
     return _generator(SHIFTED, ground)
 
 
-def classify_w_trajectory(xt: XTilde, t: Trajectory) -> int:
+def _classify_w_trajectory(xt: XTilde, t: Trajectory) -> int:
     """Which of the five shapes a W-trajectory between critical cells has.
     Raises InternalConsistencyError when it fits none (which would refute
     the classification the whole construction rests on)."""
@@ -395,14 +377,13 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
     d = xt.decomposition
     checks = _Checks()
     try:
-        wf = build_w_field(xt)
-        checks.add("w_field_certified", True, f"{len(wf.gvf.pairs)} pairs, acyclic")
+        gvf = _build_w_field(xt)
+        checks.add("w_field_certified", True, f"{len(gvf.pairs)} pairs, acyclic")
     except MorsemvError as e:
         checks.add("w_field_certified", False, str(e))
         return checks.report()
 
     # every trajectory upstairs and in MV, enumerated once per critical cell
-    gvf = wf.gvf
     gamma = {tau: trajectories_from(gvf, tau) for tau in gvf.critical() if tau.dim}
     mv = {beta: mv_trajectories_from(d, beta) for beta in mv_generators(d) if beta.degree}
     gens = [mv_generators(d, q) for q in range(_max_degree(d) + 1)]
@@ -430,7 +411,7 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
                     w_detail = f"{f_of[tau]} -> {f_of[sigma]}: weight multisets differ"
                 if classes_ok:
                     try:
-                        up = sorted(classify_w_trajectory(xt, t) for t in g_list)
+                        up = sorted(_classify_w_trajectory(xt, t) for t in g_list)
                     except InternalConsistencyError as e:
                         up, classes_ok, k_detail = None, False, str(e)
                     if up is not None and up != sorted(t.case for t in m_list):

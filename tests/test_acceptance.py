@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 
+import morsemv
 from morsemv import (
     HomologyResult,
     MVGenerator,
@@ -24,15 +27,15 @@ from morsemv import (
     enumerate_mv,
     greedy_gvf,
     homology,
-    mv_boundary,
     mv_chain_complex,
     mv_generators,
     mv_homology,
     simplicial_homology,
     thom_smale_complex,
-    validate_mv_trajectory,
 )
+from morsemv import errors
 from morsemv.cli import main
+from morsemv.mv import mv_boundary, validate_mv_trajectory
 from conftest import (
     corpus_complexes,
     expected_homology,
@@ -100,7 +103,7 @@ def test_boundary_squares_to_zero_everywhere():
     def boundary_product_vanishes(d):
         c = mv_chain_complex(d)  # the constructor also checks; recompute anyway
         for q in range(2, c.top + 1):
-            lower, upper = c.boundary(q - 1), c.boundary(q)
+            lower, upper = c.boundaries[q - 2], c.boundaries[q - 1]
             cols = len(upper[0]) if upper else 0
             for i in range(len(lower)):
                 for j in range(cols):
@@ -236,3 +239,25 @@ def test_json_reports_are_byte_identical(tmp_path, capsys):
         first, second = run(argv), run(argv)
         assert first == second
         json.loads(first)  # and it is well-formed JSON
+
+
+def test_package_surface_is_the_library_tour():
+    # The package exports the names in the first column of the README's
+    # library-tour table, the error types and `__version__`, nothing else.
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    tour = {
+        quoted.split("(")[0]
+        for row in rows
+        for quoted in re.findall(r"`([^`]+)`", row.split("|")[1])
+    }
+    error_types = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.MorsemvError)
+    }
+    assert len(rows) >= 10 and len(error_types) == 7
+    assert set(morsemv.__all__) == tour | error_types | {"__version__"}
+    assert len(morsemv.__all__) == len(set(morsemv.__all__))
+    for name in morsemv.__all__:
+        assert getattr(morsemv, name) is not None, name

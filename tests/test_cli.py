@@ -194,6 +194,17 @@ class TestTrajectoriesCommand:
                      "I:v9", "A:v5"]) == 2
         assert "unknown generator" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta,alpha", [("A:v5", "B:v4"), ("I:v2,I:v3", "A:v5")])
+    def test_non_adjacent_degrees_exit_2(self, files, capsys, beta, alpha):
+        # both generators exist, so the decomposition is fine: the query is bad
+        cx, dec = files
+        assert main(["trajectories", "--complex", cx, "--decomposition", dec,
+                     beta, alpha]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: BETA")
+        assert "ALPHA must be one degree below BETA" in captured.err
+
 
 class TestVerifyCommand:
     def test_text_pass(self, files, capsys):

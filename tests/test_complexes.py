@@ -10,16 +10,12 @@ from hypothesis import strategies as st
 
 from morsemv import (
     ComplexError,
-    PrismComplex,
     Simplex,
     SimplicialComplex,
     build_complex,
-    copy_relabel,
     incidence,
-    intersection,
-    prism,
-    union,
 )
+from morsemv.complexes import PrismComplex, copy_relabel, intersection, prism, union
 from conftest import (
     corpus_complexes,
     octahedron,
@@ -344,14 +340,15 @@ class TestPrism:
     def test_overlapping_blocks_raise(self, monkeypatch):
         # the top copy of an edge moved onto the top copy of its first vertex
         # puts that cell in two blocks and leaves the edge's cell in none
-        b_member = PrismComplex.b_member
+        block = PrismComplex._block
 
-        def overlapping(self, alpha, r):
-            if alpha.dim == 1 and r == 0:
-                return b_member(self, Simplex(alpha.vertices[:1]), 0)
-            return b_member(self, alpha, r)
+        def overlapping(self, alpha):
+            a_cells, b_cells = block(self, alpha)
+            if alpha.dim == 1:
+                b_cells[0] = block(self, Simplex(alpha.vertices[:1]))[1][0]
+            return a_cells, b_cells
 
-        monkeypatch.setattr(PrismComplex, "b_member", overlapping)
+        monkeypatch.setattr(PrismComplex, "_block", overlapping)
         with pytest.raises(ComplexError, match="partition"):
             prism(build_complex(["x0 x1"]))
 

@@ -3,13 +3,8 @@ from __future__ import annotations
 
 import pytest
 
-from morsemv import (
-    ParseError,
-    Simplex,
-    parse_complex,
-    parse_decomposition,
-    parse_generator_name,
-)
+from morsemv import ParseError, Simplex, parse_complex, parse_decomposition
+from morsemv.formats import parse_generator_name
 
 
 class TestParseComplex:

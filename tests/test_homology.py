@@ -13,11 +13,10 @@ from morsemv import (
     InternalConsistencyError,
     build_complex,
     homology,
-    simplicial_chain_complex,
     simplicial_homology,
     smith_normal_form,
 )
-from morsemv.homology import _sparse_snf
+from morsemv.homology import _sparse_snf, simplicial_chain_complex
 from conftest import (
     CORPUS_HOMOLOGY,
     corpus_complexes,
@@ -154,7 +153,7 @@ class TestSparseElimination:
 def dense_homology(c: IntegerChainComplex) -> tuple:
     """The groups of c from dense `smith_normal_form` on every boundary:
     the computation that sparse elimination replaced."""
-    snf = [smith_normal_form(c.boundary(q)) for q in range(c.top + 2)]
+    snf = [((), 0), *(smith_normal_form(m) for m in c.boundaries), ((), 0)]
     return tuple(
         (c.ranks[q] - snf[q][1] - snf[q + 1][1], tuple(f for f in snf[q + 1][0] if f > 1))
         for q in range(c.top + 1)
@@ -179,16 +178,14 @@ class TestIntegerChainComplex:
     def test_circle_shapes(self):
         c = IntegerChainComplex([3, 3], [[[-1, -1, 0], [1, 0, -1], [0, 1, 1]]])
         assert c.top == 1
-        assert c.boundary(0) == []
-        assert len(c.boundary(1)) == 3
-        assert c.boundary(2) == [[], [], []]
+        assert len(c.columns) == 1 and len(c.columns[0]) == 3
+        assert len(c.boundaries) == 1 and len(c.boundaries[0]) == 3
 
     def test_boundary_out_of_range(self):
+        # a complex concentrated in degree 0 has no boundary at all
         c = IntegerChainComplex([2], [])
-        assert c.boundary(0) == []
-        assert c.boundary(1) == [[], []]
-        with pytest.raises(IndexError):
-            c.boundary(2)
+        assert c.top == 0
+        assert c.columns == [] and c.boundaries == []
 
     def test_shape_validation(self):
         with pytest.raises(InternalConsistencyError):
@@ -227,9 +224,7 @@ class TestIntegerChainComplex:
 
     def test_dense_views(self):
         c = IntegerChainComplex.from_columns([3, 3], [[{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}]])
-        assert c.boundary(1) == [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
-        assert c.boundaries == [c.boundary(1)]
-        assert c.boundary(2) == [[], [], []]
+        assert c.boundaries == [[[-1, -1, 0], [1, 0, -1], [0, 1, 1]]]
 
     def test_labels_checked(self):
         IntegerChainComplex([1, 1], [[[0]]], labels=[["p"], ["e"]])
@@ -280,4 +275,5 @@ class TestSimplicialHomology:
         c = simplicial_chain_complex(build_complex(["v0 v1", "v1 v2", "v0 v2"]))
         assert c.ranks == (3, 3)
         # columns ordered [v0 v1], [v0 v2], [v1 v2]; rows v0, v1, v2
-        assert c.boundary(1) == [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
+        assert c.columns == [[{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}]]
+        assert c.boundaries == [[[-1, -1, 0], [1, 0, -1], [0, 1, 1]]]

@@ -4,7 +4,6 @@ from __future__ import annotations
 import pytest
 
 from morsemv import (
-    DEFAULT_SEED,
     FieldError,
     GradientField,
     InternalConsistencyError,
@@ -13,19 +12,14 @@ from morsemv import (
     Trajectory,
     VectorField,
     build_complex,
-    critical_simplices,
-    enumerate_trajectories,
     greedy_gvf,
     homology,
     incidence,
-    is_acyclic,
     simplicial_homology,
-    thom_smale_boundary,
     thom_smale_complex,
     trajectories_from,
-    trajectory_weight,
-    validate_trajectory,
 )
+from morsemv.morse import DEFAULT_SEED, is_acyclic, trajectory_weight, validate_trajectory
 from conftest import corpus_complexes, expected_homology, octahedron
 
 
@@ -103,14 +97,14 @@ class TestVectorField:
 
 class TestAcyclicity:
     def test_acyclic_field(self):
-        report = is_acyclic(VectorField([(Simplex("v1"), Simplex("v0 v1"))]),
-                            circle())
-        assert report.acyclic and bool(report) and report.witness is None
+        assert is_acyclic(VectorField([(Simplex("v1"), Simplex("v0 v1"))]),
+                          circle()) is True
 
     def test_cyclic_field_with_validated_witness(self):
-        report = is_acyclic(cyclic_field(), circle())
-        assert not report
-        w = report.witness
+        assert is_acyclic(cyclic_field(), circle()) is False
+        with pytest.raises(NotAcyclicError) as e:
+            GradientField.certify(cyclic_field(), circle())
+        w = e.value.witness
         assert w is not None and w[0] == w[-1] and len(w) >= 5
         field = cyclic_field()
         for i in range(1, len(w), 2):
@@ -133,6 +127,7 @@ class TestGradientField:
             Simplex("v0"), Simplex("v2"), Simplex("v0 v2"), Simplex("v1 v2"),
         )
         assert gvf.critical(0) == (Simplex("v0"), Simplex("v2"))
+        assert gvf.critical(-1) == gvf.critical(2) == ()
 
     def test_certify_rejects_cycles(self):
         with pytest.raises(NotAcyclicError) as e:
@@ -143,13 +138,6 @@ class TestGradientField:
     def test_no_backdoor_construction(self):
         with pytest.raises(FieldError):
             GradientField(VectorField([]), circle())
-
-    def test_critical_simplices_needs_a_complex(self):
-        with pytest.raises(FieldError):
-            critical_simplices(VectorField([]))
-        assert critical_simplices(VectorField([]), circle(), 0) == (
-            Simplex("v0"), Simplex("v1"), Simplex("v2"),
-        )
 
 
 class TestTrajectories:
@@ -167,11 +155,11 @@ class TestTrajectories:
             (Simplex("v1 v2"), Simplex("v1"), Simplex("v0 v1"), Simplex("v0")),
         ]
         assert [t.weight for t in ts] == [1, -1]
-        assert [t.k for t in ts] == [1, 1]
+        assert [len(t.steps) for t in ts] == [4, 4]  # k = 1 each
 
     def test_trivial_trajectory_weight_is_incidence(self):
         t = Trajectory([Simplex("v0 v1"), Simplex("v0")])
-        assert t.k == 0
+        assert len(t.steps) == 2  # k = 0
         assert t.weight == incidence(Simplex("v0 v1"), Simplex("v0")) == -1
 
     def test_trajectory_shape_validation(self):
@@ -188,8 +176,6 @@ class TestTrajectories:
         gvf = greedy_gvf(circle())
         with pytest.raises(FieldError):
             trajectories_from(gvf, Simplex("v0 v1"))
-        with pytest.raises(FieldError):
-            enumerate_trajectories(gvf, Simplex("v1 v2"), Simplex("v1"))
 
     @pytest.mark.parametrize("name", ["circle", "sphere2", "torus", "rp2",
                                       "wedge2circles", "ball3"])
@@ -206,7 +192,7 @@ class TestTrajectories:
             ]
             brute = [
                 t for t in brute_trajectories(gvf, tau)
-                if t.end in set(gvf.critical(tau.dim - 1))
+                if t.steps[-1] in set(gvf.critical(tau.dim - 1))
             ]
             assert sorted(t.steps for t in enumerated) == sorted(
                 t.steps for t in brute
@@ -232,9 +218,9 @@ class TestTrajectories:
 class TestThomSmale:
     def test_circle_boundary_matrix(self):
         gvf = greedy_gvf(circle())
-        assert thom_smale_boundary(gvf, 1) == [[0]]
         c = thom_smale_complex(gvf)
         assert c.ranks == (1, 1)
+        assert c.boundaries == [[[0]]]  # the two trajectories cancel
         assert homology(c) == expected_homology("circle")
 
     def test_octahedron_reduction(self):

@@ -12,21 +12,18 @@ from morsemv import (
     MVGenerator,
     MVTrajectory,
     NotAcyclicError,
-    SHIFTED,
     Simplex,
     SimplicialComplex,
     build_complex,
     build_decomposition,
     incidence,
-    mv_boundary,
     mv_chain_complex,
     mv_generators,
     mv_homology,
-    mv_trajectories_from,
     enumerate_mv,
     simplicial_homology,
-    validate_mv_trajectory,
 )
+from morsemv.mv import SHIFTED, mv_boundary, mv_trajectories_from, validate_mv_trajectory
 from conftest import (
     corpus_complexes,
     expected_homology,
@@ -78,7 +75,8 @@ def brute_mv_trajectories(d, beta: MVGenerator):
     gvf = {"FromA": d.w_a, "FromB": d.w_b, SHIFTED: d.w_i}[beta.tag]
     case = {"FromA": 1, "FromB": 2, SHIFTED: 3}[beta.tag]
     for t in brute_trajectories(gvf, beta.simplex):
-        alpha = MVGenerator(beta.tag, t.end, t.end.dim + shift)
+        end = t.steps[-1]
+        alpha = MVGenerator(beta.tag, end, end.dim + shift)
         w = forman_weight(t.steps)
         out.setdefault(alpha, []).append((case, t.steps, None, None, -w if case == 3 else w))
     if beta.tag != SHIFTED:
@@ -364,7 +362,7 @@ class TestBoundaryAndHomology:
             # construction already checks d.d = 0; do the product here too
             c = mv_chain_complex(build_decomposition(x, a, b))
             for q in range(2, c.top + 1):
-                lower, upper = c.boundary(q - 1), c.boundary(q)
+                lower, upper = c.boundaries[q - 2], c.boundaries[q - 1]
                 product = [
                     [sum(lower[i][k] * upper[k][j] for k in range(len(upper)))
                      for j in range(len(upper[0]) if upper else 0)]

@@ -15,18 +15,16 @@ from morsemv import (
     Trajectory,
     build_complex,
     build_decomposition,
-    build_v_field,
-    build_w_field,
     build_xtilde,
     check_iso_simplicial,
     check_main_iso,
-    classify_w_trajectory,
     homology,
     mv_generators,
     simplicial_homology,
     thom_smale_complex,
     trajectories_from,
 )
+from morsemv.verify import _build_v_field, _build_w_field, _classify_w_trajectory
 from conftest import corpus_complexes, octahedron_pieces, random_cover
 
 # the modules themselves: the package re-exports a function named `homology`
@@ -75,14 +73,14 @@ class TestXTilde:
 
 class TestVField:
     def test_octahedron_field(self, oct_xtilde):
-        v = build_v_field(oct_xtilde)
+        v = _build_v_field(oct_xtilde)
         assert len(v.pairs) == 12
         assert len(v.critical()) == 26
 
     def test_critical_census_formula(self, oct_xtilde):
         xt = oct_xtilde
         d = xt.decomposition
-        v = build_v_field(xt)
+        v = _build_v_field(xt)
         pushed = {
             d.b_bar.push(d.iab_bar.pull(s))
             for s in d.iab_bar.complex.simplices()
@@ -94,10 +92,10 @@ class TestVField:
 
     def test_pairs_collapse_each_block(self, oct_xtilde):
         xt = oct_xtilde
-        v = build_v_field(xt)
+        v = _build_v_field(xt)
         for alpha in xt.prism.base.simplices():
             for r in range(alpha.dim + 1):
-                assert v.up(xt.prism.b_member(alpha, r)) == xt.prism.a_member(alpha, r)
+                assert v.field.up(xt.prism.b_member(alpha, r)) == xt.prism.a_member(alpha, r)
             # the top copy of alpha is swept away, the bottom copy survives
             assert v.field.is_matched(xt.prism.b_member(alpha, 0))
             assert not v.field.is_matched(xt.prism.b_member(alpha, alpha.dim + 1))
@@ -105,68 +103,69 @@ class TestVField:
 
 class TestWField:
     def test_octahedron_field(self, oct_xtilde):
-        w = build_w_field(oct_xtilde)
-        assert len(w.gvf.pairs) == 23
-        assert [str(c) for c in w.gvf.critical()] == [
+        w = _build_w_field(oct_xtilde)
+        assert len(w.pairs) == 23
+        assert [str(c) for c in w.critical()] == [
             "[A:v5]", "[B:v4]", "[A:v2 B:v2]", "[A:v2 B:v2 B:v3]",
         ]
-        assert w.interior_criticals == (
+        interior_criticals = tuple(c for c in w.critical() if c in oct_xtilde.interior)
+        assert interior_criticals == (
             Simplex("A:v2 B:v2"), Simplex("A:v2 B:v2 B:v3"),
         )
 
     def test_critical_count_matches_generators(self, oct_xtilde):
         d = oct_xtilde.decomposition
-        w = build_w_field(oct_xtilde)
+        w = _build_w_field(oct_xtilde)
         for q in range(3):
-            assert len(w.gvf.critical(q)) == len(mv_generators(d, q))
+            assert len(w.critical(q)) == len(mv_generators(d, q))
 
 
 class TestClassification:
     def test_interior_and_crossing_types(self, oct_xtilde):
         xt = oct_xtilde
-        w = build_w_field(xt)
+        w = _build_w_field(xt)
         top = Simplex("A:v2 B:v2 B:v3")
         mid = Simplex("A:v2 B:v2")
         types = sorted(
-            classify_w_trajectory(xt, t)
-            for ts in trajectories_from(w.gvf, top).values()
+            _classify_w_trajectory(xt, t)
+            for ts in trajectories_from(w, top).values()
             for t in ts
         )
         assert types == [3, 3]
         types = sorted(
-            classify_w_trajectory(xt, t)
-            for ts in trajectories_from(w.gvf, mid).values()
+            _classify_w_trajectory(xt, t)
+            for ts in trajectories_from(w, mid).values()
             for t in ts
         )
         assert types == [4, 5]
 
     def test_one_sided_types(self):
         xt = wedge_xtilde()
-        w = build_w_field(xt)
+        w = _build_w_field(xt)
         seen = set()
-        for tau in w.gvf.critical():
+        for tau in w.critical():
             if tau.dim == 0:
                 continue
-            for ts in trajectories_from(w.gvf, tau).values():
-                seen.update(classify_w_trajectory(xt, t) for t in ts)
+            for ts in trajectories_from(w, tau).values():
+                seen.update(_classify_w_trajectory(xt, t) for t in ts)
         assert 1 in seen and 2 in seen
 
     def test_unclassifiable_trajectory_raises(self, oct_xtilde):
         bogus = Trajectory([Simplex("A:v1 A:v5"), Simplex("B:v4")])
         with pytest.raises(InternalConsistencyError):
-            classify_w_trajectory(oct_xtilde, bogus)
+            _classify_w_trajectory(oct_xtilde, bogus)
 
 
 class TestChecks:
     def test_octahedron_all_green(self, oct_xtilde):
         r1 = check_iso_simplicial(oct_xtilde)
-        assert r1.ok and not r1.failures
+        assert r1.ok and all(c.ok for c in r1.checks)
         assert [c.name for c in r1.checks] == [
             "v_field_certified", "v_critical_census", "g_bijective",
             "boundary_matrices_equal", "homology_equal",
         ]
         r2 = check_main_iso(oct_xtilde)
-        assert r2.ok and not r2.failures
+        assert r2.ok and all(c.ok for c in r2.checks)
         assert [c.name for c in r2.checks] == [
             "w_field_certified", "f_bijective_onto_generators",
             "trajectory_counts_match", "trajectory_weights_match",
@@ -195,7 +194,7 @@ class TestChecks:
         assert (
             xt.x_homology
             == simplicial_homology(x)
-            == homology(thom_smale_complex(build_v_field(xt)))
+            == homology(thom_smale_complex(_build_v_field(xt)))
         )
 
     def test_chain_complex_of_x_built_once(self, oct_decomposition, monkeypatch):
@@ -224,7 +223,7 @@ class TestFailingChecks:
 
     @staticmethod
     def failed(report):
-        return [c.name for c in report.failures]
+        return [c.name for c in report.checks if not c.ok]
 
     def test_without_field_trajectories(self, oct_xtilde, monkeypatch):
         monkeypatch.setattr(verify_module, "trajectories_from", lambda *args: {})
@@ -260,13 +259,13 @@ class TestFailingChecks:
         # Negating three columns of d_2 keeps d o d = 0 and changes nine
         # entries; the report names the first five in row-major order.
         x = oct_xtilde.x_chains
-        bad = x.boundary(2)
+        d_1, bad = x.boundaries
         for row in bad:
             row[:3] = [-v for v in row[:3]]
-        corrupt = IntegerChainComplex(x.ranks, [x.boundary(1), bad], x.labels)
+        corrupt = IntegerChainComplex(x.ranks, [d_1, bad], x.labels)
         report = check_iso_simplicial(dataclasses.replace(oct_xtilde, x_chains=corrupt))
         assert self.failed(report) == ["boundary_matrices_equal"]
-        good = x.boundary(2)
+        good = x.boundaries[1]
         spots = [(i, j) for i, row in enumerate(bad) for j, v in enumerate(row)
                  if good[i][j] != v]
         assert len(spots) == 9
