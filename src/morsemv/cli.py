@@ -37,6 +37,7 @@ from .mv import (
     Decomposition,
     MVGenerator,
     SHIFTED,
+    _piece,
     build_decomposition,
     enumerate_mv,
     mv_generators,
@@ -132,10 +133,11 @@ def _load_decomposition(args) -> tuple[SimplicialComplex, Decomposition, str, in
             seed = parsed.seed
     if strategy in (None, "lex"):
         strategy = "lexicographic"
+    # the pieces are views over X's table, not complexes closed again
     d = build_decomposition(
         x,
-        SimplicialComplex(parsed.a_generators),
-        SimplicialComplex(parsed.b_generators),
+        _piece(x, parsed.a_generators, "A"),
+        _piece(x, parsed.b_generators, "B"),
         fields=parsed.fields or None,
         strategy=strategy,
         seed=seed,

@@ -15,11 +15,21 @@ extended to oriented simplices by multiplying both signs, and zero whenever
 sigma is not a facet of tau.  With this convention the simplicial boundary
 satisfies boundary-of-boundary = 0 (see Hatcher, "Algebraic Topology", ch. 2).
 
-A `SimplicialComplex` closes a finite generating family downward one facet
-at a time into its facet table: each member's facets, themselves members, in
-vertex-drop order, so facet k of a positive tau has <tau, facet k> = (-1)^k.
-That table is the single source of facet order and boundary sign; every
-layer reads it through `facets` and `cofacets`.
+A `SimplicialComplex` closes a finite generating family downward into an
+id table, the one place members are stored.  Ids follow (dimension, vertex
+tuple) order, the canonical order of every report.  The table lists each
+member's facets as ids in vertex-drop order, so facet k of a positive tau
+has <tau, facet k> = (-1)^k, and each member's cofacets as ascending ids.
+That table is the single source of facet order and boundary sign; the
+public accessors `facets` and `cofacets` read it, and the field and
+trajectory code in `morse` and `mv` walks its ids directly.
+
+Subcomplexes are *views* of one table: `subcomplex` and `intersection`
+return complexes that share the table and differ only in a membership mask,
+and a tagged copy (`copy_relabel`) shares the mask too, naming every vertex
+v as tag + v.  A view is a `SimplicialComplex` in every respect and equals
+the complex closed afresh from the same generators.  `Simplex` objects are
+built only when asked for, once per (tag, id).
 
 `PrismComplex` models Y x [0,1] over a base complex Y, triangulated the
 standard way: each base simplex [x_{i_0}, ..., x_{i_q}] contributes the
@@ -32,6 +42,7 @@ position of the a->b changeover; both families are exposed by index.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ComplexError
@@ -52,6 +63,8 @@ __all__ = [
 
 def _sort_parity(values: tuple[str, ...]) -> tuple[tuple[str, ...], int]:
     """Sort `values`, returning (sorted tuple, parity sign of the permutation)."""
+    if all(map(str.__lt__, values, values[1:])):
+        return values, 1  # already strictly increasing: the identity
     decorated = sorted(range(len(values)), key=lambda i: values[i])
     # Count inversions of the permutation taking input order to sorted order.
     inversions = 0
@@ -179,6 +192,86 @@ def incidence(tau: Simplex, sigma: Simplex) -> int:
     return tau.sign * sigma.sign * (-1) ** i
 
 
+class _Table:
+    """The id table of a closed complex: every member once, as its vertex
+    tuple, with ids ascending by (dimension, vertex tuple).
+
+    `start[q]` is the first id of dimension q (`start[-1]` the member
+    count), `facets[i]` the facet ids of member i in vertex-drop order, and
+    `cofacets[i]`, listed on first use, the ids having i as a facet,
+    ascending.  `Simplex` objects are built on first request, once per
+    (tag, id), with every vertex v named tag + v."""
+
+    __slots__ = ("verts", "index", "start", "facets", "_cofacets", "_named", "_named_facets")
+
+    def __init__(self, generators: Iterable[tuple[str, ...]]):
+        levels: dict[int, set[tuple[str, ...]]] = {}
+        for vs in generators:
+            levels.setdefault(len(vs), set()).add(vs)
+        top = max(levels)
+        for n in range(top, 1, -1):
+            lower = levels.setdefault(n - 1, set())
+            for drop in _dropping(n):
+                lower.update(map(drop, levels.get(n, ())))
+        self.verts: list[tuple[str, ...]] = []
+        self.start = [0]
+        for n in range(1, top + 1):
+            self.verts.extend(sorted(levels[n]))
+            self.start.append(len(self.verts))
+        self.index = dict(zip(self.verts, range(len(self.verts))))
+        get = self.index.__getitem__
+        self.facets: list[tuple[int, ...]] = [()] * self.start[1]
+        for n in range(2, top + 1):
+            level = self.verts[self.start[n - 1] : self.start[n]]
+            self.facets += zip(*(map(get, map(drop, level)) for drop in _dropping(n)))
+        self._cofacets: list[list[int]] | None = None
+        self._named: dict[str, list[Simplex | None]] = {}
+        self._named_facets: dict[str, dict[int, tuple[Simplex, ...]]] = {}
+
+    def __len__(self) -> int:
+        return len(self.verts)
+
+    @property
+    def cofacets(self) -> list[list[int]]:
+        if self._cofacets is None:
+            cof: list[list[int]] = [[] for _ in self.verts]
+            for t in range(self.start[1], len(self.verts)):
+                for f in self.facets[t]:
+                    cof[f].append(t)
+            self._cofacets = cof
+        return self._cofacets
+
+    def named(self, tag: str) -> list[Simplex | None]:
+        """The per-id cache of Simplex objects named with `tag`."""
+        cache = self._named.get(tag)
+        if cache is None:
+            cache = self._named[tag] = [None] * len(self.verts)
+        return cache
+
+    def simplex(self, i: int, tag: str) -> Simplex:
+        cache = self.named(tag)
+        s = cache[i]
+        if s is None:
+            vs = self.verts[i]
+            s = cache[i] = _canonical(tuple([tag + v for v in vs]) if tag else vs)
+        return s
+
+    def facet_simplices(self, i: int, tag: str) -> tuple[Simplex, ...]:
+        cache = self._named_facets.setdefault(tag, {})
+        fs = cache.get(i)
+        if fs is None:
+            fs = cache[i] = tuple(self.simplex(f, tag) for f in self.facets[i])
+        return fs
+
+
+def _dropping(n: int) -> list:
+    """For k = 0..n-1, the function taking an n-tuple to the (n-1)-tuple
+    without its k-th entry."""
+    if n == 2:
+        return [lambda vs: (vs[1],), lambda vs: (vs[0],)]
+    return [operator.itemgetter(*(j for j in range(n) if j != k)) for k in range(n)]
+
+
 class SimplicialComplex:
     """The downward closure of a finite nonempty family of simplices.
 
@@ -186,113 +279,187 @@ class SimplicialComplex:
     accessors are sorted by (dimension, vertex tuple), so the complex imposes
     a single canonical ordering that everything downstream (boundary
     matrices, generator lists, reports) inherits.
+
+    Every complex reads one id table (`_Table`) through a membership mask.
+    A complex closed from generators owns its table and holds every id;
+    `subcomplex`, `intersection` and a tagged copy give *views*: complexes
+    over the same table with a smaller mask, or with every vertex renamed
+    tag + v.  A view is a complex like any other and equals the complex
+    closed afresh from the same generators.
     """
 
     def __init__(self, generators: Iterable[Simplex | str]):
         gens = [g if isinstance(g, Simplex) else Simplex(g) for g in generators]
         if not gens:
             raise ComplexError("a simplicial complex needs at least one simplex")
-        # Close downward one facet at a time.  A facet is looked up by its
-        # vertex tuple and added when new, so each simplex is stored once and
-        # every stored facet is the member object itself.
-        member: dict[tuple[str, ...], Simplex] = {}
-        for g in gens:
-            member.setdefault(g.vertices, abs(g))
-        pending = list(member.values())
-        facets: dict[tuple[str, ...], tuple[Simplex, ...]] = {}
-        while pending:
-            s = pending.pop()
-            own = []
-            for f in s.facets():
-                m = member.get(f.vertices)
-                if m is None:
-                    member[f.vertices] = m = f
-                    pending.append(f)
-                own.append(m)
-            facets[s.vertices] = tuple(own)
-        self._facets = facets
+        table = _Table(g.vertices for g in gens)
+        self._setup(table, bytearray(b"\x01") * len(table), "")
 
-        by_dim: dict[int, list[Simplex]] = {}
-        for s in member.values():
-            by_dim.setdefault(s.dim, []).append(s)
-        self._by_dim: dict[int, tuple[Simplex, ...]] = {
-            q: tuple(sorted(ss, key=lambda s: s.key)) for q, ss in sorted(by_dim.items())
-        }
-        cof: dict[tuple[str, ...], list[Simplex]] = {vs: [] for vs in facets}
-        for vs, own in facets.items():
-            for f in own:
-                cof[f.vertices].append(member[vs])
-        self._cofacets: dict[tuple[str, ...], tuple[Simplex, ...]] = {
-            vs: tuple(sorted(cs, key=lambda t: t.key)) for vs, cs in cof.items()
-        }
-        self.maximal_simplices: tuple[Simplex, ...] = tuple(
-            sorted(
-                (s for s in member.values() if not self._cofacets[s.vertices]),
-                key=lambda s: s.key,
-            )
-        )
+    def _setup(self, table: _Table, mask: bytearray, tag: str) -> None:
+        self._table = table
+        self._mask = mask
+        self._tag = tag
+        bounds = table.start
+        ids = [
+            list(itertools.compress(range(lo, hi), mask[lo:hi]))
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        while ids and not ids[-1]:
+            ids.pop()
+        if not ids:
+            raise ComplexError("a simplicial complex needs at least one simplex")
+        self._ids: tuple[list[int], ...] = tuple(ids)
+        self._size = sum(map(len, ids))
+        self._simplices: dict[int, tuple[Simplex, ...]] = {}
+        self._maximal: tuple[Simplex, ...] | None = None
+
+    def _view(self, mask: bytearray, tag: str | None = None) -> "SimplicialComplex":
+        """The complex over this table with the given (closed) member mask."""
+        view = object.__new__(SimplicialComplex)
+        view._setup(self._table, mask, self._tag if tag is None else tag)
+        return view
+
+    def _tagged(self, tag: str) -> "SimplicialComplex":
+        """This complex with every vertex v renamed tag + v (the tag is
+        prefixed to any it already has)."""
+        return self._view(self._mask, tag + self._tag)
+
+    # -- ids -----------------------------------------------------------------
+
+    def _id_of(self, vertices: tuple[str, ...]) -> int | None:
+        """The id of the member with these (sorted) vertex names, or None."""
+        tag = self._tag
+        if tag:
+            if not all(v.startswith(tag) for v in vertices):
+                return None
+            k = len(tag)
+            vertices = tuple([v[k:] for v in vertices])
+        i = self._table.index.get(vertices)
+        return i if i is not None and self._mask[i] else None
+
+    def _id(self, s: Simplex) -> int | None:
+        return self._id_of(s.vertices)
+
+    def _simplex(self, i: int) -> Simplex:
+        return self._table.simplex(i, self._tag)
+
+    def _simplices_of(self, ids: Iterable[int]) -> tuple[Simplex, ...]:
+        """The members with these ids, named with this complex's tag."""
+        table, tag = self._table, self._tag
+        cache = table.named(tag)
+        return tuple([cache[i] or table.simplex(i, tag) for i in ids])
+
+    def _members_in(self, other: "SimplicialComplex") -> bytearray:
+        """The mask, over this table, of the members also in `other`."""
+        if other._table is self._table and other._tag == self._tag:
+            both = int.from_bytes(self._mask, "little") & int.from_bytes(other._mask, "little")
+            return bytearray(both.to_bytes(len(self._table), "little"))
+        tag, verts = self._tag, self._table.verts
+        mask = bytearray(len(self._table))
+        for ids in self._ids:
+            for i in ids:
+                names = tuple([tag + v for v in verts[i]]) if tag else verts[i]
+                if other._id_of(names) is not None:
+                    mask[i] = 1
+        return mask
 
     # -- queries -----------------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return max(self._by_dim)
+        return len(self._ids) - 1
 
     @property
     def vertices(self) -> tuple[str, ...]:
-        return tuple(s.vertices[0] for s in self._by_dim[0])
+        tag, verts = self._tag, self._table.verts
+        return tuple(tag + verts[i][0] for i in self._ids[0])
+
+    @property
+    def maximal_simplices(self) -> tuple[Simplex, ...]:
+        """The members that are facets of no member, in canonical order."""
+        if self._maximal is None:
+            mask, cof = self._mask, self._table.cofacets
+            self._maximal = self._simplices_of(
+                i for ids in self._ids for i in ids if not any(mask[t] for t in cof[i])
+            )
+        return self._maximal
 
     def simplices(self, q: int | None = None) -> tuple[Simplex, ...]:
         """All simplices of dimension q (empty tuple if none), or every
         simplex in ascending (dimension, vertex) order when q is None."""
-        if q is not None:
-            return self._by_dim.get(q, ())
-        return tuple(
-            itertools.chain.from_iterable(self._by_dim[d] for d in sorted(self._by_dim))
-        )
+        if q is None:
+            return tuple(itertools.chain.from_iterable(
+                self.simplices(d) for d in range(len(self._ids))
+            ))
+        if not 0 <= q < len(self._ids):
+            return ()
+        out = self._simplices.get(q)
+        if out is None:
+            out = self._simplices[q] = self._simplices_of(self._ids[q])
+        return out
 
     def __iter__(self) -> Iterator[Simplex]:
         return iter(self.simplices())
 
     def __len__(self) -> int:
-        return len(self._facets)
+        return self._size
 
     def __contains__(self, s) -> bool:
         if isinstance(s, Simplex):
-            return s.vertices in self._facets
+            return self._id(s) is not None
         if isinstance(s, str):
-            return tuple(sorted(s.split())) in self._facets
-        return tuple(sorted(s)) in self._facets
+            s = s.split()
+        return self._id_of(tuple(sorted(s))) is not None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SimplicialComplex) and self._facets.keys() == other._facets.keys()
+        return (
+            isinstance(other, SimplicialComplex)
+            and len(self) == len(other)
+            and self.is_subcomplex_of(other)
+        )
 
     def __repr__(self) -> str:
         return f"<SimplicialComplex dim {self.dim}, f-vector {self.f_vector()}>"
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(self._by_dim.get(q, ())) for q in range(self.dim + 1))
+        return tuple(len(ids) for ids in self._ids)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** q * n for q, n in enumerate(self.f_vector()))
 
+    def _member(self, s: Simplex) -> int:
+        i = self._id(s)
+        if i is None:
+            raise ComplexError(f"{s} is not in the complex")
+        return i
+
     def facets(self, s: Simplex) -> tuple[Simplex, ...]:
         """The facets of a member simplex, as members, in vertex-drop order:
         the k-th drops the k-th vertex and has incidence (-1)^k with s."""
-        try:
-            return self._facets[s.vertices]
-        except KeyError:
-            raise ComplexError(f"{s} is not in the complex") from None
+        return self._table.facet_simplices(self._member(s), self._tag)
 
     def cofacets(self, s: Simplex) -> tuple[Simplex, ...]:
         """Members having s as a facet."""
-        try:
-            return self._cofacets[s.vertices]
-        except KeyError:
-            raise ComplexError(f"{s} is not in the complex") from None
+        mask = self._mask
+        return self._simplices_of(t for t in self._table.cofacets[self._member(s)] if mask[t])
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return self._facets.keys() <= other._facets.keys()
+        return self._members_in(other) == self._mask
+
+    def subcomplex(self, generators: Iterable[Simplex | str]) -> "SimplicialComplex":
+        """The view closed downward from generators that are members of
+        this complex; ComplexError names the first one that is not."""
+        table = self._table
+        mask = bytearray(len(table))
+        for g in generators:
+            mask[self._member(g if isinstance(g, Simplex) else Simplex(g))] = 1
+        # close one dimension at a time, from the top down
+        bounds, facets = table.start, table.facets
+        for lo, hi in reversed(list(zip(bounds[1:], bounds[2:]))):
+            for i in itertools.compress(range(lo, hi), mask[lo:hi]):
+                for f in facets[i]:
+                    mask[f] = 1
+        return self._view(mask)
 
 
 def build_complex(maximal_simplices: Iterable[Simplex | str]) -> SimplicialComplex:
@@ -307,53 +474,51 @@ def union(*complexes: SimplicialComplex) -> SimplicialComplex:
 
 
 def intersection(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
-    """The subcomplex of simplices common to x and y.
+    """The subcomplex of simplices common to x and y, as a view over x.
 
     Raises ComplexError when the two complexes share nothing (an empty
     complex is not representable); callers that must allow disjoint pieces
     test for overlap first.
     """
-    common = [s for s in x.simplices() if s in y]
-    if not common:
+    common = x._members_in(y)
+    if not any(common):
         raise ComplexError("the complexes share no simplices")
-    return SimplicialComplex(common)
+    return x._view(common)
 
 
 class ComplexCopy:
-    """A relabelled copy of a complex, remembering the vertex bijection.
+    """A tagged copy of a complex: the same id table and members, with
+    every vertex v named tag + v.
 
     `push` carries simplices from the source into the copy, `pull` goes back.
-    Both preserve orientation: the canonical renamings used throughout the
-    package are order-preserving, so incidence numbers agree across the
-    bijection (asserted where it matters, in `PrismComplex`).
+    Both preserve orientation: prefixing a fixed tag preserves the order of
+    vertex names, so incidence numbers agree across the renaming.
     """
 
-    def __init__(self, source: SimplicialComplex, to_copy: Mapping[str, str]):
-        values = list(to_copy.values())
-        if len(set(values)) != len(values):
-            raise ComplexError("vertex relabelling is not injective")
-        self.to_copy = dict(to_copy)
-        self.from_copy = {w: v for v, w in self.to_copy.items()}
-        self.complex = SimplicialComplex(
-            s.relabel(self.to_copy) for s in source.maximal_simplices
-        )
+    def __init__(self, source: SimplicialComplex, tag: str):
+        self.tag = tag
+        self.complex = source._tagged(tag)
 
     def push(self, s: Simplex) -> Simplex:
-        return s.relabel(self.to_copy)
+        return Simplex([self.tag + v for v in s.vertices], s.sign)
 
     def pull(self, s: Simplex) -> Simplex:
-        return s.relabel(self.from_copy)
+        tag = self.tag
+        if not all(v.startswith(tag) for v in s.vertices):
+            raise ComplexError(f"{s} is not in the {tag} copy")
+        return Simplex([v[len(tag):] for v in s.vertices], s.sign)
 
 
 def copy_relabel(y: SimplicialComplex, tag: str) -> ComplexCopy:
-    """A disjoint copy of y with every vertex v renamed to tag + v.
+    """A disjoint copy of y with every vertex v renamed to tag + v: a tag
+    on y's members, not a new closure.
 
     Prefixing with a fixed tag preserves the relative order of vertex names,
     so the copy's canonical orientations match the source's.
     """
     if not tag:
         raise ComplexError("relabelling tag must be nonempty")
-    return ComplexCopy(y, {v: tag + v for v in y.vertices})
+    return ComplexCopy(y, tag)
 
 
 class PrismComplex:

@@ -363,15 +363,21 @@ def homology(c: IntegerChainComplex) -> HomologyResult:
 
 def simplicial_chain_complex(x: SimplicialComplex) -> IntegerChainComplex:
     """The simplicial chain complex of x, generators in canonical order.
-    The column of a q-simplex t holds (-1)^k at the row of `x.facets(t)[k]`."""
+    The column of a q-simplex t holds (-1)^k at the row of `x.facets(t)[k]`,
+    read from the facet id table: a facet's row is its position among the
+    (q-1)-simplices of x, which for a complex closed from generators is its
+    id minus the first id of degree q-1."""
+    facets = x._table.facets
+    row = [0] * len(facets)
+    for ids in x._ids:
+        for k, i in enumerate(ids):
+            row[i] = k
+    signs = (1, -1) * (len(x._ids) // 2 + 1)
+    columns = [
+        [dict(zip(map(row.__getitem__, facets[t]), signs)) for t in ids]
+        for ids in x._ids[1:]
+    ]
     labels = [x.simplices(q) for q in range(x.dim + 1)]
-    columns = []
-    for q in range(1, x.dim + 1):
-        row_of = {s.vertices: i for i, s in enumerate(labels[q - 1])}
-        columns.append([
-            {row_of[f.vertices]: (-1) ** k for k, f in enumerate(x.facets(t))}
-            for t in labels[q]
-        ])
     return IntegerChainComplex.from_columns([len(ls) for ls in labels], columns, labels)
 
 

@@ -28,6 +28,12 @@ and its homology is the simplicial homology of X (Forman's theorem).
 Acyclicity is decided per dimension on the digraph whose arcs tau -> tau'
 run along legal trajectory steps, by an iterative three-colour depth-first
 search; a failure is reported with an explicit closed trajectory.
+
+The field code runs on the integer ids of the complex's table (see
+`complexes`): a certified field holds `up`/`down` id arrays, coreduction
+and the acyclicity search keep their state in int lists and byte masks,
+and simplices are named only in what is returned (`pairs`, `critical`,
+trajectories, witnesses).
 """
 from __future__ import annotations
 
@@ -98,10 +104,6 @@ class VectorField:
         s = abs(s)
         return s in self._up or s in self._down
 
-    @property
-    def support(self) -> frozenset[Simplex]:
-        return frozenset(self._up) | frozenset(self._down)
-
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -114,63 +116,70 @@ class VectorField:
     def __repr__(self) -> str:
         return f"<VectorField with {len(self.pairs)} pairs>"
 
-
-def _check_membership(v: VectorField, x: SimplicialComplex) -> None:
-    for s in v.support:
-        if s not in x:
-            raise FieldError(f"field references {s}, which is not in the complex")
+    def _arrays(self, x: SimplicialComplex) -> tuple[list[int], list[int]]:
+        """`up` and `down` over the id table of x: up[i] is the id of the tau
+        paired with member i, down[j] that of the sigma paired with member
+        j, and -1 marks no pair."""
+        n = len(x._table)
+        up, down = [-1] * n, [-1] * n
+        for sigma, tau in self.pairs:
+            i, j = x._id(sigma), x._id(tau)
+            if i is None or j is None:
+                missing = sigma if i is None else tau
+                raise FieldError(f"field references {missing}, which is not in the complex")
+            up[i], down[j] = j, i
+        return up, down
 
 
 def is_acyclic(v: VectorField, x: SimplicialComplex) -> bool:
     """Whether v is a gradient field on x."""
-    return _closed_trajectory(v, x) is None
+    return _closed_trajectory(x, *v._arrays(x)) is None
 
 
-def _closed_trajectory(v: VectorField, x: SimplicialComplex) -> tuple[Simplex, ...] | None:
-    """A closed trajectory (tau_0, sigma_1, ..., sigma_k, tau_k) of v on x
-    with tau_k == tau_0, or None when v is a gradient field on x.
+def _closed_trajectory(
+    x: SimplicialComplex, up: list[int], down: list[int]
+) -> tuple[Simplex, ...] | None:
+    """A closed trajectory (tau_0, sigma_1, ..., sigma_k, tau_k) with
+    tau_k == tau_0 of the field with id arrays up/down on x, or None when
+    the field is a gradient field on x.
 
-    Runs one three-colour DFS per dimension over the arcs tau -> up(sigma)
+    Runs a three-colour DFS per dimension over the arcs tau -> up(sigma)
     for sigma a facet of tau other than down(tau); a grey-on-grey arc closes
-    a trajectory, which is reconstructed from the DFS stack.
+    a trajectory, which is reconstructed from the DFS stack.  Arcs never
+    change dimension, so one colour array serves every dimension.
     """
-    _check_membership(v, x)
-
-    def arcs(tau: Simplex):
-        return ((sigma, nxt) for sigma, nxt in _steps(v, x, tau) if nxt is not None)
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    for q in range(1, x.dim + 1):
-        colour: dict[Simplex, int] = {}
-        for root in x.simplices(q):
-            if colour.get(root, WHITE) != WHITE:
+    facets = x._table.facets
+    GRAY, BLACK = 1, 2
+    colour = bytearray(len(facets))
+    for ids in x._ids[1:]:
+        for root in ids:
+            if colour[root]:
                 continue
             colour[root] = GRAY
             path = [root]
-            via: list[Simplex] = []
-            stack = [arcs(root)]
+            via: list[int] = []
+            stack = [_steps(up, down, facets, root)]
             while stack:
-                moved = False
                 for sigma, nxt in stack[-1]:
-                    c = colour.get(nxt, WHITE)
+                    if nxt < 0:
+                        continue
+                    c = colour[nxt]
                     if c == GRAY:
                         i = path.index(nxt)
-                        witness: list[Simplex] = []
+                        witness: list[int] = []
                         for j in range(i, len(path) - 1):
                             witness += [path[j], via[j]]
                         witness += [path[-1], sigma, nxt]
-                        return tuple(witness)
-                    if c == WHITE:
+                        return x._simplices_of(witness)
+                    if not c:
                         colour[nxt] = GRAY
                         path.append(nxt)
                         via.append(sigma)
-                        stack.append(arcs(nxt))
-                        moved = True
+                        stack.append(_steps(up, down, facets, nxt))
                         break
-                if not moved:
-                    colour[path[-1]] = BLACK
+                else:
+                    colour[path.pop()] = BLACK
                     stack.pop()
-                    path.pop()
                     if via:
                         via.pop()
     return None
@@ -180,42 +189,79 @@ class GradientField:
     """A vector field together with its complex and an acyclicity
     certificate.  The only way to obtain one is `GradientField.certify`
     (used by `greedy_gvf` too), so holding a GradientField is holding the
-    proof that trajectory enumeration terminates.  Certification also lists
-    the critical simplices of each degree, once; `critical` reads that list."""
+    proof that trajectory enumeration terminates.
+
+    The field lives on the complex's id table, as the arrays `_up` and
+    `_down` (see `VectorField._arrays`); certification also lists the
+    critical ids of each degree, once.  `pairs`, `critical` and `field`
+    name them as simplices on first use."""
 
     _TOKEN = object()
 
-    def __init__(self, field: VectorField, complex: SimplicialComplex, _token=None):
+    def __init__(self, field: VectorField | None, complex: SimplicialComplex, _token=None):
         if _token is not GradientField._TOKEN:
             raise FieldError("use GradientField.certify(field, complex)")
-        self.field = field
+        self._field = field
         self.complex = complex
-        self._critical = tuple(
-            tuple(s for s in complex.simplices(q) if not field.is_matched(s))
-            for q in range(complex.dim + 1)
-        )
 
     @classmethod
     def certify(cls, field: VectorField, complex: SimplicialComplex) -> "GradientField":
-        witness = _closed_trajectory(field, complex)
+        return cls._certified(complex, *field._arrays(complex), field)
+
+    @classmethod
+    def _certified(
+        cls,
+        complex: SimplicialComplex,
+        up: list[int],
+        down: list[int],
+        field: VectorField | None = None,
+    ) -> "GradientField":
+        witness = _closed_trajectory(complex, up, down)
         if witness is not None:
             raise NotAcyclicError(f"closed trajectory through {witness[0]}", witness)
-        return cls(field, complex, _token=cls._TOKEN)
+        gvf = cls(field, complex, _token=cls._TOKEN)
+        gvf._up, gvf._down = up, down
+        gvf._critical_ids = tuple(
+            [i for i in ids if up[i] < 0 and down[i] < 0] for ids in complex._ids
+        )
+        gvf._critical, gvf._pairs = {}, None
+        return gvf
+
+    def _is_critical(self, i: int) -> bool:
+        return self._up[i] < 0 and self._down[i] < 0
+
+    @property
+    def field(self) -> VectorField:
+        if self._field is None:
+            self._field = VectorField(self.pairs)
+        return self._field
 
     @property
     def pairs(self) -> tuple[tuple[Simplex, Simplex], ...]:
-        return self.field.pairs
+        """The pairs (sigma, tau), ordered by tau."""
+        if self._pairs is None:
+            taus = [tau for tau, sigma in enumerate(self._down) if sigma >= 0]
+            name = self.complex._simplices_of
+            self._pairs = tuple(zip(name(self._down[t] for t in taus), name(taus)))
+        return self._pairs
 
     def critical(self, q: int | None = None) -> tuple[Simplex, ...]:
         """The unmatched simplices of dimension q (empty tuple if none), or
         every one by ascending dimension when q is None; each degree in
         canonical order."""
         if q is None:
-            return tuple(itertools.chain.from_iterable(self._critical))
-        return self._critical[q] if 0 <= q < len(self._critical) else ()
+            return tuple(itertools.chain.from_iterable(
+                self.critical(d) for d in range(len(self._critical_ids))
+            ))
+        if not 0 <= q < len(self._critical_ids):
+            return ()
+        out = self._critical.get(q)
+        if out is None:
+            out = self._critical[q] = self.complex._simplices_of(self._critical_ids[q])
+        return out
 
     def __repr__(self) -> str:
-        return f"<GradientField with {len(self.field)} pairs on {self.complex!r}>"
+        return f"<GradientField with {len(self.pairs)} pairs on {self.complex!r}>"
 
 
 class Trajectory:
@@ -306,37 +352,54 @@ def trajectories_from(gvf: GradientField, tau: Simplex) -> dict[Simplex, list[Tr
             "trajectory enumeration needs a certified gradient field; "
             "run GradientField.certify first"
         )
-    v, x = gvf.field, gvf.complex
     tau = abs(tau)
-    if v.is_matched(tau):
-        raise FieldError(f"{tau} is not critical")
-    if tau not in x:
+    i = gvf.complex._id(tau)
+    if i is None:
         raise FieldError(f"{tau} is not in the complex")
+    if not gvf._is_critical(i):
+        raise FieldError(f"{tau} is not critical")
+    name = gvf.complex._simplices_of
+    return {
+        gvf.complex._simplex(end): [Trajectory(name(steps)) for steps in paths]
+        for end, paths in _grouped(_trajectory_ids(gvf, i)).items()
+    }
 
-    def step(seq):
-        # a step continues to up(sigma) or, at a critical sigma, ends
-        for sigma, nxt in _steps(v, x, seq[-1]):
-            if nxt is not None:
-                yield (sigma, nxt), False
-            elif not v.is_matched(sigma):
-                yield (sigma,), True
 
-    out: dict[Simplex, list[Trajectory]] = {}
-    for steps in _walk(tau, step):
-        out.setdefault(steps[-1], []).append(Trajectory(steps))
+def _grouped(walks: Iterable[tuple[int, ...]]) -> dict[int, list[tuple[int, ...]]]:
+    """Id sequences grouped by their last id, in order of first appearance."""
+    out: dict[int, list[tuple[int, ...]]] = {}
+    for steps in walks:
+        out.setdefault(steps[-1], []).append(steps)
     return out
 
 
-def _steps(v: VectorField, x: SimplicialComplex, tau: Simplex):
-    """Forman's step rule: `(sigma, v.up(sigma))` for every facet sigma of
-    a positively oriented tau other than `v.down(tau)`, in vertex-drop order."""
-    up, down = v._up.get, v._down.get(tau)
-    for sigma in x.facets(tau):
-        if sigma != down:
-            yield sigma, up(sigma)
+def _trajectory_ids(gvf: GradientField, tau: int) -> Iterator[tuple[int, ...]]:
+    """The extended trajectories of gvf from the id tau that end at a
+    critical id, as id sequences, depth-first in facet order."""
+    up, down, facets = gvf._up, gvf._down, gvf.complex._table.facets
+
+    def step(seq):
+        # a step continues to up(sigma) or, at a critical sigma, ends
+        for sigma, nxt in _steps(up, down, facets, seq[-1]):
+            if nxt >= 0:
+                yield (sigma, nxt), False
+            elif down[sigma] < 0:
+                yield (sigma,), True
+
+    return _walk(tau, step)
 
 
-def _walk(start: Simplex, step) -> Iterator[tuple[Simplex, ...]]:
+def _steps(up: list[int], down: list[int], facets: list[tuple[int, ...]], tau: int):
+    """Forman's step rule on ids: `(sigma, up[sigma])` for every facet sigma
+    of tau other than `down[tau]`, in vertex-drop order; up[sigma] is -1
+    when sigma is not paired upward."""
+    d = down[tau]
+    for sigma in facets[tau]:
+        if sigma != d:
+            yield sigma, up[sigma]
+
+
+def _walk(start, step) -> Iterator[tuple]:
     """Every step sequence grown from `start`, depth-first.
 
     `step(seq)` yields `(extension, final)` pairs in order: a final
@@ -408,6 +471,8 @@ def greedy_gvf(
 
     Pairing always removes the oldest live facet frontier first, so the
     produced field is acyclic by construction; it is certified anyway.
+    The coreduction runs on the ids of x's table: the live set is a byte
+    mask, the live-facet counts an int list, and the heap holds rank keys.
 
     >>> f = greedy_gvf(SimplicialComplex(["v0 v1"]))
     >>> f.pairs
@@ -415,53 +480,56 @@ def greedy_gvf(
     >>> f.critical()
     (Simplex('v0'),)
     """
-    if strategy in ("lex", "lexicographic"):
-        ordered = list(x.simplices())
-    elif strategy == "random":
-        rng = random.Random(DEFAULT_SEED if seed is None else seed)
-        ordered = list(x.simplices())
-        rng.shuffle(ordered)
-    else:
+    order = list(itertools.chain.from_iterable(x._ids))
+    if strategy == "random":
+        random.Random(DEFAULT_SEED if seed is None else seed).shuffle(order)
+    elif strategy not in ("lex", "lexicographic"):
         raise FieldError(f"unknown strategy {strategy!r}")
-    rank = {s: i for i, s in enumerate(ordered)}
+    table = x._table
+    facets, cofacets = table.facets, table.cofacets
+    n, size = len(table), len(order)
+    # key = dim * size + rank orders by dimension, then rank; rank = key % size
+    key = [0] * n
+    for rank, i in enumerate(order):
+        key[i] = max(len(facets[i]) - 1, 0) * size + rank
+    by_key = sorted(key[i] for i in order)
 
-    alive = set(x.simplices())
-    live_facets = {s: s.dim + 1 for s in alive if s.dim >= 1}
-    candidates: list[tuple[int, int, Simplex]] = []
-    criticals_heap = [(s.dim, rank[s], s) for s in alive]
-    heapq.heapify(criticals_heap)
+    alive = bytearray(x._mask)
+    live_facets = list(map(len, facets))
+    candidates: list[int] = []
+    up, down = [-1] * n, [-1] * n
 
-    def kill(s: Simplex) -> None:
-        alive.discard(s)
-        for t in x.cofacets(s):
-            if t in alive:
+    def kill(s: int) -> None:
+        alive[s] = 0
+        for t in cofacets[s]:
+            if alive[t]:
                 live_facets[t] -= 1
                 if live_facets[t] == 1:
-                    heapq.heappush(candidates, (t.dim, rank[t], t))
+                    heapq.heappush(candidates, key[t])
 
-    pairs: list[tuple[Simplex, Simplex]] = []
-    critical: list[Simplex] = []
-    while alive:
-        tau = None
+    remaining, next_critical = size, 0
+    while remaining:
+        tau = -1
         while candidates:
-            _, _, top_c = candidates[0]
-            if top_c in alive and live_facets[top_c] == 1:
-                tau = heapq.heappop(candidates)[2]
+            t = order[heapq.heappop(candidates) % size]
+            if alive[t] and live_facets[t] == 1:
+                tau = t
                 break
-            heapq.heappop(candidates)
-        if tau is not None:
-            (sigma,) = (f for f in x.facets(tau) if f in alive)
-            pairs.append((sigma, tau))
+        if tau >= 0:
+            sigma = next(f for f in facets[tau] if alive[f])
+            up[sigma], down[tau] = tau, sigma
             kill(sigma)
             kill(tau)
+            remaining -= 2
         else:
-            while criticals_heap:
-                s = heapq.heappop(criticals_heap)[2]
-                if s in alive:
-                    critical.append(s)
+            while True:
+                s = order[by_key[next_critical] % size]
+                next_critical += 1
+                if alive[s]:
                     kill(s)
+                    remaining -= 1
                     break
 
-    if 2 * len(pairs) + len(critical) != len(x):
+    if any(alive):
         raise InternalConsistencyError("greedy matching lost track of simplices")
-    return GradientField.certify(VectorField(pairs), x)
+    return GradientField._certified(x, up, down)

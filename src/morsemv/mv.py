@@ -3,7 +3,11 @@
 Given subcomplexes A, B covering X, form disjoint tagged copies of the three
 pieces ("A:", "B:" and "I:" for the intersection) and pick one gradient
 field on each copy, entirely independently -- no compatibility between the
-three fields is required.  The generators in degree q are
+three fields is required.  X is the only complex closed: A, B and A n B are
+views of X's id table, and each copy is a tag on its view, so a tagged cell
+is (tag, id) and the transfer from the I-copy into the A- or B-copy keeps
+the id.  Tagged simplices appear only in what the module returns.  The
+generators in degree q are
 
     D_q = Crit_q(A-copy)  u  Crit_q(B-copy)  u  Crit_{q-1}(I-copy),
 
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .complexes import ComplexCopy, Simplex, SimplicialComplex, copy_relabel, intersection
-from .errors import DecompositionError, FieldError, InternalConsistencyError
+from .errors import ComplexError, DecompositionError, FieldError, InternalConsistencyError
 from .homology import HomologyResult, IntegerChainComplex, _dense, homology
 from .morse import (
     DEFAULT_SEED,
@@ -51,11 +55,12 @@ from .morse import (
     Trajectory,
     VectorField,
     _boundary_columns,
+    _grouped,
     _steps,
     _trajectory_complex,
+    _trajectory_ids,
     _walk,
     greedy_gvf,
-    trajectories_from,
     trajectory_weight,
     validate_trajectory,
 )
@@ -180,6 +185,21 @@ def _field_on_copy(
     return GradientField.certify(VectorField(pushed), copy.complex)
 
 
+def _piece(
+    x: SimplicialComplex, piece: SimplicialComplex | Iterable[Simplex], name: str
+) -> SimplicialComplex:
+    """The piece `name` as a view over X's table.  `piece` is a complex, or
+    the generators of one in the vertex names of X."""
+    if isinstance(piece, SimplicialComplex):
+        if piece._table is x._table and piece.is_subcomplex_of(x):
+            return piece
+        piece = piece.maximal_simplices
+    try:
+        return x.subcomplex(piece)
+    except ComplexError:
+        raise DecompositionError(f"{name} is not a subcomplex of X") from None
+
+
 def build_decomposition(
     x: SimplicialComplex,
     a: SimplicialComplex,
@@ -188,18 +208,18 @@ def build_decomposition(
     strategy: str = "lexicographic",
     seed: int | None = None,
 ) -> Decomposition:
-    """Validate X = A u B, build the three tagged copies, and equip each
+    """Validate X = A u B, tag the three pieces, and equip each tagged copy
     with a gradient field.
 
-    `fields` may supply explicit pair lists for any of the pieces "A", "B",
-    "I", written in the vertex names of X; pieces without explicit pairs get
-    a greedy field with the given strategy.  A seed, when used, is offset by
-    0/1/2 for the three pieces so they draw distinct orders.
+    A, B and A n B become views over X's id table, and each copy is a tag
+    on its view, so X is the only complex that is closed.  `fields` may
+    supply explicit pair lists for any of the pieces "A", "B", "I", written
+    in the vertex names of X; pieces without explicit pairs get a greedy
+    field with the given strategy.  A seed, when used, is offset by 0/1/2
+    for the three pieces so they draw distinct orders.
     """
-    if not a.is_subcomplex_of(x):
-        raise DecompositionError("A is not a subcomplex of X")
-    if not b.is_subcomplex_of(x):
-        raise DecompositionError("B is not a subcomplex of X")
+    a = _piece(x, a, "A")
+    b = _piece(x, b, "B")
     # A and B lie in X, so they cover it exactly when |A| + |B| - |A n B| = |X|.
     iab = intersection(a, b) if set(a.vertices) & set(b.vertices) else None
     if len(a) + len(b) - (len(iab) if iab is not None else 0) != len(x):
@@ -281,33 +301,36 @@ class MVTrajectory:
 
 
 def _forman_cases(
-    d: Decomposition, beta: MVGenerator
+    d: Decomposition, beta: MVGenerator, start: int
 ) -> dict[MVGenerator, list[MVTrajectory]]:
-    """Cases 1-3: plain trajectory enumeration inside one copy."""
+    """Cases 1-3: plain trajectory enumeration inside one copy, from the id
+    `start` of beta's simplex."""
     case, gvf, tag = {
         FROM_A: (1, d.w_a, FROM_A),
         FROM_B: (2, d.w_b, FROM_B),
         SHIFTED: (3, d.w_i, SHIFTED),
     }[beta.tag]
+    name = gvf.complex._simplices_of
     out: dict[MVGenerator, list[MVTrajectory]] = {}
-    if beta.simplex.dim == 0:
-        return out
-    for sigma, paths in trajectories_from(gvf, beta.simplex).items():
-        alpha = _generator(tag, sigma)
-        out[alpha] = [
-            MVTrajectory(case, beta, alpha, t.steps) for t in paths
-        ]
+    for end, paths in _grouped(_trajectory_ids(gvf, start)).items():
+        alpha = _generator(tag, gvf.complex._simplex(end))
+        out[alpha] = [MVTrajectory(case, beta, alpha, name(steps)) for steps in paths]
     return out
 
 
 def _mixed_cases(
-    d: Decomposition, beta: MVGenerator, case: int
+    d: Decomposition, beta: MVGenerator, start: int, case: int
 ) -> dict[MVGenerator, list[MVTrajectory]]:
-    """Cases 4 (Shifted -> FromA) and 5 (Shifted -> FromB)."""
+    """Cases 4 (Shifted -> FromA) and 5 (Shifted -> FromB), from the id
+    `start` of beta's simplex.
+
+    Every copy is a tag on X's table, so the walk runs on ids and the
+    transfer into the piece keeps the id."""
     tag = FROM_A if case == 4 else FROM_B
-    piece = d.w_a if case == 4 else d.w_b
-    pv = piece.field
-    wi = d.w_i
+    piece, wi = (d.w_a if case == 4 else d.w_b), d.w_i
+    p_up, p_down = piece._up, piece._down
+    i_up, i_down = wi._up, wi._down
+    facets = wi.complex._table.facets
 
     # The descent grows the start by pairs and the transfer by one simplex,
     # so an odd-length sequence ends in the I-copy and an even one in the piece.
@@ -315,30 +338,33 @@ def _mixed_cases(
         here = seq[-1]
         if len(seq) % 2:
             # (tau_p)_I: first the transfer into the piece, then the descent
-            yield (d.transfer(here, tag),), False
-            for sigma, nxt in _steps(wi.field, wi.complex, here):
-                if nxt is not None:
+            yield (here,), False
+            for sigma, nxt in _steps(i_up, i_down, facets, here):
+                if nxt >= 0:
                     yield (sigma, nxt), False
-        elif not pv.is_matched(here):
+        elif p_up[here] < 0 and p_down[here] < 0:
             yield (), True
         else:
-            a = pv.up(here)
-            if a is not None:  # matched downward: the ascent cannot pass through
-                for nxt in piece.complex.facets(a):
+            a = p_up[here]
+            if a >= 0:  # matched downward: the ascent cannot pass through
+                for nxt in facets[a]:
                     if nxt != here:
                         yield (a, nxt), False
 
-    size = len(beta.simplex.vertices)
+    i_name, p_name = wi.complex._simplices_of, piece.complex._simplices_of
     out: dict[MVGenerator, list[MVTrajectory]] = {}
-    for steps in _walk(beta.simplex, step):
-        # the transfer is the first odd-indexed step with beta's dimension
-        cut = 1
-        while len(steps[cut].vertices) != size:
-            cut += 2
-        alpha = _generator(tag, steps[-1])
-        out.setdefault(alpha, []).append(
-            MVTrajectory(case, beta, alpha, steps, p=cut // 2, l=(len(steps) - cut) // 2)
-        )
+    for end, paths in _grouped(_walk(start, step)).items():
+        alpha = _generator(tag, piece.complex._simplex(end))
+        ts = out[alpha] = []
+        for steps in paths:
+            # the transfer is the first odd-indexed step repeating its predecessor
+            cut = 1
+            while steps[cut] != steps[cut - 1]:
+                cut += 2
+            named = i_name(steps[:cut]) + p_name(steps[cut:])
+            ts.append(
+                MVTrajectory(case, beta, alpha, named, p=cut // 2, l=(len(steps) - cut) // 2)
+            )
     return out
 
 
@@ -346,20 +372,22 @@ def mv_trajectories_from(
     d: Decomposition, beta: MVGenerator
 ) -> dict[MVGenerator, list[MVTrajectory]]:
     """All MV trajectories out of beta, grouped by target generator."""
-    _require_generator(d, beta)
-    if beta.tag in (FROM_A, FROM_B):
-        return _forman_cases(d, beta)
-    out = _forman_cases(d, beta)
-    for case in (4, 5):
-        for alpha, ts in _mixed_cases(d, beta, case).items():
-            out.setdefault(alpha, []).extend(ts)
+    start = _require_generator(d, beta)
+    out = _forman_cases(d, beta, start)
+    if beta.tag == SHIFTED:
+        for case in (4, 5):
+            for alpha, ts in _mixed_cases(d, beta, start, case).items():
+                out.setdefault(alpha, []).extend(ts)
     return out
 
 
-def _require_generator(d: Decomposition, g: MVGenerator) -> None:
+def _require_generator(d: Decomposition, g: MVGenerator) -> int:
+    """The id of g's simplex, when g is a generator of d."""
     gvf = {FROM_A: d.w_a, FROM_B: d.w_b, SHIFTED: d.w_i}[g.tag]
-    if gvf is None or gvf.field.is_matched(g.simplex) or g.simplex not in gvf.complex:
+    i = gvf.complex._id(g.simplex) if gvf is not None else None
+    if i is None or not gvf._is_critical(i):
         raise FieldError(f"{g} is not a generator of this decomposition")
+    return i
 
 
 def enumerate_mv(

@@ -107,8 +107,9 @@ def build_xtilde(d: Decomposition) -> XTilde:
     if d.iab_bar is None:
         return XTilde(d, union(d.a_bar.complex, d.b_bar.complex), None, frozenset(), *shared)
     base = d.iab_bar.complex
-    a_name = {v: d.a_bar.to_copy[d.iab_bar.from_copy[v]] for v in base.vertices}
-    b_name = {v: d.b_bar.to_copy[d.iab_bar.from_copy[v]] for v in base.vertices}
+    untag = len(d.iab_bar.tag)
+    a_name = {v: d.a_bar.tag + v[untag:] for v in base.vertices}
+    b_name = {v: d.b_bar.tag + v[untag:] for v in base.vertices}
     p = prism(base, a_name, b_name)
     glued = union(d.a_bar.complex, p.complex, d.b_bar.complex)
     return XTilde(d, glued, p, p.interior_cells(), *shared)

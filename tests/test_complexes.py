@@ -41,6 +41,20 @@ class TestSimplex:
         assert Simplex("c b a").sign == -1  # reversal of three, odd
         assert Simplex(("a", "b", "c")).sign == 1
 
+    def test_sign_matches_brute_force_permutation_parity(self):
+        # every ordering of 1-5 vertices, sorted input included: the sign is
+        # (-1)^(number of inversions), counted pair by pair
+        for n in range(1, 6):
+            names = [f"v{i}" for i in range(n)]
+            for perm in itertools.permutations(names):
+                inversions = sum(
+                    perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
+                )
+                s = Simplex(perm)
+                assert s.vertices == tuple(names)
+                assert s.sign == (-1) ** inversions
+                assert Simplex(perm, sign=-1).sign == -((-1) ** inversions)
+
     def test_string_and_iterable_agree(self):
         assert Simplex("x y z") == Simplex(["x", "y", "z"])
 

@@ -1,0 +1,263 @@
+"""The integer-id core: one id table per closed complex, pieces as views
+over it, copies as tags, and the field code on ids, each checked against
+the freshly closed complex or the Simplex-keyed reference it replaced."""
+from __future__ import annotations
+
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from morsemv import (
+    FieldError,
+    NotAcyclicError,
+    Simplex,
+    SimplicialComplex,
+    VectorField,
+    build_decomposition,
+    greedy_gvf,
+)
+from morsemv.cli import main
+from morsemv.complexes import _Table, copy_relabel, intersection, prism, union
+from morsemv.homology import simplicial_chain_complex
+from morsemv.morse import GradientField, is_acyclic
+from conftest import corpus_complexes, random_cover, random_generators
+from slow_reference import reference_closed_trajectory, reference_greedy
+
+STRATEGIES = [("lexicographic", None), ("random", 1), ("random", 2), ("random", 3)]
+
+
+def cover_pieces(x: SimplicialComplex, seed: int):
+    """The views A, B and (when nonempty) A n B of 3 random covers of x,
+    each with the generators a fresh closure of it starts from."""
+    rng = random.Random(seed)
+    for _ in range(3):
+        a, b = random_cover(x, rng)
+        d = build_decomposition(x, a, b)
+        yield d.a, a.maximal_simplices
+        yield d.b, b.maximal_simplices
+        if d.iab is not None:
+            yield d.iab, d.iab.maximal_simplices
+
+
+def random_matching(x: SimplicialComplex, rng: random.Random) -> VectorField:
+    """A random matching of facet pairs of x; on a closed surface many of
+    them have closed trajectories."""
+    candidates = [(sigma, tau) for tau in x.simplices() for sigma in x.facets(tau)]
+    rng.shuffle(candidates)
+    used: set[Simplex] = set()
+    pairs = []
+    for sigma, tau in candidates[: rng.randint(0, len(candidates))]:
+        if sigma not in used and tau not in used:
+            used |= {sigma, tau}
+            pairs.append((sigma, tau))
+    return VectorField(pairs)
+
+
+def check_witness(field: VectorField, w) -> None:
+    assert w is not None and w[0] == w[-1] and len(w) >= 5
+    for i in range(1, len(w), 2):
+        sigma, tau_prev = w[i], w[i - 1]
+        assert sigma.is_face_of(tau_prev)
+        assert field.down(tau_prev) != sigma
+        assert field.up(sigma) == w[i + 1]
+
+
+class TestIdTable:
+    def test_ids_sorted_by_dimension_then_vertices(self):
+        rng = random.Random(8)
+        complexes = list(corpus_complexes().values())
+        complexes += [SimplicialComplex(random_generators(rng)) for _ in range(40)]
+        for x in complexes:
+            table = x._table
+            keys = [(len(vs), vs) for vs in table.verts]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+            for q in range(x.dim + 1):
+                lo, hi = table.start[q], table.start[q + 1]
+                assert all(len(vs) == q + 1 for vs in table.verts[lo:hi])
+            for i, vs in enumerate(table.verts):
+                assert [table.verts[f] for f in table.facets[i]] == [
+                    vs[:k] + vs[k + 1:] for k in range(len(vs)) if len(vs) > 1
+                ]
+                cof = table.cofacets[i]
+                assert cof == sorted(cof)
+                assert all(i in table.facets[t] for t in cof)
+            assert [s.vertices for s in x.simplices()] == table.verts
+
+
+class TestViews:
+    def views(self):
+        for name, x in sorted(corpus_complexes().items()):
+            for view, generators in cover_pieces(x, sum(map(ord, name))):
+                yield x, view, SimplicialComplex(generators)
+                tag = "A:"
+                fresh_tagged = SimplicialComplex(
+                    Simplex([tag + v for v in g.vertices]) for g in generators
+                )
+                yield None, copy_relabel(view, tag).complex, fresh_tagged
+
+    def test_view_matches_fresh_complex(self):
+        rng = random.Random(5)
+        for x, view, fresh in self.views():
+            assert view == fresh and fresh == view
+            assert len(view) == len(fresh)
+            assert view.dim == fresh.dim and view.vertices == fresh.vertices
+            assert view.f_vector() == fresh.f_vector()
+            for q in range(-1, fresh.dim + 2):
+                assert view.simplices(q) == fresh.simplices(q)
+            assert view.simplices() == fresh.simplices()
+            assert view.maximal_simplices == fresh.maximal_simplices
+            for s in fresh.simplices():
+                assert s in view and -s in view
+                assert view.facets(s) == fresh.facets(s)
+                assert view.cofacets(s) == fresh.cofacets(s)
+            assert view.is_subcomplex_of(fresh) and fresh.is_subcomplex_of(view)
+            assert union(view) == fresh and prism(view).complex == prism(fresh).complex
+            chains, fresh_chains = simplicial_chain_complex(view), simplicial_chain_complex(fresh)
+            assert chains.columns == fresh_chains.columns
+            assert chains.labels == fresh_chains.labels
+            if x is not None:
+                assert view.is_subcomplex_of(x)
+                assert x.is_subcomplex_of(view) == (len(view) == len(x))
+                for s in x.simplices():
+                    assert (s in view) == (s in fresh)
+                names = sorted(x.vertices)
+                for _ in range(10):
+                    vs = rng.sample(names, rng.randint(1, min(4, len(names))))
+                    assert (vs in view) == (vs in fresh)
+
+    def test_views_share_the_table(self):
+        x = corpus_complexes()["torus"]
+        a, b = random_cover(x, random.Random(3))
+        d = build_decomposition(x, a, b)
+        for piece in (d.a, d.b, d.iab):
+            assert piece._table is x._table
+        for copy in (d.a_bar, d.b_bar, d.iab_bar):
+            assert copy.complex._table is x._table
+        assert intersection(d.a, d.b) == intersection(a, b)
+
+    def test_homology_closes_only_x(self, monkeypatch, capsys):
+        tables = []
+        init = _Table.__init__
+
+        def counted(self, generators):
+            tables.append(self)
+            init(self, generators)
+
+        monkeypatch.setattr(_Table, "__init__", counted)
+        golden = Path(__file__).parent / "golden"
+        assert main(["homology", "--complex", str(golden / "torus.cx"),
+                     "--decomposition", str(golden / "torus.dec")]) == 0
+        assert len(tables) == 1
+        assert "H_1 = Z^2" in capsys.readouterr().out
+
+    def test_subcomplex_of_a_view_is_a_view(self):
+        x = corpus_complexes()["sphere3"]
+        face = x.subcomplex(["v0 v1 v2"])
+        edge = face.subcomplex(["v1 v2"])
+        assert edge._table is x._table
+        assert edge == SimplicialComplex(["v1 v2"])
+        assert edge.is_subcomplex_of(face) and not face.is_subcomplex_of(edge)
+
+
+def check_greedy(x: SimplicialComplex, strategy: str, seed: int | None) -> None:
+    gvf = greedy_gvf(x, strategy, seed)
+    pairs, critical = reference_greedy(x, strategy, seed)
+    assert gvf.pairs == pairs
+    assert gvf.critical() == critical
+
+
+class TestGreedyAgainstReference:
+    @pytest.mark.parametrize("strategy,seed", STRATEGIES)
+    @pytest.mark.parametrize("name", sorted(corpus_complexes()))
+    def test_corpus_and_cover_pieces(self, name, strategy, seed):
+        x = corpus_complexes()[name]
+        check_greedy(x, strategy, seed)
+        for view, generators in cover_pieces(x, len(name)):
+            check_greedy(view, strategy, seed)
+            check_greedy(copy_relabel(view, "I:").complex, strategy, seed)
+            fresh = SimplicialComplex(generators)
+            assert greedy_gvf(fresh, strategy, seed).pairs == greedy_gvf(
+                view, strategy, seed
+            ).pairs
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(STRATEGIES))
+    def test_hypothesis_complexes(self, rng, strategy_seed):
+        check_greedy(SimplicialComplex(random_generators(rng)), *strategy_seed)
+
+
+class TestAcyclicityAgainstReference:
+    def test_random_matchings(self):
+        rng = random.Random(31)
+        cyclic = acyclic = 0
+        complexes = list(corpus_complexes().values())
+        for _ in range(300):
+            x = rng.choice(complexes)
+            field = random_matching(x, rng)
+            want = reference_closed_trajectory(field, x)
+            assert is_acyclic(field, x) == (want is None)
+            if want is None:
+                acyclic += 1
+                gvf = GradientField.certify(field, x)
+                assert gvf.pairs == field.pairs
+                continue
+            cyclic += 1
+            with pytest.raises(NotAcyclicError) as e:
+                GradientField.certify(field, x)
+            assert e.value.witness == want
+            check_witness(field, e.value.witness)
+        assert cyclic > 20 and acyclic > 20
+
+    def test_tagged_copy(self):
+        x = corpus_complexes()["torus"]
+        copy = copy_relabel(x, "A:")
+        rng = random.Random(2)
+        for _ in range(30):
+            field = random_matching(x, rng)
+            pushed = VectorField((copy.push(s), copy.push(t)) for s, t in field)
+            want = reference_closed_trajectory(pushed, copy.complex)
+            assert is_acyclic(pushed, copy.complex) == (want is None)
+            assert is_acyclic(field, x) == (want is None)
+            if len(field):  # the copy's members carry the tag
+                with pytest.raises(FieldError, match="not in the complex"):
+                    is_acyclic(field, copy.complex)
+
+
+def run_cli(tmp_path, capsys, cx: str, dec: str):
+    (tmp_path / "x.cx").write_text(cx)
+    (tmp_path / "x.dec").write_text(dec)
+    code = main(["homology", "--complex", str(tmp_path / "x.cx"),
+                 "--decomposition", str(tmp_path / "x.dec")])
+    return code, capsys.readouterr().err
+
+
+TWO_EDGES = "v0 v1\nv1 v2\n"
+CIRCLE = "v0 v1\nv1 v2\nv0 v2\n"
+
+
+@pytest.mark.parametrize("cx,dec,code,message", [
+    (TWO_EDGES, "[A]\nv0 v9\n[B]\nv1 v2\n", 3, "A is not a subcomplex of X"),
+    (TWO_EDGES, "[A]\nv0 v1\n[B]\nv1 v7\n", 3, "B is not a subcomplex of X"),
+    (TWO_EDGES, "[A]\nv0 v1\n[B]\nv0 v1\n", 3, "A u B does not cover X"),
+    (TWO_EDGES, "[A]\nv0 v1\n[B]\nv1 v2\n[fields]\nA: v2 -> v1 v2\n", 3,
+     "field pair ([v2], [v1 v2]) references [v2], which is not a simplex of A"),
+    (TWO_EDGES, "[A]\nv0 v1\n[B]\nv1 v2\n[fields]\nI: v0 -> v0 v1\n", 3,
+     "field pair ([v0], [v0 v1]) references [v0], which is not a simplex of I"),
+    (TWO_EDGES, "[A]\nv0 v1\n[B]\nv1 v2\n[fields]\nA: v0 -> v0 v1\nA: v1 -> v0 v1\n", 3,
+     "[A:v0 A:v1] appears in more than one pair"),
+    ("p\nq\n", "[A]\np\n[B]\nq\n[fields]\nI: p -> p\n", 3,
+     "a field was supplied for an empty intersection"),
+    (CIRCLE, "[A]\nv0 v1\nv1 v2\nv0 v2\n[B]\nv0 v1\n[fields]\n"
+             "A: v0 -> v0 v1\nA: v1 -> v1 v2\nA: v2 -> v0 v2\n", 4,
+     "closed trajectory through [A:v0 A:v1]"),
+    (CIRCLE, "[A]\nv0 v1\nv1 v2\nv0 v2\n[B]\nv0 v1\nv1 v2\nv0 v2\n[fields]\n"
+             "I: v0 -> v0 v1\nI: v1 -> v1 v2\nI: v2 -> v0 v2\n", 4,
+     "closed trajectory through [I:v0 I:v1]"),
+])
+def test_cover_and_pinned_field_errors_keep_code_and_text(
+    tmp_path, capsys, cx, dec, code, message
+):
+    assert run_cli(tmp_path, capsys, cx, dec) == (code, f"error: {message}\n")
