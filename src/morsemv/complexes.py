@@ -30,14 +30,6 @@ and a tagged copy (`copy_relabel`) shares the mask too, naming every vertex
 v as tag + v.  A view is a `SimplicialComplex` in every respect and equals
 the complex closed afresh from the same generators.  `Simplex` objects are
 built only when asked for, once per (tag, id).
-
-`PrismComplex` models Y x [0,1] over a base complex Y, triangulated the
-standard way: each base simplex [x_{i_0}, ..., x_{i_q}] contributes the
-maximal cells [a_{i_0}, ..., a_{i_r}, b_{i_r}, ..., b_{i_q}] for 0 <= r <= q,
-where a_*/b_* are the bottom/top copies of the base vertices.  Every cell of
-the prism sits over a unique base simplex (its "ground"), and the cells over
-a fixed ground alpha split into two interleaving families indexed by the
-position of the a->b changeover; both families are exposed by index.
 """
 from __future__ import annotations
 
@@ -51,13 +43,11 @@ __all__ = [
     "Simplex",
     "SimplicialComplex",
     "ComplexCopy",
-    "PrismComplex",
     "build_complex",
     "incidence",
     "union",
     "intersection",
     "copy_relabel",
-    "prism",
 ]
 
 
@@ -519,144 +509,3 @@ def copy_relabel(y: SimplicialComplex, tag: str) -> ComplexCopy:
     if not tag:
         raise ComplexError("relabelling tag must be nonempty")
     return ComplexCopy(y, tag)
-
-
-class PrismComplex:
-    """The triangulated prism over a base complex.
-
-    For a base simplex alpha = [x_0, ..., x_q] (vertices in canonical order)
-    the cells of the prism lying over alpha form the block S_alpha, which is
-    the disjoint union of two families:
-
-      a_member(alpha, r) = [a(x_0), ..., a(x_r), b(x_r), ..., b(x_q)]
-          for 0 <= r <= q   (the two copies of x_r both present),
-      b_member(alpha, r) = [a(x_0), ..., a(x_{r-1}), b(x_r), ..., b(x_q)]
-          for 0 <= r <= q+1 (disjoint prefix/suffix; r = 0 is the pure top
-          copy of alpha, r = q+1 the pure bottom copy).
-
-    Construction enumerates every block once and checks that the blocks
-    partition the cells; `a_member`, `b_member` and the ground map read the
-    stored blocks.
-    """
-
-    def __init__(
-        self,
-        base: SimplicialComplex,
-        a_name: Mapping[str, str],
-        b_name: Mapping[str, str],
-    ):
-        base_order = base.vertices
-        for m, side in ((a_name, "bottom"), (b_name, "top")):
-            if set(m) != set(base_order):
-                raise ComplexError(f"{side} relabelling must cover exactly the base vertices")
-            if len(set(m.values())) != len(base_order):
-                raise ComplexError(f"{side} relabelling is not injective")
-            renamed = [m[v] for v in base_order]
-            if renamed != sorted(renamed):
-                raise ComplexError(
-                    f"{side} relabelling must preserve the base vertex order"
-                )
-        if set(a_name.values()) & set(b_name.values()):
-            raise ComplexError("bottom and top vertex names must be disjoint")
-        if not max(a_name.values()) < min(b_name.values()):
-            # Canonical (sorted) orientation of a mixed cell must list the
-            # bottom vertices first; the boundary-matrix identities checked
-            # downstream rely on it.
-            raise ComplexError("every bottom vertex name must sort before every top one")
-
-        self.base = base
-        self.a_name = dict(a_name)
-        self.b_name = dict(b_name)
-        self._a_names = frozenset(self.a_name.values())
-
-        blocks = {alpha: self._block(alpha) for alpha in base.simplices()}
-        self.complex = SimplicialComplex(
-            _canonical(cell) for alpha in base.maximal_simplices for cell in blocks[alpha][0]
-        )
-
-        # The blocks must partition the cells: each block cell lies in the
-        # prism and in no other block, and no cell is left over.  Each block
-        # keeps the prism's member objects for `a_member` and `b_member`.
-        members = {s.vertices: s for s in self.complex.simplices()}
-        self._ground: dict[tuple[str, ...], Simplex] = {}
-        self._blocks: dict[tuple[str, ...], tuple[tuple[Simplex, ...], ...]] = {}
-        for alpha, (a_cells, b_cells) in blocks.items():
-            cells = []
-            for vs in a_cells + b_cells:
-                cell = members.pop(vs, None)
-                if cell is None:
-                    raise ComplexError(f"the blocks over {alpha} do not partition the prism")
-                self._ground[vs] = alpha
-                cells.append(cell)
-            n = len(a_cells)
-            self._blocks[alpha.vertices] = (tuple(cells[:n]), tuple(cells[n:]))
-        if members:
-            raise ComplexError("the blocks do not cover the prism")
-
-    def _block(self, alpha: Simplex) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
-        """The vertex tuples of a_member(alpha, r) for 0 <= r <= q and of
-        b_member(alpha, r) for 0 <= r <= q+1.  Both are sorted, since the
-        renamings preserve order and bottom names sort before top ones."""
-        a = [self.a_name[v] for v in alpha.vertices]
-        b = [self.b_name[v] for v in alpha.vertices]
-        return (
-            [(*a[: r + 1], *b[r:]) for r in range(len(a))],
-            [(*a[:r], *b[r:]) for r in range(len(a) + 1)],
-        )
-
-    def ground_simplex(self, cell: Simplex) -> Simplex:
-        """The base simplex a prism cell lies over."""
-        try:
-            return self._ground[cell.vertices]
-        except KeyError:
-            raise ComplexError(f"{cell} is not a cell of the prism") from None
-
-    def a_member(self, alpha: Simplex, r: int) -> Simplex:
-        """The cell over alpha whose a-part and b-part share index r."""
-        cells = self._block_of(alpha)[0]
-        if not 0 <= r < len(cells):
-            raise ComplexError(f"a_member index {r} out of range for {alpha}")
-        return cells[r]
-
-    def b_member(self, alpha: Simplex, r: int) -> Simplex:
-        """The cell over alpha with a-part {x_0..x_{r-1}} and b-part {x_r..x_q}."""
-        cells = self._block_of(alpha)[1]
-        if not 0 <= r < len(cells):
-            raise ComplexError(f"b_member index {r} out of range for {alpha}")
-        return cells[r]
-
-    def _block_of(self, alpha: Simplex) -> tuple[tuple[Simplex, ...], ...]:
-        try:
-            return self._blocks[alpha.vertices]
-        except KeyError:
-            raise ComplexError(f"{alpha} is not a simplex of the base") from None
-
-    def is_pure_a(self, cell: Simplex) -> bool:
-        return all(v in self._a_names for v in cell.vertices)
-
-    def is_pure_b(self, cell: Simplex) -> bool:
-        return all(v not in self._a_names for v in cell.vertices)
-
-    def interior_cells(self) -> frozenset[Simplex]:
-        """Cells using both a bottom and a top vertex (neither pure copy)."""
-        return frozenset(
-            s
-            for s in self.complex.simplices()
-            if not self.is_pure_a(s) and not self.is_pure_b(s)
-        )
-
-
-def prism(
-    y: SimplicialComplex,
-    a_name: Mapping[str, str] | None = None,
-    b_name: Mapping[str, str] | None = None,
-) -> PrismComplex:
-    """The prism over y.  Default vertex names are 'Pa:'/'Pb:' prefixes;
-    explicit maps let a caller glue the prism onto existing complexes by
-    name (they must be order-preserving, with every bottom name sorting
-    before every top name)."""
-    if a_name is None:
-        a_name = {v: "Pa:" + v for v in y.vertices}
-    if b_name is None:
-        b_name = {v: "Pb:" + v for v in y.vertices}
-    return PrismComplex(y, a_name, b_name)

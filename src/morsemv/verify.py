@@ -2,9 +2,23 @@
 complex, on any concrete decomposition.
 
 The auxiliary complex X~ glues the tagged copies of A and B to a prism over
-the intersection copy: the prism's bottom vertices reuse the names of the
-intersection inside the A-copy and its top vertices those inside the B-copy,
-so the gluing is by plain vertex-name identity.
+the intersection.  Over an intersection simplex alpha = [x_0, ..., x_q],
+with bottom vertices a_i = A:x_i and top vertices b_i = B:x_i, the prism
+has the block of 2q + 3 cells
+
+  a_member(alpha, r) = [a_0, ..., a_r, b_r, ..., b_q]         0 <= r <= q,
+  b_member(alpha, r) = [a_0, ..., a_{r-1}, b_r, ..., b_q]     0 <= r <= q+1,
+
+so b_member(alpha, 0) is the B-copy of alpha, b_member(alpha, q+1) its
+A-copy, and the rest lie in the prism interior.  The bottom and top
+vertices are the copies' own names, so the gluing is by vertex name, and
+X~ is closed once, from the maximal cells of both copies and the cells
+a_member(alpha, r) over each maximal alpha.  `build_xtilde` then records,
+on X~'s ids, the piece of every cell (A-copy, B-copy or prism interior),
+its ground (the id in X of the simplex it copies or lies over), and for
+every intersection id the ids of its a_member and b_member cells.  The two
+fields, their censuses, the maps g and f and the trajectory classification
+read these maps; simplices are named only for reports.
 
 Two gradient fields on X~ carry the theory:
 
@@ -28,6 +42,10 @@ Two gradient fields on X~ carry the theory:
   the MV trajectories of the decomposition in count and in weight multiset;
   the two boundary matrices agree entry by entry under f.
 
+Both fields are written as `up`/`down` id arrays on X~, checked as
+matchings of facet pairs and certified acyclic; a fault in the block
+formula shows up as a failed certification or census, never as bad input.
+
 `check_iso_simplicial` and `check_main_iso` re-derive all of this on a given
 decomposition and report each comparison separately, with counterexamples.
 Both read one shared context: `build_xtilde` computes the simplicial chain
@@ -41,10 +59,11 @@ computed from the Thom-Smale matrices only when a matrix differs.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .complexes import PrismComplex, Simplex, SimplicialComplex, prism, union
+from .complexes import Simplex, SimplicialComplex
 from .errors import InternalConsistencyError, MorsemvError
 from .homology import (
     HomologyResult,
@@ -55,7 +74,6 @@ from .homology import (
 from .morse import (
     GradientField,
     Trajectory,
-    VectorField,
     _boundary_columns,
     _trajectory_complex,
     trajectories_from,
@@ -81,76 +99,146 @@ __all__ = [
     "check_main_iso",
 ]
 
+# the piece of an X~ cell
+_A, _B, _INTERIOR = 0, 1, 2
+
 
 @dataclass(frozen=True)
 class XTilde:
     """The glued complex A-copy u prism(intersection copy) u B-copy, with the
     context both checks share.
 
-    `prism` is None when the intersection is empty (then X~ = A-copy |_| B-copy).
     `x_chains` is the simplicial chain complex C_*(X), generators labelled in
     canonical order, and `x_homology` its homology: the target of
     `check_iso_simplicial` and the reference of `check_main_iso`, each
-    computed once per verify run."""
+    computed once per verify run.  `_piece` and `_ground` give the piece
+    and the ground id in X of every X~ id, and `_members` maps each
+    intersection id in X to the X~ ids of its a_member and b_member cells
+    (empty when the intersection is)."""
 
     decomposition: Decomposition
     complex: SimplicialComplex
-    prism: PrismComplex | None
-    interior: frozenset[Simplex]
     x_chains: IntegerChainComplex
     x_homology: HomologyResult
+    _piece: bytearray
+    _ground: list[int]
+    _members: dict[int, tuple[list[int], list[int]]]
+
+
+def _block(a: list[str], b: list[str]) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
+    """The vertex tuples of a_member(alpha, r), 0 <= r <= q, and of
+    b_member(alpha, r), 0 <= r <= q+1, for the base simplex alpha whose
+    bottom and top vertex names are `a` and `b`.  Both are sorted, since
+    the copy tags preserve order and every A-copy name sorts before every
+    B-copy one."""
+    return (
+        [(*a[: r + 1], *b[r:]) for r in range(len(a))],
+        [(*a[:r], *b[r:]) for r in range(len(a) + 1)],
+    )
 
 
 def build_xtilde(d: Decomposition) -> XTilde:
     x_chains = simplicial_chain_complex(d.x)
     shared = (x_chains, homology(x_chains))
-    if d.iab_bar is None:
-        return XTilde(d, union(d.a_bar.complex, d.b_bar.complex), None, frozenset(), *shared)
-    base = d.iab_bar.complex
-    untag = len(d.iab_bar.tag)
-    a_name = {v: d.a_bar.tag + v[untag:] for v in base.vertices}
-    b_name = {v: d.b_bar.tag + v[untag:] for v in base.vertices}
-    p = prism(base, a_name, b_name)
-    glued = union(d.a_bar.complex, p.complex, d.b_bar.complex)
-    return XTilde(d, glued, p, p.interior_cells(), *shared)
+    a_tag, b_tag, x_table = d.a_bar.tag, d.b_bar.tag, d.x._table
+    blocks = {}
+    cells = [*d.a_bar.complex.maximal_simplices, *d.b_bar.complex.maximal_simplices]
+    if d.iab is not None:
+        for alpha in itertools.chain.from_iterable(d.iab._ids):
+            vs = x_table.verts[alpha]
+            blocks[alpha] = _block([a_tag + v for v in vs], [b_tag + v for v in vs])
+        cells += [
+            Simplex(c) for s in d.iab.maximal_simplices for c in blocks[d.iab._id(s)][0]
+        ]
+    glued = SimplicialComplex(cells)
+    table = glued._table
+
+    # An A-copy cell ends, and a B-copy cell starts, with a name of its copy.
+    # Both tags have one length, and a cell's ground is its untagged names.
+    untag = len(a_tag)
+    piece, ground = bytearray(len(table)), []
+    for i, vs in enumerate(table.verts):
+        piece[i] = (
+            _A if vs[-1].startswith(a_tag) else _B if vs[0].startswith(b_tag) else _INTERIOR
+        )
+        ground.append(x_table.index[tuple(sorted({v[untag:] for v in vs}))])
+    members = {}
+    for alpha, (a_cells, b_cells) in blocks.items():
+        a_ids = [table.index.get(c) for c in a_cells]
+        b_ids = [table.index.get(c) for c in b_cells]
+        q = len(x_table.verts[alpha]) - 1
+        if None in a_ids or None in b_ids or (len(a_ids), len(b_ids)) != (q + 1, q + 2):
+            raise InternalConsistencyError(
+                f"the block over {d.iab_bar.complex._simplex(alpha)} "
+                f"is not {2 * q + 3} cells of X~"
+            )
+        members[alpha] = (a_ids, b_ids)
+    return XTilde(d, glued, *shared, piece, ground, members)
+
+
+def _critical_ids(gvf: GradientField) -> Iterator[int]:
+    """The critical ids of gvf, by dimension, each in canonical order."""
+    return itertools.chain.from_iterable(gvf._critical_ids)
+
+
+def _named(xt: XTilde, ids: Iterable[int]) -> list[Simplex]:
+    """The X~ cells with these ids, in canonical order."""
+    return list(xt.complex._simplices_of(sorted(ids)))
+
+
+def _matching(xt: XTilde, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """The `up`/`down` arrays of the id pairs (sigma, tau) on X~, checked to
+    be a matching of facet pairs."""
+    facets, name = xt.complex._table.facets, xt.complex._simplex
+    up, down = [-1] * len(facets), [-1] * len(facets)
+    for sigma, tau in pairs:
+        if sigma not in facets[tau]:
+            raise InternalConsistencyError(f"({name(sigma)}, {name(tau)}) is not a facet pair")
+        for s in (sigma, tau):
+            if up[s] >= 0 or down[s] >= 0:
+                raise InternalConsistencyError(f"{name(s)} appears in more than one pair")
+        up[sigma], down[tau] = tau, sigma
+    return up, down
 
 
 def _build_v_field(xt: XTilde) -> GradientField:
     """The collapse-the-prism field V on X~ (empty when there is no prism)."""
-    pairs: list[tuple[Simplex, Simplex]] = []
-    if xt.prism is not None:
-        for alpha in xt.prism.base.simplices():
-            for r in range(alpha.dim + 1):
-                pairs.append((xt.prism.b_member(alpha, r), xt.prism.a_member(alpha, r)))
-    return GradientField.certify(VectorField(pairs), xt.complex)
+    pairs = (pair for a, b in xt._members.values() for pair in zip(b, a))
+    return GradientField._certified(xt.complex, *_matching(xt, pairs))
 
 
-def _prism_extension(xt: XTilde) -> tuple[list[tuple[Simplex, Simplex]], list[Simplex]]:
-    """The interior pairs of W and the interior cells left critical."""
-    d = xt.decomposition
-    pairs: list[tuple[Simplex, Simplex]] = []
-    criticals: list[Simplex] = []
-    if xt.prism is None:
+def _prism_extension(xt: XTilde) -> tuple[list[tuple[int, int]], list[int]]:
+    """The interior pairs of W and the interior cells left critical, as X~ ids."""
+    d, m = xt.decomposition, xt._members
+    pairs: list[tuple[int, int]] = []
+    criticals: list[int] = []
+    if d.w_i is None:
         return pairs, criticals
-    p = xt.prism
-    for alpha, beta in d.w_i.pairs:
-        q = beta.dim
-        (dropped,) = set(beta.vertices) - set(alpha.vertices)
-        j = beta.vertices.index(dropped)
-        if j == 0:
-            pairs.append((p.a_member(alpha, 0), p.a_member(beta, 1)))
-            pairs.append((p.b_member(beta, 1), p.a_member(beta, 0)))
-            pairs.extend((p.b_member(beta, r), p.a_member(beta, r)) for r in range(2, q + 1))
+    facets = d.x._table.facets
+    for beta, alpha in enumerate(d.w_i._down):
+        if alpha < 0:
+            continue
+        (a_al, b_al), (a_be, b_be) = m[alpha], m[beta]
+        # facet k of beta drops the k-th vertex of beta
+        if facets[beta].index(alpha) == 0:
+            pairs += [(a_al[0], a_be[1]), (b_be[1], a_be[0]), *zip(b_be[2:], a_be[2:])]
         else:
-            pairs.append((p.a_member(alpha, 0), p.a_member(beta, 0)))
-            pairs.extend((p.b_member(beta, r), p.a_member(beta, r)) for r in range(1, q + 1))
-        pairs.extend((p.b_member(alpha, r), p.a_member(alpha, r)) for r in range(1, q))
-    for gamma in d.w_i.critical():
-        pairs.extend(
-            (p.b_member(gamma, r), p.a_member(gamma, r)) for r in range(1, gamma.dim + 1)
-        )
-        criticals.append(p.a_member(gamma, 0))
+            pairs += [(a_al[0], a_be[0]), *zip(b_be[1:], a_be[1:])]
+        pairs += zip(b_al[1:], a_al[1:])
+    for gamma in _critical_ids(d.w_i):
+        a_ga, b_ga = m[gamma]
+        pairs += zip(b_ga[1:], a_ga[1:])
+        criticals.append(a_ga[0])
     return pairs, criticals
+
+
+def _copy_ids(xt: XTilde, piece: int) -> list[int]:
+    """For each id of X, the X~ id of its copy in `piece`, or -1."""
+    ids = [-1] * len(xt.decomposition.x._table)
+    for i, p in enumerate(xt._piece):
+        if p == piece:
+            ids[xt._ground[i]] = i
+    return ids
 
 
 def _build_w_field(xt: XTilde) -> GradientField:
@@ -158,15 +246,21 @@ def _build_w_field(xt: XTilde) -> GradientField:
     the predicted one (A-copy criticals, B-copy criticals, one interior cell
     per intersection critical)."""
     d = xt.decomposition
+    pairs: list[tuple[int, int]] = []
+    expected: set[int] = set()
+    for piece, w in ((_A, d.w_a), (_B, d.w_b)):
+        ids = _copy_ids(xt, piece)
+        pairs += [(ids[sigma], ids[tau]) for tau, sigma in enumerate(w._down) if sigma >= 0]
+        expected.update(ids[i] for i in _critical_ids(w))
     prism_pairs, interior_crit = _prism_extension(xt)
-    all_pairs = list(d.w_a.pairs) + list(d.w_b.pairs) + prism_pairs
-    gvf = GradientField.certify(VectorField(all_pairs), xt.complex)
-    expected = set(d.w_a.critical()) | set(d.w_b.critical()) | set(interior_crit)
-    actual = set(gvf.critical())
+    expected.update(interior_crit)
+    gvf = GradientField._certified(xt.complex, *_matching(xt, pairs + prism_pairs))
+    actual = set(_critical_ids(gvf))
     if actual != expected:
         raise InternalConsistencyError(
             "W-field critical census mismatch: "
-            f"unexpected {sorted(actual - expected)}, missing {sorted(expected - actual)}"
+            f"unexpected {_named(xt, actual - expected)}, "
+            f"missing {_named(xt, expected - actual)}"
         )
     return gvf
 
@@ -212,7 +306,7 @@ def _compare(
     checks: _Checks,
     gvf: GradientField,
     source: str,
-    image: Callable[[Simplex], Hashable],
+    image: Callable[[int], Hashable],
     bijective: str,
     target: IntegerChainComplex,
     homologies: Sequence[tuple[str, HomologyResult]],
@@ -223,14 +317,14 @@ def _compare(
     with `target`, whose labels name its generators in target order.
 
     Adds the check `bijective` (`image` maps the critical cells of each
-    degree bijectively onto that degree's labels), then whatever
+    degree, given by id, bijectively onto that degree's labels), then whatever
     `pair_checks` adds given the image of every critical cell, then
     `boundary_matrices_equal` (with each degree's cells ordered by their
     image, the Thom-Smale boundaries equal the target's) and `homology_equal`
     (the Thom-Smale homology equals each named group, the target's first).
     Stops after the first check when the bijection fails."""
     try:
-        image_of = {s: image(s) for s in gvf.critical()}
+        image_of = dict(zip(gvf.critical(), map(image, _critical_ids(gvf))))
     except InternalConsistencyError as e:
         checks.add(bijective, False, str(e))
         return
@@ -282,14 +376,6 @@ def _compare(
     )
 
 
-def _g_image(xt: XTilde, s: Simplex) -> Simplex:
-    """g: critical cells of V -> simplices of X (drop the copy tag)."""
-    d = xt.decomposition
-    if s in d.a_bar.complex:
-        return d.a_bar.pull(s)
-    return d.b_bar.pull(s)
-
-
 def check_iso_simplicial(xt: XTilde) -> VerifyReport:
     """Compare (C_*(X), d) with the Thom-Smale complex of (X~, V) under g:
     critical-cell census, bijectivity of g, equality of every boundary
@@ -298,43 +384,45 @@ def check_iso_simplicial(xt: XTilde) -> VerifyReport:
     checks = _Checks()
     try:
         v = _build_v_field(xt)
-        checks.add("v_field_certified", True, f"{len(v.pairs)} pairs, acyclic")
+        pairs = len(v._down) - v._down.count(-1)
+        checks.add("v_field_certified", True, f"{pairs} pairs, acyclic")
     except MorsemvError as e:
         checks.add("v_field_certified", False, str(e))
         return checks.report()
 
-    top_b = (
-        {d.b_bar.push(s) for s in d.iab.simplices()} if d.iab is not None else set()
-    )
-    expected = set(d.a_bar.complex.simplices()) | (
-        set(d.b_bar.complex.simplices()) - top_b
-    )
-    actual = set(v.critical())
+    in_iab = d.iab._mask if d.iab is not None else bytearray(len(d.x._table))
+    expected = {
+        i for i, p in enumerate(xt._piece)
+        if p == _A or p == _B and not in_iab[xt._ground[i]]
+    }
+    actual = set(_critical_ids(v))
     checks.add(
         "v_critical_census",
         actual == expected,
         f"{len(actual)} critical cells"
         if actual == expected
-        else f"unexpected {sorted(actual - expected)[:3]}, missing {sorted(expected - actual)[:3]}",
+        else f"unexpected {_named(xt, actual - expected)[:3]}, "
+        f"missing {_named(xt, expected - actual)[:3]}",
     )
+    # g: critical cells of V -> simplices of X (drop the copy tag)
     _compare(
-        checks, v, "(X~,V)", lambda s: _g_image(xt, s), "g_bijective",
+        checks, v, "(X~,V)", lambda i: d.x._simplex(xt._ground[i]), "g_bijective",
         xt.x_chains, [("X", xt.x_homology)], lambda tau: trajectories_from(v, tau),
     )
     return checks.report()
 
 
-def _f_image(xt: XTilde, s: Simplex) -> MVGenerator:
+def _f_image(xt: XTilde, i: int) -> MVGenerator:
     """f: critical cells of W -> MV generators."""
-    d = xt.decomposition
-    if s in d.a_bar.complex:
-        return _generator(FROM_A, s)
-    if s in d.b_bar.complex:
-        return _generator(FROM_B, s)
-    ground = xt.prism.ground_simplex(s)
-    if s != xt.prism.a_member(ground, 0):
+    piece = xt._piece[i]
+    if piece != _INTERIOR:
+        return _generator(FROM_A if piece == _A else FROM_B, xt.complex._simplex(i))
+    alpha = xt._ground[i]
+    ground = xt.decomposition.iab_bar.complex._simplex(alpha)
+    if i != xt._members[alpha][0][0]:
         raise InternalConsistencyError(
-            f"interior critical cell {s} is not the distinguished cell over {ground}"
+            f"interior critical cell {xt.complex._simplex(i)} "
+            f"is not the distinguished cell over {ground}"
         )
     return _generator(SHIFTED, ground)
 
@@ -343,29 +431,21 @@ def _classify_w_trajectory(xt: XTilde, t: Trajectory) -> int:
     """Which of the five shapes a W-trajectory between critical cells has.
     Raises InternalConsistencyError when it fits none (which would refute
     the classification the whole construction rests on)."""
-    d = xt.decomposition
-    in_a = lambda s: s in d.a_bar.complex
-    in_b = lambda s: s in d.b_bar.complex
-    inside = lambda s: s in xt.interior
-    steps = t.steps
-    if in_a(steps[0]):
-        if all(in_a(s) for s in steps):
-            return 1
-        raise InternalConsistencyError("trajectory leaves the A-copy")
-    if in_b(steps[0]):
-        if all(in_b(s) for s in steps):
-            return 2
-        raise InternalConsistencyError("trajectory leaves the B-copy")
-    if not inside(steps[0]):
-        raise InternalConsistencyError(f"critical start {steps[0]} in no piece")
-    if inside(steps[-1]):
-        if all(inside(s) for s in steps):
+    pieces = [xt._piece[xt.complex._id(s)] for s in t.steps]
+    first, last = pieces[0], pieces[-1]
+    if first != _INTERIOR:
+        if pieces.count(first) == len(pieces):
+            return 1 if first == _A else 2
+        raise InternalConsistencyError(
+            f"trajectory leaves the {'A' if first == _A else 'B'}-copy"
+        )
+    if last == _INTERIOR:
+        if pieces.count(_INTERIOR) == len(pieces):
             return 3
         raise InternalConsistencyError("interior trajectory leaves the interior")
-    crossing = next(i for i, s in enumerate(steps) if not inside(s))
-    tail = steps[crossing:]
-    if crossing % 2 == 1 and (all(in_a(s) for s in tail) or all(in_b(s) for s in tail)):
-        return 4 if in_a(steps[-1]) else 5
+    crossing = next(k for k, p in enumerate(pieces) if p != _INTERIOR)
+    if crossing % 2 == 1 and pieces.count(last) == len(pieces) - crossing:
+        return 4 if last == _A else 5
     raise InternalConsistencyError("mixed trajectory has no clean crossing")
 
 
@@ -379,7 +459,8 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
     checks = _Checks()
     try:
         gvf = _build_w_field(xt)
-        checks.add("w_field_certified", True, f"{len(gvf.pairs)} pairs, acyclic")
+        pairs = len(gvf._down) - gvf._down.count(-1)
+        checks.add("w_field_certified", True, f"{pairs} pairs, acyclic")
     except MorsemvError as e:
         checks.add("w_field_certified", False, str(e))
         return checks.report()
@@ -427,7 +508,7 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
         checks.add("trajectory_classification", classes_ok, k_detail)
 
     _compare(
-        checks, gvf, "(X~,W)", lambda s: _f_image(xt, s), "f_bijective_onto_generators",
+        checks, gvf, "(X~,W)", lambda i: _f_image(xt, i), "f_bijective_onto_generators",
         target, [("MV", homology(target)), ("X", xt.x_homology)], gamma.get, pair_checks,
     )
     return checks.report()

@@ -6,6 +6,11 @@ table.  They read a complex only through its public accessors (`simplices`,
 `facets`, `cofacets`) and a field only through `VectorField.up`/`down`, so
 they run unchanged on views and tagged copies, and they share no code with
 the id versions they check.
+
+The prism references are the Simplex-set construction of X~ and of its
+fields V and W that `morsemv.verify` ran before it moved onto X~'s ids:
+the block formula on vertex names, the prism closed on its own, and the
+pairs of V and W written cell by cell.
 """
 from __future__ import annotations
 
@@ -13,7 +18,9 @@ import heapq
 import random
 
 from morsemv import Simplex, SimplicialComplex, VectorField
+from morsemv.complexes import union
 from morsemv.morse import DEFAULT_SEED
+from morsemv.mv import Decomposition
 
 
 def reference_greedy(
@@ -120,3 +127,88 @@ def reference_closed_trajectory(
                     if via:
                         via.pop()
     return None
+
+
+class ReferencePrism:
+    """The prism over `base`: each base simplex [x_0, ..., x_q] has the
+    block of cells
+
+      a_member(alpha, r) = [a(x_0), ..., a(x_r), b(x_r), ..., b(x_q)],  0 <= r <= q,
+      b_member(alpha, r) = [a(x_0), ..., a(x_{r-1}), b(x_r), ..., b(x_q)],  0 <= r <= q+1,
+
+    with a(x) = a_tag + x and b(x) = b_tag + x after dropping the first
+    `untag` characters of x; the prism is closed from the a_member cells
+    over the maximal base simplices."""
+
+    def __init__(self, base: SimplicialComplex, a_tag: str, b_tag: str, untag: int = 0):
+        self.base = base
+        self.a = lambda alpha: [a_tag + v[untag:] for v in alpha.vertices]
+        self.b = lambda alpha: [b_tag + v[untag:] for v in alpha.vertices]
+        self.complex = SimplicialComplex(
+            self.a_member(alpha, r)
+            for alpha in base.maximal_simplices
+            for r in range(alpha.dim + 1)
+        )
+        a_names = {a_tag + v[untag:] for v in base.vertices}
+        self.interior = frozenset(
+            s for s in self.complex
+            if not set(s.vertices) <= a_names and set(s.vertices) & a_names
+        )
+
+    def a_member(self, alpha: Simplex, r: int) -> Simplex:
+        return Simplex(self.a(alpha)[: r + 1] + self.b(alpha)[r:])
+
+    def b_member(self, alpha: Simplex, r: int) -> Simplex:
+        return Simplex(self.a(alpha)[:r] + self.b(alpha)[r:])
+
+
+def reference_prism(d: Decomposition) -> ReferencePrism | None:
+    """The prism of X~ over the intersection copy of d, glued to the A- and
+    B-copies by their vertex names; None when the intersection is empty."""
+    if d.iab_bar is None:
+        return None
+    return ReferencePrism(d.iab_bar.complex, d.a_bar.tag, d.b_bar.tag, len(d.iab_bar.tag))
+
+
+def reference_xtilde(d: Decomposition) -> SimplicialComplex:
+    """X~ = A-copy u prism u B-copy, each closed afresh."""
+    p = reference_prism(d)
+    middle = [] if p is None else [p.complex]
+    return union(d.a_bar.complex, *middle, d.b_bar.complex)
+
+
+def reference_v_pairs(d: Decomposition) -> set[tuple[Simplex, Simplex]]:
+    """V: over every base simplex alpha, (b_member(alpha, r), a_member(alpha, r))
+    for r = 0..dim alpha."""
+    p = reference_prism(d)
+    if p is None:
+        return set()
+    return {
+        (p.b_member(alpha, r), p.a_member(alpha, r))
+        for alpha in p.base.simplices()
+        for r in range(alpha.dim + 1)
+    }
+
+
+def reference_w_pairs(d: Decomposition) -> set[tuple[Simplex, Simplex]]:
+    """W: the A- and B-copy fields, extended over the prism interior."""
+    pairs = set(d.w_a.pairs) | set(d.w_b.pairs)
+    p = reference_prism(d)
+    if p is None:
+        return pairs
+    for alpha, beta in d.w_i.pairs:
+        q = beta.dim
+        (dropped,) = set(beta.vertices) - set(alpha.vertices)
+        if beta.vertices.index(dropped) == 0:
+            pairs.add((p.a_member(alpha, 0), p.a_member(beta, 1)))
+            pairs.add((p.b_member(beta, 1), p.a_member(beta, 0)))
+            pairs.update((p.b_member(beta, r), p.a_member(beta, r)) for r in range(2, q + 1))
+        else:
+            pairs.add((p.a_member(alpha, 0), p.a_member(beta, 0)))
+            pairs.update((p.b_member(beta, r), p.a_member(beta, r)) for r in range(1, q + 1))
+        pairs.update((p.b_member(alpha, r), p.a_member(alpha, r)) for r in range(1, q))
+    for gamma in d.w_i.critical():
+        pairs.update(
+            (p.b_member(gamma, r), p.a_member(gamma, r)) for r in range(1, gamma.dim + 1)
+        )
+    return pairs

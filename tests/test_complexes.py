@@ -1,4 +1,4 @@
-"""Simplices, complexes, relabelled copies, and prisms."""
+"""Simplices, complexes and relabelled copies."""
 from __future__ import annotations
 
 import itertools
@@ -15,7 +15,7 @@ from morsemv import (
     build_complex,
     incidence,
 )
-from morsemv.complexes import PrismComplex, copy_relabel, intersection, prism, union
+from morsemv.complexes import copy_relabel, intersection, union
 from conftest import (
     corpus_complexes,
     octahedron,
@@ -302,91 +302,3 @@ class TestComplexCopy:
                 assert incidence(copy.push(tau), copy.push(sigma)) == incidence(
                     tau, sigma
                 )
-
-
-class TestPrism:
-    def test_prism_over_an_edge(self):
-        p = prism(build_complex(["x0 x1"]))
-        assert p.complex.f_vector() == (4, 5, 2)
-        e = Simplex("x0 x1")
-        assert p.a_member(e, 0) == Simplex("Pa:x0 Pb:x0 Pb:x1")
-        assert p.a_member(e, 1) == Simplex("Pa:x0 Pa:x1 Pb:x1")
-        assert p.b_member(e, 0) == Simplex("Pb:x0 Pb:x1")
-        assert p.b_member(e, 1) == Simplex("Pa:x0 Pb:x1")
-        assert p.b_member(e, 2) == Simplex("Pa:x0 Pa:x1")
-        # the outer b_members are the pure top and bottom copies of the edge
-        assert p.is_pure_b(p.b_member(e, 0)) and not p.is_pure_a(p.b_member(e, 0))
-        assert p.is_pure_a(p.b_member(e, 2)) and not p.is_pure_b(p.b_member(e, 2))
-
-    def test_member_index_ranges(self):
-        p = prism(build_complex(["x0 x1"]))
-        e = Simplex("x0 x1")
-        with pytest.raises(ComplexError):
-            p.a_member(e, 2)
-        with pytest.raises(ComplexError):
-            p.b_member(e, 3)
-        with pytest.raises(ComplexError):
-            p.a_member(Simplex("x0 x9"), 0)
-
-    def test_blocks_partition_the_prism(self):
-        base = build_complex(["v0 v1", "v1 v2", "v0 v2"])
-        p = prism(base)
-        seen: list[Simplex] = []
-        for alpha in base.simplices():
-            block = [p.a_member(alpha, r) for r in range(alpha.dim + 1)]
-            block += [p.b_member(alpha, r) for r in range(alpha.dim + 2)]
-            assert len(block) == 2 * alpha.dim + 3
-            assert all(p.ground_simplex(c) == alpha for c in block)
-            seen.extend(block)
-        assert sorted(seen) == sorted(p.complex.simplices())
-        assert len(seen) == len(set(seen))
-
-    def test_interior_cells(self):
-        base = build_complex(["v0 v1", "v1 v2", "v0 v2"])
-        p = prism(base)
-        interior = p.interior_cells()
-        assert len(interior) == len(p.complex) - 2 * len(base)
-        for c in interior:
-            assert not p.is_pure_a(c) and not p.is_pure_b(c)
-        assert p.is_pure_a(Simplex("Pa:v0 Pa:v1"))
-        assert p.is_pure_b(Simplex("Pb:v0 Pb:v1"))
-
-    def test_overlapping_blocks_raise(self, monkeypatch):
-        # the top copy of an edge moved onto the top copy of its first vertex
-        # puts that cell in two blocks and leaves the edge's cell in none
-        block = PrismComplex._block
-
-        def overlapping(self, alpha):
-            a_cells, b_cells = block(self, alpha)
-            if alpha.dim == 1:
-                b_cells[0] = block(self, Simplex(alpha.vertices[:1]))[1][0]
-            return a_cells, b_cells
-
-        monkeypatch.setattr(PrismComplex, "_block", overlapping)
-        with pytest.raises(ComplexError, match="partition"):
-            prism(build_complex(["x0 x1"]))
-
-    def test_ground_simplex_errors_for_foreign_cells(self):
-        p = prism(build_complex(["x0 x1"]))
-        with pytest.raises(ComplexError):
-            p.ground_simplex(Simplex("y0"))
-
-    def test_name_map_validation(self):
-        base = build_complex(["x0 x1"])
-        with pytest.raises(ComplexError):  # not order-preserving
-            prism(base, a_name={"x0": "b", "x1": "a"})
-        with pytest.raises(ComplexError):  # bottom/top names collide
-            prism(base, a_name={"x0": "u0", "x1": "u1"},
-                  b_name={"x0": "u1", "x1": "u2"})
-        with pytest.raises(ComplexError):  # a bottom name sorts after a top one
-            prism(base, a_name={"x0": "q0", "x1": "q1"},
-                  b_name={"x0": "p0", "x1": "p1"})
-        with pytest.raises(ComplexError):  # wrong domain
-            prism(base, a_name={"x0": "a0"})
-
-    def test_custom_names_glue_by_identity(self):
-        base = build_complex(["x0 x1"])
-        p = prism(base, a_name={"x0": "A:x0", "x1": "A:x1"},
-                  b_name={"x0": "B:x0", "x1": "B:x1"})
-        assert Simplex("A:x0 A:x1") in p.complex
-        assert Simplex("B:x0 B:x1") in p.complex

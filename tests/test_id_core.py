@@ -20,11 +20,11 @@ from morsemv import (
     greedy_gvf,
 )
 from morsemv.cli import main
-from morsemv.complexes import _Table, copy_relabel, intersection, prism, union
+from morsemv.complexes import _Table, copy_relabel, intersection, union
 from morsemv.homology import simplicial_chain_complex
 from morsemv.morse import GradientField, is_acyclic
 from conftest import corpus_complexes, random_cover, random_generators
-from slow_reference import reference_closed_trajectory, reference_greedy
+from slow_reference import ReferencePrism, reference_closed_trajectory, reference_greedy
 
 STRATEGIES = [("lexicographic", None), ("random", 1), ("random", 2), ("random", 3)]
 
@@ -114,7 +114,10 @@ class TestViews:
                 assert view.facets(s) == fresh.facets(s)
                 assert view.cofacets(s) == fresh.cofacets(s)
             assert view.is_subcomplex_of(fresh) and fresh.is_subcomplex_of(view)
-            assert union(view) == fresh and prism(view).complex == prism(fresh).complex
+            assert union(view) == fresh
+            assert ReferencePrism(view, "Pa:", "Pb:").complex == ReferencePrism(
+                fresh, "Pa:", "Pb:"
+            ).complex
             chains, fresh_chains = simplicial_chain_complex(view), simplicial_chain_complex(fresh)
             assert chains.columns == fresh_chains.columns
             assert chains.labels == fresh_chains.labels
@@ -138,7 +141,9 @@ class TestViews:
             assert copy.complex._table is x._table
         assert intersection(d.a, d.b) == intersection(a, b)
 
-    def test_homology_closes_only_x(self, monkeypatch, capsys):
+    @staticmethod
+    def tables_closed(monkeypatch, command: str, name: str) -> int:
+        """How many id tables one CLI run of `command` on a golden closes."""
         tables = []
         init = _Table.__init__
 
@@ -148,10 +153,17 @@ class TestViews:
 
         monkeypatch.setattr(_Table, "__init__", counted)
         golden = Path(__file__).parent / "golden"
-        assert main(["homology", "--complex", str(golden / "torus.cx"),
-                     "--decomposition", str(golden / "torus.dec")]) == 0
-        assert len(tables) == 1
+        assert main([command, "--complex", str(golden / f"{name}.cx"),
+                     "--decomposition", str(golden / f"{name}.dec")]) == 0
+        return len(tables)
+
+    def test_homology_closes_only_x(self, monkeypatch, capsys):
+        assert self.tables_closed(monkeypatch, "homology", "torus") == 1
         assert "H_1 = Z^2" in capsys.readouterr().out
+
+    def test_verify_closes_x_and_xtilde(self, monkeypatch, capsys):
+        assert self.tables_closed(monkeypatch, "verify", "octahedron") == 2
+        assert "verdict: PASS" in capsys.readouterr().out
 
     def test_subcomplex_of_a_view_is_a_view(self):
         x = corpus_complexes()["sphere3"]

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,8 +26,15 @@ from morsemv import (
     thom_smale_complex,
     trajectories_from,
 )
-from morsemv.verify import _build_v_field, _build_w_field, _classify_w_trajectory
-from conftest import corpus_complexes, octahedron_pieces, random_cover
+from morsemv.cli import main
+from morsemv.verify import _INTERIOR, _build_v_field, _build_w_field, _classify_w_trajectory
+from conftest import corpus_complexes, octahedron_fields, octahedron_pieces, random_cover
+from slow_reference import (
+    reference_prism,
+    reference_v_pairs,
+    reference_w_pairs,
+    reference_xtilde,
+)
 
 # the modules themselves: the package re-exports a function named `homology`
 homology_module = importlib.import_module("morsemv.homology")
@@ -35,6 +44,11 @@ verify_module = importlib.import_module("morsemv.verify")
 @pytest.fixture(scope="module")
 def oct_xtilde(oct_decomposition):
     return build_xtilde(oct_decomposition)
+
+
+def interior(xt):
+    """The X~ cells in the prism interior, by the piece map."""
+    return frozenset(xt.complex._simplex(i) for i, p in enumerate(xt._piece) if p == _INTERIOR)
 
 
 def wedge_xtilde():
@@ -50,9 +64,13 @@ class TestXTilde:
         assert xt.complex.f_vector() == (10, 24, 16)
         assert len(xt.complex) == 50
         # the prism over the equatorial square contributes the interior
-        assert len(xt.interior) == 50 - 17 - 17
-        assert xt.prism is not None
-        assert xt.prism.base == xt.decomposition.iab_bar.complex
+        p = reference_prism(xt.decomposition)
+        assert len(p.interior) == 50 - 17 - 17
+        assert interior(xt) == p.interior
+        # every interior cell lies over a simplex of the intersection
+        d = xt.decomposition
+        grounds = {d.x._simplex(xt._ground[i]) for i, p in enumerate(xt._piece) if p == _INTERIOR}
+        assert grounds == set(d.iab.simplices())
 
     def test_gluing_is_by_vertex_names(self, oct_xtilde):
         xt = oct_xtilde
@@ -65,7 +83,8 @@ class TestXTilde:
         x = build_complex(["p", "q"])
         d = build_decomposition(x, build_complex(["p"]), build_complex(["q"]))
         xt = build_xtilde(d)
-        assert xt.prism is None and xt.interior == frozenset()
+        assert reference_prism(d) is None and interior(xt) == frozenset()
+        assert xt._members == {}
         assert xt.complex.f_vector() == (2,)
         assert check_iso_simplicial(xt).ok
         assert check_main_iso(xt).ok
@@ -93,12 +112,13 @@ class TestVField:
     def test_pairs_collapse_each_block(self, oct_xtilde):
         xt = oct_xtilde
         v = _build_v_field(xt)
-        for alpha in xt.prism.base.simplices():
+        p = reference_prism(xt.decomposition)
+        for alpha in p.base.simplices():
             for r in range(alpha.dim + 1):
-                assert v.field.up(xt.prism.b_member(alpha, r)) == xt.prism.a_member(alpha, r)
+                assert v.field.up(p.b_member(alpha, r)) == p.a_member(alpha, r)
             # the top copy of alpha is swept away, the bottom copy survives
-            assert v.field.is_matched(xt.prism.b_member(alpha, 0))
-            assert not v.field.is_matched(xt.prism.b_member(alpha, alpha.dim + 1))
+            assert v.field.is_matched(p.b_member(alpha, 0))
+            assert not v.field.is_matched(p.b_member(alpha, alpha.dim + 1))
 
 
 class TestWField:
@@ -108,7 +128,8 @@ class TestWField:
         assert [str(c) for c in w.critical()] == [
             "[A:v5]", "[B:v4]", "[A:v2 B:v2]", "[A:v2 B:v2 B:v3]",
         ]
-        interior_criticals = tuple(c for c in w.critical() if c in oct_xtilde.interior)
+        p = reference_prism(oct_xtilde.decomposition)
+        interior_criticals = tuple(c for c in w.critical() if c in p.interior)
         assert interior_criticals == (
             Simplex("A:v2 B:v2"), Simplex("A:v2 B:v2 B:v3"),
         )
@@ -118,6 +139,93 @@ class TestWField:
         w = _build_w_field(oct_xtilde)
         for q in range(3):
             assert len(w.critical(q)) == len(mv_generators(d, q))
+
+
+def reference_decompositions(name):
+    """The pinned octahedron split, or 3 random covers of a corpus complex,
+    each under the lexicographic and the random strategy."""
+    if name == "octahedron":
+        x, a, b = octahedron_pieces()
+        yield build_decomposition(x, a, b, fields=octahedron_fields())
+        return
+    x = corpus_complexes()[name]
+    rng = random.Random(len(name))
+    for _ in range(3):
+        a, b = random_cover(x, rng)
+        yield build_decomposition(x, a, b)
+        yield build_decomposition(x, a, b, strategy="random", seed=2)
+
+
+@pytest.mark.parametrize("name", ["octahedron", *sorted(corpus_complexes())])
+def test_xtilde_and_fields_match_reference(name):
+    """X~, its interior and the pairs of V and W against the Simplex-set
+    construction: the block formula on names and the prism closed alone."""
+    for d in reference_decompositions(name):
+        xt = build_xtilde(d)
+        assert xt.complex == reference_xtilde(d)
+        p = reference_prism(d)
+        assert interior(xt) == (p.interior if p is not None else frozenset())
+        assert set(_build_v_field(xt).pairs) == reference_v_pairs(d)
+        assert set(_build_w_field(xt).pairs) == reference_w_pairs(d)
+
+
+class TestBlockFaults:
+    """A fault in the block formula is an internal fault, never bad input:
+    it fails a field certification, or `build_xtilde` itself, and `verify`
+    exits 5."""
+
+    @staticmethod
+    def verify_octahedron(capsys):
+        golden = Path(__file__).parent / "golden"
+        code = main(["verify", "--complex", str(golden / "octahedron.cx"),
+                     "--decomposition", str(golden / "octahedron.dec"), "--output", "json"])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("fault,detail", [
+        # the top copy of an edge moved onto the top copy of its first vertex
+        # puts that cell in two blocks and leaves the edge's top copy in none
+        ("top copy", "([B:v0], [A:v0 B:v0 B:v1]) is not a facet pair"),
+        # the top copy of an edge replaced by b_member(edge, 1) puts that
+        # cell twice in one block and leaves the top copy in none
+        ("b_member", "[A:v0 B:v1] appears in more than one pair"),
+    ])
+    def test_overlapping_block_fails_v_certification(self, monkeypatch, capsys, fault, detail):
+        block = verify_module._block
+
+        def overlapping(a, b):
+            a_cells, b_cells = block(a, b)
+            if len(a) == 2 and fault == "top copy":
+                b_cells[0] = block(a[:1], b[:1])[1][0]
+            elif len(a) == 2:
+                b_cells[0] = b_cells[1]
+            return a_cells, b_cells
+
+        monkeypatch.setattr(verify_module, "_block", overlapping)
+        code, out = self.verify_octahedron(capsys)
+        assert code == 5 and out.err == ""
+        checks = json.loads(out.out)["checks"]
+        assert checks[0] == {
+            "stage": "simplicial", "name": "v_field_certified", "ok": False, "detail": detail,
+        }
+        # W pairs no top copy of the intersection, so only V fails
+        assert [c["ok"] for c in checks[1:]] == [True] * 7
+
+    @pytest.mark.parametrize("fault", ["dropped", "not in X~"])
+    def test_missing_block_cell_fails_build_xtilde(self, monkeypatch, capsys, fault):
+        block = verify_module._block
+
+        def missing(a, b):
+            a_cells, b_cells = block(a, b)
+            if len(a) == 2 and fault == "dropped":
+                del b_cells[1]
+            elif len(a) == 2:
+                b_cells[1] = (*a, *b)
+            return a_cells, b_cells
+
+        monkeypatch.setattr(verify_module, "_block", missing)
+        assert self.verify_octahedron(capsys) == (
+            5, ("", "error: the block over [I:v0 I:v1] is not 5 cells of X~\n"),
+        )
 
 
 class TestClassification:
@@ -153,6 +261,11 @@ class TestClassification:
     def test_unclassifiable_trajectory_raises(self, oct_xtilde):
         bogus = Trajectory([Simplex("A:v1 A:v5"), Simplex("B:v4")])
         with pytest.raises(InternalConsistencyError):
+            _classify_w_trajectory(oct_xtilde, bogus)
+        # leaves the interior into the B-copy, then crosses into the A-copy
+        bogus = Trajectory([Simplex("A:v2 B:v2"), Simplex("B:v2"),
+                            Simplex("B:v2 B:v3"), Simplex("A:v3")])
+        with pytest.raises(InternalConsistencyError, match="no clean crossing"):
             _classify_w_trajectory(oct_xtilde, bogus)
 
 
