@@ -158,9 +158,12 @@ def _complex_info(x: SimplicialComplex) -> dict:
     }
 
 
-def _homology_rows(result: HomologyResult, degree: int | None, top: int) -> list[dict]:
+def _check_degree(degree: int | None) -> None:
     if degree is not None and degree < 0:
         raise ParseError(f"--degree must be nonnegative, got {degree}")
+
+
+def _homology_rows(result: HomologyResult, degree: int | None, top: int) -> list[dict]:
     degrees = range(top + 1) if degree is None else [degree]
     return [
         {
@@ -180,6 +183,7 @@ def _print_homology_rows(rows: list[dict]) -> None:
 
 
 def _cmd_homology(args) -> int:
+    _check_degree(args.degree)
     x, d, strategy, seed = _load_decomposition(args)
     result = mv_homology(d)
     degrees = sorted({g.degree for g in mv_generators(d)})
@@ -310,6 +314,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _check_degree(args.degree)
     x = parse_complex(_read(args.complex))
     result = simplicial_homology(x)
     rows = _homology_rows(result, args.degree, x.dim)

@@ -25,6 +25,15 @@ critical q-simplices as degree-q generators and boundary
 
 and its homology is the simplicial homology of X (Forman's theorem).
 
+The boundary is not assembled by listing Gamma(tau, sigma), whose size can
+grow exponentially, but by Forman's flow (as in Harker, Mischaikow, Mrozek
+and Nanda, "Discrete Morse theoretic algorithms for computing homology of
+complexes and maps", FoCM 2014): a weighted count memoised per simplex,
+linear in the arcs of the gradient digraph.  Every sign is (-1)^k for the
+position k of a facet in the complex's facet table, which lists the facet
+dropping vertex k at position k.  `trajectories_from` still lists the
+trajectories themselves, each with its weight read the same way.
+
 Acyclicity is decided per dimension on the digraph whose arcs tau -> tau'
 run along legal trajectory steps, by an iterative three-colour depth-first
 search; a failure is reported with an explicit closed trajectory.
@@ -40,9 +49,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .complexes import Simplex, SimplicialComplex, incidence
+from .complexes import Simplex, SimplicialComplex
 from .errors import FieldError, InternalConsistencyError, NotAcyclicError
 from .homology import Column, IntegerChainComplex
 
@@ -53,7 +62,6 @@ __all__ = [
     "Trajectory",
     "is_acyclic",
     "trajectories_from",
-    "trajectory_weight",
     "validate_trajectory",
     "thom_smale_complex",
     "greedy_gvf",
@@ -266,18 +274,29 @@ class GradientField:
 
 class Trajectory:
     """An extended trajectory, stored as the alternating sequence
-    (tau_0, sigma_1, tau_1, ..., tau_k, sigma_{k+1})."""
+    (tau_0, sigma_1, tau_1, ..., tau_k, sigma_{k+1}).  An enumerated
+    trajectory carries the weight its walk read off the id table; one built
+    by hand reads it from its steps on first use (see `_path_weight`)."""
 
-    __slots__ = ("steps",)
+    __slots__ = ("steps", "_weight")
 
     def __init__(self, steps: Iterable[Simplex]):
         self.steps = tuple(steps)
         if len(self.steps) < 2 or len(self.steps) % 2:
             raise FieldError("an extended trajectory alternates tau, sigma, ..., sigma")
+        self._weight: int | None = None
+
+    @classmethod
+    def _with_weight(cls, steps: Iterable[Simplex], weight: int) -> "Trajectory":
+        t = cls(steps)
+        t._weight = weight
+        return t
 
     @property
     def weight(self) -> int:
-        return trajectory_weight(self)
+        if self._weight is None:
+            self._weight = _named_path_weight(self.steps)
+        return self._weight
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Trajectory) and self.steps == other.steps
@@ -289,32 +308,41 @@ class Trajectory:
         return "Trajectory(" + ", ".join(str(s) for s in self.steps) + ")"
 
 
-def trajectory_weight(t) -> int:
-    """The sign of a trajectory: a Trajectory, or an MVTrajectory (any
-    object whose `steps` is a simplex sequence).  One rule covers every
-    route, read off the dimensions of consecutive steps x -> y:
+def _sign(k: int) -> int:
+    """(-1)^k: the incidence <tau, sigma> of a simplex tau on its facet k,
+    the one without tau's k-th vertex.  Facet tables list facets in this
+    vertex-drop order, so a facet's position gives its sign."""
+    return -1 if k & 1 else 1
 
-    * a downward step contributes <x, y>;
-    * an upward step contributes -<y, x>;
-    * a same-dimension step (the transfer of cases 4/5) contributes nothing.
 
-    An MVTrajectory then multiplies this by the sign of its case:
+def _path_weight(steps: Sequence[Hashable], facets: Callable[[Hashable], Sequence]) -> int:
+    """The sign of a trajectory, from its step sequence and `facets`, which
+    lists the facets of a step in vertex-drop order (on ids, the facet
+    table).  One rule covers every route, step by step x -> y:
 
-        case   1   2   3   4   5
-        sign  +1  +1  -1  -1  +1
+    * a step down to the facet k of x contributes (-1)^k, i.e. <x, y>;
+    * a step up from the facet k of y contributes -(-1)^k, i.e. -<y, x>;
+    * a same-dimension step (the transfer of MV cases 4/5) contributes
+      nothing, and any other step makes the weight 0.
 
-    For an extended trajectory the rule gives the weight w of the module
-    docstring.
-    """
-    steps = t.steps
+    For an extended trajectory this is the weight w of the module
+    docstring; an MV trajectory multiplies it by the sign of its case
+    (see `mv`).  Forman's flow (`_flow`) applies the same signs."""
     w = 1
     for x, y in zip(steps, steps[1:]):
-        dx, dy = len(x.vertices), len(y.vertices)
-        if dx > dy:
-            w *= incidence(x, y)
-        elif dx < dy:
-            w *= -incidence(y, x)
+        below, above = facets(x), facets(y)
+        if y in below:
+            w *= _sign(below.index(y))
+        elif x in above:
+            w *= -_sign(above.index(x))
+        elif len(below) != len(above):
+            return 0
     return w
+
+
+def _named_path_weight(steps: Sequence[Simplex]) -> int:
+    """`_path_weight` of a trajectory written as simplices, orientation ignored."""
+    return _path_weight([abs(s) for s in steps], Simplex.facets)
 
 
 def validate_trajectory(gvf: GradientField, t: Trajectory) -> None:
@@ -358,9 +386,12 @@ def trajectories_from(gvf: GradientField, tau: Simplex) -> dict[Simplex, list[Tr
         raise FieldError(f"{tau} is not in the complex")
     if not gvf._is_critical(i):
         raise FieldError(f"{tau} is not critical")
-    name = gvf.complex._simplices_of
+    name, facets = gvf.complex._simplices_of, gvf.complex._table.facets
     return {
-        gvf.complex._simplex(end): [Trajectory(name(steps)) for steps in paths]
+        gvf.complex._simplex(end): [
+            Trajectory._with_weight(name(steps), _path_weight(steps, facets.__getitem__))
+            for steps in paths
+        ]
         for end, paths in _grouped(_trajectory_ids(gvf, i)).items()
     }
 
@@ -424,36 +455,103 @@ def _walk(start, step) -> Iterator[tuple]:
                 del seq[-grown:]
 
 
-def _boundary_columns(rows, cols, paths_from) -> list[Column]:
+def _combine(base: Column, terms: Iterable[tuple[int, Column]]) -> Column:
+    """base + sum(c * column for c, column in terms), zero entries left out."""
+    out = dict(base)
+    for c, col in terms:
+        for r, v in col.items():
+            out[r] = out.get(r, 0) + c * v
+    return {r: v for r, v in out.items() if v}
+
+
+def _memoised(links: Callable[[int], tuple[Column, Sequence[tuple[int, int]]]]):
+    """The function value(s) = base + sum(c * value(t) for c, t in arcs),
+    where (base, arcs) = links(s), on an acyclic digraph, memoised.  Each
+    call computes what it needs in post-order with an explicit stack, so a
+    chain of arcs may be arbitrarily long.  The stack is a path of the
+    digraph, each entry waiting for the first of its arcs not yet valued;
+    an arc back into the path is a cycle, reported instead of followed."""
+    memo: dict[int, Column] = {}
+
+    def value(root: int) -> Column:
+        if root in memo:
+            return memo[root]
+        stack, on_path = [(root, *links(root))], {root}
+        while stack:
+            s, base, arcs = stack[-1]
+            for _, t in arcs:
+                if t not in memo:
+                    if t in on_path:
+                        raise InternalConsistencyError(f"the flow runs in a cycle through id {t}")
+                    on_path.add(t)
+                    stack.append((t, *links(t)))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(s)
+                memo[s] = _combine(base, [(c, memo[t]) for c, t in arcs]) if arcs else base
+        return memo[root]
+
+    return value
+
+
+def _flow(gvf: GradientField) -> Callable[[int], Column]:
+    """Forman's flow of gvf on ids, memoised: flow(s) maps each critical id
+    r of the dimension of s to the weighted count of the gradient paths
+    s, up(s), s_1, up(s_1), ..., r, as in the trajectory weight:
+
+        flow(s) = {s: 1}   when s is critical,
+                  {}       when s is matched downward,
+                  -(-1)^k sum_{j != k} (-1)^j flow(facet_j(up(s)))   otherwise,
+
+    with k the position of s among the facets of up(s).  The field is a
+    gradient field, so the recursion is well founded."""
+    up, down, facets = gvf._up, gvf._down, gvf.complex._table.facets
+
+    def links(s: int):
+        t = up[s]
+        if t < 0:
+            return ({s: 1} if down[s] < 0 else {}), ()
+        k = facets[t].index(s)
+        c = -_sign(k)
+        return {}, [(c * _sign(j), f) for j, f in enumerate(facets[t]) if j != k]
+
+    return _memoised(links)
+
+
+def _facet_sum(facets: list[tuple[int, ...]], tau: int, value) -> Column:
+    """sum_j (-1)^j value(facet_j(tau)): from a flow, the boundary of the
+    critical id tau, i.e. the summed weights of its extended trajectories."""
+    return _combine({}, ((_sign(j), value(f)) for j, f in enumerate(facets[tau])))
+
+
+def _boundary(gvf: GradientField) -> Callable[[int], Column]:
+    """The Thom-Smale boundary of gvf: critical id -> {critical id: entry}."""
+    flow, facets = _flow(gvf), gvf.complex._table.facets
+    return lambda tau: _facet_sum(facets, tau, flow)
+
+
+def _boundary_columns(rows: Sequence, cols: Sequence, column) -> list[Column]:
     """The sparse columns of the matrix with rows and columns indexed by the
-    given sequences whose (r, c) entry sums the weights of the trajectories
-    `paths_from(c)[r]`; entries that sum to zero are left out."""
+    keys `rows` and `cols`: column j is column(cols[j]), a map from row key
+    to entry, keyed by row position instead."""
     index = {r: i for i, r in enumerate(rows)}
-    columns = []
-    for c in cols:
-        col = {}
-        for r, paths in paths_from(c).items():
-            w = sum(t.weight for t in paths)
-            if w:
-                col[index[r]] = w
-        columns.append(col)
-    return columns
+    return [{index[r]: v for r, v in column(c).items()} for c in cols]
 
 
-def _trajectory_complex(labels, paths_from) -> IntegerChainComplex:
-    """The chain complex with generators `labels[q]` in degree q whose
-    boundary columns come from `_boundary_columns`."""
-    columns = [
-        _boundary_columns(labels[q - 1], labels[q], paths_from) for q in range(1, len(labels))
-    ]
-    return IntegerChainComplex.from_columns([len(ls) for ls in labels], columns, labels)
+def _trajectory_complex(labels, keys, column) -> IntegerChainComplex:
+    """The chain complex with generators `labels[q]` in degree q, known to
+    `column` by the matching `keys[q]`, whose boundary columns come from
+    `_boundary_columns`."""
+    columns = [_boundary_columns(keys[q - 1], keys[q], column) for q in range(1, len(keys))]
+    return IntegerChainComplex.from_columns([len(ks) for ks in keys], columns, labels)
 
 
 def thom_smale_complex(gvf: GradientField) -> IntegerChainComplex:
     """The full Thom-Smale chain complex of (X, V); its homology equals the
     simplicial homology of X."""
-    labels = [gvf.critical(q) for q in range(gvf.complex.dim + 1)]
-    return _trajectory_complex(labels, lambda tau: trajectories_from(gvf, tau))
+    labels = [gvf.critical(q) for q in range(len(gvf._critical_ids))]
+    return _trajectory_complex(labels, gvf._critical_ids, _boundary(gvf))
 
 
 def greedy_gvf(

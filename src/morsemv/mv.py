@@ -28,7 +28,7 @@ five situations, keyed by the tags:
 
 All other tag combinations admit no trajectories.
 
-Every route has the same sign rule (`trajectory_weight`).  Each step x -> y
+Every route has the same sign rule (`morse._path_weight`).  Each step x -> y
 of the simplex sequence contributes <x, y> when it goes down a dimension,
 -<y, x> when it goes up one, and nothing when it keeps the dimension (the
 transfer of cases 4/5).  The product is then multiplied by a per-case sign:
@@ -36,32 +36,46 @@ transfer of cases 4/5).  The product is then multiplied by a per-case sign:
     case   1   2   3   4   5
     sign  +1  +1  -1  -1  +1
 
-Enumeration is one iterative depth-first walk for every case, so it has no
-depth limit.  The resulting boundary squares to zero and the homology of
-(D_*, d) is the simplicial homology of X; both facts are exercised heavily
-by the test suite rather than trusted.
+The boundary sums these weights without listing the trajectories.  Cases
+1-3 are Forman's flow of one copy (`morse._flow`).  Cases 4/5 compose
+flows: D(tau) = flow_piece(tau) + sum over the I-steps (sigma, nu) from tau
+of <tau, sigma> (-<nu, sigma>) D(nu) counts every descent in the I-copy
+from tau, transferred and followed by every ascent in the piece, which is
+the piece's own flow.  Each is memoised per id, so assembly is linear in
+the arcs of the gradient digraphs, while the number of trajectories can
+grow exponentially.  `mv_trajectories_from` and `enumerate_mv` list the
+trajectories themselves, with one iterative depth-first walk for every
+case, so neither has a depth limit.  The resulting boundary squares to zero
+and the homology of (D_*, d) is the simplicial homology of X; both facts
+are exercised heavily by the test suite rather than trusted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+import itertools
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping
 
 from .complexes import ComplexCopy, Simplex, SimplicialComplex, copy_relabel, intersection
 from .errors import ComplexError, DecompositionError, FieldError, InternalConsistencyError
-from .homology import HomologyResult, IntegerChainComplex, _dense, homology
+from .homology import Column, HomologyResult, IntegerChainComplex, _dense, homology
 from .morse import (
     DEFAULT_SEED,
     GradientField,
     Trajectory,
     VectorField,
     _boundary_columns,
+    _facet_sum,
+    _flow,
     _grouped,
+    _memoised,
+    _sign,
+    _named_path_weight,
     _steps,
     _trajectory_complex,
     _trajectory_ids,
     _walk,
+    _path_weight,
     greedy_gvf,
-    trajectory_weight,
     validate_trajectory,
 )
 
@@ -86,8 +100,10 @@ FROM_A = "FromA"
 FROM_B = "FromB"
 SHIFTED = "Shifted"
 _TAG_RANK = {FROM_A: 0, FROM_B: 1, SHIFTED: 2}
-# the per-case sign applied on top of `trajectory_weight`
+# the per-case sign applied on top of `morse._path_weight`
 _CASE_SIGN = {1: 1, 2: 1, 3: -1, 4: -1, 5: 1}
+# the case of a trajectory inside one copy, by the tag of its generators
+_OWN_CASE = {FROM_A: 1, FROM_B: 2, SHIFTED: 3}
 
 
 @dataclass(frozen=True)
@@ -258,14 +274,33 @@ def _max_degree(d: Decomposition) -> int:
     return top
 
 
+def _critical_of_dim(gvf: GradientField | None, q: int) -> list[int]:
+    """The critical ids of dimension q of gvf, in canonical order."""
+    if gvf is None or not 0 <= q < len(gvf._critical_ids):
+        return []
+    return gvf._critical_ids[q]
+
+
+def _generator_keys(d: Decomposition, q: int) -> list[tuple[str, int]]:
+    """D_q as (tag, id) pairs, in the order of `mv_generators`."""
+    return (
+        [(FROM_A, i) for i in _critical_of_dim(d.w_a, q)]
+        + [(FROM_B, i) for i in _critical_of_dim(d.w_b, q)]
+        + [(SHIFTED, i) for i in _critical_of_dim(d.w_i, q - 1)]
+    )
+
+
 def mv_generators(d: Decomposition, q: int | None = None) -> tuple[MVGenerator, ...]:
     """D_q in canonical order (FromA, then FromB, then Shifted, each block
     by simplex), or every degree ascending when q is None."""
-    gens = [_generator(FROM_A, s) for s in d.w_a.critical(q)]
-    gens += [_generator(FROM_B, s) for s in d.w_b.critical(q)]
-    if d.w_i is not None:
-        gens += [_generator(SHIFTED, s) for s in d.w_i.critical(None if q is None else q - 1)]
-    return tuple(sorted(gens, key=lambda g: g.sort_key))
+    if q is None:
+        return tuple(itertools.chain.from_iterable(
+            mv_generators(d, p) for p in range(_max_degree(d) + 1)
+        ))
+    fields = {FROM_A: d.w_a, FROM_B: d.w_b, SHIFTED: d.w_i}
+    return tuple(
+        _generator(tag, fields[tag].complex._simplex(i)) for tag, i in _generator_keys(d, q)
+    )
 
 
 @dataclass(frozen=True)
@@ -288,12 +323,18 @@ class MVTrajectory:
     steps: tuple[Simplex, ...]
     p: int | None = None
     l: int | None = None
+    # given by the walk, which reads it off the id table; see `weight`
+    _weight: int | None = field(default=None, repr=False, compare=False)
 
     @property
     def weight(self) -> int:
+        """The case sign times `morse._path_weight` of the steps: computed by the
+        walk that found the trajectory, or from the steps when built by hand."""
+        if self._weight is not None:
+            return self._weight
         if self.case not in _CASE_SIGN:
             raise InternalConsistencyError(f"unknown trajectory case {self.case}")
-        return _CASE_SIGN[self.case] * trajectory_weight(self)
+        return _CASE_SIGN[self.case] * _named_path_weight(self.steps)
 
     def __str__(self) -> str:
         arrows = ", ".join(str(s) for s in self.steps)
@@ -305,16 +346,17 @@ def _forman_cases(
 ) -> dict[MVGenerator, list[MVTrajectory]]:
     """Cases 1-3: plain trajectory enumeration inside one copy, from the id
     `start` of beta's simplex."""
-    case, gvf, tag = {
-        FROM_A: (1, d.w_a, FROM_A),
-        FROM_B: (2, d.w_b, FROM_B),
-        SHIFTED: (3, d.w_i, SHIFTED),
-    }[beta.tag]
-    name = gvf.complex._simplices_of
+    tag = beta.tag
+    case, gvf = _OWN_CASE[tag], {FROM_A: d.w_a, FROM_B: d.w_b, SHIFTED: d.w_i}[tag]
+    sign = _CASE_SIGN[case]
+    name, facets = gvf.complex._simplices_of, gvf.complex._table.facets.__getitem__
     out: dict[MVGenerator, list[MVTrajectory]] = {}
     for end, paths in _grouped(_trajectory_ids(gvf, start)).items():
         alpha = _generator(tag, gvf.complex._simplex(end))
-        out[alpha] = [MVTrajectory(case, beta, alpha, name(steps)) for steps in paths]
+        out[alpha] = [
+            MVTrajectory(case, beta, alpha, name(s), _weight=sign * _path_weight(s, facets))
+            for s in paths
+        ]
     return out
 
 
@@ -362,9 +404,9 @@ def _mixed_cases(
             while steps[cut] != steps[cut - 1]:
                 cut += 2
             named = i_name(steps[:cut]) + p_name(steps[cut:])
-            ts.append(
-                MVTrajectory(case, beta, alpha, named, p=cut // 2, l=(len(steps) - cut) // 2)
-            )
+            w = _CASE_SIGN[case] * _path_weight(steps, facets.__getitem__)
+            p, l = cut // 2, (len(steps) - cut) // 2
+            ts.append(MVTrajectory(case, beta, alpha, named, p, l, _weight=w))
     return out
 
 
@@ -453,19 +495,71 @@ def validate_mv_trajectory(d: Decomposition, t: MVTrajectory) -> None:
         raise InternalConsistencyError("ascent does not end at the critical alpha")
 
 
+def _mixed_flow(wi: GradientField, flow: Callable[[int], Column]) -> Callable[[int], Column]:
+    """Cases 4/5 on ids, memoised, for the piece whose flow is `flow`:
+
+        D(tau) = flow(tau) + sum over the I-steps (sigma, nu) from tau of
+                 <tau, sigma> (-<nu, sigma>) D(nu),
+
+    an I-step being a facet sigma of tau other than down_I(tau) with
+    nu = up_I(sigma).  D(tau) counts every descent in the I-copy from tau,
+    transferred into the piece (which keeps the id and the sign) and
+    followed by every ascent there; the ascent is the piece's flow."""
+    up, down, facets = wi._up, wi._down, wi.complex._table.facets
+
+    def links(tau: int):
+        arcs = []
+        for j, sigma in enumerate(facets[tau]):
+            nu = up[sigma]
+            if nu >= 0 and sigma != down[tau]:
+                arcs.append((-_sign(j) * _sign(facets[nu].index(sigma)), nu))
+        return flow(tau), arcs
+
+    return _memoised(links)
+
+
+def _mv_column(d: Decomposition) -> Callable[[tuple[str, int]], dict]:
+    """The MV boundary on generator keys: (tag, id) -> {(tag, id): entry},
+    each route's flow times the sign of its case."""
+    facets = d.x._table.facets
+    flows = {
+        tag: _flow(gvf)
+        for tag, gvf in ((FROM_A, d.w_a), (FROM_B, d.w_b), (SHIFTED, d.w_i))
+        if gvf is not None
+    }
+    mixed = []
+    if d.w_i is not None:
+        mixed = [
+            (tag, _CASE_SIGN[case], _mixed_flow(d.w_i, flows[tag]))
+            for tag, case in ((FROM_A, 4), (FROM_B, 5))
+        ]
+
+    def column(key: tuple[str, int]) -> dict:
+        tag, i = key
+        sign = _CASE_SIGN[_OWN_CASE[tag]]
+        out = {(tag, r): sign * v for r, v in _facet_sum(facets, i, flows[tag]).items()}
+        if tag == SHIFTED:
+            for target, case_sign, descend in mixed:
+                out.update(((target, r), case_sign * v) for r, v in descend(i).items())
+        return out
+
+    return column
+
+
 def mv_boundary(d: Decomposition, q: int) -> list[list[int]]:
     """The boundary matrix D_q -> D_{q-1}: rows over D_{q-1}, columns over
     D_q, entries the summed trajectory weights."""
-    rows = mv_generators(d, q - 1)
-    paths = lambda b: mv_trajectories_from(d, b)
-    return _dense(_boundary_columns(rows, mv_generators(d, q), paths), len(rows))
+    rows = _generator_keys(d, q - 1)
+    return _dense(_boundary_columns(rows, _generator_keys(d, q), _mv_column(d)), len(rows))
 
 
 def mv_chain_complex(d: Decomposition) -> IntegerChainComplex:
     """The full Mayer-Vietoris chain complex.  Construction re-verifies that
     the boundary squares to zero and fails hard otherwise."""
-    labels = [mv_generators(d, q) for q in range(_max_degree(d) + 1)]
-    return _trajectory_complex(labels, lambda b: mv_trajectories_from(d, b))
+    degrees = range(_max_degree(d) + 1)
+    labels = [mv_generators(d, q) for q in degrees]
+    keys = [_generator_keys(d, q) for q in degrees]
+    return _trajectory_complex(labels, keys, _mv_column(d))
 
 
 def mv_homology(d: Decomposition) -> HomologyResult:

@@ -73,10 +73,11 @@ from .homology import (
 )
 from .morse import (
     GradientField,
-    Trajectory,
+    _boundary,
     _boundary_columns,
-    _trajectory_complex,
-    trajectories_from,
+    _grouped,
+    _trajectory_ids,
+    _path_weight,
 )
 from .mv import (
     FROM_A,
@@ -85,7 +86,7 @@ from .mv import (
     Decomposition,
     MVGenerator,
     _generator,
-    _max_degree,
+    mv_chain_complex,
     mv_generators,
     mv_trajectories_from,
 )
@@ -310,29 +311,30 @@ def _compare(
     bijective: str,
     target: IntegerChainComplex,
     homologies: Sequence[tuple[str, HomologyResult]],
-    paths_from: Callable[[Simplex], dict],
-    pair_checks: Callable[[dict[Simplex, Hashable]], None] | None = None,
+    pair_checks: Callable[[dict[int, Hashable]], None] | None = None,
 ) -> None:
     """Compare the Thom-Smale complex of `gvf`, named `source` in reports,
     with `target`, whose labels name its generators in target order.
 
     Adds the check `bijective` (`image` maps the critical cells of each
     degree, given by id, bijectively onto that degree's labels), then whatever
-    `pair_checks` adds given the image of every critical cell, then
+    `pair_checks` adds given the image of every critical id, then
     `boundary_matrices_equal` (with each degree's cells ordered by their
-    image, the Thom-Smale boundaries equal the target's) and `homology_equal`
-    (the Thom-Smale homology equals each named group, the target's first).
-    Stops after the first check when the bijection fails."""
+    image, the Thom-Smale boundaries, from Forman's flow, equal the
+    target's) and `homology_equal` (the Thom-Smale homology equals each
+    named group, the target's first).  Stops after the first check when the
+    bijection fails."""
+    critical = gvf._critical_ids
     try:
-        image_of = dict(zip(gvf.critical(), map(image, _critical_ids(gvf))))
+        image_of = {i: image(i) for i in _critical_ids(gvf)}
     except InternalConsistencyError as e:
         checks.add(bijective, False, str(e))
         return
-    top = max((s.dim for s in image_of), default=0)
+    top = max((q for q, ids in enumerate(critical) if ids), default=0)
     detail = ""
     for q in range(max(top, target.top) + 1):
         labels = target.labels[q] if q <= target.top else ()
-        images = [image_of[s] for s in gvf.critical(q)]
+        images = [image_of[i] for i in critical[q]] if q < len(critical) else []
         if len(images) != len(labels) or set(images) != set(labels):
             detail = f"images in degree {q} do not match the target generators"
             break
@@ -341,10 +343,11 @@ def _compare(
     if pair_checks is not None:
         pair_checks(image_of)
 
-    preimage = {label: s for s, label in image_of.items()}
+    preimage = {label: i for i, label in image_of.items()}
     ordered = [[preimage[label] for label in labels] for labels in target.labels]
+    column = _boundary(gvf)
     got = [
-        _boundary_columns(ordered[q - 1], ordered[q], paths_from)
+        _boundary_columns(ordered[q - 1], ordered[q], column)
         for q in range(1, target.top + 1)
     ]
     matrices_ok = True
@@ -407,7 +410,7 @@ def check_iso_simplicial(xt: XTilde) -> VerifyReport:
     # g: critical cells of V -> simplices of X (drop the copy tag)
     _compare(
         checks, v, "(X~,V)", lambda i: d.x._simplex(xt._ground[i]), "g_bijective",
-        xt.x_chains, [("X", xt.x_homology)], lambda tau: trajectories_from(v, tau),
+        xt.x_chains, [("X", xt.x_homology)],
     )
     return checks.report()
 
@@ -427,11 +430,12 @@ def _f_image(xt: XTilde, i: int) -> MVGenerator:
     return _generator(SHIFTED, ground)
 
 
-def _classify_w_trajectory(xt: XTilde, t: Trajectory) -> int:
-    """Which of the five shapes a W-trajectory between critical cells has.
-    Raises InternalConsistencyError when it fits none (which would refute
-    the classification the whole construction rests on)."""
-    pieces = [xt._piece[xt.complex._id(s)] for s in t.steps]
+def _classify_w_trajectory(xt: XTilde, steps: Sequence[int]) -> int:
+    """Which of the five shapes a W-trajectory between critical cells, given
+    as X~ ids, has.  Raises InternalConsistencyError when it fits none
+    (which would refute the classification the whole construction rests
+    on)."""
+    pieces = [xt._piece[i] for i in steps]
     first, last = pieces[0], pieces[-1]
     if first != _INTERIOR:
         if pieces.count(first) == len(pieces):
@@ -465,18 +469,21 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
         checks.add("w_field_certified", False, str(e))
         return checks.report()
 
-    # every trajectory upstairs and in MV, enumerated once per critical cell
-    gamma = {tau: trajectories_from(gvf, tau) for tau in gvf.critical() if tau.dim}
-    mv = {beta: mv_trajectories_from(d, beta) for beta in mv_generators(d) if beta.degree}
-    gens = [mv_generators(d, q) for q in range(_max_degree(d) + 1)]
-    target = _trajectory_complex(gens, mv.get)
+    target = mv_chain_complex(d)
+    facets = xt.complex._table.facets.__getitem__
 
-    def pair_checks(f_of: dict[Simplex, MVGenerator]) -> None:
+    def pair_checks(f_of: dict[int, MVGenerator]) -> None:
+        # every trajectory upstairs (as X~ ids) and in MV, enumerated once
+        # per critical cell
+        mv = {beta: mv_trajectories_from(d, beta) for beta in mv_generators(d) if beta.degree}
+        critical = gvf._critical_ids
+        below = {tau: critical[q - 1] for q in range(1, len(critical)) for tau in critical[q]}
         counts_ok = weights_ok = classes_ok = True
         c_detail = w_detail = k_detail = ""
         pairs_compared = 0
-        for tau, paths in gamma.items():
-            for sigma in gvf.critical(tau.dim - 1):
+        for tau, sigmas in below.items():
+            paths = _grouped(_trajectory_ids(gvf, tau))
+            for sigma in sigmas:
                 g_list = paths.get(sigma, [])
                 m_list = mv[f_of[tau]].get(f_of[sigma], [])
                 pairs_compared += 1
@@ -486,14 +493,14 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
                         f"{f_of[tau]} -> {f_of[sigma]}: "
                         f"{len(g_list)} trajectories upstairs, {len(m_list)} in MV"
                     )
-                if weights_ok and sorted(t.weight for t in g_list) != sorted(
-                    t.weight for t in m_list
-                ):
+                if weights_ok and sorted(
+                    _path_weight(steps, facets) for steps in g_list
+                ) != sorted(t.weight for t in m_list):
                     weights_ok = False
                     w_detail = f"{f_of[tau]} -> {f_of[sigma]}: weight multisets differ"
                 if classes_ok:
                     try:
-                        up = sorted(_classify_w_trajectory(xt, t) for t in g_list)
+                        up = sorted(_classify_w_trajectory(xt, steps) for steps in g_list)
                     except InternalConsistencyError as e:
                         up, classes_ok, k_detail = None, False, str(e)
                     if up is not None and up != sorted(t.case for t in m_list):
@@ -509,6 +516,6 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
 
     _compare(
         checks, gvf, "(X~,W)", lambda i: _f_image(xt, i), "f_bijective_onto_generators",
-        target, [("MV", homology(target)), ("X", xt.x_homology)], gamma.get, pair_checks,
+        target, [("MV", homology(target)), ("X", xt.x_homology)], pair_checks,
     )
     return checks.report()

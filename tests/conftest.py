@@ -4,6 +4,7 @@ pinned by hand (so every weight and matrix it produces is reproducible).
 """
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
@@ -145,6 +146,69 @@ def oct_decomposition():
 
 
 # ---------------------------------------------------------------------------
+# a field whose trajectory count doubles with each layer
+
+
+def branching_complex(
+    layers: int,
+) -> tuple[SimplicialComplex, list[tuple[Simplex, Simplex]], Simplex, Simplex]:
+    """(X, pairs, top, bottom): a 2-complex of `layers` Möbius bands in a
+    row, and a gradient field on it whose trajectories from the critical
+    triangle `top` to the critical edge `bottom` number 2**layers.
+
+    Band i is the 5-vertex Möbius band on (one, two, three, four, five):
+    triangles T = [one two three], U1 = [two three four], V1 = [three four
+    five], V2 = [four five one], U2 = [five one two], consecutive ones
+    sharing an edge.  T is entered through [one three]; U1, V1, U2, V2 are
+    paired with [two three], [three four], [one two], [five one], so from T
+    two paths (through U1, V1 and through U2, V2) reach [four five], the
+    entry of the next band's T.  The two paths of a band carry the same
+    sign, because the band is not orientable.  The bands' other edges are
+    matched with vertices along a breadth-first spanning tree; the edges
+    left over, the first band's [one three] and `bottom` (the last band's
+    [four five]) are critical, and so is one vertex."""
+    name = lambda i, k: f"b{i:03d}{k}"
+    one, three = name(0, "p"), name(0, "q")
+    top = None
+    triangles, up = [], []
+    for i in range(layers):
+        two, four, five = name(i, "a"), name(i, "c"), name(i, "d")
+        t = (one, two, three)
+        top = top or t
+        triangles += [
+            t, (two, three, four), (three, four, five), (four, five, one), (five, one, two)
+        ]
+        up += [
+            ((two, three), (two, three, four)),
+            ((three, four), (three, four, five)),
+            ((one, two), (five, one, two)),
+            ((five, one), (four, five, one)),
+        ]
+        if i:
+            up.append(((one, three), t))
+        one, three = four, five
+    x = SimplicialComplex([Simplex(t) for t in triangles])
+    pairs = [(abs(Simplex(s)), abs(Simplex(t))) for s, t in up]
+    bottom = abs(Simplex([one, three]))
+    taken = {s for s, _ in pairs} | {bottom}
+    neighbours: dict[str, list[tuple[str, Simplex]]] = {}
+    for e in x.simplices(1):
+        if e not in taken:
+            a, b = e.vertices
+            neighbours.setdefault(a, []).append((b, e))
+            neighbours.setdefault(b, []).append((a, e))
+    queue = [min(x.vertices)]
+    reached = set(queue)
+    for v in queue:
+        for w, e in sorted(neighbours.get(v, [])):
+            if w not in reached:
+                reached.add(w)
+                queue.append(w)
+                pairs.append((Simplex(w), e))
+    return x, pairs, abs(Simplex(top)), bottom
+
+
+# ---------------------------------------------------------------------------
 # random covers
 
 
@@ -178,3 +242,33 @@ def random_generators(rng: random.Random) -> list[Simplex]:
 def random_small_complex(rng: random.Random) -> SimplicialComplex:
     """A random complex on at most 10 vertices, dimension at most 3."""
     return SimplicialComplex(random_generators(rng))
+
+
+# ---------------------------------------------------------------------------
+# a verify run that loses every trajectory on one side
+
+
+@pytest.fixture
+def lose_trajectories(monkeypatch):
+    """lose(side) makes `verify` see no trajectories on one side of its
+    comparisons.  "trajectories_from" loses those of the gradient fields on
+    X~: their enumeration and their flow.  "mv_trajectories_from" loses the
+    Mayer-Vietoris ones: their enumeration and the MV boundary."""
+    verify = importlib.import_module("morsemv.verify")
+    mv = importlib.import_module("morsemv.mv")
+    patches = {
+        "trajectories_from": [
+            (verify, "_trajectory_ids", lambda *args: iter(())),
+            (verify, "_boundary", lambda gvf: lambda tau: {}),
+        ],
+        "mv_trajectories_from": [
+            (verify, "mv_trajectories_from", lambda *args: {}),
+            (mv, "_mv_column", lambda d: lambda key: {}),
+        ],
+    }
+
+    def lose(side: str) -> None:
+        for module, name, replacement in patches[side]:
+            monkeypatch.setattr(module, name, replacement)
+
+    return lose

@@ -7,6 +7,12 @@ table.  They read a complex only through its public accessors (`simplices`,
 they run unchanged on views and tagged copies, and they share no code with
 the id versions they check.
 
+The assembly references are the incidence-based trajectory weight and
+the boundary assembler that sums the weights of enumerated trajectories,
+which `morsemv.morse` and `morsemv.mv` ran before boundaries came from
+Forman's flow: they recompute every sign with `incidence` and keep their
+own table of case signs.
+
 The prism references are the Simplex-set construction of X~ and of its
 fields V and W that `morsemv.verify` ran before it moved onto X~'s ids:
 the block formula on vertex names, the prism closed on its own, and the
@@ -17,7 +23,7 @@ from __future__ import annotations
 import heapq
 import random
 
-from morsemv import Simplex, SimplicialComplex, VectorField
+from morsemv import Simplex, SimplicialComplex, VectorField, incidence
 from morsemv.complexes import union
 from morsemv.morse import DEFAULT_SEED
 from morsemv.mv import Decomposition
@@ -127,6 +133,54 @@ def reference_closed_trajectory(
                     if via:
                         via.pop()
     return None
+
+
+def trajectory_weight(t) -> int:
+    """The sign of a trajectory (anything whose `steps` is a simplex
+    sequence) by `incidence`: a downward step x -> y contributes <x, y>, an
+    upward one -<y, x>, a same-dimension step nothing."""
+    steps = t.steps
+    w = 1
+    for x, y in zip(steps, steps[1:]):
+        dx, dy = len(x.vertices), len(y.vertices)
+        if dx > dy:
+            w *= incidence(x, y)
+        elif dx < dy:
+            w *= -incidence(y, x)
+    return w
+
+
+#: the sign of each MV case, on top of `trajectory_weight`
+CASE_SIGN = {1: 1, 2: 1, 3: -1, 4: -1, 5: 1}
+
+
+def reference_weight(t) -> int:
+    """The weight of a Trajectory, or of an MVTrajectory with its case sign."""
+    return CASE_SIGN.get(getattr(t, "case", 1), 0) * trajectory_weight(t)
+
+
+def reference_columns(rows, cols, paths_from) -> list[dict[int, int]]:
+    """The sparse columns of the matrix with rows and columns indexed by the
+    given sequences whose (r, c) entry sums `reference_weight` over the
+    trajectories `paths_from(c)[r]`; entries that sum to zero are left out."""
+    index = {r: i for i, r in enumerate(rows)}
+    columns = []
+    for c in cols:
+        col = {}
+        for r, paths in paths_from(c).items():
+            w = sum(reference_weight(t) for t in paths)
+            if w:
+                col[index[r]] = w
+        columns.append(col)
+    return columns
+
+
+def reference_complex_columns(labels, paths_from) -> list[list[dict[int, int]]]:
+    """`reference_columns` of every degree of the complex with generators
+    `labels[q]` in degree q."""
+    return [
+        reference_columns(labels[q - 1], labels[q], paths_from) for q in range(1, len(labels))
+    ]
 
 
 class ReferencePrism:

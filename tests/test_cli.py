@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from morsemv.cli import main
 
+cli_module = importlib.import_module("morsemv.cli")
+
 OCTAHEDRON = """\
 # the octahedron, two poles v4/v5 over the square v0 v1 v2 v3
 v0 v1 v4
@@ -224,9 +226,8 @@ class TestVerifyCommand:
         assert all(c["ok"] for c in payload["checks"])
 
     @pytest.mark.parametrize("name", ["trajectories_from", "mv_trajectories_from"])
-    def test_failing_check_exits_5(self, files, capsys, monkeypatch, name):
-        monkeypatch.setattr(importlib.import_module("morsemv.verify"), name,
-                            lambda *args: {})
+    def test_failing_check_exits_5(self, files, capsys, lose_trajectories, name):
+        lose_trajectories(name)
         cx, dec = files
         assert main(["verify", "--complex", cx, "--decomposition", dec]) == 5
         out = capsys.readouterr().out
@@ -264,6 +265,21 @@ class TestOracleCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command,computes", [("homology", "mv_homology"),
+                                                  ("oracle", "simplicial_homology")])
+    def test_negative_degree_rejected_before_computing(self, files, capsys, monkeypatch,
+                                                       command, computes):
+        def computed(*args):
+            raise AssertionError(f"{computes} ran")
+
+        monkeypatch.setattr(cli_module, computes, computed)
+        cx, dec = files
+        argv = [command, "--complex", cx, "--degree", "-1"]
+        if command == "homology":
+            argv += ["--decomposition", dec]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: --degree must be nonnegative, got -1\n")
+
     def test_missing_file(self, capsys):
         assert main(["oracle", "--complex", "/nonexistent.cx"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -1,0 +1,207 @@
+"""Boundaries from Forman's flow against the enumeration they replace.
+
+Every boundary matrix in the package is assembled from memoised flows on
+ids (`morse._flow`, and `mv._mixed_flow` for cases 4/5).  Here each one is
+compared, column for column, with `slow_reference.reference_columns`, which
+sums the weights of the enumerated trajectories with `incidence` and its
+own table of case signs, on the corpus covers, on hypothesis complexes and
+on a family whose trajectory count doubles with each layer.
+"""
+from __future__ import annotations
+
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from morsemv import (
+    GradientField,
+    InternalConsistencyError,
+    MVTrajectory,
+    SimplicialComplex,
+    Trajectory,
+    VectorField,
+    build_decomposition,
+    build_xtilde,
+    enumerate_mv,
+    greedy_gvf,
+    homology,
+    mv_chain_complex,
+    mv_generators,
+    mv_homology,
+    simplicial_homology,
+    thom_smale_complex,
+    trajectories_from,
+)
+from morsemv.cli import main
+from morsemv.morse import _memoised
+from morsemv.mv import (
+    FROM_A,
+    SHIFTED,
+    MVGenerator,
+    _max_degree,
+    mv_boundary,
+    mv_trajectories_from,
+)
+from morsemv.verify import _build_v_field, _build_w_field
+from conftest import branching_complex, corpus_complexes, random_cover, random_small_complex
+from slow_reference import reference_complex_columns, reference_weight
+from test_mv import COVERS, cover_decompositions
+
+
+def thom_smale_reference(gvf: GradientField) -> list[list[dict[int, int]]]:
+    labels = [gvf.critical(q) for q in range(gvf.complex.dim + 1)]
+    return reference_complex_columns(labels, lambda tau: trajectories_from(gvf, tau))
+
+
+def mv_reference(d) -> list[list[dict[int, int]]]:
+    labels = [mv_generators(d, q) for q in range(_max_degree(d) + 1)]
+    return reference_complex_columns(labels, lambda beta: mv_trajectories_from(d, beta))
+
+
+def assert_thom_smale_matches(gvf: GradientField) -> None:
+    """Thom-Smale columns from the flow equal the enumerated sums, and every
+    enumerated weight, and the weight of the same trajectory built by hand,
+    equals the reference."""
+    assert thom_smale_complex(gvf).columns == thom_smale_reference(gvf)
+    for tau in gvf.critical():
+        for ts in trajectories_from(gvf, tau).values():
+            assert all(t.weight == Trajectory(t.steps).weight == reference_weight(t) for t in ts)
+
+
+def assert_mv_matches(d) -> None:
+    """The generators come in canonical order, MV columns from the flow
+    equal the enumerated sums, in the complex and in `mv_boundary`, and
+    every enumerated weight, and the weight of the same trajectory built by
+    hand, equals the reference."""
+    gens = mv_generators(d)
+    assert list(gens) == sorted(gens, key=lambda g: g.sort_key)
+    want = mv_reference(d)
+    assert mv_chain_complex(d).columns == want
+    for q, columns in enumerate(want, start=1):
+        dense = mv_boundary(d, q)
+        assert [{i: v for i, row in enumerate(dense) if (v := row[j])}
+                for j in range(len(columns))] == columns
+    for beta in mv_generators(d):
+        for ts in mv_trajectories_from(d, beta).values():
+            for t in ts:
+                by_hand = MVTrajectory(t.case, t.beta, t.alpha, t.steps, t.p, t.l)
+                assert t.weight == by_hand.weight == reference_weight(t)
+
+
+class TestCorpus:
+    @pytest.mark.parametrize("name,strategy", COVERS)
+    def test_mv_complex(self, name, strategy):
+        for d in cover_decompositions(name, strategy):
+            assert_mv_matches(d)
+
+    @pytest.mark.parametrize("name,strategy", COVERS)
+    def test_thom_smale_of_x(self, name, strategy):
+        assert_thom_smale_matches(greedy_gvf(corpus_complexes()[name], strategy, 7))
+
+    @pytest.mark.parametrize("name,strategy", COVERS)
+    def test_v_and_w_fields_of_xtilde(self, name, strategy):
+        for d in cover_decompositions(name, strategy):
+            xt = build_xtilde(d)
+            assert_thom_smale_matches(_build_v_field(xt))
+            assert_thom_smale_matches(_build_w_field(xt))
+
+    def test_octahedron_pinned_fields(self, oct_decomposition):
+        assert_mv_matches(oct_decomposition)
+        xt = build_xtilde(oct_decomposition)
+        assert_thom_smale_matches(_build_w_field(xt))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(["lexicographic", "random"]))
+def test_hypothesis_complexes(rng, strategy):
+    x = random_small_complex(rng)
+    a, b = random_cover(x, rng)
+    d = build_decomposition(x, a, b, strategy=strategy, seed=rng.randint(0, 99))
+    assert_mv_matches(d)
+    assert_thom_smale_matches(greedy_gvf(x, strategy, 3))
+    xt = build_xtilde(d)
+    assert_thom_smale_matches(_build_w_field(xt))
+
+
+def branching_decompositions(layers: int):
+    """Two decompositions of the branching complex with its field pinned:
+    on A (B the closure of the top triangle), so the doubling runs in case
+    1; and on the intersection (A = B = X, greedy fields there), so it runs
+    in case 3 and in the descents of cases 4 and 5."""
+    x, pairs, top, _ = branching_complex(layers)
+    cap = SimplicialComplex([top])
+    yield build_decomposition(x, x, cap, fields={"A": pairs})
+    yield build_decomposition(x, x, x, fields={"I": pairs})
+
+
+class TestBranchingFamily:
+    @pytest.mark.parametrize("layers", [1, 2, 3, 5, 7])
+    def test_count_doubles_and_flow_matches(self, layers):
+        x, pairs, top, bottom = branching_complex(layers)
+        gvf = GradientField.certify(VectorField(pairs), x)
+        found = trajectories_from(gvf, top)
+        assert len(found[bottom]) == 2 ** layers
+        assert sum(len(ts) for ts in found.values()) == 2 ** (layers + 1) - 1
+        assert abs(sum(t.weight for t in found[bottom])) == 2 ** layers
+        assert_thom_smale_matches(gvf)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3, 5])
+    def test_mv_counts_double_and_flow_matches(self, layers):
+        _, _, top, bottom = branching_complex(layers)
+        on_a, on_i = branching_decompositions(layers)
+        case_1 = enumerate_mv(on_a, MVGenerator(FROM_A, on_a.a_bar.push(top), 2),
+                              MVGenerator(FROM_A, on_a.a_bar.push(bottom), 1))
+        assert len(case_1) == 2 ** layers
+        case_3 = enumerate_mv(on_i, MVGenerator(SHIFTED, on_i.iab_bar.push(top), 3),
+                              MVGenerator(SHIFTED, on_i.iab_bar.push(bottom), 2))
+        assert len(case_3) == 2 ** layers
+        assert_mv_matches(on_a)
+        assert_mv_matches(on_i)
+
+    def test_forty_layers_homology_only(self, tmp_path, capsys):
+        layers = 40
+        x, pairs, top, bottom = branching_complex(layers)
+        want = simplicial_homology(x)
+        gvf = GradientField.certify(VectorField(pairs), x)
+        c = thom_smale_complex(gvf)
+        assert homology(c) == want
+        i, j = c.labels[1].index(bottom), c.labels[2].index(top)
+        assert abs(c.columns[1][j][i]) == 2 ** layers
+        for d in branching_decompositions(layers):
+            assert mv_homology(d) == want
+        # and through the command line, with the field pinned in the file
+        cx, dec = tmp_path / "x.cx", tmp_path / "x.dec"
+        cx.write_text("".join(" ".join(s.vertices) + "\n" for s in x.maximal_simplices))
+        dec.write_text(
+            "[A]\n" + "".join(" ".join(s.vertices) + "\n" for s in x.maximal_simplices)
+            + "[B]\n" + " ".join(top.vertices) + "\n[fields]\n"
+            + "".join(f"A: {' '.join(s.vertices)} -> {' '.join(t.vertices)}\n"
+                      for s, t in pairs)
+        )
+        assert main(["homology", "--complex", str(cx), "--decomposition", str(dec)]) == 0
+        out = capsys.readouterr().out
+        assert f"H_1 = Z^{layers}" in out and "H_2 = 0" in out
+
+
+def test_long_trajectories_need_no_recursion():
+    """A circle of 1500 edges, whose trajectories run half way round: far
+    deeper than the interpreter's recursion limit."""
+    n = 1500
+    x = SimplicialComplex([f"p{i:04d} p{(i + 1) % n:04d}" for i in range(n)])
+    gvf = greedy_gvf(x)
+    (tau,) = gvf.critical(1)
+    steps = [len(t.steps) for ts in trajectories_from(gvf, tau).values() for t in ts]
+    assert max(steps) > sys.getrecursionlimit()
+    assert thom_smale_complex(gvf).columns == thom_smale_reference(gvf)
+
+
+def test_a_cycle_is_reported_not_followed():
+    """The flow only ever runs on certified fields; should a cycle reach it
+    anyway, it raises instead of growing its stack without end."""
+    around = _memoised(lambda s: ({s: 1}, [(1, (s + 1) % 3)]))
+    with pytest.raises(InternalConsistencyError, match="cycle"):
+        around(0)
+    chain = _memoised(lambda s: ({}, [(2, s + 1)]) if s < 5000 else ({s: 1}, ()))
+    assert chain(0) == {5000: 2 ** 5000}

@@ -51,6 +51,11 @@ def interior(xt):
     return frozenset(xt.complex._simplex(i) for i, p in enumerate(xt._piece) if p == _INTERIOR)
 
 
+def ids(xt, t):
+    """The X~ ids of the steps of the trajectory t."""
+    return [xt.complex._id(s) for s in t.steps]
+
+
 def wedge_xtilde():
     x = build_complex(["v0 v1", "v1 v2", "v0 v2", "v0 v3", "v3 v4", "v0 v4"])
     a = build_complex(["v0 v1", "v1 v2", "v0 v2"])
@@ -235,13 +240,13 @@ class TestClassification:
         top = Simplex("A:v2 B:v2 B:v3")
         mid = Simplex("A:v2 B:v2")
         types = sorted(
-            _classify_w_trajectory(xt, t)
+            _classify_w_trajectory(xt, ids(xt, t))
             for ts in trajectories_from(w, top).values()
             for t in ts
         )
         assert types == [3, 3]
         types = sorted(
-            _classify_w_trajectory(xt, t)
+            _classify_w_trajectory(xt, ids(xt, t))
             for ts in trajectories_from(w, mid).values()
             for t in ts
         )
@@ -255,18 +260,18 @@ class TestClassification:
             if tau.dim == 0:
                 continue
             for ts in trajectories_from(w, tau).values():
-                seen.update(_classify_w_trajectory(xt, t) for t in ts)
+                seen.update(_classify_w_trajectory(xt, ids(xt, t)) for t in ts)
         assert 1 in seen and 2 in seen
 
     def test_unclassifiable_trajectory_raises(self, oct_xtilde):
         bogus = Trajectory([Simplex("A:v1 A:v5"), Simplex("B:v4")])
         with pytest.raises(InternalConsistencyError):
-            _classify_w_trajectory(oct_xtilde, bogus)
+            _classify_w_trajectory(oct_xtilde, ids(oct_xtilde, bogus))
         # leaves the interior into the B-copy, then crosses into the A-copy
         bogus = Trajectory([Simplex("A:v2 B:v2"), Simplex("B:v2"),
                             Simplex("B:v2 B:v3"), Simplex("A:v3")])
         with pytest.raises(InternalConsistencyError, match="no clean crossing"):
-            _classify_w_trajectory(oct_xtilde, bogus)
+            _classify_w_trajectory(oct_xtilde, ids(oct_xtilde, bogus))
 
 
 class TestChecks:
@@ -338,8 +343,8 @@ class TestFailingChecks:
     def failed(report):
         return [c.name for c in report.checks if not c.ok]
 
-    def test_without_field_trajectories(self, oct_xtilde, monkeypatch):
-        monkeypatch.setattr(verify_module, "trajectories_from", lambda *args: {})
+    def test_without_field_trajectories(self, oct_xtilde, lose_trajectories):
+        lose_trajectories("trajectories_from")
         r1 = check_iso_simplicial(oct_xtilde)
         assert not r1.ok
         assert self.failed(r1) == ["boundary_matrices_equal", "homology_equal"]
@@ -353,8 +358,8 @@ class TestFailingChecks:
         ]
         assert r2.checks[-1].detail.startswith("(X~,W): H_0 = Z^2, H_1 = Z, H_2 = Z  vs  MV:")
 
-    def test_without_mv_trajectories(self, oct_xtilde, monkeypatch):
-        monkeypatch.setattr(verify_module, "mv_trajectories_from", lambda *args: {})
+    def test_without_mv_trajectories(self, oct_xtilde, lose_trajectories):
+        lose_trajectories("mv_trajectories_from")
         assert check_iso_simplicial(oct_xtilde).ok
         r2 = check_main_iso(oct_xtilde)
         assert not r2.ok
