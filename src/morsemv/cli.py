@@ -34,9 +34,13 @@ from .errors import (
 from .formats import parse_complex, parse_decomposition, parse_generator_name
 from .homology import HomologyResult, simplicial_homology
 from .mv import (
+    FROM_A,
+    FROM_B,
+    SHIFTED,
     Decomposition,
     MVGenerator,
-    SHIFTED,
+    _generator_keys,
+    _max_degree,
     _piece,
     build_decomposition,
     enumerate_mv,
@@ -186,18 +190,14 @@ def _cmd_homology(args) -> int:
     _check_degree(args.degree)
     x, d, strategy, seed = _load_decomposition(args)
     result = mv_homology(d)
-    degrees = sorted({g.degree for g in mv_generators(d)})
-    counts = []
-    for q in degrees:
-        gens = mv_generators(d, q)
-        counts.append({
-            "degree": q,
-            "from_a": sum(g.tag == "FromA" for g in gens),
-            "from_b": sum(g.tag == "FromB" for g in gens),
-            "shifted": sum(g.tag == SHIFTED for g in gens),
-            "total": len(gens),
-        })
-    top = max([x.dim] + degrees) if degrees else x.dim
+    # the generators' tags, counted on their keys: no generator is built again
+    tags = [[tag for tag, _ in _generator_keys(d, q)] for q in range(_max_degree(d) + 1)]
+    counts = [
+        {"degree": q, "from_a": ts.count(FROM_A), "from_b": ts.count(FROM_B),
+         "shifted": ts.count(SHIFTED), "total": len(ts)}
+        for q, ts in enumerate(tags) if ts
+    ]
+    top = max([x.dim] + [row["degree"] for row in counts])
     rows = _homology_rows(result, args.degree, top)
     if args.output == "json":
         return _emit_json({

@@ -31,8 +31,11 @@ and Nanda, "Discrete Morse theoretic algorithms for computing homology of
 complexes and maps", FoCM 2014): a weighted count memoised per simplex,
 linear in the arcs of the gradient digraph.  Every sign is (-1)^k for the
 position k of a facet in the complex's facet table, which lists the facet
-dropping vertex k at position k.  `trajectories_from` still lists the
-trajectories themselves, each with its weight read the same way.
+dropping vertex k at position k.  The same flow with its signs dropped
+counts the trajectories, and with each sign moved into the key counts them
+by weight, which is what `verify` checks pair by pair.  `trajectories_from`
+still lists the trajectories themselves, each with its weight read the
+same way.
 
 Acyclicity is decided per dimension on the digraph whose arcs tau -> tau'
 run along legal trajectory steps, by an iterative three-colour depth-first
@@ -62,7 +65,6 @@ __all__ = [
     "Trajectory",
     "is_acyclic",
     "trajectories_from",
-    "validate_trajectory",
     "thom_smale_complex",
     "greedy_gvf",
 ]
@@ -345,32 +347,6 @@ def _named_path_weight(steps: Sequence[Simplex]) -> int:
     return _path_weight([abs(s) for s in steps], Simplex.facets)
 
 
-def validate_trajectory(gvf: GradientField, t: Trajectory) -> None:
-    """Recheck every side condition of the trajectory definition against the
-    raw field, raising InternalConsistencyError on the first violation.
-    Deliberately independent of how the enumerator walks the complex."""
-    v, x = gvf.field, gvf.complex
-    steps = t.steps
-    q = steps[0].dim
-    for i, s in enumerate(steps):
-        if s not in x:
-            raise InternalConsistencyError(f"step {i} = {s} is not in the complex")
-        want = q - 1 if i % 2 else q
-        if s.dim != want:
-            raise InternalConsistencyError(f"step {i} = {s} has dimension {s.dim}, expected {want}")
-    for i in range(1, len(steps), 2):
-        sigma, tau_prev = steps[i], steps[i - 1]
-        if not sigma.is_face_of(tau_prev):
-            raise InternalConsistencyError(f"{sigma} is not a facet of {tau_prev}")
-        # the downward step must leave the matching
-        if v.down(tau_prev) == abs(sigma):
-            raise InternalConsistencyError(f"({sigma}, {tau_prev}) lies in the field")
-        if i + 1 < len(steps):
-            tau_next = steps[i + 1]
-            if v.up(sigma) != abs(tau_next):
-                raise InternalConsistencyError(f"({sigma}, {tau_next}) is not a pair of the field")
-
-
 def trajectories_from(gvf: GradientField, tau: Simplex) -> dict[Simplex, list[Trajectory]]:
     """All extended trajectories from the critical simplex tau that end at a
     critical simplex, grouped by terminal.  Depth-first, iteratively, in
@@ -464,13 +440,29 @@ def _combine(base: Column, terms: Iterable[tuple[int, Column]]) -> Column:
     return {r: v for r, v in out.items() if v}
 
 
-def _memoised(links: Callable[[int], tuple[Column, Sequence[tuple[int, int]]]]):
+def _unsigned(base: Column, terms: Iterable[tuple[int, Column]]) -> Column:
+    """`_combine` with every sign taken as 1, so a flow counts paths."""
+    return _combine(base, ((1, col) for _, col in terms))
+
+
+def _split(base: Column, terms: Iterable[tuple[int, Column]]) -> Column:
+    """`_combine` with the sign in the key: (r, w) maps to the number of
+    paths to r of weight w, and a sign c moves that count to (r, c * w)."""
+    out = dict(base)
+    for c, col in terms:
+        for (r, w), v in col.items():
+            out[r, c * w] = out.get((r, c * w), 0) + v
+    return out
+
+
+def _memoised(links: Callable[[int], tuple[Column, Sequence[tuple[int, int]]]], combine=_combine):
     """The function value(s) = base + sum(c * value(t) for c, t in arcs),
-    where (base, arcs) = links(s), on an acyclic digraph, memoised.  Each
-    call computes what it needs in post-order with an explicit stack, so a
-    chain of arcs may be arbitrarily long.  The stack is a path of the
-    digraph, each entry waiting for the first of its arcs not yet valued;
-    an arc back into the path is a cycle, reported instead of followed."""
+    where (base, arcs) = links(s), on an acyclic digraph, memoised, the sum
+    taken by `combine`.  Each call computes what it needs in post-order
+    with an explicit stack, so a chain of arcs may be arbitrarily long.  The
+    stack is a path of the digraph, each entry waiting for the first of its
+    arcs not yet valued; an arc back into the path is a cycle, reported
+    instead of followed."""
     memo: dict[int, Column] = {}
 
     def value(root: int) -> Column:
@@ -489,13 +481,13 @@ def _memoised(links: Callable[[int], tuple[Column, Sequence[tuple[int, int]]]]):
             else:
                 stack.pop()
                 on_path.discard(s)
-                memo[s] = _combine(base, [(c, memo[t]) for c, t in arcs]) if arcs else base
+                memo[s] = combine(base, [(c, memo[t]) for c, t in arcs]) if arcs else base
         return memo[root]
 
     return value
 
 
-def _flow(gvf: GradientField) -> Callable[[int], Column]:
+def _flow(gvf: GradientField, combine=_combine) -> Callable[[int], Column]:
     """Forman's flow of gvf on ids, memoised: flow(s) maps each critical id
     r of the dimension of s to the weighted count of the gradient paths
     s, up(s), s_1, up(s_1), ..., r, as in the trajectory weight:
@@ -505,24 +497,26 @@ def _flow(gvf: GradientField) -> Callable[[int], Column]:
                   -(-1)^k sum_{j != k} (-1)^j flow(facet_j(up(s)))   otherwise,
 
     with k the position of s among the facets of up(s).  The field is a
-    gradient field, so the recursion is well founded."""
+    gradient field, so the recursion is well founded.  With `_unsigned` as
+    `combine` it counts the paths; with `_split` it counts them by weight."""
     up, down, facets = gvf._up, gvf._down, gvf.complex._table.facets
+    own = (lambda s: (s, 1)) if combine is _split else (lambda s: s)
 
     def links(s: int):
         t = up[s]
         if t < 0:
-            return ({s: 1} if down[s] < 0 else {}), ()
+            return ({own(s): 1} if down[s] < 0 else {}), ()
         k = facets[t].index(s)
         c = -_sign(k)
         return {}, [(c * _sign(j), f) for j, f in enumerate(facets[t]) if j != k]
 
-    return _memoised(links)
+    return _memoised(links, combine)
 
 
-def _facet_sum(facets: list[tuple[int, ...]], tau: int, value) -> Column:
+def _facet_sum(facets: list[tuple[int, ...]], tau: int, value, combine=_combine) -> Column:
     """sum_j (-1)^j value(facet_j(tau)): from a flow, the boundary of the
     critical id tau, i.e. the summed weights of its extended trajectories."""
-    return _combine({}, ((_sign(j), value(f)) for j, f in enumerate(facets[tau])))
+    return combine({}, ((_sign(j), value(f)) for j, f in enumerate(facets[tau])))
 
 
 def _boundary(gvf: GradientField) -> Callable[[int], Column]:

@@ -61,9 +61,9 @@ from .homology import Column, HomologyResult, IntegerChainComplex, _dense, homol
 from .morse import (
     DEFAULT_SEED,
     GradientField,
-    Trajectory,
     VectorField,
     _boundary_columns,
+    _combine,
     _facet_sum,
     _flow,
     _grouped,
@@ -73,10 +73,10 @@ from .morse import (
     _steps,
     _trajectory_complex,
     _trajectory_ids,
+    _unsigned,
     _walk,
     _path_weight,
     greedy_gvf,
-    validate_trajectory,
 )
 
 __all__ = [
@@ -90,7 +90,6 @@ __all__ = [
     "mv_generators",
     "enumerate_mv",
     "mv_trajectories_from",
-    "validate_mv_trajectory",
     "mv_boundary",
     "mv_chain_complex",
     "mv_homology",
@@ -445,57 +444,7 @@ def enumerate_mv(
     return mv_trajectories_from(d, beta).get(alpha, [])
 
 
-def validate_mv_trajectory(d: Decomposition, t: MVTrajectory) -> None:
-    """Recheck a trajectory against the raw case conditions (membership and
-    non-membership in the three fields, facet relations, criticality of the
-    endpoints), independently of the enumerator's bookkeeping."""
-    if t.steps[0] != t.beta.simplex:
-        raise InternalConsistencyError("trajectory does not start at beta")
-    route = {
-        1: (FROM_A, FROM_A),
-        2: (FROM_B, FROM_B),
-        3: (SHIFTED, SHIFTED),
-        4: (SHIFTED, FROM_A),
-        5: (SHIFTED, FROM_B),
-    }.get(t.case)
-    if route is None:
-        raise InternalConsistencyError(f"unknown case {t.case}")
-    if (t.beta.tag, t.alpha.tag) != route:
-        raise InternalConsistencyError(f"case {t.case} cannot join {t.beta} to {t.alpha}")
-
-    if t.case in (1, 2, 3):
-        gvf = {1: d.w_a, 2: d.w_b, 3: d.w_i}[t.case]
-        validate_trajectory(gvf, Trajectory(t.steps))
-        if abs(t.steps[-1]) != t.alpha.simplex:
-            raise InternalConsistencyError("trajectory does not end at alpha")
-        return
-
-    wi, pv = d.w_i.field, (d.w_a if t.case == 4 else d.w_b).field
-    if t.p is None or t.l is None or t.p < 0 or t.l < 0:
-        raise InternalConsistencyError("cases 4/5 need p, l >= 0")
-    if len(t.steps) != 2 * (t.p + t.l) + 2:
-        raise InternalConsistencyError("step count does not match p and l")
-    cut = 2 * t.p + 1
-    i_steps, a_steps = t.steps[:cut], t.steps[cut:]
-    for j in range(1, len(i_steps), 2):
-        sigma, prev, here = i_steps[j], i_steps[j - 1], i_steps[j + 1]
-        if not sigma.is_face_of(prev) or wi.down(prev) == abs(sigma):
-            raise InternalConsistencyError(f"illegal descent step {sigma} from {prev}")
-        if wi.up(sigma) != abs(here):
-            raise InternalConsistencyError(f"({sigma}, {here}) is not an I-field pair")
-    if a_steps[0] != d.transfer(i_steps[-1], t.alpha.tag):
-        raise InternalConsistencyError("transfer step does not match the descent end")
-    for j in range(1, len(a_steps), 2):
-        alpha_j, prev, here = a_steps[j], a_steps[j - 1], a_steps[j + 1]
-        if pv.up(prev) != abs(alpha_j):
-            raise InternalConsistencyError(f"({prev}, {alpha_j}) is not a pair of the field")
-        if not here.is_face_of(alpha_j) or here == prev:
-            raise InternalConsistencyError(f"illegal ascent step {here} under {alpha_j}")
-    if pv.is_matched(a_steps[-1]) or abs(a_steps[-1]) != t.alpha.simplex:
-        raise InternalConsistencyError("ascent does not end at the critical alpha")
-
-
-def _mixed_flow(wi: GradientField, flow: Callable[[int], Column]) -> Callable[[int], Column]:
+def _mixed_flow(wi: GradientField, flow: Callable[[int], Column], combine=_combine):
     """Cases 4/5 on ids, memoised, for the piece whose flow is `flow`:
 
         D(tau) = flow(tau) + sum over the I-steps (sigma, nu) from tau of
@@ -504,7 +453,8 @@ def _mixed_flow(wi: GradientField, flow: Callable[[int], Column]) -> Callable[[i
     an I-step being a facet sigma of tau other than down_I(tau) with
     nu = up_I(sigma).  D(tau) counts every descent in the I-copy from tau,
     transferred into the piece (which keeps the id and the sign) and
-    followed by every ascent there; the ascent is the piece's flow."""
+    followed by every ascent there; the ascent is the piece's flow, and
+    `combine` sums as in `morse._flow`."""
     up, down, facets = wi._up, wi._down, wi.complex._table.facets
 
     def links(tau: int):
@@ -515,29 +465,34 @@ def _mixed_flow(wi: GradientField, flow: Callable[[int], Column]) -> Callable[[i
                 arcs.append((-_sign(j) * _sign(facets[nu].index(sigma)), nu))
         return flow(tau), arcs
 
-    return _memoised(links)
+    return _memoised(links, combine)
 
 
-def _mv_column(d: Decomposition) -> Callable[[tuple[str, int]], dict]:
+def _mv_column(d: Decomposition, signed: bool = True) -> Callable[[tuple[str, int]], dict]:
     """The MV boundary on generator keys: (tag, id) -> {(tag, id): entry},
-    each route's flow times the sign of its case."""
+    each route's flow times the sign of its case; unsigned, the entry
+    counts the trajectories instead."""
     facets = d.x._table.facets
+    combine, signs = _combine, _CASE_SIGN
+    if not signed:
+        combine, signs = _unsigned, dict.fromkeys(_CASE_SIGN, 1)
     flows = {
-        tag: _flow(gvf)
+        tag: _flow(gvf, combine)
         for tag, gvf in ((FROM_A, d.w_a), (FROM_B, d.w_b), (SHIFTED, d.w_i))
         if gvf is not None
     }
     mixed = []
     if d.w_i is not None:
         mixed = [
-            (tag, _CASE_SIGN[case], _mixed_flow(d.w_i, flows[tag]))
+            (tag, signs[case], _mixed_flow(d.w_i, flows[tag], combine))
             for tag, case in ((FROM_A, 4), (FROM_B, 5))
         ]
 
     def column(key: tuple[str, int]) -> dict:
         tag, i = key
-        sign = _CASE_SIGN[_OWN_CASE[tag]]
-        out = {(tag, r): sign * v for r, v in _facet_sum(facets, i, flows[tag]).items()}
+        sign = signs[_OWN_CASE[tag]]
+        own = _facet_sum(facets, i, flows[tag], combine)
+        out = {(tag, r): sign * v for r, v in own.items()}
         if tag == SHIFTED:
             for target, case_sign, descend in mixed:
                 out.update(((target, r), case_sign * v) for r, v in descend(i).items())

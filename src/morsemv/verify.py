@@ -56,6 +56,16 @@ target order equal the target's, and the Thom-Smale homology equals the
 target's.  Once the bijection and every matrix match, the Thom-Smale complex
 is the target complex, so its homology is taken from the target; it is
 computed from the Thom-Smale matrices only when a matrix differs.
+
+The per-pair checks of `check_main_iso` compare counts and signed sums from
+flows, not lists of trajectories.  Every weight is +1 or -1, so a pair's
+weight multiset is fixed by the number N of its trajectories and their
+signed sum S.  Upstairs, one split flow of W (Forman's flow with the sign
+in the key) gives N, S and the boundary; in MV, S is the target's entry and
+N comes from unsigned flows.  A trajectory's case is fixed by the pieces at
+its ends unless it takes a step off the five shapes, and one scan over the
+reachable arcs finds any such step.  Only the `trajectories` command
+enumerates trajectories.
 """
 from __future__ import annotations
 
@@ -66,6 +76,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 from .complexes import Simplex, SimplicialComplex
 from .errors import InternalConsistencyError, MorsemvError
 from .homology import (
+    Column,
     HomologyResult,
     IntegerChainComplex,
     homology,
@@ -75,9 +86,10 @@ from .morse import (
     GradientField,
     _boundary,
     _boundary_columns,
-    _grouped,
-    _trajectory_ids,
-    _path_weight,
+    _facet_sum,
+    _flow,
+    _split,
+    _steps,
 )
 from .mv import (
     FROM_A,
@@ -86,9 +98,9 @@ from .mv import (
     Decomposition,
     MVGenerator,
     _generator,
+    _generator_keys,
+    _mv_column,
     mv_chain_complex,
-    mv_generators,
-    mv_trajectories_from,
 )
 
 __all__ = [
@@ -100,8 +112,10 @@ __all__ = [
     "check_main_iso",
 ]
 
-# the piece of an X~ cell
+# the piece of an X~ cell; the tag f gives its critical cells, and its name
 _A, _B, _INTERIOR = 0, 1, 2
+_PIECE_TAG = (FROM_A, FROM_B, SHIFTED)
+_PIECE_NAME = ("A-copy", "B-copy", "interior")
 
 
 @dataclass(frozen=True)
@@ -306,6 +320,7 @@ class _Checks:
 def _compare(
     checks: _Checks,
     gvf: GradientField,
+    column: Callable[[int], Column],
     source: str,
     image: Callable[[int], Hashable],
     bijective: str,
@@ -313,17 +328,19 @@ def _compare(
     homologies: Sequence[tuple[str, HomologyResult]],
     pair_checks: Callable[[dict[int, Hashable]], None] | None = None,
 ) -> None:
-    """Compare the Thom-Smale complex of `gvf`, named `source` in reports,
-    with `target`, whose labels name its generators in target order.
+    """Compare the Thom-Smale complex of `gvf`, whose boundary `column`
+    maps a critical id to its column (from Forman's flow), named `source`
+    in reports, with `target`, whose labels name its generators in target
+    order.
 
     Adds the check `bijective` (`image` maps the critical cells of each
     degree, given by id, bijectively onto that degree's labels), then whatever
     `pair_checks` adds given the image of every critical id, then
     `boundary_matrices_equal` (with each degree's cells ordered by their
-    image, the Thom-Smale boundaries, from Forman's flow, equal the
-    target's) and `homology_equal` (the Thom-Smale homology equals each
-    named group, the target's first).  Stops after the first check when the
-    bijection fails."""
+    image, the Thom-Smale boundaries equal the target's) and
+    `homology_equal` (the Thom-Smale homology equals each named group, the
+    target's first).  Stops after the first check when the bijection
+    fails."""
     critical = gvf._critical_ids
     try:
         image_of = {i: image(i) for i in _critical_ids(gvf)}
@@ -345,7 +362,6 @@ def _compare(
 
     preimage = {label: i for i, label in image_of.items()}
     ordered = [[preimage[label] for label in labels] for labels in target.labels]
-    column = _boundary(gvf)
     got = [
         _boundary_columns(ordered[q - 1], ordered[q], column)
         for q in range(1, target.top + 1)
@@ -409,8 +425,8 @@ def check_iso_simplicial(xt: XTilde) -> VerifyReport:
     )
     # g: critical cells of V -> simplices of X (drop the copy tag)
     _compare(
-        checks, v, "(X~,V)", lambda i: d.x._simplex(xt._ground[i]), "g_bijective",
-        xt.x_chains, [("X", xt.x_homology)],
+        checks, v, _boundary(v), "(X~,V)", lambda i: d.x._simplex(xt._ground[i]),
+        "g_bijective", xt.x_chains, [("X", xt.x_homology)],
     )
     return checks.report()
 
@@ -419,7 +435,7 @@ def _f_image(xt: XTilde, i: int) -> MVGenerator:
     """f: critical cells of W -> MV generators."""
     piece = xt._piece[i]
     if piece != _INTERIOR:
-        return _generator(FROM_A if piece == _A else FROM_B, xt.complex._simplex(i))
+        return _generator(_PIECE_TAG[piece], xt.complex._simplex(i))
     alpha = xt._ground[i]
     ground = xt.decomposition.iab_bar.complex._simplex(alpha)
     if i != xt._members[alpha][0][0]:
@@ -430,27 +446,55 @@ def _f_image(xt: XTilde, i: int) -> MVGenerator:
     return _generator(SHIFTED, ground)
 
 
-def _classify_w_trajectory(xt: XTilde, steps: Sequence[int]) -> int:
-    """Which of the five shapes a W-trajectory between critical cells, given
-    as X~ ids, has.  Raises InternalConsistencyError when it fits none
-    (which would refute the classification the whole construction rests
-    on)."""
-    pieces = [xt._piece[i] for i in steps]
-    first, last = pieces[0], pieces[-1]
-    if first != _INTERIOR:
-        if pieces.count(first) == len(pieces):
-            return 1 if first == _A else 2
-        raise InternalConsistencyError(
-            f"trajectory leaves the {'A' if first == _A else 'B'}-copy"
-        )
-    if last == _INTERIOR:
-        if pieces.count(_INTERIOR) == len(pieces):
-            return 3
-        raise InternalConsistencyError("interior trajectory leaves the interior")
-    crossing = next(k for k, p in enumerate(pieces) if p != _INTERIOR)
-    if crossing % 2 == 1 and pieces.count(last) == len(pieces) - crossing:
-        return 4 if last == _A else 5
-    raise InternalConsistencyError("mixed trajectory has no clean crossing")
+def _w_tallies(gvf: GradientField, flow: Callable[[int], Column]) -> dict:
+    """{tau: {r: (count, sum)}} over the critical ids of W: the number of
+    trajectories from tau to r and the sum of their weights, from its split
+    flow.  Every weight is +1 or -1, so the two fix the weight multiset."""
+    facets, out = gvf.complex._table.facets, {}
+    for tau in _critical_ids(gvf):
+        tally = out[tau] = {}
+        for (r, w), n in _facet_sum(facets, tau, flow, _split).items():
+            count, total = tally.get(r, (0, 0))
+            tally[r] = (count + n, total + w * n)
+    return out
+
+
+def _mv_tallies(d: Decomposition, target: IntegerChainComplex) -> dict:
+    """{beta: {alpha: (count, sum)}} over MV generator keys: the count of
+    the trajectories from unsigned flows, their sum from `target`'s columns."""
+    counts = _mv_column(d, signed=False)
+    out = {}
+    for q, columns in enumerate(target.columns, start=1):
+        rows = _generator_keys(d, q - 1)
+        for beta, column in zip(_generator_keys(d, q), columns):
+            tally = out[beta] = {alpha: (n, 0) for alpha, n in counts(beta).items()}
+            for i, total in column.items():
+                tally[rows[i]] = (tally.get(rows[i], (0, 0))[0], total)
+    return out
+
+
+def _forbidden_step(xt: XTilde, gvf: GradientField, flow: Callable[[int], Column]) -> str:
+    """The first step off the five shapes on a W-trajectory between critical
+    cells, named, or "".  A trajectory keeps its piece, except that one from
+    the prism interior may leave it once, by a step down to a facet.  A step
+    lies on such a trajectory when its source is reachable from a critical
+    cell and the split flow `flow` of W is not empty at its target."""
+    up, down, facets, piece = gvf._up, gvf._down, xt.complex._table.facets, xt._piece
+    todo = list(itertools.chain.from_iterable(gvf._critical_ids[1:]))
+    seen = bytearray(len(facets))
+    for tau in todo:  # grows while it is read
+        for sigma, nu in _steps(up, down, facets, tau):
+            if not flow(sigma):
+                continue
+            # the step down may leave the interior; there is no step up at nu < 0
+            for x, y, free in ((tau, sigma, piece[tau] == _INTERIOR), (sigma, nu, nu < 0)):
+                if not free and piece[x] != piece[y]:
+                    step = " -> ".join(map(str, xt.complex._simplices_of((x, y))))
+                    return f"trajectory leaves the {_PIECE_NAME[piece[x]]} at {step}"
+            if nu >= 0 and not seen[nu]:
+                seen[nu] = 1
+                todo.append(nu)
+    return ""
 
 
 def check_main_iso(xt: XTilde) -> VerifyReport:
@@ -470,52 +514,42 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
         return checks.report()
 
     target = mv_chain_complex(d)
-    facets = xt.complex._table.facets.__getitem__
+    # one split flow of W gives its boundary, its tallies and the scan
+    flow = _flow(gvf, _split)
+    upstairs = _w_tallies(gvf, flow)
 
     def pair_checks(f_of: dict[int, MVGenerator]) -> None:
-        # every trajectory upstairs (as X~ ids) and in MV, enumerated once
-        # per critical cell
-        mv = {beta: mv_trajectories_from(d, beta) for beta in mv_generators(d) if beta.degree}
-        critical = gvf._critical_ids
-        below = {tau: critical[q - 1] for q in range(1, len(critical)) for tau in critical[q]}
-        counts_ok = weights_ok = classes_ok = True
+        # MV's tallies move onto W's critical ids along f
+        key = {i: (_PIECE_TAG[xt._piece[i]], xt._ground[i]) for i in f_of}
+        at, mv = {k: i for i, k in key.items()}, _mv_tallies(d, target)
+        critical, compared = gvf._critical_ids, 0
         c_detail = w_detail = k_detail = ""
-        pairs_compared = 0
-        for tau, sigmas in below.items():
-            paths = _grouped(_trajectory_ids(gvf, tau))
-            for sigma in sigmas:
-                g_list = paths.get(sigma, [])
-                m_list = mv[f_of[tau]].get(f_of[sigma], [])
-                pairs_compared += 1
-                if counts_ok and len(g_list) != len(m_list):
-                    counts_ok = False
-                    c_detail = (
-                        f"{f_of[tau]} -> {f_of[sigma]}: "
-                        f"{len(g_list)} trajectories upstairs, {len(m_list)} in MV"
-                    )
-                if weights_ok and sorted(
-                    _path_weight(steps, facets) for steps in g_list
-                ) != sorted(t.weight for t in m_list):
-                    weights_ok = False
-                    w_detail = f"{f_of[tau]} -> {f_of[sigma]}: weight multisets differ"
-                if classes_ok:
-                    try:
-                        up = sorted(_classify_w_trajectory(xt, steps) for steps in g_list)
-                    except InternalConsistencyError as e:
-                        up, classes_ok, k_detail = None, False, str(e)
-                    if up is not None and up != sorted(t.case for t in m_list):
-                        classes_ok = False
-                        k_detail = f"{f_of[tau]} -> {f_of[sigma]}: case multisets differ"
-        checks.add(
-            "trajectory_counts_match",
-            counts_ok,
-            c_detail or f"{pairs_compared} critical pairs compared",
-        )
-        checks.add("trajectory_weights_match", weights_ok, w_detail)
-        checks.add("trajectory_classification", classes_ok, k_detail)
+        for q in range(1, len(critical)):
+            rank = {sigma: k for k, sigma in enumerate(critical[q - 1])}
+            compared += len(critical[q]) * len(critical[q - 1])
+            for tau in critical[q]:
+                g = upstairs[tau]
+                m = {at[alpha]: n for alpha, n in mv.get(key[tau], {}).items()}
+                for sigma in sorted(g.keys() | m.keys(), key=rank.__getitem__):
+                    have, want = g.get(sigma, (0, 0)), m.get(sigma, (0, 0))
+                    if have == want:
+                        continue
+                    pair = f"{f_of[tau]} -> {f_of[sigma]}"
+                    if have[0] != want[0] and not c_detail:
+                        c_detail = f"{pair}: {have[0]} trajectories upstairs, {want[0]} in MV"
+                        k_detail = f"{pair}: case multisets differ"
+                    w_detail = w_detail or f"{pair}: weight multisets differ"
+        checks.add("trajectory_counts_match", not c_detail,
+                   c_detail or f"{compared} critical pairs compared")
+        checks.add("trajectory_weights_match", not w_detail, w_detail)
+        # the pieces at its ends fix a trajectory's case unless it takes a
+        # forbidden step, so the case multisets match when the counts do
+        k_detail = _forbidden_step(xt, gvf, flow) or k_detail
+        checks.add("trajectory_classification", not k_detail, k_detail)
 
     _compare(
-        checks, gvf, "(X~,W)", lambda i: _f_image(xt, i), "f_bijective_onto_generators",
+        checks, gvf, lambda tau: {r: total for r, (_, total) in upstairs[tau].items() if total},
+        "(X~,W)", lambda i: _f_image(xt, i), "f_bijective_onto_generators",
         target, [("MV", homology(target)), ("X", xt.x_homology)], pair_checks,
     )
     return checks.report()

@@ -252,18 +252,21 @@ def random_small_complex(rng: random.Random) -> SimplicialComplex:
 def lose_trajectories(monkeypatch):
     """lose(side) makes `verify` see no trajectories on one side of its
     comparisons.  "trajectories_from" loses those of the gradient fields on
-    X~: their enumeration and their flow.  "mv_trajectories_from" loses the
-    Mayer-Vietoris ones: their enumeration and the MV boundary."""
+    X~: V's flow, behind its boundary, and W's split flow, behind W's
+    boundary, its per-pair counts and the classification scan.
+    "mv_trajectories_from" loses the Mayer-Vietoris ones: the MV columns,
+    signed (the target complex and its sums) and unsigned (the counts)."""
     verify = importlib.import_module("morsemv.verify")
     mv = importlib.import_module("morsemv.mv")
+    no_columns = lambda d, signed=True: lambda key: {}
     patches = {
         "trajectories_from": [
-            (verify, "_trajectory_ids", lambda *args: iter(())),
             (verify, "_boundary", lambda gvf: lambda tau: {}),
+            (verify, "_flow", lambda gvf, combine: lambda s: {}),
         ],
         "mv_trajectories_from": [
-            (verify, "mv_trajectories_from", lambda *args: {}),
-            (mv, "_mv_column", lambda d: lambda key: {}),
+            (mv, "_mv_column", no_columns),
+            (verify, "_mv_column", no_columns),
         ],
     }
 

@@ -17,16 +17,39 @@ The prism references are the Simplex-set construction of X~ and of its
 fields V and W that `morsemv.verify` ran before it moved onto X~'s ids:
 the block formula on vertex names, the prism closed on its own, and the
 pairs of V and W written cell by cell.
+
+The trajectory references list trajectories one by one: the validators
+recheck each enumerated trajectory against the raw definition, and the
+per-pair checks of `check_main_iso` are run here as they ran before they
+were read off flows, on every trajectory of (X~, W) and of the
+Mayer-Vietoris complex, each trajectory classified by its pieces.
 """
 from __future__ import annotations
 
 import heapq
 import random
 
-from morsemv import Simplex, SimplicialComplex, VectorField, incidence
+from morsemv import (
+    InternalConsistencyError,
+    MVTrajectory,
+    Simplex,
+    SimplicialComplex,
+    Trajectory,
+    VectorField,
+    incidence,
+)
 from morsemv.complexes import union
-from morsemv.morse import DEFAULT_SEED
-from morsemv.mv import Decomposition
+from morsemv.morse import DEFAULT_SEED, GradientField, _grouped, _path_weight, _trajectory_ids
+from morsemv.mv import (
+    FROM_A,
+    FROM_B,
+    SHIFTED,
+    Decomposition,
+    _require_generator,
+    mv_generators,
+    mv_trajectories_from,
+)
+from morsemv.verify import _A, _INTERIOR, CheckResult, XTilde, _build_w_field, _f_image
 
 
 def reference_greedy(
@@ -266,3 +289,193 @@ def reference_w_pairs(d: Decomposition) -> set[tuple[Simplex, Simplex]]:
             (p.b_member(gamma, r), p.a_member(gamma, r)) for r in range(1, gamma.dim + 1)
         )
     return pairs
+
+
+def validate_trajectory(gvf: GradientField, t: Trajectory) -> None:
+    """Recheck every side condition of the trajectory definition against the
+    raw field, raising InternalConsistencyError on the first violation.
+    Deliberately independent of how the enumerator walks the complex."""
+    v, x = gvf.field, gvf.complex
+    steps = t.steps
+    q = steps[0].dim
+    for i, s in enumerate(steps):
+        if s not in x:
+            raise InternalConsistencyError(f"step {i} = {s} is not in the complex")
+        want = q - 1 if i % 2 else q
+        if s.dim != want:
+            raise InternalConsistencyError(f"step {i} = {s} has dimension {s.dim}, expected {want}")
+    for i in range(1, len(steps), 2):
+        sigma, tau_prev = steps[i], steps[i - 1]
+        if not sigma.is_face_of(tau_prev):
+            raise InternalConsistencyError(f"{sigma} is not a facet of {tau_prev}")
+        # the downward step must leave the matching
+        if v.down(tau_prev) == abs(sigma):
+            raise InternalConsistencyError(f"({sigma}, {tau_prev}) lies in the field")
+        if i + 1 < len(steps):
+            tau_next = steps[i + 1]
+            if v.up(sigma) != abs(tau_next):
+                raise InternalConsistencyError(f"({sigma}, {tau_next}) is not a pair of the field")
+
+
+def validate_mv_trajectory(d: Decomposition, t: MVTrajectory) -> None:
+    """Recheck a trajectory against the raw case conditions (membership and
+    non-membership in the three fields, facet relations, criticality of the
+    endpoints), independently of the enumerator's bookkeeping."""
+    if t.steps[0] != t.beta.simplex:
+        raise InternalConsistencyError("trajectory does not start at beta")
+    route = {
+        1: (FROM_A, FROM_A),
+        2: (FROM_B, FROM_B),
+        3: (SHIFTED, SHIFTED),
+        4: (SHIFTED, FROM_A),
+        5: (SHIFTED, FROM_B),
+    }.get(t.case)
+    if route is None:
+        raise InternalConsistencyError(f"unknown case {t.case}")
+    if (t.beta.tag, t.alpha.tag) != route:
+        raise InternalConsistencyError(f"case {t.case} cannot join {t.beta} to {t.alpha}")
+
+    if t.case in (1, 2, 3):
+        gvf = {1: d.w_a, 2: d.w_b, 3: d.w_i}[t.case]
+        validate_trajectory(gvf, Trajectory(t.steps))
+        if abs(t.steps[-1]) != t.alpha.simplex:
+            raise InternalConsistencyError("trajectory does not end at alpha")
+        return
+
+    wi, pv = d.w_i.field, (d.w_a if t.case == 4 else d.w_b).field
+    if t.p is None or t.l is None or t.p < 0 or t.l < 0:
+        raise InternalConsistencyError("cases 4/5 need p, l >= 0")
+    if len(t.steps) != 2 * (t.p + t.l) + 2:
+        raise InternalConsistencyError("step count does not match p and l")
+    cut = 2 * t.p + 1
+    i_steps, a_steps = t.steps[:cut], t.steps[cut:]
+    for j in range(1, len(i_steps), 2):
+        sigma, prev, here = i_steps[j], i_steps[j - 1], i_steps[j + 1]
+        if not sigma.is_face_of(prev) or wi.down(prev) == abs(sigma):
+            raise InternalConsistencyError(f"illegal descent step {sigma} from {prev}")
+        if wi.up(sigma) != abs(here):
+            raise InternalConsistencyError(f"({sigma}, {here}) is not an I-field pair")
+    if a_steps[0] != d.transfer(i_steps[-1], t.alpha.tag):
+        raise InternalConsistencyError("transfer step does not match the descent end")
+    for j in range(1, len(a_steps), 2):
+        alpha_j, prev, here = a_steps[j], a_steps[j - 1], a_steps[j + 1]
+        if pv.up(prev) != abs(alpha_j):
+            raise InternalConsistencyError(f"({prev}, {alpha_j}) is not a pair of the field")
+        if not here.is_face_of(alpha_j) or here == prev:
+            raise InternalConsistencyError(f"illegal ascent step {here} under {alpha_j}")
+    if pv.is_matched(a_steps[-1]) or abs(a_steps[-1]) != t.alpha.simplex:
+        raise InternalConsistencyError("ascent does not end at the critical alpha")
+
+
+def classify_w_trajectory(xt: XTilde, steps) -> int:
+    """Which of the five shapes a W-trajectory between critical cells, given
+    as X~ ids, has.  Raises InternalConsistencyError when it fits none
+    (which would refute the classification the whole construction rests
+    on)."""
+    pieces = [xt._piece[i] for i in steps]
+    first, last = pieces[0], pieces[-1]
+    if first != _INTERIOR:
+        if pieces.count(first) == len(pieces):
+            return 1 if first == _A else 2
+        raise InternalConsistencyError(
+            f"trajectory leaves the {'A' if first == _A else 'B'}-copy"
+        )
+    if last == _INTERIOR:
+        if pieces.count(_INTERIOR) == len(pieces):
+            return 3
+        raise InternalConsistencyError("interior trajectory leaves the interior")
+    crossing = next(k for k, p in enumerate(pieces) if p != _INTERIOR)
+    if crossing % 2 == 1 and pieces.count(last) == len(pieces) - crossing:
+        return 4 if last == _A else 5
+    raise InternalConsistencyError("mixed trajectory has no clean crossing")
+
+
+def listed_trajectories_fit(xt: XTilde, gvf: GradientField) -> bool:
+    """Whether every trajectory of gvf on X~ between critical cells, listed
+    one by one, fits one of the five shapes."""
+    try:
+        for ids in gvf._critical_ids:
+            for tau in ids:
+                for steps in _trajectory_ids(gvf, tau):
+                    classify_w_trajectory(xt, steps)
+    except InternalConsistencyError:
+        return False
+    return True
+
+
+def enumerated_w_tallies(gvf: GradientField) -> dict[int, dict[int, tuple[int, int]]]:
+    """{tau: {sigma: (count, weight sum)}} over the critical ids of gvf, from
+    its trajectories listed one by one; pairs without one are left out."""
+    facets = gvf.complex._table.facets.__getitem__
+    return {
+        tau: {
+            sigma: (len(paths), sum(_path_weight(steps, facets) for steps in paths))
+            for sigma, paths in _grouped(_trajectory_ids(gvf, tau)).items()
+        }
+        for ids in gvf._critical_ids
+        for tau in ids
+    }
+
+
+def enumerated_mv_tallies(d: Decomposition) -> dict:
+    """{beta: {alpha: (count, weight sum)}} over MV generator keys (tag, id)
+    of positive degree, from `mv_trajectories_from`."""
+    key = lambda g: (g.tag, _require_generator(d, g))
+    return {
+        key(beta): {
+            key(alpha): (len(ts), sum(t.weight for t in ts))
+            for alpha, ts in mv_trajectories_from(d, beta).items()
+        }
+        for beta in mv_generators(d)
+        if beta.degree
+    }
+
+
+def enumerated_pair_checks(xt: XTilde) -> tuple[CheckResult, ...]:
+    """`trajectory_counts_match`, `trajectory_weights_match` and
+    `trajectory_classification` of `check_main_iso`, from every trajectory
+    upstairs (as X~ ids) and in MV, enumerated once per critical cell."""
+    d = xt.decomposition
+    gvf = _build_w_field(xt)
+    critical = gvf._critical_ids
+    f_of = {i: _f_image(xt, i) for ids in critical for i in ids}
+    facets = xt.complex._table.facets.__getitem__
+    mv = {beta: mv_trajectories_from(d, beta) for beta in mv_generators(d) if beta.degree}
+    below = {tau: critical[q - 1] for q in range(1, len(critical)) for tau in critical[q]}
+    counts_ok = weights_ok = classes_ok = True
+    c_detail = w_detail = k_detail = ""
+    pairs_compared = 0
+    for tau, sigmas in below.items():
+        paths = _grouped(_trajectory_ids(gvf, tau))
+        for sigma in sigmas:
+            g_list = paths.get(sigma, [])
+            m_list = mv[f_of[tau]].get(f_of[sigma], [])
+            pairs_compared += 1
+            if counts_ok and len(g_list) != len(m_list):
+                counts_ok = False
+                c_detail = (
+                    f"{f_of[tau]} -> {f_of[sigma]}: "
+                    f"{len(g_list)} trajectories upstairs, {len(m_list)} in MV"
+                )
+            if weights_ok and sorted(
+                _path_weight(steps, facets) for steps in g_list
+            ) != sorted(t.weight for t in m_list):
+                weights_ok = False
+                w_detail = f"{f_of[tau]} -> {f_of[sigma]}: weight multisets differ"
+            if classes_ok:
+                try:
+                    up = sorted(classify_w_trajectory(xt, steps) for steps in g_list)
+                except InternalConsistencyError as e:
+                    up, classes_ok, k_detail = None, False, str(e)
+                if up is not None and up != sorted(t.case for t in m_list):
+                    classes_ok = False
+                    k_detail = f"{f_of[tau]} -> {f_of[sigma]}: case multisets differ"
+    return (
+        CheckResult(
+            "trajectory_counts_match",
+            counts_ok,
+            c_detail or f"{pairs_compared} critical pairs compared",
+        ),
+        CheckResult("trajectory_weights_match", weights_ok, w_detail),
+        CheckResult("trajectory_classification", classes_ok, k_detail),
+    )

@@ -35,7 +35,7 @@ from morsemv import (
 )
 from morsemv import errors
 from morsemv.cli import main
-from morsemv.mv import mv_boundary, validate_mv_trajectory
+from morsemv.mv import mv_boundary
 from conftest import (
     corpus_complexes,
     expected_homology,
@@ -44,6 +44,7 @@ from conftest import (
     random_cover,
     random_small_complex,
 )
+from slow_reference import validate_mv_trajectory
 
 
 def corpus_instances():

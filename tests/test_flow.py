@@ -5,7 +5,10 @@ ids (`morse._flow`, and `mv._mixed_flow` for cases 4/5).  Here each one is
 compared, column for column, with `slow_reference.reference_columns`, which
 sums the weights of the enumerated trajectories with `incidence` and its
 own table of case signs, on the corpus covers, on hypothesis complexes and
-on a family whose trajectory count doubles with each layer.
+on a family whose trajectory count doubles with each layer.  On that family
+`verify`'s per-pair counts, also read off flows, are checked against the
+enumeration as well, and at 40 layers `verify` runs where no enumeration
+could.
 """
 from __future__ import annotations
 
@@ -24,6 +27,8 @@ from morsemv import (
     VectorField,
     build_decomposition,
     build_xtilde,
+    check_iso_simplicial,
+    check_main_iso,
     enumerate_mv,
     greedy_gvf,
     homology,
@@ -35,7 +40,7 @@ from morsemv import (
     trajectories_from,
 )
 from morsemv.cli import main
-from morsemv.morse import _memoised
+from morsemv.morse import _flow, _memoised, _split
 from morsemv.mv import (
     FROM_A,
     SHIFTED,
@@ -44,10 +49,11 @@ from morsemv.mv import (
     mv_boundary,
     mv_trajectories_from,
 )
-from morsemv.verify import _build_v_field, _build_w_field
+from morsemv.verify import _PIECE_TAG, _build_v_field, _build_w_field, _mv_tallies, _w_tallies
 from conftest import branching_complex, corpus_complexes, random_cover, random_small_complex
 from slow_reference import reference_complex_columns, reference_weight
 from test_mv import COVERS, cover_decompositions
+from test_verify import assert_counts_match_enumeration
 
 
 def thom_smale_reference(gvf: GradientField) -> list[list[dict[int, int]]]:
@@ -136,6 +142,33 @@ def branching_decompositions(layers: int):
     yield build_decomposition(x, x, x, fields={"I": pairs})
 
 
+def pair_counts(xt, tag: str, top, bottom) -> tuple[int, int]:
+    """The number of trajectories from `top` to `bottom`, simplices of X
+    whose copies tagged `tag` are critical, upstairs in (X~, W) and in MV,
+    as `check_main_iso` reads them off the flows."""
+    d = xt.decomposition
+    w = _build_w_field(xt)
+    cell = {(_PIECE_TAG[xt._piece[i]], xt._ground[i]): i for ids in w._critical_ids for i in ids}
+    beta, alpha = (tag, d.x._id(top)), (tag, d.x._id(bottom))
+    upstairs = _w_tallies(w, _flow(w, _split))[cell[beta]][cell[alpha]]
+    return upstairs[0], _mv_tallies(d, mv_chain_complex(d))[beta][alpha][0]
+
+
+def write_branching(directory, layers: int):
+    """The branching complex and its split with A's field pinned (the first
+    of `branching_decompositions`) as a complex and a decomposition file."""
+    x, pairs, top, _ = branching_complex(layers)
+    cx, dec = directory / "x.cx", directory / "x.dec"
+    cx.write_text("".join(" ".join(s.vertices) + "\n" for s in x.maximal_simplices))
+    dec.write_text(
+        "[A]\n" + "".join(" ".join(s.vertices) + "\n" for s in x.maximal_simplices)
+        + "[B]\n" + " ".join(top.vertices) + "\n[fields]\n"
+        + "".join(f"A: {' '.join(s.vertices)} -> {' '.join(t.vertices)}\n"
+                  for s, t in pairs)
+    )
+    return str(cx), str(dec)
+
+
 class TestBranchingFamily:
     @pytest.mark.parametrize("layers", [1, 2, 3, 5, 7])
     def test_count_doubles_and_flow_matches(self, layers):
@@ -172,17 +205,32 @@ class TestBranchingFamily:
         for d in branching_decompositions(layers):
             assert mv_homology(d) == want
         # and through the command line, with the field pinned in the file
-        cx, dec = tmp_path / "x.cx", tmp_path / "x.dec"
-        cx.write_text("".join(" ".join(s.vertices) + "\n" for s in x.maximal_simplices))
-        dec.write_text(
-            "[A]\n" + "".join(" ".join(s.vertices) + "\n" for s in x.maximal_simplices)
-            + "[B]\n" + " ".join(top.vertices) + "\n[fields]\n"
-            + "".join(f"A: {' '.join(s.vertices)} -> {' '.join(t.vertices)}\n"
-                      for s, t in pairs)
-        )
-        assert main(["homology", "--complex", str(cx), "--decomposition", str(dec)]) == 0
+        cx, dec = write_branching(tmp_path, layers)
+        assert main(["homology", "--complex", cx, "--decomposition", dec]) == 0
         out = capsys.readouterr().out
         assert f"H_1 = Z^{layers}" in out and "H_2 = 0" in out
+
+    @pytest.mark.parametrize("layers", [1, 2, 3, 4, 5])
+    def test_verify_counts_double_and_match_enumeration(self, layers):
+        _, _, top, bottom = branching_complex(layers)
+        for d, tag in zip(branching_decompositions(layers), (FROM_A, SHIFTED)):
+            xt = build_xtilde(d)
+            assert pair_counts(xt, tag, top, bottom) == (2 ** layers, 2 ** layers)
+            assert_counts_match_enumeration(xt)
+
+    def test_forty_layers_verify(self, tmp_path, capsys):
+        """2**40 trajectories per pair, so only counts can check them."""
+        layers = 40
+        _, _, top, bottom = branching_complex(layers)
+        for d, tag in zip(branching_decompositions(layers), (FROM_A, SHIFTED)):
+            xt = build_xtilde(d)
+            report = check_main_iso(xt)
+            assert report.ok, str(report)
+            assert check_iso_simplicial(xt).ok
+            assert pair_counts(xt, tag, top, bottom) == (2 ** layers, 2 ** layers)
+        cx, dec = write_branching(tmp_path, layers)
+        assert main(["verify", "--complex", cx, "--decomposition", dec]) == 0
+        assert "verdict: PASS (12 checks)" in capsys.readouterr().out
 
 
 def test_long_trajectories_need_no_recursion():

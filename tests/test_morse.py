@@ -19,9 +19,9 @@ from morsemv import (
     thom_smale_complex,
     trajectories_from,
 )
-from morsemv.morse import DEFAULT_SEED, is_acyclic, validate_trajectory
+from morsemv.morse import DEFAULT_SEED, is_acyclic
 from conftest import corpus_complexes, expected_homology, octahedron
-from slow_reference import trajectory_weight
+from slow_reference import trajectory_weight, validate_trajectory
 
 
 def circle():

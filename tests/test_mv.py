@@ -23,7 +23,7 @@ from morsemv import (
     enumerate_mv,
     simplicial_homology,
 )
-from morsemv.mv import SHIFTED, mv_boundary, mv_trajectories_from, validate_mv_trajectory
+from morsemv.mv import SHIFTED, mv_boundary, mv_trajectories_from
 from conftest import (
     corpus_complexes,
     expected_homology,
@@ -31,6 +31,7 @@ from conftest import (
     octahedron_pieces,
     random_cover,
 )
+from slow_reference import validate_mv_trajectory
 from test_morse import brute_trajectories
 
 ALLOWED_ROUTES = {

@@ -9,6 +9,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morsemv import (
     IntegerChainComplex,
@@ -21,20 +23,43 @@ from morsemv import (
     check_iso_simplicial,
     check_main_iso,
     homology,
+    mv_chain_complex,
     mv_generators,
     simplicial_homology,
     thom_smale_complex,
     trajectories_from,
 )
 from morsemv.cli import main
-from morsemv.verify import _INTERIOR, _build_v_field, _build_w_field, _classify_w_trajectory
-from conftest import corpus_complexes, octahedron_fields, octahedron_pieces, random_cover
+from morsemv.morse import _flow, _split
+from morsemv.verify import (
+    _A,
+    _B,
+    _INTERIOR,
+    _build_v_field,
+    _build_w_field,
+    _forbidden_step,
+    _mv_tallies,
+    _w_tallies,
+)
+from conftest import (
+    corpus_complexes,
+    octahedron_fields,
+    octahedron_pieces,
+    random_cover,
+    random_small_complex,
+)
 from slow_reference import (
+    classify_w_trajectory,
+    enumerated_mv_tallies,
+    enumerated_pair_checks,
+    enumerated_w_tallies,
+    listed_trajectories_fit,
     reference_prism,
     reference_v_pairs,
     reference_w_pairs,
     reference_xtilde,
 )
+from test_mv import COVERS, cover_decompositions
 
 # the modules themselves: the package re-exports a function named `homology`
 homology_module = importlib.import_module("morsemv.homology")
@@ -240,13 +265,13 @@ class TestClassification:
         top = Simplex("A:v2 B:v2 B:v3")
         mid = Simplex("A:v2 B:v2")
         types = sorted(
-            _classify_w_trajectory(xt, ids(xt, t))
+            classify_w_trajectory(xt, ids(xt, t))
             for ts in trajectories_from(w, top).values()
             for t in ts
         )
         assert types == [3, 3]
         types = sorted(
-            _classify_w_trajectory(xt, ids(xt, t))
+            classify_w_trajectory(xt, ids(xt, t))
             for ts in trajectories_from(w, mid).values()
             for t in ts
         )
@@ -260,18 +285,94 @@ class TestClassification:
             if tau.dim == 0:
                 continue
             for ts in trajectories_from(w, tau).values():
-                seen.update(_classify_w_trajectory(xt, ids(xt, t)) for t in ts)
+                seen.update(classify_w_trajectory(xt, ids(xt, t)) for t in ts)
         assert 1 in seen and 2 in seen
 
     def test_unclassifiable_trajectory_raises(self, oct_xtilde):
         bogus = Trajectory([Simplex("A:v1 A:v5"), Simplex("B:v4")])
         with pytest.raises(InternalConsistencyError):
-            _classify_w_trajectory(oct_xtilde, ids(oct_xtilde, bogus))
+            classify_w_trajectory(oct_xtilde, ids(oct_xtilde, bogus))
         # leaves the interior into the B-copy, then crosses into the A-copy
         bogus = Trajectory([Simplex("A:v2 B:v2"), Simplex("B:v2"),
                             Simplex("B:v2 B:v3"), Simplex("A:v3")])
         with pytest.raises(InternalConsistencyError, match="no clean crossing"):
-            _classify_w_trajectory(oct_xtilde, ids(oct_xtilde, bogus))
+            classify_w_trajectory(oct_xtilde, ids(oct_xtilde, bogus))
+
+
+def assert_counts_match_enumeration(xt) -> None:
+    """Per critical pair, the count and weight sum from flows equal those of
+    the listed trajectories, upstairs and in MV; the scan for a forbidden
+    step finds one exactly when a listed trajectory fits no shape; and the
+    three per-pair checks report what the enumerating ones report."""
+    d = xt.decomposition
+    w = _build_w_field(xt)
+    flow = _flow(w, _split)
+    nonempty = lambda tallies: {k: t for k, t in tallies.items() if t}
+    assert nonempty(_w_tallies(w, flow)) == nonempty(enumerated_w_tallies(w))
+    assert nonempty(_mv_tallies(d, mv_chain_complex(d))) == nonempty(enumerated_mv_tallies(d))
+    assert (_forbidden_step(xt, w, flow) == "") == listed_trajectories_fit(xt, w)
+    assert check_main_iso(xt).checks[2:5] == enumerated_pair_checks(xt)
+
+
+class TestCountsAgainstEnumeration:
+    """The per-pair checks of `check_main_iso` read counts and sums off
+    flows; `slow_reference` lists every trajectory instead."""
+
+    @pytest.mark.parametrize("name,strategy", COVERS)
+    def test_corpus_covers(self, name, strategy):
+        for d in cover_decompositions(name, strategy):
+            assert_counts_match_enumeration(build_xtilde(d))
+
+    def test_octahedron_pinned_fields(self, oct_xtilde):
+        assert_counts_match_enumeration(oct_xtilde)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(["lexicographic", "random"]))
+    def test_hypothesis_complexes(self, rng, strategy):
+        x = random_small_complex(rng)
+        a, b = random_cover(x, rng)
+        d = build_decomposition(x, a, b, strategy=strategy, seed=rng.randint(0, 99))
+        assert_counts_match_enumeration(build_xtilde(d))
+
+    @pytest.mark.parametrize("name", ["octahedron", "torus", "wedge2circles"])
+    def test_scan_agrees_with_classifying_each_trajectory(self, name):
+        """Every single wrong entry of the piece map, read by the scan alone
+        (W stays the true field): the scan finds a forbidden step exactly
+        when a listed trajectory fits no shape, on a trajectory or off."""
+        xt = build_xtilde(next(reference_decompositions(name)))
+        w = _build_w_field(xt)
+        flow = _flow(w, _split)
+        failures = 0
+        for cell, true_piece in enumerate(xt._piece):
+            for wrong in {_A, _B, _INTERIOR} - {true_piece}:
+                piece = bytearray(xt._piece)
+                piece[cell] = wrong
+                bad = dataclasses.replace(xt, _piece=piece)
+                fits = listed_trajectories_fit(bad, w)
+                assert (_forbidden_step(bad, w, flow) == "") == fits, (cell, wrong)
+                failures += not fits
+        assert failures
+
+    def test_wrong_piece_fails_classification_on_both_paths(self, oct_xtilde):
+        """One interior cell on a trajectory, b_member([v0 v1], 1), moved
+        into the B-copy.  It has the dimension of its ground, so it sorts
+        before the B-copy of that ground, W and f stay as they were, and
+        only the classification can see the fault."""
+        xt = oct_xtilde
+        cell = xt.complex._id(Simplex("A:v0 B:v1"))
+        assert xt._piece[cell] == _INTERIOR
+        piece = bytearray(xt._piece)
+        piece[cell] = _B
+        bad = dataclasses.replace(xt, _piece=piece)
+        flows = check_main_iso(bad)
+        assert [c.name for c in flows.checks if not c.ok] == ["trajectory_classification"]
+        assert flows.checks[4].detail == (
+            "trajectory leaves the B-copy at [A:v0 B:v1] -> [A:v0 A:v1 B:v1]"
+        )
+        listed = enumerated_pair_checks(bad)
+        assert [c.name for c in listed if not c.ok] == ["trajectory_classification"]
+        assert listed[2].detail == "interior trajectory leaves the interior"
+        assert flows.checks[2:4] == listed[:2]
 
 
 class TestChecks:
