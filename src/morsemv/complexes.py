@@ -16,20 +16,22 @@ sigma is not a facet of tau.  With this convention the simplicial boundary
 satisfies boundary-of-boundary = 0 (see Hatcher, "Algebraic Topology", ch. 2).
 
 A `SimplicialComplex` closes a finite generating family downward into an
-id table, the one place members are stored.  Ids follow (dimension, vertex
-tuple) order, the canonical order of every report.  The table lists each
-member's facets as ids in vertex-drop order, so facet k of a positive tau
-has <tau, facet k> = (-1)^k, and each member's cofacets as ascending ids.
-That table is the single source of facet order and boundary sign; the
-public accessors `facets` and `cofacets` read it, and the field and
-trajectory code in `morse` and `mv` walks its ids directly.
+id table, the one place members are stored.  Its vertices are ranked names
+(a rank is the position among the sorted names) and its members int tuples
+of ranks, so ids follow (dimension, vertex tuple) order, the canonical order
+of every report.  The table lists each member's facets as ids in
+vertex-drop order, so facet k of a positive tau has <tau, facet k> =
+(-1)^k, and each member's cofacets as ascending ids.  That table is the
+single source of facet order and boundary sign; the public accessors
+`facets` and `cofacets` read it, and the field and trajectory code in
+`morse` and `mv` walks its ids directly.
 
 Subcomplexes are *views* of one table: `subcomplex` and `intersection`
 return complexes that share the table and differ only in a membership mask,
 and a tagged copy (`copy_relabel`) shares the mask too, naming every vertex
 v as tag + v.  A view is a `SimplicialComplex` in every respect and equals
 the complex closed afresh from the same generators.  `Simplex` objects are
-built only when asked for, once per (tag, id).
+built from the names only when asked for, once per (tag, id).
 """
 from __future__ import annotations
 
@@ -183,19 +185,21 @@ def incidence(tau: Simplex, sigma: Simplex) -> int:
 
 
 class _Table:
-    """The id table of a closed complex: every member once, as its vertex
-    tuple, with ids ascending by (dimension, vertex tuple).
+    """The id table of a closed complex: every member once, as its tuple of
+    int vertices, with ids ascending by (dimension, vertex tuple).
 
-    `start[q]` is the first id of dimension q (`start[-1]` the member
-    count), `facets[i]` the facet ids of member i in vertex-drop order, and
-    `cofacets[i]`, listed on first use, the ids having i as a facet,
-    ascending.  `Simplex` objects are built on first request, once per
-    (tag, id), with every vertex v named tag + v."""
+    Vertex v is named `names[v]`, and `rank` maps a name back; ranks keep
+    the order of names.  `start[q]` is the first id of dimension q
+    (`start[-1]` the member count), `facets[i]` the facet ids of member i in
+    vertex-drop order, and `cofacets[i]`, listed on first use, the ids
+    having i as a facet, ascending.  `Simplex` objects are built on first
+    request, once per (tag, id), with every vertex named tag + its name."""
 
-    __slots__ = ("verts", "index", "start", "facets", "_cofacets", "_named", "_named_facets")
+    __slots__ = ("names", "rank", "verts", "index", "start", "facets",
+                 "_cofacets", "_named", "_named_facets")
 
-    def __init__(self, generators: Iterable[tuple[str, ...]]):
-        levels: dict[int, set[tuple[str, ...]]] = {}
+    def __init__(self, generators: Iterable[tuple[int, ...]], names: list[str]):
+        levels: dict[int, set[tuple[int, ...]]] = {}
         for vs in generators:
             levels.setdefault(len(vs), set()).add(vs)
         top = max(levels)
@@ -203,7 +207,9 @@ class _Table:
             lower = levels.setdefault(n - 1, set())
             for drop in _dropping(n):
                 lower.update(map(drop, levels.get(n, ())))
-        self.verts: list[tuple[str, ...]] = []
+        self.names = names
+        self.rank = dict(zip(names, range(len(names))))
+        self.verts: list[tuple[int, ...]] = []
         self.start = [0]
         for n in range(1, top + 1):
             self.verts.extend(sorted(levels[n]))
@@ -218,8 +224,19 @@ class _Table:
         self._named: dict[str, list[Simplex | None]] = {}
         self._named_facets: dict[str, dict[int, tuple[Simplex, ...]]] = {}
 
+    @classmethod
+    def of_names(cls, generators: list[tuple[str, ...]]) -> "_Table":
+        """The table closed from sorted tuples of vertex names, ranked."""
+        names = sorted(set(itertools.chain.from_iterable(generators)))
+        rank = dict(zip(names, range(len(names)))).__getitem__
+        return cls([tuple(map(rank, vs)) for vs in generators], names)
+
     def __len__(self) -> int:
         return len(self.verts)
+
+    def vertex_names(self, i: int, tag: str) -> tuple[str, ...]:
+        names = self.names
+        return tuple([tag + names[v] for v in self.verts[i]])
 
     @property
     def cofacets(self) -> list[list[int]]:
@@ -242,8 +259,7 @@ class _Table:
         cache = self.named(tag)
         s = cache[i]
         if s is None:
-            vs = self.verts[i]
-            s = cache[i] = _canonical(tuple([tag + v for v in vs]) if tag else vs)
+            s = cache[i] = _canonical(self.vertex_names(i, tag))
         return s
 
     def facet_simplices(self, i: int, tag: str) -> tuple[Simplex, ...]:
@@ -282,13 +298,19 @@ class SimplicialComplex:
         gens = [g if isinstance(g, Simplex) else Simplex(g) for g in generators]
         if not gens:
             raise ComplexError("a simplicial complex needs at least one simplex")
-        table = _Table(g.vertices for g in gens)
-        self._setup(table, bytearray(b"\x01") * len(table), "")
+        self._setup(_Table.of_names([g.vertices for g in gens]), None, "")
 
-    def _setup(self, table: _Table, mask: bytearray, tag: str) -> None:
-        self._table = table
-        self._mask = mask
-        self._tag = tag
+    @classmethod
+    def _of(cls, table: _Table) -> "SimplicialComplex":
+        """The complex of every member of `table`."""
+        x = object.__new__(cls)
+        x._setup(table, None, "")
+        return x
+
+    def _setup(self, table: _Table, mask: bytearray | None, tag: str) -> None:
+        if mask is None:
+            mask = bytearray(b"\x01") * len(table)
+        self._table, self._mask, self._tag = table, mask, tag
         bounds = table.start
         ids = [
             list(itertools.compress(range(lo, hi), mask[lo:hi]))
@@ -324,7 +346,9 @@ class SimplicialComplex:
                 return None
             k = len(tag)
             vertices = tuple([v[k:] for v in vertices])
-        i = self._table.index.get(vertices)
+        table = self._table
+        # a name that is no vertex ranks as None, which no member has
+        i = table.index.get(tuple(map(table.rank.get, vertices)))
         return i if i is not None and self._mask[i] else None
 
     def _id(self, s: Simplex) -> int | None:
@@ -344,12 +368,11 @@ class SimplicialComplex:
         if other._table is self._table and other._tag == self._tag:
             both = int.from_bytes(self._mask, "little") & int.from_bytes(other._mask, "little")
             return bytearray(both.to_bytes(len(self._table), "little"))
-        tag, verts = self._tag, self._table.verts
-        mask = bytearray(len(self._table))
+        table, tag = self._table, self._tag
+        mask = bytearray(len(table))
         for ids in self._ids:
             for i in ids:
-                names = tuple([tag + v for v in verts[i]]) if tag else verts[i]
-                if other._id_of(names) is not None:
+                if other._id_of(table.vertex_names(i, tag)) is not None:
                     mask[i] = 1
         return mask
 
@@ -361,17 +384,19 @@ class SimplicialComplex:
 
     @property
     def vertices(self) -> tuple[str, ...]:
-        tag, verts = self._tag, self._table.verts
-        return tuple(tag + verts[i][0] for i in self._ids[0])
+        tag, names, verts = self._tag, self._table.names, self._table.verts
+        return tuple(tag + names[verts[i][0]] for i in self._ids[0])
+
+    def _maximal_ids(self) -> list[int]:
+        """The ids of the members that are facets of no member, ascending."""
+        mask, cof = self._mask, self._table.cofacets
+        return [i for ids in self._ids for i in ids if not any(mask[t] for t in cof[i])]
 
     @property
     def maximal_simplices(self) -> tuple[Simplex, ...]:
         """The members that are facets of no member, in canonical order."""
         if self._maximal is None:
-            mask, cof = self._mask, self._table.cofacets
-            self._maximal = self._simplices_of(
-                i for ids in self._ids for i in ids if not any(mask[t] for t in cof[i])
-            )
+            self._maximal = self._simplices_of(self._maximal_ids())
         return self._maximal
 
     def simplices(self, q: int | None = None) -> tuple[Simplex, ...]:
@@ -439,10 +464,16 @@ class SimplicialComplex:
     def subcomplex(self, generators: Iterable[Simplex | str]) -> "SimplicialComplex":
         """The view closed downward from generators that are members of
         this complex; ComplexError names the first one that is not."""
+        return self._closure(
+            self._member(g if isinstance(g, Simplex) else Simplex(g)) for g in generators
+        )
+
+    def _closure(self, ids: Iterable[int]) -> "SimplicialComplex":
+        """The view closed downward from these member ids."""
         table = self._table
         mask = bytearray(len(table))
-        for g in generators:
-            mask[self._member(g if isinstance(g, Simplex) else Simplex(g))] = 1
+        for i in ids:
+            mask[i] = 1
         # close one dimension at a time, from the top down
         bounds, facets = table.start, table.facets
         for lo, hi in reversed(list(zip(bounds[1:], bounds[2:]))):

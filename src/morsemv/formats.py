@@ -25,6 +25,10 @@ The `[fields]` section may instead hold a single strategy line,
 `auto lexicographic` or `auto random <seed>`, and may be omitted entirely;
 pieces without explicit pairs fall back to the greedy strategy.
 
+The parsers return vertex tuples, sorted for a complex line or an [A]/[B]
+line and as written for a field pair's ends (the order is the orientation an
+error shows); a `Simplex` is built only to word an error.
+
 Generator names on the command line are the tagged comma-joined vertex
 lists used in reports, e.g. `A:v5` or `I:v2,I:v3`; the tag prefix (A/B/I)
 names the piece and selects FromA / FromB / Shifted.
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import Simplex, SimplicialComplex
+from .complexes import Simplex, SimplicialComplex, _Table
 from .errors import ComplexError, ParseError
 from .mv import FROM_A, FROM_B, SHIFTED
 
@@ -54,31 +58,42 @@ def _content_lines(text: str):
             yield number, line
 
 
-def _simplex(tokens: list[str], number: int) -> Simplex:
-    try:
-        return Simplex(tokens)
-    except ComplexError as e:
-        raise ParseError(str(e), line=number) from None
+def _checked(tokens: list[str], number: int) -> list[str]:
+    """The vertex names of one simplex; `Simplex` words a repeated one."""
+    if len(set(tokens)) != len(tokens):
+        try:
+            Simplex(tokens)
+        except ComplexError as e:
+            raise ParseError(str(e), line=number) from None
+    return tokens
+
+
+def _vertices(line: str, number: int) -> tuple[str, ...]:
+    """The sorted vertex names of a line holding one simplex."""
+    return tuple(sorted(_checked(line.split(), number)))
 
 
 def parse_complex(text: str) -> SimplicialComplex:
     """Read a complex file (maximal simplices, one per line)."""
-    generators = [
-        _simplex(line.split(), number) for number, line in _content_lines(text)
-    ]
+    generators = [_vertices(line, number) for number, line in _content_lines(text)]
     if not generators:
         raise ParseError("no simplices in complex file")
-    return SimplicialComplex(generators)
+    return SimplicialComplex._of(_Table.of_names(generators))
+
+
+Vertices = tuple[str, ...]
 
 
 @dataclass
 class DecompositionFile:
-    """The parsed content of a decomposition file; `fields` maps piece names
-    to explicit pair lists, `strategy`/`seed` carry an `auto` line if any."""
+    """The parsed content of a decomposition file: the generators of A and
+    B as sorted vertex tuples; `fields` maps piece names to explicit pair
+    lists, each end's vertices as written; `strategy`/`seed` carry an `auto`
+    line if any."""
 
-    a_generators: list[Simplex] = field(default_factory=list)
-    b_generators: list[Simplex] = field(default_factory=list)
-    fields: dict[str, list[tuple[Simplex, Simplex]]] = field(default_factory=dict)
+    a_generators: list[Vertices] = field(default_factory=list)
+    b_generators: list[Vertices] = field(default_factory=list)
+    fields: dict[str, list[tuple[Vertices, Vertices]]] = field(default_factory=dict)
     strategy: str | None = None
     seed: int | None = None
 
@@ -95,9 +110,9 @@ def parse_decomposition(text: str) -> DecompositionFile:
         if section is None:
             raise ParseError("content before any [A]/[B]/[fields] section", line=number)
         if section == "A":
-            out.a_generators.append(_simplex(line.split(), number))
+            out.a_generators.append(_vertices(line, number))
         elif section == "B":
-            out.b_generators.append(_simplex(line.split(), number))
+            out.b_generators.append(_vertices(line, number))
         else:
             _parse_fields_line(out, line, number)
     if not out.a_generators:
@@ -131,16 +146,13 @@ def _parse_fields_line(out: DecompositionFile, line: str, number: int) -> None:
         return
     if out.strategy is not None:
         raise ParseError("explicit field pairs cannot follow an auto line", line=number)
-    piece, sep, rest = line.partition(":")
-    piece = piece.strip()
-    if not sep or piece not in ("A", "B", "I"):
+    piece, colon, rest = line.partition(":")
+    lhs, arrow, rhs = rest.partition("->")
+    sigma, tau, piece = lhs.split(), rhs.split(), piece.strip()
+    if not (colon and arrow and sigma and tau) or piece not in ("A", "B", "I"):
         raise ParseError("field lines look like 'A: v2 -> v2 v5'", line=number)
-    lhs, sep, rhs = rest.partition("->")
-    if not sep or not lhs.split() or not rhs.split():
-        raise ParseError("field lines look like 'A: v2 -> v2 v5'", line=number)
-    sigma = _simplex(lhs.split(), number)
-    tau = _simplex(rhs.split(), number)
-    out.fields.setdefault(piece, []).append((sigma, tau))
+    pair = (tuple(_checked(sigma, number)), tuple(_checked(tau, number)))
+    out.fields.setdefault(piece, []).append(pair)
 
 
 def parse_generator_name(token: str) -> tuple[str, Simplex]:

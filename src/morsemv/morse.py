@@ -130,15 +130,29 @@ class VectorField:
         """`up` and `down` over the id table of x: up[i] is the id of the tau
         paired with member i, down[j] that of the sigma paired with member
         j, and -1 marks no pair."""
-        n = len(x._table)
-        up, down = [-1] * n, [-1] * n
-        for sigma, tau in self.pairs:
-            i, j = x._id(sigma), x._id(tau)
+        ids = [(x._id(sigma), x._id(tau)) for sigma, tau in self.pairs]
+        for (sigma, tau), (i, j) in zip(self.pairs, ids):
             if i is None or j is None:
                 missing = sigma if i is None else tau
                 raise FieldError(f"field references {missing}, which is not in the complex")
-            up[i], down[j] = j, i
-        return up, down
+        return _matching(x, ids, FieldError)
+
+
+def _matching(
+    x: SimplicialComplex, pairs: Iterable[tuple[int, int]], error: type[Exception]
+) -> tuple[list[int], list[int]]:
+    """The `up`/`down` arrays of the id pairs (sigma, tau) over x's table,
+    checked to be a matching of facet pairs, else `error` is raised."""
+    facets, name = x._table.facets, x._simplex
+    up, down = [-1] * len(facets), [-1] * len(facets)
+    for sigma, tau in pairs:
+        if sigma not in facets[tau]:
+            raise error(f"({name(sigma)}, {name(tau)}) is not a facet pair")
+        for s in (sigma, tau):
+            if up[s] >= 0 or down[s] >= 0:
+                raise error(f"{name(s)} appears in more than one pair")
+        up[sigma], down[tau] = tau, sigma
+    return up, down
 
 
 def is_acyclic(v: VectorField, x: SimplicialComplex) -> bool:
@@ -563,8 +577,8 @@ def greedy_gvf(
 
     Pairing always removes the oldest live facet frontier first, so the
     produced field is acyclic by construction; it is certified anyway.
-    The coreduction runs on the ids of x's table: the live set is a byte
-    mask, the live-facet counts an int list, and the heap holds rank keys.
+    The coreduction runs on x's ids: the heap holds positions in `order`,
+    the ids by dimension, then rank; the live set is a byte mask.
 
     >>> f = greedy_gvf(SimplicialComplex(["v0 v1"]))
     >>> f.pairs
@@ -573,54 +587,48 @@ def greedy_gvf(
     (Simplex('v0'),)
     """
     order = list(itertools.chain.from_iterable(x._ids))
+    table = x._table
+    verts, facets, cofacets = table.verts, table.facets, table.cofacets
     if strategy == "random":
         random.Random(DEFAULT_SEED if seed is None else seed).shuffle(order)
+        order.sort(key=lambda i: len(verts[i]))  # stable: shuffled within a dimension
     elif strategy not in ("lex", "lexicographic"):
         raise FieldError(f"unknown strategy {strategy!r}")
-    table = x._table
-    facets, cofacets = table.facets, table.cofacets
-    n, size = len(table), len(order)
-    # key = dim * size + rank orders by dimension, then rank; rank = key % size
-    key = [0] * n
-    for rank, i in enumerate(order):
-        key[i] = max(len(facets[i]) - 1, 0) * size + rank
-    by_key = sorted(key[i] for i in order)
-
+    n = len(table)
+    position, live = [0] * n, [0] * n
+    for p, i in enumerate(order):
+        position[i], live[i] = p, len(facets[i])
     alive = bytearray(x._mask)
-    live_facets = list(map(len, facets))
     candidates: list[int] = []
     up, down = [-1] * n, [-1] * n
+    push, pop = heapq.heappush, heapq.heappop
 
-    def kill(s: int) -> None:
-        alive[s] = 0
-        for t in cofacets[s]:
-            if alive[t]:
-                live_facets[t] -= 1
-                if live_facets[t] == 1:
-                    heapq.heappush(candidates, key[t])
-
-    remaining, next_critical = size, 0
+    remaining, next_critical = len(order), 0
     while remaining:
-        tau = -1
+        # pair the first candidate still with one live facet, or else
+        # declare the first live cell critical; then kill what was taken
         while candidates:
-            t = order[heapq.heappop(candidates) % size]
-            if alive[t] and live_facets[t] == 1:
-                tau = t
+            tau = order[pop(candidates)]
+            if alive[tau] and live[tau] == 1:
+                for sigma in facets[tau]:
+                    if alive[sigma]:
+                        break
+                up[sigma], down[tau] = tau, sigma
+                dead = (sigma, tau)
                 break
-        if tau >= 0:
-            sigma = next(f for f in facets[tau] if alive[f])
-            up[sigma], down[tau] = tau, sigma
-            kill(sigma)
-            kill(tau)
-            remaining -= 2
         else:
-            while True:
-                s = order[by_key[next_critical] % size]
+            while not alive[order[next_critical]]:
                 next_critical += 1
-                if alive[s]:
-                    kill(s)
-                    remaining -= 1
-                    break
+            dead = (order[next_critical],)
+        for s in dead:
+            alive[s] = 0
+            for t in cofacets[s]:
+                if alive[t]:
+                    c = live[t] - 1
+                    live[t] = c
+                    if c == 1:
+                        push(candidates, position[t])
+        remaining -= len(dead)
 
     if any(alive):
         raise InternalConsistencyError("greedy matching lost track of simplices")

@@ -53,20 +53,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .complexes import ComplexCopy, Simplex, SimplicialComplex, copy_relabel, intersection
-from .errors import ComplexError, DecompositionError, FieldError, InternalConsistencyError
+from .errors import DecompositionError, FieldError, InternalConsistencyError
 from .homology import Column, HomologyResult, IntegerChainComplex, _dense, homology
 from .morse import (
     DEFAULT_SEED,
     GradientField,
-    VectorField,
     _boundary_columns,
     _combine,
     _facet_sum,
     _flow,
     _grouped,
+    _matching,
     _memoised,
     _sign,
     _named_path_weight,
@@ -183,36 +183,37 @@ class Decomposition:
 
 
 def _field_on_copy(
-    piece: SimplicialComplex,
-    copy: ComplexCopy,
-    pairs: Iterable[tuple[Simplex, Simplex]],
-    piece_name: str,
+    piece: SimplicialComplex, copy: ComplexCopy, pairs: Iterable[Sequence], piece_name: str
 ) -> GradientField:
-    pushed = []
+    """The field on `copy` pinned by `pairs` in the vertex names of X, each
+    end a Simplex or vertex names, resolved to ids the copy shares."""
+    ids, id_of = [], piece._id_of
     for sigma, tau in pairs:
-        for s in (sigma, tau):
-            if abs(s) not in piece:
-                raise DecompositionError(
-                    f"field pair ({sigma}, {tau}) references {s}, "
-                    f"which is not a simplex of {piece_name}"
-                )
-        pushed.append((copy.push(sigma), copy.push(tau)))
-    return GradientField.certify(VectorField(pushed), copy.complex)
+        ends = (id_of(sigma.vertices if isinstance(sigma, Simplex) else tuple(sorted(sigma))),
+                id_of(tau.vertices if isinstance(tau, Simplex) else tuple(sorted(tau))))
+        if None in ends:
+            named = [s if isinstance(s, Simplex) else Simplex(s) for s in (sigma, tau)]
+            raise DecompositionError(
+                f"field pair ({named[0]}, {named[1]}) references {named[ends.index(None)]}, "
+                f"which is not a simplex of {piece_name}"
+            )
+        ids.append(ends)
+    return GradientField._certified(copy.complex, *_matching(copy.complex, ids, FieldError))
 
 
 def _piece(
-    x: SimplicialComplex, piece: SimplicialComplex | Iterable[Simplex], name: str
+    x: SimplicialComplex, piece: SimplicialComplex | Iterable[tuple[str, ...]], name: str
 ) -> SimplicialComplex:
     """The piece `name` as a view over X's table.  `piece` is a complex, or
-    the generators of one in the vertex names of X."""
+    the generators of one as sorted tuples of the vertex names of X."""
     if isinstance(piece, SimplicialComplex):
         if piece._table is x._table and piece.is_subcomplex_of(x):
             return piece
-        piece = piece.maximal_simplices
-    try:
-        return x.subcomplex(piece)
-    except ComplexError:
-        raise DecompositionError(f"{name} is not a subcomplex of X") from None
+        piece = [s.vertices for s in piece.maximal_simplices]
+    ids = [x._id_of(vs) for vs in piece]
+    if None in ids:
+        raise DecompositionError(f"{name} is not a subcomplex of X")
+    return x._closure(ids)
 
 
 def build_decomposition(
@@ -509,14 +510,16 @@ def mv_boundary(d: Decomposition, q: int) -> list[list[int]]:
 
 
 def mv_chain_complex(d: Decomposition) -> IntegerChainComplex:
-    """The full Mayer-Vietoris chain complex.  Construction re-verifies that
-    the boundary squares to zero and fails hard otherwise."""
-    degrees = range(_max_degree(d) + 1)
-    labels = [mv_generators(d, q) for q in degrees]
-    keys = [_generator_keys(d, q) for q in degrees]
+    """The full Mayer-Vietoris chain complex, its generators labelled.
+    Construction re-verifies that the boundary squares to zero and fails
+    hard otherwise."""
+    keys = [_generator_keys(d, q) for q in range(_max_degree(d) + 1)]
+    labels = [mv_generators(d, q) for q in range(len(keys))]
     return _trajectory_complex(labels, keys, _mv_column(d))
 
 
 def mv_homology(d: Decomposition) -> HomologyResult:
-    """Homology of X computed through the Mayer-Vietoris complex."""
-    return homology(mv_chain_complex(d))
+    """Homology of X computed through the Mayer-Vietoris complex, assembled
+    on generator keys: no generator is named."""
+    keys = [_generator_keys(d, q) for q in range(_max_degree(d) + 1)]
+    return homology(_trajectory_complex(None, keys, _mv_column(d)))

@@ -11,9 +11,11 @@ has the block of 2q + 3 cells
 
 so b_member(alpha, 0) is the B-copy of alpha, b_member(alpha, q+1) its
 A-copy, and the rest lie in the prism interior.  The bottom and top
-vertices are the copies' own names, so the gluing is by vertex name, and
+vertices are the copies' own vertices, so the gluing is by vertex, and
 X~ is closed once, from the maximal cells of both copies and the cells
-a_member(alpha, r) over each maximal alpha.  `build_xtilde` then records,
+a_member(alpha, r) over each maximal alpha.  It is closed on ints: with n
+the vertex count of X, the A-copy of vertex v is v and its B-copy n + v,
+named "A:" and "B:" plus the name of v.  `build_xtilde` then records,
 on X~'s ids, the piece of every cell (A-copy, B-copy or prism interior),
 its ground (the id in X of the simplex it copies or lies over), and for
 every intersection id the ids of its a_member and b_member cells.  The two
@@ -73,7 +75,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .complexes import Simplex, SimplicialComplex
+from .complexes import Simplex, SimplicialComplex, _Table
 from .errors import InternalConsistencyError, MorsemvError
 from .homology import (
     Column,
@@ -88,6 +90,7 @@ from .morse import (
     _boundary_columns,
     _facet_sum,
     _flow,
+    _matching,
     _split,
     _steps,
 )
@@ -140,12 +143,13 @@ class XTilde:
     _members: dict[int, tuple[list[int], list[int]]]
 
 
-def _block(a: list[str], b: list[str]) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
+def _block(
+    a: tuple[int, ...], b: tuple[int, ...]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """The vertex tuples of a_member(alpha, r), 0 <= r <= q, and of
     b_member(alpha, r), 0 <= r <= q+1, for the base simplex alpha whose
-    bottom and top vertex names are `a` and `b`.  Both are sorted, since
-    the copy tags preserve order and every A-copy name sorts before every
-    B-copy one."""
+    bottom and top vertices are `a` and `b`.  Both are sorted, since every
+    A-copy vertex comes before every B-copy one."""
     return (
         [(*a[: r + 1], *b[r:]) for r in range(len(a))],
         [(*a[:r], *b[r:]) for r in range(len(a) + 1)],
@@ -155,33 +159,38 @@ def _block(a: list[str], b: list[str]) -> tuple[list[tuple[str, ...]], list[tupl
 def build_xtilde(d: Decomposition) -> XTilde:
     x_chains = simplicial_chain_complex(d.x)
     shared = (x_chains, homology(x_chains))
-    a_tag, b_tag, x_table = d.a_bar.tag, d.b_bar.tag, d.x._table
+    # X~ is closed on X's vertices, ranked: the A-copy of vertex v is v and
+    # its B-copy n + v, so each copy keeps X's order and A comes before B.
+    x_table = d.x._table
+    x_verts, n = x_table.verts, len(x_table.names)
+    names = [d.a_bar.tag + v for v in x_table.names] + [d.b_bar.tag + v for v in x_table.names]
+    top = lambda i: tuple([v + n for v in x_verts[i]])  # the B-copy of id i
+    cells = [x_verts[i] for i in d.a._maximal_ids()] + list(map(top, d.b._maximal_ids()))
     blocks = {}
-    cells = [*d.a_bar.complex.maximal_simplices, *d.b_bar.complex.maximal_simplices]
     if d.iab is not None:
-        for alpha in itertools.chain.from_iterable(d.iab._ids):
-            vs = x_table.verts[alpha]
-            blocks[alpha] = _block([a_tag + v for v in vs], [b_tag + v for v in vs])
-        cells += [
-            Simplex(c) for s in d.iab.maximal_simplices for c in blocks[d.iab._id(s)][0]
-        ]
-    glued = SimplicialComplex(cells)
+        blocks = {a: _block(x_verts[a], top(a)) for a in itertools.chain(*d.iab._ids)}
+        cells += [c for alpha in d.iab._maximal_ids() for c in blocks[alpha][0]]
+    glued = SimplicialComplex._of(_Table(cells, names))
     table = glued._table
 
-    # An A-copy cell ends, and a B-copy cell starts, with a name of its copy.
-    # Both tags have one length, and a cell's ground is its untagged names.
-    untag = len(a_tag)
-    piece, ground = bytearray(len(table)), []
+    # An A-copy cell ends, and a B-copy cell starts, with a vertex of its
+    # copy; a cell's ground is its set of vertices taken mod n.
+    piece, ground, x_index = bytearray(len(table)), [], x_table.index
     for i, vs in enumerate(table.verts):
-        piece[i] = (
-            _A if vs[-1].startswith(a_tag) else _B if vs[0].startswith(b_tag) else _INTERIOR
-        )
-        ground.append(x_table.index[tuple(sorted({v[untag:] for v in vs}))])
+        if vs[-1] < n:
+            piece[i] = _A
+            ground.append(x_index[vs])
+        elif vs[0] >= n:
+            piece[i] = _B
+            ground.append(x_index[tuple([v - n for v in vs])])
+        else:
+            piece[i] = _INTERIOR
+            ground.append(x_index[tuple(sorted({v % n for v in vs}))])
     members = {}
     for alpha, (a_cells, b_cells) in blocks.items():
         a_ids = [table.index.get(c) for c in a_cells]
         b_ids = [table.index.get(c) for c in b_cells]
-        q = len(x_table.verts[alpha]) - 1
+        q = len(x_verts[alpha]) - 1
         if None in a_ids or None in b_ids or (len(a_ids), len(b_ids)) != (q + 1, q + 2):
             raise InternalConsistencyError(
                 f"the block over {d.iab_bar.complex._simplex(alpha)} "
@@ -201,25 +210,12 @@ def _named(xt: XTilde, ids: Iterable[int]) -> list[Simplex]:
     return list(xt.complex._simplices_of(sorted(ids)))
 
 
-def _matching(xt: XTilde, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
-    """The `up`/`down` arrays of the id pairs (sigma, tau) on X~, checked to
-    be a matching of facet pairs."""
-    facets, name = xt.complex._table.facets, xt.complex._simplex
-    up, down = [-1] * len(facets), [-1] * len(facets)
-    for sigma, tau in pairs:
-        if sigma not in facets[tau]:
-            raise InternalConsistencyError(f"({name(sigma)}, {name(tau)}) is not a facet pair")
-        for s in (sigma, tau):
-            if up[s] >= 0 or down[s] >= 0:
-                raise InternalConsistencyError(f"{name(s)} appears in more than one pair")
-        up[sigma], down[tau] = tau, sigma
-    return up, down
-
-
 def _build_v_field(xt: XTilde) -> GradientField:
     """The collapse-the-prism field V on X~ (empty when there is no prism)."""
     pairs = (pair for a, b in xt._members.values() for pair in zip(b, a))
-    return GradientField._certified(xt.complex, *_matching(xt, pairs))
+    return GradientField._certified(
+        xt.complex, *_matching(xt.complex, pairs, InternalConsistencyError)
+    )
 
 
 def _prism_extension(xt: XTilde) -> tuple[list[tuple[int, int]], list[int]]:
@@ -269,7 +265,8 @@ def _build_w_field(xt: XTilde) -> GradientField:
         expected.update(ids[i] for i in _critical_ids(w))
     prism_pairs, interior_crit = _prism_extension(xt)
     expected.update(interior_crit)
-    gvf = GradientField._certified(xt.complex, *_matching(xt, pairs + prism_pairs))
+    up, down = _matching(xt.complex, pairs + prism_pairs, InternalConsistencyError)
+    gvf = GradientField._certified(xt.complex, up, down)
     actual = set(_critical_ids(gvf))
     if actual != expected:
         raise InternalConsistencyError(

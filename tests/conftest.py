@@ -245,6 +245,72 @@ def random_small_complex(rng: random.Random) -> SimplicialComplex:
 
 
 # ---------------------------------------------------------------------------
+# pinned fields written as [fields] pairs
+
+
+def poor_field(
+    piece: SimplicialComplex, p: float, rng: random.Random
+) -> list[tuple[Simplex, Simplex]]:
+    """The pairs of a coreduction of `piece` that leaves the next candidate
+    critical with probability p, instead of pairing it.
+
+    The candidate tau has one live facet sigma; it is paired with sigma or
+    declared critical, and when none is left the first live simplex is
+    declared critical.  A pair's other facets were removed before it, so
+    the removal time decreases along every arc and the field is acyclic by
+    construction, however poor."""
+    order = list(piece.simplices())
+    alive = set(order)
+    live = {s: len(piece.facets(s)) for s in order}
+    queue: list[Simplex] = []
+    pairs = []
+
+    def kill(s: Simplex) -> None:
+        alive.discard(s)
+        for t in piece.cofacets(s):
+            if t in alive:
+                live[t] -= 1
+                if live[t] == 1:
+                    queue.append(t)
+
+    first = 0
+    while alive:
+        if queue:
+            tau = queue.pop(0)
+            if tau not in alive or live[tau] != 1:
+                continue
+            if rng.random() >= p:
+                (sigma,) = [f for f in piece.facets(tau) if f in alive]
+                pairs.append((sigma, tau))
+                kill(sigma)
+            kill(tau)
+        else:
+            while order[first] not in alive:
+                first += 1
+            kill(order[first])
+    return pairs
+
+
+def decomposition_text(
+    a: SimplicialComplex,
+    b: SimplicialComplex,
+    fields: dict[str, list[tuple[Simplex, Simplex]]],
+) -> str:
+    """A decomposition file with the maximal simplices of a and b, and the
+    given pairs, in the vertex names of X, as its [fields] section."""
+    lines = ["[A]"] + [" ".join(s.vertices) for s in a.maximal_simplices]
+    lines += ["[B]"] + [" ".join(s.vertices) for s in b.maximal_simplices]
+    if fields:
+        lines.append("[fields]")
+        lines += [
+            f"{piece}: {' '.join(sigma.vertices)} -> {' '.join(tau.vertices)}"
+            for piece, pairs in fields.items()
+            for sigma, tau in pairs
+        ]
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # a verify run that loses every trajectory on one side
 
 

@@ -18,6 +18,11 @@ fields V and W that `morsemv.verify` ran before it moved onto X~'s ids:
 the block formula on vertex names, the prism closed on its own, and the
 pairs of V and W written cell by cell.
 
+The table references are the closure on tuples of vertex names that
+`morsemv.complexes` ran before it ranked the names and closed on int
+tuples, and the piece and ground maps of X~ read off its cells' names, as
+`morsemv.verify` derived them before X~ was closed on ints.
+
 The trajectory references list trajectories one by one: the validators
 recheck each enumerated trajectory against the raw definition, and the
 per-pair checks of `check_main_iso` are run here as they ran before they
@@ -49,7 +54,7 @@ from morsemv.mv import (
     mv_generators,
     mv_trajectories_from,
 )
-from morsemv.verify import _A, _INTERIOR, CheckResult, XTilde, _build_w_field, _f_image
+from morsemv.verify import _A, _B, _INTERIOR, CheckResult, XTilde, _build_w_field, _f_image
 
 
 def reference_greedy(
@@ -104,6 +109,51 @@ def reference_greedy(
         tuple(sorted(pairs, key=lambda p: p[1].key)),
         tuple(sorted(critical, key=lambda s: s.key)),
     )
+
+
+def reference_table(
+    generators,
+) -> tuple[list[tuple[str, ...]], list[tuple[int, ...]], list[list[int]]]:
+    """(verts, facets, cofacets) of the closure of `generators`, sorted
+    tuples of vertex names, with ids ascending by (dimension, vertex tuple):
+    verts[i] the names of member i, facets[i] its facet ids in vertex-drop
+    order, cofacets[i] the ids having i as a facet, ascending."""
+    members = set()
+    todo = [tuple(vs) for vs in generators]
+    while todo:
+        vs = todo.pop()
+        if vs not in members:
+            members.add(vs)
+            if len(vs) > 1:
+                todo += [vs[:k] + vs[k + 1:] for k in range(len(vs))]
+    verts = sorted(members, key=lambda vs: (len(vs), vs))
+    index = {vs: i for i, vs in enumerate(verts)}
+    facets = [
+        tuple(index[vs[:k] + vs[k + 1:]] for k in range(len(vs))) if len(vs) > 1 else ()
+        for vs in verts
+    ]
+    cofacets = [[] for _ in verts]
+    for t, fs in enumerate(facets):
+        for f in fs:
+            cofacets[f].append(t)
+    return verts, facets, cofacets
+
+
+def reference_xtilde_maps(xt: XTilde) -> tuple[list[int], list[int]]:
+    """(piece, ground) of every X~ id, from the names of its cells: an
+    A-copy cell ends, and a B-copy cell starts, with a name of its copy's
+    tag; the ground is the id in X of the cell's names with the tag cut
+    off.  X is closed from generators, so its ids are canonical positions."""
+    d = xt.decomposition
+    a_tag, b_tag = d.a_bar.tag, d.b_bar.tag
+    x_index = {s.vertices: i for i, s in enumerate(d.x.simplices())}
+    piece, ground = [], []
+    for s in xt.complex.simplices():
+        vs = s.vertices
+        piece.append(_A if vs[-1].startswith(a_tag) else _B if vs[0].startswith(b_tag)
+                     else _INTERIOR)
+        ground.append(x_index[tuple(sorted({v[len(a_tag):] for v in vs}))])
+    return piece, ground
 
 
 def reference_closed_trajectory(

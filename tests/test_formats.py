@@ -43,14 +43,19 @@ I: v0 -> v0 v1
 
     def test_full_file(self):
         out = parse_decomposition(self.GOOD)
-        assert out.a_generators == [Simplex("v0 v1 v5"), Simplex("v1 v2 v5")]
-        assert out.b_generators == [Simplex("v0 v1 v4")]
+        assert out.a_generators == [("v0", "v1", "v5"), ("v1", "v2", "v5")]
+        assert out.b_generators == [("v0", "v1", "v4")]
         assert out.fields["A"] == [
-            (Simplex("v0"), Simplex("v0 v5")),
-            (Simplex("v1"), Simplex("v1 v5")),
+            (("v0",), ("v0", "v5")),
+            (("v1",), ("v1", "v5")),
         ]
-        assert out.fields["I"] == [(Simplex("v0"), Simplex("v0 v1"))]
+        assert out.fields["I"] == [(("v0",), ("v0", "v1"))]
         assert out.strategy is None and out.seed is None
+
+    def test_generators_sorted_and_pair_ends_as_written(self):
+        out = parse_decomposition("[A]\nv5 v1 v0\n[B]\nv4\n[fields]\nA: v0 -> v5 v0\n")
+        assert out.a_generators == [("v0", "v1", "v5")]
+        assert out.fields["A"] == [(("v0",), ("v5", "v0"))]
 
     def test_auto_lines(self):
         out = parse_decomposition("[A]\np\n[B]\nq\n[fields]\nauto lexicographic\n")

@@ -3,6 +3,8 @@ over it, copies as tags, and the field code on ids, each checked against
 the freshly closed complex or the Simplex-keyed reference it replaced."""
 from __future__ import annotations
 
+import argparse
+import json
 import random
 from pathlib import Path
 
@@ -17,14 +19,35 @@ from morsemv import (
     SimplicialComplex,
     VectorField,
     build_decomposition,
+    build_xtilde,
+    check_iso_simplicial,
+    check_main_iso,
     greedy_gvf,
+    mv_chain_complex,
+    mv_generators,
+    mv_homology,
+    parse_complex,
+    simplicial_homology,
 )
-from morsemv.cli import main
+from morsemv.cli import _load_decomposition, main
 from morsemv.complexes import _Table, copy_relabel, intersection, union
 from morsemv.homology import simplicial_chain_complex
 from morsemv.morse import GradientField, is_acyclic
-from conftest import corpus_complexes, random_cover, random_generators
-from slow_reference import ReferencePrism, reference_closed_trajectory, reference_greedy
+from conftest import (
+    corpus_complexes,
+    decomposition_text,
+    expected_homology,
+    poor_field,
+    random_cover,
+    random_generators,
+)
+from slow_reference import (
+    ReferencePrism,
+    reference_closed_trajectory,
+    reference_greedy,
+    reference_table,
+    reference_xtilde_maps,
+)
 
 STRATEGIES = [("lexicographic", None), ("random", 1), ("random", 2), ("random", 3)]
 
@@ -72,7 +95,10 @@ class TestIdTable:
         complexes += [SimplicialComplex(random_generators(rng)) for _ in range(40)]
         for x in complexes:
             table = x._table
-            keys = [(len(vs), vs) for vs in table.verts]
+            assert table.names == sorted(table.names)
+            assert all(isinstance(v, int) for vs in table.verts for v in vs)
+            named = [tuple(table.names[v] for v in vs) for vs in table.verts]
+            keys = [(len(vs), vs) for vs in named]
             assert keys == sorted(keys) and len(set(keys)) == len(keys)
             for q in range(x.dim + 1):
                 lo, hi = table.start[q], table.start[q + 1]
@@ -84,7 +110,38 @@ class TestIdTable:
                 cof = table.cofacets[i]
                 assert cof == sorted(cof)
                 assert all(i in table.facets[t] for t in cof)
-            assert [s.vertices for s in x.simplices()] == table.verts
+            assert [s.vertices for s in x.simplices()] == named
+
+
+# vertex names whose string order is not their numeric order, non-ASCII
+# names, and names holding the copy tags' colon
+AWKWARD_NAMES = ["v9", "v10", "v2", "v1", "é", "Ωmega", "a:b", "A:v1", ":", "z:"]
+
+
+class TestTableAgainstReference:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.lists(st.sampled_from(AWKWARD_NAMES), min_size=1, max_size=4, unique=True),
+        min_size=1, max_size=12,
+    ))
+    def test_int_table_matches_name_closure(self, generators):
+        verts, facets, cofacets = reference_table(tuple(sorted(g)) for g in generators)
+        text = "".join(" ".join(g) + "\n" for g in generators)
+        for x in (SimplicialComplex(Simplex(g) for g in generators), parse_complex(text)):
+            table = x._table
+            assert [tuple(table.names[v] for v in vs) for vs in table.verts] == verts
+            assert table.facets == facets
+            assert table.cofacets == cofacets
+            assert [s.vertices for s in x.simplices()] == verts
+
+    def test_xtilde_piece_and_ground_match_names(self):
+        for name, x in sorted(corpus_complexes().items()):
+            rng = random.Random(len(name))
+            for _ in range(3):
+                xt = build_xtilde(build_decomposition(x, *random_cover(x, rng)))
+                piece, ground = reference_xtilde_maps(xt)
+                assert list(xt._piece) == piece
+                assert xt._ground == ground
 
 
 class TestViews:
@@ -147,9 +204,9 @@ class TestViews:
         tables = []
         init = _Table.__init__
 
-        def counted(self, generators):
+        def counted(self, *args):
             tables.append(self)
-            init(self, generators)
+            init(self, *args)
 
         monkeypatch.setattr(_Table, "__init__", counted)
         golden = Path(__file__).parent / "golden"
@@ -238,6 +295,78 @@ class TestAcyclicityAgainstReference:
                     is_acyclic(field, copy.complex)
 
 
+def load(tmp_path, x: SimplicialComplex, dec: str):
+    """(decomposition, strategy, seed) as the CLI loads x with this
+    decomposition file."""
+    lines = [" ".join(s.vertices) + "\n" for s in x.maximal_simplices]
+    (tmp_path / "x.cx").write_text("".join(lines))
+    (tmp_path / "x.dec").write_text(dec)
+    args = argparse.Namespace(complex=str(tmp_path / "x.cx"),
+                              decomposition=str(tmp_path / "x.dec"), strategy=None, seed=None)
+    _, d, strategy, seed = _load_decomposition(args)
+    return d, strategy, seed
+
+
+def homology_json(tmp_path, capsys) -> dict:
+    assert main(["homology", "--complex", str(tmp_path / "x.cx"),
+                 "--decomposition", str(tmp_path / "x.dec"), "--output", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+class TestPinnedFields:
+    def test_poor_fields_match_the_oracle_and_verify(self, tmp_path):
+        poorer = 0
+        for name, x in sorted(corpus_complexes().items()):
+            oracle = simplicial_homology(x)
+            assert oracle == expected_homology(name)
+            rng = random.Random(sum(map(ord, name)))
+            for _ in range(2):
+                a, b = random_cover(x, rng)
+                greedy = build_decomposition(x, a, b)
+                pieces = {"A": greedy.a, "B": greedy.b, "I": greedy.iab}
+                for p in (0.1, 0.3):
+                    for seed in range(3):
+                        field_rng = random.Random(seed)
+                        fields = {k: poor_field(piece, p, field_rng)
+                                  for k, piece in pieces.items() if piece is not None}
+                        d, _, _ = load(tmp_path, x, decomposition_text(a, b, fields))
+                        assert mv_homology(d) == oracle
+                        xt = build_xtilde(d)
+                        assert check_iso_simplicial(xt).ok and check_main_iso(xt).ok
+                        poorer += len(mv_generators(d)) > len(mv_generators(greedy))
+        assert poorer > 20
+
+    @pytest.mark.parametrize("name", sorted(corpus_complexes()))
+    def test_pinning_the_greedy_pairs_reproduces_the_greedy_run(self, tmp_path, capsys, name):
+        x = corpus_complexes()[name]
+        rng = random.Random(len(name))
+        for seed in range(3):
+            a, b = random_cover(x, rng)
+            greedy, strategy, _ = load(
+                tmp_path, x, decomposition_text(a, b, {}) + f"[fields]\nauto random {seed}\n"
+            )
+            assert strategy == "random"
+            greedy_json = homology_json(tmp_path, capsys)
+            fields = {
+                piece: [(copy.pull(sigma), copy.pull(tau)) for sigma, tau in w.pairs]
+                for piece, w, copy in (("A", greedy.w_a, greedy.a_bar),
+                                       ("B", greedy.w_b, greedy.b_bar),
+                                       ("I", greedy.w_i, greedy.iab_bar))
+                if w is not None
+            }
+            pinned, strategy, _ = load(tmp_path, x, decomposition_text(a, b, fields))
+            assert strategy == "lexicographic"
+            assert mv_generators(pinned) == mv_generators(greedy)
+            assert mv_chain_complex(pinned).columns == mv_chain_complex(greedy).columns
+            assert mv_homology(pinned) == mv_homology(greedy) == expected_homology(name)
+            pinned_json = homology_json(tmp_path, capsys)
+            assert (greedy_json["strategy"], greedy_json["seed"]) == ("random", seed)
+            assert (pinned_json["strategy"], pinned_json["seed"]) == ("lexicographic", None)
+            for payload in (greedy_json, pinned_json):
+                del payload["strategy"], payload["seed"]
+            assert pinned_json == greedy_json
+
+
 def run_cli(tmp_path, capsys, cx: str, dec: str):
     (tmp_path / "x.cx").write_text(cx)
     (tmp_path / "x.dec").write_text(dec)
@@ -273,3 +402,17 @@ def test_cover_and_pinned_field_errors_keep_code_and_text(
     tmp_path, capsys, cx, dec, code, message
 ):
     assert run_cli(tmp_path, capsys, cx, dec) == (code, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("dec,message", [
+    ("[A]\nv0 v1\n[B]\nv1 v2\n[fields]\nA: v1 -> v2 v1\n",
+     "field pair ([v1], -[v1 v2]) references -[v1 v2], which is not a simplex of A"),
+    ("[A]\nv0 v1\n[B]\nv1 v2\n[fields]\nA: v0 v1 -> v0 v1 v2\n",
+     "field pair ([v0 v1], [v0 v1 v2]) references [v0 v1 v2], which is not a simplex of A"),
+    ("[A]\nv0 v1\n[B]\nv1 v2\n[fields]\nA: v1 -> v1 v0\nB: v2 v1 -> v1\n",
+     "([B:v1 B:v2], [B:v1]) is not a facet pair"),
+    ("[A]\nv0 v1\n[B]\nv1 v2\n[fields]\nB: v2 -> v2 v1\nB: v1 -> v2 v1\n",
+     "[B:v1 B:v2] appears in more than one pair"),
+])
+def test_pinned_pair_ends_keep_their_orientation_in_errors(tmp_path, capsys, dec, message):
+    assert run_cli(tmp_path, capsys, TWO_EDGES, dec) == (3, f"error: {message}\n")
