@@ -29,23 +29,22 @@ The boundary is not assembled by listing Gamma(tau, sigma), whose size can
 grow exponentially, but by Forman's flow (as in Harker, Mischaikow, Mrozek
 and Nanda, "Discrete Morse theoretic algorithms for computing homology of
 complexes and maps", FoCM 2014): a weighted count memoised per simplex,
-linear in the arcs of the gradient digraph.  Every sign is (-1)^k for the
-position k of a facet in the complex's facet table, which lists the facet
-dropping vertex k at position k.  The same flow with its signs dropped
-counts the trajectories, and with each sign moved into the key counts them
-by weight, which is what `verify` checks pair by pair.  `trajectories_from`
-still lists the trajectories themselves, each with its weight read the
-same way.
-
-Acyclicity is decided per dimension on the digraph whose arcs tau -> tau'
-run along legal trajectory steps, by an iterative three-colour depth-first
-search; a failure is reported with an explicit closed trajectory.
+linear in the arcs of the gradient digraph.  One signed rule, `_arcs`, gives
+those arcs: from tau down to a facet sigma other than down(tau), then up to
+up(sigma), signed as in w.  Every sign is (-1)^k for the position k of a
+facet in the complex's facet table, which lists the facet dropping vertex k
+at position k.  The flow of a critical simplex is its boundary; with its
+signs dropped it counts the trajectories, and with each sign moved into the
+key it counts them by weight, which `verify` checks pair by pair.  The walk
+of `trajectories_from` (its weights the products of the signs it read) and
+the acyclicity search, an iterative three-colour depth-first search that
+reports a closed trajectory, run on the same arcs.
 
 The field code runs on the integer ids of the complex's table (see
-`complexes`): a certified field holds `up`/`down` id arrays, coreduction
-and the acyclicity search keep their state in int lists and byte masks,
-and simplices are named only in what is returned (`pairs`, `critical`,
-trajectories, witnesses).
+`complexes`): a certified field holds `up`/`down` id arrays and the sign
+of each pair, coreduction and the acyclicity search keep their state in
+int lists and byte masks, and simplices are named only in what is returned
+(`pairs`, `critical`, trajectories, witnesses).
 """
 from __future__ import annotations
 
@@ -126,10 +125,8 @@ class VectorField:
     def __repr__(self) -> str:
         return f"<VectorField with {len(self.pairs)} pairs>"
 
-    def _arrays(self, x: SimplicialComplex) -> tuple[list[int], list[int]]:
-        """`up` and `down` over the id table of x: up[i] is the id of the tau
-        paired with member i, down[j] that of the sigma paired with member
-        j, and -1 marks no pair."""
+    def _arrays(self, x: SimplicialComplex) -> tuple[list[int], list[int], list[int]]:
+        """`up`, `down` and `lift` over the id table of x (see `_matching`)."""
         ids = [(x._id(sigma), x._id(tau)) for sigma, tau in self.pairs]
         for (sigma, tau), (i, j) in zip(self.pairs, ids):
             if i is None or j is None:
@@ -140,11 +137,13 @@ class VectorField:
 
 def _matching(
     x: SimplicialComplex, pairs: Iterable[tuple[int, int]], error: type[Exception]
-) -> tuple[list[int], list[int]]:
-    """The `up`/`down` arrays of the id pairs (sigma, tau) over x's table,
-    checked to be a matching of facet pairs, else `error` is raised."""
+) -> tuple[list[int], list[int], list[int]]:
+    """The arrays up[sigma] = tau, down[tau] = sigma (-1: no pair) and
+    lift[sigma] = -<tau, sigma> (1: no pair) of the id pairs (sigma, tau)
+    over x's table, checked to be a matching of facet pairs (else `error`
+    is raised)."""
     facets, name = x._table.facets, x._simplex
-    up, down = [-1] * len(facets), [-1] * len(facets)
+    up, down, lift = [-1] * len(facets), [-1] * len(facets), [1] * len(facets)
     for sigma, tau in pairs:
         if sigma not in facets[tau]:
             raise error(f"({name(sigma)}, {name(tau)}) is not a facet pair")
@@ -152,60 +151,59 @@ def _matching(
             if up[s] >= 0 or down[s] >= 0:
                 raise error(f"{name(s)} appears in more than one pair")
         up[sigma], down[tau] = tau, sigma
-    return up, down
+        lift[sigma] = 1 if facets[tau].index(sigma) & 1 else -1  # -<tau, sigma>
+    return up, down, lift
 
 
 def is_acyclic(v: VectorField, x: SimplicialComplex) -> bool:
     """Whether v is a gradient field on x."""
-    return _closed_trajectory(x, *v._arrays(x)) is None
+    try:
+        GradientField.certify(v, x)
+    except NotAcyclicError:
+        return False
+    return True
 
 
-def _closed_trajectory(
-    x: SimplicialComplex, up: list[int], down: list[int]
-) -> tuple[Simplex, ...] | None:
+def _closed_trajectory(gvf: "GradientField", every_root: bool = True) -> tuple[Simplex, ...] | None:
     """A closed trajectory (tau_0, sigma_1, ..., sigma_k, tau_k) with
-    tau_k == tau_0 of the field with id arrays up/down on x, or None when
-    the field is a gradient field on x.
+    tau_k == tau_0 of the field gvf, not yet certified, or None when it is a
+    gradient field.
 
-    Runs a three-colour DFS per dimension over the arcs tau -> up(sigma)
-    for sigma a facet of tau other than down(tau); a grey-on-grey arc closes
-    a trajectory, which is reconstructed from the DFS stack.  Arcs never
-    change dimension, so one colour array serves every dimension.
+    Runs a three-colour DFS per dimension over the arcs tau -> nu >= 0 of
+    `_arcs`; a grey-on-grey arc closes a trajectory, which is reconstructed
+    from the DFS stack, whose entries (tau, sigma, arcs) record the facet
+    sigma that led to tau.  Arcs never change dimension, so one colour
+    array serves every dimension.  Every arc ends at a cell matched
+    downward, so a closed trajectory runs through those alone: without
+    `every_root`, the search starts only there, which decides as well and
+    sooner, but may report another closed trajectory.
     """
-    facets = x._table.facets
+    x, arcs, down = gvf.complex, _arcs(gvf), gvf._down
     GRAY, BLACK = 1, 2
-    colour = bytearray(len(facets))
+    colour = bytearray(len(x._table))
     for ids in x._ids[1:]:
         for root in ids:
-            if colour[root]:
+            if colour[root] or not every_root and down[root] < 0:
                 continue
             colour[root] = GRAY
-            path = [root]
-            via: list[int] = []
-            stack = [_steps(up, down, facets, root)]
+            stack = [(root, -1, iter(arcs(root)))]
             while stack:
-                for sigma, nxt in stack[-1]:
+                for _, sigma, nxt in stack[-1][2]:
                     if nxt < 0:
                         continue
                     c = colour[nxt]
-                    if c == GRAY:
-                        i = path.index(nxt)
-                        witness: list[int] = []
-                        for j in range(i, len(path) - 1):
-                            witness += [path[j], via[j]]
-                        witness += [path[-1], sigma, nxt]
-                        return x._simplices_of(witness)
                     if not c:
                         colour[nxt] = GRAY
-                        path.append(nxt)
-                        via.append(sigma)
-                        stack.append(_steps(up, down, facets, nxt))
+                        stack.append((nxt, sigma, iter(arcs(nxt))))
                         break
+                    if c == GRAY:
+                        i = next(j for j, entry in enumerate(stack) if entry[0] == nxt)
+                        witness = [nxt]
+                        for tau, via, _ in stack[i + 1:]:
+                            witness += [via, tau]
+                        return x._simplices_of(witness + [sigma, nxt])
                 else:
-                    colour[path.pop()] = BLACK
-                    stack.pop()
-                    if via:
-                        via.pop()
+                    colour[stack.pop()[0]] = BLACK
     return None
 
 
@@ -215,10 +213,10 @@ class GradientField:
     (used by `greedy_gvf` too), so holding a GradientField is holding the
     proof that trajectory enumeration terminates.
 
-    The field lives on the complex's id table, as the arrays `_up` and
-    `_down` (see `VectorField._arrays`); certification also lists the
-    critical ids of each degree, once.  `pairs`, `critical` and `field`
-    name them as simplices on first use."""
+    The field lives on the complex's id table, as the arrays `_up`, `_down`
+    and `_lift` (see `_matching`), which `_arcs` reads; certification also
+    lists the critical ids of each degree, once.  `pairs`, `critical` and
+    `field` name them as simplices on first use."""
 
     _TOKEN = object()
 
@@ -238,13 +236,14 @@ class GradientField:
         complex: SimplicialComplex,
         up: list[int],
         down: list[int],
+        lift: list[int],
         field: VectorField | None = None,
     ) -> "GradientField":
-        witness = _closed_trajectory(complex, up, down)
-        if witness is not None:
-            raise NotAcyclicError(f"closed trajectory through {witness[0]}", witness)
         gvf = cls(field, complex, _token=cls._TOKEN)
-        gvf._up, gvf._down = up, down
+        gvf._up, gvf._down, gvf._lift = up, down, lift
+        if _closed_trajectory(gvf, every_root=False) is not None:
+            witness = _closed_trajectory(gvf)  # the one a search from every cell finds first
+            raise NotAcyclicError(f"closed trajectory through {witness[0]}", witness)
         gvf._critical_ids = tuple(
             [i for i in ids if up[i] < 0 and down[i] < 0] for ids in complex._ids
         )
@@ -291,8 +290,8 @@ class GradientField:
 class Trajectory:
     """An extended trajectory, stored as the alternating sequence
     (tau_0, sigma_1, tau_1, ..., tau_k, sigma_{k+1}).  An enumerated
-    trajectory carries the weight its walk read off the id table; one built
-    by hand reads it from its steps on first use (see `_path_weight`)."""
+    trajectory carries the weight its walk read off `_arcs`; one built by
+    hand reads it from its steps on first use (see `_path_weight`)."""
 
     __slots__ = ("steps", "_weight")
 
@@ -311,7 +310,7 @@ class Trajectory:
     @property
     def weight(self) -> int:
         if self._weight is None:
-            self._weight = _named_path_weight(self.steps)
+            self._weight = _path_weight([abs(s) for s in self.steps], Simplex.facets)
         return self._weight
 
     def __eq__(self, other) -> bool:
@@ -332,9 +331,9 @@ def _sign(k: int) -> int:
 
 
 def _path_weight(steps: Sequence[Hashable], facets: Callable[[Hashable], Sequence]) -> int:
-    """The sign of a trajectory, from its step sequence and `facets`, which
-    lists the facets of a step in vertex-drop order (on ids, the facet
-    table).  One rule covers every route, step by step x -> y:
+    """The sign of a hand-built trajectory, from its steps and `facets`,
+    which lists the facets of a step in vertex-drop order; it shares no code
+    with `_arcs`, whose signs the walks multiply.  Step by step x -> y:
 
     * a step down to the facet k of x contributes (-1)^k, i.e. <x, y>;
     * a step up from the facet k of y contributes -(-1)^k, i.e. -<y, x>;
@@ -343,7 +342,7 @@ def _path_weight(steps: Sequence[Hashable], facets: Callable[[Hashable], Sequenc
 
     For an extended trajectory this is the weight w of the module
     docstring; an MV trajectory multiplies it by the sign of its case
-    (see `mv`).  Forman's flow (`_flow`) applies the same signs."""
+    (see `mv`)."""
     w = 1
     for x, y in zip(steps, steps[1:]):
         below, above = facets(x), facets(y)
@@ -354,11 +353,6 @@ def _path_weight(steps: Sequence[Hashable], facets: Callable[[Hashable], Sequenc
         elif len(below) != len(above):
             return 0
     return w
-
-
-def _named_path_weight(steps: Sequence[Simplex]) -> int:
-    """`_path_weight` of a trajectory written as simplices, orientation ignored."""
-    return _path_weight([abs(s) for s in steps], Simplex.facets)
 
 
 def trajectories_from(gvf: GradientField, tau: Simplex) -> dict[Simplex, list[Trajectory]]:
@@ -376,73 +370,85 @@ def trajectories_from(gvf: GradientField, tau: Simplex) -> dict[Simplex, list[Tr
         raise FieldError(f"{tau} is not in the complex")
     if not gvf._is_critical(i):
         raise FieldError(f"{tau} is not critical")
-    name, facets = gvf.complex._simplices_of, gvf.complex._table.facets
+    name = gvf.complex._simplices_of
     return {
-        gvf.complex._simplex(end): [
-            Trajectory._with_weight(name(steps), _path_weight(steps, facets.__getitem__))
-            for steps in paths
-        ]
-        for end, paths in _grouped(_trajectory_ids(gvf, i)).items()
+        gvf.complex._simplex(end): [Trajectory._with_weight(name(s), w) for s, w in walks]
+        for end, walks in _grouped(_trajectory_ids(gvf, i)).items()
     }
 
 
-def _grouped(walks: Iterable[tuple[int, ...]]) -> dict[int, list[tuple[int, ...]]]:
-    """Id sequences grouped by their last id, in order of first appearance."""
-    out: dict[int, list[tuple[int, ...]]] = {}
-    for steps in walks:
-        out.setdefault(steps[-1], []).append(steps)
+def _grouped(walks: Iterable[tuple[tuple[int, ...], int]]) -> dict[int, list]:
+    """(id sequence, weight) pairs grouped by the last id of the sequence,
+    in order of first appearance."""
+    out: dict[int, list] = {}
+    for walk in walks:
+        out.setdefault(walk[0][-1], []).append(walk)
     return out
 
 
-def _trajectory_ids(gvf: GradientField, tau: int) -> Iterator[tuple[int, ...]]:
+def _trajectory_ids(gvf: GradientField, tau: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """The extended trajectories of gvf from the id tau that end at a
-    critical id, as id sequences, depth-first in facet order."""
-    up, down, facets = gvf._up, gvf._down, gvf.complex._table.facets
-
-    def step(seq):
-        # a step continues to up(sigma) or, at a critical sigma, ends
-        for sigma, nxt in _steps(up, down, facets, seq[-1]):
-            if nxt >= 0:
-                yield (sigma, nxt), False
-            elif down[sigma] < 0:
-                yield (sigma,), True
-
-    return _walk(tau, step)
+    critical id, as (id sequence, weight), depth-first in facet order."""
+    return _walk(tau, _moves(gvf))
 
 
-def _steps(up: list[int], down: list[int], facets: list[tuple[int, ...]], tau: int):
-    """Forman's step rule on ids: `(sigma, up[sigma])` for every facet sigma
-    of tau other than `down[tau]`, in vertex-drop order; up[sigma] is -1
-    when sigma is not paired upward."""
-    d = down[tau]
-    for sigma in facets[tau]:
-        if sigma != d:
-            yield sigma, up[sigma]
+def _arcs(gvf: GradientField) -> Callable[[int], list[tuple[int, int, int]]]:
+    """Forman's step rule of gvf on ids, signed, and the one description of
+    its gradient digraph: arcs(tau) lists (c, sigma, nu) for every facet
+    sigma of tau other than down[tau], in vertex-drop order, with nu =
+    up[sigma] (-1 when sigma is not paired upward) and c the sign of the
+    step, <tau, sigma> times -<nu, sigma> when nu >= 0."""
+    up, down, lift, facets = gvf._up, gvf._down, gvf._lift, gvf.complex._table.facets
+
+    def arcs(tau: int) -> list[tuple[int, int, int]]:
+        d, out, c = down[tau], [], 1
+        for sigma in facets[tau]:
+            if sigma != d:
+                out.append((c * lift[sigma], sigma, up[sigma]))
+            c = -c
+        return out
+
+    return arcs
 
 
-def _walk(start, step) -> Iterator[tuple]:
-    """Every step sequence grown from `start`, depth-first.
+def _moves(gvf: GradientField, transfer: Callable[[int], list] | None = None):
+    """The moves of a walk along gvf's arcs, for `_walk`: an arc (c, sigma,
+    nu) goes on to nu >= 0, or ends at a critical sigma unless `transfer`
+    is given, whose moves from tau come first."""
+    arcs, down = _arcs(gvf), gvf._down
 
-    `step(seq)` yields `(extension, final)` pairs in order: a final
-    extension completes a sequence, which is yielded; any other is appended
-    and explored before the next pair is taken.  Whenever a step generator
-    runs, `seq` holds the sequence it was created for.  The walk keeps an
-    explicit stack, so a sequence may be arbitrarily long.
-    """
+    def moves(tau: int) -> list:
+        out = [] if transfer is None else transfer(tau)
+        for c, sigma, nu in arcs(tau):
+            if nu >= 0:
+                out.append(((sigma, nu), c, moves))
+            elif transfer is None and down[sigma] < 0:
+                out.append(((sigma,), c, None))
+        return out
+
+    return moves
+
+
+def _walk(start: int, moves, sign: int = 1) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every walk from `start` that ends, as (id sequence, weight),
+    depth-first, the weight `sign` times the signs of its moves.  `moves(id)`
+    lists `(extension, c, then)`: the extension is appended with sign c, and
+    `then` gives the moves from its last id, or is None when it ends the
+    walk.  An explicit stack lets a sequence be arbitrarily long."""
     seq = [start]
-    stack = [(step(seq), 0)]
+    stack = [(iter(moves(start)), 0, sign)]
     while stack:
-        for ext, final in stack[-1][0]:
-            if final:
-                yield (*seq, *ext)
+        it, _, w = stack[-1]
+        for ext, c, then in it:
+            if then is None:
+                yield (*seq, *ext), w * c
             else:
                 seq += ext
-                stack.append((step(seq), len(ext)))
+                stack.append((iter(then(seq[-1])), len(ext), w * c))
                 break
         else:
-            _, grown = stack.pop()
-            if grown:
-                del seq[-grown:]
+            _, grown, _ = stack.pop()
+            del seq[len(seq) - grown:]
 
 
 def _combine(base: Column, terms: Iterable[tuple[int, Column]]) -> Column:
@@ -451,7 +457,7 @@ def _combine(base: Column, terms: Iterable[tuple[int, Column]]) -> Column:
     for c, col in terms:
         for r, v in col.items():
             out[r] = out.get(r, 0) + c * v
-    return {r: v for r, v in out.items() if v}
+    return out if all(out.values()) else {r: v for r, v in out.items() if v}
 
 
 def _unsigned(base: Column, terms: Iterable[tuple[int, Column]]) -> Column:
@@ -495,48 +501,45 @@ def _memoised(links: Callable[[int], tuple[Column, Sequence[tuple[int, int]]]], 
             else:
                 stack.pop()
                 on_path.discard(s)
-                memo[s] = combine(base, [(c, memo[t]) for c, t in arcs]) if arcs else base
+                if not arcs:
+                    memo[s] = base
+                elif not base and len(arcs) == 1 and arcs[0][0] == 1:
+                    memo[s] = memo[arcs[0][1]]  # shared: no caller changes a value
+                else:
+                    memo[s] = combine(base, [(c, memo[t]) for c, t in arcs])
         return memo[root]
 
     return value
 
 
 def _flow(gvf: GradientField, combine=_combine) -> Callable[[int], Column]:
-    """Forman's flow of gvf on ids, memoised: flow(s) maps each critical id
-    r of the dimension of s to the weighted count of the gradient paths
-    s, up(s), s_1, up(s_1), ..., r, as in the trajectory weight:
+    """Forman's flow of gvf on ids, memoised, over the arcs of `_arcs`:
+    flow(tau) maps each critical id r one dimension below tau to the
+    weighted count of the gradient paths tau, sigma_1, nu_1, ..., r,
 
-        flow(s) = {s: 1}   when s is critical,
-                  {}       when s is matched downward,
-                  -(-1)^k sum_{j != k} (-1)^j flow(facet_j(up(s)))   otherwise,
+        flow(tau) = sum over the arcs (c, sigma, nu) of tau of
+                    c flow(nu)     when nu >= 0,
+                    c {sigma: 1}   when sigma is critical,
 
-    with k the position of s among the facets of up(s).  The field is a
-    gradient field, so the recursion is well founded.  With `_unsigned` as
-    `combine` it counts the paths; with `_split` it counts them by weight."""
-    up, down, facets = gvf._up, gvf._down, gvf.complex._table.facets
-    own = (lambda s: (s, 1)) if combine is _split else (lambda s: s)
+    so the flow of a critical id is its Thom-Smale boundary.  The field is
+    a gradient field, so the recursion is well founded.  With `_unsigned`
+    as `combine` it counts the paths; with `_split` it counts them by
+    weight."""
+    arcs, down = _arcs(gvf), gvf._down
+    unit = (lambda r: {(r, 1): 1}) if combine is _split else (lambda r: {r: 1})
 
-    def links(s: int):
-        t = up[s]
-        if t < 0:
-            return ({own(s): 1} if down[s] < 0 else {}), ()
-        k = facets[t].index(s)
-        c = -_sign(k)
-        return {}, [(c * _sign(j), f) for j, f in enumerate(facets[t]) if j != k]
+    def links(tau: int):
+        if tau < 0:  # the sink ~sigma of the paths ending at a critical sigma
+            return unit(~tau), ()
+        steps = []
+        for c, sigma, nu in arcs(tau):
+            if nu >= 0:
+                steps.append((c, nu))
+            elif down[sigma] < 0:
+                steps.append((c, ~sigma))
+        return {}, steps
 
     return _memoised(links, combine)
-
-
-def _facet_sum(facets: list[tuple[int, ...]], tau: int, value, combine=_combine) -> Column:
-    """sum_j (-1)^j value(facet_j(tau)): from a flow, the boundary of the
-    critical id tau, i.e. the summed weights of its extended trajectories."""
-    return combine({}, ((_sign(j), value(f)) for j, f in enumerate(facets[tau])))
-
-
-def _boundary(gvf: GradientField) -> Callable[[int], Column]:
-    """The Thom-Smale boundary of gvf: critical id -> {critical id: entry}."""
-    flow, facets = _flow(gvf), gvf.complex._table.facets
-    return lambda tau: _facet_sum(facets, tau, flow)
 
 
 def _boundary_columns(rows: Sequence, cols: Sequence, column) -> list[Column]:
@@ -559,7 +562,7 @@ def thom_smale_complex(gvf: GradientField) -> IntegerChainComplex:
     """The full Thom-Smale chain complex of (X, V); its homology equals the
     simplicial homology of X."""
     labels = [gvf.critical(q) for q in range(len(gvf._critical_ids))]
-    return _trajectory_complex(labels, gvf._critical_ids, _boundary(gvf))
+    return _trajectory_complex(labels, gvf._critical_ids, _flow(gvf))
 
 
 def greedy_gvf(
@@ -600,7 +603,7 @@ def greedy_gvf(
         position[i], live[i] = p, len(facets[i])
     alive = bytearray(x._mask)
     candidates: list[int] = []
-    up, down = [-1] * n, [-1] * n
+    up, down, lift = [-1] * n, [-1] * n, [1] * n
     push, pop = heapq.heappush, heapq.heappop
 
     remaining, next_critical = len(order), 0
@@ -610,10 +613,11 @@ def greedy_gvf(
         while candidates:
             tau = order[pop(candidates)]
             if alive[tau] and live[tau] == 1:
-                for sigma in facets[tau]:
+                for k, sigma in enumerate(facets[tau]):
                     if alive[sigma]:
                         break
                 up[sigma], down[tau] = tau, sigma
+                lift[sigma] = 1 if k & 1 else -1  # -<tau, sigma>
                 dead = (sigma, tau)
                 break
         else:
@@ -632,4 +636,4 @@ def greedy_gvf(
 
     if any(alive):
         raise InternalConsistencyError("greedy matching lost track of simplices")
-    return GradientField._certified(x, up, down)
+    return GradientField._certified(x, up, down, lift)

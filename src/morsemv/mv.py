@@ -28,26 +28,26 @@ five situations, keyed by the tags:
 
 All other tag combinations admit no trajectories.
 
-Every route has the same sign rule (`morse._path_weight`).  Each step x -> y
-of the simplex sequence contributes <x, y> when it goes down a dimension,
--<y, x> when it goes up one, and nothing when it keeps the dimension (the
-transfer of cases 4/5).  The product is then multiplied by a per-case sign:
+Every step of a route is an arc of one copy's field, signed by the one
+arc rule `morse._arcs`; the transfer of cases 4/5 keeps the id and the
+sign, and the step up from the transferred s to up(s) in the piece has the
+sign -<up(s), s>.  A weight is the product of these signs and a per-case
+sign:
 
     case   1   2   3   4   5
     sign  +1  +1  -1  -1  +1
 
 The boundary sums these weights without listing the trajectories.  Cases
 1-3 are Forman's flow of one copy (`morse._flow`).  Cases 4/5 compose
-flows: D(tau) = flow_piece(tau) + sum over the I-steps (sigma, nu) from tau
-of <tau, sigma> (-<nu, sigma>) D(nu) counts every descent in the I-copy
-from tau, transferred and followed by every ascent in the piece, which is
-the piece's own flow.  Each is memoised per id, so assembly is linear in
-the arcs of the gradient digraphs, while the number of trajectories can
-grow exponentially.  `mv_trajectories_from` and `enumerate_mv` list the
-trajectories themselves, with one iterative depth-first walk for every
-case, so neither has a depth limit.  The resulting boundary squares to zero
-and the homology of (D_*, d) is the simplicial homology of X; both facts
-are exercised heavily by the test suite rather than trusted.
+flows: D(tau) sums, over the arcs (c, sigma, nu) of the I-copy from tau
+with nu >= 0, c D(nu), plus the transfer of tau followed by the piece's own
+flow.  Each is memoised per id, so assembly is linear in the arcs of the
+gradient digraphs, while the number of trajectories can grow exponentially.
+`mv_trajectories_from` and `enumerate_mv` list the trajectories with one
+iterative depth-first walk over the same arcs (`morse._walk`), so neither
+has a depth limit.  The resulting boundary squares to zero and the
+homology of (D_*, d) is the simplicial homology of X; both facts are
+exercised heavily by the test suite rather than trusted.
 """
 from __future__ import annotations
 
@@ -61,21 +61,18 @@ from .homology import Column, HomologyResult, IntegerChainComplex, _dense, homol
 from .morse import (
     DEFAULT_SEED,
     GradientField,
+    _arcs,
     _boundary_columns,
     _combine,
-    _facet_sum,
     _flow,
     _grouped,
     _matching,
     _memoised,
-    _sign,
-    _named_path_weight,
-    _steps,
+    _moves,
+    _path_weight,
     _trajectory_complex,
-    _trajectory_ids,
     _unsigned,
     _walk,
-    _path_weight,
     greedy_gvf,
 )
 
@@ -99,10 +96,12 @@ FROM_A = "FromA"
 FROM_B = "FromB"
 SHIFTED = "Shifted"
 _TAG_RANK = {FROM_A: 0, FROM_B: 1, SHIFTED: 2}
-# the per-case sign applied on top of `morse._path_weight`
+# the per-case sign applied on top of the signs of the steps
 _CASE_SIGN = {1: 1, 2: 1, 3: -1, 4: -1, 5: 1}
 # the case of a trajectory inside one copy, by the tag of its generators
 _OWN_CASE = {FROM_A: 1, FROM_B: 2, SHIFTED: 3}
+# the case of a trajectory from a Shifted generator into a piece, by its tag
+_MIXED_CASE = {FROM_A: 4, FROM_B: 5}
 
 
 @dataclass(frozen=True)
@@ -166,6 +165,10 @@ class Decomposition:
         self.iab, self.iab_bar = iab, iab_bar
         self.w_a, self.w_b, self.w_i = w_a, w_b, w_i
 
+    def _fields(self) -> dict[str, GradientField | None]:
+        """The field of each generator tag's copy."""
+        return {FROM_A: self.w_a, FROM_B: self.w_b, SHIFTED: self.w_i}
+
     def transfer(self, s: Simplex, into: str) -> Simplex:
         """Carry an intersection-copy simplex into the A- or B-copy along
         the inclusions A n B -> A, B (by renaming through the base)."""
@@ -186,11 +189,16 @@ def _field_on_copy(
     piece: SimplicialComplex, copy: ComplexCopy, pairs: Iterable[Sequence], piece_name: str
 ) -> GradientField:
     """The field on `copy` pinned by `pairs` in the vertex names of X, each
-    end a Simplex or vertex names, resolved to ids the copy shares."""
+    end a Simplex, vertex names, or a string of them, resolved to ids."""
     ids, id_of = [], piece._id_of
+
+    def id_of_end(end) -> int | None:
+        if isinstance(end, Simplex):
+            return id_of(end.vertices)
+        return id_of(tuple(sorted(end.split() if isinstance(end, str) else end)))
+
     for sigma, tau in pairs:
-        ends = (id_of(sigma.vertices if isinstance(sigma, Simplex) else tuple(sorted(sigma))),
-                id_of(tau.vertices if isinstance(tau, Simplex) else tuple(sorted(tau))))
+        ends = (id_of_end(sigma), id_of_end(tau))
         if None in ends:
             named = [s if isinstance(s, Simplex) else Simplex(s) for s in (sigma, tau)]
             raise DecompositionError(
@@ -283,11 +291,11 @@ def _critical_of_dim(gvf: GradientField | None, q: int) -> list[int]:
 
 def _generator_keys(d: Decomposition, q: int) -> list[tuple[str, int]]:
     """D_q as (tag, id) pairs, in the order of `mv_generators`."""
-    return (
-        [(FROM_A, i) for i in _critical_of_dim(d.w_a, q)]
-        + [(FROM_B, i) for i in _critical_of_dim(d.w_b, q)]
-        + [(SHIFTED, i) for i in _critical_of_dim(d.w_i, q - 1)]
-    )
+    return [
+        (tag, i)
+        for tag, gvf in d._fields().items()
+        for i in _critical_of_dim(gvf, q - 1 if tag == SHIFTED else q)
+    ]
 
 
 def mv_generators(d: Decomposition, q: int | None = None) -> tuple[MVGenerator, ...]:
@@ -297,7 +305,7 @@ def mv_generators(d: Decomposition, q: int | None = None) -> tuple[MVGenerator, 
         return tuple(itertools.chain.from_iterable(
             mv_generators(d, p) for p in range(_max_degree(d) + 1)
         ))
-    fields = {FROM_A: d.w_a, FROM_B: d.w_b, SHIFTED: d.w_i}
+    fields = d._fields()
     return tuple(
         _generator(tag, fields[tag].complex._simplex(i)) for tag, i in _generator_keys(d, q)
     )
@@ -323,109 +331,73 @@ class MVTrajectory:
     steps: tuple[Simplex, ...]
     p: int | None = None
     l: int | None = None
-    # given by the walk, which reads it off the id table; see `weight`
+    # the product of the signs the walk read; see `weight`
     _weight: int | None = field(default=None, repr=False, compare=False)
 
     @property
     def weight(self) -> int:
-        """The case sign times `morse._path_weight` of the steps: computed by the
-        walk that found the trajectory, or from the steps when built by hand."""
+        """The case sign times the signs of the steps: read off `morse._arcs`
+        by the walk that found the trajectory, or, when it was built by
+        hand, from the steps with `morse._path_weight`."""
         if self._weight is not None:
             return self._weight
         if self.case not in _CASE_SIGN:
             raise InternalConsistencyError(f"unknown trajectory case {self.case}")
-        return _CASE_SIGN[self.case] * _named_path_weight(self.steps)
+        return _CASE_SIGN[self.case] * _path_weight([abs(s) for s in self.steps], Simplex.facets)
 
     def __str__(self) -> str:
         arrows = ", ".join(str(s) for s in self.steps)
         return f"case {self.case} [{arrows}] (weight {self.weight:+d})"
 
 
-def _forman_cases(
-    d: Decomposition, beta: MVGenerator, start: int
-) -> dict[MVGenerator, list[MVTrajectory]]:
-    """Cases 1-3: plain trajectory enumeration inside one copy, from the id
-    `start` of beta's simplex."""
-    tag = beta.tag
-    case, gvf = _OWN_CASE[tag], {FROM_A: d.w_a, FROM_B: d.w_b, SHIFTED: d.w_i}[tag]
-    sign = _CASE_SIGN[case]
-    name, facets = gvf.complex._simplices_of, gvf.complex._table.facets.__getitem__
-    out: dict[MVGenerator, list[MVTrajectory]] = {}
-    for end, paths in _grouped(_trajectory_ids(gvf, start)).items():
-        alpha = _generator(tag, gvf.complex._simplex(end))
-        out[alpha] = [
-            MVTrajectory(case, beta, alpha, name(s), _weight=sign * _path_weight(s, facets))
-            for s in paths
-        ]
-    return out
+def _mixed_moves(wi: GradientField, piece: GradientField):
+    """The moves of the walk of cases 4/5: a descent along the arcs of wi
+    and, first from each tau on it, the transfer into the piece, which ends
+    at a critical tau or steps up to a = up(tau) with the sign -<a, tau>."""
+    ascend, up, down, lift = _moves(piece), piece._up, piece._down, piece._lift
 
+    def transfer(tau: int) -> list:
+        a = up[tau]
+        if a >= 0:
+            return [((tau, a), lift[tau], ascend)]
+        return [((tau,), 1, None)] if down[tau] < 0 else []
 
-def _mixed_cases(
-    d: Decomposition, beta: MVGenerator, start: int, case: int
-) -> dict[MVGenerator, list[MVTrajectory]]:
-    """Cases 4 (Shifted -> FromA) and 5 (Shifted -> FromB), from the id
-    `start` of beta's simplex.
-
-    Every copy is a tag on X's table, so the walk runs on ids and the
-    transfer into the piece keeps the id."""
-    tag = FROM_A if case == 4 else FROM_B
-    piece, wi = (d.w_a if case == 4 else d.w_b), d.w_i
-    p_up, p_down = piece._up, piece._down
-    i_up, i_down = wi._up, wi._down
-    facets = wi.complex._table.facets
-
-    # The descent grows the start by pairs and the transfer by one simplex,
-    # so an odd-length sequence ends in the I-copy and an even one in the piece.
-    def step(seq):
-        here = seq[-1]
-        if len(seq) % 2:
-            # (tau_p)_I: first the transfer into the piece, then the descent
-            yield (here,), False
-            for sigma, nxt in _steps(i_up, i_down, facets, here):
-                if nxt >= 0:
-                    yield (sigma, nxt), False
-        elif p_up[here] < 0 and p_down[here] < 0:
-            yield (), True
-        else:
-            a = p_up[here]
-            if a >= 0:  # matched downward: the ascent cannot pass through
-                for nxt in facets[a]:
-                    if nxt != here:
-                        yield (a, nxt), False
-
-    i_name, p_name = wi.complex._simplices_of, piece.complex._simplices_of
-    out: dict[MVGenerator, list[MVTrajectory]] = {}
-    for end, paths in _grouped(_walk(start, step)).items():
-        alpha = _generator(tag, piece.complex._simplex(end))
-        ts = out[alpha] = []
-        for steps in paths:
-            # the transfer is the first odd-indexed step repeating its predecessor
-            cut = 1
-            while steps[cut] != steps[cut - 1]:
-                cut += 2
-            named = i_name(steps[:cut]) + p_name(steps[cut:])
-            w = _CASE_SIGN[case] * _path_weight(steps, facets.__getitem__)
-            p, l = cut // 2, (len(steps) - cut) // 2
-            ts.append(MVTrajectory(case, beta, alpha, named, p, l, _weight=w))
-    return out
+    return _moves(wi, transfer)
 
 
 def mv_trajectories_from(
     d: Decomposition, beta: MVGenerator
 ) -> dict[MVGenerator, list[MVTrajectory]]:
-    """All MV trajectories out of beta, grouped by target generator."""
+    """All MV trajectories out of beta, grouped by target generator, from
+    one walk per case; a walk of case 4 or 5 repeats the transferred id."""
     start = _require_generator(d, beta)
-    out = _forman_cases(d, beta, start)
+    fields = d._fields()
+    own = fields[beta.tag]
+    routes = [(_OWN_CASE[beta.tag], beta.tag, _moves(own))]
     if beta.tag == SHIFTED:
-        for case in (4, 5):
-            for alpha, ts in _mixed_cases(d, beta, start, case).items():
-                out.setdefault(alpha, []).extend(ts)
+        routes += [(case, tag, _mixed_moves(own, fields[tag])) for tag, case in _MIXED_CASE.items()]
+    out: dict[MVGenerator, list[MVTrajectory]] = {}
+    for case, tag, moves in routes:
+        name = fields[tag].complex._simplices_of
+        for end, walks in _grouped(_walk(start, moves, _CASE_SIGN[case])).items():
+            alpha = _generator(tag, fields[tag].complex._simplex(end))
+            ts = out.setdefault(alpha, [])
+            for steps, w in walks:
+                if tag == beta.tag:
+                    ts.append(MVTrajectory(case, beta, alpha, name(steps), _weight=w))
+                    continue
+                cut = 1
+                while steps[cut] != steps[cut - 1]:
+                    cut += 2
+                named = own.complex._simplices_of(steps[:cut]) + name(steps[cut:])
+                p, l = cut // 2, (len(steps) - cut) // 2
+                ts.append(MVTrajectory(case, beta, alpha, named, p, l, _weight=w))
     return out
 
 
 def _require_generator(d: Decomposition, g: MVGenerator) -> int:
     """The id of g's simplex, when g is a generator of d."""
-    gvf = {FROM_A: d.w_a, FROM_B: d.w_b, SHIFTED: d.w_i}[g.tag]
+    gvf = d._fields()[g.tag]
     i = gvf.complex._id(g.simplex) if gvf is not None else None
     if i is None or not gvf._is_critical(i):
         raise FieldError(f"{g} is not a generator of this decomposition")
@@ -445,26 +417,24 @@ def enumerate_mv(
     return mv_trajectories_from(d, beta).get(alpha, [])
 
 
-def _mixed_flow(wi: GradientField, flow: Callable[[int], Column], combine=_combine):
-    """Cases 4/5 on ids, memoised, for the piece whose flow is `flow`:
-
-        D(tau) = flow(tau) + sum over the I-steps (sigma, nu) from tau of
-                 <tau, sigma> (-<nu, sigma>) D(nu),
-
-    an I-step being a facet sigma of tau other than down_I(tau) with
-    nu = up_I(sigma).  D(tau) counts every descent in the I-copy from tau,
-    transferred into the piece (which keeps the id and the sign) and
-    followed by every ascent there; the ascent is the piece's flow, and
-    `combine` sums as in `morse._flow`."""
-    up, down, facets = wi._up, wi._down, wi.complex._table.facets
+def _mixed_flow(
+    wi: GradientField, piece: GradientField, flow: Callable[[int], Column], combine=_combine
+):
+    """Cases 4/5 on ids, memoised, for the piece with field `piece` and flow
+    `flow`: D(tau) = T(tau) + sum of c D(nu) over the arcs (c, sigma, nu) of
+    wi from tau with nu >= 0, where T(tau), the transfer of tau followed by
+    every ascent in the piece, is {tau: 1} when tau is critical there,
+    -<a, tau> flow(a) when a = up(tau) there, else 0.  `combine` sums as in
+    `morse._flow`, signed or unsigned."""
+    arcs, up, down, lift = _arcs(wi), piece._up, piece._down, piece._lift
 
     def links(tau: int):
-        arcs = []
-        for j, sigma in enumerate(facets[tau]):
-            nu = up[sigma]
-            if nu >= 0 and sigma != down[tau]:
-                arcs.append((-_sign(j) * _sign(facets[nu].index(sigma)), nu))
-        return flow(tau), arcs
+        a = up[tau]
+        if a >= 0:
+            base = flow(a) if lift[tau] > 0 else combine({}, [(-1, flow(a))])
+        else:
+            base = {tau: 1} if down[tau] < 0 else {}
+        return base, [(c, nu) for c, _, nu in arcs(tau) if nu >= 0]
 
     return _memoised(links, combine)
 
@@ -473,27 +443,22 @@ def _mv_column(d: Decomposition, signed: bool = True) -> Callable[[tuple[str, in
     """The MV boundary on generator keys: (tag, id) -> {(tag, id): entry},
     each route's flow times the sign of its case; unsigned, the entry
     counts the trajectories instead."""
-    facets = d.x._table.facets
     combine, signs = _combine, _CASE_SIGN
     if not signed:
         combine, signs = _unsigned, dict.fromkeys(_CASE_SIGN, 1)
-    flows = {
-        tag: _flow(gvf, combine)
-        for tag, gvf in ((FROM_A, d.w_a), (FROM_B, d.w_b), (SHIFTED, d.w_i))
-        if gvf is not None
-    }
+    fields = d._fields()
+    flows = {tag: _flow(gvf, combine) for tag, gvf in fields.items() if gvf is not None}
     mixed = []
     if d.w_i is not None:
         mixed = [
-            (tag, signs[case], _mixed_flow(d.w_i, flows[tag], combine))
-            for tag, case in ((FROM_A, 4), (FROM_B, 5))
+            (tag, signs[case], _mixed_flow(d.w_i, fields[tag], flows[tag], combine))
+            for tag, case in _MIXED_CASE.items()
         ]
 
     def column(key: tuple[str, int]) -> dict:
         tag, i = key
         sign = signs[_OWN_CASE[tag]]
-        own = _facet_sum(facets, i, flows[tag], combine)
-        out = {(tag, r): sign * v for r, v in own.items()}
+        out = {(tag, r): sign * v for r, v in flows[tag](i).items()}
         if tag == SHIFTED:
             for target, case_sign, descend in mixed:
                 out.update(((target, r), case_sign * v) for r, v in descend(i).items())

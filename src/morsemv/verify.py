@@ -63,11 +63,14 @@ The per-pair checks of `check_main_iso` compare counts and signed sums from
 flows, not lists of trajectories.  Every weight is +1 or -1, so a pair's
 weight multiset is fixed by the number N of its trajectories and their
 signed sum S.  Upstairs, one split flow of W (Forman's flow with the sign
-in the key) gives N, S and the boundary; in MV, S is the target's entry and
-N comes from unsigned flows.  A trajectory's case is fixed by the pieces at
-its ends unless it takes a step off the five shapes, and one scan over the
-reachable arcs finds any such step.  Only the `trajectories` command
-enumerates trajectories.
+in the key), whose value at a critical cell is that cell's column, gives
+N, S and the boundary; in MV, S is the target's entry and N comes from
+unsigned flows.  A trajectory's case is fixed by the pieces at its ends
+unless it takes a step off the five shapes, and one scan over the
+reachable arcs finds any such step.  The flows and the scan read the arcs
+of W from `morse._arcs`, the one step rule of every field, so the boundary
+and the checks cannot disagree on a step or a sign.  Only the
+`trajectories` command enumerates trajectories.
 """
 from __future__ import annotations
 
@@ -84,16 +87,7 @@ from .homology import (
     homology,
     simplicial_chain_complex,
 )
-from .morse import (
-    GradientField,
-    _boundary,
-    _boundary_columns,
-    _facet_sum,
-    _flow,
-    _matching,
-    _split,
-    _steps,
-)
+from .morse import GradientField, _arcs, _boundary_columns, _flow, _matching, _split
 from .mv import (
     FROM_A,
     FROM_B,
@@ -265,8 +259,9 @@ def _build_w_field(xt: XTilde) -> GradientField:
         expected.update(ids[i] for i in _critical_ids(w))
     prism_pairs, interior_crit = _prism_extension(xt)
     expected.update(interior_crit)
-    up, down = _matching(xt.complex, pairs + prism_pairs, InternalConsistencyError)
-    gvf = GradientField._certified(xt.complex, up, down)
+    gvf = GradientField._certified(
+        xt.complex, *_matching(xt.complex, pairs + prism_pairs, InternalConsistencyError)
+    )
     actual = set(_critical_ids(gvf))
     if actual != expected:
         raise InternalConsistencyError(
@@ -422,7 +417,7 @@ def check_iso_simplicial(xt: XTilde) -> VerifyReport:
     )
     # g: critical cells of V -> simplices of X (drop the copy tag)
     _compare(
-        checks, v, _boundary(v), "(X~,V)", lambda i: d.x._simplex(xt._ground[i]),
+        checks, v, _flow(v), "(X~,V)", lambda i: d.x._simplex(xt._ground[i]),
         "g_bijective", xt.x_chains, [("X", xt.x_homology)],
     )
     return checks.report()
@@ -447,10 +442,10 @@ def _w_tallies(gvf: GradientField, flow: Callable[[int], Column]) -> dict:
     """{tau: {r: (count, sum)}} over the critical ids of W: the number of
     trajectories from tau to r and the sum of their weights, from its split
     flow.  Every weight is +1 or -1, so the two fix the weight multiset."""
-    facets, out = gvf.complex._table.facets, {}
+    out = {}
     for tau in _critical_ids(gvf):
         tally = out[tau] = {}
-        for (r, w), n in _facet_sum(facets, tau, flow, _split).items():
+        for (r, w), n in flow(tau).items():
             count, total = tally.get(r, (0, 0))
             tally[r] = (count + n, total + w * n)
     return out
@@ -473,15 +468,16 @@ def _mv_tallies(d: Decomposition, target: IntegerChainComplex) -> dict:
 def _forbidden_step(xt: XTilde, gvf: GradientField, flow: Callable[[int], Column]) -> str:
     """The first step off the five shapes on a W-trajectory between critical
     cells, named, or "".  A trajectory keeps its piece, except that one from
-    the prism interior may leave it once, by a step down to a facet.  A step
-    lies on such a trajectory when its source is reachable from a critical
-    cell and the split flow `flow` of W is not empty at its target."""
-    up, down, facets, piece = gvf._up, gvf._down, xt.complex._table.facets, xt._piece
+    the prism interior may leave it once, by a step down to a facet.  An arc
+    (c, sigma, nu) of `_arcs` from tau lies on such a trajectory when tau is
+    reachable from a critical cell and the trajectory can end after it: the
+    split flow `flow` of W is not empty at nu, or sigma is critical."""
+    arcs, down, piece = _arcs(gvf), gvf._down, xt._piece
     todo = list(itertools.chain.from_iterable(gvf._critical_ids[1:]))
-    seen = bytearray(len(facets))
+    seen = bytearray(len(piece))
     for tau in todo:  # grows while it is read
-        for sigma, nu in _steps(up, down, facets, tau):
-            if not flow(sigma):
+        for _, sigma, nu in arcs(tau):
+            if not (flow(nu) if nu >= 0 else down[sigma] < 0):
                 continue
             # the step down may leave the interior; there is no step up at nu < 0
             for x, y, free in ((tau, sigma, piece[tau] == _INTERIOR), (sigma, nu, nu < 0)):

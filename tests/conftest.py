@@ -318,7 +318,7 @@ def decomposition_text(
 def lose_trajectories(monkeypatch):
     """lose(side) makes `verify` see no trajectories on one side of its
     comparisons.  "trajectories_from" loses those of the gradient fields on
-    X~: V's flow, behind its boundary, and W's split flow, behind W's
+    X~: V's flow, which is its boundary, and W's split flow, behind W's
     boundary, its per-pair counts and the classification scan.
     "mv_trajectories_from" loses the Mayer-Vietoris ones: the MV columns,
     signed (the target complex and its sums) and unsigned (the counts)."""
@@ -327,8 +327,7 @@ def lose_trajectories(monkeypatch):
     no_columns = lambda d, signed=True: lambda key: {}
     patches = {
         "trajectories_from": [
-            (verify, "_boundary", lambda gvf: lambda tau: {}),
-            (verify, "_flow", lambda gvf, combine: lambda s: {}),
+            (verify, "_flow", lambda gvf, combine=None: lambda tau: {}),
         ],
         "mv_trajectories_from": [
             (mv, "_mv_column", no_columns),

@@ -446,7 +446,7 @@ def listed_trajectories_fit(xt: XTilde, gvf: GradientField) -> bool:
     try:
         for ids in gvf._critical_ids:
             for tau in ids:
-                for steps in _trajectory_ids(gvf, tau):
+                for steps, _ in _trajectory_ids(gvf, tau):
                     classify_w_trajectory(xt, steps)
     except InternalConsistencyError:
         return False
@@ -459,7 +459,7 @@ def enumerated_w_tallies(gvf: GradientField) -> dict[int, dict[int, tuple[int, i
     facets = gvf.complex._table.facets.__getitem__
     return {
         tau: {
-            sigma: (len(paths), sum(_path_weight(steps, facets) for steps in paths))
+            sigma: (len(paths), sum(_path_weight(steps, facets) for steps, _ in paths))
             for sigma, paths in _grouped(_trajectory_ids(gvf, tau)).items()
         }
         for ids in gvf._critical_ids
@@ -508,13 +508,13 @@ def enumerated_pair_checks(xt: XTilde) -> tuple[CheckResult, ...]:
                     f"{len(g_list)} trajectories upstairs, {len(m_list)} in MV"
                 )
             if weights_ok and sorted(
-                _path_weight(steps, facets) for steps in g_list
+                _path_weight(steps, facets) for steps, _ in g_list
             ) != sorted(t.weight for t in m_list):
                 weights_ok = False
                 w_detail = f"{f_of[tau]} -> {f_of[sigma]}: weight multisets differ"
             if classes_ok:
                 try:
-                    up = sorted(classify_w_trajectory(xt, steps) for steps in g_list)
+                    up = sorted(classify_w_trajectory(xt, steps) for steps, _ in g_list)
                 except InternalConsistencyError as e:
                     up, classes_ok, k_detail = None, False, str(e)
                 if up is not None and up != sorted(t.case for t in m_list):

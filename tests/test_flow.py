@@ -1,9 +1,11 @@
 """Boundaries from Forman's flow against the enumeration they replace.
 
 Every boundary matrix in the package is assembled from memoised flows on
-ids (`morse._flow`, and `mv._mixed_flow` for cases 4/5).  Here each one is
-compared, column for column, with `slow_reference.reference_columns`, which
-sums the weights of the enumerated trajectories with `incidence` and its
+ids (`morse._flow`, and `mv._mixed_flow` for cases 4/5) over the arcs of
+the one signed step rule `morse._arcs`, which the walks (`morse._walk`)
+that enumerate trajectories read too.  Here each one is compared, column
+for column, with `slow_reference.reference_columns`, which sums the
+weights of the enumerated trajectories, recomputed with `incidence` and its
 own table of case signs, on the corpus covers, on hypothesis complexes and
 on a family whose trajectory count doubles with each layer.  On that family
 `verify`'s per-pair counts, also read off flows, are checked against the

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morsemv import (
+    DecompositionError,
     FieldError,
     NotAcyclicError,
     Simplex,
@@ -402,6 +403,22 @@ def test_cover_and_pinned_field_errors_keep_code_and_text(
     tmp_path, capsys, cx, dec, code, message
 ):
     assert run_cli(tmp_path, capsys, cx, dec) == (code, f"error: {message}\n")
+
+
+def test_pinned_pair_ends_may_be_strings():
+    """A pair end given as a string is split on whitespace, as
+    `SimplicialComplex` and `subcomplex` split one, so it pins the same
+    pair as a Simplex or a tuple of names; a bad end is still named."""
+    x = SimplicialComplex(["v0 v1 v2", "v0 v2 v3"])
+    a, b = x.subcomplex(["v0 v1 v2"]), x.subcomplex(["v0 v2 v3"])
+    pinned = [
+        build_decomposition(x, a, b, fields={"A": [ends]})
+        for ends in [("v1", "v0 v1"), ("v1", "v1 v0"), (("v1",), ("v1", "v0")),
+                     (Simplex("v1"), Simplex("v0 v1"))]
+    ]
+    assert {d.w_a.pairs for d in pinned} == {((Simplex("A:v1"), Simplex("A:v0 A:v1")),)}
+    with pytest.raises(DecompositionError, match=r"references \[v3\], which is not a simplex of A"):
+        build_decomposition(x, a, b, fields={"A": [("v3", "v0 v3")]})
 
 
 @pytest.mark.parametrize("dec,message", [

@@ -22,8 +22,12 @@ from morsemv import (
     mv_homology,
     enumerate_mv,
     simplicial_homology,
+    thom_smale_complex,
+    trajectories_from,
 )
-from morsemv.mv import SHIFTED, mv_boundary, mv_trajectories_from
+import morsemv.morse
+import morsemv.mv
+from morsemv.mv import SHIFTED, _max_degree, mv_boundary, mv_trajectories_from
 from conftest import (
     corpus_complexes,
     expected_homology,
@@ -31,7 +35,7 @@ from conftest import (
     octahedron_pieces,
     random_cover,
 )
-from slow_reference import validate_mv_trajectory
+from slow_reference import reference_complex_columns, validate_mv_trajectory
 from test_morse import brute_trajectories
 
 ALLOWED_ROUTES = {
@@ -392,3 +396,66 @@ class TestBoundaryAndHomology:
         top = max(g.degree for g in mv_generators(d1))
         for q in range(1, top + 1):
             assert mv_boundary(d1, q) == mv_boundary(d2, q)
+
+
+def walked_columns(labels, paths_from) -> list[list[dict[int, int]]]:
+    """The columns of every degree whose (r, c) entry sums the weights the
+    walks gave the trajectories `paths_from(c)[r]`."""
+    columns = []
+    for rows, cols in zip(labels, labels[1:]):
+        index = {r: i for i, r in enumerate(rows)}
+        sums = [{index[r]: sum(t.weight for t in ts) for r, ts in paths_from(c).items()}
+                for c in cols]
+        columns.append([{i: w for i, w in col.items() if w} for col in sums])
+    return columns
+
+
+def test_flows_and_walks_read_one_signed_arc_rule(monkeypatch):
+    """Every signed step comes from `morse._arcs`.  On the octahedron cover
+    with A's pair (v1 v2, v1 v2 v5) left out, the case-4 trajectory from
+    I:v2 v3 descends the square's long way round to I:v1 v2 and ends at the
+    critical A:v1 v2.  Flipping the sign of the steps out of one id on that
+    way, the edge v0 v1, moves the boundaries assembled from flows (of the
+    intersection's field and of the MV complex) and the weights the walks
+    read off the slow reference, and flows and walks still agree;
+    unflipped, all three match.  The flipped MV boundary no longer squares
+    to zero, so its columns are read from `mv_boundary`, which does not
+    check that."""
+    x, a, b = octahedron_pieces()
+    fields = octahedron_fields()
+    fields["A"] = [(s, t) for s, t in fields["A"] if t != Simplex("v1 v2 v5")]
+    d = build_decomposition(x, a, b, fields=fields)
+    w_i = d.w_i
+    ts_labels = [w_i.critical(q) for q in range(w_i.complex.dim + 1)]
+    mv_labels = [mv_generators(d, q) for q in range(_max_degree(d) + 1)]
+    ts_paths = lambda tau: trajectories_from(w_i, tau)
+    mv_paths = lambda beta: mv_trajectories_from(d, beta)
+
+    def routes() -> list[tuple]:
+        """(from flows, from walks, from the slow reference) per complex."""
+        mv_flows = [
+            [{i: v for i, row in enumerate(dense) if (v := row[j])} for j in range(len(cols))]
+            for dense, cols in ((mv_boundary(d, q), mv_labels[q]) for q in range(1, len(mv_labels)))
+        ]
+        return [
+            (thom_smale_complex(w_i).columns, walked_columns(ts_labels, ts_paths),
+             reference_complex_columns(ts_labels, ts_paths)),
+            (mv_flows, walked_columns(mv_labels, mv_paths),
+             reference_complex_columns(mv_labels, mv_paths)),
+        ]
+
+    for flows, walks, reference in routes():
+        assert flows == walks == reference
+    assert len(enumerate_mv(d, MVGenerator(SHIFTED, Simplex("I:v2 I:v3"), 2),
+                            MVGenerator("FromA", Simplex("A:v1 A:v2"), 1))) == 1
+    assert mv_chain_complex(d).columns == reference_complex_columns(mv_labels, mv_paths)
+    arcs, flipped = morsemv.morse._arcs, d.x._id(Simplex("v0 v1"))
+
+    def flipped_arcs(gvf):
+        rule = arcs(gvf)
+        return lambda tau: [(-c, s, nu) for c, s, nu in rule(tau)] if tau == flipped else rule(tau)
+
+    for module in (morsemv.morse, morsemv.mv):
+        monkeypatch.setattr(module, "_arcs", flipped_arcs)
+    for flows, walks, reference in routes():
+        assert flows == walks != reference
