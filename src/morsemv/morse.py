@@ -164,7 +164,7 @@ def is_acyclic(v: VectorField, x: SimplicialComplex) -> bool:
     return True
 
 
-def _closed_trajectory(gvf: "GradientField", every_root: bool = True) -> tuple[Simplex, ...] | None:
+def _closed_trajectory(gvf: "GradientField") -> tuple[Simplex, ...] | None:
     """A closed trajectory (tau_0, sigma_1, ..., sigma_k, tau_k) with
     tau_k == tau_0 of the field gvf, not yet certified, or None when it is a
     gradient field.
@@ -173,17 +173,14 @@ def _closed_trajectory(gvf: "GradientField", every_root: bool = True) -> tuple[S
     `_arcs`; a grey-on-grey arc closes a trajectory, which is reconstructed
     from the DFS stack, whose entries (tau, sigma, arcs) record the facet
     sigma that led to tau.  Arcs never change dimension, so one colour
-    array serves every dimension.  Every arc ends at a cell matched
-    downward, so a closed trajectory runs through those alone: without
-    `every_root`, the search starts only there, which decides as well and
-    sooner, but may report another closed trajectory.
+    array serves every dimension.
     """
-    x, arcs, down = gvf.complex, _arcs(gvf), gvf._down
+    x, arcs = gvf.complex, _arcs(gvf)
     GRAY, BLACK = 1, 2
     colour = bytearray(len(x._table))
     for ids in x._ids[1:]:
         for root in ids:
-            if colour[root] or not every_root and down[root] < 0:
+            if colour[root]:
                 continue
             colour[root] = GRAY
             stack = [(root, -1, iter(arcs(root)))]
@@ -241,8 +238,8 @@ class GradientField:
     ) -> "GradientField":
         gvf = cls(field, complex, _token=cls._TOKEN)
         gvf._up, gvf._down, gvf._lift = up, down, lift
-        if _closed_trajectory(gvf, every_root=False) is not None:
-            witness = _closed_trajectory(gvf)  # the one a search from every cell finds first
+        witness = _closed_trajectory(gvf)
+        if witness is not None:
             raise NotAcyclicError(f"closed trajectory through {witness[0]}", witness)
         gvf._critical_ids = tuple(
             [i for i in ids if up[i] < 0 and down[i] < 0] for ids in complex._ids
@@ -411,20 +408,42 @@ def _arcs(gvf: GradientField) -> Callable[[int], list[tuple[int, int, int]]]:
     return arcs
 
 
-def _moves(gvf: GradientField, transfer: Callable[[int], list] | None = None):
-    """The moves of a walk along gvf's arcs, for `_walk`: an arc (c, sigma,
-    nu) goes on to nu >= 0, or ends at a critical sigma unless `transfer`
-    is given, whose moves from tau come first."""
+def _transfer(piece: GradientField) -> Callable[[int], list[tuple[int, int, int]]]:
+    """The transfer of MV cases 4/5 into the field `piece`, in the shape of
+    `_arcs`: transfer(tau) is the one arc (c, tau, nu) that keeps the id
+    tau, with nu = up[tau] in the piece (-1 when tau is not paired upward)
+    and c = -<nu, tau> (1 when nu < 0), as a same-dimension step carries no
+    incidence."""
+    up, lift = piece._up, piece._lift
+    return lambda tau: [(lift[tau], tau, up[tau])]
+
+
+def _heads(arcs: Iterable[tuple[int, int, int]], down: list[int]) -> list[tuple[int, int]]:
+    """The links of a flow along `arcs`, for `_memoised`: an arc (c, sigma,
+    nu) goes on to nu >= 0, or ends at a critical sigma (down[sigma] < 0),
+    in the sink ~sigma."""
+    return [(c, nu if nu >= 0 else ~sigma) for c, sigma, nu in arcs if nu >= 0 or down[sigma] < 0]
+
+
+def _onward(arcs: Iterable[tuple[int, int, int]], down: list[int], then) -> list:
+    """The moves of a walk along `arcs`, for `_walk`: an arc (c, sigma, nu)
+    goes on to nu >= 0, where `then` gives the next moves, or ends at a
+    critical sigma (down[sigma] < 0)."""
+    out = []
+    for c, sigma, nu in arcs:
+        if nu >= 0:
+            out.append(((sigma, nu), c, then))
+        elif down[sigma] < 0:
+            out.append(((sigma,), c, None))
+    return out
+
+
+def _moves(gvf: GradientField):
+    """The moves of a walk along gvf's arcs, for `_walk`."""
     arcs, down = _arcs(gvf), gvf._down
 
     def moves(tau: int) -> list:
-        out = [] if transfer is None else transfer(tau)
-        for c, sigma, nu in arcs(tau):
-            if nu >= 0:
-                out.append(((sigma, nu), c, moves))
-            elif transfer is None and down[sigma] < 0:
-                out.append(((sigma,), c, None))
-        return out
+        return _onward(arcs(tau), down, moves)
 
     return moves
 
@@ -452,12 +471,13 @@ def _walk(start: int, moves, sign: int = 1) -> Iterator[tuple[tuple[int, ...], i
 
 
 def _combine(base: Column, terms: Iterable[tuple[int, Column]]) -> Column:
-    """base + sum(c * column for c, column in terms), zero entries left out."""
+    """base + sum(c * column for c, column in terms); an entry that sums to
+    zero stays, and `_boundary_columns` leaves it out."""
     out = dict(base)
     for c, col in terms:
         for r, v in col.items():
             out[r] = out.get(r, 0) + c * v
-    return out if all(out.values()) else {r: v for r, v in out.items() if v}
+    return out
 
 
 def _unsigned(base: Column, terms: Iterable[tuple[int, Column]]) -> Column:
@@ -501,12 +521,7 @@ def _memoised(links: Callable[[int], tuple[Column, Sequence[tuple[int, int]]]], 
             else:
                 stack.pop()
                 on_path.discard(s)
-                if not arcs:
-                    memo[s] = base
-                elif not base and len(arcs) == 1 and arcs[0][0] == 1:
-                    memo[s] = memo[arcs[0][1]]  # shared: no caller changes a value
-                else:
-                    memo[s] = combine(base, [(c, memo[t]) for c, t in arcs])
+                memo[s] = combine(base, [(c, memo[t]) for c, t in arcs]) if arcs else base
         return memo[root]
 
     return value
@@ -514,8 +529,8 @@ def _memoised(links: Callable[[int], tuple[Column, Sequence[tuple[int, int]]]], 
 
 def _flow(gvf: GradientField, combine=_combine) -> Callable[[int], Column]:
     """Forman's flow of gvf on ids, memoised, over the arcs of `_arcs`:
-    flow(tau) maps each critical id r one dimension below tau to the
-    weighted count of the gradient paths tau, sigma_1, nu_1, ..., r,
+    flow(tau) maps critical ids r one dimension below tau to the weighted
+    count of the gradient paths tau, sigma_1, nu_1, ..., r (which may be 0),
 
         flow(tau) = sum over the arcs (c, sigma, nu) of tau of
                     c flow(nu)     when nu >= 0,
@@ -531,13 +546,7 @@ def _flow(gvf: GradientField, combine=_combine) -> Callable[[int], Column]:
     def links(tau: int):
         if tau < 0:  # the sink ~sigma of the paths ending at a critical sigma
             return unit(~tau), ()
-        steps = []
-        for c, sigma, nu in arcs(tau):
-            if nu >= 0:
-                steps.append((c, nu))
-            elif down[sigma] < 0:
-                steps.append((c, ~sigma))
-        return {}, steps
+        return {}, _heads(arcs(tau), down)
 
     return _memoised(links, combine)
 
@@ -545,9 +554,9 @@ def _flow(gvf: GradientField, combine=_combine) -> Callable[[int], Column]:
 def _boundary_columns(rows: Sequence, cols: Sequence, column) -> list[Column]:
     """The sparse columns of the matrix with rows and columns indexed by the
     keys `rows` and `cols`: column j is column(cols[j]), a map from row key
-    to entry, keyed by row position instead."""
+    to entry, keyed by row position instead, its zero entries left out."""
     index = {r: i for i, r in enumerate(rows)}
-    return [{index[r]: v for r, v in column(c).items()} for c in cols]
+    return [{index[r]: v for r, v in column(c).items() if v} for c in cols]
 
 
 def _trajectory_complex(labels, keys, column) -> IntegerChainComplex:

@@ -29,9 +29,10 @@ five situations, keyed by the tags:
 All other tag combinations admit no trajectories.
 
 Every step of a route is an arc of one copy's field, signed by the one
-arc rule `morse._arcs`; the transfer of cases 4/5 keeps the id and the
-sign, and the step up from the transferred s to up(s) in the piece has the
-sign -<up(s), s>.  A weight is the product of these signs and a per-case
+arc rule `morse._arcs`; the transfer of cases 4/5 (`morse._transfer`) is
+an arc in the same shape that keeps the id: it carries no incidence, and
+the step up from the transferred s to up(s) in the piece has the sign
+-<up(s), s>.  A weight is the product of these signs and a per-case
 sign:
 
     case   1   2   3   4   5
@@ -66,11 +67,14 @@ from .morse import (
     _combine,
     _flow,
     _grouped,
+    _heads,
     _matching,
     _memoised,
     _moves,
+    _onward,
     _path_weight,
     _trajectory_complex,
+    _transfer,
     _unsigned,
     _walk,
     greedy_gvf,
@@ -351,18 +355,17 @@ class MVTrajectory:
 
 
 def _mixed_moves(wi: GradientField, piece: GradientField):
-    """The moves of the walk of cases 4/5: a descent along the arcs of wi
-    and, first from each tau on it, the transfer into the piece, which ends
-    at a critical tau or steps up to a = up(tau) with the sign -<a, tau>."""
-    ascend, up, down, lift = _moves(piece), piece._up, piece._down, piece._lift
+    """The moves of the walk of cases 4/5: from each tau of a descent along
+    the arcs of wi, first the transfer into the piece (`morse._transfer`)
+    and every ascent there, then the arcs of wi that go on (nu >= 0)."""
+    arcs, transfer, down, ascend = _arcs(wi), _transfer(piece), piece._down, _moves(piece)
 
-    def transfer(tau: int) -> list:
-        a = up[tau]
-        if a >= 0:
-            return [((tau, a), lift[tau], ascend)]
-        return [((tau,), 1, None)] if down[tau] < 0 else []
+    def moves(tau: int) -> list:
+        return _onward(transfer(tau), down, ascend) + [
+            ((sigma, nu), c, moves) for c, sigma, nu in arcs(tau) if nu >= 0
+        ]
 
-    return _moves(wi, transfer)
+    return moves
 
 
 def mv_trajectories_from(
@@ -423,17 +426,13 @@ def _mixed_flow(
     """Cases 4/5 on ids, memoised, for the piece with field `piece` and flow
     `flow`: D(tau) = T(tau) + sum of c D(nu) over the arcs (c, sigma, nu) of
     wi from tau with nu >= 0, where T(tau), the transfer of tau followed by
-    every ascent in the piece, is {tau: 1} when tau is critical there,
-    -<a, tau> flow(a) when a = up(tau) there, else 0.  `combine` sums as in
-    `morse._flow`, signed or unsigned."""
-    arcs, up, down, lift = _arcs(wi), piece._up, piece._down, piece._lift
+    every ascent in the piece, sums c flow(t) over the links (c, t) of the
+    transfer (`morse._transfer`).  `combine` sums as in `morse._flow`,
+    signed or unsigned."""
+    arcs, transfer, down = _arcs(wi), _transfer(piece), piece._down
 
     def links(tau: int):
-        a = up[tau]
-        if a >= 0:
-            base = flow(a) if lift[tau] > 0 else combine({}, [(-1, flow(a))])
-        else:
-            base = {tau: 1} if down[tau] < 0 else {}
+        base = combine({}, [(c, flow(t)) for c, t in _heads(transfer(tau), down)])
         return base, [(c, nu) for c, _, nu in arcs(tau) if nu >= 0]
 
     return _memoised(links, combine)

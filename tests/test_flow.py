@@ -2,12 +2,13 @@
 
 Every boundary matrix in the package is assembled from memoised flows on
 ids (`morse._flow`, and `mv._mixed_flow` for cases 4/5) over the arcs of
-the one signed step rule `morse._arcs`, which the walks (`morse._walk`)
-that enumerate trajectories read too.  Here each one is compared, column
-for column, with `slow_reference.reference_columns`, which sums the
-weights of the enumerated trajectories, recomputed with `incidence` and its
-own table of case signs, on the corpus covers, on hypothesis complexes and
-on a family whose trajectory count doubles with each layer.  On that family
+the one signed step rule `morse._arcs` and the transfer `morse._transfer`,
+which the walks (`morse._walk`) that enumerate trajectories read too.
+Here each one is compared, column for column, with
+`slow_reference.reference_columns`, which sums the weights of the
+enumerated trajectories, recomputed with `incidence` and its own table of
+case signs, on the corpus covers, on hypothesis complexes and on a family
+whose trajectory count doubles with each layer.  On that family
 `verify`'s per-pair counts, also read off flows, are checked against the
 enumeration as well, and at 40 layers `verify` runs where no enumeration
 could.

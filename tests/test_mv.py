@@ -411,16 +411,17 @@ def walked_columns(labels, paths_from) -> list[list[dict[int, int]]]:
 
 
 def test_flows_and_walks_read_one_signed_arc_rule(monkeypatch):
-    """Every signed step comes from `morse._arcs`.  On the octahedron cover
-    with A's pair (v1 v2, v1 v2 v5) left out, the case-4 trajectory from
-    I:v2 v3 descends the square's long way round to I:v1 v2 and ends at the
-    critical A:v1 v2.  Flipping the sign of the steps out of one id on that
-    way, the edge v0 v1, moves the boundaries assembled from flows (of the
-    intersection's field and of the MV complex) and the weights the walks
-    read off the slow reference, and flows and walks still agree;
-    unflipped, all three match.  The flipped MV boundary no longer squares
-    to zero, so its columns are read from `mv_boundary`, which does not
-    check that."""
+    """Every signed step comes from `morse._arcs`, or, for the transfer of
+    cases 4/5, from `morse._transfer`.  On the octahedron cover with A's
+    pair (v1 v2, v1 v2 v5) left out, the case-4 trajectory from I:v2 v3
+    descends the square's long way round to I:v1 v2 and ends at the
+    critical A:v1 v2.  Flipping the sign of the arcs out of one id on that
+    way, the edge v0 v1, or of the transfer out of v1 v2, moves the
+    boundaries assembled from flows (of the intersection's field, for the
+    arcs, and of the MV complex) and the weights the walks read off the
+    slow reference, and flows and walks still agree; unflipped, all three
+    match.  A flipped MV boundary no longer squares to zero, so its columns
+    are read from `mv_boundary`, which does not check that."""
     x, a, b = octahedron_pieces()
     fields = octahedron_fields()
     fields["A"] = [(s, t) for s, t in fields["A"] if t != Simplex("v1 v2 v5")]
@@ -449,13 +450,21 @@ def test_flows_and_walks_read_one_signed_arc_rule(monkeypatch):
     assert len(enumerate_mv(d, MVGenerator(SHIFTED, Simplex("I:v2 I:v3"), 2),
                             MVGenerator("FromA", Simplex("A:v1 A:v2"), 1))) == 1
     assert mv_chain_complex(d).columns == reference_complex_columns(mv_labels, mv_paths)
-    arcs, flipped = morsemv.morse._arcs, d.x._id(Simplex("v0 v1"))
 
-    def flipped_arcs(gvf):
-        rule = arcs(gvf)
-        return lambda tau: [(-c, s, nu) for c, s, nu in rule(tau)] if tau == flipped else rule(tau)
+    def flip(rule, at: int):
+        """`rule` with the sign of the steps out of the id `at` flipped."""
+        def flipped(gvf):
+            steps = rule(gvf)
+            return lambda tau: [(-c, s, nu) for c, s, nu in steps(tau)] if tau == at else steps(tau)
+        return flipped
 
-    for module in (morsemv.morse, morsemv.mv):
-        monkeypatch.setattr(module, "_arcs", flipped_arcs)
-    for flows, walks, reference in routes():
-        assert flows == walks != reference
+    # which complexes a flip moves: (the intersection's, the MV complex)
+    for name, at, moved in (("_arcs", "v0 v1", [True, True]), ("_transfer", "v1 v2", [False, True])):
+        with monkeypatch.context() as m:
+            rule = flip(getattr(morsemv.morse, name), d.x._id(Simplex(at)))
+            for module in (morsemv.morse, morsemv.mv):
+                m.setattr(module, name, rule)
+            kept = routes()
+        assert all(flows == walks for flows, walks, _ in kept)
+        assert [flows != reference for flows, _, reference in kept] == moved
+
