@@ -37,8 +37,14 @@ at position k.  The flow of a critical simplex is its boundary; with its
 signs dropped it counts the trajectories, and with each sign moved into the
 key it counts them by weight, which `verify` checks pair by pair.  The walk
 of `trajectories_from` (its weights the products of the signs it read) and
-the acyclicity search, an iterative three-colour depth-first search that
-reports a closed trajectory, run on the same arcs.
+certification run on the same arcs.
+
+A greedy field is certified by the clock of its coreduction (Mrozek and
+Batko, DCG 2009), the step at which each cell was removed: it strictly
+decreases along every arc, which one pass checks and which rules out a
+closed trajectory (Forman, Adv. Math. 1998).  A field without a clock
+that descends goes to the acyclicity search, an iterative three-colour
+depth-first search that reports a closed trajectory.
 
 The field code runs on the integer ids of the complex's table (see
 `complexes`): a certified field holds `up`/`down` id arrays and the sign
@@ -204,11 +210,24 @@ def _closed_trajectory(gvf: "GradientField") -> tuple[Simplex, ...] | None:
     return None
 
 
+def _descends(gvf: "GradientField", clock: list[int]) -> bool:
+    """Whether clock[nu] < clock[tau] on every arc tau -> nu >= 0 of
+    `_arcs` out of a cell tau matched downward, the only cells a closed
+    trajectory passes through."""
+    arcs = _arcs(gvf)
+    return all(
+        clock[nu] < clock[tau]
+        for tau, sigma in enumerate(gvf._down) if sigma >= 0
+        for _, _, nu in arcs(tau) if nu >= 0
+    )
+
+
 class GradientField:
     """A vector field together with its complex and an acyclicity
-    certificate.  The only way to obtain one is `GradientField.certify`
-    (used by `greedy_gvf` too), so holding a GradientField is holding the
-    proof that trajectory enumeration terminates.
+    certificate.  The only way to obtain one is to certify it
+    (`GradientField.certify`, or `_certified` with a clock), so holding a
+    GradientField is holding the proof that trajectory enumeration
+    terminates.
 
     The field lives on the complex's id table, as the arrays `_up`, `_down`
     and `_lift` (see `_matching`), which `_arcs` reads; certification also
@@ -235,12 +254,18 @@ class GradientField:
         down: list[int],
         lift: list[int],
         field: VectorField | None = None,
+        clock: list[int] | None = None,
     ) -> "GradientField":
+        """The field of the arrays up, down and lift on complex, certified
+        by a `clock` that descends along every arc (`_descends`); without
+        one, or when it does not descend, `_closed_trajectory` decides, so
+        a wrong clock never changes a verdict or a witness."""
         gvf = cls(field, complex, _token=cls._TOKEN)
         gvf._up, gvf._down, gvf._lift = up, down, lift
-        witness = _closed_trajectory(gvf)
-        if witness is not None:
-            raise NotAcyclicError(f"closed trajectory through {witness[0]}", witness)
+        if clock is None or not _descends(gvf, clock):
+            witness = _closed_trajectory(gvf)
+            if witness is not None:
+                raise NotAcyclicError(f"closed trajectory through {witness[0]}", witness)
         gvf._critical_ids = tuple(
             [i for i in ids if up[i] < 0 and down[i] < 0] for ids in complex._ids
         )
@@ -587,10 +612,11 @@ def greedy_gvf(
     simplex critical.  "Smallest" orders by dimension first, then by the
     canonical vertex order ("lexicographic") or a seeded shuffle ("random").
 
-    Pairing always removes the oldest live facet frontier first, so the
-    produced field is acyclic by construction; it is certified anyway.
-    The coreduction runs on x's ids: the heap holds positions in `order`,
-    the ids by dimension, then rank; the live set is a byte mask.
+    The field is certified by its clock, the step that removed each cell
+    (one per pair): the other facets of tau, and the cells paired above
+    them, went earlier, so the clock descends along every arc.  The
+    coreduction runs on x's ids: the heap holds positions in `order`, the
+    ids by dimension, then rank; the live set is a byte mask.
 
     >>> f = greedy_gvf(SimplicialComplex(["v0 v1"]))
     >>> f.pairs
@@ -612,7 +638,7 @@ def greedy_gvf(
         position[i], live[i] = p, len(facets[i])
     alive = bytearray(x._mask)
     candidates: list[int] = []
-    up, down, lift = [-1] * n, [-1] * n, [1] * n
+    up, down, lift, clock = [-1] * n, [-1] * n, [1] * n, [0] * n
     push, pop = heapq.heappush, heapq.heappop
 
     remaining, next_critical = len(order), 0
@@ -634,7 +660,7 @@ def greedy_gvf(
                 next_critical += 1
             dead = (order[next_critical],)
         for s in dead:
-            alive[s] = 0
+            alive[s], clock[s] = 0, -remaining  # the clock rises step by step
             for t in cofacets[s]:
                 if alive[t]:
                     c = live[t] - 1
@@ -645,4 +671,4 @@ def greedy_gvf(
 
     if any(alive):
         raise InternalConsistencyError("greedy matching lost track of simplices")
-    return GradientField._certified(x, up, down, lift)
+    return GradientField._certified(x, up, down, lift, clock=clock)

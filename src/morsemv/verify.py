@@ -45,8 +45,9 @@ Two gradient fields on X~ carry the theory:
   the two boundary matrices agree entry by entry under f.
 
 Both fields are written as `up`/`down` id arrays on X~, checked as
-matchings of facet pairs and certified acyclic; a fault in the block
-formula shows up as a failed certification or census, never as bad input.
+matchings of facet pairs and certified acyclic, V by its level clock and W
+by the closed-trajectory search; a fault in the block formula shows up as a
+failed certification or census, never as bad input.
 
 `check_iso_simplicial` and `check_main_iso` re-derive all of this on a given
 decomposition and report each comparison separately, with counterexamples.
@@ -205,10 +206,16 @@ def _named(xt: XTilde, ids: Iterable[int]) -> list[Simplex]:
 
 
 def _build_v_field(xt: XTilde) -> GradientField:
-    """The collapse-the-prism field V on X~ (empty when there is no prism)."""
+    """The collapse-the-prism field V on X~ (empty when there is no prism),
+    certified by its level clock: the only arc out of a_member(alpha, r)
+    that goes on leads to a_member(alpha, r + 1), so -r descends."""
     pairs = (pair for a, b in xt._members.values() for pair in zip(b, a))
+    clock = [0] * len(xt.complex._table)
+    for a, _ in xt._members.values():
+        for r, i in enumerate(a):
+            clock[i] = -r
     return GradientField._certified(
-        xt.complex, *_matching(xt.complex, pairs, InternalConsistencyError)
+        xt.complex, *_matching(xt.complex, pairs, InternalConsistencyError), clock=clock
     )
 
 

@@ -7,6 +7,7 @@ import argparse
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from morsemv import (
 from morsemv.cli import _load_decomposition, main
 from morsemv.complexes import _Table, copy_relabel, intersection, union
 from morsemv.homology import simplicial_chain_complex
+from morsemv import morse
 from morsemv.morse import GradientField, is_acyclic
 from conftest import (
     corpus_complexes,
@@ -87,6 +89,23 @@ def check_witness(field: VectorField, w) -> None:
         assert sigma.is_face_of(tau_prev)
         assert field.down(tau_prev) != sigma
         assert field.up(sigma) == w[i + 1]
+
+
+def calls_in_run(monkeypatch, owner, name: str, command: str, cx: Path, dec: Path) -> int:
+    """How many times one CLI run of `command` calls `owner.name`."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    assert main([command, "--complex", str(cx), "--decomposition", str(dec)]) == 0
+    return len(calls)
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestIdTable:
@@ -202,18 +221,8 @@ class TestViews:
     @staticmethod
     def tables_closed(monkeypatch, command: str, name: str) -> int:
         """How many id tables one CLI run of `command` on a golden closes."""
-        tables = []
-        init = _Table.__init__
-
-        def counted(self, *args):
-            tables.append(self)
-            init(self, *args)
-
-        monkeypatch.setattr(_Table, "__init__", counted)
-        golden = Path(__file__).parent / "golden"
-        assert main([command, "--complex", str(golden / f"{name}.cx"),
-                     "--decomposition", str(golden / f"{name}.dec")]) == 0
-        return len(tables)
+        return calls_in_run(monkeypatch, _Table, "__init__", command,
+                            GOLDEN / f"{name}.cx", GOLDEN / f"{name}.dec")
 
     def test_homology_closes_only_x(self, monkeypatch, capsys):
         assert self.tables_closed(monkeypatch, "homology", "torus") == 1
@@ -232,11 +241,57 @@ class TestViews:
         assert edge.is_subcomplex_of(face) and not face.is_subcomplex_of(edge)
 
 
+@pytest.mark.parametrize("name", ["octahedron", "torus"])
+def test_only_w_and_pinned_fields_are_searched(tmp_path, monkeypatch, capsys, name):
+    """Greedy fields and V are certified by their clocks; W on X~ and
+    pinned fields by the closed-trajectory search."""
+    cx, dec = GOLDEN / f"{name}.cx", GOLDEN / f"{name}.dec"
+
+    def searches(command: str, dec: Path) -> int:
+        with monkeypatch.context() as m:
+            return calls_in_run(m, morse, "_closed_trajectory", command, cx, dec)
+
+    assert searches("homology", dec) == 0
+    assert searches("verify", dec) == 1
+    assert "verdict: PASS" in capsys.readouterr().out
+    _, d, _, _ = _load_decomposition(argparse.Namespace(
+        complex=str(cx), decomposition=str(dec), strategy=None, seed=None))
+    fields = {piece: [(copy.pull(sigma), copy.pull(tau)) for sigma, tau in w.pairs]
+              for piece, w, copy in (("A", d.w_a, d.a_bar), ("B", d.w_b, d.b_bar),
+                                     ("I", d.w_i, d.iab_bar))}
+    (tmp_path / "pinned.dec").write_text(decomposition_text(d.a, d.b, fields))
+    assert searches("homology", tmp_path / "pinned.dec") == 3
+
+
+def greedy_and_clock(x: SimplicialComplex, strategy: str, seed: int | None):
+    """greedy_gvf(x, strategy, seed) and the clock it was certified by."""
+    clocks = []
+    descends = morse._descends
+
+    def spy(gvf, clock):
+        clocks.append(clock)
+        return descends(gvf, clock)
+
+    with mock.patch.object(morse, "_descends", spy):
+        gvf = greedy_gvf(x, strategy, seed)
+    (clock,) = clocks
+    return gvf, clock
+
+
+def uncertified(x: SimplicialComplex, field: VectorField) -> GradientField:
+    """The field on x's ids, not certified, for `morse._descends`."""
+    gvf = GradientField(field, x, _token=GradientField._TOKEN)
+    gvf._up, gvf._down, gvf._lift = field._arrays(x)
+    return gvf
+
+
 def check_greedy(x: SimplicialComplex, strategy: str, seed: int | None) -> None:
-    gvf = greedy_gvf(x, strategy, seed)
+    gvf, clock = greedy_and_clock(x, strategy, seed)
     pairs, critical = reference_greedy(x, strategy, seed)
     assert gvf.pairs == pairs
     assert gvf.critical() == critical
+    assert morse._descends(gvf, clock)
+    assert reference_closed_trajectory(gvf.field, x) is None
 
 
 class TestGreedyAgainstReference:
@@ -257,6 +312,23 @@ class TestGreedyAgainstReference:
     @given(st.randoms(use_true_random=False), st.sampled_from(STRATEGIES))
     def test_hypothesis_complexes(self, rng, strategy_seed):
         check_greedy(SimplicialComplex(random_generators(rng)), *strategy_seed)
+
+    @pytest.mark.parametrize("strategy,seed", STRATEGIES)
+    def test_a_reversed_clock_falls_back_to_the_search(self, monkeypatch, strategy, seed):
+        searched, continuing = [], 0
+        search = morse._closed_trajectory
+        monkeypatch.setattr(morse, "_closed_trajectory",
+                            lambda gvf: searched.append(gvf) or search(gvf))
+        for name, x in sorted(corpus_complexes().items()):
+            gvf, clock = greedy_and_clock(x, strategy, seed)
+            arcs = morse._arcs(gvf)
+            continuing += any(nu >= 0 for tau, sigma in enumerate(gvf._down) if sigma >= 0
+                              for _, _, nu in arcs(tau))
+            again = GradientField._certified(
+                x, gvf._up, gvf._down, gvf._lift, clock=[-c for c in clock]
+            )
+            assert again._critical_ids == gvf._critical_ids
+        assert len(searched) == continuing > 0
 
 
 class TestAcyclicityAgainstReference:
@@ -279,6 +351,16 @@ class TestAcyclicityAgainstReference:
                 GradientField.certify(field, x)
             assert e.value.witness == want
             check_witness(field, e.value.witness)
+            # no clock descends along a closed trajectory, and a forged one
+            # leaves the verdict and the witness to the search
+            ids = list(range(len(x._table)))
+            shuffled = ids[:]
+            random.Random(len(ids)).shuffle(shuffled)
+            for forged in (ids, ids[::-1], shuffled):
+                assert not morse._descends(uncertified(x, field), forged)
+                with pytest.raises(NotAcyclicError) as e:
+                    GradientField._certified(x, *field._arrays(x), clock=forged)
+                assert e.value.witness == want
         assert cyclic > 20 and acyclic > 20
 
     def test_tagged_copy(self):
