@@ -361,9 +361,10 @@ def homology(c: IntegerChainComplex) -> HomologyResult:
     return HomologyResult(groups)
 
 
-def simplicial_chain_complex(x: SimplicialComplex) -> IntegerChainComplex:
-    """The simplicial chain complex of x, generators in canonical order.
-    The column of a q-simplex t holds (-1)^k at the row of `x.facets(t)[k]`,
+def _simplicial_chains(x: SimplicialComplex, labels=None) -> IntegerChainComplex:
+    """The simplicial chain complex of x, its generators the ids of x in
+    canonical order, labelled with `labels` (unlabelled when None).  The
+    column of a q-simplex t holds (-1)^k at the row of `x.facets(t)[k]`,
     read from the facet id table: a facet's row is its position among the
     (q-1)-simplices of x, which for a complex closed from generators is its
     id minus the first id of degree q-1."""
@@ -377,11 +378,17 @@ def simplicial_chain_complex(x: SimplicialComplex) -> IntegerChainComplex:
         [dict(zip(map(row.__getitem__, facets[t]), signs)) for t in ids]
         for ids in x._ids[1:]
     ]
-    labels = [x.simplices(q) for q in range(x.dim + 1)]
-    return IntegerChainComplex.from_columns([len(ls) for ls in labels], columns, labels)
+    return IntegerChainComplex.from_columns(list(map(len, x._ids)), columns, labels)
+
+
+def simplicial_chain_complex(x: SimplicialComplex) -> IntegerChainComplex:
+    """The simplicial chain complex of x, generators labelled by the
+    simplices of x in canonical order; `simplicial_homology` and `verify`
+    build the same complex on ids, without naming a simplex."""
+    return _simplicial_chains(x, [x.simplices(q) for q in range(x.dim + 1)])
 
 
 def simplicial_homology(x: SimplicialComplex) -> HomologyResult:
     """Integer simplicial homology, computed directly from the full
     simplicial chain complex (no Morse-theoretic reduction involved)."""
-    return homology(simplicial_chain_complex(x))
+    return homology(_simplicial_chains(x))

@@ -33,11 +33,11 @@ linear in the arcs of the gradient digraph.  One signed rule, `_arcs`, gives
 those arcs: from tau down to a facet sigma other than down(tau), then up to
 up(sigma), signed as in w.  Every sign is (-1)^k for the position k of a
 facet in the complex's facet table, which lists the facet dropping vertex k
-at position k.  The flow of a critical simplex is its boundary; with its
-signs dropped it counts the trajectories, and with each sign moved into the
-key it counts them by weight, which `verify` checks pair by pair.  The walk
-of `trajectories_from` (its weights the products of the signs it read) and
-certification run on the same arcs.
+at position k.  The flow of a critical simplex is its boundary; with the
+sign of each path moved into the key it counts the trajectories by weight,
+which `verify` checks pair by pair.  The walk of `trajectories_from` (its
+weights the products of the signs it read) and certification run on the
+same arcs.
 
 A greedy field is certified by the clock of its coreduction (Mrozek and
 Batko, DCG 2009), the step at which each cell was removed: it strictly
@@ -213,11 +213,12 @@ def _closed_trajectory(gvf: "GradientField") -> tuple[Simplex, ...] | None:
 def _descends(gvf: "GradientField", clock: list[int]) -> bool:
     """Whether clock[nu] < clock[tau] on every arc tau -> nu >= 0 of
     `_arcs` out of a cell tau matched downward, the only cells a closed
-    trajectory passes through."""
-    arcs = _arcs(gvf)
+    trajectory passes through.  Only the complex's own ids are read, so a
+    field on a piece costs what the piece holds, not what its table does."""
+    arcs, down = _arcs(gvf), gvf._down
     return all(
         clock[nu] < clock[tau]
-        for tau, sigma in enumerate(gvf._down) if sigma >= 0
+        for ids in gvf.complex._ids[1:] for tau in ids if down[tau] >= 0
         for _, _, nu in arcs(tau) if nu >= 0
     )
 
@@ -505,11 +506,6 @@ def _combine(base: Column, terms: Iterable[tuple[int, Column]]) -> Column:
     return out
 
 
-def _unsigned(base: Column, terms: Iterable[tuple[int, Column]]) -> Column:
-    """`_combine` with every sign taken as 1, so a flow counts paths."""
-    return _combine(base, ((1, col) for _, col in terms))
-
-
 def _split(base: Column, terms: Iterable[tuple[int, Column]]) -> Column:
     """`_combine` with the sign in the key: (r, w) maps to the number of
     paths to r of weight w, and a sign c moves that count to (r, c * w)."""
@@ -562,9 +558,8 @@ def _flow(gvf: GradientField, combine=_combine) -> Callable[[int], Column]:
                     c {sigma: 1}   when sigma is critical,
 
     so the flow of a critical id is its Thom-Smale boundary.  The field is
-    a gradient field, so the recursion is well founded.  With `_unsigned`
-    as `combine` it counts the paths; with `_split` it counts them by
-    weight."""
+    a gradient field, so the recursion is well founded.  With `_split` as
+    `combine` it counts the paths by weight."""
     arcs, down = _arcs(gvf), gvf._down
     unit = (lambda r: {(r, 1): 1}) if combine is _split else (lambda r: {r: 1})
 

@@ -73,9 +73,9 @@ from .morse import (
     _moves,
     _onward,
     _path_weight,
+    _split,
     _trajectory_complex,
     _transfer,
-    _unsigned,
     _walk,
     greedy_gvf,
 )
@@ -309,10 +309,13 @@ def mv_generators(d: Decomposition, q: int | None = None) -> tuple[MVGenerator, 
         return tuple(itertools.chain.from_iterable(
             mv_generators(d, p) for p in range(_max_degree(d) + 1)
         ))
-    fields = d._fields()
-    return tuple(
-        _generator(tag, fields[tag].complex._simplex(i)) for tag, i in _generator_keys(d, q)
-    )
+    return tuple(_named_generator(d, key) for key in _generator_keys(d, q))
+
+
+def _named_generator(d: Decomposition, key: tuple[str, int]) -> MVGenerator:
+    """The generator with the key (tag, id)."""
+    tag, i = key
+    return _generator(tag, d._fields()[tag].complex._simplex(i))
 
 
 @dataclass(frozen=True)
@@ -427,8 +430,7 @@ def _mixed_flow(
     `flow`: D(tau) = T(tau) + sum of c D(nu) over the arcs (c, sigma, nu) of
     wi from tau with nu >= 0, where T(tau), the transfer of tau followed by
     every ascent in the piece, sums c flow(t) over the links (c, t) of the
-    transfer (`morse._transfer`).  `combine` sums as in `morse._flow`,
-    signed or unsigned."""
+    transfer (`morse._transfer`).  `combine` sums as in `morse._flow`."""
     arcs, transfer, down = _arcs(wi), _transfer(piece), piece._down
 
     def links(tau: int):
@@ -438,29 +440,31 @@ def _mixed_flow(
     return _memoised(links, combine)
 
 
-def _mv_column(d: Decomposition, signed: bool = True) -> Callable[[tuple[str, int]], dict]:
-    """The MV boundary on generator keys: (tag, id) -> {(tag, id): entry},
-    each route's flow times the sign of its case; unsigned, the entry
-    counts the trajectories instead."""
-    combine, signs = _combine, _CASE_SIGN
-    if not signed:
-        combine, signs = _unsigned, dict.fromkeys(_CASE_SIGN, 1)
+def _mv_column(d: Decomposition, combine=_combine) -> Callable[[tuple[str, int]], dict]:
+    """The MV boundary on generator keys, its flows summed by `combine` as
+    in `morse._flow`: the column of the key (tag, id) joins, over the routes
+    out of it, the route's flow with its rows keyed (tag, id) and the sign
+    of its case as the term's coefficient (the routes end in distinct
+    tags).  With `_combine` it maps (tag, id) to the boundary's entry; with
+    `_split`, ((tag, id), w) to the number of trajectories of weight w."""
     fields = d._fields()
     flows = {tag: _flow(gvf, combine) for tag, gvf in fields.items() if gvf is not None}
-    mixed = []
+    routes = {tag: [(_CASE_SIGN[_OWN_CASE[tag]], tag, flow)] for tag, flow in flows.items()}
     if d.w_i is not None:
-        mixed = [
-            (tag, signs[case], _mixed_flow(d.w_i, fields[tag], flows[tag], combine))
+        routes[SHIFTED] += [
+            (_CASE_SIGN[case], tag, _mixed_flow(d.w_i, fields[tag], flows[tag], combine))
             for tag, case in _MIXED_CASE.items()
         ]
+    if combine is _split:
+        term = lambda c, tag, col: {((tag, r), c * w): n for (r, w), n in col.items()}
+    else:
+        term = lambda c, tag, col: {(tag, r): c * v for r, v in col.items()}
 
     def column(key: tuple[str, int]) -> dict:
         tag, i = key
-        sign = signs[_OWN_CASE[tag]]
-        out = {(tag, r): sign * v for r, v in flows[tag](i).items()}
-        if tag == SHIFTED:
-            for target, case_sign, descend in mixed:
-                out.update(((target, r), case_sign * v) for r, v in descend(i).items())
+        out = {}
+        for c, target, flow in routes[tag]:
+            out.update(term(c, target, flow(i)))
         return out
 
     return column

@@ -52,21 +52,26 @@ failed certification or census, never as bad input.
 `check_iso_simplicial` and `check_main_iso` re-derive all of this on a given
 decomposition and report each comparison separately, with counterexamples.
 Both read one shared context: `build_xtilde` computes the simplicial chain
-complex C_*(X) and its homology once, and both checks compare against those
-fields.  Both also run one comparison routine: the critical cells map
-bijectively onto the target's generators, the Thom-Smale boundaries in
-target order equal the target's, and the Thom-Smale homology equals the
-target's.  Once the bijection and every matrix match, the Thom-Smale complex
-is the target complex, so its homology is taken from the target; it is
-computed from the Thom-Smale matrices only when a matrix differs.
+complex C_*(X), its generators keyed by X's ids, and its homology once, and
+both checks compare against those fields.  Both also run one comparison
+routine, on keys: the critical cells map bijectively onto the target's
+generator keys (g sends a cell to its ground id in X, f to the key (tag,
+id) of its MV generator), the Thom-Smale boundaries in target order equal
+the target's, and the Thom-Smale homology equals the target's.  Once the
+bijection and every matrix match, the Thom-Smale complex is the target
+complex, so its homology is taken from the target; it is computed from the
+Thom-Smale matrices only when a matrix differs.  A simplex or an MV
+generator is named only to word a failing check.
 
 The per-pair checks of `check_main_iso` compare counts and signed sums from
 flows, not lists of trajectories.  Every weight is +1 or -1, so a pair's
 weight multiset is fixed by the number N of its trajectories and their
-signed sum S.  Upstairs, one split flow of W (Forman's flow with the sign
-in the key), whose value at a critical cell is that cell's column, gives
-N, S and the boundary; in MV, S is the target's entry and N comes from
-unsigned flows.  A trajectory's case is fixed by the pieces at its ends
+signed sum S.  Each side is read off one split flow (Forman's flow with the
+sign in the key), whose value at a generator maps (r, w) to the number of
+its trajectories to r of weight w: upstairs that of W, in MV that of the
+MV routes (`mv._mv_column` with `_split`).  Each gives its side's N and S,
+and its boundary, whose entries are the sums S; the MV one is the target
+complex.  A trajectory's case is fixed by the pieces at its ends
 unless it takes a step off the five shapes, and one scan over the
 reachable arcs finds any such step.  The flows and the scan read the arcs
 of W from `morse._arcs`, the one step rule of every field, so the boundary
@@ -81,24 +86,25 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .complexes import Simplex, SimplicialComplex, _Table
 from .errors import InternalConsistencyError, MorsemvError
-from .homology import (
-    Column,
-    HomologyResult,
-    IntegerChainComplex,
-    homology,
-    simplicial_chain_complex,
+from .homology import Column, HomologyResult, IntegerChainComplex, _simplicial_chains, homology
+from .morse import (
+    GradientField,
+    _arcs,
+    _boundary_columns,
+    _flow,
+    _matching,
+    _split,
+    _trajectory_complex,
 )
-from .morse import GradientField, _arcs, _boundary_columns, _flow, _matching, _split
 from .mv import (
     FROM_A,
     FROM_B,
     SHIFTED,
     Decomposition,
-    MVGenerator,
-    _generator,
     _generator_keys,
+    _max_degree,
     _mv_column,
-    mv_chain_complex,
+    _named_generator,
 )
 
 __all__ = [
@@ -121,8 +127,9 @@ class XTilde:
     """The glued complex A-copy u prism(intersection copy) u B-copy, with the
     context both checks share.
 
-    `x_chains` is the simplicial chain complex C_*(X), generators labelled in
-    canonical order, and `x_homology` its homology: the target of
+    `x_chains` is the simplicial chain complex C_*(X), its generators
+    labelled by X's ids per degree, in canonical order, and `x_homology` its
+    homology: the target of
     `check_iso_simplicial` and the reference of `check_main_iso`, each
     computed once per verify run.  `_piece` and `_ground` give the piece
     and the ground id in X of every X~ id, and `_members` maps each
@@ -152,7 +159,7 @@ def _block(
 
 
 def build_xtilde(d: Decomposition) -> XTilde:
-    x_chains = simplicial_chain_complex(d.x)
+    x_chains = _simplicial_chains(d.x, d.x._ids)
     shared = (x_chains, homology(x_chains))
     # X~ is closed on X's vertices, ranked: the A-copy of vertex v is v and
     # its B-copy n + v, so each copy keeps X's order and A comes before B.
@@ -329,11 +336,11 @@ def _compare(
 ) -> None:
     """Compare the Thom-Smale complex of `gvf`, whose boundary `column`
     maps a critical id to its column (from Forman's flow), named `source`
-    in reports, with `target`, whose labels name its generators in target
-    order.
+    in reports, with `target`, whose labels are the keys of its generators
+    in target order.
 
     Adds the check `bijective` (`image` maps the critical cells of each
-    degree, given by id, bijectively onto that degree's labels), then whatever
+    degree, given by id, bijectively onto that degree's keys), then whatever
     `pair_checks` adds given the image of every critical id, then
     `boundary_matrices_equal` (with each degree's cells ordered by their
     image, the Thom-Smale boundaries equal the target's) and
@@ -422,54 +429,54 @@ def check_iso_simplicial(xt: XTilde) -> VerifyReport:
         else f"unexpected {_named(xt, actual - expected)[:3]}, "
         f"missing {_named(xt, expected - actual)[:3]}",
     )
-    # g: critical cells of V -> simplices of X (drop the copy tag)
+    # g: critical cells of V -> ids of X (drop the copy tag)
     _compare(
-        checks, v, _flow(v), "(X~,V)", lambda i: d.x._simplex(xt._ground[i]),
+        checks, v, _flow(v), "(X~,V)", xt._ground.__getitem__,
         "g_bijective", xt.x_chains, [("X", xt.x_homology)],
     )
     return checks.report()
 
 
-def _f_image(xt: XTilde, i: int) -> MVGenerator:
-    """f: critical cells of W -> MV generators."""
-    piece = xt._piece[i]
-    if piece != _INTERIOR:
-        return _generator(_PIECE_TAG[piece], xt.complex._simplex(i))
-    alpha = xt._ground[i]
-    ground = xt.decomposition.iab_bar.complex._simplex(alpha)
-    if i != xt._members[alpha][0][0]:
+def _f_image(xt: XTilde, i: int) -> tuple[str, int]:
+    """f: critical cells of W -> MV generator keys (tag, id in X)."""
+    piece, ground = xt._piece[i], xt._ground[i]
+    if piece == _INTERIOR and i != xt._members[ground][0][0]:
         raise InternalConsistencyError(
-            f"interior critical cell {xt.complex._simplex(i)} "
-            f"is not the distinguished cell over {ground}"
+            f"interior critical cell {xt.complex._simplex(i)} is not the distinguished "
+            f"cell over {xt.decomposition.iab_bar.complex._simplex(ground)}"
         )
-    return _generator(SHIFTED, ground)
+    return _PIECE_TAG[piece], ground
 
 
-def _w_tallies(gvf: GradientField, flow: Callable[[int], Column]) -> dict:
-    """{tau: {r: (count, sum)}} over the critical ids of W: the number of
-    trajectories from tau to r and the sum of their weights, from its split
-    flow.  Every weight is +1 or -1, so the two fix the weight multiset."""
+def _tallies(keys: Iterable[Hashable], split: Callable[[Hashable], dict]) -> dict:
+    """{key: {r: (count, sum)}}: from the split column of each key, which
+    maps (r, w) to the number of trajectories to r of weight w, their number
+    and the sum of their weights.  Every weight is +1 or -1, so the two fix
+    the weight multiset."""
     out = {}
-    for tau in _critical_ids(gvf):
-        tally = out[tau] = {}
-        for (r, w), n in flow(tau).items():
+    for key in keys:
+        tally = out[key] = {}
+        for (r, w), n in split(key).items():
             count, total = tally.get(r, (0, 0))
             tally[r] = (count + n, total + w * n)
     return out
 
 
-def _mv_tallies(d: Decomposition, target: IntegerChainComplex) -> dict:
-    """{beta: {alpha: (count, sum)}} over MV generator keys: the count of
-    the trajectories from unsigned flows, their sum from `target`'s columns."""
-    counts = _mv_column(d, signed=False)
-    out = {}
-    for q, columns in enumerate(target.columns, start=1):
-        rows = _generator_keys(d, q - 1)
-        for beta, column in zip(_generator_keys(d, q), columns):
-            tally = out[beta] = {alpha: (n, 0) for alpha, n in counts(beta).items()}
-            for i, total in column.items():
-                tally[rows[i]] = (tally.get(rows[i], (0, 0))[0], total)
-    return out
+def _sums(tallies: dict) -> Callable[[Hashable], Column]:
+    """The signed boundary read off tallies: key -> {r: sum}."""
+    return lambda key: {r: total for r, (_, total) in tallies[key].items()}
+
+
+def _w_tallies(gvf: GradientField, flow: Callable[[int], dict]) -> dict:
+    """The tallies of the critical ids of W, from its split flow."""
+    return _tallies(_critical_ids(gvf), flow)
+
+
+def _mv_tallies(d: Decomposition) -> dict:
+    """The tallies of the MV generator keys of positive degree, from the
+    split MV flows."""
+    keys = (key for q in range(1, _max_degree(d) + 1) for key in _generator_keys(d, q))
+    return _tallies(keys, _mv_column(d, _split))
 
 
 def _forbidden_step(xt: XTilde, gvf: GradientField, flow: Callable[[int], Column]) -> str:
@@ -513,15 +520,17 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
         checks.add("w_field_certified", False, str(e))
         return checks.report()
 
-    target = mv_chain_complex(d)
-    # one split flow of W gives its boundary, its tallies and the scan
+    # one split flow per side gives its boundary, its counts and its sums;
+    # W's also feeds the scan
+    mv = _mv_tallies(d)
+    keys = [_generator_keys(d, q) for q in range(_max_degree(d) + 1)]
+    target = _trajectory_complex(keys, keys, _sums(mv))
     flow = _flow(gvf, _split)
     upstairs = _w_tallies(gvf, flow)
 
-    def pair_checks(f_of: dict[int, MVGenerator]) -> None:
+    def pair_checks(f_of: dict[int, tuple[str, int]]) -> None:
         # MV's tallies move onto W's critical ids along f
-        key = {i: (_PIECE_TAG[xt._piece[i]], xt._ground[i]) for i in f_of}
-        at, mv = {k: i for i, k in key.items()}, _mv_tallies(d, target)
+        at = {key: i for i, key in f_of.items()}
         critical, compared = gvf._critical_ids, 0
         c_detail = w_detail = k_detail = ""
         for q in range(1, len(critical)):
@@ -529,12 +538,12 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
             compared += len(critical[q]) * len(critical[q - 1])
             for tau in critical[q]:
                 g = upstairs[tau]
-                m = {at[alpha]: n for alpha, n in mv.get(key[tau], {}).items()}
+                m = {at[alpha]: n for alpha, n in mv.get(f_of[tau], {}).items()}
                 for sigma in sorted(g.keys() | m.keys(), key=rank.__getitem__):
                     have, want = g.get(sigma, (0, 0)), m.get(sigma, (0, 0))
                     if have == want:
                         continue
-                    pair = f"{f_of[tau]} -> {f_of[sigma]}"
+                    pair = " -> ".join(str(_named_generator(d, f_of[k])) for k in (tau, sigma))
                     if have[0] != want[0] and not c_detail:
                         c_detail = f"{pair}: {have[0]} trajectories upstairs, {want[0]} in MV"
                         k_detail = f"{pair}: case multisets differ"
@@ -548,8 +557,8 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
         checks.add("trajectory_classification", not k_detail, k_detail)
 
     _compare(
-        checks, gvf, lambda tau: {r: total for r, (_, total) in upstairs[tau].items() if total},
-        "(X~,W)", lambda i: _f_image(xt, i), "f_bijective_onto_generators",
-        target, [("MV", homology(target)), ("X", xt.x_homology)], pair_checks,
+        checks, gvf, _sums(upstairs), "(X~,W)", lambda i: _f_image(xt, i),
+        "f_bijective_onto_generators", target,
+        [("MV", homology(target)), ("X", xt.x_homology)], pair_checks,
     )
     return checks.report()

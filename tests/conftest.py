@@ -321,10 +321,11 @@ def lose_trajectories(monkeypatch):
     X~: V's flow, which is its boundary, and W's split flow, behind W's
     boundary, its per-pair counts and the classification scan.
     "mv_trajectories_from" loses the Mayer-Vietoris ones: the MV columns,
-    signed (the target complex and its sums) and unsigned (the counts)."""
+    signed (`mv_chain_complex`) and split (verify's target, counts and
+    sums)."""
     verify = importlib.import_module("morsemv.verify")
     mv = importlib.import_module("morsemv.mv")
-    no_columns = lambda d, signed=True: lambda key: {}
+    no_columns = lambda d, combine=None: lambda key: {}
     patches = {
         "trajectories_from": [
             (verify, "_flow", lambda gvf, combine=None: lambda tau: {}),

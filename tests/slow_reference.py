@@ -50,6 +50,7 @@ from morsemv.mv import (
     FROM_B,
     SHIFTED,
     Decomposition,
+    _named_generator,
     _require_generator,
     mv_generators,
     mv_trajectories_from,
@@ -488,7 +489,7 @@ def enumerated_pair_checks(xt: XTilde) -> tuple[CheckResult, ...]:
     d = xt.decomposition
     gvf = _build_w_field(xt)
     critical = gvf._critical_ids
-    f_of = {i: _f_image(xt, i) for ids in critical for i in ids}
+    f_of = {i: _named_generator(d, _f_image(xt, i)) for ids in critical for i in ids}
     facets = xt.complex._table.facets.__getitem__
     mv = {beta: mv_trajectories_from(d, beta) for beta in mv_generators(d) if beta.degree}
     below = {tau: critical[q - 1] for q in range(1, len(critical)) for tau in critical[q]}

@@ -11,7 +11,8 @@ case signs, on the corpus covers, on hypothesis complexes and on a family
 whose trajectory count doubles with each layer.  On that family
 `verify`'s per-pair counts, also read off flows, are checked against the
 enumeration as well, and at 40 layers `verify` runs where no enumeration
-could.
+could.  The split MV flow, from which `verify` reads its target, counts and
+sums, is checked against the signed flow and the enumeration it replaces.
 """
 from __future__ import annotations
 
@@ -43,18 +44,26 @@ from morsemv import (
     trajectories_from,
 )
 from morsemv.cli import main
-from morsemv.morse import _flow, _memoised, _split
+from morsemv.morse import _boundary_columns, _flow, _memoised, _split
 from morsemv.mv import (
     FROM_A,
     SHIFTED,
     MVGenerator,
+    _generator_keys,
     _max_degree,
     mv_boundary,
     mv_trajectories_from,
 )
-from morsemv.verify import _PIECE_TAG, _build_v_field, _build_w_field, _mv_tallies, _w_tallies
+from morsemv.verify import (
+    _PIECE_TAG,
+    _build_v_field,
+    _build_w_field,
+    _mv_tallies,
+    _sums,
+    _w_tallies,
+)
 from conftest import branching_complex, corpus_complexes, random_cover, random_small_complex
-from slow_reference import reference_complex_columns, reference_weight
+from slow_reference import enumerated_mv_tallies, reference_complex_columns, reference_weight
 from test_mv import COVERS, cover_decompositions
 from test_verify import assert_counts_match_enumeration
 
@@ -99,6 +108,20 @@ def assert_mv_matches(d) -> None:
                 assert t.weight == by_hand.weight == reference_weight(t)
 
 
+def assert_split_mv_flow_matches(d) -> None:
+    """The split MV flow, which `verify` reads its target, counts and sums
+    from, against the paths it replaces: its sums (over w of w n) are the
+    columns of `mv_chain_complex`, from the signed flow, and its counts (of
+    n) those of the enumerated trajectories."""
+    tallies = _mv_tallies(d)
+    keys = [_generator_keys(d, q) for q in range(_max_degree(d) + 1)]
+    assert [
+        _boundary_columns(keys[q - 1], keys[q], _sums(tallies)) for q in range(1, len(keys))
+    ] == mv_chain_complex(d).columns
+    counts = lambda t: {k: {r: n for r, (n, _) in tally.items()} for k, tally in t.items() if tally}
+    assert counts(tallies) == counts(enumerated_mv_tallies(d))
+
+
 class TestCorpus:
     @pytest.mark.parametrize("name,strategy", COVERS)
     def test_mv_complex(self, name, strategy):
@@ -116,8 +139,14 @@ class TestCorpus:
             assert_thom_smale_matches(_build_v_field(xt))
             assert_thom_smale_matches(_build_w_field(xt))
 
+    @pytest.mark.parametrize("name,strategy", COVERS)
+    def test_split_mv_flow(self, name, strategy):
+        for d in cover_decompositions(name, strategy):
+            assert_split_mv_flow_matches(d)
+
     def test_octahedron_pinned_fields(self, oct_decomposition):
         assert_mv_matches(oct_decomposition)
+        assert_split_mv_flow_matches(oct_decomposition)
         xt = build_xtilde(oct_decomposition)
         assert_thom_smale_matches(_build_w_field(xt))
 
@@ -154,7 +183,7 @@ def pair_counts(xt, tag: str, top, bottom) -> tuple[int, int]:
     cell = {(_PIECE_TAG[xt._piece[i]], xt._ground[i]): i for ids in w._critical_ids for i in ids}
     beta, alpha = (tag, d.x._id(top)), (tag, d.x._id(bottom))
     upstairs = _w_tallies(w, _flow(w, _split))[cell[beta]][cell[alpha]]
-    return upstairs[0], _mv_tallies(d, mv_chain_complex(d))[beta][alpha][0]
+    return upstairs[0], _mv_tallies(d)[beta][alpha][0]
 
 
 def write_branching(directory, layers: int):
@@ -195,6 +224,11 @@ class TestBranchingFamily:
         assert len(case_3) == 2 ** layers
         assert_mv_matches(on_a)
         assert_mv_matches(on_i)
+
+    @pytest.mark.parametrize("layers", range(1, 8))
+    def test_split_mv_flow(self, layers):
+        for d in branching_decompositions(layers):
+            assert_split_mv_flow_matches(d)
 
     def test_forty_layers_homology_only(self, tmp_path, capsys):
         layers = 40

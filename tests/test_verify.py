@@ -23,7 +23,6 @@ from morsemv import (
     check_iso_simplicial,
     check_main_iso,
     homology,
-    mv_chain_complex,
     mv_generators,
     simplicial_homology,
     thom_smale_complex,
@@ -64,6 +63,8 @@ from test_mv import COVERS, cover_decompositions
 # the modules themselves: the package re-exports a function named `homology`
 homology_module = importlib.import_module("morsemv.homology")
 verify_module = importlib.import_module("morsemv.verify")
+complexes_module = importlib.import_module("morsemv.complexes")
+mv_module = importlib.import_module("morsemv.mv")
 
 
 @pytest.fixture(scope="module")
@@ -309,7 +310,7 @@ def assert_counts_match_enumeration(xt) -> None:
     flow = _flow(w, _split)
     nonempty = lambda tallies: {k: t for k, t in tallies.items() if t}
     assert nonempty(_w_tallies(w, flow)) == nonempty(enumerated_w_tallies(w))
-    assert nonempty(_mv_tallies(d, mv_chain_complex(d))) == nonempty(enumerated_mv_tallies(d))
+    assert nonempty(_mv_tallies(d)) == nonempty(enumerated_mv_tallies(d))
     assert (_forbidden_step(xt, w, flow) == "") == listed_trajectories_fit(xt, w)
     assert check_main_iso(xt).checks[2:5] == enumerated_pair_checks(xt)
 
@@ -418,14 +419,14 @@ class TestChecks:
 
     def test_chain_complex_of_x_built_once(self, oct_decomposition, monkeypatch):
         calls = []
-        real = homology_module.simplicial_chain_complex
+        real = homology_module._simplicial_chains
 
-        def counting(x):
+        def counting(x, labels=None):
             calls.append(x)
-            return real(x)
+            return real(x, labels)
 
-        monkeypatch.setattr(homology_module, "simplicial_chain_complex", counting)
-        monkeypatch.setattr(verify_module, "simplicial_chain_complex", counting)
+        monkeypatch.setattr(homology_module, "_simplicial_chains", counting)
+        monkeypatch.setattr(verify_module, "_simplicial_chains", counting)
         xt = build_xtilde(oct_decomposition)
         assert check_iso_simplicial(xt).ok and check_main_iso(xt).ok
         assert calls == [oct_decomposition.x]
@@ -434,6 +435,34 @@ class TestChecks:
         report = check_iso_simplicial(oct_xtilde)
         text = str(report)
         assert "ok" in text and "v_field_certified" in text
+
+
+@pytest.mark.parametrize("name", ["octahedron", "torus"])
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_passing_run_names_nothing(monkeypatch, capsys, command, name):
+    """A passing `verify` or `oracle` compares on ids and generator keys: it
+    names no cell (of X or any other table) and builds no MV generator.
+    Names are built only to word a failing check."""
+    named, generators = [], []
+    simplex, post_init = complexes_module._Table.simplex, mv_module.MVGenerator.__post_init__
+
+    def naming(table, i, tag):
+        named.append(i)
+        return simplex(table, i, tag)
+
+    def generating(g):
+        generators.append(g)
+        post_init(g)
+
+    monkeypatch.setattr(complexes_module._Table, "simplex", naming)
+    monkeypatch.setattr(mv_module.MVGenerator, "__post_init__", generating)
+    golden = Path(__file__).parent / "golden"
+    argv = [command, "--complex", str(golden / f"{name}.cx"), "--output", "json"]
+    if command == "verify":
+        argv += ["--decomposition", str(golden / f"{name}.dec")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (golden / f"{name}.{command}.json").read_text(encoding="utf-8")
+    assert (named, generators) == ([], [])
 
 
 class TestFailingChecks:
