@@ -33,8 +33,10 @@ linear in the arcs of the gradient digraph.  One signed rule, `_arcs`, gives
 those arcs: from tau down to a facet sigma other than down(tau), then up to
 up(sigma), signed as in w.  Every sign is (-1)^k for the position k of a
 facet in the complex's facet table, which lists the facet dropping vertex k
-at position k.  The flow of a critical simplex is its boundary; with the
-sign of each path moved into the key it counts the trajectories by weight,
+at position k.  An arc adds the memoised flow of its head, or ends at a
+critical cell as an entry of its node's base (`_ends`).  The flow of a
+critical simplex is its boundary; summed by `_split` it maps each
+critical end to the number of trajectories and the sum of their weights,
 which `verify` checks pair by pair.  The walk of `trajectories_from` (its
 weights the products of the signs it read) and certification run on the
 same arcs.
@@ -444,13 +446,6 @@ def _transfer(piece: GradientField) -> Callable[[int], list[tuple[int, int, int]
     return lambda tau: [(lift[tau], tau, up[tau])]
 
 
-def _heads(arcs: Iterable[tuple[int, int, int]], down: list[int]) -> list[tuple[int, int]]:
-    """The links of a flow along `arcs`, for `_memoised`: an arc (c, sigma,
-    nu) goes on to nu >= 0, or ends at a critical sigma (down[sigma] < 0),
-    in the sink ~sigma."""
-    return [(c, nu if nu >= 0 else ~sigma) for c, sigma, nu in arcs if nu >= 0 or down[sigma] < 0]
-
-
 def _onward(arcs: Iterable[tuple[int, int, int]], down: list[int], then) -> list:
     """The moves of a walk along `arcs`, for `_walk`: an arc (c, sigma, nu)
     goes on to nu >= 0, where `then` gives the next moves, or ends at a
@@ -496,59 +491,76 @@ def _walk(start: int, moves, sign: int = 1) -> Iterator[tuple[tuple[int, ...], i
             del seq[len(seq) - grown:]
 
 
+def _ends(arcs: Iterable[tuple[int, int, int]], down: list[int], split=False) -> tuple:
+    """A flow node's (base, heads) from its `arcs`, for `_memoised`: an arc
+    (c, sigma, nu) goes on to nu >= 0, the head (c, nu), or ends at a
+    critical sigma (down[sigma] < 0), the base's entry at sigma: c, or
+    (1, c) in a `split` flow, one path of weight c."""
+    base, heads = {}, []
+    for c, sigma, nu in arcs:
+        if nu >= 0:
+            heads.append((c, nu))
+        elif down[sigma] < 0:
+            base[sigma] = (1, c) if split else c
+    return base, heads
+
+
 def _combine(base: Column, terms: Iterable[tuple[int, Column]]) -> Column:
-    """base + sum(c * column for c, column in terms); an entry that sums to
-    zero stays, and `_boundary_columns` leaves it out."""
-    out = dict(base)
+    """base + sum(c * column for c, column in terms), added into `base`; an
+    entry that sums to zero stays, and `_boundary_columns` leaves it out."""
     for c, col in terms:
         for r, v in col.items():
-            out[r] = out.get(r, 0) + c * v
-    return out
+            base[r] = base.get(r, 0) + c * v
+    return base
 
 
-def _split(base: Column, terms: Iterable[tuple[int, Column]]) -> Column:
-    """`_combine` with the sign in the key: (r, w) maps to the number of
-    paths to r of weight w, and a sign c moves that count to (r, c * w)."""
-    out = dict(base)
+def _split(base: dict, terms: Iterable[tuple[int, dict]]) -> dict:
+    """`_combine` on the values of a split flow, added into `base`: r maps
+    to the number of paths to r and the sum of their weights (each +1 or -1,
+    so the two fix the weights), and a sign c multiplies the sum."""
     for c, col in terms:
-        for (r, w), v in col.items():
-            out[r, c * w] = out.get((r, c * w), 0) + v
-    return out
+        for r, (n, w) in col.items():
+            old = base.get(r)
+            base[r] = (n, c * w) if old is None else (old[0] + n, old[1] + c * w)
+    return base
 
 
-def _memoised(links: Callable[[int], tuple[Column, Sequence[tuple[int, int]]]], combine=_combine):
+def _memoised(links: Callable[[int], tuple[dict, Sequence[tuple[int, int]]]], combine=_combine):
     """The function value(s) = base + sum(c * value(t) for c, t in arcs),
     where (base, arcs) = links(s), on an acyclic digraph, memoised, the sum
-    taken by `combine`.  Each call computes what it needs in post-order
-    with an explicit stack, so a chain of arcs may be arbitrarily long.  The
-    stack is a path of the digraph, each entry waiting for the first of its
-    arcs not yet valued; an arc back into the path is a cycle, reported
-    instead of followed."""
-    memo: dict[int, Column] = {}
+    taken by `combine` into the base, which `links` makes anew per node.
+    Each call computes what it needs in post-order with an explicit stack,
+    so a chain of arcs may be arbitrarily long.  The stack is a path of the
+    digraph, each entry waiting for the first of its arcs not yet valued,
+    its ids marked None in the memo; an arc back into the path is a cycle,
+    reported instead of followed.  The marks stay, so asking again for an
+    id on that path raises again, and a mark is never returned."""
+    memo: dict[int, dict | None] = {}
+    get = memo.get
 
-    def value(root: int) -> Column:
-        if root in memo:
+    def value(root: int) -> dict:
+        if get(root) is not None:
             return memo[root]
-        stack, on_path = [(root, *links(root))], {root}
+        stack = [(root, *links(root))]
+        memo[root] = None
         while stack:
             s, base, arcs = stack[-1]
             for _, t in arcs:
-                if t not in memo:
-                    if t in on_path:
+                if get(t) is None:
+                    if t in memo:
                         raise InternalConsistencyError(f"the flow runs in a cycle through id {t}")
-                    on_path.add(t)
                     stack.append((t, *links(t)))
+                    memo[t] = None
                     break
             else:
                 stack.pop()
-                on_path.discard(s)
                 memo[s] = combine(base, [(c, memo[t]) for c, t in arcs]) if arcs else base
         return memo[root]
 
     return value
 
 
-def _flow(gvf: GradientField, combine=_combine) -> Callable[[int], Column]:
+def _flow(gvf: GradientField, combine=_combine) -> Callable[[int], dict]:
     """Forman's flow of gvf on ids, memoised, over the arcs of `_arcs`:
     flow(tau) maps critical ids r one dimension below tau to the weighted
     count of the gradient paths tau, sigma_1, nu_1, ..., r (which may be 0),
@@ -557,18 +569,12 @@ def _flow(gvf: GradientField, combine=_combine) -> Callable[[int], Column]:
                     c flow(nu)     when nu >= 0,
                     c {sigma: 1}   when sigma is critical,
 
-    so the flow of a critical id is its Thom-Smale boundary.  The field is
-    a gradient field, so the recursion is well founded.  With `_split` as
-    `combine` it counts the paths by weight."""
-    arcs, down = _arcs(gvf), gvf._down
-    unit = (lambda r: {(r, 1): 1}) if combine is _split else (lambda r: {r: 1})
-
-    def links(tau: int):
-        if tau < 0:  # the sink ~sigma of the paths ending at a critical sigma
-            return unit(~tau), ()
-        return {}, _heads(arcs(tau), down)
-
-    return _memoised(links, combine)
+    the second kind in the node's base (`_ends`), so the flow of a critical
+    id is its Thom-Smale boundary.  The field is a gradient field, so the
+    recursion is well founded.  With `_split` as `combine` it maps r to the
+    number of those paths and the sum of their weights."""
+    arcs, down, split = _arcs(gvf), gvf._down, combine is _split
+    return _memoised(lambda tau: _ends(arcs(tau), down, split), combine)
 
 
 def _boundary_columns(rows: Sequence, cols: Sequence, column) -> list[Column]:

@@ -58,16 +58,16 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .complexes import ComplexCopy, Simplex, SimplicialComplex, copy_relabel, intersection
 from .errors import DecompositionError, FieldError, InternalConsistencyError
-from .homology import Column, HomologyResult, IntegerChainComplex, _dense, homology
+from .homology import HomologyResult, IntegerChainComplex, _dense, homology
 from .morse import (
     DEFAULT_SEED,
     GradientField,
     _arcs,
     _boundary_columns,
     _combine,
+    _ends,
     _flow,
     _grouped,
-    _heads,
     _matching,
     _memoised,
     _moves,
@@ -424,17 +424,18 @@ def enumerate_mv(
 
 
 def _mixed_flow(
-    wi: GradientField, piece: GradientField, flow: Callable[[int], Column], combine=_combine
+    wi: GradientField, piece: GradientField, flow: Callable[[int], dict], combine=_combine
 ):
     """Cases 4/5 on ids, memoised, for the piece with field `piece` and flow
     `flow`: D(tau) = T(tau) + sum of c D(nu) over the arcs (c, sigma, nu) of
-    wi from tau with nu >= 0, where T(tau), the transfer of tau followed by
-    every ascent in the piece, sums c flow(t) over the links (c, t) of the
-    transfer (`morse._transfer`).  `combine` sums as in `morse._flow`."""
-    arcs, transfer, down = _arcs(wi), _transfer(piece), piece._down
+    wi from tau with nu >= 0.  T(tau), the transfer of tau (`morse._transfer`)
+    followed by every ascent in the piece, is the node's base: its `_ends`
+    plus the flow of up(tau).  `combine` sums as in `morse._flow`."""
+    arcs, transfer, down, split = _arcs(wi), _transfer(piece), piece._down, combine is _split
 
     def links(tau: int):
-        base = combine({}, [(c, flow(t)) for c, t in _heads(transfer(tau), down)])
+        base, heads = _ends(transfer(tau), down, split)
+        combine(base, [(c, flow(t)) for c, t in heads])
         return base, [(c, nu) for c, _, nu in arcs(tau) if nu >= 0]
 
     return _memoised(links, combine)
@@ -446,7 +447,7 @@ def _mv_column(d: Decomposition, combine=_combine) -> Callable[[tuple[str, int]]
     out of it, the route's flow with its rows keyed (tag, id) and the sign
     of its case as the term's coefficient (the routes end in distinct
     tags).  With `_combine` it maps (tag, id) to the boundary's entry; with
-    `_split`, ((tag, id), w) to the number of trajectories of weight w."""
+    `_split`, to the number of trajectories and the sum of their weights."""
     fields = d._fields()
     flows = {tag: _flow(gvf, combine) for tag, gvf in fields.items() if gvf is not None}
     routes = {tag: [(_CASE_SIGN[_OWN_CASE[tag]], tag, flow)] for tag, flow in flows.items()}
@@ -456,7 +457,7 @@ def _mv_column(d: Decomposition, combine=_combine) -> Callable[[tuple[str, int]]
             for tag, case in _MIXED_CASE.items()
         ]
     if combine is _split:
-        term = lambda c, tag, col: {((tag, r), c * w): n for (r, w), n in col.items()}
+        term = lambda c, tag, col: {(tag, r): (n, c * w) for r, (n, w) in col.items()}
     else:
         term = lambda c, tag, col: {(tag, r): c * v for r, v in col.items()}
 

@@ -12,15 +12,17 @@ has the block of 2q + 3 cells
 so b_member(alpha, 0) is the B-copy of alpha, b_member(alpha, q+1) its
 A-copy, and the rest lie in the prism interior.  The bottom and top
 vertices are the copies' own vertices, so the gluing is by vertex, and
-X~ is closed once, from the maximal cells of both copies and the cells
-a_member(alpha, r) over each maximal alpha.  It is closed on ints: with n
-the vertex count of X, the A-copy of vertex v is v and its B-copy n + v,
+X~ is closed once, from every cell of both copies and the cells
+a_member(alpha, r) of every block.  It is closed on ints: with n the
+vertex count of X, the A-copy of vertex v is v and its B-copy n + v,
 named "A:" and "B:" plus the name of v.  `build_xtilde` then records,
 on X~'s ids, the piece of every cell (A-copy, B-copy or prism interior),
 its ground (the id in X of the simplex it copies or lies over), and for
-every intersection id the ids of its a_member and b_member cells.  The two
-fields, their censuses, the maps g and f and the trajectory classification
-read these maps; simplices are named only for reports.
+every intersection id the ids of its a_member and b_member cells, from
+the cells it listed: an interior cell's ground is the alpha of its block,
+and a cell of X~ not listed is an internal fault.  The two fields, their
+censuses, the maps g and f and the trajectory classification read these
+maps; simplices are named only for reports.
 
 Two gradient fields on X~ carry the theory:
 
@@ -66,17 +68,17 @@ generator is named only to word a failing check.
 The per-pair checks of `check_main_iso` compare counts and signed sums from
 flows, not lists of trajectories.  Every weight is +1 or -1, so a pair's
 weight multiset is fixed by the number N of its trajectories and their
-signed sum S.  Each side is read off one split flow (Forman's flow with the
-sign in the key), whose value at a generator maps (r, w) to the number of
-its trajectories to r of weight w: upstairs that of W, in MV that of the
-MV routes (`mv._mv_column` with `_split`).  Each gives its side's N and S,
-and its boundary, whose entries are the sums S; the MV one is the target
-complex.  A trajectory's case is fixed by the pieces at its ends
-unless it takes a step off the five shapes, and one scan over the
-reachable arcs finds any such step.  The flows and the scan read the arcs
-of W from `morse._arcs`, the one step rule of every field, so the boundary
-and the checks cannot disagree on a step or a sign.  Only the
-`trajectories` command enumerates trajectories.
+signed sum S.  Each side is read off one split flow (Forman's flow summed
+by `morse._split`), whose value at a generator maps r to (N, S), the
+number of its trajectories to r and the sum of their weights: upstairs
+that of W, in MV that of the MV routes (`mv._mv_column` with `_split`).
+Its sums S are the side's boundary; the MV one is the target complex.  A
+trajectory's case is fixed by the pieces at its ends unless it takes a
+step off the five shapes, and one scan over the reachable arcs finds any
+such step.  The flows and the scan read the arcs of W from `morse._arcs`,
+the one step rule of every field, so the boundary and the checks cannot
+disagree on a step or a sign.  Only the `trajectories` command enumerates
+trajectories.
 """
 from __future__ import annotations
 
@@ -167,38 +169,42 @@ def build_xtilde(d: Decomposition) -> XTilde:
     x_verts, n = x_table.verts, len(x_table.names)
     names = [d.a_bar.tag + v for v in x_table.names] + [d.b_bar.tag + v for v in x_table.names]
     top = lambda i: tuple([v + n for v in x_verts[i]])  # the B-copy of id i
-    cells = [x_verts[i] for i in d.a._maximal_ids()] + list(map(top, d.b._maximal_ids()))
-    blocks = {}
-    if d.iab is not None:
-        blocks = {a: _block(x_verts[a], top(a)) for a in itertools.chain(*d.iab._ids)}
-        cells += [c for alpha in d.iab._maximal_ids() for c in blocks[alpha][0]]
-    glued = SimplicialComplex._of(_Table(cells, names))
+    in_a, in_b = list(itertools.chain(*d.a._ids)), list(itertools.chain(*d.b._ids))
+    copies = [x_verts[i] for i in in_a] + list(map(top, in_b))
+    in_iab = itertools.chain(*d.iab._ids) if d.iab is not None else ()
+    blocks = {a: _block(x_verts[a], top(a)) for a in in_iab}
+    glued = SimplicialComplex._of(
+        _Table(copies + [c for a_cells, _ in blocks.values() for c in a_cells], names)
+    )
     table = glued._table
 
-    # An A-copy cell ends, and a B-copy cell starts, with a vertex of its
-    # copy; a cell's ground is its set of vertices taken mod n.
-    piece, ground, x_index = bytearray(len(table)), [], x_table.index
-    for i, vs in enumerate(table.verts):
-        if vs[-1] < n:
-            piece[i] = _A
-            ground.append(x_index[vs])
-        elif vs[0] >= n:
-            piece[i] = _B
-            ground.append(x_index[tuple([v - n for v in vs])])
-        else:
-            piece[i] = _INTERIOR
-            ground.append(x_index[tuple(sorted({v % n for v in vs}))])
+    # Every cell is a copy's, or a block's over its ground; the interior
+    # ones are the block's a_member cells and its b_member cells but the
+    # first and last, which are the copies of its ground.
+    index = table.index
+    piece, ground = bytearray(len(table)), [-1] * len(table)
+    for i, vs in zip(in_a, copies):
+        ground[index[vs]] = i
+    for i, vs in zip(in_b, copies[len(in_a):]):
+        j = index[vs]
+        piece[j], ground[j] = _B, i
     members = {}
     for alpha, (a_cells, b_cells) in blocks.items():
-        a_ids = [table.index.get(c) for c in a_cells]
-        b_ids = [table.index.get(c) for c in b_cells]
+        a_ids = [index.get(c) for c in a_cells]
+        b_ids = [index.get(c) for c in b_cells]
         q = len(x_verts[alpha]) - 1
         if None in a_ids or None in b_ids or (len(a_ids), len(b_ids)) != (q + 1, q + 2):
             raise InternalConsistencyError(
                 f"the block over {d.iab_bar.complex._simplex(alpha)} "
                 f"is not {2 * q + 3} cells of X~"
             )
+        for j in itertools.chain(a_ids, b_ids[1:-1]):
+            piece[j], ground[j] = _INTERIOR, alpha
         members[alpha] = (a_ids, b_ids)
+    if -1 in ground:
+        raise InternalConsistencyError(
+            f"X~ holds {glued._simplex(ground.index(-1))}, a cell of no copy and no block"
+        )
     return XTilde(d, glued, *shared, piece, ground, members)
 
 
@@ -448,35 +454,21 @@ def _f_image(xt: XTilde, i: int) -> tuple[str, int]:
     return _PIECE_TAG[piece], ground
 
 
-def _tallies(keys: Iterable[Hashable], split: Callable[[Hashable], dict]) -> dict:
-    """{key: {r: (count, sum)}}: from the split column of each key, which
-    maps (r, w) to the number of trajectories to r of weight w, their number
-    and the sum of their weights.  Every weight is +1 or -1, so the two fix
-    the weight multiset."""
-    out = {}
-    for key in keys:
-        tally = out[key] = {}
-        for (r, w), n in split(key).items():
-            count, total = tally.get(r, (0, 0))
-            tally[r] = (count + n, total + w * n)
-    return out
-
-
 def _sums(tallies: dict) -> Callable[[Hashable], Column]:
-    """The signed boundary read off tallies: key -> {r: sum}."""
+    """The signed boundary read off {key: {r: (count, sum)}}: key -> {r: sum}."""
     return lambda key: {r: total for r, (_, total) in tallies[key].items()}
 
 
 def _w_tallies(gvf: GradientField, flow: Callable[[int], dict]) -> dict:
-    """The tallies of the critical ids of W, from its split flow."""
-    return _tallies(_critical_ids(gvf), flow)
+    """{tau: {r: (count, sum)}} over W's critical ids, from its split flow."""
+    return {tau: flow(tau) for tau in _critical_ids(gvf)}
 
 
 def _mv_tallies(d: Decomposition) -> dict:
-    """The tallies of the MV generator keys of positive degree, from the
-    split MV flows."""
-    keys = (key for q in range(1, _max_degree(d) + 1) for key in _generator_keys(d, q))
-    return _tallies(keys, _mv_column(d, _split))
+    """{key: {r: (count, sum)}} over the MV generator keys of positive
+    degree, from the split MV flows."""
+    column = _mv_column(d, _split)
+    return {key: column(key) for q in range(1, _max_degree(d) + 1) for key in _generator_keys(d, q)}
 
 
 def _forbidden_step(xt: XTilde, gvf: GradientField, flow: Callable[[int], Column]) -> str:

@@ -290,3 +290,15 @@ def test_a_cycle_is_reported_not_followed():
         around(0)
     chain = _memoised(lambda s: ({}, [(2, s + 1)]) if s < 5000 else ({s: 1}, ()))
     assert chain(0) == {5000: 2 ** 5000}
+
+
+def test_a_cycle_is_reported_again_when_asked_again():
+    """After a cycle is reported, asking again for the root, or for any id
+    on the cycle or leading to it, raises again and never returns the mark
+    of an id in progress; an id off the cycle is still valued."""
+    succ = {0: 1, 1: 2, 2: 3, 3: 1}  # 0 leads into the cycle 1, 2, 3
+    flow = _memoised(lambda s: ({s: 1}, [(1, succ[s])] if s in succ else ()))
+    for root in (0, 0, 1, 2, 3, 0):
+        with pytest.raises(InternalConsistencyError, match="cycle"):
+            flow(root)
+    assert flow(4) == {4: 1}

@@ -44,6 +44,7 @@ from conftest import (
     corpus_complexes,
     octahedron_fields,
     octahedron_pieces,
+    poor_field,
     random_cover,
     random_small_complex,
 )
@@ -259,6 +260,23 @@ class TestBlockFaults:
         )
 
 
+    def test_cell_of_no_block_fails_build_xtilde(self, monkeypatch, capsys):
+        """a_member(edge, 0) grown into the 3-cell on both copies of the
+        edge: X~ then holds faces that are in no copy and no block."""
+        block = verify_module._block
+
+        def grown(a, b):
+            a_cells, b_cells = block(a, b)
+            if len(a) == 2:
+                a_cells[0] = (*a, *b)
+            return a_cells, b_cells
+
+        monkeypatch.setattr(verify_module, "_block", grown)
+        assert self.verify_octahedron(capsys) == (
+            5, ("", "error: X~ holds [A:v1 B:v0], a cell of no copy and no block\n"),
+        )
+
+
 class TestClassification:
     def test_interior_and_crossing_types(self, oct_xtilde):
         xt = oct_xtilde
@@ -326,6 +344,29 @@ class TestCountsAgainstEnumeration:
 
     def test_octahedron_pinned_fields(self, oct_xtilde):
         assert_counts_match_enumeration(oct_xtilde)
+
+    def test_poor_fields(self):
+        """Fields that leave cells critical at random, with probability p,
+        on the corpus covers: there critical ends are reached with both
+        signs, so a pair's (count, sum) tally can cancel."""
+        cancelled = 0
+        for name in sorted(corpus_complexes()):
+            for d in cover_decompositions(name, "lexicographic"):
+                pieces = {"A": d.a, "B": d.b, "I": d.iab}
+                for p in (0.1, 0.3):
+                    for seed in range(3):
+                        rng = random.Random(seed)
+                        fields = {k: poor_field(piece, p, rng)
+                                  for k, piece in pieces.items() if piece is not None}
+                        xt = build_xtilde(build_decomposition(d.x, d.a, d.b, fields=fields))
+                        assert_counts_match_enumeration(xt)
+                        w = _build_w_field(xt)
+                        cancelled += sum(
+                            n != abs(total)
+                            for tally in _w_tallies(w, _flow(w, _split)).values()
+                            for n, total in tally.values()
+                        )
+        assert cancelled
 
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False), st.sampled_from(["lexicographic", "random"]))
