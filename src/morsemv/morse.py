@@ -39,7 +39,8 @@ critical simplex is its boundary; summed by `_split` it maps each
 critical end to the number of trajectories and the sum of their weights,
 which `verify` checks pair by pair.  The walk of `trajectories_from` (its
 weights the products of the signs it read) and certification run on the
-same arcs.
+same arcs.  The flow and the walk take any digraph in the shape of `_arcs`
+with its `down`; `mv` runs each once on its three copies glued into one.
 
 A greedy field is certified by the clock of its coreduction (Mrozek and
 Batko, DCG 2009), the step at which each cell was removed: it strictly
@@ -414,7 +415,7 @@ def _grouped(walks: Iterable[tuple[tuple[int, ...], int]]) -> dict[int, list]:
 def _trajectory_ids(gvf: GradientField, tau: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """The extended trajectories of gvf from the id tau that end at a
     critical id, as (id sequence, weight), depth-first in facet order."""
-    return _walk(tau, _moves(gvf))
+    return _walk(tau, _moves(_arcs(gvf), gvf._down))
 
 
 def _arcs(gvf: GradientField) -> Callable[[int], list[tuple[int, int, int]]]:
@@ -459,9 +460,9 @@ def _onward(arcs: Iterable[tuple[int, int, int]], down: list[int], then) -> list
     return out
 
 
-def _moves(gvf: GradientField):
-    """The moves of a walk along gvf's arcs, for `_walk`."""
-    arcs, down = _arcs(gvf), gvf._down
+def _moves(arcs: Callable, down: Sequence[int]):
+    """The moves of a walk along `arcs`, a digraph in the shape of `_arcs`
+    (as `_flow` reads it), for `_walk`."""
 
     def moves(tau: int) -> list:
         return _onward(arcs(tau), down, moves)
@@ -469,14 +470,14 @@ def _moves(gvf: GradientField):
     return moves
 
 
-def _walk(start: int, moves, sign: int = 1) -> Iterator[tuple[tuple[int, ...], int]]:
+def _walk(start: int, moves) -> Iterator[tuple[tuple[int, ...], int]]:
     """Every walk from `start` that ends, as (id sequence, weight),
-    depth-first, the weight `sign` times the signs of its moves.  `moves(id)`
-    lists `(extension, c, then)`: the extension is appended with sign c, and
-    `then` gives the moves from its last id, or is None when it ends the
-    walk.  An explicit stack lets a sequence be arbitrarily long."""
+    depth-first, the weight the product of the signs of its moves.
+    `moves(id)` lists `(extension, c, then)`: the extension is appended with
+    sign c, and `then` gives the moves from its last id, or is None when it
+    ends the walk.  An explicit stack lets a sequence be arbitrarily long."""
     seq = [start]
-    stack = [(iter(moves(start)), 0, sign)]
+    stack = [(iter(moves(start)), 0, 1)]
     while stack:
         it, _, w = stack[-1]
         for ext, c, then in it:
@@ -560,20 +561,22 @@ def _memoised(links: Callable[[int], tuple[dict, Sequence[tuple[int, int]]]], co
     return value
 
 
-def _flow(gvf: GradientField, combine=_combine) -> Callable[[int], dict]:
-    """Forman's flow of gvf on ids, memoised, over the arcs of `_arcs`:
-    flow(tau) maps critical ids r one dimension below tau to the weighted
-    count of the gradient paths tau, sigma_1, nu_1, ..., r (which may be 0),
+def _flow(arcs: Callable, down: Sequence[int], combine=_combine) -> Callable[[int], dict]:
+    """Forman's flow on ids, memoised, over a digraph in the shape of
+    `_arcs` (a field's own arcs, or the glued copies of `mv._glued`), with
+    `down` telling which ends are critical: flow(tau) maps critical ids r
+    one dimension below tau to the weighted count of the gradient paths
+    tau, sigma_1, nu_1, ..., r (which may be 0),
 
         flow(tau) = sum over the arcs (c, sigma, nu) of tau of
                     c flow(nu)     when nu >= 0,
                     c {sigma: 1}   when sigma is critical,
 
     the second kind in the node's base (`_ends`), so the flow of a critical
-    id is its Thom-Smale boundary.  The field is a gradient field, so the
-    recursion is well founded.  With `_split` as `combine` it maps r to the
-    number of those paths and the sum of their weights."""
-    arcs, down, split = _arcs(gvf), gvf._down, combine is _split
+    id is its Thom-Smale boundary.  The digraph is that of a gradient
+    field, so the recursion is well founded.  With `_split` as `combine` it
+    maps r to the number of those paths and the sum of their weights."""
+    split = combine is _split
     return _memoised(lambda tau: _ends(arcs(tau), down, split), combine)
 
 
@@ -597,7 +600,7 @@ def thom_smale_complex(gvf: GradientField) -> IntegerChainComplex:
     """The full Thom-Smale chain complex of (X, V); its homology equals the
     simplicial homology of X."""
     labels = [gvf.critical(q) for q in range(len(gvf._critical_ids))]
-    return _trajectory_complex(labels, gvf._critical_ids, _flow(gvf))
+    return _trajectory_complex(labels, gvf._critical_ids, _flow(_arcs(gvf), gvf._down))
 
 
 def greedy_gvf(

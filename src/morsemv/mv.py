@@ -38,17 +38,19 @@ sign:
     case   1   2   3   4   5
     sign  +1  +1  -1  -1  +1
 
-The boundary sums these weights without listing the trajectories.  Cases
-1-3 are Forman's flow of one copy (`morse._flow`).  Cases 4/5 compose
-flows: D(tau) sums, over the arcs (c, sigma, nu) of the I-copy from tau
-with nu >= 0, c D(nu), plus the transfer of tau followed by the piece's own
-flow.  Each is memoised per id, so assembly is linear in the arcs of the
-gradient digraphs, while the number of trajectories can grow exponentially.
-`mv_trajectories_from` and `enumerate_mv` list the trajectories with one
-iterative depth-first walk over the same arcs (`morse._walk`), so neither
-has a depth limit.  The resulting boundary squares to zero and the
-homology of (D_*, d) is the simplicial homology of X; both facts are
-exercised heavily by the test suite rather than trusted.
+The boundary sums these weights without listing the trajectories, by one
+Forman flow (`morse._flow`) on the glued complex of the paper's proof: the
+three copies side by side on one id space (`_glued`), an I-copy cell
+carrying its transfers into A and B before its own arcs.  The flow of a
+Shifted generator follows cases 3, 4 and 5 at once, and the copies at the
+two ends of a path fix its case, so its sign.  The flow is memoised per
+id, so assembly is linear in the arcs of the gradient digraphs, while the
+number of trajectories can grow exponentially.  `mv_trajectories_from`
+and `enumerate_mv` list the trajectories with one iterative depth-first
+walk over the same digraph (`morse._walk`), so neither has a depth
+limit.  The resulting boundary squares to zero and the homology of
+(D_*, d) is the simplicial homology of X; both facts are exercised
+heavily by the test suite rather than trusted.
 """
 from __future__ import annotations
 
@@ -65,13 +67,10 @@ from .morse import (
     _arcs,
     _boundary_columns,
     _combine,
-    _ends,
     _flow,
     _grouped,
     _matching,
-    _memoised,
     _moves,
-    _onward,
     _path_weight,
     _split,
     _trajectory_complex,
@@ -99,13 +98,15 @@ __all__ = [
 FROM_A = "FromA"
 FROM_B = "FromB"
 SHIFTED = "Shifted"
-_TAG_RANK = {FROM_A: 0, FROM_B: 1, SHIFTED: 2}
+# the tags in generator order, which is also the order of the copies' blocks
+# of ids in `_glued`
+_TAGS = (FROM_A, FROM_B, SHIFTED)
+_TAG_RANK = {tag: k for k, tag in enumerate(_TAGS)}
+# the case of a trajectory, by the tags of its source and its target
+_CASE = {(FROM_A, FROM_A): 1, (FROM_B, FROM_B): 2, (SHIFTED, SHIFTED): 3,
+         (SHIFTED, FROM_A): 4, (SHIFTED, FROM_B): 5}
 # the per-case sign applied on top of the signs of the steps
 _CASE_SIGN = {1: 1, 2: 1, 3: -1, 4: -1, 5: 1}
-# the case of a trajectory inside one copy, by the tag of its generators
-_OWN_CASE = {FROM_A: 1, FROM_B: 2, SHIFTED: 3}
-# the case of a trajectory from a Shifted generator into a piece, by its tag
-_MIXED_CASE = {FROM_A: 4, FROM_B: 5}
 
 
 @dataclass(frozen=True)
@@ -357,47 +358,53 @@ class MVTrajectory:
         return f"case {self.case} [{arrows}] (weight {self.weight:+d})"
 
 
-def _mixed_moves(wi: GradientField, piece: GradientField):
-    """The moves of the walk of cases 4/5: from each tau of a descent along
-    the arcs of wi, first the transfer into the piece (`morse._transfer`)
-    and every ascent there, then the arcs of wi that go on (nu >= 0)."""
-    arcs, transfer, down, ascend = _arcs(wi), _transfer(piece), piece._down, _moves(piece)
+def _glued(d: Decomposition) -> tuple[Callable[[int], list[tuple[int, int, int]]], list[int]]:
+    """The three copies side by side on one id space: one digraph in the
+    shape of `morse._arcs`, and its `down`.  With n ids in X's table, cell i
+    of the A-, B- and I-copy is the id i, n + i and 2n + i, with the arcs of
+    its copy's field shifted into its block; an I-copy id has first its
+    transfers into A and into B (`morse._transfer`), so a walk meets the
+    trajectories of each case in the order of that case's own descent."""
+    n, w_a, w_b, w_i = len(d.x._table), d.w_a, d.w_b, d.w_i
+    down = list(itertools.chain.from_iterable(f._down for f in (w_a, w_b, w_i) if f is not None))
+    on_a, blocks = _arcs(w_a), [(), ((n, _arcs(w_b)),)]
+    if w_i is not None:
+        blocks.append(((0, _transfer(w_a)), (n, _transfer(w_b)), (2 * n, _arcs(w_i))))
 
-    def moves(tau: int) -> list:
-        return _onward(transfer(tau), down, ascend) + [
-            ((sigma, nu), c, moves) for c, sigma, nu in arcs(tau) if nu >= 0
-        ]
+    def arcs(g: int) -> list[tuple[int, int, int]]:
+        if g < n:
+            return on_a(g)
+        k, i = divmod(g, n)
+        return [(c, m + s, m + nu if nu >= 0 else -1)
+                for m, rule in blocks[k] for c, s, nu in rule(i)]
 
-    return moves
+    return arcs, down
 
 
 def mv_trajectories_from(
     d: Decomposition, beta: MVGenerator
 ) -> dict[MVGenerator, list[MVTrajectory]]:
     """All MV trajectories out of beta, grouped by target generator, from
-    one walk per case; a walk of case 4 or 5 repeats the transferred id."""
-    start = _require_generator(d, beta)
-    fields = d._fields()
-    own = fields[beta.tag]
-    routes = [(_OWN_CASE[beta.tag], beta.tag, _moves(own))]
-    if beta.tag == SHIFTED:
-        routes += [(case, tag, _mixed_moves(own, fields[tag])) for tag, case in _MIXED_CASE.items()]
+    one walk over the glued copies (`_glued`), each part of a walk named in
+    its copy.  The targets come by case, then in order of first appearance;
+    a walk of case 4 or 5 leaves the I-copy by the transfer, which repeats
+    the transferred cell in the piece."""
+    n, fields, source = len(d.x._table), d._fields(), _TAG_RANK[beta.tag]
+    case_of = lambda g: _CASE[beta.tag, _TAGS[g // n]]
+    named = lambda k, ids: fields[_TAGS[k]].complex._simplices_of([g - k * n for g in ids])
+    walk = _walk(source * n + _require_generator(d, beta), _moves(*_glued(d)))
     out: dict[MVGenerator, list[MVTrajectory]] = {}
-    for case, tag, moves in routes:
-        name = fields[tag].complex._simplices_of
-        for end, walks in _grouped(_walk(start, moves, _CASE_SIGN[case])).items():
-            alpha = _generator(tag, fields[tag].complex._simplex(end))
-            ts = out.setdefault(alpha, [])
-            for steps, w in walks:
-                if tag == beta.tag:
-                    ts.append(MVTrajectory(case, beta, alpha, name(steps), _weight=w))
-                    continue
-                cut = 1
-                while steps[cut] != steps[cut - 1]:
-                    cut += 2
-                named = own.complex._simplices_of(steps[:cut]) + name(steps[cut:])
-                p, l = cut // 2, (len(steps) - cut) // 2
-                ts.append(MVTrajectory(case, beta, alpha, named, p, l, _weight=w))
+    for end, walks in sorted(_grouped(walk).items(), key=lambda group: case_of(group[0])):
+        k, case = end // n, case_of(end)
+        alpha = _generator(_TAGS[k], fields[_TAGS[k]].complex._simplex(end - k * n))
+        ts = out[alpha] = []
+        for ids, w in walks:
+            cut = 1 if k != source else len(ids)
+            while cut < len(ids) and ids[cut] // n == source:
+                cut += 2
+            p, l = (None, None) if k == source else (cut // 2, (len(ids) - cut) // 2)
+            steps = named(source, ids[:cut]) + named(k, ids[cut:])
+            ts.append(MVTrajectory(case, beta, alpha, steps, p, l, _weight=w * _CASE_SIGN[case]))
     return out
 
 
@@ -423,49 +430,23 @@ def enumerate_mv(
     return mv_trajectories_from(d, beta).get(alpha, [])
 
 
-def _mixed_flow(
-    wi: GradientField, piece: GradientField, flow: Callable[[int], dict], combine=_combine
-):
-    """Cases 4/5 on ids, memoised, for the piece with field `piece` and flow
-    `flow`: D(tau) = T(tau) + sum of c D(nu) over the arcs (c, sigma, nu) of
-    wi from tau with nu >= 0.  T(tau), the transfer of tau (`morse._transfer`)
-    followed by every ascent in the piece, is the node's base: its `_ends`
-    plus the flow of up(tau).  `combine` sums as in `morse._flow`."""
-    arcs, transfer, down, split = _arcs(wi), _transfer(piece), piece._down, combine is _split
-
-    def links(tau: int):
-        base, heads = _ends(transfer(tau), down, split)
-        combine(base, [(c, flow(t)) for c, t in heads])
-        return base, [(c, nu) for c, _, nu in arcs(tau) if nu >= 0]
-
-    return _memoised(links, combine)
-
-
 def _mv_column(d: Decomposition, combine=_combine) -> Callable[[tuple[str, int]], dict]:
-    """The MV boundary on generator keys, its flows summed by `combine` as
-    in `morse._flow`: the column of the key (tag, id) joins, over the routes
-    out of it, the route's flow with its rows keyed (tag, id) and the sign
-    of its case as the term's coefficient (the routes end in distinct
-    tags).  With `_combine` it maps (tag, id) to the boundary's entry; with
-    `_split`, to the number of trajectories and the sum of their weights."""
-    fields = d._fields()
-    flows = {tag: _flow(gvf, combine) for tag, gvf in fields.items() if gvf is not None}
-    routes = {tag: [(_CASE_SIGN[_OWN_CASE[tag]], tag, flow)] for tag, flow in flows.items()}
-    if d.w_i is not None:
-        routes[SHIFTED] += [
-            (_CASE_SIGN[case], tag, _mixed_flow(d.w_i, fields[tag], flows[tag], combine))
-            for tag, case in _MIXED_CASE.items()
-        ]
-    if combine is _split:
-        term = lambda c, tag, col: {(tag, r): (n, c * w) for r, (n, w) in col.items()}
-    else:
-        term = lambda c, tag, col: {(tag, r): c * v for r, v in col.items()}
+    """The MV boundary on generator keys: the column of the key (tag, id)
+    is one memoised flow over the glued copies (`_glued`), its flows summed
+    by `combine` as in `morse._flow`, each row keyed (tag, id) by its block
+    and signed by the case of the two tags.  With `_combine` it maps
+    (tag, id) to the boundary's entry; with `_split`, to the number of
+    trajectories and the sum of their weights."""
+    n, split = len(d.x._table), combine is _split
+    flow = _flow(*_glued(d), combine)
 
     def column(key: tuple[str, int]) -> dict:
         tag, i = key
         out = {}
-        for c, target, flow in routes[tag]:
-            out.update(term(c, target, flow(i)))
+        for r, v in flow(_TAG_RANK[tag] * n + i).items():
+            target = _TAGS[r // n]
+            c = _CASE_SIGN[_CASE[tag, target]]
+            out[target, r % n] = (v[0], c * v[1]) if split else c * v
         return out
 
     return column

@@ -71,7 +71,7 @@ weight multiset is fixed by the number N of its trajectories and their
 signed sum S.  Each side is read off one split flow (Forman's flow summed
 by `morse._split`), whose value at a generator maps r to (N, S), the
 number of its trajectories to r and the sum of their weights: upstairs
-that of W, in MV that of the MV routes (`mv._mv_column` with `_split`).
+that of W, in MV that of the glued copies (`mv._mv_column` with `_split`).
 Its sums S are the side's boundary; the MV one is the target complex.  A
 trajectory's case is fixed by the pieces at its ends unless it takes a
 step off the five shapes, and one scan over the reachable arcs finds any
@@ -437,7 +437,7 @@ def check_iso_simplicial(xt: XTilde) -> VerifyReport:
     )
     # g: critical cells of V -> ids of X (drop the copy tag)
     _compare(
-        checks, v, _flow(v), "(X~,V)", xt._ground.__getitem__,
+        checks, v, _flow(_arcs(v), v._down), "(X~,V)", xt._ground.__getitem__,
         "g_bijective", xt.x_chains, [("X", xt.x_homology)],
     )
     return checks.report()
@@ -517,7 +517,7 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
     mv = _mv_tallies(d)
     keys = [_generator_keys(d, q) for q in range(_max_degree(d) + 1)]
     target = _trajectory_complex(keys, keys, _sums(mv))
-    flow = _flow(gvf, _split)
+    flow = _flow(_arcs(gvf), gvf._down, _split)
     upstairs = _w_tallies(gvf, flow)
 
     def pair_checks(f_of: dict[int, tuple[str, int]]) -> None:

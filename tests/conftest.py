@@ -328,7 +328,7 @@ def lose_trajectories(monkeypatch):
     no_columns = lambda d, combine=None: lambda key: {}
     patches = {
         "trajectories_from": [
-            (verify, "_flow", lambda gvf, combine=None: lambda tau: {}),
+            (verify, "_flow", lambda arcs, down, combine=None: lambda tau: {}),
         ],
         "mv_trajectories_from": [
             (mv, "_mv_column", no_columns),

@@ -1,18 +1,21 @@
 """Boundaries from Forman's flow against the enumeration they replace.
 
 Every boundary matrix in the package is assembled from memoised flows on
-ids (`morse._flow`, and `mv._mixed_flow` for cases 4/5) over the arcs of
-the one signed step rule `morse._arcs` and the transfer `morse._transfer`,
-which the walks (`morse._walk`) that enumerate trajectories read too.
-Here each one is compared, column for column, with
-`slow_reference.reference_columns`, which sums the weights of the
-enumerated trajectories, recomputed with `incidence` and its own table of
-case signs, on the corpus covers, on hypothesis complexes and on a family
-whose trajectory count doubles with each layer.  On that family
-`verify`'s per-pair counts, also read off flows, are checked against the
-enumeration as well, and at 40 layers `verify` runs where no enumeration
-could.  The split MV flow, from which `verify` reads its target, counts and
-sums, is checked against the signed flow and the enumeration it replaces.
+ids (`morse._flow`) over the arcs of the one signed step rule
+`morse._arcs`: of one field, or, for the MV complex, of the three copies
+glued into one digraph (`mv._glued`), whose I-copy cells carry the
+transfer `morse._transfer` as well.  The walks (`morse._walk`) that
+enumerate trajectories read the same digraphs.  Here each boundary is
+compared, column for column, with `slow_reference.reference_columns`,
+which sums the weights of the enumerated trajectories, recomputed with
+`incidence` and its own table of case signs, on the corpus covers, on
+hypothesis complexes and on a family whose trajectory count doubles with
+each layer; the MV complex also on poor fields and on a disjoint cover.
+On the doubling family `verify`'s per-pair counts, also read off flows,
+are checked against the enumeration as well, and at 40 layers `verify`
+runs where no enumeration could.  The split MV flow, from which `verify`
+reads its target, counts and sums, is checked against the signed flow and
+the enumeration it replaces.
 """
 from __future__ import annotations
 
@@ -44,7 +47,7 @@ from morsemv import (
     trajectories_from,
 )
 from morsemv.cli import main
-from morsemv.morse import _boundary_columns, _flow, _memoised, _split
+from morsemv.morse import _arcs, _boundary_columns, _flow, _memoised, _split
 from morsemv.mv import (
     FROM_A,
     SHIFTED,
@@ -64,7 +67,7 @@ from morsemv.verify import (
 )
 from conftest import branching_complex, corpus_complexes, random_cover, random_small_complex
 from slow_reference import enumerated_mv_tallies, reference_complex_columns, reference_weight
-from test_mv import COVERS, cover_decompositions
+from test_mv import COVERS, INTERLEAVED, cover_decompositions
 from test_verify import assert_counts_match_enumeration
 
 
@@ -123,7 +126,7 @@ def assert_split_mv_flow_matches(d) -> None:
 
 
 class TestCorpus:
-    @pytest.mark.parametrize("name,strategy", COVERS)
+    @pytest.mark.parametrize("name,strategy", COVERS + INTERLEAVED)
     def test_mv_complex(self, name, strategy):
         for d in cover_decompositions(name, strategy):
             assert_mv_matches(d)
@@ -182,7 +185,7 @@ def pair_counts(xt, tag: str, top, bottom) -> tuple[int, int]:
     w = _build_w_field(xt)
     cell = {(_PIECE_TAG[xt._piece[i]], xt._ground[i]): i for ids in w._critical_ids for i in ids}
     beta, alpha = (tag, d.x._id(top)), (tag, d.x._id(bottom))
-    upstairs = _w_tallies(w, _flow(w, _split))[cell[beta]][cell[alpha]]
+    upstairs = _w_tallies(w, _flow(_arcs(w), w._down, _split))[cell[beta]][cell[alpha]]
     return upstairs[0], _mv_tallies(d)[beta][alpha][0]
 
 

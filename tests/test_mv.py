@@ -1,6 +1,7 @@
 """The Mayer-Vietoris chain complex: generators, trajectories, homology."""
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
@@ -33,6 +34,7 @@ from conftest import (
     expected_homology,
     octahedron_fields,
     octahedron_pieces,
+    poor_field,
     random_cover,
 )
 from slow_reference import reference_complex_columns, validate_mv_trajectory
@@ -45,19 +47,42 @@ ALLOWED_ROUTES = {
 
 
 def cover_decompositions(name: str, strategy: str):
-    """Three seeded random covers of a corpus complex, with fields built by
-    the given strategy."""
-    x = corpus_complexes()[name]
-    rng = random.Random(sum(map(ord, name)))
-    for _ in range(3):
-        a, b = random_cover(x, rng)
-        yield build_decomposition(x, a, b, strategy=strategy, seed=7)
+    """Three seeded random covers of a corpus complex, or, for "disjoint",
+    the one cover of two triangle boundaries by the two, with fields built
+    by the given strategy.  The strategy "poor" gives each piece a
+    `poor_field` instead, with p in (0.1, 0.3) and two seeds each."""
+    if name == "disjoint":
+        x = build_complex(["v0 v1", "v1 v2", "v0 v2", "w0 w1", "w1 w2", "w0 w2"])
+        covers = [(build_complex(["v0 v1", "v1 v2", "v0 v2"]),
+                   build_complex(["w0 w1", "w1 w2", "w0 w2"]))]
+    else:
+        x = corpus_complexes()[name]
+        rng = random.Random(sum(map(ord, name)))
+        covers = [random_cover(x, rng) for _ in range(3)]
+    for a, b in covers:
+        if strategy != "poor":
+            yield build_decomposition(x, a, b, strategy=strategy, seed=7)
+            continue
+        d = build_decomposition(x, a, b)
+        pieces = {"A": d.a, "B": d.b, "I": d.iab}
+        for p in (0.1, 0.3):
+            for seed in range(2):
+                rng = random.Random(seed)
+                fields = {k: poor_field(piece, p, rng)
+                          for k, piece in pieces.items() if piece is not None}
+                yield build_decomposition(x, a, b, fields=fields)
 
 
 COVERS = [
     (name, strategy)
     for name in sorted(corpus_complexes())
     for strategy in ("lexicographic", "random")
+]
+# covers whose walks meet the cases interleaved: poor fields put a critical
+# end and an onward arc on one cell and give Shifted generators descents,
+# and a disjoint cover glues no I-copy
+INTERLEAVED = [(name, "poor") for name in sorted(corpus_complexes())] + [
+    ("disjoint", "lexicographic"), ("disjoint", "poor"),
 ]
 
 
@@ -323,7 +348,7 @@ class TestTrajectories:
                         validate_mv_trajectory(d, t)
                         assert t.weight in (-1, 1)
 
-    @pytest.mark.parametrize("name,strategy", COVERS)
+    @pytest.mark.parametrize("name,strategy", COVERS + INTERLEAVED)
     def test_walker_matches_brute_force(self, name, strategy):
         # same targets, same trajectories in the same order, same weights
         for d in cover_decompositions(name, strategy):
@@ -468,3 +493,29 @@ def test_flows_and_walks_read_one_signed_arc_rule(monkeypatch):
         assert all(flows == walks for flows, walks, _ in kept)
         assert [flows != reference for flows, _, reference in kept] == moved
 
+
+def test_the_intersection_descent_is_read_once(monkeypatch):
+    """`mv_homology` reads the arcs out of each I-copy id at most once:
+    cases 3, 4 and 5 share one memoised descent through the glued copies.
+    On a seeded torus cover with random fields, the arcs of W_I are
+    counted per id, wherever `morse` or `mv` asks for them."""
+    x = corpus_complexes()["torus"]
+    a, b = random_cover(x, random.Random(3))
+    d = build_decomposition(x, a, b, strategy="random", seed=5)
+    rule, reads = morsemv.morse._arcs, collections.Counter()
+
+    def spied(gvf):
+        arcs = rule(gvf)
+        if gvf is not d.w_i:
+            return arcs
+
+        def counted(tau: int):
+            reads[tau] += 1
+            return arcs(tau)
+
+        return counted
+
+    for module in (morsemv.morse, morsemv.mv):
+        monkeypatch.setattr(module, "_arcs", spied)
+    assert mv_homology(d) == simplicial_homology(x)
+    assert len(reads) > 1 and max(reads.values()) == 1

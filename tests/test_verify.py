@@ -29,7 +29,7 @@ from morsemv import (
     trajectories_from,
 )
 from morsemv.cli import main
-from morsemv.morse import _flow, _split
+from morsemv.morse import _arcs, _flow, _split
 from morsemv.verify import (
     _A,
     _B,
@@ -325,7 +325,7 @@ def assert_counts_match_enumeration(xt) -> None:
     three per-pair checks report what the enumerating ones report."""
     d = xt.decomposition
     w = _build_w_field(xt)
-    flow = _flow(w, _split)
+    flow = _flow(_arcs(w), w._down, _split)
     nonempty = lambda tallies: {k: t for k, t in tallies.items() if t}
     assert nonempty(_w_tallies(w, flow)) == nonempty(enumerated_w_tallies(w))
     assert nonempty(_mv_tallies(d)) == nonempty(enumerated_mv_tallies(d))
@@ -363,7 +363,7 @@ class TestCountsAgainstEnumeration:
                         w = _build_w_field(xt)
                         cancelled += sum(
                             n != abs(total)
-                            for tally in _w_tallies(w, _flow(w, _split)).values()
+                            for tally in _w_tallies(w, _flow(_arcs(w), w._down, _split)).values()
                             for n, total in tally.values()
                         )
         assert cancelled
@@ -383,7 +383,7 @@ class TestCountsAgainstEnumeration:
         when a listed trajectory fits no shape, on a trajectory or off."""
         xt = build_xtilde(next(reference_decompositions(name)))
         w = _build_w_field(xt)
-        flow = _flow(w, _split)
+        flow = _flow(_arcs(w), w._down, _split)
         failures = 0
         for cell, true_piece in enumerate(xt._piece):
             for wrong in {_A, _B, _INTERIOR} - {true_piece}:
