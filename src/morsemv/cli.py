@@ -39,7 +39,7 @@ from .mv import (
     SHIFTED,
     Decomposition,
     MVGenerator,
-    _generator_keys,
+    _keys_by_tag,
     _max_degree,
     _piece,
     build_decomposition,
@@ -190,12 +190,12 @@ def _cmd_homology(args) -> int:
     _check_degree(args.degree)
     x, d, strategy, seed = _load_decomposition(args)
     result = mv_homology(d)
-    # the generators' tags, counted on their keys: no generator is built again
-    tags = [[tag for tag, _ in _generator_keys(d, q)] for q in range(_max_degree(d) + 1)]
+    # the generators counted by tag on their keys: no generator is built again
+    by_tag = [_keys_by_tag(d, q) for q in range(_max_degree(d) + 1)]
     counts = [
-        {"degree": q, "from_a": ts.count(FROM_A), "from_b": ts.count(FROM_B),
-         "shifted": ts.count(SHIFTED), "total": len(ts)}
-        for q, ts in enumerate(tags) if ts
+        {"degree": q, "from_a": len(ks[FROM_A]), "from_b": len(ks[FROM_B]),
+         "shifted": len(ks[SHIFTED]), "total": total}
+        for q, ks in enumerate(by_tag) if (total := sum(map(len, ks.values())))
     ]
     top = max([x.dim] + [row["degree"] for row in counts])
     rows = _homology_rows(result, args.degree, top)

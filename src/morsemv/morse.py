@@ -34,13 +34,14 @@ those arcs: from tau down to a facet sigma other than down(tau), then up to
 up(sigma), signed as in w.  Every sign is (-1)^k for the position k of a
 facet in the complex's facet table, which lists the facet dropping vertex k
 at position k.  An arc adds the memoised flow of its head, or ends at a
-critical cell as an entry of its node's base (`_ends`).  The flow of a
-critical simplex is its boundary; summed by `_split` it maps each
-critical end to the number of trajectories and the sum of their weights,
-which `verify` checks pair by pair.  The walk of `trajectories_from` (its
-weights the products of the signs it read) and certification run on the
-same arcs.  The flow and the walk take any digraph in the shape of `_arcs`
-with its `down`; `mv` runs each once on its three copies glued into one.
+critical cell as an entry of its node's base.  The flow of a critical
+simplex is its boundary; summed by `_split` it maps each critical end to
+the number of trajectories and the sum of their weights, which `verify`
+checks pair by pair.  The walk of `trajectories_from` (its weights the
+products of the signs it read) and certification run on the same arcs.
+The flow and the walk take any digraph in the shape of `_arcs` with its
+`down`; `mv` runs each once on its three copies glued into one, the sign
+of each MV case on the glued arcs.
 
 A greedy field is certified by the clock of its coreduction (Mrozek and
 Batko, DCG 2009), the step at which each cell was removed: it strictly
@@ -415,7 +416,7 @@ def _grouped(walks: Iterable[tuple[tuple[int, ...], int]]) -> dict[int, list]:
 def _trajectory_ids(gvf: GradientField, tau: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """The extended trajectories of gvf from the id tau that end at a
     critical id, as (id sequence, weight), depth-first in facet order."""
-    return _walk(tau, _moves(_arcs(gvf), gvf._down))
+    return _walk(tau, _arcs(gvf), gvf._down)
 
 
 def _arcs(gvf: GradientField) -> Callable[[int], list[tuple[int, int, int]]]:
@@ -447,63 +448,26 @@ def _transfer(piece: GradientField) -> Callable[[int], list[tuple[int, int, int]
     return lambda tau: [(lift[tau], tau, up[tau])]
 
 
-def _onward(arcs: Iterable[tuple[int, int, int]], down: list[int], then) -> list:
-    """The moves of a walk along `arcs`, for `_walk`: an arc (c, sigma, nu)
-    goes on to nu >= 0, where `then` gives the next moves, or ends at a
-    critical sigma (down[sigma] < 0)."""
-    out = []
-    for c, sigma, nu in arcs:
-        if nu >= 0:
-            out.append(((sigma, nu), c, then))
-        elif down[sigma] < 0:
-            out.append(((sigma,), c, None))
-    return out
-
-
-def _moves(arcs: Callable, down: Sequence[int]):
-    """The moves of a walk along `arcs`, a digraph in the shape of `_arcs`
-    (as `_flow` reads it), for `_walk`."""
-
-    def moves(tau: int) -> list:
-        return _onward(arcs(tau), down, moves)
-
-    return moves
-
-
-def _walk(start: int, moves) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every walk from `start` that ends, as (id sequence, weight),
-    depth-first, the weight the product of the signs of its moves.
-    `moves(id)` lists `(extension, c, then)`: the extension is appended with
-    sign c, and `then` gives the moves from its last id, or is None when it
-    ends the walk.  An explicit stack lets a sequence be arbitrarily long."""
+def _walk(start: int, arcs: Callable, down: Sequence[int]) -> Iterator[tuple[tuple, int]]:
+    """Every walk from `start` along `arcs`, a digraph in the shape of
+    `_arcs` (as `_flow` reads it), that ends, as (id sequence, weight),
+    depth-first, the weight the product of its arcs' signs: an arc
+    (c, sigma, nu) goes on to nu >= 0 or ends the walk at a critical sigma
+    (down[sigma] < 0).  An explicit stack lets a walk be arbitrarily long."""
     seq = [start]
-    stack = [(iter(moves(start)), 0, 1)]
+    stack = [(iter(arcs(start)), 1)]
     while stack:
-        it, _, w = stack[-1]
-        for ext, c, then in it:
-            if then is None:
-                yield (*seq, *ext), w * c
-            else:
-                seq += ext
-                stack.append((iter(then(seq[-1])), len(ext), w * c))
+        it, w = stack[-1]
+        for c, sigma, nu in it:
+            if nu >= 0:
+                seq += (sigma, nu)
+                stack.append((iter(arcs(nu)), w * c))
                 break
+            if down[sigma] < 0:
+                yield (*seq, sigma), w * c
         else:
-            _, grown, _ = stack.pop()
-            del seq[len(seq) - grown:]
-
-
-def _ends(arcs: Iterable[tuple[int, int, int]], down: list[int], split=False) -> tuple:
-    """A flow node's (base, heads) from its `arcs`, for `_memoised`: an arc
-    (c, sigma, nu) goes on to nu >= 0, the head (c, nu), or ends at a
-    critical sigma (down[sigma] < 0), the base's entry at sigma: c, or
-    (1, c) in a `split` flow, one path of weight c."""
-    base, heads = {}, []
-    for c, sigma, nu in arcs:
-        if nu >= 0:
-            heads.append((c, nu))
-        elif down[sigma] < 0:
-            base[sigma] = (1, c) if split else c
-    return base, heads
+            stack.pop()
+            del seq[-2:]
 
 
 def _combine(base: Column, terms: Iterable[tuple[int, Column]]) -> Column:
@@ -572,12 +536,22 @@ def _flow(arcs: Callable, down: Sequence[int], combine=_combine) -> Callable[[in
                     c flow(nu)     when nu >= 0,
                     c {sigma: 1}   when sigma is critical,
 
-    the second kind in the node's base (`_ends`), so the flow of a critical
-    id is its Thom-Smale boundary.  The digraph is that of a gradient
-    field, so the recursion is well founded.  With `_split` as `combine` it
-    maps r to the number of those paths and the sum of their weights."""
+    the second kind in the node's base, so the flow of a critical id is its
+    Thom-Smale boundary.  The digraph is that of a gradient field, so the
+    recursion is well founded.  With `_split` as `combine` it maps r to the
+    number of those paths and the sum of their weights, a base entry (1, c)."""
     split = combine is _split
-    return _memoised(lambda tau: _ends(arcs(tau), down, split), combine)
+
+    def links(tau: int) -> tuple[dict, list[tuple[int, int]]]:
+        base, heads = {}, []
+        for c, sigma, nu in arcs(tau):
+            if nu >= 0:
+                heads.append((c, nu))
+            elif down[sigma] < 0:
+                base[sigma] = (1, c) if split else c
+        return base, heads
+
+    return _memoised(links, combine)
 
 
 def _boundary_columns(rows: Sequence, cols: Sequence, column) -> list[Column]:

@@ -5,8 +5,8 @@ pieces ("A:", "B:" and "I:" for the intersection) and pick one gradient
 field on each copy, entirely independently -- no compatibility between the
 three fields is required.  X is the only complex closed: A, B and A n B are
 views of X's id table, and each copy is a tag on its view, so a tagged cell
-is (tag, id) and the transfer from the I-copy into the A- or B-copy keeps
-the id.  Tagged simplices appear only in what the module returns.  The
+is a tag and an id, and the transfer from the I-copy into the A- or B-copy
+keeps the id.  Tagged simplices appear only in what the module returns.  The
 generators in degree q are
 
     D_q = Crit_q(A-copy)  u  Crit_q(B-copy)  u  Crit_{q-1}(I-copy),
@@ -30,27 +30,27 @@ All other tag combinations admit no trajectories.
 
 Every step of a route is an arc of one copy's field, signed by the one
 arc rule `morse._arcs`; the transfer of cases 4/5 (`morse._transfer`) is
-an arc in the same shape that keeps the id: it carries no incidence, and
-the step up from the transferred s to up(s) in the piece has the sign
--<up(s), s>.  A weight is the product of these signs and a per-case
-sign:
+an arc in the same shape that keeps the id, signed -<up(s), s> by its step
+up from the transferred s, as it carries no incidence.  A weight is the
+product of these signs and a per-case sign:
 
     case   1   2   3   4   5
     sign  +1  +1  -1  -1  +1
 
-The boundary sums these weights without listing the trajectories, by one
-Forman flow (`morse._flow`) on the glued complex of the paper's proof: the
-three copies side by side on one id space (`_glued`), an I-copy cell
-carrying its transfers into A and B before its own arcs.  The flow of a
-Shifted generator follows cases 3, 4 and 5 at once, and the copies at the
-two ends of a path fix its case, so its sign.  The flow is memoised per
-id, so assembly is linear in the arcs of the gradient digraphs, while the
-number of trajectories can grow exponentially.  `mv_trajectories_from`
-and `enumerate_mv` list the trajectories with one iterative depth-first
-walk over the same digraph (`morse._walk`), so neither has a depth
-limit.  The resulting boundary squares to zero and the homology of
-(D_*, d) is the simplicial homology of X; both facts are exercised
-heavily by the test suite rather than trusted.
+The boundary sums the weights without listing the trajectories, by one
+Forman flow (`morse._flow`) on the glued complex of the paper's proof:
+the three copies side by side on one id space (`_glued`), an I-copy cell
+carrying its transfers into A and B before its own arcs.  The glued arcs
+carry the case signs: a case-3 path ends on one I-copy arc that ends and
+a case-4 path crosses one transfer into A, so just those arcs are negated.
+A generator is keyed by its glued id, and its column is its flow, read as
+is; a Shifted one's follows cases 3, 4 and 5 at once.  The flow is
+memoised per id, so assembly is linear in the arcs, while the number of
+trajectories can grow exponentially.  `mv_trajectories_from` and
+`enumerate_mv` list the trajectories with one iterative depth-first walk
+over the same digraph (`morse._walk`), so neither has a depth limit.  The
+boundary squares to zero and the homology of (D_*, d) is the simplicial
+homology of X; the test suite checks both rather than trusts them.
 """
 from __future__ import annotations
 
@@ -70,9 +70,7 @@ from .morse import (
     _flow,
     _grouped,
     _matching,
-    _moves,
     _path_weight,
-    _split,
     _trajectory_complex,
     _transfer,
     _walk,
@@ -105,7 +103,8 @@ _TAG_RANK = {tag: k for k, tag in enumerate(_TAGS)}
 # the case of a trajectory, by the tags of its source and its target
 _CASE = {(FROM_A, FROM_A): 1, (FROM_B, FROM_B): 2, (SHIFTED, SHIFTED): 3,
          (SHIFTED, FROM_A): 4, (SHIFTED, FROM_B): 5}
-# the per-case sign applied on top of the signs of the steps
+# the per-case sign on top of the signs of the steps, which the arcs of
+# `_glued` carry; read here only for a trajectory built by hand
 _CASE_SIGN = {1: 1, 2: 1, 3: -1, 4: -1, 5: 1}
 
 
@@ -294,13 +293,23 @@ def _critical_of_dim(gvf: GradientField | None, q: int) -> list[int]:
     return gvf._critical_ids[q]
 
 
-def _generator_keys(d: Decomposition, q: int) -> list[tuple[str, int]]:
-    """D_q as (tag, id) pairs, in the order of `mv_generators`."""
-    return [
-        (tag, i)
-        for tag, gvf in d._fields().items()
-        for i in _critical_of_dim(gvf, q - 1 if tag == SHIFTED else q)
-    ]
+def _glued_id(d: Decomposition, k: int, i: int) -> int:
+    """The id in `_glued` of the cell i of the copy k (the rank of its tag
+    in `_TAGS`): with n ids in X's table, i, n + i or 2n + i."""
+    return k * len(d.x._table) + i
+
+
+def _keys_by_tag(d: Decomposition, q: int) -> dict[str, list[int]]:
+    """D_q by tag, as glued ids (`_glued_id`) in canonical order."""
+    return {
+        tag: [_glued_id(d, k, i) for i in _critical_of_dim(gvf, q - 1 if tag == SHIFTED else q)]
+        for k, (tag, gvf) in enumerate(d._fields().items())
+    }
+
+
+def _generator_keys(d: Decomposition, q: int) -> list[int]:
+    """D_q as glued ids (`_glued_id`), in the order of `mv_generators`."""
+    return list(itertools.chain.from_iterable(_keys_by_tag(d, q).values()))
 
 
 def mv_generators(d: Decomposition, q: int | None = None) -> tuple[MVGenerator, ...]:
@@ -313,10 +322,10 @@ def mv_generators(d: Decomposition, q: int | None = None) -> tuple[MVGenerator, 
     return tuple(_named_generator(d, key) for key in _generator_keys(d, q))
 
 
-def _named_generator(d: Decomposition, key: tuple[str, int]) -> MVGenerator:
-    """The generator with the key (tag, id)."""
-    tag, i = key
-    return _generator(tag, d._fields()[tag].complex._simplex(i))
+def _named_generator(d: Decomposition, key: int) -> MVGenerator:
+    """The generator with the glued id `key`."""
+    k, i = divmod(key, len(d.x._table))
+    return _generator(_TAGS[k], d._fields()[_TAGS[k]].complex._simplex(i))
 
 
 @dataclass(frozen=True)
@@ -344,9 +353,9 @@ class MVTrajectory:
 
     @property
     def weight(self) -> int:
-        """The case sign times the signs of the steps: read off `morse._arcs`
-        by the walk that found the trajectory, or, when it was built by
-        hand, from the steps with `morse._path_weight`."""
+        """The product of the arcs of `_glued` the walk that found the
+        trajectory read, or, when it was built by hand, the case sign times
+        the signs of the steps, from `morse._path_weight`."""
         if self._weight is not None:
             return self._weight
         if self.case not in _CASE_SIGN:
@@ -360,23 +369,30 @@ class MVTrajectory:
 
 def _glued(d: Decomposition) -> tuple[Callable[[int], list[tuple[int, int, int]]], list[int]]:
     """The three copies side by side on one id space: one digraph in the
-    shape of `morse._arcs`, and its `down`.  With n ids in X's table, cell i
-    of the A-, B- and I-copy is the id i, n + i and 2n + i, with the arcs of
-    its copy's field shifted into its block; an I-copy id has first its
-    transfers into A and into B (`morse._transfer`), so a walk meets the
-    trajectories of each case in the order of that case's own descent."""
+    shape of `morse._arcs`, and its `down`.  Cell i of the copy k is the id
+    `_glued_id(d, k, i)`, with the arcs of its copy's field shifted into
+    its block; an I-copy id has first its transfers into A and into B
+    (`morse._transfer`), so a walk meets the trajectories of each case in
+    the order of that case's own descent.  The transfer into A and the
+    I-copy arcs that end are negated, the signs of cases 4 and 3; all
+    other arcs keep the signs of their rules."""
     n, w_a, w_b, w_i = len(d.x._table), d.w_a, d.w_b, d.w_i
     down = list(itertools.chain.from_iterable(f._down for f in (w_a, w_b, w_i) if f is not None))
-    on_a, blocks = _arcs(w_a), [(), ((n, _arcs(w_b)),)]
+    on_a, on_b, m = _arcs(w_a), _arcs(w_b), 2 * n
     if w_i is not None:
-        blocks.append(((0, _transfer(w_a)), (n, _transfer(w_b)), (2 * n, _arcs(w_i))))
+        into_a, into_b, on_i = _transfer(w_a), _transfer(w_b), _arcs(w_i)
+    in_b = lambda steps: [(c, n + s, n + nu if nu >= 0 else -1) for c, s, nu in steps]
 
     def arcs(g: int) -> list[tuple[int, int, int]]:
         if g < n:
             return on_a(g)
-        k, i = divmod(g, n)
-        return [(c, m + s, m + nu if nu >= 0 else -1)
-                for m, rule in blocks[k] for c, s, nu in rule(i)]
+        if g < m:
+            return in_b(on_b(g - n))
+        i = g - m
+        [(c, s, nu)] = into_a(i)
+        return [(-c, s, nu), *in_b(into_b(i)), *[
+            (c, m + s, m + nu) if nu >= 0 else (-c, m + s, -1) for c, s, nu in on_i(i)
+        ]]
 
     return arcs, down
 
@@ -385,18 +401,18 @@ def mv_trajectories_from(
     d: Decomposition, beta: MVGenerator
 ) -> dict[MVGenerator, list[MVTrajectory]]:
     """All MV trajectories out of beta, grouped by target generator, from
-    one walk over the glued copies (`_glued`), each part of a walk named in
-    its copy.  The targets come by case, then in order of first appearance;
-    a walk of case 4 or 5 leaves the I-copy by the transfer, which repeats
-    the transferred cell in the piece."""
-    n, fields, source = len(d.x._table), d._fields(), _TAG_RANK[beta.tag]
+    one walk over the glued copies (`_glued`), each part named in its copy,
+    weighted by the product of its arcs.  The targets come by case, then in
+    order of first appearance; a walk of case 4 or 5 leaves the I-copy by
+    the transfer, which repeats the transferred cell in the piece."""
+    n, fields, start = len(d.x._table), d._fields(), _require_generator(d, beta)
+    source = start // n
     case_of = lambda g: _CASE[beta.tag, _TAGS[g // n]]
     named = lambda k, ids: fields[_TAGS[k]].complex._simplices_of([g - k * n for g in ids])
-    walk = _walk(source * n + _require_generator(d, beta), _moves(*_glued(d)))
     out: dict[MVGenerator, list[MVTrajectory]] = {}
-    for end, walks in sorted(_grouped(walk).items(), key=lambda group: case_of(group[0])):
-        k, case = end // n, case_of(end)
-        alpha = _generator(_TAGS[k], fields[_TAGS[k]].complex._simplex(end - k * n))
+    for end, walks in sorted(_grouped(_walk(start, *_glued(d))).items(),
+                             key=lambda group: case_of(group[0])):
+        k, case, alpha = end // n, case_of(end), _named_generator(d, end)
         ts = out[alpha] = []
         for ids, w in walks:
             cut = 1 if k != source else len(ids)
@@ -404,17 +420,17 @@ def mv_trajectories_from(
                 cut += 2
             p, l = (None, None) if k == source else (cut // 2, (len(ids) - cut) // 2)
             steps = named(source, ids[:cut]) + named(k, ids[cut:])
-            ts.append(MVTrajectory(case, beta, alpha, steps, p, l, _weight=w * _CASE_SIGN[case]))
+            ts.append(MVTrajectory(case, beta, alpha, steps, p, l, _weight=w))
     return out
 
 
 def _require_generator(d: Decomposition, g: MVGenerator) -> int:
-    """The id of g's simplex, when g is a generator of d."""
+    """The glued id of g (`_glued_id`), when g is a generator of d."""
     gvf = d._fields()[g.tag]
     i = gvf.complex._id(g.simplex) if gvf is not None else None
     if i is None or not gvf._is_critical(i):
         raise FieldError(f"{g} is not a generator of this decomposition")
-    return i
+    return _glued_id(d, _TAG_RANK[g.tag], i)
 
 
 def enumerate_mv(
@@ -430,26 +446,12 @@ def enumerate_mv(
     return mv_trajectories_from(d, beta).get(alpha, [])
 
 
-def _mv_column(d: Decomposition, combine=_combine) -> Callable[[tuple[str, int]], dict]:
-    """The MV boundary on generator keys: the column of the key (tag, id)
-    is one memoised flow over the glued copies (`_glued`), its flows summed
-    by `combine` as in `morse._flow`, each row keyed (tag, id) by its block
-    and signed by the case of the two tags.  With `_combine` it maps
-    (tag, id) to the boundary's entry; with `_split`, to the number of
-    trajectories and the sum of their weights."""
-    n, split = len(d.x._table), combine is _split
-    flow = _flow(*_glued(d), combine)
-
-    def column(key: tuple[str, int]) -> dict:
-        tag, i = key
-        out = {}
-        for r, v in flow(_TAG_RANK[tag] * n + i).items():
-            target = _TAGS[r // n]
-            c = _CASE_SIGN[_CASE[tag, target]]
-            out[target, r % n] = (v[0], c * v[1]) if split else c * v
-        return out
-
-    return column
+def _mv_column(d: Decomposition, combine=_combine) -> Callable[[int], dict]:
+    """The MV boundary on generator keys, glued ids: the column of a key is
+    its memoised flow over the glued copies (`_glued`), summed by `combine`
+    as in `morse._flow`, read as is.  With `_combine` it maps a row's key to
+    the entry; with `_split`, to the number of trajectories and their sum."""
+    return _flow(*_glued(d), combine)
 
 
 def mv_boundary(d: Decomposition, q: int) -> list[list[int]]:

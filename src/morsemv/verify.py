@@ -57,13 +57,14 @@ Both read one shared context: `build_xtilde` computes the simplicial chain
 complex C_*(X), its generators keyed by X's ids, and its homology once, and
 both checks compare against those fields.  Both also run one comparison
 routine, on keys: the critical cells map bijectively onto the target's
-generator keys (g sends a cell to its ground id in X, f to the key (tag,
-id) of its MV generator), the Thom-Smale boundaries in target order equal
-the target's, and the Thom-Smale homology equals the target's.  Once the
-bijection and every matrix match, the Thom-Smale complex is the target
-complex, so its homology is taken from the target; it is computed from the
-Thom-Smale matrices only when a matrix differs.  A simplex or an MV
-generator is named only to word a failing check.
+generator keys (g sends a cell to its ground id in X, f to the glued id
+of its MV generator, `mv._glued_id` of its piece and its ground), the
+Thom-Smale boundaries in target order equal the target's, and the
+Thom-Smale homology equals the target's.  Once the bijection and every
+matrix match, the Thom-Smale complex is the target complex, so its
+homology is taken from the target; it is computed from the Thom-Smale
+matrices only when a matrix differs.  A simplex or an MV generator is
+named only to word a failing check.
 
 The per-pair checks of `check_main_iso` compare counts and signed sums from
 flows, not lists of trajectories.  Every weight is +1 or -1, so a pair's
@@ -99,11 +100,9 @@ from .morse import (
     _trajectory_complex,
 )
 from .mv import (
-    FROM_A,
-    FROM_B,
-    SHIFTED,
     Decomposition,
     _generator_keys,
+    _glued_id,
     _max_degree,
     _mv_column,
     _named_generator,
@@ -118,9 +117,9 @@ __all__ = [
     "check_main_iso",
 ]
 
-# the piece of an X~ cell; the tag f gives its critical cells, and its name
+# the piece of an X~ cell, which is the copy (`mv._glued_id`) of the MV
+# generator f gives its critical cells, and its name
 _A, _B, _INTERIOR = 0, 1, 2
-_PIECE_TAG = (FROM_A, FROM_B, SHIFTED)
 _PIECE_NAME = ("A-copy", "B-copy", "interior")
 
 
@@ -443,15 +442,15 @@ def check_iso_simplicial(xt: XTilde) -> VerifyReport:
     return checks.report()
 
 
-def _f_image(xt: XTilde, i: int) -> tuple[str, int]:
-    """f: critical cells of W -> MV generator keys (tag, id in X)."""
+def _f_image(xt: XTilde, i: int) -> int:
+    """f: critical cells of W -> MV generator keys, their glued ids."""
     piece, ground = xt._piece[i], xt._ground[i]
     if piece == _INTERIOR and i != xt._members[ground][0][0]:
         raise InternalConsistencyError(
             f"interior critical cell {xt.complex._simplex(i)} is not the distinguished "
             f"cell over {xt.decomposition.iab_bar.complex._simplex(ground)}"
         )
-    return _PIECE_TAG[piece], ground
+    return _glued_id(xt.decomposition, piece, ground)
 
 
 def _sums(tallies: dict) -> Callable[[Hashable], Column]:
@@ -520,7 +519,7 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
     flow = _flow(_arcs(gvf), gvf._down, _split)
     upstairs = _w_tallies(gvf, flow)
 
-    def pair_checks(f_of: dict[int, tuple[str, int]]) -> None:
+    def pair_checks(f_of: dict[int, int]) -> None:
         # MV's tallies move onto W's critical ids along f
         at = {key: i for i, key in f_of.items()}
         critical, compared = gvf._critical_ids, 0

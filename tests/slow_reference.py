@@ -11,7 +11,9 @@ The assembly references are the incidence-based trajectory weight and
 the boundary assembler that sums the weights of enumerated trajectories,
 which `morsemv.morse` and `morsemv.mv` ran before boundaries came from
 Forman's flow: they recompute every sign with `incidence` and keep their
-own table of case signs.
+own table of case signs, while `mv` carries its case signs on the arcs of
+its glued copies.  The enumerated MV tallies are keyed, as `mv` keys its
+generators, by glued ids (`mv._require_generator`).
 
 The prism references are the Simplex-set construction of X~ and of its
 fields V and W that `morsemv.verify` ran before it moved onto X~'s ids:
@@ -469,12 +471,11 @@ def enumerated_w_tallies(gvf: GradientField) -> dict[int, dict[int, tuple[int, i
 
 
 def enumerated_mv_tallies(d: Decomposition) -> dict:
-    """{beta: {alpha: (count, weight sum)}} over MV generator keys (tag, id)
-    of positive degree, from `mv_trajectories_from`."""
-    key = lambda g: (g.tag, _require_generator(d, g))
+    """{beta: {alpha: (count, weight sum)}} over MV generator keys, their
+    glued ids, of positive degree, from `mv_trajectories_from`."""
     return {
-        key(beta): {
-            key(alpha): (len(ts), sum(t.weight for t in ts))
+        _require_generator(d, beta): {
+            _require_generator(d, alpha): (len(ts), sum(t.weight for t in ts))
             for alpha, ts in mv_trajectories_from(d, beta).items()
         }
         for beta in mv_generators(d)

@@ -239,6 +239,41 @@ class TestVerifyCommand:
         assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
+class TestDisjointPieces:
+    """A cover by two disjoint triangle boundaries: A n B is empty, so there
+    is no I-copy and no Shifted generator."""
+
+    @pytest.fixture
+    def disjoint(self, tmp_path):
+        cx = tmp_path / "circles.cx"
+        cx.write_text("v0 v1\nv1 v2\nv0 v2\nw0 w1\nw1 w2\nw0 w2\n")
+        dec = tmp_path / "circles.dec"
+        dec.write_text("[A]\nv0 v1\nv1 v2\nv0 v2\n[B]\nw0 w1\nw1 w2\nw0 w2\n")
+        return str(cx), str(dec)
+
+    def test_homology(self, disjoint, capsys):
+        cx, dec = disjoint
+        assert main(["homology", "--complex", cx, "--decomposition", dec,
+                     "--output", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pieces"]["intersection_size"] == 0
+        assert all(row["shifted"] == 0 for row in payload["generators"])
+        assert [(row["degree"], row["group"]) for row in payload["homology"]] == [
+            (0, "Z^2"), (1, "Z^2"),
+        ]
+
+    def test_verify_passes(self, disjoint, capsys):
+        cx, dec = disjoint
+        assert main(["verify", "--complex", cx, "--decomposition", dec]) == 0
+        assert "verdict: PASS" in capsys.readouterr().out
+
+    def test_intersection_generator_exits_2(self, disjoint, capsys):
+        cx, dec = disjoint
+        assert main(["trajectories", "--complex", cx, "--decomposition", dec,
+                     "I:v0,I:v1", "I:v0"]) == 2
+        assert "unknown generator" in capsys.readouterr().err
+
+
 class TestOracleCommand:
     def test_text(self, files, capsys):
         cx, _ = files

@@ -4,18 +4,20 @@ Every boundary matrix in the package is assembled from memoised flows on
 ids (`morse._flow`) over the arcs of the one signed step rule
 `morse._arcs`: of one field, or, for the MV complex, of the three copies
 glued into one digraph (`mv._glued`), whose I-copy cells carry the
-transfer `morse._transfer` as well.  The walks (`morse._walk`) that
-enumerate trajectories read the same digraphs.  Here each boundary is
-compared, column for column, with `slow_reference.reference_columns`,
-which sums the weights of the enumerated trajectories, recomputed with
-`incidence` and its own table of case signs, on the corpus covers, on
-hypothesis complexes and on a family whose trajectory count doubles with
-each layer; the MV complex also on poor fields and on a disjoint cover.
-On the doubling family `verify`'s per-pair counts, also read off flows,
-are checked against the enumeration as well, and at 40 layers `verify`
-runs where no enumeration could.  The split MV flow, from which `verify`
-reads its target, counts and sums, is checked against the signed flow and
-the enumeration it replaces.
+transfer `morse._transfer` as well, and whose arcs carry the sign of
+each MV case, so the plain flow of a generator's glued id is its MV
+column.  The walks (`morse._walk`) that enumerate trajectories read the
+same digraphs.  Here each boundary is compared, column for column, with
+`slow_reference.reference_columns`, which sums the weights of the
+enumerated trajectories, recomputed with `incidence` and its own table
+of case signs, on the corpus covers, on hypothesis complexes and on a
+family whose trajectory count doubles with each layer; the MV complex
+also on poor fields and on a disjoint cover.  On the doubling family
+`verify`'s per-pair counts, also read off flows, are checked against the
+enumeration as well, and at 40 layers `verify` runs where no enumeration
+could.  The split MV flow, from which `verify` reads its target, counts
+and sums, is checked against the signed flow and the enumeration it
+replaces.
 """
 from __future__ import annotations
 
@@ -53,12 +55,14 @@ from morsemv.mv import (
     SHIFTED,
     MVGenerator,
     _generator_keys,
+    _glued,
+    _glued_id,
     _max_degree,
+    _TAG_RANK,
     mv_boundary,
     mv_trajectories_from,
 )
 from morsemv.verify import (
-    _PIECE_TAG,
     _build_v_field,
     _build_w_field,
     _mv_tallies,
@@ -93,13 +97,16 @@ def assert_thom_smale_matches(gvf: GradientField) -> None:
 
 def assert_mv_matches(d) -> None:
     """The generators come in canonical order, MV columns from the flow
-    equal the enumerated sums, in the complex and in `mv_boundary`, and
-    every enumerated weight, and the weight of the same trajectory built by
-    hand, equals the reference."""
+    equal the enumerated sums, in the complex and in `mv_boundary`, the
+    plain flow over the glued copies is those columns with no sign or key
+    applied after it, and every enumerated weight, and the weight of the
+    same trajectory built by hand, equals the reference."""
     gens = mv_generators(d)
     assert list(gens) == sorted(gens, key=lambda g: g.sort_key)
     want = mv_reference(d)
     assert mv_chain_complex(d).columns == want
+    keys, flow = [_generator_keys(d, q) for q in range(_max_degree(d) + 1)], _flow(*_glued(d))
+    assert [_boundary_columns(keys[q - 1], keys[q], flow) for q in range(1, len(keys))] == want
     for q, columns in enumerate(want, start=1):
         dense = mv_boundary(d, q)
         assert [{i: v for i, row in enumerate(dense) if (v := row[j])}
@@ -183,8 +190,8 @@ def pair_counts(xt, tag: str, top, bottom) -> tuple[int, int]:
     as `check_main_iso` reads them off the flows."""
     d = xt.decomposition
     w = _build_w_field(xt)
-    cell = {(_PIECE_TAG[xt._piece[i]], xt._ground[i]): i for ids in w._critical_ids for i in ids}
-    beta, alpha = (tag, d.x._id(top)), (tag, d.x._id(bottom))
+    cell = {_glued_id(d, xt._piece[i], xt._ground[i]): i for ids in w._critical_ids for i in ids}
+    beta, alpha = (_glued_id(d, _TAG_RANK[tag], d.x._id(s)) for s in (top, bottom))
     upstairs = _w_tallies(w, _flow(_arcs(w), w._down, _split))[cell[beta]][cell[alpha]]
     return upstairs[0], _mv_tallies(d)[beta][alpha][0]
 
