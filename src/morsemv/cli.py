@@ -18,6 +18,7 @@ decomposition or field data, 4 a supplied matching has a closed trajectory,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -73,7 +74,11 @@ def _fail(code: int, error: Exception) -> int:
     return code
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    `main` call in the process.  Parsing keeps no state in it: each call
+    returns a fresh namespace and defaults live in the parser only."""
     parser = argparse.ArgumentParser(
         prog="morsemv",
         description="Integer homology of a union of simplicial complexes "

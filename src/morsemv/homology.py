@@ -17,6 +17,24 @@ Ranks and invariant factors come from sparse elimination that removes the
 +-1 pivots first, after Dumas, Saunders & Villard, "On efficient sparse
 integer matrix Smith normal form computations" (J. Symb. Comput. 2001);
 the dense `smith_normal_form` then runs only on the small residual block.
+
+`homology` eliminates the boundaries from the top degree down and clears,
+after Chen & Kerber, "Persistent homology computation with a twist" (2011),
+and Bauer, Kerber & Reininghaus, "Clear and compress" (2014): the columns of
+d_q at the rows of the unit pivots of d_{q+1} are skipped.  This holds over
+Z.  Let the unit pivots of d_{q+1} lie in rows i_1, ..., i_u of C_q, in the
+order they were eliminated.  The column that eliminated i_k is an integer
+combination of columns of d_{q+1}, so it is a boundary and hence a cycle
+z_k; it has +-1 in row i_k and 0 in rows i_1, ..., i_{k-1}, which earlier
+eliminations cleared.  So d_q(z_k) = 0 writes column i_k of d_q, with unit
+coefficient, as an integer combination of the columns of d_q at later pivot
+rows and at rows that are no pivot.  Back substitution from i_u down makes
+every skipped column an integer combination of the kept ones: the image
+lattice, and with it the rank and the invariant factors of d_q, does not
+change.  Only unit-pivot rows may be cleared: a pivot of the dense residual
+block need not be a unit, and then its cycle does not give its column as an
+integer combination of the others.  In d_1 = (3 -2), d_2 = (2 3)^T, clearing
+either row of d_2 would leave H_0 = Z/2 or Z/3 where it is 0.
 """
 from __future__ import annotations
 
@@ -126,7 +144,15 @@ def _dense(columns: Sequence[Column], nrows: int) -> Matrix:
 def _sparse_snf(columns: Sequence[Column], nrows: int) -> tuple[tuple[int, ...], int]:
     """Invariant factors and rank of the matrix with `nrows` rows and the
     given columns: the result of `smith_normal_form` on its rows.  The input
-    is not modified.
+    is not modified."""
+    factors, rank, _ = _eliminate(columns, nrows)
+    return factors, rank
+
+
+def _eliminate(
+    columns: Sequence[Column], nrows: int
+) -> tuple[tuple[int, ...], int, set[int]]:
+    """`_sparse_snf` of the matrix, and the rows of its unit pivots.
 
     A unit pivot a_ij = +-1 is eliminated by column operations: every other
     column k with a nonzero a_ik becomes col_k - a_ik * a_ij * col_j, which
@@ -136,7 +162,8 @@ def _sparse_snf(columns: Sequence[Column], nrows: int) -> tuple[tuple[int, ...],
     and in it from the lightest row.  Columns wait in a heap keyed by
     weight and are pushed again when an elimination changes them, so no
     pivot search rescans the matrix.  When no column holds a unit, the
-    residual block goes to `smith_normal_form`.
+    residual block goes to `smith_normal_form`; its rows are not among the
+    returned pivot rows.
     """
     cols = [dict(col) for col in columns]
     rows: list[set[int]] = [set() for _ in range(nrows)]
@@ -145,7 +172,7 @@ def _sparse_snf(columns: Sequence[Column], nrows: int) -> tuple[tuple[int, ...],
             rows[i].add(j)
     heap = [(len(col), j) for j, col in enumerate(cols) if col]
     heapq.heapify(heap)
-    units = 0
+    pivots: set[int] = set()
     while heap:
         weight, j = heapq.heappop(heap)
         col = cols[j]
@@ -175,11 +202,12 @@ def _sparse_snf(columns: Sequence[Column], nrows: int) -> tuple[tuple[int, ...],
         for i in col:
             rows[i].discard(j)
         cols[j] = {}
-        units += 1
+        pivots.add(pivot)
     live = {i: n for n, i in enumerate(i for i, r in enumerate(rows) if r)}
     residual = [{live[i]: v for i, v in col.items()} for col in cols if col]
     factors, rank = smith_normal_form(_dense(residual, len(live)))
-    return (1,) * units + factors, units + rank
+    units = len(pivots)
+    return (1,) * units + factors, units + rank, pivots
 
 
 def _checked_ranks(ranks: Sequence[int], nboundaries: int) -> tuple[int, ...]:
@@ -349,10 +377,20 @@ class HomologyResult:
 
 
 def homology(c: IntegerChainComplex) -> HomologyResult:
-    """Homology of an integer chain complex, degree by degree."""
-    snf = [((), 0)]
-    snf += [_sparse_snf(cols, c.ranks[q - 1]) for q, cols in enumerate(c.columns, start=1)]
-    snf.append(((), 0))
+    """Homology of an integer chain complex.
+
+    The boundaries are eliminated from the top degree down, and the columns
+    of d_q at the unit-pivot rows of d_{q+1} are cleared: never handed to
+    the elimination.  Their image is spanned by the other columns (see the
+    module docstring), so the rank and invariant factors of d_q are those of
+    the columns that are kept.
+    """
+    snf = [((), 0)] * (c.top + 2)
+    cleared: set[int] = set()
+    for q in range(c.top, 0, -1):
+        kept = [col for j, col in enumerate(c.columns[q - 1]) if j not in cleared]
+        factors, rank, cleared = _eliminate(kept, c.ranks[q - 1])
+        snf[q] = (factors, rank)
     groups = []
     for q in range(0, c.top + 1):
         betti = c.ranks[q] - snf[q][1] - snf[q + 1][1]

@@ -5,6 +5,10 @@ import contextlib
 import importlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -377,6 +381,43 @@ class TestDeterminism:
         argv = ["homology", "--complex", cx, "--decomposition", str(plain),
                 "--strategy", "random", "--seed", "11", "--output", "json"]
         assert self.run_json(argv, capsys) == self.run_json(argv, capsys)
+
+
+class TestSharedParser:
+    """`main` builds its parser on the first call and every later call in
+    the process reuses it, so no call may leave state behind for the next."""
+
+    def test_built_once(self):
+        assert cli_module._parser() is cli_module._parser()
+
+    def test_calls_in_one_process_match_fresh_processes(self, files, capsys):
+        cx, dec = files
+        run = [
+            ["homology", "--complex", cx, "--decomposition", dec, "--output", "json",
+             "--degree", "1", "--strategy", "random", "--seed", "3"],
+            ["homology", "--complex", cx, "--decomposition", dec],
+            ["homology", "--decomposition", dec],
+            ["oracle", "--complex", cx],
+        ]
+        env = dict(os.environ, PYTHONIOENCODING="utf-8",
+                   PYTHONPATH=str(Path(cli_module.__file__).parents[1]))
+        outputs = []
+        for argv in run:
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            got = capsys.readouterr()
+            outputs.append((code, got.out.encode("utf-8"), got.err.encode("utf-8")))
+            fresh = subprocess.run([sys.executable, "-m", "morsemv.cli", *argv],
+                                   capture_output=True, env=env, timeout=60)
+            assert outputs[-1] == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert [code for code, _, _ in outputs] == [0, 0, 2, 0]
+        _, out, err = outputs[2]  # no --complex: argparse rejects the call
+        assert out == b"" and err.startswith(b"usage: morsemv homology")
+        # after them, a parse still holds only what its own argv and defaults say
+        assert vars(cli_module._parser().parse_args(["oracle", "--complex", cx])) == {
+            "complex": cx, "output": "text", "degree": None, "handler": cli_module._cmd_oracle}
 
 
 # ---------------------------------------------------------------------------

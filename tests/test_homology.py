@@ -1,10 +1,11 @@
 """Smith normal form, chain complexes, and the simplicial homology oracle."""
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morsemv import (
@@ -24,6 +25,8 @@ from conftest import (
     random_small_complex,
     seven_vertex_torus,
 )
+
+homology_module = importlib.import_module("morsemv.homology")
 
 entries = st.integers(min_value=-9, max_value=9)
 matrices = st.integers(min_value=1, max_value=4).flatmap(
@@ -172,6 +175,88 @@ class TestHomologyAgainstDenseReference:
         for _ in range(150):
             c = simplicial_chain_complex(random_small_complex(rng))
             assert homology(c).groups == dense_homology(c)
+
+
+def basis_changed(c: IntegerChainComplex, changes) -> IntegerChainComplex:
+    """c under paired unimodular basis changes.  A change (q, i, j, k)
+    replaces generator e_i of C_q by e_i + k e_j: it adds k x column j to
+    column i of d_q and subtracts k x row i from row j of d_{q+1}, so d o d
+    stays 0 and the homology does not change."""
+    cols = [[dict(col) for col in d] for d in c.columns]
+    for q, i, j, k in changes:
+        if q >= 1:
+            col, other = cols[q - 1][i], cols[q - 1][j]
+            for r, v in other.items():
+                w = col.get(r, 0) + k * v
+                if w:
+                    col[r] = w
+                else:
+                    del col[r]
+        if q < c.top:
+            for col in cols[q]:
+                if i in col:
+                    w = col.get(j, 0) - k * col[i]
+                    if w:
+                        col[j] = w
+                    else:
+                        del col[j]
+    return IntegerChainComplex.from_columns(c.ranks, cols)
+
+
+@st.composite
+def changed_complexes(draw):
+    """(c, c under random paired basis changes): c is the chain complex of
+    a random small complex or of a corpus complex (rp2 and klein bring
+    torsion)."""
+    if draw(st.booleans()):
+        x = random_small_complex(random.Random(draw(st.integers(0, 10**6))))
+    else:
+        x = corpus_complexes()[draw(st.sampled_from(sorted(CORPUS_HOMOLOGY)))]
+    c = simplicial_chain_complex(x)
+    changes = []
+    for _ in range(draw(st.integers(0, 12))):
+        q = draw(st.integers(0, c.top))
+        if c.ranks[q] < 2:
+            continue
+        i, j = draw(st.lists(st.integers(0, c.ranks[q] - 1), min_size=2, max_size=2,
+                             unique=True))
+        changes.append((q, i, j, draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))))
+    return c, basis_changed(c, changes)
+
+
+class TestClearing:
+    """`homology` skips the columns of d_q at the unit-pivot rows of
+    d_{q+1}; `dense_homology` runs every degree in full."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(changed_complexes())
+    def test_matches_the_reference_under_basis_changes(self, case):
+        c, changed = case
+        assert homology(changed).groups == dense_homology(changed)
+        assert homology(changed) == homology(c)
+
+    def test_residual_rows_are_not_cleared(self):
+        # d_2 = (2 3)^T has no unit entry; clearing either of its rows
+        # would leave H_0 = Z/2 or Z/3
+        c = IntegerChainComplex([1, 2, 1], [[[3, -2]], [[2], [3]]])
+        assert homology(c).groups == dense_homology(c) == ((0, ()), (0, ()), (0, ()))
+
+    def test_unit_pivot_columns_are_cleared(self, monkeypatch):
+        calls = []
+        eliminate = homology_module._eliminate
+
+        def spy(columns, nrows):
+            result = eliminate(columns, nrows)
+            calls.append((sum(1 for col in columns if col), result[2]))
+            return result
+
+        monkeypatch.setattr(homology_module, "_eliminate", spy)
+        c = simplicial_chain_complex(seven_vertex_torus())
+        assert homology(c) == expected_homology("torus")
+        (live_2, pivots_2), (live_1, _) = calls
+        assert live_2 == c.ranks[2] == 14
+        assert len(pivots_2) == 13
+        assert live_1 == c.ranks[1] - len(pivots_2) == 8
 
 
 class TestIntegerChainComplex:
