@@ -6,6 +6,12 @@ ordinary simplicial homology.
 
 The package exports the names of the README's library tour and the error
 types; everything else is imported from its own module.
+
+`build_xtilde`, `check_iso_simplicial` and `check_main_iso` load lazily:
+the first access to one of them imports `morsemv.verify` (PEP 562
+`__getattr__`), and `from morsemv import *` binds them too.  Only the
+`verify` command needs that module, so a fresh `morsemv homology`, `oracle`
+or `trajectories` process does not pay for compiling it.
 """
 from .complexes import Simplex, SimplicialComplex, build_complex, incidence
 from .errors import (
@@ -43,7 +49,6 @@ from .mv import (
     mv_homology,
 )
 from .formats import parse_complex, parse_decomposition
-from .verify import build_xtilde, check_iso_simplicial, check_main_iso
 
 __version__ = "0.1.0"
 
@@ -64,3 +69,14 @@ __all__ = [
     "smith_normal_form", "homology", "simplicial_homology",
     "parse_complex", "parse_decomposition",
 ]
+
+_LAZY = ("build_xtilde", "check_iso_simplicial", "check_main_iso")
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        from . import verify
+
+        value = globals()[name] = getattr(verify, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

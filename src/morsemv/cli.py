@@ -14,6 +14,14 @@ Four subcommands:
 Exit codes: 0 success, 2 unreadable/unparsable input, 3 invalid
 decomposition or field data, 4 a supplied matching has a closed trajectory,
 5 an internal consistency check or a ``verify`` run failed.
+
+The module imports at start exactly what ``homology`` runs, so the cold
+start of a fresh process is that of a real command.  Only ``verify`` needs
+`morsemv.verify`: its three calls are looked up on this module's globals
+when the command runs, imported on first use and never bound over a name
+already bound, so whoever replaces `build_xtilde`, `check_iso_simplicial`
+or `check_main_iso` here (as the benchmark's tracer does) sees its
+replacement called.
 """
 from __future__ import annotations
 
@@ -48,9 +56,28 @@ from .mv import (
     mv_generators,
     mv_homology,
 )
-from .verify import build_xtilde, check_iso_simplicial, check_main_iso
 
 __all__ = ["main"]
+
+# the calls of the verify command, bound from `morsemv.verify` on first use
+_VERIFY_CALLS = ("build_xtilde", "check_iso_simplicial", "check_main_iso")
+
+
+def _bind_verify() -> dict:
+    """This module's globals, with each of `_VERIFY_CALLS` not yet bound
+    bound to its function in `morsemv.verify`."""
+    from . import verify
+
+    names = globals()
+    for name in _VERIFY_CALLS:
+        names.setdefault(name, getattr(verify, name))
+    return names
+
+
+def __getattr__(name: str):
+    if name in _VERIFY_CALLS:
+        return _bind_verify()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -286,10 +313,11 @@ def _cmd_trajectories(args) -> int:
 
 def _cmd_verify(args) -> int:
     _, d, _, _ = _load_decomposition(args)
-    xt = build_xtilde(d)
+    calls = _bind_verify()
+    xt = calls["build_xtilde"](d)
     stages = [
-        ("simplicial", check_iso_simplicial(xt)),
-        ("mayer_vietoris", check_main_iso(xt)),
+        ("simplicial", calls["check_iso_simplicial"](xt)),
+        ("mayer_vietoris", calls["check_main_iso"](xt)),
     ]
     ok = all(report.ok for _, report in stages)
     if args.output == "json":

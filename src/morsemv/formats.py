@@ -35,11 +35,9 @@ names the piece and selects FromA / FromB / Shifted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .complexes import Simplex, SimplicialComplex, _Table
 from .errors import ComplexError, ParseError
-from .mv import FROM_A, FROM_B, SHIFTED
+from .mv import FROM_A, FROM_B, SHIFTED, _Record
 
 __all__ = [
     "parse_complex",
@@ -84,18 +82,24 @@ def parse_complex(text: str) -> SimplicialComplex:
 Vertices = tuple[str, ...]
 
 
-@dataclass
-class DecompositionFile:
+class DecompositionFile(_Record):
     """The parsed content of a decomposition file: the generators of A and
     B as sorted vertex tuples; `fields` maps piece names to explicit pair
     lists, each end's vertices as written; `strategy`/`seed` carry an `auto`
-    line if any."""
+    line if any.  Mutable, so not hashable."""
 
-    a_generators: list[Vertices] = field(default_factory=list)
-    b_generators: list[Vertices] = field(default_factory=list)
-    fields: dict[str, list[tuple[Vertices, Vertices]]] = field(default_factory=dict)
-    strategy: str | None = None
-    seed: int | None = None
+    __slots__ = _fields = ("a_generators", "b_generators", "fields", "strategy", "seed")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, a_generators: list[Vertices] | None = None,
+                 b_generators: list[Vertices] | None = None,
+                 fields: dict[str, list[tuple[Vertices, Vertices]]] | None = None,
+                 strategy: str | None = None, seed: int | None = None):
+        self.a_generators = [] if a_generators is None else a_generators
+        self.b_generators = [] if b_generators is None else b_generators
+        self.fields = {} if fields is None else fields
+        self.strategy = strategy
+        self.seed = seed
 
 
 def parse_decomposition(text: str) -> DecompositionFile:

@@ -55,7 +55,6 @@ homology of X; the test suite checks both rather than trusts them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .complexes import ComplexCopy, Simplex, SimplicialComplex, copy_relabel, intersection
@@ -108,23 +107,64 @@ _CASE = {(FROM_A, FROM_A): 1, (FROM_B, FROM_B): 2, (SHIFTED, SHIFTED): 3,
 _CASE_SIGN = {1: 1, 2: 1, 3: -1, 4: -1, 5: 1}
 
 
-@dataclass(frozen=True)
-class MVGenerator:
+class _Record:
+    """A record with the equality, hash and repr a dataclass would give it
+    on the fields `_fields`, and whose `__slots__` list its constructor's
+    parameters in order.  Plain classes rather than dataclasses, since
+    `dataclasses` imports `inspect`, which a fresh CLI process would pay
+    for on every command."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, s) for s in self.__slots__])
+
+
+class _FrozenRecord(_Record):
+    """A `_Record` whose fields are set once, by its constructor."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MVGenerator(_FrozenRecord):
     """A generator of the Mayer-Vietoris complex: a critical simplex of one
     of the three copies, with its tag and its (possibly shifted) degree."""
 
-    tag: str
-    simplex: Simplex
-    degree: int
+    __slots__ = _fields = ("tag", "simplex", "degree")
 
-    def __post_init__(self):
-        if self.tag not in _TAG_RANK:
-            raise FieldError(f"unknown generator tag {self.tag!r}")
-        expected = self.simplex.dim + (1 if self.tag == SHIFTED else 0)
-        if self.degree != expected:
-            raise FieldError(
-                f"{self.tag} generator on {self.simplex} must have degree {expected}"
-            )
+    def __init__(self, tag: str, simplex: Simplex, degree: int):
+        if tag not in _TAG_RANK:
+            raise FieldError(f"unknown generator tag {tag!r}")
+        expected = simplex.dim + (1 if tag == SHIFTED else 0)
+        if degree != expected:
+            raise FieldError(f"{tag} generator on {simplex} must have degree {expected}")
+        self._set(tag, simplex, degree)
 
     @property
     def name(self) -> str:
@@ -328,8 +368,7 @@ def _named_generator(d: Decomposition, key: int) -> MVGenerator:
     return _generator(_TAGS[k], d._fields()[_TAGS[k]].complex._simplex(i))
 
 
-@dataclass(frozen=True)
-class MVTrajectory:
+class MVTrajectory(_FrozenRecord):
     """One Mayer-Vietoris trajectory.
 
     `steps` is the full simplex sequence: for cases 1-3 an extended
@@ -339,17 +378,18 @@ class MVTrajectory:
         (tau_0)_I, sigma_1, ..., (tau_p)_I, (tau_p)_piece,
         (alpha_p)_piece, (tau_{p+1})_piece, ..., (tau_{p+l})_piece.
 
-    p and l are only meaningful for cases 4/5.
+    p and l are only meaningful for cases 4/5.  `_weight` is the product
+    of the signs the walk read, left out of equality, hash and repr; see
+    `weight`.
     """
 
-    case: int
-    beta: MVGenerator
-    alpha: MVGenerator
-    steps: tuple[Simplex, ...]
-    p: int | None = None
-    l: int | None = None
-    # the product of the signs the walk read; see `weight`
-    _weight: int | None = field(default=None, repr=False, compare=False)
+    _fields = ("case", "beta", "alpha", "steps", "p", "l")
+    __slots__ = (*_fields, "_weight")
+
+    def __init__(self, case: int, beta: MVGenerator, alpha: MVGenerator,
+                 steps: tuple[Simplex, ...], p: int | None = None, l: int | None = None,
+                 _weight: int | None = None):
+        self._set(case, beta, alpha, steps, p, l, _weight)
 
     @property
     def weight(self) -> int:
@@ -405,23 +445,37 @@ def mv_trajectories_from(
     weighted by the product of its arcs.  The targets come by case, then in
     order of first appearance; a walk of case 4 or 5 leaves the I-copy by
     the transfer, which repeats the transferred cell in the piece."""
-    n, fields, start = len(d.x._table), d._fields(), _require_generator(d, beta)
-    source = start // n
-    case_of = lambda g: _CASE[beta.tag, _TAGS[g // n]]
-    named = lambda k, ids: fields[_TAGS[k]].complex._simplices_of([g - k * n for g in ids])
+    start, n = _require_generator(d, beta), len(d.x._table)
+    named = _trajectory_namer(d, beta, start)
     out: dict[MVGenerator, list[MVTrajectory]] = {}
     for end, walks in sorted(_grouped(_walk(start, *_glued(d))).items(),
-                             key=lambda group: case_of(group[0])):
-        k, case, alpha = end // n, case_of(end), _named_generator(d, end)
-        ts = out[alpha] = []
-        for ids, w in walks:
-            cut = 1 if k != source else len(ids)
-            while cut < len(ids) and ids[cut] // n == source:
-                cut += 2
-            p, l = (None, None) if k == source else (cut // 2, (len(ids) - cut) // 2)
-            steps = named(source, ids[:cut]) + named(k, ids[cut:])
-            ts.append(MVTrajectory(case, beta, alpha, steps, p, l, _weight=w))
+                             key=lambda group: _CASE[beta.tag, _TAGS[group[0] // n]]):
+        alpha = _named_generator(d, end)
+        out[alpha] = [named(alpha, ids, w) for ids, w in walks]
     return out
+
+
+def _trajectory_namer(
+    d: Decomposition, beta: MVGenerator, start: int
+) -> Callable[[MVGenerator, tuple[int, ...], int], MVTrajectory]:
+    """The function naming a walk of `_glued` out of beta (glued id
+    `start`) that ends at alpha, given as (alpha, id sequence, weight): the
+    trajectory with its steps named in their copies, and for cases 4/5 the
+    descent p and ascent l around the transfer."""
+    n, fields = len(d.x._table), d._fields()
+    source = start // n
+    named = lambda k, ids: fields[_TAGS[k]].complex._simplices_of([g - k * n for g in ids])
+
+    def trajectory(alpha: MVGenerator, ids: tuple[int, ...], w: int) -> MVTrajectory:
+        k = ids[-1] // n
+        cut = 1 if k != source else len(ids)
+        while cut < len(ids) and ids[cut] // n == source:
+            cut += 2
+        p, l = (None, None) if k == source else (cut // 2, (len(ids) - cut) // 2)
+        steps = named(source, ids[:cut]) + named(k, ids[cut:])
+        return MVTrajectory(_CASE[beta.tag, alpha.tag], beta, alpha, steps, p, l, _weight=w)
+
+    return trajectory
 
 
 def _require_generator(d: Decomposition, g: MVGenerator) -> int:
@@ -437,13 +491,20 @@ def enumerate_mv(
     d: Decomposition, beta: MVGenerator, alpha: MVGenerator
 ) -> list[MVTrajectory]:
     """MV(beta, alpha): every trajectory from beta to alpha, in the
-    deterministic depth-first order."""
-    _require_generator(d, alpha)
+    deterministic depth-first order.  The walk is that of
+    `mv_trajectories_from`, but only the walks that end at alpha are
+    named."""
+    end = _require_generator(d, alpha)
     if beta.degree != alpha.degree + 1:
         raise FieldError(
             f"no trajectories between degrees {beta.degree} and {alpha.degree}"
         )
-    return mv_trajectories_from(d, beta).get(alpha, [])
+    start = _require_generator(d, beta)
+    walks = [(ids, w) for ids, w in _walk(start, *_glued(d)) if ids[-1] == end]
+    if not walks:
+        return []
+    named, alpha = _trajectory_namer(d, beta, start), _named_generator(d, end)
+    return [named(alpha, ids, w) for ids, w in walks]
 
 
 def _mv_column(d: Decomposition, combine=_combine) -> Callable[[int], dict]:

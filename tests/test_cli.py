@@ -398,6 +398,7 @@ class TestSharedParser:
             ["homology", "--complex", cx, "--decomposition", dec],
             ["homology", "--decomposition", dec],
             ["oracle", "--complex", cx],
+            ["verify", "--complex", cx, "--decomposition", dec, "--output", "json"],
         ]
         env = dict(os.environ, PYTHONIOENCODING="utf-8",
                    PYTHONPATH=str(Path(cli_module.__file__).parents[1]))
@@ -412,12 +413,63 @@ class TestSharedParser:
             fresh = subprocess.run([sys.executable, "-m", "morsemv.cli", *argv],
                                    capture_output=True, env=env, timeout=60)
             assert outputs[-1] == (fresh.returncode, fresh.stdout, fresh.stderr), argv
-        assert [code for code, _, _ in outputs] == [0, 0, 2, 0]
+        assert [code for code, _, _ in outputs] == [0, 0, 2, 0, 0]
         _, out, err = outputs[2]  # no --complex: argparse rejects the call
         assert out == b"" and err.startswith(b"usage: morsemv homology")
         # after them, a parse still holds only what its own argv and defaults say
         assert vars(cli_module._parser().parse_args(["oracle", "--complex", cx])) == {
             "complex": cx, "output": "text", "degree": None, "handler": cli_module._cmd_oracle}
+
+
+class TestColdStart:
+    """A fresh process imports what `homology` runs and no more: `verify`
+    (and with it `dataclasses` and `inspect`) loads on first use."""
+
+    VERIFY_CALLS = ("build_xtilde", "check_iso_simplicial", "check_main_iso")
+
+    def test_import_leaves_verify_out(self):
+        code = """
+import sys
+before = set(sys.modules)
+import morsemv, morsemv.cli
+print(sorted({"morsemv.verify", "dataclasses", "inspect"} & (set(sys.modules) - before)))
+morsemv.build_xtilde
+print("morsemv.verify" in sys.modules)
+print(morsemv.build_xtilde is sys.modules["morsemv.verify"].build_xtilde)
+names = {}
+exec("from morsemv import *", names)
+print(sorted(set(morsemv.__all__) - set(names)))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        assert done.stdout.split("\n") == ["[]", "True", "True", "[]", ""]
+
+    @pytest.mark.parametrize("name", VERIFY_CALLS)
+    def test_verify_calls_what_is_bound(self, monkeypatch, files, capsys, name):
+        """Each call of the verify command is looked up on `cli` when it
+        runs: a replacement bound there (as the benchmark's tracer binds
+        one) is what runs, whether or not verify's others are bound yet."""
+        verify_module = importlib.import_module("morsemv.verify")
+        for n in self.VERIFY_CALLS:
+            monkeypatch.delitem(vars(cli_module), n, raising=False)
+            assert getattr(cli_module, n) is getattr(verify_module, n)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return getattr(verify_module, name)(*args)
+
+        monkeypatch.setattr(cli_module, name, spy)
+        for n in self.VERIFY_CALLS:
+            if n != name:
+                monkeypatch.delitem(vars(cli_module), n)
+        cx, dec = files
+        assert main(["verify", "--complex", cx, "--decomposition", dec]) == 0
+        assert "verdict: PASS" in capsys.readouterr().out
+        assert len(calls) == 1
+        for n in self.VERIFY_CALLS:
+            assert getattr(cli_module, n) is (spy if n == name else getattr(verify_module, n))
 
 
 # ---------------------------------------------------------------------------

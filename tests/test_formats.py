@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from morsemv import ParseError, Simplex, parse_complex, parse_decomposition
-from morsemv.formats import parse_generator_name
+from morsemv.formats import DecompositionFile, parse_generator_name
 
 
 class TestParseComplex:
@@ -68,6 +68,20 @@ I: v0 -> v0 v1
     def test_fields_section_optional(self):
         out = parse_decomposition("[A]\np\n[B]\nq\n")
         assert out.fields == {} and out.strategy is None
+
+    def test_result_behaves_as_a_dataclass(self):
+        # a plain class (no `dataclasses` at CLI start): fresh defaults,
+        # equality and repr on every field, mutable, so not hashable
+        out = parse_decomposition("[A]\np q\n[B]\nq\n")
+        assert out == DecompositionFile([("p", "q")], [("q",)])
+        assert out != DecompositionFile([("p", "q")], [("q",)], seed=1)
+        assert DecompositionFile().a_generators is not DecompositionFile().a_generators
+        assert repr(out) == ("DecompositionFile(a_generators=[('p', 'q')], "
+                             "b_generators=[('q',)], fields={}, strategy=None, seed=None)")
+        out.seed = 5
+        assert out.seed == 5
+        with pytest.raises(TypeError):
+            hash(out)
 
     @pytest.mark.parametrize("text,fragment", [
         ("v0 v1\n[A]\np\n[B]\nq\n", "before any"),

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import collections
+import copy
+import pickle
 import random
 
 import pytest
@@ -26,6 +28,7 @@ from morsemv import (
     thom_smale_complex,
     trajectories_from,
 )
+import morsemv.complexes
 import morsemv.morse
 import morsemv.mv
 from morsemv.mv import SHIFTED, _max_degree, mv_boundary, mv_trajectories_from
@@ -247,6 +250,27 @@ class TestGenerators:
         with pytest.raises(FieldError):
             MVGenerator(SHIFTED, Simplex("v0"), 0)  # shifted degree is dim + 1
 
+    def test_records_behave_as_frozen_dataclasses(self):
+        # MVGenerator and MVTrajectory are plain classes (no `dataclasses`
+        # at CLI start) that keep what their frozen dataclasses gave
+        g = MVGenerator("FromA", Simplex("A:v0 A:v1"), 1)
+        h = MVGenerator("FromA", Simplex("A:v0 A:v1"), 1)
+        assert g == h and hash(g) == hash(h) and g != ("FromA", g.simplex, 1)
+        assert repr(g) == "MVGenerator(tag='FromA', simplex=Simplex('A:v0 A:v1'), degree=1)"
+        t = MVTrajectory(1, g, h, (Simplex("A:v0"),), _weight=-1)
+        u = MVTrajectory(1, g, h, (Simplex("A:v0"),))
+        assert t == u and hash(t) == hash(u) and t.weight == -1
+        assert repr(t) == (f"MVTrajectory(case=1, beta={g!r}, alpha={g!r}, "
+                           "steps=(Simplex('A:v0'),), p=None, l=None)")
+        with pytest.raises(AttributeError, match="cannot assign to field 'tag'"):
+            g.tag = "FromB"
+        with pytest.raises(AttributeError, match="cannot delete field 'p'"):
+            del t.p
+        for record in (g, t):
+            for twin in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+                assert twin == record and twin is not record
+        assert pickle.loads(pickle.dumps(t))._weight == -1
+
     @pytest.mark.parametrize("name", ["circle", "torus", "rp2", "sphere2"])
     def test_euler_characteristic_of_generators(self, corpus, name):
         x = corpus[name]
@@ -358,6 +382,38 @@ class TestTrajectories:
                     for alpha, ts in mv_trajectories_from(d, beta).items()
                 }
                 assert list(got.items()) == list(brute_mv_trajectories(d, beta).items())
+
+    @pytest.mark.parametrize("name,strategy", COVERS + INTERLEAVED)
+    def test_enumerate_is_the_walk_to_alpha(self, name, strategy):
+        # enumerate_mv names only alpha's walks: the same trajectories in the
+        # same order, with the same weights, as its group in the full walk
+        for d in cover_decompositions(name, strategy):
+            for beta in mv_generators(d):
+                if beta.degree == 0:
+                    continue
+                grouped = mv_trajectories_from(d, beta)
+                for alpha in mv_generators(d, beta.degree - 1):
+                    got, want = enumerate_mv(d, beta, alpha), grouped.get(alpha, [])
+                    assert got == want
+                    assert [t.weight for t in got] == [t.weight for t in want]
+
+    def test_enumerate_names_only_the_asked_pair(self, monkeypatch, oct_decomposition):
+        """The walk out of e reaches A:v5 and B:v4; asked for A:v5, only the
+        steps of its trajectory are named."""
+        x, a, b = octahedron_pieces()  # a table of its own: no cell named yet
+        d = build_decomposition(x, a, b, fields=octahedron_fields())
+        (e,) = mv_generators(d, 1)
+        a5 = MVGenerator("FromA", Simplex("A:v5"), 0)
+        assert len(mv_trajectories_from(oct_decomposition, e)) == 2
+        named, simplex = [], morsemv.complexes._Table.simplex
+
+        def naming(table, i, tag):
+            named.append(simplex(table, i, tag))
+            return named[-1]
+
+        monkeypatch.setattr(morsemv.complexes._Table, "simplex", naming)
+        (t,) = enumerate_mv(d, e, a5)
+        assert named and set(named) <= set(t.steps)
 
     def test_validate_rejects_tampering(self, oct_decomposition):
         d = oct_decomposition

@@ -485,18 +485,18 @@ def test_passing_run_names_nothing(monkeypatch, capsys, command, name):
     names no cell (of X or any other table) and builds no MV generator.
     Names are built only to word a failing check."""
     named, generators = [], []
-    simplex, post_init = complexes_module._Table.simplex, mv_module.MVGenerator.__post_init__
+    simplex, init = complexes_module._Table.simplex, mv_module.MVGenerator.__init__
 
     def naming(table, i, tag):
         named.append(i)
         return simplex(table, i, tag)
 
-    def generating(g):
-        generators.append(g)
-        post_init(g)
+    def generating(g, *args, **kwargs):
+        generators.append((args, kwargs))
+        init(g, *args, **kwargs)
 
     monkeypatch.setattr(complexes_module._Table, "simplex", naming)
-    monkeypatch.setattr(mv_module.MVGenerator, "__post_init__", generating)
+    monkeypatch.setattr(mv_module.MVGenerator, "__init__", generating)
     golden = Path(__file__).parent / "golden"
     argv = [command, "--complex", str(golden / f"{name}.cx"), "--output", "json"]
     if command == "verify":
