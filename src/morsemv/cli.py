@@ -15,23 +15,32 @@ Exit codes: 0 success, 2 unreadable/unparsable input, 3 invalid
 decomposition or field data, 4 a supplied matching has a closed trajectory,
 5 an internal consistency check or a ``verify`` run failed.
 
+One report per command: each ``_cmd_*`` computes its result once and
+returns ``(exit code, report)``, a plain dict.  `main` alone writes it:
+``--output json`` dumps the dict, ``--output text`` renders it line by
+line through the command's renderer in `_TEXT`, which reads nothing but
+the report, so the text shows nothing the JSON lacks.
+
 The module imports at start exactly what ``homology`` runs, so the cold
 start of a fresh process is that of a real command.  Only ``verify`` needs
-`morsemv.verify`: its three calls are looked up on this module's globals
-when the command runs, imported on first use and never bound over a name
-already bound, so whoever replaces `build_xtilde`, `check_iso_simplicial`
-or `check_main_iso` here (as the benchmark's tracer does) sees its
-replacement called.
+`morsemv.verify`: as in the package, `__getattr__` imports it on the first
+lookup of one of its three calls and binds that name here, and
+`_cmd_verify` calls them as attributes of this module, so whoever replaces
+`build_xtilde`, `check_iso_simplicial` or `check_main_iso` here (as the
+benchmark's tracer does) sees its replacement called.  The tracer wraps
+this module's calls by name, so `SimplicialComplex` and `mv_generators`
+stay bound here although no command calls them.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex  # bound for the benchmark's tracer
 from .errors import (
     ComplexError,
     DecompositionError,
@@ -51,42 +60,33 @@ from .mv import (
     _keys_by_tag,
     _max_degree,
     _piece,
+    _require_generator,
     build_decomposition,
     enumerate_mv,
-    mv_generators,
+    mv_generators,  # bound for the benchmark's tracer
     mv_homology,
 )
 
 __all__ = ["main"]
 
 # the calls of the verify command, bound from `morsemv.verify` on first use
-_VERIFY_CALLS = ("build_xtilde", "check_iso_simplicial", "check_main_iso")
-
-
-def _bind_verify() -> dict:
-    """This module's globals, with each of `_VERIFY_CALLS` not yet bound
-    bound to its function in `morsemv.verify`."""
-    from . import verify
-
-    names = globals()
-    for name in _VERIFY_CALLS:
-        names.setdefault(name, getattr(verify, name))
-    return names
+_LAZY = ("build_xtilde", "check_iso_simplicial", "check_main_iso")
 
 
 def __getattr__(name: str):
-    if name in _VERIFY_CALLS:
-        return _bind_verify()[name]
+    if name in _LAZY:
+        from . import verify
+
+        value = globals()[name] = getattr(verify, name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except ParseError as e:
-        return _fail(2, e)
-    except OSError as e:
+        code, report = args.handler(args)
+    except (ParseError, OSError) as e:
         return _fail(2, e)
     except NotAcyclicError as e:  # before FieldError: it is a subclass
         return _fail(4, e)
@@ -94,6 +94,11 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(3, e)
     except InternalConsistencyError as e:
         return _fail(5, e)
+    if args.output == "json":
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    else:
+        print("\n".join(_TEXT[report["command"]](report)))
+    return code
 
 
 def _fail(code: int, error: Exception) -> int:
@@ -181,11 +186,6 @@ def _load_decomposition(args) -> tuple[SimplicialComplex, Decomposition, str, in
     return x, d, strategy, seed
 
 
-def _emit_json(payload: dict) -> int:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    return 0
-
-
 def _complex_info(x: SimplicialComplex) -> dict:
     return {
         "dim": x.dim,
@@ -212,13 +212,7 @@ def _homology_rows(result: HomologyResult, degree: int | None, top: int) -> list
     ]
 
 
-def _print_homology_rows(rows: list[dict]) -> None:
-    print("homology:")
-    for row in rows:
-        print(f"  H_{row['degree']} = {row['group']}")
-
-
-def _cmd_homology(args) -> int:
+def _cmd_homology(args) -> tuple[int, dict]:
     _check_degree(args.degree)
     x, d, strategy, seed = _load_decomposition(args)
     result = mv_homology(d)
@@ -230,48 +224,30 @@ def _cmd_homology(args) -> int:
         for q, ks in enumerate(by_tag) if (total := sum(map(len, ks.values())))
     ]
     top = max([x.dim] + [row["degree"] for row in counts])
-    rows = _homology_rows(result, args.degree, top)
-    if args.output == "json":
-        return _emit_json({
-            "schema": 1,
-            "command": "homology",
-            "complex": _complex_info(x),
-            "pieces": {
-                "a_size": len(d.a),
-                "b_size": len(d.b),
-                "intersection_size": len(d.iab) if d.iab is not None else 0,
-            },
-            "strategy": strategy,
-            "seed": seed,
-            "generators": counts,
-            "homology": rows,
-        })
-    f = x.f_vector()
-    print(f"complex: dim {x.dim}, f-vector {f}, euler {x.euler_characteristic()}")
-    inter = len(d.iab) if d.iab is not None else 0
-    print(f"pieces: |A| = {len(d.a)}, |B| = {len(d.b)}, |A ∩ B| = {inter} simplices")
-    print("generators:")
-    for row in counts:
-        print(f"  q={row['degree']}: {row['total']} (FromA {row['from_a']}, "
-              f"FromB {row['from_b']}, Shifted {row['shifted']})")
-    _print_homology_rows(rows)
-    return 0
+    return 0, {
+        "schema": 1,
+        "command": "homology",
+        "complex": _complex_info(x),
+        "pieces": {"a_size": len(d.a), "b_size": len(d.b),
+                   "intersection_size": len(d.iab) if d.iab is not None else 0},
+        "strategy": strategy,
+        "seed": seed,
+        "generators": counts,
+        "homology": _homology_rows(result, args.degree, top),
+    }
 
 
 def _resolve_generator(d: Decomposition, token: str) -> MVGenerator:
     tag, simplex = parse_generator_name(token)
-    degree = simplex.dim + (1 if tag == SHIFTED else 0)
-    candidate = MVGenerator(tag, abs(simplex), degree)
-    if candidate not in mv_generators(d, degree):
-        raise ParseError(f"unknown generator {token!r}")
+    candidate = MVGenerator(tag, abs(simplex), simplex.dim + (1 if tag == SHIFTED else 0))
+    try:
+        _require_generator(d, candidate)
+    except FieldError:
+        raise ParseError(f"unknown generator {token!r}") from None
     return candidate
 
 
-def _steps_json(steps) -> list[list[str]]:
-    return [list(s.vertices) for s in steps]
-
-
-def _cmd_trajectories(args) -> int:
+def _cmd_trajectories(args) -> tuple[int, dict]:
     _, d, _, _ = _load_decomposition(args)
     beta = _resolve_generator(d, args.beta)
     alpha = _resolve_generator(d, args.alpha)
@@ -281,87 +257,101 @@ def _cmd_trajectories(args) -> int:
             f"degree {alpha.degree}: ALPHA must be one degree below BETA"
         )
     found = enumerate_mv(d, beta, alpha)
-    total = sum(t.weight for t in found)
-    if args.output == "json":
-        return _emit_json({
-            "schema": 1,
-            "command": "trajectories",
-            "beta": {"tag": beta.tag, "name": beta.name, "degree": beta.degree},
-            "alpha": {"tag": alpha.tag, "name": alpha.name, "degree": alpha.degree},
-            "count": len(found),
-            "weight_sum": total,
-            "trajectories": [
-                {
-                    "case": t.case,
-                    "p": t.p,
-                    "l": t.l,
-                    "weight": t.weight,
-                    "steps": _steps_json(t.steps),
-                }
-                for t in found
-            ],
-        })
-    print(f"beta = {beta} (degree {beta.degree}), alpha = {alpha} (degree {alpha.degree})")
-    print(f"trajectories: {len(found)}, weight sum {total:+d}"
-          if found else "trajectories: 0, weight sum +0")
-    for i, t in enumerate(found, start=1):
-        extent = f", p={t.p}, l={t.l}" if t.case in (4, 5) else ""
-        path = " -> ".join(str(s) for s in t.steps)
-        print(f"  {i}. case {t.case}{extent}, weight {t.weight:+d}: {path}")
-    return 0
+    return 0, {
+        "schema": 1,
+        "command": "trajectories",
+        "beta": {"tag": beta.tag, "name": beta.name, "degree": beta.degree},
+        "alpha": {"tag": alpha.tag, "name": alpha.name, "degree": alpha.degree},
+        "count": len(found),
+        "weight_sum": sum(t.weight for t in found),
+        "trajectories": [
+            {"case": t.case, "p": t.p, "l": t.l, "weight": t.weight,
+             "steps": [list(s.vertices) for s in t.steps]}
+            for t in found
+        ],
+    }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict]:
     _, d, _, _ = _load_decomposition(args)
-    calls = _bind_verify()
-    xt = calls["build_xtilde"](d)
-    stages = [
-        ("simplicial", calls["check_iso_simplicial"](xt)),
-        ("mayer_vietoris", calls["check_main_iso"](xt)),
+    calls = sys.modules[__name__]  # what is bound here now, loaded on first use
+    xt = calls.build_xtilde(d)
+    checks = [
+        {"stage": stage, "name": c.name, "ok": c.ok, "detail": c.detail}
+        for stage, check in (("simplicial", calls.check_iso_simplicial),
+                             ("mayer_vietoris", calls.check_main_iso))
+        for c in check(xt).checks
     ]
-    ok = all(report.ok for _, report in stages)
-    if args.output == "json":
-        _emit_json({
-            "schema": 1,
-            "command": "verify",
-            "ok": ok,
-            "checks": [
-                {
-                    "stage": stage,
-                    "name": c.name,
-                    "ok": c.ok,
-                    "detail": c.detail,
-                }
-                for stage, report in stages
-                for c in report.checks
-            ],
-        })
-        return 0 if ok else 5
-    for stage, report in stages:
-        print(f"{stage}:")
-        for c in report.checks:
-            print(f"  {c}")
-    count = sum(len(report.checks) for _, report in stages)
-    print(f"verdict: {'PASS' if ok else 'FAIL'} ({count} checks)")
-    return 0 if ok else 5
+    ok = all(c["ok"] for c in checks)
+    return 0 if ok else 5, {"schema": 1, "command": "verify", "ok": ok, "checks": checks}
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[int, dict]:
     _check_degree(args.degree)
     x = parse_complex(_read(args.complex))
-    result = simplicial_homology(x)
-    rows = _homology_rows(result, args.degree, x.dim)
-    if args.output == "json":
-        return _emit_json({
-            "schema": 1,
-            "command": "oracle",
-            "complex": _complex_info(x),
-            "homology": rows,
-        })
-    f = x.f_vector()
-    print(f"complex: dim {x.dim}, f-vector {f}, euler {x.euler_characteristic()}")
-    _print_homology_rows(rows)
-    return 0
+    return 0, {
+        "schema": 1,
+        "command": "oracle",
+        "complex": _complex_info(x),
+        "homology": _homology_rows(simplicial_homology(x), args.degree, x.dim),
+    }
+
+
+# -- text renderings: each reads its command's report and nothing else ------
+
+
+def _complex_line(report: dict) -> str:
+    c = report["complex"]
+    return f"complex: dim {c['dim']}, f-vector {tuple(c['f_vector'])}, euler {c['euler']}"
+
+
+def _homology_lines(report: dict) -> list[str]:
+    return ["homology:", *(f"  H_{row['degree']} = {row['group']}" for row in report["homology"])]
+
+
+def _homology_text(report: dict) -> list[str]:
+    p = report["pieces"]
+    return [
+        _complex_line(report),
+        f"pieces: |A| = {p['a_size']}, |B| = {p['b_size']}, "
+        f"|A ∩ B| = {p['intersection_size']} simplices",
+        "generators:",
+        *(f"  q={row['degree']}: {row['total']} (FromA {row['from_a']}, "
+          f"FromB {row['from_b']}, Shifted {row['shifted']})" for row in report["generators"]),
+        *_homology_lines(report),
+    ]
+
+
+def _trajectories_text(report: dict) -> list[str]:
+    named = lambda g: f"{g['tag']}:{g['name']} (degree {g['degree']})"
+    lines = [
+        f"beta = {named(report['beta'])}, alpha = {named(report['alpha'])}",
+        f"trajectories: {report['count']}, weight sum {report['weight_sum']:+d}",
+    ]
+    for i, t in enumerate(report["trajectories"], start=1):
+        extent = f", p={t['p']}, l={t['l']}" if t["case"] in (4, 5) else ""
+        path = " -> ".join("[" + " ".join(step) + "]" for step in t["steps"])
+        lines.append(f"  {i}. case {t['case']}{extent}, weight {t['weight']:+d}: {path}")
+    return lines
+
+
+def _verify_text(report: dict) -> list[str]:
+    from .verify import CheckResult
+
+    lines = []
+    for stage, checks in itertools.groupby(report["checks"], key=lambda c: c["stage"]):
+        lines.append(f"{stage}:")
+        lines += [f"  {CheckResult(c['name'], c['ok'], c['detail'])}" for c in checks]
+    verdict = "PASS" if report["ok"] else "FAIL"
+    return [*lines, f"verdict: {verdict} ({len(report['checks'])} checks)"]
+
+
+def _oracle_text(report: dict) -> list[str]:
+    return [_complex_line(report), *_homology_lines(report)]
+
+
+_TEXT = {"homology": _homology_text, "trajectories": _trajectories_text,
+         "verify": _verify_text, "oracle": _oracle_text}
 
 
 if __name__ == "__main__":

@@ -153,7 +153,7 @@ def _parse_fields_line(out: DecompositionFile, line: str, number: int) -> None:
     piece, colon, rest = line.partition(":")
     lhs, arrow, rhs = rest.partition("->")
     sigma, tau, piece = lhs.split(), rhs.split(), piece.strip()
-    if not (colon and arrow and sigma and tau) or piece not in ("A", "B", "I"):
+    if not (colon and arrow and sigma and tau) or "->" in rhs or piece not in ("A", "B", "I"):
         raise ParseError("field lines look like 'A: v2 -> v2 v5'", line=number)
     pair = (tuple(_checked(sigma, number)), tuple(_checked(tau, number)))
     out.fields.setdefault(piece, []).append(pair)

@@ -194,6 +194,29 @@ class TestTrajectoriesCommand:
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["count"] == 2
 
+    def test_generators_resolved_without_naming_the_degree(self, monkeypatch, capsys):
+        """BETA and ALPHA are looked up on ids: the run names one generator
+        (the target, once its trajectories are found) and lists none."""
+        mv = importlib.import_module("morsemv.mv")
+        calls = {"_named_generator": 0, "mv_generators": 0}
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(mv, "_named_generator", spy("_named_generator", mv._named_generator))
+        counted = spy("mv_generators", mv.mv_generators)
+        monkeypatch.setattr(mv, "mv_generators", counted)
+        monkeypatch.setattr(cli_module, "mv_generators", counted)
+        golden = Path(__file__).parent / "golden"
+        assert main(["trajectories", "--complex", str(golden / "torus.cx"),
+                     "--decomposition", str(golden / "torus.dec"),
+                     "I:v0,I:v1", "A:v4,A:v6"]) == 0
+        assert "trajectories: 2, weight sum +0" in capsys.readouterr().out
+        assert calls["_named_generator"] <= 1 and calls["mv_generators"] == 0
+
     def test_unknown_generator_exits_2(self, files, capsys):
         cx, dec = files
         assert main(["trajectories", "--complex", cx, "--decomposition", dec,

@@ -89,6 +89,7 @@ I: v0 -> v0 v1
         ("[A]\np\n[B]\nq\n[fields]\nC: v0 -> v0 v1\n", "field lines"),
         ("[A]\np\n[B]\nq\n[fields]\nA: v0 v0 v1\n", "field lines"),
         ("[A]\np\n[B]\nq\n[fields]\nA: -> v0 v1\n", "field lines"),
+        ("[A]\np\n[B]\nq\n[fields]\nA: v0 -> v0 v1 -> v4\n", "field lines"),
         ("[A]\np\n[B]\nq\n[fields]\nauto random xyz\n", "bad seed"),
         ("[A]\np\n[B]\nq\n[fields]\nauto sideways\n", "auto line"),
         ("[A]\np\n[B]\nq\n[fields]\nauto lexicographic\nauto random 1\n",
