@@ -57,6 +57,7 @@ from .mv import (
     SHIFTED,
     Decomposition,
     MVGenerator,
+    _generator,
     _keys_by_tag,
     _max_degree,
     _piece,
@@ -158,7 +159,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
@@ -239,7 +240,7 @@ def _cmd_homology(args) -> tuple[int, dict]:
 
 def _resolve_generator(d: Decomposition, token: str) -> MVGenerator:
     tag, simplex = parse_generator_name(token)
-    candidate = MVGenerator(tag, abs(simplex), simplex.dim + (1 if tag == SHIFTED else 0))
+    candidate = _generator(tag, simplex)
     try:
         _require_generator(d, candidate)
     except FieldError:

@@ -30,14 +30,15 @@ Subcomplexes are *views* of one table: `subcomplex` and `intersection`
 return complexes that share the table and differ only in a membership mask,
 and a tagged copy (`copy_relabel`) shares the mask too, naming every vertex
 v as tag + v.  A view is a `SimplicialComplex` in every respect and equals
-the complex closed afresh from the same generators.  `Simplex` objects are
-built from the names only when asked for, once per (tag, id).
+the complex closed afresh from the same generators.  Computation runs on
+ids; `_Table.simplex` names a member only for what is reported, afresh on
+every request, and no name is cached or carried from one copy to another.
 """
 from __future__ import annotations
 
 import itertools
 import operator
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import ComplexError
 
@@ -151,9 +152,6 @@ class Simplex:
     def is_face_of(self, other: "Simplex") -> bool:
         return set(self.vertices) <= set(other.vertices)
 
-    def relabel(self, mapping: Mapping[str, str]) -> "Simplex":
-        return Simplex((mapping[v] for v in self.vertices), self.sign)
-
 
 def _canonical(vertices: tuple[str, ...]) -> Simplex:
     """The positive simplex on valid, increasing vertices, built unchecked."""
@@ -192,11 +190,11 @@ class _Table:
     the order of names.  `start[q]` is the first id of dimension q
     (`start[-1]` the member count), `facets[i]` the facet ids of member i in
     vertex-drop order, and `cofacets[i]`, listed on first use, the ids
-    having i as a facet, ascending.  `Simplex` objects are built on first
-    request, once per (tag, id), with every vertex named tag + its name."""
+    having i as a facet, ascending.  `simplex` is the one place a member
+    becomes a `Simplex`, with every vertex named tag + its name; it builds
+    a fresh one on every call and caches none."""
 
-    __slots__ = ("names", "rank", "verts", "index", "start", "facets",
-                 "_cofacets", "_named", "_named_facets")
+    __slots__ = ("names", "rank", "verts", "index", "start", "facets", "_cofacets")
 
     def __init__(self, generators: Iterable[tuple[int, ...]], names: list[str]):
         levels: dict[int, set[tuple[int, ...]]] = {}
@@ -221,8 +219,6 @@ class _Table:
             level = self.verts[self.start[n - 1] : self.start[n]]
             self.facets += zip(*(map(get, map(drop, level)) for drop in _dropping(n)))
         self._cofacets: list[list[int]] | None = None
-        self._named: dict[str, list[Simplex | None]] = {}
-        self._named_facets: dict[str, dict[int, tuple[Simplex, ...]]] = {}
 
     @classmethod
     def of_names(cls, generators: list[tuple[str, ...]]) -> "_Table":
@@ -248,26 +244,8 @@ class _Table:
             self._cofacets = cof
         return self._cofacets
 
-    def named(self, tag: str) -> list[Simplex | None]:
-        """The per-id cache of Simplex objects named with `tag`."""
-        cache = self._named.get(tag)
-        if cache is None:
-            cache = self._named[tag] = [None] * len(self.verts)
-        return cache
-
     def simplex(self, i: int, tag: str) -> Simplex:
-        cache = self.named(tag)
-        s = cache[i]
-        if s is None:
-            s = cache[i] = _canonical(self.vertex_names(i, tag))
-        return s
-
-    def facet_simplices(self, i: int, tag: str) -> tuple[Simplex, ...]:
-        cache = self._named_facets.setdefault(tag, {})
-        fs = cache.get(i)
-        if fs is None:
-            fs = cache[i] = tuple(self.simplex(f, tag) for f in self.facets[i])
-        return fs
+        return _canonical(self.vertex_names(i, tag))
 
 
 def _dropping(n: int) -> list:
@@ -322,8 +300,6 @@ class SimplicialComplex:
             raise ComplexError("a simplicial complex needs at least one simplex")
         self._ids: tuple[list[int], ...] = tuple(ids)
         self._size = sum(map(len, ids))
-        self._simplices: dict[int, tuple[Simplex, ...]] = {}
-        self._maximal: tuple[Simplex, ...] | None = None
 
     def _view(self, mask: bytearray, tag: str | None = None) -> "SimplicialComplex":
         """The complex over this table with the given (closed) member mask."""
@@ -359,9 +335,7 @@ class SimplicialComplex:
 
     def _simplices_of(self, ids: Iterable[int]) -> tuple[Simplex, ...]:
         """The members with these ids, named with this complex's tag."""
-        table, tag = self._table, self._tag
-        cache = table.named(tag)
-        return tuple([cache[i] or table.simplex(i, tag) for i in ids])
+        return tuple(map(self._simplex, ids))
 
     def _members_in(self, other: "SimplicialComplex") -> bytearray:
         """The mask, over this table, of the members also in `other`."""
@@ -395,9 +369,7 @@ class SimplicialComplex:
     @property
     def maximal_simplices(self) -> tuple[Simplex, ...]:
         """The members that are facets of no member, in canonical order."""
-        if self._maximal is None:
-            self._maximal = self._simplices_of(self._maximal_ids())
-        return self._maximal
+        return self._simplices_of(self._maximal_ids())
 
     def simplices(self, q: int | None = None) -> tuple[Simplex, ...]:
         """All simplices of dimension q (empty tuple if none), or every
@@ -408,10 +380,7 @@ class SimplicialComplex:
             ))
         if not 0 <= q < len(self._ids):
             return ()
-        out = self._simplices.get(q)
-        if out is None:
-            out = self._simplices[q] = self._simplices_of(self._ids[q])
-        return out
+        return self._simplices_of(self._ids[q])
 
     def __iter__(self) -> Iterator[Simplex]:
         return iter(self.simplices())
@@ -451,7 +420,7 @@ class SimplicialComplex:
     def facets(self, s: Simplex) -> tuple[Simplex, ...]:
         """The facets of a member simplex, as members, in vertex-drop order:
         the k-th drops the k-th vertex and has incidence (-1)^k with s."""
-        return self._table.facet_simplices(self._member(s), self._tag)
+        return self._simplices_of(self._table.facets[self._member(s)])
 
     def cofacets(self, s: Simplex) -> tuple[Simplex, ...]:
         """Members having s as a facet."""
@@ -509,25 +478,14 @@ def intersection(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComple
 
 class ComplexCopy:
     """A tagged copy of a complex: the same id table and members, with
-    every vertex v named tag + v.
-
-    `push` carries simplices from the source into the copy, `pull` goes back.
-    Both preserve orientation: prefixing a fixed tag preserves the order of
-    vertex names, so incidence numbers agree across the renaming.
+    every vertex v named tag + v.  There is no renaming between a copy and
+    its source, as both are ids of one table; a fixed prefix keeps the
+    order of vertex names, so orientations and incidence numbers agree.
     """
 
     def __init__(self, source: SimplicialComplex, tag: str):
         self.tag = tag
         self.complex = source._tagged(tag)
-
-    def push(self, s: Simplex) -> Simplex:
-        return Simplex([self.tag + v for v in s.vertices], s.sign)
-
-    def pull(self, s: Simplex) -> Simplex:
-        tag = self.tag
-        if not all(v.startswith(tag) for v in s.vertices):
-            raise ComplexError(f"{s} is not in the {tag} copy")
-        return Simplex([v[len(tag):] for v in s.vertices], s.sign)
 
 
 def copy_relabel(y: SimplicialComplex, tag: str) -> ComplexCopy:

@@ -236,8 +236,8 @@ class GradientField:
 
     The field lives on the complex's id table, as the arrays `_up`, `_down`
     and `_lift` (see `_matching`), which `_arcs` reads; certification also
-    lists the critical ids of each degree, once.  `pairs`, `critical` and
-    `field` name them as simplices on first use."""
+    lists the critical ids of each degree, once.  `pairs` and `critical`
+    name them as simplices on every call, and `field` on its first."""
 
     _TOKEN = object()
 
@@ -274,7 +274,6 @@ class GradientField:
         gvf._critical_ids = tuple(
             [i for i in ids if up[i] < 0 and down[i] < 0] for ids in complex._ids
         )
-        gvf._critical, gvf._pairs = {}, None
         return gvf
 
     def _is_critical(self, i: int) -> bool:
@@ -289,11 +288,9 @@ class GradientField:
     @property
     def pairs(self) -> tuple[tuple[Simplex, Simplex], ...]:
         """The pairs (sigma, tau), ordered by tau."""
-        if self._pairs is None:
-            taus = [tau for tau, sigma in enumerate(self._down) if sigma >= 0]
-            name = self.complex._simplices_of
-            self._pairs = tuple(zip(name(self._down[t] for t in taus), name(taus)))
-        return self._pairs
+        taus = [tau for tau, sigma in enumerate(self._down) if sigma >= 0]
+        name = self.complex._simplices_of
+        return tuple(zip(name(self._down[t] for t in taus), name(taus)))
 
     def critical(self, q: int | None = None) -> tuple[Simplex, ...]:
         """The unmatched simplices of dimension q (empty tuple if none), or
@@ -305,13 +302,11 @@ class GradientField:
             ))
         if not 0 <= q < len(self._critical_ids):
             return ()
-        out = self._critical.get(q)
-        if out is None:
-            out = self._critical[q] = self.complex._simplices_of(self._critical_ids[q])
-        return out
+        return self.complex._simplices_of(self._critical_ids[q])
 
     def __repr__(self) -> str:
-        return f"<GradientField with {len(self.pairs)} pairs on {self.complex!r}>"
+        pairs = sum(sigma >= 0 for sigma in self._down)
+        return f"<GradientField with {pairs} pairs on {self.complex!r}>"
 
 
 class Trajectory:

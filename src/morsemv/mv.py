@@ -213,14 +213,6 @@ class Decomposition:
         """The field of each generator tag's copy."""
         return {FROM_A: self.w_a, FROM_B: self.w_b, SHIFTED: self.w_i}
 
-    def transfer(self, s: Simplex, into: str) -> Simplex:
-        """Carry an intersection-copy simplex into the A- or B-copy along
-        the inclusions A n B -> A, B (by renaming through the base)."""
-        if self.iab_bar is None:
-            raise DecompositionError("the decomposition has an empty intersection")
-        target = self.a_bar if into == FROM_A else self.b_bar
-        return target.push(self.iab_bar.pull(s))
-
     def __repr__(self) -> str:
         ni = len(self.iab) if self.iab is not None else 0
         return (

@@ -25,6 +25,10 @@ The table references are the closure on tuples of vertex names that
 tuples, and the piece and ground maps of X~ read off its cells' names, as
 `morsemv.verify` derived them before X~ was closed on ints.
 
+`retag` renames a simplex from one tagged copy into another (or into or
+out of the untagged complex) by its vertex names, as the copies' renaming
+methods did before a copy became a tag on its source's ids.
+
 The trajectory references list trajectories one by one: the validators
 recheck each enumerated trajectory against the raw definition, and the
 per-pair checks of `check_main_iso` are run here as they ran before they
@@ -58,6 +62,14 @@ from morsemv.mv import (
     mv_trajectories_from,
 )
 from morsemv.verify import _A, _B, _INTERIOR, CheckResult, XTilde, _build_w_field, _f_image
+
+
+def retag(s: Simplex, old: str, new: str) -> Simplex:
+    """s with the tag `old` of each vertex name replaced by `new`, sign
+    kept: a fixed prefix preserves the order of names, so the renaming
+    preserves orientation."""
+    assert all(v.startswith(old) for v in s.vertices), f"{s} is not tagged {old!r}"
+    return Simplex([new + v[len(old):] for v in s.vertices], s.sign)
 
 
 def reference_greedy(
@@ -408,7 +420,8 @@ def validate_mv_trajectory(d: Decomposition, t: MVTrajectory) -> None:
             raise InternalConsistencyError(f"illegal descent step {sigma} from {prev}")
         if wi.up(sigma) != abs(here):
             raise InternalConsistencyError(f"({sigma}, {here}) is not an I-field pair")
-    if a_steps[0] != d.transfer(i_steps[-1], t.alpha.tag):
+    target = d.a_bar if t.alpha.tag == FROM_A else d.b_bar
+    if a_steps[0] != retag(i_steps[-1], d.iab_bar.tag, target.tag):
         raise InternalConsistencyError("transfer step does not match the descent end")
     for j in range(1, len(a_steps), 2):
         alpha_j, prev, here = a_steps[j], a_steps[j - 1], a_steps[j + 1]

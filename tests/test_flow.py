@@ -70,7 +70,7 @@ from morsemv.verify import (
     _w_tallies,
 )
 from conftest import branching_complex, corpus_complexes, random_cover, random_small_complex
-from slow_reference import enumerated_mv_tallies, reference_complex_columns, reference_weight
+from slow_reference import enumerated_mv_tallies, reference_complex_columns, reference_weight, retag
 from test_mv import COVERS, INTERLEAVED, cover_decompositions
 from test_verify import assert_counts_match_enumeration
 
@@ -226,11 +226,11 @@ class TestBranchingFamily:
     def test_mv_counts_double_and_flow_matches(self, layers):
         _, _, top, bottom = branching_complex(layers)
         on_a, on_i = branching_decompositions(layers)
-        case_1 = enumerate_mv(on_a, MVGenerator(FROM_A, on_a.a_bar.push(top), 2),
-                              MVGenerator(FROM_A, on_a.a_bar.push(bottom), 1))
+        case_1 = enumerate_mv(on_a, MVGenerator(FROM_A, retag(top, "", "A:"), 2),
+                              MVGenerator(FROM_A, retag(bottom, "", "A:"), 1))
         assert len(case_1) == 2 ** layers
-        case_3 = enumerate_mv(on_i, MVGenerator(SHIFTED, on_i.iab_bar.push(top), 3),
-                              MVGenerator(SHIFTED, on_i.iab_bar.push(bottom), 2))
+        case_3 = enumerate_mv(on_i, MVGenerator(SHIFTED, retag(top, "", "I:"), 3),
+                              MVGenerator(SHIFTED, retag(bottom, "", "I:"), 2))
         assert len(case_3) == 2 ** layers
         assert_mv_matches(on_a)
         assert_mv_matches(on_i)

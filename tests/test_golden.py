@@ -63,3 +63,17 @@ def test_failing_verify_text_matches_golden(capsys, lose_trajectories):
     assert main(_text_argv("octahedron", "verify")) == 5
     want = (GOLDEN / "octahedron.verify-fail.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("suffix", ["cx", "dec"])
+def test_byte_order_mark_is_not_input(suffix, tmp_path, capsys):
+    """An input file that starts with a UTF-8 byte-order mark reads as the
+    same file without it."""
+    paths = {s: GOLDEN / f"octahedron.{s}" for s in ("cx", "dec")}
+    paths[suffix] = tmp_path / f"bom.{suffix}"
+    paths[suffix].write_bytes(b"\xef\xbb\xbf" + (GOLDEN / f"octahedron.{suffix}").read_bytes())
+    argv = ["homology", "--complex", str(paths["cx"]), "--decomposition", str(paths["dec"]),
+            "--output", "json"]
+    assert main(argv) == 0
+    want = (GOLDEN / "octahedron.homology.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want

@@ -50,6 +50,7 @@ from slow_reference import (
     reference_greedy,
     reference_table,
     reference_xtilde_maps,
+    retag,
 )
 
 STRATEGIES = [("lexicographic", None), ("random", 1), ("random", 2), ("random", 3)]
@@ -256,7 +257,8 @@ def test_only_w_and_pinned_fields_are_searched(tmp_path, monkeypatch, capsys, na
     assert "verdict: PASS" in capsys.readouterr().out
     _, d, _, _ = _load_decomposition(argparse.Namespace(
         complex=str(cx), decomposition=str(dec), strategy=None, seed=None))
-    fields = {piece: [(copy.pull(sigma), copy.pull(tau)) for sigma, tau in w.pairs]
+    fields = {piece: [(retag(sigma, copy.tag, ""), retag(tau, copy.tag, ""))
+                      for sigma, tau in w.pairs]
               for piece, w, copy in (("A", d.w_a, d.a_bar), ("B", d.w_b, d.b_bar),
                                      ("I", d.w_i, d.iab_bar))}
     (tmp_path / "pinned.dec").write_text(decomposition_text(d.a, d.b, fields))
@@ -369,7 +371,7 @@ class TestAcyclicityAgainstReference:
         rng = random.Random(2)
         for _ in range(30):
             field = random_matching(x, rng)
-            pushed = VectorField((copy.push(s), copy.push(t)) for s, t in field)
+            pushed = VectorField((retag(s, "", "A:"), retag(t, "", "A:")) for s, t in field)
             want = reference_closed_trajectory(pushed, copy.complex)
             assert is_acyclic(pushed, copy.complex) == (want is None)
             assert is_acyclic(field, x) == (want is None)
@@ -431,7 +433,8 @@ class TestPinnedFields:
             assert strategy == "random"
             greedy_json = homology_json(tmp_path, capsys)
             fields = {
-                piece: [(copy.pull(sigma), copy.pull(tau)) for sigma, tau in w.pairs]
+                piece: [(retag(sigma, copy.tag, ""), retag(tau, copy.tag, ""))
+                        for sigma, tau in w.pairs]
                 for piece, w, copy in (("A", greedy.w_a, greedy.a_bar),
                                        ("B", greedy.w_b, greedy.b_bar),
                                        ("I", greedy.w_i, greedy.iab_bar))

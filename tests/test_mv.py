@@ -40,7 +40,7 @@ from conftest import (
     poor_field,
     random_cover,
 )
-from slow_reference import reference_complex_columns, validate_mv_trajectory
+from slow_reference import reference_complex_columns, retag, validate_mv_trajectory
 from test_morse import brute_trajectories
 
 ALLOWED_ROUTES = {
@@ -116,7 +116,7 @@ def brute_mv_trajectories(d, beta: MVGenerator):
         return out
 
     wi = d.w_i.field
-    for case, tag, piece in ((4, "FromA", d.w_a), (5, "FromB", d.w_b)):
+    for case, tag, piece, copy in ((4, "FromA", d.w_a, d.a_bar), (5, "FromB", d.w_b, d.b_bar)):
         pv = piece.field
 
         def ascend(aseq):
@@ -145,7 +145,7 @@ def brute_mv_trajectories(d, beta: MVGenerator):
 
         def descend(iseq):
             tp = iseq[-1]
-            for aseq in ascend([d.transfer(tp, tag)]):
+            for aseq in ascend([retag(tp, d.iab_bar.tag, copy.tag)]):
                 alpha = MVGenerator(tag, aseq[-1], aseq[-1].dim)
                 out.setdefault(alpha, []).append((
                     case, tuple(iseq) + aseq, (len(iseq) - 1) // 2,
@@ -229,8 +229,9 @@ class TestBuildDecomposition:
         assert Simplex("A:v0 A:v5") in d.a_bar.complex
         assert Simplex("B:v0 B:v4") in d.b_bar.complex
         assert Simplex("I:v0 I:v1") in d.iab_bar.complex
-        assert d.transfer(Simplex("I:v0 I:v1"), "FromA") == Simplex("A:v0 A:v1")
-        assert d.transfer(Simplex("I:v0 I:v1"), "FromB") == Simplex("B:v0 B:v1")
+        for s in d.iab_bar.complex.simplices():
+            assert retag(s, "I:", "A:") in d.a_bar.complex
+            assert retag(s, "I:", "B:") in d.b_bar.complex
 
 
 class TestGenerators:

@@ -58,6 +58,7 @@ from slow_reference import (
     reference_v_pairs,
     reference_w_pairs,
     reference_xtilde,
+    retag,
 )
 from test_mv import COVERS, cover_decompositions
 
@@ -132,10 +133,7 @@ class TestVField:
         xt = oct_xtilde
         d = xt.decomposition
         v = _build_v_field(xt)
-        pushed = {
-            d.b_bar.push(d.iab_bar.pull(s))
-            for s in d.iab_bar.complex.simplices()
-        }
+        pushed = {retag(s, "I:", "B:") for s in d.iab_bar.complex.simplices()}
         expected = set(d.a_bar.complex.simplices()) | (
             set(d.b_bar.complex.simplices()) - pushed
         )
@@ -479,11 +477,11 @@ class TestChecks:
 
 
 @pytest.mark.parametrize("name", ["octahedron", "torus"])
-@pytest.mark.parametrize("command", ["verify", "oracle"])
+@pytest.mark.parametrize("command", ["homology", "verify", "oracle"])
 def test_passing_run_names_nothing(monkeypatch, capsys, command, name):
-    """A passing `verify` or `oracle` compares on ids and generator keys: it
-    names no cell (of X or any other table) and builds no MV generator.
-    Names are built only to word a failing check."""
+    """`homology`, and a passing `verify` or `oracle`, compare on ids and
+    generator keys: they name no cell (of X or any other table) and build
+    no MV generator.  Names are built only to word a failing check."""
     named, generators = [], []
     simplex, init = complexes_module._Table.simplex, mv_module.MVGenerator.__init__
 
@@ -499,7 +497,7 @@ def test_passing_run_names_nothing(monkeypatch, capsys, command, name):
     monkeypatch.setattr(mv_module.MVGenerator, "__init__", generating)
     golden = Path(__file__).parent / "golden"
     argv = [command, "--complex", str(golden / f"{name}.cx"), "--output", "json"]
-    if command == "verify":
+    if command != "oracle":
         argv += ["--decomposition", str(golden / f"{name}.dec")]
     assert main(argv) == 0
     assert capsys.readouterr().out == (golden / f"{name}.{command}.json").read_text(encoding="utf-8")
