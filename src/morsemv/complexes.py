@@ -19,26 +19,30 @@ A `SimplicialComplex` closes a finite generating family downward into an
 id table, the one place members are stored.  Its vertices are ranked names
 (a rank is the position among the sorted names) and its members int tuples
 of ranks, so ids follow (dimension, vertex tuple) order, the canonical order
-of every report.  The table lists each member's facets as ids in
-vertex-drop order, so facet k of a positive tau has <tau, facet k> =
-(-1)^k, and each member's cofacets as ascending ids.  That table is the
-single source of facet order and boundary sign; the public accessors
-`facets` and `cofacets` read it, and the field and trajectory code in
-`morse` and `mv` walks its ids directly.
+of every report.  A generator may name its vertices in any order: they are
+ranked, then the ranks sorted.  The closure is one pass from the top
+dimension down, which sorts each level and drops each vertex of it once;
+the same drop lists give the facet ids.  The table lists each member's
+facets as ids in vertex-drop order, so facet k of a positive tau has
+<tau, facet k> = (-1)^k, and each member's cofacets as ascending ids.
+That table is the single source of facet order and boundary sign; the
+public accessors `facets` and `cofacets` read it, and the field and
+trajectory code in `morse` and `mv` walks its ids directly.
 
 Subcomplexes are *views* of one table: `subcomplex` and `intersection`
 return complexes that share the table and differ only in a membership mask,
-and a tagged copy (`copy_relabel`) shares the mask too, naming every vertex
-v as tag + v.  A view is a `SimplicialComplex` in every respect and equals
-the complex closed afresh from the same generators.  Computation runs on
-ids; `_Table.simplex` names a member only for what is reported, afresh on
-every request, and no name is cached or carried from one copy to another.
+and a tagged copy (`copy_relabel`) shares the mask, ids and size too,
+naming every vertex v as tag + v.  A view is a `SimplicialComplex` in every
+respect and equals the complex closed afresh from the same generators.
+Computation runs on ids; `_Table.simplex` names a member only for what is
+reported, afresh on every request, and no name is cached or carried from
+one copy to another.
 """
 from __future__ import annotations
 
 import itertools
 import operator
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ComplexError
 
@@ -190,9 +194,12 @@ class _Table:
     the order of names.  `start[q]` is the first id of dimension q
     (`start[-1]` the member count), `facets[i]` the facet ids of member i in
     vertex-drop order, and `cofacets[i]`, listed on first use, the ids
-    having i as a facet, ascending.  `simplex` is the one place a member
-    becomes a `Simplex`, with every vertex named tag + its name; it builds
-    a fresh one on every call and caches none."""
+    having i as a facet, ascending.  The closure runs once, top down: each
+    level's drop lists (one per dropped position, aligned with the sorted
+    level) fill the level below and, once every member has an id, become
+    the level's facets.  `simplex` is the one place a member becomes a
+    `Simplex`, with every vertex named tag + its name; it builds a fresh
+    one on every call and caches none."""
 
     __slots__ = ("names", "rank", "verts", "index", "start", "facets", "_cofacets")
 
@@ -201,31 +208,38 @@ class _Table:
         for vs in generators:
             levels.setdefault(len(vs), set()).add(vs)
         top = max(levels)
-        for n in range(top, 1, -1):
-            lower = levels.setdefault(n - 1, set())
-            for drop in _dropping(n):
-                lower.update(map(drop, levels.get(n, ())))
+        ordered: list[list[tuple[int, ...]]] = [[]] * (top + 1)
+        dropped: list[list[list[tuple[int, ...]]]] = [[]] * (top + 1)
+        for n in range(top, 0, -1):
+            level = ordered[n] = sorted(levels.pop(n))
+            if n > 1:
+                lower = levels.setdefault(n - 1, set())
+                dropped[n] = [list(map(drop, level)) for drop in _dropping(n)]
+                for faces in dropped[n]:
+                    lower.update(faces)
         self.names = names
         self.rank = dict(zip(names, range(len(names))))
         self.verts: list[tuple[int, ...]] = []
         self.start = [0]
-        for n in range(1, top + 1):
-            self.verts.extend(sorted(levels[n]))
+        for level in ordered[1:]:
+            self.verts += level
             self.start.append(len(self.verts))
         self.index = dict(zip(self.verts, range(len(self.verts))))
         get = self.index.__getitem__
         self.facets: list[tuple[int, ...]] = [()] * self.start[1]
         for n in range(2, top + 1):
-            level = self.verts[self.start[n - 1] : self.start[n]]
-            self.facets += zip(*(map(get, map(drop, level)) for drop in _dropping(n)))
+            self.facets += zip(*(map(get, faces) for faces in dropped[n]))
+            dropped[n] = []  # free the level's drop lists once they are facets
         self._cofacets: list[list[int]] | None = None
 
     @classmethod
-    def of_names(cls, generators: list[tuple[str, ...]]) -> "_Table":
-        """The table closed from sorted tuples of vertex names, ranked."""
+    def of_names(cls, generators: list[Sequence[str]]) -> "_Table":
+        """The table closed from sequences of vertex names, each in any
+        order: a generator is ranked, then its ranks sorted, which gives the
+        ranks of its sorted names, as ranks keep the order of names."""
         names = sorted(set(itertools.chain.from_iterable(generators)))
         rank = dict(zip(names, range(len(names)))).__getitem__
-        return cls([tuple(map(rank, vs)) for vs in generators], names)
+        return cls([tuple(sorted(map(rank, vs))) for vs in generators], names)
 
     def __len__(self) -> int:
         return len(self.verts)
@@ -250,9 +264,10 @@ class _Table:
 
 def _dropping(n: int) -> list:
     """For k = 0..n-1, the function taking an n-tuple to the (n-1)-tuple
-    without its k-th entry."""
+    without its k-th entry, each an `operator.itemgetter`: of the other
+    entries, or for an edge of a one-entry slice, which keeps it a tuple."""
     if n == 2:
-        return [lambda vs: (vs[1],), lambda vs: (vs[0],)]
+        return [operator.itemgetter(slice(1, 2)), operator.itemgetter(slice(0, 1))]
     return [operator.itemgetter(*(j for j in range(n) if j != k)) for k in range(n)]
 
 
@@ -309,8 +324,12 @@ class SimplicialComplex:
 
     def _tagged(self, tag: str) -> "SimplicialComplex":
         """This complex with every vertex v renamed tag + v (the tag is
-        prefixed to any it already has)."""
-        return self._view(self._mask, tag + self._tag)
+        prefixed to any it already has): the same table, mask, ids and
+        size, shared with this complex rather than read off the mask again."""
+        copy = object.__new__(SimplicialComplex)
+        copy._table, copy._mask, copy._tag = self._table, self._mask, tag + self._tag
+        copy._ids, copy._size = self._ids, self._size
+        return copy
 
     # -- ids -----------------------------------------------------------------
 

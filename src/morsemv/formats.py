@@ -25,9 +25,11 @@ The `[fields]` section may instead hold a single strategy line,
 `auto lexicographic` or `auto random <seed>`, and may be omitted entirely;
 pieces without explicit pairs fall back to the greedy strategy.
 
-The parsers return vertex tuples, sorted for a complex line or an [A]/[B]
-line and as written for a field pair's ends (the order is the orientation an
-error shows); a `Simplex` is built only to word an error.
+The parsers return vertex tuples, sorted for an [A]/[B] line and as written
+for a field pair's ends (the order is the orientation an error shows); a
+`Simplex` is built only to word an error.  A complex line's names go to the
+id table as written, which ranks them and sorts the ranks, so no line's
+names are sorted as strings.
 
 Generator names on the command line are the tagged comma-joined vertex
 lists used in reports, e.g. `A:v5` or `I:v2,I:v3`; the tag prefix (A/B/I)
@@ -73,7 +75,7 @@ def _vertices(line: str, number: int) -> tuple[str, ...]:
 
 def parse_complex(text: str) -> SimplicialComplex:
     """Read a complex file (maximal simplices, one per line)."""
-    generators = [_vertices(line, number) for number, line in _content_lines(text)]
+    generators = [_checked(line.split(), number) for number, line in _content_lines(text)]
     if not generators:
         raise ParseError("no simplices in complex file")
     return SimplicialComplex._of(_Table.of_names(generators))

@@ -405,7 +405,9 @@ def _simplicial_chains(x: SimplicialComplex, labels=None) -> IntegerChainComplex
     column of a q-simplex t holds (-1)^k at the row of `x.facets(t)[k]`,
     read from the facet id table: a facet's row is its position among the
     (q-1)-simplices of x, which for a complex closed from generators is its
-    id minus the first id of degree q-1."""
+    id minus the first id of degree q-1.  Those rows are in range and the
+    entries nonzero by construction, so the complex is set up without the
+    shape check of `from_columns`; `_setup` still checks d∘d = 0."""
     facets = x._table.facets
     row = [0] * len(facets)
     for ids in x._ids:
@@ -416,7 +418,9 @@ def _simplicial_chains(x: SimplicialComplex, labels=None) -> IntegerChainComplex
         [dict(zip(map(row.__getitem__, facets[t]), signs)) for t in ids]
         for ids in x._ids[1:]
     ]
-    return IntegerChainComplex.from_columns(list(map(len, x._ids)), columns, labels)
+    chains = IntegerChainComplex.__new__(IntegerChainComplex)
+    chains._setup(tuple(map(len, x._ids)), columns, labels)
+    return chains
 
 
 def simplicial_chain_complex(x: SimplicialComplex) -> IntegerChainComplex:

@@ -215,16 +215,23 @@ def _closed_trajectory(gvf: "GradientField") -> tuple[Simplex, ...] | None:
 
 
 def _descends(gvf: "GradientField", clock: list[int]) -> bool:
-    """Whether clock[nu] < clock[tau] on every arc tau -> nu >= 0 of
-    `_arcs` out of a cell tau matched downward, the only cells a closed
-    trajectory passes through.  Only the complex's own ids are read, so a
-    field on a piece costs what the piece holds, not what its table does."""
-    arcs, down = _arcs(gvf), gvf._down
-    return all(
-        clock[nu] < clock[tau]
-        for ids in gvf.complex._ids[1:] for tau in ids if down[tau] >= 0
-        for _, _, nu in arcs(tau) if nu >= 0
-    )
+    """Whether clock[nu] < clock[tau] on every arc tau -> nu >= 0 out of a
+    cell tau matched downward, the only cells a closed trajectory passes
+    through: the arcs of `_arcs` without their signs, read off `up`, `down`
+    and the facet table, stopping at the first that does not descend.  Only
+    the complex's own ids are read, so a field on a piece costs what the
+    piece holds, not what its table does."""
+    up, down, facets = gvf._up, gvf._down, gvf.complex._table.facets
+    for ids in gvf.complex._ids[1:]:
+        for tau in ids:
+            d = down[tau]
+            if d >= 0:
+                c = clock[tau]
+                for sigma in facets[tau]:
+                    nu = up[sigma]
+                    if nu >= 0 and sigma != d and clock[nu] >= c:
+                        return False
+    return True
 
 
 class GradientField:
@@ -606,9 +613,9 @@ def greedy_gvf(
     elif strategy not in ("lex", "lexicographic"):
         raise FieldError(f"unknown strategy {strategy!r}")
     n = len(table)
-    position, live = [0] * n, [0] * n
+    position, live = [0] * n, list(map(len, facets))
     for p, i in enumerate(order):
-        position[i], live[i] = p, len(facets[i])
+        position[i] = p
     alive = bytearray(x._mask)
     candidates: list[int] = []
     up, down, lift, clock = [-1] * n, [-1] * n, [1] * n, [0] * n

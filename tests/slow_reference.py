@@ -25,6 +25,10 @@ The table references are the closure on tuples of vertex names that
 tuples, and the piece and ground maps of X~ read off its cells' names, as
 `morsemv.verify` derived them before X~ was closed on ints.
 
+The clock reference is the check that a certifying clock descends, as
+`morsemv.morse` ran it before it read `up`, `down` and the facet table
+directly: over the signed arcs of `_arcs`, one list per cell.
+
 `retag` renames a simplex from one tagged copy into another (or into or
 out of the untagged complex) by its vertex names, as the copies' renaming
 methods did before a copy became a tag on its source's ids.
@@ -50,7 +54,14 @@ from morsemv import (
     incidence,
 )
 from morsemv.complexes import union
-from morsemv.morse import DEFAULT_SEED, GradientField, _grouped, _path_weight, _trajectory_ids
+from morsemv.morse import (
+    DEFAULT_SEED,
+    GradientField,
+    _arcs,
+    _grouped,
+    _path_weight,
+    _trajectory_ids,
+)
 from morsemv.mv import (
     FROM_A,
     FROM_B,
@@ -152,6 +163,17 @@ def reference_table(
         for f in fs:
             cofacets[f].append(t)
     return verts, facets, cofacets
+
+
+def reference_descends(gvf: GradientField, clock: list[int]) -> bool:
+    """Whether clock[nu] < clock[tau] on every arc tau -> nu >= 0 of
+    `_arcs` out of a cell tau of gvf's complex matched downward."""
+    arcs, down = _arcs(gvf), gvf._down
+    return all(
+        clock[nu] < clock[tau]
+        for ids in gvf.complex._ids[1:] for tau in ids if down[tau] >= 0
+        for _, _, nu in arcs(tau) if nu >= 0
+    )
 
 
 def reference_xtilde_maps(xt: XTilde) -> tuple[list[int], list[int]]:

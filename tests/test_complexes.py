@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morsemv import (
@@ -294,3 +294,19 @@ class TestComplexCopy:
             assert [retag(f, "I:", "") for f in facets] == list(x.facets(source))
             for sigma in facets:
                 assert incidence(tau, sigma) == incidence(source, retag(sigma, "I:", ""))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_a_copy_reads_like_a_view_of_its_mask(self, rng):
+        """A tagged copy shares its source's ids and size; they are those a
+        view closed over the same mask reads off it."""
+        x = SimplicialComplex(random_generators(rng))
+        maximal = list(x.maximal_simplices)
+        piece = x.subcomplex(rng.sample(maximal, rng.randint(1, len(maximal))))
+        for source in (x, piece, copy_relabel(piece, "B:").complex):
+            copy = copy_relabel(source, "A:").complex
+            view = source._view(source._mask, "A:" + source._tag)
+            assert copy._ids == view._ids
+            assert len(copy) == len(view)
+            assert copy.f_vector() == view.f_vector()
+            assert copy.simplices() == view.simplices()

@@ -4,6 +4,7 @@ the freshly closed complex or the Simplex-keyed reference it replaced."""
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import random
 from pathlib import Path
@@ -33,7 +34,7 @@ from morsemv import (
 )
 from morsemv.cli import _load_decomposition, main
 from morsemv.complexes import _Table, copy_relabel, intersection, union
-from morsemv.homology import simplicial_chain_complex
+from morsemv.homology import _simplicial_chains, simplicial_chain_complex
 from morsemv import morse
 from morsemv.morse import GradientField, is_acyclic
 from conftest import (
@@ -47,6 +48,7 @@ from conftest import (
 from slow_reference import (
     ReferencePrism,
     reference_closed_trajectory,
+    reference_descends,
     reference_greedy,
     reference_table,
     reference_xtilde_maps,
@@ -155,6 +157,26 @@ class TestTableAgainstReference:
             assert table.cofacets == cofacets
             assert [s.vertices for s in x.simplices()] == verts
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.lists(st.sampled_from(AWKWARD_NAMES), min_size=1, max_size=4, unique=True),
+        min_size=1, max_size=12,
+    ), st.randoms(use_true_random=False))
+    def test_lines_in_any_vertex_order_and_repeated(self, generators, rng):
+        """A complex file may list a simplex's vertices in any order, and
+        the same simplex on more than one line; the table is the closure
+        of the sorted name tuples all the same."""
+        lines = [list(g) for g in generators]
+        lines += [list(rng.choice(generators)) for _ in range(rng.randint(1, 4))]
+        for line in lines:
+            rng.shuffle(line)
+        rng.shuffle(lines)
+        table = parse_complex("".join(" ".join(line) + "\n" for line in lines))._table
+        verts, facets, cofacets = reference_table(tuple(sorted(g)) for g in generators)
+        assert [tuple(table.names[v] for v in vs) for vs in table.verts] == verts
+        assert table.facets == facets
+        assert table.cofacets == cofacets
+
     def test_xtilde_piece_and_ground_match_names(self):
         for name, x in sorted(corpus_complexes().items()):
             rng = random.Random(len(name))
@@ -163,6 +185,45 @@ class TestTableAgainstReference:
                 piece, ground = reference_xtilde_maps(xt)
                 assert list(xt._piece) == piece
                 assert xt._ground == ground
+
+
+def reference_chain_columns(generators) -> list[list[dict[int, int]]]:
+    """The columns of C_*(X) for the closure of `generators`, from
+    `reference_table`: the column of a q-simplex holds (-1)^k at the row of
+    its facet k, the facet's position among the (q-1)-simplices."""
+    verts, facets, _ = reference_table(tuple(s.vertices) for s in generators)
+    first: dict[int, int] = {}
+    for i, vs in enumerate(verts):
+        first.setdefault(len(vs), i)
+    return [
+        [{f - first[n - 1]: (-1) ** k for k, f in enumerate(facets[t])}
+         for t, vs in enumerate(verts) if len(vs) == n]
+        for n in range(2, len(verts[-1]) + 1)
+    ]
+
+
+class TestSimplicialChains:
+    """`_simplicial_chains` builds C_*(X) from the facet table without the
+    range check of `IntegerChainComplex.from_columns`; its columns are
+    checked here against the reference table instead."""
+
+    @staticmethod
+    def check(x: SimplicialComplex) -> None:
+        chains = _simplicial_chains(x)
+        assert chains.ranks == x.f_vector()
+        assert chains.columns == reference_chain_columns(x.maximal_simplices)
+
+    def test_corpus_pieces_and_copies(self):
+        for name, x in sorted(corpus_complexes().items()):
+            self.check(x)
+            for view, _ in cover_pieces(x, len(name)):
+                self.check(view)
+                self.check(copy_relabel(view, "B:").complex)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_hypothesis_complexes(self, rng):
+        self.check(SimplicialComplex(random_generators(rng)))
 
 
 class TestViews:
@@ -331,6 +392,41 @@ class TestGreedyAgainstReference:
             )
             assert again._critical_ids == gvf._critical_ids
         assert len(searched) == continuing > 0
+
+
+def check_clocks(x: SimplicialComplex, rng: random.Random, tally: collections.Counter) -> None:
+    """`_descends` and `reference_descends` agree on a greedy field of x
+    and on a random matching, each with the greedy clock, the clock
+    reversed, three shuffles of the ids and a clock of many ties; `tally`
+    counts (whether the field has a closed trajectory, verdict)."""
+    greedy, clock = greedy_and_clock(x, "lexicographic", None)
+    n = len(x._table)
+    forged = [list(range(n)) for _ in range(3)]
+    for ids in forged:
+        rng.shuffle(ids)
+    forged.append([rng.randrange(3) for _ in range(n)])
+    matching = random_matching(x, rng)
+    cyclic = reference_closed_trajectory(matching, x) is not None
+    for gvf, closed in ((greedy, False), (uncertified(x, matching), cyclic)):
+        for c in (clock, [-t for t in clock], *forged):
+            verdict = morse._descends(gvf, c)
+            assert verdict == reference_descends(gvf, c)
+            tally[closed, verdict] += 1
+
+
+class TestClockAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_hypothesis_complexes(self, rng):
+        check_clocks(SimplicialComplex(random_generators(rng)), rng, collections.Counter())
+
+    def test_corpus_sees_every_verdict(self):
+        rng, tally = random.Random(17), collections.Counter()
+        for x in corpus_complexes().values():
+            for _ in range(10):
+                check_clocks(x, rng, tally)
+        assert tally[False, True] and tally[False, False] and tally[True, False]
+        assert not tally[True, True]  # no clock descends along a closed trajectory
 
 
 class TestAcyclicityAgainstReference:
