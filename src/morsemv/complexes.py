@@ -19,12 +19,14 @@ A `SimplicialComplex` closes a finite generating family downward into an
 id table, the one place members are stored.  Its vertices are ranked names
 (a rank is the position among the sorted names) and its members int tuples
 of ranks, so ids follow (dimension, vertex tuple) order, the canonical order
-of every report.  A generator may name its vertices in any order: they are
-ranked, then the ranks sorted.  The closure is one pass from the top
-dimension down, which sorts each level and drops each vertex of it once;
-the same drop lists give the facet ids.  The table lists each member's
-facets as ids in vertex-drop order, so facet k of a positive tau has
-<tau, facet k> = (-1)^k, and each member's cofacets as ascending ids.
+of every report.  Names reach ids by one rule: a generator, or a member
+looked up (`SimplicialComplex._id_of`), may name its vertices in any
+order; they are ranked, then the ranks sorted, never sorted as strings.
+The closure is one pass from the top dimension down, which sorts each
+level and drops each vertex of it once; the same drop lists give the
+facet ids.  The table lists each member's facets as ids in vertex-drop
+order, so facet k of a positive tau has <tau, facet k> = (-1)^k, and
+each member's cofacets as ascending ids.
 That table is the single source of facet order and boundary sign; the
 public accessors `facets` and `cofacets` read it, and the field and
 trajectory code in `morse` and `mv` walks its ids directly.
@@ -155,6 +157,11 @@ class Simplex:
 
     def is_face_of(self, other: "Simplex") -> bool:
         return set(self.vertices) <= set(other.vertices)
+
+
+def _names(s: Simplex | str | Iterable[str]) -> Iterable[str]:
+    """The vertex names of a Simplex, of a string of names, or of names."""
+    return s.vertices if isinstance(s, Simplex) else s.split() if isinstance(s, str) else s
 
 
 def _canonical(vertices: tuple[str, ...]) -> Simplex:
@@ -333,18 +340,18 @@ class SimplicialComplex:
 
     # -- ids -----------------------------------------------------------------
 
-    def _id_of(self, vertices: tuple[str, ...]) -> int | None:
-        """The id of the member with these (sorted) vertex names, or None."""
-        tag = self._tag
-        if tag:
-            if not all(v.startswith(tag) for v in vertices):
-                return None
-            k = len(tag)
-            vertices = tuple([v[k:] for v in vertices])
-        table = self._table
-        # a name that is no vertex ranks as None, which no member has
-        i = table.index.get(tuple(map(table.rank.get, vertices)))
-        return i if i is not None and self._mask[i] else None
+    def _id_of(self, vertices: Iterable[str]) -> int | None:
+        """The id of the member with these vertex names, in any order, or
+        None: ranked, then the ranks sorted, as in `_Table.of_names`.  A
+        name that is not a vertex never matches, nor does a repeated one."""
+        tag, table = self._tag, self._table
+        if tag:  # a name without the tag becomes None, which is no vertex
+            vertices = [v[len(tag):] if v.startswith(tag) else None for v in vertices]
+        try:
+            i = table.index[tuple(sorted(map(table.rank.__getitem__, vertices)))]
+        except KeyError:
+            return None
+        return i if self._mask[i] else None
 
     def _id(self, s: Simplex) -> int | None:
         return self._id_of(s.vertices)
@@ -408,11 +415,7 @@ class SimplicialComplex:
         return self._size
 
     def __contains__(self, s) -> bool:
-        if isinstance(s, Simplex):
-            return self._id(s) is not None
-        if isinstance(s, str):
-            s = s.split()
-        return self._id_of(tuple(sorted(s))) is not None
+        return self._id_of(_names(s)) is not None
 
     def __eq__(self, other) -> bool:
         return (
@@ -490,7 +493,7 @@ def intersection(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComple
     test for overlap first.
     """
     common = x._members_in(y)
-    if not any(common):
+    if 1 not in common:
         raise ComplexError("the complexes share no simplices")
     return x._view(common)
 

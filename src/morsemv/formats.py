@@ -25,11 +25,11 @@ The `[fields]` section may instead hold a single strategy line,
 `auto lexicographic` or `auto random <seed>`, and may be omitted entirely;
 pieces without explicit pairs fall back to the greedy strategy.
 
-The parsers return vertex tuples, sorted for an [A]/[B] line and as written
-for a field pair's ends (the order is the orientation an error shows); a
-`Simplex` is built only to word an error.  A complex line's names go to the
-id table as written, which ranks them and sorts the ranks, so no line's
-names are sorted as strings.
+The parsers return every vertex list as written: an [A]/[B] line, a field
+pair's end (whose order is the orientation an error shows) and a complex
+line alike.  X's id table reads each by its one rule, ranking the names and
+sorting the ranks, so no line's names are sorted as strings; a `Simplex` is
+built only to word an error.
 
 Generator names on the command line are the tagged comma-joined vertex
 lists used in reports, e.g. `A:v5` or `I:v2,I:v3`; the tag prefix (A/B/I)
@@ -68,11 +68,6 @@ def _checked(tokens: list[str], number: int) -> list[str]:
     return tokens
 
 
-def _vertices(line: str, number: int) -> tuple[str, ...]:
-    """The sorted vertex names of a line holding one simplex."""
-    return tuple(sorted(_checked(line.split(), number)))
-
-
 def parse_complex(text: str) -> SimplicialComplex:
     """Read a complex file (maximal simplices, one per line)."""
     generators = [_checked(line.split(), number) for number, line in _content_lines(text)]
@@ -85,10 +80,10 @@ Vertices = tuple[str, ...]
 
 
 class DecompositionFile(_Record):
-    """The parsed content of a decomposition file: the generators of A and
-    B as sorted vertex tuples; `fields` maps piece names to explicit pair
-    lists, each end's vertices as written; `strategy`/`seed` carry an `auto`
-    line if any.  Mutable, so not hashable."""
+    """The parsed content of a decomposition file, every vertex list as
+    written: the generators of A and B as vertex tuples; `fields` maps piece
+    names to explicit pair lists, each end a vertex tuple; `strategy`/`seed`
+    carry an `auto` line if any.  Mutable, so not hashable."""
 
     __slots__ = _fields = ("a_generators", "b_generators", "fields", "strategy", "seed")
     __hash__ = None  # type: ignore[assignment]
@@ -115,12 +110,11 @@ def parse_decomposition(text: str) -> DecompositionFile:
             raise ParseError(f"unknown section {line}", line=number)
         if section is None:
             raise ParseError("content before any [A]/[B]/[fields] section", line=number)
-        if section == "A":
-            out.a_generators.append(_vertices(line, number))
-        elif section == "B":
-            out.b_generators.append(_vertices(line, number))
-        else:
+        if section == "fields":
             _parse_fields_line(out, line, number)
+        else:
+            generators = out.a_generators if section == "A" else out.b_generators
+            generators.append(tuple(_checked(line.split(), number)))
     if not out.a_generators:
         raise ParseError("decomposition file has no [A] simplices")
     if not out.b_generators:
@@ -135,9 +129,9 @@ def _parse_fields_line(out: DecompositionFile, line: str, number: int) -> None:
         if out.strategy is not None:
             raise ParseError("more than one auto line", line=number)
         words = line.split()
-        if len(words) >= 2 and words[1] in ("lex", "lexicographic") and len(words) == 2:
+        if words[1:] in (["lex"], ["lexicographic"]):
             out.strategy = "lexicographic"
-        elif len(words) >= 2 and words[1] == "random" and len(words) <= 3:
+        elif words[1:2] + words[3:] == ["random"]:  # then at most a seed
             out.strategy = "random"
             if len(words) == 3:
                 try:

@@ -141,18 +141,12 @@ def _dense(columns: Sequence[Column], nrows: int) -> Matrix:
     return rows
 
 
-def _sparse_snf(columns: Sequence[Column], nrows: int) -> tuple[tuple[int, ...], int]:
-    """Invariant factors and rank of the matrix with `nrows` rows and the
-    given columns: the result of `smith_normal_form` on its rows.  The input
-    is not modified."""
-    factors, rank, _ = _eliminate(columns, nrows)
-    return factors, rank
-
-
 def _eliminate(
     columns: Sequence[Column], nrows: int
 ) -> tuple[tuple[int, ...], int, set[int]]:
-    """`_sparse_snf` of the matrix, and the rows of its unit pivots.
+    """The invariant factors and rank of the matrix with `nrows` rows and
+    the given columns, which `smith_normal_form` gives on its rows, and the
+    rows of its unit pivots.  The input is not modified.
 
     A unit pivot a_ij = +-1 is eliminated by column operations: every other
     column k with a nonzero a_ik becomes col_k - a_ik * a_ij * col_j, which

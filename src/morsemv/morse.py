@@ -34,7 +34,8 @@ those arcs: from tau down to a facet sigma other than down(tau), then up to
 up(sigma), signed as in w.  Every sign is (-1)^k for the position k of a
 facet in the complex's facet table, which lists the facet dropping vertex k
 at position k.  An arc adds the memoised flow of its head, or ends at a
-critical cell as an entry of its node's base.  The flow of a critical
+critical cell as an entry of its node's base; `_flow` reads a node's
+arcs once, into the two, in one post-order loop.  The flow of a critical
 simplex is its boundary; summed by `_split` it maps each critical end to
 the number of trajectories and the sum of their weights, which `verify`
 checks pair by pair.  The walk of `trajectories_from` (its weights the
@@ -402,7 +403,7 @@ def trajectories_from(gvf: GradientField, tau: Simplex) -> dict[Simplex, list[Tr
     name = gvf.complex._simplices_of
     return {
         gvf.complex._simplex(end): [Trajectory._with_weight(name(s), w) for s, w in walks]
-        for end, walks in _grouped(_trajectory_ids(gvf, i)).items()
+        for end, walks in _grouped(_walk(i, _arcs(gvf), gvf._down)).items()
     }
 
 
@@ -413,12 +414,6 @@ def _grouped(walks: Iterable[tuple[tuple[int, ...], int]]) -> dict[int, list]:
     for walk in walks:
         out.setdefault(walk[0][-1], []).append(walk)
     return out
-
-
-def _trajectory_ids(gvf: GradientField, tau: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The extended trajectories of gvf from the id tau that end at a
-    critical id, as (id sequence, weight), depth-first in facet order."""
-    return _walk(tau, _arcs(gvf), gvf._down)
 
 
 def _arcs(gvf: GradientField) -> Callable[[int], list[tuple[int, int, int]]]:
@@ -492,41 +487,6 @@ def _split(base: dict, terms: Iterable[tuple[int, dict]]) -> dict:
     return base
 
 
-def _memoised(links: Callable[[int], tuple[dict, Sequence[tuple[int, int]]]], combine=_combine):
-    """The function value(s) = base + sum(c * value(t) for c, t in arcs),
-    where (base, arcs) = links(s), on an acyclic digraph, memoised, the sum
-    taken by `combine` into the base, which `links` makes anew per node.
-    Each call computes what it needs in post-order with an explicit stack,
-    so a chain of arcs may be arbitrarily long.  The stack is a path of the
-    digraph, each entry waiting for the first of its arcs not yet valued,
-    its ids marked None in the memo; an arc back into the path is a cycle,
-    reported instead of followed.  The marks stay, so asking again for an
-    id on that path raises again, and a mark is never returned."""
-    memo: dict[int, dict | None] = {}
-    get = memo.get
-
-    def value(root: int) -> dict:
-        if get(root) is not None:
-            return memo[root]
-        stack = [(root, *links(root))]
-        memo[root] = None
-        while stack:
-            s, base, arcs = stack[-1]
-            for _, t in arcs:
-                if get(t) is None:
-                    if t in memo:
-                        raise InternalConsistencyError(f"the flow runs in a cycle through id {t}")
-                    stack.append((t, *links(t)))
-                    memo[t] = None
-                    break
-            else:
-                stack.pop()
-                memo[s] = combine(base, [(c, memo[t]) for c, t in arcs]) if arcs else base
-        return memo[root]
-
-    return value
-
-
 def _flow(arcs: Callable, down: Sequence[int], combine=_combine) -> Callable[[int], dict]:
     """Forman's flow on ids, memoised, over a digraph in the shape of
     `_arcs` (a field's own arcs, or the glued copies of `mv._glued`), with
@@ -539,21 +499,46 @@ def _flow(arcs: Callable, down: Sequence[int], combine=_combine) -> Callable[[in
                     c {sigma: 1}   when sigma is critical,
 
     the second kind in the node's base, so the flow of a critical id is its
-    Thom-Smale boundary.  The digraph is that of a gradient field, so the
-    recursion is well founded.  With `_split` as `combine` it maps r to the
-    number of those paths and the sum of their weights, a base entry (1, c)."""
+    Thom-Smale boundary.  With `_split` as `combine` it maps r to the
+    number of those paths and the sum of their weights, a base entry (1, c).
+
+    One explicit stack values a call's ids in post-order, so a path may be
+    arbitrarily long.  An id on top reads its arcs once, into its base and
+    its heads (c, nu), and is marked None in the memo; it waits for its
+    first head not yet valued, then is valued by `combine` into its base.
+    A head marked None is a cycle, reported instead of followed; the marks
+    stay, so asking again for an id on that path raises again."""
     split = combine is _split
+    memo: dict[int, dict | None] = {}
+    get = memo.get
 
-    def links(tau: int) -> tuple[dict, list[tuple[int, int]]]:
-        base, heads = {}, []
-        for c, sigma, nu in arcs(tau):
-            if nu >= 0:
-                heads.append((c, nu))
-            elif down[sigma] < 0:
-                base[sigma] = (1, c) if split else c
-        return base, heads
+    def flow(root: int) -> dict:
+        if get(root) is not None:
+            return memo[root]
+        stack = [(root, None, None)]
+        while stack:
+            tau, base, heads = stack[-1]
+            if heads is None:
+                base, heads = {}, []
+                for c, sigma, nu in arcs(tau):
+                    if nu >= 0:
+                        heads.append((c, nu))
+                    elif down[sigma] < 0:
+                        base[sigma] = (1, c) if split else c
+                memo[tau] = None
+                stack[-1] = (tau, base, heads)
+            for _, nu in heads:
+                if get(nu) is None:
+                    if nu in memo:
+                        raise InternalConsistencyError(f"the flow runs in a cycle through id {nu}")
+                    stack.append((nu, None, None))
+                    break
+            else:
+                stack.pop()
+                memo[tau] = combine(base, [(c, memo[nu]) for c, nu in heads]) if heads else base
+        return memo[root]
 
-    return _memoised(links, combine)
+    return flow
 
 
 def _boundary_columns(rows: Sequence, cols: Sequence, column) -> list[Column]:

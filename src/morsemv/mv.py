@@ -57,7 +57,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .complexes import ComplexCopy, Simplex, SimplicialComplex, copy_relabel, intersection
+from .complexes import ComplexCopy, Simplex, SimplicialComplex, _names, copy_relabel
 from .errors import DecompositionError, FieldError, InternalConsistencyError
 from .homology import HomologyResult, IntegerChainComplex, _dense, homology
 from .morse import (
@@ -225,16 +225,11 @@ def _field_on_copy(
     piece: SimplicialComplex, copy: ComplexCopy, pairs: Iterable[Sequence], piece_name: str
 ) -> GradientField:
     """The field on `copy` pinned by `pairs` in the vertex names of X, each
-    end a Simplex, vertex names, or a string of them, resolved to ids."""
+    end a Simplex, vertex names in any order, or a string of them
+    (`complexes._names`), resolved to ids by `SimplicialComplex._id_of`."""
     ids, id_of = [], piece._id_of
-
-    def id_of_end(end) -> int | None:
-        if isinstance(end, Simplex):
-            return id_of(end.vertices)
-        return id_of(tuple(sorted(end.split() if isinstance(end, str) else end)))
-
     for sigma, tau in pairs:
-        ends = (id_of_end(sigma), id_of_end(tau))
+        ends = (id_of(_names(sigma)), id_of(_names(tau)))
         if None in ends:
             named = [s if isinstance(s, Simplex) else Simplex(s) for s in (sigma, tau)]
             raise DecompositionError(
@@ -246,10 +241,12 @@ def _field_on_copy(
 
 
 def _piece(
-    x: SimplicialComplex, piece: SimplicialComplex | Iterable[tuple[str, ...]], name: str
+    x: SimplicialComplex, piece: SimplicialComplex | Iterable[Sequence[str]], name: str
 ) -> SimplicialComplex:
-    """The piece `name` as a view over X's table.  `piece` is a complex, or
-    the generators of one as sorted tuples of the vertex names of X."""
+    """The piece `name` as a view over X's table, closed from the ids of its
+    generators.  `piece` is a complex, or the generators of one, each a
+    sequence of vertex names of X in any order, as `.dec` lines are read;
+    `SimplicialComplex._id_of` resolves them."""
     if isinstance(piece, SimplicialComplex):
         if piece._table is x._table and piece.is_subcomplex_of(x):
             return piece
@@ -281,7 +278,8 @@ def build_decomposition(
     a = _piece(x, a, "A")
     b = _piece(x, b, "B")
     # A and B lie in X, so they cover it exactly when |A| + |B| - |A n B| = |X|.
-    iab = intersection(a, b) if set(a.vertices) & set(b.vertices) else None
+    common = a._members_in(b)
+    iab = a._view(common) if 1 in common else None
     if len(a) + len(b) - (len(iab) if iab is not None else 0) != len(x):
         raise DecompositionError("A u B does not cover X")
     fields = dict(fields or {})

@@ -17,12 +17,13 @@ a_member(alpha, r) of every block.  It is closed on ints: with n the
 vertex count of X, the A-copy of vertex v is v and its B-copy n + v,
 named "A:" and "B:" plus the name of v.  `build_xtilde` then records,
 on X~'s ids, the piece of every cell (A-copy, B-copy or prism interior),
-its ground (the id in X of the simplex it copies or lies over), and for
-every intersection id the ids of its a_member and b_member cells, from
-the cells it listed: an interior cell's ground is the alpha of its block,
-and a cell of X~ not listed is an internal fault.  The two fields, their
-censuses, the maps g and f and the trajectory classification read these
-maps; simplices are named only for reports.
+its ground (the id in X of the simplex it copies or lies over), for
+every id of X the ids of its A- and B-copies, and for every intersection
+id the ids of its a_member and b_member cells, from the cells it listed:
+an interior cell's ground is the alpha of its block, and a cell of X~
+not listed is an internal fault.  The two fields, their censuses, the
+maps g and f and the trajectory classification read these maps;
+simplices are named only for reports.
 
 Two gradient fields on X~ carry the theory:
 
@@ -133,9 +134,10 @@ class XTilde:
     homology: the target of
     `check_iso_simplicial` and the reference of `check_main_iso`, each
     computed once per verify run.  `_piece` and `_ground` give the piece
-    and the ground id in X of every X~ id, and `_members` maps each
-    intersection id in X to the X~ ids of its a_member and b_member cells
-    (empty when the intersection is)."""
+    and the ground id in X of every X~ id; `_copies` holds, for the A- and
+    the B-copy, the X~ id of the copy of every id of X (-1 off the piece);
+    and `_members` maps each intersection id in X to the X~ ids of its
+    a_member and b_member cells (empty when the intersection is)."""
 
     decomposition: Decomposition
     complex: SimplicialComplex
@@ -143,6 +145,7 @@ class XTilde:
     x_homology: HomologyResult
     _piece: bytearray
     _ground: list[int]
+    _copies: tuple[list[int], list[int]]
     _members: dict[int, tuple[list[int], list[int]]]
 
 
@@ -182,11 +185,11 @@ def build_xtilde(d: Decomposition) -> XTilde:
     # first and last, which are the copies of its ground.
     index = table.index
     piece, ground = bytearray(len(table)), [-1] * len(table)
-    for i, vs in zip(in_a, copies):
-        ground[index[vs]] = i
-    for i, vs in zip(in_b, copies[len(in_a):]):
-        j = index[vs]
-        piece[j], ground[j] = _B, i
+    copy_ids = ([-1] * len(x_table), [-1] * len(x_table))
+    for p, ids, cells in ((_A, in_a, copies), (_B, in_b, copies[len(in_a):])):
+        for i, vs in zip(ids, cells):
+            j = index[vs]
+            piece[j], ground[j], copy_ids[p][i] = p, i, j
     members = {}
     for alpha, (a_cells, b_cells) in blocks.items():
         a_ids = [index.get(c) for c in a_cells]
@@ -204,7 +207,7 @@ def build_xtilde(d: Decomposition) -> XTilde:
         raise InternalConsistencyError(
             f"X~ holds {glued._simplex(ground.index(-1))}, a cell of no copy and no block"
         )
-    return XTilde(d, glued, *shared, piece, ground, members)
+    return XTilde(d, glued, *shared, piece, ground, copy_ids, members)
 
 
 def _critical_ids(gvf: GradientField) -> Iterator[int]:
@@ -256,15 +259,6 @@ def _prism_extension(xt: XTilde) -> tuple[list[tuple[int, int]], list[int]]:
     return pairs, criticals
 
 
-def _copy_ids(xt: XTilde, piece: int) -> list[int]:
-    """For each id of X, the X~ id of its copy in `piece`, or -1."""
-    ids = [-1] * len(xt.decomposition.x._table)
-    for i, p in enumerate(xt._piece):
-        if p == piece:
-            ids[xt._ground[i]] = i
-    return ids
-
-
 def _build_w_field(xt: XTilde) -> GradientField:
     """Assemble W and certify it, checking the critical-cell census against
     the predicted one (A-copy criticals, B-copy criticals, one interior cell
@@ -272,8 +266,7 @@ def _build_w_field(xt: XTilde) -> GradientField:
     d = xt.decomposition
     pairs: list[tuple[int, int]] = []
     expected: set[int] = set()
-    for piece, w in ((_A, d.w_a), (_B, d.w_b)):
-        ids = _copy_ids(xt, piece)
+    for ids, w in zip(xt._copies, (d.w_a, d.w_b)):
         pairs += [(ids[sigma], ids[tau]) for tau, sigma in enumerate(w._down) if sigma >= 0]
         expected.update(ids[i] for i in _critical_ids(w))
     prism_pairs, interior_crit = _prism_extension(xt)

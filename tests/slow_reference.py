@@ -60,7 +60,7 @@ from morsemv.morse import (
     _arcs,
     _grouped,
     _path_weight,
-    _trajectory_ids,
+    _walk,
 )
 from morsemv.mv import (
     FROM_A,
@@ -484,7 +484,7 @@ def listed_trajectories_fit(xt: XTilde, gvf: GradientField) -> bool:
     try:
         for ids in gvf._critical_ids:
             for tau in ids:
-                for steps, _ in _trajectory_ids(gvf, tau):
+                for steps, _ in _walk(tau, _arcs(gvf), gvf._down):
                     classify_w_trajectory(xt, steps)
     except InternalConsistencyError:
         return False
@@ -498,7 +498,7 @@ def enumerated_w_tallies(gvf: GradientField) -> dict[int, dict[int, tuple[int, i
     return {
         tau: {
             sigma: (len(paths), sum(_path_weight(steps, facets) for steps, _ in paths))
-            for sigma, paths in _grouped(_trajectory_ids(gvf, tau)).items()
+            for sigma, paths in _grouped(_walk(tau, _arcs(gvf), gvf._down)).items()
         }
         for ids in gvf._critical_ids
         for tau in ids
@@ -533,7 +533,7 @@ def enumerated_pair_checks(xt: XTilde) -> tuple[CheckResult, ...]:
     c_detail = w_detail = k_detail = ""
     pairs_compared = 0
     for tau, sigmas in below.items():
-        paths = _grouped(_trajectory_ids(gvf, tau))
+        paths = _grouped(_walk(tau, _arcs(gvf), gvf._down))
         for sigma in sigmas:
             g_list = paths.get(sigma, [])
             m_list = mv[f_of[tau]].get(f_of[sigma], [])

@@ -49,7 +49,7 @@ from morsemv import (
     trajectories_from,
 )
 from morsemv.cli import main
-from morsemv.morse import _arcs, _boundary_columns, _flow, _memoised, _split
+from morsemv.morse import _arcs, _boundary_columns, _flow, _split
 from morsemv.mv import (
     FROM_A,
     SHIFTED,
@@ -292,13 +292,22 @@ def test_long_trajectories_need_no_recursion():
     assert thom_smale_complex(gvf).columns == thom_smale_reference(gvf)
 
 
+def digraph(succ: dict[int, tuple[int, int]], n: int) -> tuple:
+    """A hand-made digraph in the shape of `_arcs` on the ids 0..n-1, with
+    its `down`, which makes every id critical: id s has the arc (1, s, -1),
+    which ends at s, unless succ[s] = (c, t), which makes its one arc
+    (c, s, t) go on to t."""
+    arcs = lambda s: [(succ[s][0], s, succ[s][1]) if s in succ else (1, s, -1)]
+    return arcs, [-1] * n
+
+
 def test_a_cycle_is_reported_not_followed():
     """The flow only ever runs on certified fields; should a cycle reach it
     anyway, it raises instead of growing its stack without end."""
-    around = _memoised(lambda s: ({s: 1}, [(1, (s + 1) % 3)]))
+    around = _flow(*digraph({s: (1, (s + 1) % 3) for s in range(3)}, 3))
     with pytest.raises(InternalConsistencyError, match="cycle"):
         around(0)
-    chain = _memoised(lambda s: ({}, [(2, s + 1)]) if s < 5000 else ({s: 1}, ()))
+    chain = _flow(*digraph({s: (2, s + 1) for s in range(5000)}, 5001))
     assert chain(0) == {5000: 2 ** 5000}
 
 
@@ -307,7 +316,7 @@ def test_a_cycle_is_reported_again_when_asked_again():
     on the cycle or leading to it, raises again and never returns the mark
     of an id in progress; an id off the cycle is still valued."""
     succ = {0: 1, 1: 2, 2: 3, 3: 1}  # 0 leads into the cycle 1, 2, 3
-    flow = _memoised(lambda s: ({s: 1}, [(1, succ[s])] if s in succ else ()))
+    flow = _flow(*digraph({s: (1, t) for s, t in succ.items()}, 5))
     for root in (0, 0, 1, 2, 3, 0):
         with pytest.raises(InternalConsistencyError, match="cycle"):
             flow(root)

@@ -52,9 +52,9 @@ I: v0 -> v0 v1
         assert out.fields["I"] == [(("v0",), ("v0", "v1"))]
         assert out.strategy is None and out.seed is None
 
-    def test_generators_sorted_and_pair_ends_as_written(self):
+    def test_generators_and_pair_ends_as_written(self):
         out = parse_decomposition("[A]\nv5 v1 v0\n[B]\nv4\n[fields]\nA: v0 -> v5 v0\n")
-        assert out.a_generators == [("v0", "v1", "v5")]
+        assert out.a_generators == [("v5", "v1", "v0")]
         assert out.fields["A"] == [(("v0",), ("v5", "v0"))]
 
     def test_auto_lines(self):

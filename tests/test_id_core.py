@@ -30,11 +30,13 @@ from morsemv import (
     mv_generators,
     mv_homology,
     parse_complex,
+    parse_decomposition,
     simplicial_homology,
 )
 from morsemv.cli import _load_decomposition, main
 from morsemv.complexes import _Table, copy_relabel, intersection, union
 from morsemv.homology import _simplicial_chains, simplicial_chain_complex
+from morsemv.mv import _piece
 from morsemv import morse
 from morsemv.morse import GradientField, is_acyclic
 from conftest import (
@@ -185,6 +187,63 @@ class TestTableAgainstReference:
                 piece, ground = reference_xtilde_maps(xt)
                 assert list(xt._piece) == piece
                 assert xt._ground == ground
+
+
+class TestOneNameRule:
+    """Vertex names reach ids by one rule, that of `_Table.of_names`: the
+    names are ranked, then the ranks sorted.  `_id_of` reads names in any
+    order, and the pieces of a `.dec` file are read from lines as written."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.lists(st.sampled_from(AWKWARD_NAMES), min_size=1, max_size=4, unique=True),
+        min_size=1, max_size=12,
+    ), st.integers(min_value=0))
+    def test_id_of_names_in_any_order(self, generators, seed):
+        rng = random.Random(seed)
+        x = SimplicialComplex(Simplex(g) for g in generators)
+        top = list(x.maximal_simplices)
+        view = x.subcomplex(rng.sample(top, rng.randint(1, len(top))))
+        for y in (x, view, copy_relabel(view, "A:").complex):
+            tag, members = y._tag, {s.vertices for s in y.simplices()}
+            for s in x.simplices():
+                named = [tag + v for v in s.vertices]
+                i = y._id_of(named)
+                assert (i is not None) == (tuple(named) in members)
+                if i is not None:
+                    assert y._simplex(i).vertices == tuple(named)
+                shuffled = rng.sample(named, len(named))
+                assert y._id_of(shuffled) == i
+                assert y._id_of(shuffled + [named[0]]) is None  # a repeated name
+                outside = rng.randrange(len(named) + 1)
+                assert y._id_of([*shuffled[:outside], tag + "w", *shuffled[outside:]]) is None
+                assert y._id_of([tag + "w", *shuffled[1:]]) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_dec_lines_in_any_vertex_order(self, rng):
+        """The pieces of `.dec` lines whose vertices come in any order are
+        the views `subcomplex` closes from the same simplices, and their
+        intersection is that of the pieces closed afresh."""
+        x = SimplicialComplex(random_generators(rng))
+        a, b = random_cover(x, rng)
+
+        def lines(piece: SimplicialComplex) -> list[str]:
+            return [" ".join(rng.sample(s.vertices, len(s.vertices)))
+                    for s in piece.maximal_simplices]
+
+        parsed = parse_decomposition("\n".join(["[A]", *lines(a), "[B]", *lines(b)]) + "\n")
+        d = build_decomposition(x, _piece(x, parsed.a_generators, "A"),
+                                _piece(x, parsed.b_generators, "B"))
+        for piece, fresh in ((d.a, a), (d.b, b)):
+            want = x.subcomplex(fresh.maximal_simplices)
+            assert piece._table is x._table and piece._mask == want._mask
+            assert piece == fresh
+        if set(a.vertices) & set(b.vertices):
+            assert d.iab == intersection(a, b)
+            assert d.iab._mask == intersection(d.a, d.b)._mask
+        else:
+            assert d.iab is None
 
 
 def reference_chain_columns(generators) -> list[list[dict[int, int]]]:
