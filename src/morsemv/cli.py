@@ -52,14 +52,10 @@ from .errors import (
 from .formats import parse_complex, parse_decomposition, parse_generator_name
 from .homology import HomologyResult, simplicial_homology
 from .mv import (
-    FROM_A,
-    FROM_B,
-    SHIFTED,
     Decomposition,
     MVGenerator,
     _generator,
-    _keys_by_tag,
-    _max_degree,
+    _generator_table,
     _piece,
     _require_generator,
     build_decomposition,
@@ -217,12 +213,10 @@ def _cmd_homology(args) -> tuple[int, dict]:
     _check_degree(args.degree)
     x, d, strategy, seed = _load_decomposition(args)
     result = mv_homology(d)
-    # the generators counted by tag on their keys: no generator is built again
-    by_tag = [_keys_by_tag(d, q) for q in range(_max_degree(d) + 1)]
+    # the generators counted by block on their keys: no generator is built again
     counts = [
-        {"degree": q, "from_a": len(ks[FROM_A]), "from_b": len(ks[FROM_B]),
-         "shifted": len(ks[SHIFTED]), "total": total}
-        for q, ks in enumerate(by_tag) if (total := sum(map(len, ks.values())))
+        {"degree": q, "from_a": len(a), "from_b": len(b), "shifted": len(i), "total": total}
+        for q, (a, b, i) in enumerate(_generator_table(d)) if (total := len(a) + len(b) + len(i))
     ]
     top = max([x.dim] + [row["degree"] for row in counts])
     return 0, {

@@ -123,12 +123,12 @@ def parse_decomposition(text: str) -> DecompositionFile:
 
 
 def _parse_fields_line(out: DecompositionFile, line: str, number: int) -> None:
-    if line.startswith("auto"):
+    words = line.split()
+    if words[0] == "auto":  # any other first word makes a pair line
         if out.fields:
             raise ParseError("auto line cannot follow explicit field pairs", line=number)
         if out.strategy is not None:
             raise ParseError("more than one auto line", line=number)
-        words = line.split()
         if words[1:] in (["lex"], ["lexicographic"]):
             out.strategy = "lexicographic"
         elif words[1:2] + words[3:] == ["random"]:  # then at most a seed

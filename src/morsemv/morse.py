@@ -244,20 +244,19 @@ class GradientField:
 
     The field lives on the complex's id table, as the arrays `_up`, `_down`
     and `_lift` (see `_matching`), which `_arcs` reads; certification also
-    lists the critical ids of each degree, once.  `pairs` and `critical`
-    name them as simplices on every call, and `field` on its first."""
+    lists the critical ids of each degree, once.  `pairs`, `critical` and
+    `field` name them as simplices on every call."""
 
     _TOKEN = object()
 
-    def __init__(self, field: VectorField | None, complex: SimplicialComplex, _token=None):
+    def __init__(self, complex: SimplicialComplex, _token=None):
         if _token is not GradientField._TOKEN:
             raise FieldError("use GradientField.certify(field, complex)")
-        self._field = field
         self.complex = complex
 
     @classmethod
     def certify(cls, field: VectorField, complex: SimplicialComplex) -> "GradientField":
-        return cls._certified(complex, *field._arrays(complex), field)
+        return cls._certified(complex, *field._arrays(complex))
 
     @classmethod
     def _certified(
@@ -266,14 +265,13 @@ class GradientField:
         up: list[int],
         down: list[int],
         lift: list[int],
-        field: VectorField | None = None,
         clock: list[int] | None = None,
     ) -> "GradientField":
         """The field of the arrays up, down and lift on complex, certified
         by a `clock` that descends along every arc (`_descends`); without
         one, or when it does not descend, `_closed_trajectory` decides, so
         a wrong clock never changes a verdict or a witness."""
-        gvf = cls(field, complex, _token=cls._TOKEN)
+        gvf = cls(complex, _token=cls._TOKEN)
         gvf._up, gvf._down, gvf._lift = up, down, lift
         if clock is None or not _descends(gvf, clock):
             witness = _closed_trajectory(gvf)
@@ -289,9 +287,7 @@ class GradientField:
 
     @property
     def field(self) -> VectorField:
-        if self._field is None:
-            self._field = VectorField(self.pairs)
-        return self._field
+        return VectorField(self.pairs)
 
     @property
     def pairs(self) -> tuple[tuple[Simplex, Simplex], ...]:

@@ -12,9 +12,12 @@ generators in degree q are
     D_q = Crit_q(A-copy)  u  Crit_q(B-copy)  u  Crit_{q-1}(I-copy),
 
 tagged FromA / FromB / Shifted; intersection criticals appear with their
-degree shifted up by one.  The boundary of a generator beta collects signed
+degree shifted up by one.  Inside the module a copy is known by its index
+k, 0 for A, 1 for B and 2 for the intersection (`_TAGS[k]` is its tag),
+and `_generator_table` lists D_q once, as its three blocks by k.  The
+boundary of a generator beta collects signed
 trajectory counts, where a trajectory from beta to alpha exists in exactly
-five situations, keyed by the tags:
+five situations, keyed by the copies of its ends:
 
   1. FromA -> FromA: an extended gradient trajectory inside the A-copy.
   2. FromB -> FromB: the same inside the B-copy.
@@ -26,7 +29,7 @@ five situations, keyed by the tags:
      target, with p >= 0 descent steps and l >= 0 ascent steps.
   5. Shifted -> FromB: as 4 into the B-copy.
 
-All other tag combinations admit no trajectories.
+All other pairs of copies admit no trajectories.
 
 Every step of a route is an arc of one copy's field, signed by the one
 arc rule `morse._arcs`; the transfer of cases 4/5 (`morse._transfer`) is
@@ -95,13 +98,11 @@ __all__ = [
 FROM_A = "FromA"
 FROM_B = "FromB"
 SHIFTED = "Shifted"
-# the tags in generator order, which is also the order of the copies' blocks
-# of ids in `_glued`
+# the tags of the copies k = 0, 1, 2, which is the order of the blocks of
+# D_q and of the copies' ids in `_glued`
 _TAGS = (FROM_A, FROM_B, SHIFTED)
-_TAG_RANK = {tag: k for k, tag in enumerate(_TAGS)}
-# the case of a trajectory, by the tags of its source and its target
-_CASE = {(FROM_A, FROM_A): 1, (FROM_B, FROM_B): 2, (SHIFTED, SHIFTED): 3,
-         (SHIFTED, FROM_A): 4, (SHIFTED, FROM_B): 5}
+# the case of a trajectory, by the copies of its source and its target
+_CASE = {(0, 0): 1, (1, 1): 2, (2, 2): 3, (2, 0): 4, (2, 1): 5}
 # the per-case sign on top of the signs of the steps, which the arcs of
 # `_glued` carry; read here only for a trajectory built by hand
 _CASE_SIGN = {1: 1, 2: 1, 3: -1, 4: -1, 5: 1}
@@ -159,7 +160,7 @@ class MVGenerator(_FrozenRecord):
     __slots__ = _fields = ("tag", "simplex", "degree")
 
     def __init__(self, tag: str, simplex: Simplex, degree: int):
-        if tag not in _TAG_RANK:
+        if tag not in _TAGS:
             raise FieldError(f"unknown generator tag {tag!r}")
         expected = simplex.dim + (1 if tag == SHIFTED else 0)
         if degree != expected:
@@ -173,7 +174,7 @@ class MVGenerator(_FrozenRecord):
 
     @property
     def sort_key(self):
-        return (self.degree, _TAG_RANK[self.tag], self.simplex.key)
+        return (self.degree, _TAGS.index(self.tag), self.simplex.key)
 
     def __str__(self) -> str:
         return f"{self.tag}:{self.name}"
@@ -187,31 +188,22 @@ def _generator(tag: str, simplex: Simplex) -> MVGenerator:
 class Decomposition:
     """A decomposition X = A u B with one gradient field per tagged copy.
 
-    Use `build_decomposition`; the constructor only stores what it is given.
-    `iab`/`iab_bar`/`w_i` are None exactly when A and B are disjoint.
+    Use `build_decomposition`; the constructor stores X and three triples
+    indexed by the copy k: the pieces `a`, `b`, `iab`, their copies `a_bar`,
+    `b_bar`, `iab_bar` and the copies' fields `w_a`, `w_b`, `w_i`.  The
+    last of each is None exactly when A and B are disjoint.
     """
 
-    def __init__(
-        self,
-        x: SimplicialComplex,
-        a: SimplicialComplex,
-        b: SimplicialComplex,
-        a_bar: ComplexCopy,
-        b_bar: ComplexCopy,
-        iab: SimplicialComplex | None,
-        iab_bar: ComplexCopy | None,
-        w_a: GradientField,
-        w_b: GradientField,
-        w_i: GradientField | None,
-    ):
-        self.x, self.a, self.b = x, a, b
-        self.a_bar, self.b_bar = a_bar, b_bar
-        self.iab, self.iab_bar = iab, iab_bar
-        self.w_a, self.w_b, self.w_i = w_a, w_b, w_i
+    def __init__(self, x: SimplicialComplex, pieces: Sequence, copies: Sequence,
+                 fields: Sequence):
+        self.x = x
+        self.a, self.b, self.iab = pieces
+        self.a_bar, self.b_bar, self.iab_bar = copies
+        self.w_a, self.w_b, self.w_i = fields
 
-    def _fields(self) -> dict[str, GradientField | None]:
-        """The field of each generator tag's copy."""
-        return {FROM_A: self.w_a, FROM_B: self.w_b, SHIFTED: self.w_i}
+    def _fields(self) -> tuple[GradientField, GradientField, GradientField | None]:
+        """The field of each copy, indexed by k."""
+        return self.w_a, self.w_b, self.w_i
 
     def __repr__(self) -> str:
         ni = len(self.iab) if self.iab is not None else 0
@@ -272,8 +264,8 @@ def build_decomposition(
     on its view, so X is the only complex that is closed.  `fields` may
     supply explicit pair lists for any of the pieces "A", "B", "I", written
     in the vertex names of X; pieces without explicit pairs get a greedy
-    field with the given strategy.  A seed, when used, is offset by 0/1/2
-    for the three pieces so they draw distinct orders.
+    field with the given strategy.  A seed, when used, is offset by the
+    copy index k (0, 1, 2) so the three pieces draw distinct orders.
     """
     a = _piece(x, a, "A")
     b = _piece(x, b, "B")
@@ -286,76 +278,63 @@ def build_decomposition(
     unknown = set(fields) - {"A", "B", "I"}
     if unknown:
         raise DecompositionError(f"unknown field section(s): {sorted(unknown)}")
-
-    a_bar = copy_relabel(a, "A:")
-    b_bar = copy_relabel(b, "B:")
-    iab_bar = copy_relabel(iab, "I:") if iab is not None else None
     if iab is None and fields.get("I") is not None:
         raise DecompositionError("a field was supplied for an empty intersection")
 
     base_seed = DEFAULT_SEED if seed is None else seed
-    built: dict[str, GradientField | None] = {}
-    for offset, (name, piece, copy) in enumerate(
-        (("A", a, a_bar), ("B", b, b_bar), ("I", iab, iab_bar))
-    ):
+    pieces, copies, built = (a, b, iab), [None] * 3, [None] * 3
+    for k, (name, piece) in enumerate(zip("ABI", pieces)):
         if piece is None:
-            built[name] = None
-        elif fields.get(name) is not None:
-            built[name] = _field_on_copy(piece, copy, fields[name], name)
+            continue
+        copies[k] = copy = copy_relabel(piece, name + ":")
+        if fields.get(name) is not None:
+            built[k] = _field_on_copy(piece, copy, fields[name], name)
         else:
-            built[name] = greedy_gvf(copy.complex, strategy, base_seed + offset)
-    return Decomposition(
-        x, a, b, a_bar, b_bar, iab, iab_bar, built["A"], built["B"], built["I"]
-    )
-
-
-def _max_degree(d: Decomposition) -> int:
-    top = max(d.a_bar.complex.dim, d.b_bar.complex.dim)
-    if d.iab_bar is not None:
-        top = max(top, d.iab_bar.complex.dim + 1)
-    return top
-
-
-def _critical_of_dim(gvf: GradientField | None, q: int) -> list[int]:
-    """The critical ids of dimension q of gvf, in canonical order."""
-    if gvf is None or not 0 <= q < len(gvf._critical_ids):
-        return []
-    return gvf._critical_ids[q]
+            built[k] = greedy_gvf(copy.complex, strategy, base_seed + k)
+    return Decomposition(x, pieces, copies, built)
 
 
 def _glued_id(d: Decomposition, k: int, i: int) -> int:
-    """The id in `_glued` of the cell i of the copy k (the rank of its tag
-    in `_TAGS`): with n ids in X's table, i, n + i or 2n + i."""
+    """The id in `_glued` of the cell i of the copy k: with n ids in X's
+    table, i, n + i or 2n + i."""
     return k * len(d.x._table) + i
 
 
-def _keys_by_tag(d: Decomposition, q: int) -> dict[str, list[int]]:
-    """D_q by tag, as glued ids (`_glued_id`) in canonical order."""
-    return {
-        tag: [_glued_id(d, k, i) for i in _critical_of_dim(gvf, q - 1 if tag == SHIFTED else q)]
-        for k, (tag, gvf) in enumerate(d._fields().items())
-    }
+def _generator_table(d: Decomposition) -> list[tuple[list[int], list[int], list[int]]]:
+    """D_q for each degree q from 0 to the top one, as its FromA, FromB and
+    Shifted blocks: the glued ids (`_glued_id`) of the critical cells of
+    dimension q of the copies 0 and 1 and of dimension q - 1 of the copy 2,
+    each in canonical order.  The block of an absent I-copy is empty."""
+    fields = d._fields()
+    degrees = max(len(f._critical_ids) + (k == 2) for k, f in enumerate(fields) if f is not None)
+    table: list[tuple[list[int], list[int], list[int]]] = [([], [], []) for _ in range(degrees)]
+    for k, f in enumerate(fields):
+        if f is not None:
+            base = _glued_id(d, k, 0)
+            for q, ids in enumerate(f._critical_ids, start=int(k == 2)):
+                table[q][k].extend([base + i for i in ids])
+    return table
 
 
-def _generator_keys(d: Decomposition, q: int) -> list[int]:
-    """D_q as glued ids (`_glued_id`), in the order of `mv_generators`."""
-    return list(itertools.chain.from_iterable(_keys_by_tag(d, q).values()))
+def _generator_keys(d: Decomposition) -> list[list[int]]:
+    """D_q for each degree q from 0 to the top one, as glued ids, in the
+    order of `mv_generators`."""
+    return [list(itertools.chain(*blocks)) for blocks in _generator_table(d)]
 
 
 def mv_generators(d: Decomposition, q: int | None = None) -> tuple[MVGenerator, ...]:
     """D_q in canonical order (FromA, then FromB, then Shifted, each block
     by simplex), or every degree ascending when q is None."""
-    if q is None:
-        return tuple(itertools.chain.from_iterable(
-            mv_generators(d, p) for p in range(_max_degree(d) + 1)
-        ))
-    return tuple(_named_generator(d, key) for key in _generator_keys(d, q))
+    keys = _generator_keys(d)
+    if q is not None:
+        keys = keys[q:q + 1] if q >= 0 else []
+    return tuple(_named_generator(d, key) for key in itertools.chain(*keys))
 
 
 def _named_generator(d: Decomposition, key: int) -> MVGenerator:
     """The generator with the glued id `key`."""
     k, i = divmod(key, len(d.x._table))
-    return _generator(_TAGS[k], d._fields()[_TAGS[k]].complex._simplex(i))
+    return _generator(_TAGS[k], d._fields()[k].complex._simplex(i))
 
 
 class MVTrajectory(_FrozenRecord):
@@ -439,7 +418,7 @@ def mv_trajectories_from(
     named = _trajectory_namer(d, beta, start)
     out: dict[MVGenerator, list[MVTrajectory]] = {}
     for end, walks in sorted(_grouped(_walk(start, *_glued(d))).items(),
-                             key=lambda group: _CASE[beta.tag, _TAGS[group[0] // n]]):
+                             key=lambda group: _CASE[start // n, group[0] // n]):
         alpha = _named_generator(d, end)
         out[alpha] = [named(alpha, ids, w) for ids, w in walks]
     return out
@@ -454,7 +433,7 @@ def _trajectory_namer(
     descent p and ascent l around the transfer."""
     n, fields = len(d.x._table), d._fields()
     source = start // n
-    named = lambda k, ids: fields[_TAGS[k]].complex._simplices_of([g - k * n for g in ids])
+    named = lambda k, ids: fields[k].complex._simplices_of([g - k * n for g in ids])
 
     def trajectory(alpha: MVGenerator, ids: tuple[int, ...], w: int) -> MVTrajectory:
         k = ids[-1] // n
@@ -463,18 +442,19 @@ def _trajectory_namer(
             cut += 2
         p, l = (None, None) if k == source else (cut // 2, (len(ids) - cut) // 2)
         steps = named(source, ids[:cut]) + named(k, ids[cut:])
-        return MVTrajectory(_CASE[beta.tag, alpha.tag], beta, alpha, steps, p, l, _weight=w)
+        return MVTrajectory(_CASE[source, k], beta, alpha, steps, p, l, _weight=w)
 
     return trajectory
 
 
 def _require_generator(d: Decomposition, g: MVGenerator) -> int:
     """The glued id of g (`_glued_id`), when g is a generator of d."""
-    gvf = d._fields()[g.tag]
+    k = _TAGS.index(g.tag)
+    gvf = d._fields()[k]
     i = gvf.complex._id(g.simplex) if gvf is not None else None
     if i is None or not gvf._is_critical(i):
         raise FieldError(f"{g} is not a generator of this decomposition")
-    return _glued_id(d, _TAG_RANK[g.tag], i)
+    return _glued_id(d, k, i)
 
 
 def enumerate_mv(
@@ -508,21 +488,21 @@ def _mv_column(d: Decomposition, combine=_combine) -> Callable[[int], dict]:
 def mv_boundary(d: Decomposition, q: int) -> list[list[int]]:
     """The boundary matrix D_q -> D_{q-1}: rows over D_{q-1}, columns over
     D_q, entries the summed trajectory weights."""
-    rows = _generator_keys(d, q - 1)
-    return _dense(_boundary_columns(rows, _generator_keys(d, q), _mv_column(d)), len(rows))
+    keys = _generator_keys(d)
+    rows, cols = (keys[p] if 0 <= p < len(keys) else [] for p in (q - 1, q))
+    return _dense(_boundary_columns(rows, cols, _mv_column(d)), len(rows))
 
 
 def mv_chain_complex(d: Decomposition) -> IntegerChainComplex:
     """The full Mayer-Vietoris chain complex, its generators labelled.
     Construction re-verifies that the boundary squares to zero and fails
     hard otherwise."""
-    keys = [_generator_keys(d, q) for q in range(_max_degree(d) + 1)]
-    labels = [mv_generators(d, q) for q in range(len(keys))]
+    keys = _generator_keys(d)
+    labels = [tuple(_named_generator(d, key) for key in ks) for ks in keys]
     return _trajectory_complex(labels, keys, _mv_column(d))
 
 
 def mv_homology(d: Decomposition) -> HomologyResult:
     """Homology of X computed through the Mayer-Vietoris complex, assembled
     on generator keys: no generator is named."""
-    keys = [_generator_keys(d, q) for q in range(_max_degree(d) + 1)]
-    return homology(_trajectory_complex(None, keys, _mv_column(d)))
+    return homology(_trajectory_complex(None, _generator_keys(d), _mv_column(d)))

@@ -16,14 +16,15 @@ X~ is closed once, from every cell of both copies and the cells
 a_member(alpha, r) of every block.  It is closed on ints: with n the
 vertex count of X, the A-copy of vertex v is v and its B-copy n + v,
 named "A:" and "B:" plus the name of v.  `build_xtilde` then records,
-on X~'s ids, the piece of every cell (A-copy, B-copy or prism interior),
-its ground (the id in X of the simplex it copies or lies over), for
-every id of X the ids of its A- and B-copies, and for every intersection
-id the ids of its a_member and b_member cells, from the cells it listed:
-an interior cell's ground is the alpha of its block, and a cell of X~
-not listed is an internal fault.  The two fields, their censuses, the
-maps g and f and the trajectory classification read these maps;
-simplices are named only for reports.
+on X~'s ids, the piece of every cell, which is the copy index k of `mv`
+(0 the A-copy, 1 the B-copy, 2 the prism interior, whose critical cells
+f sends to the I-copy's generators), its ground (the id in X of the
+simplex it copies or lies over), for every id of X the ids of its A- and
+B-copies, and for every intersection id the ids of its a_member and
+b_member cells, from the cells it listed: an interior cell's ground is the
+alpha of its block, and a cell of X~ not listed is an internal fault.  The
+two fields, their censuses, the maps g and f and the trajectory
+classification read these maps; simplices are named only for reports.
 
 Two gradient fields on X~ carry the theory:
 
@@ -104,7 +105,6 @@ from .mv import (
     Decomposition,
     _generator_keys,
     _glued_id,
-    _max_degree,
     _mv_column,
     _named_generator,
 )
@@ -118,8 +118,8 @@ __all__ = [
     "check_main_iso",
 ]
 
-# the piece of an X~ cell, which is the copy (`mv._glued_id`) of the MV
-# generator f gives its critical cells, and its name
+# the piece of an X~ cell, which is the copy index k (`mv._glued_id`) of
+# the MV generator f gives its critical cells, and its name
 _A, _B, _INTERIOR = 0, 1, 2
 _PIECE_NAME = ("A-copy", "B-copy", "interior")
 
@@ -266,7 +266,7 @@ def _build_w_field(xt: XTilde) -> GradientField:
     d = xt.decomposition
     pairs: list[tuple[int, int]] = []
     expected: set[int] = set()
-    for ids, w in zip(xt._copies, (d.w_a, d.w_b)):
+    for ids, w in zip(xt._copies, d._fields()):
         pairs += [(ids[sigma], ids[tau]) for tau, sigma in enumerate(w._down) if sigma >= 0]
         expected.update(ids[i] for i in _critical_ids(w))
     prism_pairs, interior_crit = _prism_extension(xt)
@@ -460,7 +460,7 @@ def _mv_tallies(d: Decomposition) -> dict:
     """{key: {r: (count, sum)}} over the MV generator keys of positive
     degree, from the split MV flows."""
     column = _mv_column(d, _split)
-    return {key: column(key) for q in range(1, _max_degree(d) + 1) for key in _generator_keys(d, q)}
+    return {key: column(key) for keys in _generator_keys(d)[1:] for key in keys}
 
 
 def _forbidden_step(xt: XTilde, gvf: GradientField, flow: Callable[[int], Column]) -> str:
@@ -507,7 +507,7 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
     # one split flow per side gives its boundary, its counts and its sums;
     # W's also feeds the scan
     mv = _mv_tallies(d)
-    keys = [_generator_keys(d, q) for q in range(_max_degree(d) + 1)]
+    keys = _generator_keys(d)
     target = _trajectory_complex(keys, keys, _sums(mv))
     flow = _flow(_arcs(gvf), gvf._down, _split)
     upstairs = _w_tallies(gvf, flow)

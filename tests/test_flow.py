@@ -54,11 +54,10 @@ from morsemv.mv import (
     FROM_A,
     SHIFTED,
     MVGenerator,
+    _TAGS,
     _generator_keys,
     _glued,
     _glued_id,
-    _max_degree,
-    _TAG_RANK,
     mv_boundary,
     mv_trajectories_from,
 )
@@ -81,7 +80,7 @@ def thom_smale_reference(gvf: GradientField) -> list[list[dict[int, int]]]:
 
 
 def mv_reference(d) -> list[list[dict[int, int]]]:
-    labels = [mv_generators(d, q) for q in range(_max_degree(d) + 1)]
+    labels = [mv_generators(d, q) for q in range(len(_generator_keys(d)))]
     return reference_complex_columns(labels, lambda beta: mv_trajectories_from(d, beta))
 
 
@@ -105,7 +104,7 @@ def assert_mv_matches(d) -> None:
     assert list(gens) == sorted(gens, key=lambda g: g.sort_key)
     want = mv_reference(d)
     assert mv_chain_complex(d).columns == want
-    keys, flow = [_generator_keys(d, q) for q in range(_max_degree(d) + 1)], _flow(*_glued(d))
+    keys, flow = _generator_keys(d), _flow(*_glued(d))
     assert [_boundary_columns(keys[q - 1], keys[q], flow) for q in range(1, len(keys))] == want
     for q, columns in enumerate(want, start=1):
         dense = mv_boundary(d, q)
@@ -124,7 +123,7 @@ def assert_split_mv_flow_matches(d) -> None:
     columns of `mv_chain_complex`, from the signed flow, and its counts (of
     n) those of the enumerated trajectories."""
     tallies = _mv_tallies(d)
-    keys = [_generator_keys(d, q) for q in range(_max_degree(d) + 1)]
+    keys = _generator_keys(d)
     assert [
         _boundary_columns(keys[q - 1], keys[q], _sums(tallies)) for q in range(1, len(keys))
     ] == mv_chain_complex(d).columns
@@ -191,7 +190,7 @@ def pair_counts(xt, tag: str, top, bottom) -> tuple[int, int]:
     d = xt.decomposition
     w = _build_w_field(xt)
     cell = {_glued_id(d, xt._piece[i], xt._ground[i]): i for ids in w._critical_ids for i in ids}
-    beta, alpha = (_glued_id(d, _TAG_RANK[tag], d.x._id(s)) for s in (top, bottom))
+    beta, alpha = (_glued_id(d, _TAGS.index(tag), d.x._id(s)) for s in (top, bottom))
     upstairs = _w_tallies(w, _flow(_arcs(w), w._down, _split))[cell[beta]][cell[alpha]]
     return upstairs[0], _mv_tallies(d)[beta][alpha][0]
 

@@ -92,6 +92,8 @@ I: v0 -> v0 v1
         ("[A]\np\n[B]\nq\n[fields]\nA: v0 -> v0 v1 -> v4\n", "field lines"),
         ("[A]\np\n[B]\nq\n[fields]\nauto random xyz\n", "bad seed"),
         ("[A]\np\n[B]\nq\n[fields]\nauto sideways\n", "auto line"),
+        ("[A]\np\n[B]\nq\n[fields]\nautomatic lex\n", "field lines"),
+        ("[A]\np\n[B]\nq\n[fields]\nautopilot random 5\n", "field lines"),
         ("[A]\np\n[B]\nq\n[fields]\nauto lexicographic\nauto random 1\n",
          "more than one auto"),
         ("[A]\np\n[B]\nq\n[fields]\nA: v0 -> v0 v1\nauto random 1\n",

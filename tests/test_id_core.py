@@ -402,7 +402,7 @@ def greedy_and_clock(x: SimplicialComplex, strategy: str, seed: int | None):
 
 def uncertified(x: SimplicialComplex, field: VectorField) -> GradientField:
     """The field on x's ids, not certified, for `morse._descends`."""
-    gvf = GradientField(field, x, _token=GradientField._TOKEN)
+    gvf = GradientField(x, _token=GradientField._TOKEN)
     gvf._up, gvf._down, gvf._lift = field._arrays(x)
     return gvf
 

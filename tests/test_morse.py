@@ -138,7 +138,7 @@ class TestGradientField:
 
     def test_no_backdoor_construction(self):
         with pytest.raises(FieldError):
-            GradientField(VectorField([]), circle())
+            GradientField(circle())
 
 
 class TestTrajectories:

@@ -2,11 +2,17 @@
 from __future__ import annotations
 
 import collections
+import contextlib
 import copy
+import io
+import itertools
+import json
 import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morsemv import (
     DecompositionError,
@@ -31,14 +37,26 @@ from morsemv import (
 import morsemv.complexes
 import morsemv.morse
 import morsemv.mv
-from morsemv.mv import SHIFTED, _max_degree, mv_boundary, mv_trajectories_from
+from morsemv.cli import main
+from morsemv.formats import parse_complex
+from morsemv.mv import (
+    SHIFTED,
+    _generator,
+    _generator_keys,
+    _generator_table,
+    _glued_id,
+    mv_boundary,
+    mv_trajectories_from,
+)
 from conftest import (
     corpus_complexes,
+    decomposition_text,
     expected_homology,
     octahedron_fields,
     octahedron_pieces,
     poor_field,
     random_cover,
+    random_generators,
 )
 from slow_reference import reference_complex_columns, retag, validate_mv_trajectory
 from test_morse import brute_trajectories
@@ -285,6 +303,63 @@ class TestGenerators:
             )
             assert euler == x.euler_characteristic()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False),
+           st.sampled_from(["overlapping", "disjoint", "equal"]),
+           st.sampled_from([("lexicographic", None), ("random", 3), ("random", 11)]))
+    def test_generator_table_on_covers(self, tmp_path_factory, rng, cover, strategy_seed):
+        """Block by block, the table is the critical cells of the three
+        copies' fields, the Shifted block one dimension down; the CLI's
+        generator rows are its block lengths; and the degrees just off the
+        table read as empty."""
+        generators = random_generators(rng)
+        if cover == "disjoint":
+            others = [Simplex([v.replace("v", "w") for v in s.vertices])
+                      for s in random_generators(rng)]
+            a, b = SimplicialComplex(generators), SimplicialComplex(others)
+            generators += others
+        elif cover == "equal":
+            a = b = SimplicialComplex(generators)
+        else:
+            a, b = random_cover(SimplicialComplex(generators), rng)
+        x_text = "".join(" ".join(s.vertices) + "\n" for s in generators)
+        strategy, seed = strategy_seed
+        d = build_decomposition(parse_complex(x_text), a, b, strategy=strategy, seed=seed)
+        fields = (d.w_a, d.w_b, d.w_i)
+        top = max(d.a.dim, d.b.dim, d.iab.dim + 1 if d.iab is not None else 0)
+        want = [
+            tuple([_glued_id(d, k, f.complex._id(s)) for s in f.critical(q - (k == 2))]
+                  if f is not None else [] for k, f in enumerate(fields))
+            for q in range(top + 1)
+        ]
+        table = _generator_table(d)
+        assert table == want
+        assert (d.iab is None) == (cover == "disjoint")
+        if cover == "equal":  # only the intersection reaches the top degree
+            assert table[top][:2] == ([], []) and top == d.x.dim + 1
+
+        directory = tmp_path_factory.mktemp("table")
+        (directory / "x.cx").write_text(x_text)
+        (directory / "x.dec").write_text(decomposition_text(a, b, {}))
+        argv = ["homology", "--complex", str(directory / "x.cx"), "--decomposition",
+                str(directory / "x.dec"), "--output", "json", "--strategy", strategy]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv + (["--seed", str(seed)] if seed is not None else [])) == 0
+        assert json.loads(out.getvalue())["generators"] == [
+            {"degree": q, "from_a": len(blocks[0]), "from_b": len(blocks[1]),
+             "shifted": len(blocks[2]), "total": sum(map(len, blocks))}
+            for q, blocks in enumerate(want) if any(blocks)
+        ]
+
+        assert mv_generators(d, -1) == mv_generators(d, top + 1) == ()
+        assert mv_generators(d, 0) == tuple(
+            _generator(tag, s) for tag, f in (("FromA", d.w_a), ("FromB", d.w_b))
+            for s in f.critical(0)
+        )
+        assert mv_boundary(d, -1) == mv_boundary(d, 0) == []
+        assert mv_boundary(d, top + 1) == [[] for _ in itertools.chain(*want[top])]
+
 
 class TestTrajectories:
     def test_worked_example_all_four(self, oct_decomposition):
@@ -510,7 +585,7 @@ def test_flows_and_walks_read_one_signed_arc_rule(monkeypatch):
     d = build_decomposition(x, a, b, fields=fields)
     w_i = d.w_i
     ts_labels = [w_i.critical(q) for q in range(w_i.complex.dim + 1)]
-    mv_labels = [mv_generators(d, q) for q in range(_max_degree(d) + 1)]
+    mv_labels = [mv_generators(d, q) for q in range(len(_generator_keys(d)))]
     ts_paths = lambda tau: trajectories_from(w_i, tau)
     mv_paths = lambda beta: mv_trajectories_from(d, beta)
 
