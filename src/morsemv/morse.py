@@ -247,12 +247,8 @@ class GradientField:
     lists the critical ids of each degree, once.  `pairs`, `critical` and
     `field` name them as simplices on every call."""
 
-    _TOKEN = object()
-
-    def __init__(self, complex: SimplicialComplex, _token=None):
-        if _token is not GradientField._TOKEN:
-            raise FieldError("use GradientField.certify(field, complex)")
-        self.complex = complex
+    def __init__(self, complex: SimplicialComplex):
+        raise FieldError("use GradientField.certify(field, complex)")
 
     @classmethod
     def certify(cls, field: VectorField, complex: SimplicialComplex) -> "GradientField":
@@ -271,8 +267,8 @@ class GradientField:
         by a `clock` that descends along every arc (`_descends`); without
         one, or when it does not descend, `_closed_trajectory` decides, so
         a wrong clock never changes a verdict or a witness."""
-        gvf = cls(complex, _token=cls._TOKEN)
-        gvf._up, gvf._down, gvf._lift = up, down, lift
+        gvf = object.__new__(cls)
+        gvf.complex, gvf._up, gvf._down, gvf._lift = complex, up, down, lift
         if clock is None or not _descends(gvf, clock):
             witness = _closed_trajectory(gvf)
             if witness is not None:

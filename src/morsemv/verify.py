@@ -57,16 +57,20 @@ failed certification or census, never as bad input.
 decomposition and report each comparison separately, with counterexamples.
 Both read one shared context: `build_xtilde` computes the simplicial chain
 complex C_*(X), its generators keyed by X's ids, and its homology once, and
-both checks compare against those fields.  Both also run one comparison
-routine, on keys: the critical cells map bijectively onto the target's
-generator keys (g sends a cell to its ground id in X, f to the glued id
-of its MV generator, `mv._glued_id` of its piece and its ground), the
-Thom-Smale boundaries in target order equal the target's, and the
-Thom-Smale homology equals the target's.  Once the bijection and every
-matrix match, the Thom-Smale complex is the target complex, so its
-homology is taken from the target; it is computed from the Thom-Smale
-matrices only when a matrix differs.  A simplex or an MV generator is
-named only to word a failing check.
+both checks compare against those fields.  Each check is straight-line:
+every step returns its `CheckResult`, and a check stops at a failed field
+certification (`_field_check`, which builds V or W) or a failed bijection,
+but not at a failed census.  Both compare on keys with the same two
+steps.  `_bijection` checks that the critical cells map bijectively onto
+the target's generator keys (g sends a cell to its ground id in X, f to
+the glued id of its MV generator, `mv._glued_id` of its piece and its
+ground).  Given that bijection, `_same_complex` checks that the
+Thom-Smale boundaries in target order equal the target's, and that the
+Thom-Smale homology equals the target's.  Once every matrix matches, the
+Thom-Smale complex is the target complex, so its homology is taken from
+the target; it is computed from the Thom-Smale matrices only when a
+matrix differs.  A simplex or an MV generator is named only to word a
+failing check.
 
 The per-pair checks of `check_main_iso` compare counts and signed sums from
 flows, not lists of trajectories.  Every weight is +1 or -1, so a pair's
@@ -87,9 +91,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from functools import partial
+from typing import Callable, Hashable, Iterator, Sequence
 
-from .complexes import Simplex, SimplicialComplex, _Table
+from .complexes import SimplicialComplex, _Table
 from .errors import InternalConsistencyError, MorsemvError
 from .homology import Column, HomologyResult, IntegerChainComplex, _simplicial_chains, homology
 from .morse import (
@@ -215,9 +220,13 @@ def _critical_ids(gvf: GradientField) -> Iterator[int]:
     return itertools.chain.from_iterable(gvf._critical_ids)
 
 
-def _named(xt: XTilde, ids: Iterable[int]) -> list[Simplex]:
-    """The X~ cells with these ids, in canonical order."""
-    return list(xt.complex._simplices_of(sorted(ids)))
+def _census_mismatch(
+    xt: XTilde, actual: set[int], expected: set[int], most: int | None = None
+) -> str:
+    """The X~ cells critical but not expected, and expected but not
+    critical: the first `most` (or all) of each, in canonical order, named."""
+    named = lambda ids: ", ".join(map(str, xt.complex._simplices_of(sorted(ids)[:most])))
+    return f"unexpected [{named(actual - expected)}], missing [{named(expected - actual)}]"
 
 
 def _build_v_field(xt: XTilde) -> GradientField:
@@ -277,9 +286,7 @@ def _build_w_field(xt: XTilde) -> GradientField:
     actual = set(_critical_ids(gvf))
     if actual != expected:
         raise InternalConsistencyError(
-            "W-field critical census mismatch: "
-            f"unexpected {_named(xt, actual - expected)}, "
-            f"missing {_named(xt, expected - actual)}"
+            f"W-field critical census mismatch: {_census_mismatch(xt, actual, expected)}"
         )
     return gvf
 
@@ -307,73 +314,57 @@ class VerifyReport:
         return "\n".join(str(c) for c in self.checks)
 
 
-class _Checks:
-    """Accumulator so each comparison lands in the report, pass or fail."""
+def _field_check(
+    name: str, build: Callable[[XTilde], GradientField], xt: XTilde
+) -> tuple[GradientField | None, CheckResult]:
+    """The field `build` makes on X~, or None when it fails, and the check
+    `name` that it is certified."""
+    try:
+        gvf = build(xt)
+    except MorsemvError as e:
+        return None, CheckResult(name, False, str(e))
+    pairs = len(gvf._down) - gvf._down.count(-1)
+    return gvf, CheckResult(name, True, f"{pairs} pairs, acyclic")
 
-    def __init__(self):
-        self.results: list[CheckResult] = []
 
-    def add(self, name: str, ok: bool, detail: str = "") -> bool:
-        self.results.append(CheckResult(name, bool(ok), detail))
-        return bool(ok)
-
-    def report(self) -> VerifyReport:
-        return VerifyReport(tuple(self.results))
-
-
-def _compare(
-    checks: _Checks,
-    gvf: GradientField,
-    column: Callable[[int], Column],
-    source: str,
-    image: Callable[[int], Hashable],
-    bijective: str,
-    target: IntegerChainComplex,
-    homologies: Sequence[tuple[str, HomologyResult]],
-    pair_checks: Callable[[dict[int, Hashable]], None] | None = None,
-) -> None:
-    """Compare the Thom-Smale complex of `gvf`, whose boundary `column`
-    maps a critical id to its column (from Forman's flow), named `source`
-    in reports, with `target`, whose labels are the keys of its generators
-    in target order.
-
-    Adds the check `bijective` (`image` maps the critical cells of each
-    degree, given by id, bijectively onto that degree's keys), then whatever
-    `pair_checks` adds given the image of every critical id, then
-    `boundary_matrices_equal` (with each degree's cells ordered by their
-    image, the Thom-Smale boundaries equal the target's) and
-    `homology_equal` (the Thom-Smale homology equals each named group, the
-    target's first).  Stops after the first check when the bijection
-    fails."""
+def _bijection(
+    gvf: GradientField, image: Callable[[int], Hashable], name: str, target: IntegerChainComplex
+) -> tuple[dict[int, Hashable] | None, CheckResult]:
+    """The check `name` that `image` maps the critical cells of `gvf` in
+    each degree, given by id, bijectively onto that degree's keys, the
+    labels of `target`, and the image of every critical id when it does
+    (None when it does not)."""
     critical = gvf._critical_ids
     try:
         image_of = {i: image(i) for i in _critical_ids(gvf)}
     except InternalConsistencyError as e:
-        checks.add(bijective, False, str(e))
-        return
-    top = max((q for q, ids in enumerate(critical) if ids), default=0)
-    detail = ""
-    for q in range(max(top, target.top) + 1):
+        return None, CheckResult(name, False, str(e))
+    for q in range(max(len(critical), target.top + 1)):
         labels = target.labels[q] if q <= target.top else ()
         images = [image_of[i] for i in critical[q]] if q < len(critical) else []
         if len(images) != len(labels) or set(images) != set(labels):
             detail = f"images in degree {q} do not match the target generators"
-            break
-    if not checks.add(bijective, not detail, detail):
-        return
-    if pair_checks is not None:
-        pair_checks(image_of)
+            return None, CheckResult(name, False, detail)
+    return image_of, CheckResult(name, True)
 
+
+def _same_complex(
+    column: Callable[[int], Column], source: str, image_of: dict[int, Hashable],
+    target: IntegerChainComplex, homologies: Sequence[tuple[str, HomologyResult]],
+) -> tuple[CheckResult, CheckResult]:
+    """Compare the Thom-Smale complex whose boundary `column` maps a critical
+    id to its column (from Forman's flow), named `source` in reports, with
+    `target`, given `image_of`, a bijection from its critical ids onto the
+    keys of target's generators: `boundary_matrices_equal` (with each
+    degree's cells ordered by their image, the Thom-Smale boundaries equal
+    the target's) and `homology_equal` (the Thom-Smale homology equals each
+    named group, the target's first)."""
     preimage = {label: i for i, label in image_of.items()}
     ordered = [[preimage[label] for label in labels] for labels in target.labels]
-    got = [
-        _boundary_columns(ordered[q - 1], ordered[q], column)
-        for q in range(1, target.top + 1)
-    ]
-    matrices_ok = True
+    got = [_boundary_columns(ordered[q - 1], ordered[q], column) for q in range(1, target.top + 1)]
+    detail = ""
     for q, (have, want) in enumerate(zip(got, target.columns), start=1):
         if have != want:
-            matrices_ok = False
             spots = sorted(
                 (i, j)
                 for j, (h, w) in enumerate(zip(have, want))
@@ -382,21 +373,17 @@ def _compare(
             )
             detail = f"degree {q} differs at entries {spots[:5]}"
             break
-    checks.add("boundary_matrices_equal", matrices_ok, detail)
-
+    matrices = CheckResult("boundary_matrices_equal", not detail, detail)
     # Equal generators and equal matrices make the Thom-Smale complex the
     # target complex itself, so its homology is the target's.
     own = (
-        homologies[0][1] if matrices_ok
-        else homology(IntegerChainComplex.from_columns(target.ranks, got))
+        homology(IntegerChainComplex.from_columns(target.ranks, got)) if detail
+        else homologies[0][1]
     )
     named = [(source, own), *homologies]
     ok = all(h == own for _, h in named)
-    checks.add(
-        "homology_equal",
-        ok,
-        str(homologies[-1][1]) if ok else "  vs  ".join(f"{n}: {h}" for n, h in named),
-    )
+    detail = str(homologies[-1][1]) if ok else "  vs  ".join(f"{n}: {h}" for n, h in named)
+    return matrices, CheckResult("homology_equal", ok, detail)
 
 
 def check_iso_simplicial(xt: XTilde) -> VerifyReport:
@@ -404,35 +391,26 @@ def check_iso_simplicial(xt: XTilde) -> VerifyReport:
     critical-cell census, bijectivity of g, equality of every boundary
     matrix, and equality of homology."""
     d = xt.decomposition
-    checks = _Checks()
-    try:
-        v = _build_v_field(xt)
-        pairs = len(v._down) - v._down.count(-1)
-        checks.add("v_field_certified", True, f"{pairs} pairs, acyclic")
-    except MorsemvError as e:
-        checks.add("v_field_certified", False, str(e))
-        return checks.report()
-
+    v, certified = _field_check("v_field_certified", _build_v_field, xt)
+    if v is None:
+        return VerifyReport((certified,))
     in_iab = d.iab._mask if d.iab is not None else bytearray(len(d.x._table))
     expected = {
         i for i, p in enumerate(xt._piece)
         if p == _A or p == _B and not in_iab[xt._ground[i]]
     }
     actual = set(_critical_ids(v))
-    checks.add(
-        "v_critical_census",
-        actual == expected,
-        f"{len(actual)} critical cells"
-        if actual == expected
-        else f"unexpected {_named(xt, actual - expected)[:3]}, "
-        f"missing {_named(xt, expected - actual)[:3]}",
-    )
+    ok = actual == expected
+    detail = f"{len(actual)} critical cells" if ok else _census_mismatch(xt, actual, expected, 3)
+    census = CheckResult("v_critical_census", ok, detail)
     # g: critical cells of V -> ids of X (drop the copy tag)
-    _compare(
-        checks, v, _flow(_arcs(v), v._down), "(X~,V)", xt._ground.__getitem__,
-        "g_bijective", xt.x_chains, [("X", xt.x_homology)],
+    g_of, bijective = _bijection(v, xt._ground.__getitem__, "g_bijective", xt.x_chains)
+    if g_of is None:
+        return VerifyReport((certified, census, bijective))
+    same = _same_complex(
+        _flow(_arcs(v), v._down), "(X~,V)", g_of, xt.x_chains, [("X", xt.x_homology)]
     )
-    return checks.report()
+    return VerifyReport((certified, census, bijective, *same))
 
 
 def _f_image(xt: XTilde, i: int) -> int:
@@ -495,54 +473,50 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
     classification, boundary matrices, and homology (against the direct
     simplicial computation as well)."""
     d = xt.decomposition
-    checks = _Checks()
-    try:
-        gvf = _build_w_field(xt)
-        pairs = len(gvf._down) - gvf._down.count(-1)
-        checks.add("w_field_certified", True, f"{pairs} pairs, acyclic")
-    except MorsemvError as e:
-        checks.add("w_field_certified", False, str(e))
-        return checks.report()
-
+    w, certified = _field_check("w_field_certified", _build_w_field, xt)
+    if w is None:
+        return VerifyReport((certified,))
     # one split flow per side gives its boundary, its counts and its sums;
     # W's also feeds the scan
     mv = _mv_tallies(d)
     keys = _generator_keys(d)
     target = _trajectory_complex(keys, keys, _sums(mv))
-    flow = _flow(_arcs(gvf), gvf._down, _split)
-    upstairs = _w_tallies(gvf, flow)
+    f_of, bijective = _bijection(w, partial(_f_image, xt), "f_bijective_onto_generators", target)
+    if f_of is None:
+        return VerifyReport((certified, bijective))
+    flow = _flow(_arcs(w), w._down, _split)
+    upstairs = _w_tallies(w, flow)
 
-    def pair_checks(f_of: dict[int, int]) -> None:
-        # MV's tallies move onto W's critical ids along f
-        at = {key: i for i, key in f_of.items()}
-        critical, compared = gvf._critical_ids, 0
-        c_detail = w_detail = k_detail = ""
-        for q in range(1, len(critical)):
-            rank = {sigma: k for k, sigma in enumerate(critical[q - 1])}
-            compared += len(critical[q]) * len(critical[q - 1])
-            for tau in critical[q]:
-                g = upstairs[tau]
-                m = {at[alpha]: n for alpha, n in mv.get(f_of[tau], {}).items()}
-                for sigma in sorted(g.keys() | m.keys(), key=rank.__getitem__):
-                    have, want = g.get(sigma, (0, 0)), m.get(sigma, (0, 0))
-                    if have == want:
-                        continue
-                    pair = " -> ".join(str(_named_generator(d, f_of[k])) for k in (tau, sigma))
-                    if have[0] != want[0] and not c_detail:
-                        c_detail = f"{pair}: {have[0]} trajectories upstairs, {want[0]} in MV"
-                        k_detail = f"{pair}: case multisets differ"
-                    w_detail = w_detail or f"{pair}: weight multisets differ"
-        checks.add("trajectory_counts_match", not c_detail,
-                   c_detail or f"{compared} critical pairs compared")
-        checks.add("trajectory_weights_match", not w_detail, w_detail)
-        # the pieces at its ends fix a trajectory's case unless it takes a
-        # forbidden step, so the case multisets match when the counts do
-        k_detail = _forbidden_step(xt, gvf, flow) or k_detail
-        checks.add("trajectory_classification", not k_detail, k_detail)
-
-    _compare(
-        checks, gvf, _sums(upstairs), "(X~,W)", lambda i: _f_image(xt, i),
-        "f_bijective_onto_generators", target,
-        [("MV", homology(target)), ("X", xt.x_homology)], pair_checks,
-    )
-    return checks.report()
+    # per critical pair, W's tallies against MV's, moved onto W's critical
+    # ids along f
+    at = {key: i for i, key in f_of.items()}
+    critical, compared = w._critical_ids, 0
+    c_detail = w_detail = k_detail = ""
+    for q in range(1, len(critical)):
+        rank = {sigma: k for k, sigma in enumerate(critical[q - 1])}
+        compared += len(critical[q]) * len(critical[q - 1])
+        for tau in critical[q]:
+            g = upstairs[tau]
+            m = {at[alpha]: n for alpha, n in mv.get(f_of[tau], {}).items()}
+            for sigma in sorted(g.keys() | m.keys(), key=rank.__getitem__):
+                have, want = g.get(sigma, (0, 0)), m.get(sigma, (0, 0))
+                if have == want:
+                    continue
+                pair = " -> ".join(str(_named_generator(d, f_of[k])) for k in (tau, sigma))
+                if have[0] != want[0] and not c_detail:
+                    c_detail = f"{pair}: {have[0]} trajectories upstairs, {want[0]} in MV"
+                    k_detail = f"{pair}: case multisets differ"
+                w_detail = w_detail or f"{pair}: weight multisets differ"
+    # the pieces at its ends fix a trajectory's case unless it takes a
+    # forbidden step, so the case multisets match when the counts do
+    k_detail = _forbidden_step(xt, w, flow) or k_detail
+    return VerifyReport((
+        certified,
+        bijective,
+        CheckResult("trajectory_counts_match", not c_detail,
+                    c_detail or f"{compared} critical pairs compared"),
+        CheckResult("trajectory_weights_match", not w_detail, w_detail),
+        CheckResult("trajectory_classification", not k_detail, k_detail),
+        *_same_complex(_sums(upstairs), "(X~,W)", f_of, target,
+                       [("MV", homology(target)), ("X", xt.x_homology)]),
+    ))

@@ -402,8 +402,8 @@ def greedy_and_clock(x: SimplicialComplex, strategy: str, seed: int | None):
 
 def uncertified(x: SimplicialComplex, field: VectorField) -> GradientField:
     """The field on x's ids, not certified, for `morse._descends`."""
-    gvf = GradientField(x, _token=GradientField._TOKEN)
-    gvf._up, gvf._down, gvf._lift = field._arrays(x)
+    gvf = object.__new__(GradientField)
+    gvf.complex, gvf._up, gvf._down, gvf._lift = x, *field._arrays(x)
     return gvf
 
 

@@ -275,6 +275,118 @@ class TestBlockFaults:
         )
 
 
+def drop_last_prism_pair(monkeypatch):
+    """W loses its last interior pair, which leaves two cells critical that
+    the census does not predict."""
+    extension = verify_module._prism_extension
+
+    def dropped(xt):
+        pairs, criticals = extension(xt)
+        return pairs[:-1], criticals
+
+    monkeypatch.setattr(verify_module, "_prism_extension", dropped)
+
+
+def moved_ground(xt):
+    """X~ with the ground of the critical cell [A:v5] of V and W moved to v0."""
+    ground = list(xt._ground)
+    ground[xt.complex._id(Simplex("A:v5"))] = xt.decomposition.x._id(Simplex("v0"))
+    return dataclasses.replace(xt, _ground=ground)
+
+
+def outcome(report):
+    return [(c.name, c.ok) for c in report.checks]
+
+
+class TestEarlyExits:
+    """A stage stops at a failed field certification or a failed bijection;
+    a failed census does not stop it."""
+
+    def test_w_census_fault(self, oct_xtilde, monkeypatch):
+        drop_last_prism_pair(monkeypatch)
+        (check,) = check_main_iso(oct_xtilde).checks
+        assert (check.name, check.ok) == ("w_field_certified", False)
+        assert check.detail.startswith("W-field critical census mismatch: unexpected ")
+        assert check_iso_simplicial(oct_xtilde).ok
+
+    def test_images_fault(self, oct_xtilde):
+        report = check_main_iso(moved_ground(oct_xtilde))
+        assert outcome(report) == [
+            ("w_field_certified", True), ("f_bijective_onto_generators", False),
+        ]
+        assert report.checks[1].detail == "images in degree 0 do not match the target generators"
+
+    def test_distinguished_cell_fault(self, oct_xtilde, monkeypatch):
+        """W is certified on the true X~; the X~ that f reads names the
+        distinguished cell of another vertex block over [I:v2]."""
+        xt = oct_xtilde
+        w = _build_w_field(xt)
+        monkeypatch.setattr(verify_module, "_build_w_field", lambda _: w)
+        v2 = xt.decomposition.x._id(Simplex("v2"))
+        members = dict(xt._members)
+        other = next(a for a, (a_ids, _) in members.items() if a != v2 and len(a_ids) == 1)
+        members[v2] = (members[other][0], members[v2][1])
+        report = check_main_iso(dataclasses.replace(xt, _members=members))
+        assert outcome(report) == [
+            ("w_field_certified", True), ("f_bijective_onto_generators", False),
+        ]
+        assert report.checks[1].detail == (
+            "interior critical cell [A:v2 B:v2] is not the distinguished cell over [I:v2]"
+        )
+
+    def test_ground_fault_on_v_side(self, oct_xtilde):
+        report = check_iso_simplicial(moved_ground(oct_xtilde))
+        assert outcome(report) == [
+            ("v_field_certified", True), ("v_critical_census", True), ("g_bijective", False),
+        ]
+        assert [c.detail for c in report.checks] == [
+            "12 pairs, acyclic", "26 critical cells",
+            "images in degree 0 do not match the target generators",
+        ]
+
+    def test_piece_fault_fails_only_the_census(self, oct_xtilde):
+        """[B:v0], the top copy of an intersection vertex, marked as A-copy:
+        the census expects it critical, and every later check still runs."""
+        xt = oct_xtilde
+        piece = bytearray(xt._piece)
+        top = xt._copies[_B][xt.decomposition.x._id(Simplex("v0"))]
+        piece[top] = _A
+        report = check_iso_simplicial(dataclasses.replace(xt, _piece=piece))
+        assert outcome(report) == [
+            ("v_field_certified", True), ("v_critical_census", False), ("g_bijective", True),
+            ("boundary_matrices_equal", True), ("homology_equal", True),
+        ]
+        assert report.checks[1].detail.startswith("unexpected ")
+        assert [c.detail for c in report.checks[2:]] == [
+            "", "", "H_0 = Z, H_1 = 0, H_2 = Z",
+        ]
+
+    def test_census_details_name_cells(self, oct_xtilde, monkeypatch):
+        """Both censuses name their cells as every other detail does."""
+        xt = oct_xtilde
+        piece = bytearray(xt._piece)
+        piece[xt._copies[_B][xt.decomposition.x._id(Simplex("v0"))]] = _A
+        v_report = check_iso_simplicial(dataclasses.replace(xt, _piece=piece))
+        assert v_report.checks[1].detail == "unexpected [], missing [[B:v0]]"
+        drop_last_prism_pair(monkeypatch)
+        assert check_main_iso(xt).checks[0].detail == (
+            "W-field critical census mismatch: "
+            "unexpected [[A:v2 B:v3], [A:v2 A:v3 B:v3]], missing []"
+        )
+
+    def test_cli_w_census_fault(self, monkeypatch, capsys):
+        drop_last_prism_pair(monkeypatch)
+        golden = Path(__file__).parent / "golden"
+        code = main(["verify", "--complex", str(golden / "octahedron.cx"),
+                     "--decomposition", str(golden / "octahedron.dec")])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 5
+        assert lines[0] == "simplicial:" and lines[6] == "mayer_vietoris:"
+        assert [line[:6] for line in lines[1:6]] == ["  ok  "] * 5
+        assert lines[7].startswith("  FAIL w_field_certified: W-field critical census mismatch")
+        assert lines[8:] == ["verdict: FAIL (6 checks)"]
+
+
 class TestClassification:
     def test_interior_and_crossing_types(self, oct_xtilde):
         xt = oct_xtilde
