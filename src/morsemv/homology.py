@@ -13,10 +13,11 @@ t_i are the invariant factors of d_{q+1} exceeding 1.  (See Hatcher,
 "Algebraic Topology", section 2.1, or any treatment of finitely generated
 abelian groups.)
 
-Ranks and invariant factors come from sparse elimination that removes the
-+-1 pivots first, after Dumas, Saunders & Villard, "On efficient sparse
-integer matrix Smith normal form computations" (J. Symb. Comput. 2001);
-the dense `smith_normal_form` then runs only on the small residual block.
+Ranks and invariant factors come from one sparse elimination: +-1 pivots
+first, after Dumas, Saunders & Villard, "On efficient sparse integer matrix
+Smith normal form computations" (J. Symb. Comput. 2001), then the others by
+Euclid, the diagonal merged by diag(a, b) ~ diag(gcd, lcm) (Kaczynski,
+Mischaikow & Mrozek, "Computational Homology", 2004, ch. 3).
 
 `homology` eliminates the boundaries from the top degree down and clears,
 after Chen & Kerber, "Persistent homology computation with a twist" (2011),
@@ -31,14 +32,16 @@ coefficient, as an integer combination of the columns of d_q at later pivot
 rows and at rows that are no pivot.  Back substitution from i_u down makes
 every skipped column an integer combination of the kept ones: the image
 lattice, and with it the rank and the invariant factors of d_q, does not
-change.  Only unit-pivot rows may be cleared: a pivot of the dense residual
-block need not be a unit, and then its cycle does not give its column as an
-integer combination of the others.  In d_1 = (3 -2), d_2 = (2 3)^T, clearing
-either row of d_2 would leave H_0 = Z/2 or Z/3 where it is 0.
+change.  Only unit pivots found before the first non-unit one are cleared:
+a non-unit pivot's cycle does not give its column as an integer combination
+of the others, and Euclid's row operations change the basis of C_q.  In
+d_1 = (3 -2), d_2 = (2 3)^T, clearing a row of d_2 would leave Z/2 or Z/3.
 """
 from __future__ import annotations
 
 import heapq
+import math
+import operator
 from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex
@@ -57,7 +60,15 @@ Matrix = list[list[int]]
 Column = dict[int, int]
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
+def _entry(v, error: type[Exception]) -> int:
+    """v as an int, raising `error` rather than truncating a float."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise error(f"matrix entry {v!r} is not an integer") from None
+
+
+def smith_normal_form(matrix: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], int]:
     """Invariant factors and rank of an integer matrix.
 
     Returns (d_1, ..., d_r) with d_1 | d_2 | ... | d_r, all positive, and
@@ -72,64 +83,12 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
     >>> smith_normal_form([[2, 0], [0, 3]])
     ((1, 6), 2)
     """
-    a = [[int(v) for v in row] for row in matrix]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    if any(len(row) != ncols for row in a):
+    rows = [[_entry(v, ValueError) for v in row] for row in matrix]
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
         raise ValueError("ragged matrix")
-    factors: list[int] = []
-    t = 0
-    while t < min(nrows, ncols):
-        # Choose the pivot: a minimal-magnitude nonzero entry of the
-        # untouched block.  Small pivots keep the Euclidean steps short
-        # and the intermediate entries from exploding.
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-
-        # Euclidean reduction of row/column t.  If any remainder survives,
-        # it is strictly smaller than the pivot; loop and re-pick.
-        d = a[t][t]
-        dirty = False
-        for i in range(t + 1, nrows):
-            if a[i][t]:
-                q = a[i][t] // d
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                dirty = dirty or a[i][t] != 0
-        for j in range(t + 1, ncols):
-            if a[t][j]:
-                q = a[t][j] // d
-                for row in a:
-                    row[j] -= q * row[t]
-                dirty = dirty or a[t][j] != 0
-        if dirty:
-            continue
-        # Enforce the divisibility chain: the pivot must divide every entry
-        # of the remaining block.  Folding an offending row into row t
-        # leaves a remainder on the next pass, shrinking the pivot.
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % d:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            continue
-        factors.append(abs(d))
-        t += 1
-    return tuple(factors), len(factors)
+    # the transpose has the same invariant factors: rows become columns
+    return _eliminate([{j: v for j, v in enumerate(row) if v} for row in rows], ncols)[:2]
 
 
 def _dense(columns: Sequence[Column], nrows: int) -> Matrix:
@@ -145,19 +104,18 @@ def _eliminate(
     columns: Sequence[Column], nrows: int
 ) -> tuple[tuple[int, ...], int, set[int]]:
     """The invariant factors and rank of the matrix with `nrows` rows and
-    the given columns, which `smith_normal_form` gives on its rows, and the
-    rows of its unit pivots.  The input is not modified.
+    the given columns, and the rows of the unit pivots found before the
+    first non-unit pivot.  The input is not modified.
 
-    A unit pivot a_ij = +-1 is eliminated by column operations: every other
-    column k with a nonzero a_ik becomes col_k - a_ik * a_ij * col_j, which
-    clears row i.  Row i and column j then leave the matrix with an invariant
-    factor 1.  One elimination adds at most (row weight - 1) * (column
-    weight - 1) entries, so the pivot comes from a column of least weight,
-    and in it from the lightest row.  Columns wait in a heap keyed by
-    weight and are pushed again when an elimination changes them, so no
-    pivot search rescans the matrix.  When no column holds a unit, the
-    residual block goes to `smith_normal_form`; its rows are not among the
-    returned pivot rows.
+    A pivot a_ij = p is eliminated by column operations: every other column k
+    with a nonzero a_ik becomes col_k - (a_ik // p) * col_j.  A step adds at
+    most (row weight - 1) * (column weight - 1) entries, so a unit pivot comes
+    from a lightest column and in it from the lightest row; columns wait in a
+    heap by weight and return to it when changed.  With no unit left, p is a
+    least entry of the lightest column.  A remainder in its row is the next
+    pivot; once p is alone in its row, row operations take its column mod p,
+    and a remainder there is the next pivot.  |p| shrinks until p is alone;
+    diagonal entries above 1 merge by diag(a, b) ~ diag(gcd, lcm).
     """
     cols = [dict(col) for col in columns]
     rows: list[set[int]] = [set() for _ in range(nrows)]
@@ -166,42 +124,78 @@ def _eliminate(
             rows[i].add(j)
     heap = [(len(col), j) for j, col in enumerate(cols) if col]
     heapq.heapify(heap)
-    pivots: set[int] = set()
+    cleared = pivots = set()
+    units = 0
+    diagonal: list[int] = []
     while heap:
         weight, j = heapq.heappop(heap)
         col = cols[j]
-        if weight != len(col):
-            continue  # stale: the column changed or left since this push
-        pivot = None
-        for i, v in col.items():
-            if (v == 1 or v == -1) and (pivot is None or len(rows[i]) < len(rows[pivot])):
-                pivot = i
-        if pivot is None:
-            continue
-        p = col[pivot]
-        for k in rows[pivot] - {j}:
-            other = cols[k]
-            f = other[pivot] * p
+        if weight == len(col):
+            pivot = None
             for i, v in col.items():
-                w = other.get(i, 0) - f * v
+                if (v == 1 or v == -1) and (pivot is None or len(rows[i]) < len(rows[pivot])):
+                    pivot = i
+            if pivot is None:
+                # weights are at most nrows: this entry pops once no column holds a unit
+                heapq.heappush(heap, (nrows + weight, j))
+                continue
+        elif col and weight == nrows + len(col):
+            pivot = min(col, key=lambda i: abs(col[i]))
+            pivots = set()  # rows found from here on are not cleared
+        else:
+            continue  # stale: the column changed or left since this push
+        while True:
+            p = col[pivot]
+            unit = p == 1 or p == -1
+            for k in rows[pivot] - {j}:
+                other = cols[k]
+                f = other[pivot] // p
+                if not f:
+                    continue
+                for i, v in col.items():
+                    w = other.get(i, 0) - f * v
+                    if w:
+                        if i not in other:
+                            rows[i].add(k)
+                        other[i] = w
+                    else:
+                        del other[i]
+                        rows[i].discard(k)
+                if other:
+                    heapq.heappush(heap, (len(other), k))
+            if unit:
+                break
+            if len(rows[pivot]) > 1:
+                j = min(rows[pivot] - {j}, key=lambda k: abs(cols[k][pivot]))
+                col = cols[j]
+                continue
+            for i, v in list(col.items()):
+                w = v % p
                 if w:
-                    if i not in other:
-                        rows[i].add(k)
-                    other[i] = w
-                else:
-                    del other[i]
-                    rows[i].discard(k)
-            if other:
-                heapq.heappush(heap, (len(other), k))
+                    col[i] = w
+                elif i != pivot:
+                    del col[i]
+                    rows[i].discard(j)
+            if len(col) == 1:
+                break
+            pivot = min(col, key=lambda i: abs(col[i]))
         for i in col:
             rows[i].discard(j)
         cols[j] = {}
-        pivots.add(pivot)
-    live = {i: n for n, i in enumerate(i for i, r in enumerate(rows) if r)}
-    residual = [{live[i]: v for i, v in col.items()} for col in cols if col]
-    factors, rank = smith_normal_form(_dense(residual, len(live)))
-    units = len(pivots)
-    return (1,) * units + factors, units + rank, pivots
+        if unit:
+            units += 1
+            pivots.add(pivot)
+        else:
+            diagonal.append(abs(p))
+    # the merge is quadratic: only the non-unit entries take part, and none
+    # when, sorted, they already divide each other, as in (Z/2)^m
+    diagonal.sort()
+    if any(b % a for a, b in zip(diagonal, diagonal[1:])):
+        for s in range(len(diagonal)):
+            for t in range(s + 1, len(diagonal)):
+                g = math.gcd(diagonal[s], diagonal[t])
+                diagonal[s], diagonal[t] = g, diagonal[s] // g * diagonal[t]
+    return (1,) * units + tuple(diagonal), units + len(diagonal), cleared
 
 
 def _checked_ranks(ranks: Sequence[int], nboundaries: int) -> tuple[int, ...]:
@@ -223,8 +217,8 @@ class IntegerChainComplex:
     mapping row indices below ranks[q-1] to nonzero coefficients.  The
     constructor takes each d_q as a dense matrix (ranks[q-1] rows, ranks[q]
     columns); `from_columns` takes the sparse columns themselves.  Both check
-    shapes and that consecutive boundaries compose to zero, raising
-    InternalConsistencyError otherwise.  Optional labels name the
+    shapes, integer entries and that consecutive boundaries compose to zero,
+    raising InternalConsistencyError otherwise.  Optional labels name the
     generators per degree.
     """
 
@@ -247,8 +241,8 @@ class IntegerChainComplex:
             cols: list[Column] = [{} for _ in range(want[1])]
             for i, row in enumerate(m):
                 for j, v in enumerate(row):
-                    if v:
-                        cols[j][i] = int(v)
+                    if v := _entry(v, InternalConsistencyError):
+                        cols[j][i] = v
             columns.append(cols)
         self._setup(ranks, columns, labels)
 
@@ -266,7 +260,8 @@ class IntegerChainComplex:
         for q, cols in enumerate(columns, start=1):
             nrows = ranks[q - 1]
             if len(cols) != ranks[q] or any(
-                not 0 <= i < nrows or not v for col in cols for i, v in col.items()
+                not 0 <= i < nrows or not _entry(v, InternalConsistencyError)
+                for col in cols for i, v in col.items()
             ):
                 raise InternalConsistencyError(
                     f"boundary d_{q} does not fit the shape {(nrows, ranks[q])}"
@@ -310,7 +305,8 @@ class IntegerChainComplex:
 
 
 class HomologyResult:
-    """Homology groups, one (betti, torsion coefficients) pair per degree.
+    """Homology groups, one (betti, torsion coefficients) pair per degree;
+    the coefficients are invariant factors, each >= 2 and dividing the next.
 
     Equality ignores trailing trivial degrees, so the homology of a
     3-sphere computed up to degree 5 equals the same groups listed up to
@@ -324,8 +320,10 @@ class HomologyResult:
 
     def __init__(self, groups: Iterable[tuple[int, tuple[int, ...]]]):
         self.groups = tuple((int(b), tuple(int(t) for t in ts)) for b, ts in groups)
-        if any(b < 0 for b, _ in self.groups):
-            raise InternalConsistencyError("negative betti number")
+        for b, ts in self.groups:
+            # each t >= 2 divides the next; the last is paired with itself
+            if b < 0 or any(t < 2 or u % t for t, u in zip(ts, ts[1:] + ts[-1:])):
+                raise InternalConsistencyError(f"group ({b}, {ts}) not in invariant-factor form")
 
     def betti(self, q: int) -> int:
         return self.groups[q][0] if 0 <= q < len(self.groups) else 0
@@ -373,11 +371,10 @@ class HomologyResult:
 def homology(c: IntegerChainComplex) -> HomologyResult:
     """Homology of an integer chain complex.
 
-    The boundaries are eliminated from the top degree down, and the columns
-    of d_q at the unit-pivot rows of d_{q+1} are cleared: never handed to
-    the elimination.  Their image is spanned by the other columns (see the
-    module docstring), so the rank and invariant factors of d_q are those of
-    the columns that are kept.
+    The boundaries are eliminated from the top degree down.  The columns of
+    d_q at the rows `_eliminate` returns for d_{q+1}, its unit pivots before
+    any other, are cleared: the kept columns span their image (see the
+    module docstring) and give d_q's rank and invariant factors.
     """
     snf = [((), 0)] * (c.top + 2)
     cleared: set[int] = set()

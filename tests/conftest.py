@@ -61,11 +61,26 @@ def klein_bottle() -> SimplicialComplex:
     return build_complex(faces)
 
 
+RP2_FACES = ["1 2 3", "1 3 4", "1 4 5", "1 5 6", "1 2 6",
+             "2 3 5", "3 4 6", "2 4 5", "3 5 6", "2 4 6"]
+
+
 def projective_plane() -> SimplicialComplex:
     """The 6-vertex triangulation of RP^2 (antipodal icosahedron)."""
-    faces = ["1 2 3", "1 3 4", "1 4 5", "1 5 6", "1 2 6",
-             "2 3 5", "3 4 6", "2 4 5", "3 5 6", "2 4 6"]
-    return build_complex(faces)
+    return build_complex(RP2_FACES)
+
+
+def rp2_chain(m: int) -> tuple[SimplicialComplex, SimplicialComplex, SimplicialComplex]:
+    """(x, a, b): x is a chain of m copies of the 6-vertex RP^2, vertex 4
+    of copy c glued to vertex 1 of copy c + 1, so H_1(x) = (Z/2)^m; a holds
+    the first m // 2 copies and b the others, meeting in one vertex."""
+    faces = [
+        " ".join({"1": f"g{c}", "4": f"g{c + 1}"}.get(v, f"c{c}v{v}") for v in face.split())
+        for c in range(m)
+        for face in RP2_FACES
+    ]
+    half = 10 * (m // 2)
+    return build_complex(faces), build_complex(faces[:half]), build_complex(faces[half:])
 
 
 def corpus_complexes() -> dict[str, SimplicialComplex]:

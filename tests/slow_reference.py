@@ -38,11 +38,16 @@ recheck each enumerated trajectory against the raw definition, and the
 per-pair checks of `check_main_iso` are run here as they ran before they
 were read off flows, on every trajectory of (X~, W) and of the
 Mayer-Vietoris complex, each trajectory classified by its pieces.
+
+The Smith normal form reference is the dense Euclidean loop that
+`morsemv.homology.smith_normal_form` ran, on a list of rows, before one
+sparse elimination (`homology._eliminate`) took non-unit pivots too.
 """
 from __future__ import annotations
 
 import heapq
 import random
+from typing import Sequence
 
 from morsemv import (
     InternalConsistencyError,
@@ -566,3 +571,71 @@ def enumerated_pair_checks(xt: XTilde) -> tuple[CheckResult, ...]:
         CheckResult("trajectory_weights_match", weights_ok, w_detail),
         CheckResult("trajectory_classification", classes_ok, k_detail),
     )
+
+
+def reference_smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
+    """Invariant factors and rank of an integer matrix, by the dense
+    Euclidean loop: the pivot is an entry of least magnitude in the whole
+    untouched block, found by a scan at every step.
+
+    Returns (d_1, ..., d_r) with d_1 | d_2 | ... | d_r, all positive, and
+    the rank r.  The input is not modified.
+    """
+    a = [[int(v) for v in row] for row in matrix]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    if any(len(row) != ncols for row in a):
+        raise ValueError("ragged matrix")
+    factors: list[int] = []
+    t = 0
+    while t < min(nrows, ncols):
+        # Choose the pivot: a minimal-magnitude nonzero entry of the
+        # untouched block.  Small pivots keep the Euclidean steps short
+        # and the intermediate entries from exploding.
+        pivot = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+
+        # Euclidean reduction of row/column t.  If any remainder survives,
+        # it is strictly smaller than the pivot; loop and re-pick.
+        d = a[t][t]
+        dirty = False
+        for i in range(t + 1, nrows):
+            if a[i][t]:
+                q = a[i][t] // d
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                dirty = dirty or a[i][t] != 0
+        for j in range(t + 1, ncols):
+            if a[t][j]:
+                q = a[t][j] // d
+                for row in a:
+                    row[j] -= q * row[t]
+                dirty = dirty or a[t][j] != 0
+        if dirty:
+            continue
+        # Enforce the divisibility chain: the pivot must divide every entry
+        # of the remaining block.  Folding an offending row into row t
+        # leaves a remainder on the next pass, shrinking the pivot.
+        offender = None
+        for i in range(t + 1, nrows):
+            for j in range(t + 1, ncols):
+                if a[i][j] % d:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+            continue
+        factors.append(abs(d))
+        t += 1
+    return tuple(factors), len(factors)

@@ -13,9 +13,13 @@ from morsemv import (
     IntegerChainComplex,
     InternalConsistencyError,
     build_complex,
+    build_decomposition,
+    greedy_gvf,
     homology,
+    mv_homology,
     simplicial_homology,
     smith_normal_form,
+    thom_smale_complex,
 )
 from morsemv.homology import _eliminate, simplicial_chain_complex
 from conftest import (
@@ -23,8 +27,10 @@ from conftest import (
     corpus_complexes,
     expected_homology,
     random_small_complex,
+    rp2_chain,
     seven_vertex_torus,
 )
+from slow_reference import reference_smith_normal_form
 
 homology_module = importlib.import_module("morsemv.homology")
 
@@ -105,6 +111,44 @@ class TestSmithNormalForm:
         modified[i] = [a + b for a, b in zip(modified[i], modified[j])]
         assert smith_normal_form(modified) == smith_normal_form(m)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_dense_reference(self, data):
+        # dense, sparse, or a product through an inner dimension of at most
+        # 3 scaled by 2, 3 or 6, so that invariant factors exceed 1
+        nrows, ncols = data.draw(st.integers(0, 10)), data.draw(st.integers(0, 10))
+
+        def block(n, m):
+            row = st.lists(st.integers(-6, 6), min_size=m, max_size=m)
+            return data.draw(st.lists(row, min_size=n, max_size=n))
+
+        kind = data.draw(st.sampled_from(["dense", "sparse", "product"]))
+        if kind == "product":
+            inner = data.draw(st.integers(0, 3))
+            scale = data.draw(st.sampled_from([1, 2, 3, 6]))
+            a, b = block(nrows, inner), block(inner, ncols)
+            m = [[scale * sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(ncols)]
+                 for i in range(nrows)]
+        else:
+            m = block(nrows, ncols)
+            if kind == "sparse":
+                kept = data.draw(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                                         max_size=12))
+                m = [[v if (i, j) in kept else 0 for j, v in enumerate(row)]
+                     for i, row in enumerate(m)]
+        assert smith_normal_form(m) == reference_smith_normal_form(m)
+
+    def test_any_iterable_of_rows(self):
+        assert smith_normal_form(iter([[1, 2]])) == ((1,), 1)
+        assert smith_normal_form(row for row in ([2, 0], [0, 3])) == ((1, 6), 2)
+
+    def test_non_integral_entries_rejected(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            smith_normal_form([[2.7, 0]])
+        with pytest.raises(ValueError, match="ragged"):
+            smith_normal_form([[1, 2], [3]])
+        assert smith_normal_form([[True, 0], [0, 2]]) == ((1, 2), 2)
+
 
 def columns_of(m: list[list[int]], ncols: int) -> list[dict[int, int]]:
     return [{i: row[j] for i, row in enumerate(m) if row[j]} for j in range(ncols)]
@@ -143,7 +187,7 @@ class TestSparseElimination:
         m, ncols = case
         cols = columns_of(m, ncols)
         before = [dict(c) for c in cols]
-        assert _eliminate(cols, len(m))[:2] == smith_normal_form(m)
+        assert _eliminate(cols, len(m))[:2] == reference_smith_normal_form(m)
         assert cols == before
 
     def test_residual_carries_the_torsion(self):
@@ -152,11 +196,24 @@ class TestSparseElimination:
         assert _eliminate([{}, {}], 3)[:2] == ((), 0)
         assert _eliminate([], 0)[:2] == ((), 0)
 
+    def test_zero_floor_quotient_leaves_the_column(self):
+        # pivot 3 in row 0; 2 // 3 == 0, so column 1 is not touched (its
+        # row 1 holds no entry to subtract from)
+        assert _eliminate([{0: 3, 1: 5}, {0: 2, 2: 7}], 3) == ((1, 1), 2, set())
+
+    def test_no_pivot_row_after_a_non_unit_pivot(self):
+        # (2 3)^T holds no unit: 3 mod 2 leaves the unit, after a row
+        # operation, so no row may be cleared
+        assert _eliminate(columns_of([[2], [3]], 1), 2) == ((1,), 1, set())
+        # the unit pivot found first keeps its row; the torsion that
+        # follows adds none
+        assert _eliminate([{0: 1, 1: 4}, {1: 2, 2: 2}, {2: 4}], 3) == ((1, 2, 4), 3, {0})
+
 
 def dense_homology(c: IntegerChainComplex) -> tuple:
-    """The groups of c from dense `smith_normal_form` on every boundary:
-    the computation that sparse elimination replaced."""
-    snf = [((), 0), *(smith_normal_form(m) for m in c.boundaries), ((), 0)]
+    """The groups of c from the dense reference Smith normal form on every
+    boundary: the computation that sparse elimination replaced."""
+    snf = [((), 0), *(reference_smith_normal_form(m) for m in c.boundaries), ((), 0)]
     return tuple(
         (c.ranks[q] - snf[q][1] - snf[q + 1][1], tuple(f for f in snf[q + 1][0] if f > 1))
         for q in range(c.top + 1)
@@ -307,6 +364,15 @@ class TestIntegerChainComplex:
             with pytest.raises(InternalConsistencyError):
                 IntegerChainComplex.from_columns([2, 1], [bad])
 
+    def test_non_integral_entries_rejected(self):
+        # a float was truncated: [[2.5]] gave H_0 = Z/2
+        for entry in (2.5, 0.0):
+            with pytest.raises(InternalConsistencyError, match="not an integer"):
+                IntegerChainComplex([1, 1], [[[entry]]])
+            with pytest.raises(InternalConsistencyError, match="not an integer"):
+                IntegerChainComplex.from_columns([1, 1], [[{0: entry}]])
+        assert homology(IntegerChainComplex([1, 1], [[[True]]])) == HomologyResult([(0, ())])
+
     def test_dense_views(self):
         c = IntegerChainComplex.from_columns([3, 3], [[{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}]])
         assert c.boundaries == [[[-1, -1, 0], [1, 0, -1], [0, 1, 1]]]
@@ -339,6 +405,14 @@ class TestHomologyResult:
         r = HomologyResult([(1, ()), (1, (2,)), (0, ())])
         assert str(r) == "H_0 = Z, H_1 = Z + Z/2, H_2 = 0"
 
+    @pytest.mark.parametrize("torsion", [(0,), (1,), (-2,), (3, 2), (2, 3), (1, 2)])
+    def test_torsion_must_be_invariant_factors(self, torsion):
+        with pytest.raises(InternalConsistencyError, match="invariant-factor form"):
+            HomologyResult([(1, ()), (0, torsion)])
+
+    def test_invariant_factors_accepted(self):
+        assert HomologyResult([(0, (2, 2, 6, 12))]).torsion(0) == (2, 2, 6, 12)
+
 
 class TestHomologyOfChainComplexes:
     def test_torsion_from_a_doubling_map(self):
@@ -349,6 +423,17 @@ class TestHomologyOfChainComplexes:
     def test_zero_boundaries_give_free_groups(self):
         c = IntegerChainComplex([2, 3], [[[0, 0, 0], [0, 0, 0]]])
         assert homology(c) == HomologyResult([(2, ()), (3, ())])
+
+
+class TestTorsionRank:
+    def test_chain_of_projective_planes(self):
+        # H_1 = (Z/2)^m: every route meets a torsion block m wide
+        m = 60
+        x, a, b = rp2_chain(m)
+        want = HomologyResult([(1, ()), (0, (2,) * m), (0, ())])
+        assert simplicial_homology(x) == want
+        assert homology(thom_smale_complex(greedy_gvf(x))) == want
+        assert mv_homology(build_decomposition(x, a, b)) == want
 
 
 class TestSimplicialHomology:
