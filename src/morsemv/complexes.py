@@ -206,7 +206,9 @@ class _Table:
     level) fill the level below and, once every member has an id, become
     the level's facets.  `simplex` is the one place a member becomes a
     `Simplex`, with every vertex named tag + its name; it builds a fresh
-    one on every call and caches none."""
+    one on every call and caches none.  `verify` lays out the table of its
+    glued complex by its own rule (`verify._PrismTable`): grouped by
+    dimension, with `start`, but not sorted."""
 
     __slots__ = ("names", "rank", "verts", "index", "start", "facets", "_cofacets")
 
@@ -249,7 +251,7 @@ class _Table:
         return cls([tuple(sorted(map(rank, vs))) for vs in generators], names)
 
     def __len__(self) -> int:
-        return len(self.verts)
+        return len(self.facets)
 
     def vertex_names(self, i: int, tag: str) -> tuple[str, ...]:
         names = self.names
@@ -258,8 +260,8 @@ class _Table:
     @property
     def cofacets(self) -> list[list[int]]:
         if self._cofacets is None:
-            cof: list[list[int]] = [[] for _ in self.verts]
-            for t in range(self.start[1], len(self.verts)):
+            cof: list[list[int]] = [[] for _ in self.facets]
+            for t in range(self.start[1], len(self.facets)):
                 for f in self.facets[t]:
                     cof[f].append(t)
             self._cofacets = cof

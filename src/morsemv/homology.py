@@ -16,8 +16,10 @@ abelian groups.)
 Ranks and invariant factors come from one sparse elimination: +-1 pivots
 first, after Dumas, Saunders & Villard, "On efficient sparse integer matrix
 Smith normal form computations" (J. Symb. Comput. 2001), then the others by
-Euclid, the diagonal merged by diag(a, b) ~ diag(gcd, lcm) (Kaczynski,
-Mischaikow & Mrozek, "Computational Homology", 2004, ch. 3).
+Euclid, the diagonal merged as diag(a, b) ~ diag(gcd, lcm) would merge it
+(Kaczynski, Mischaikow & Mrozek, "Computational Homology", 2004, ch. 3),
+prime by prime over a coprime base of its entries (Bach & Shallit,
+"Algorithmic Number Theory", 1996, section 4.8).
 
 `homology` eliminates the boundaries from the top degree down and clears,
 after Chen & Kerber, "Persistent homology computation with a twist" (2011),
@@ -60,12 +62,13 @@ Matrix = list[list[int]]
 Column = dict[int, int]
 
 
-def _entry(v, error: type[Exception]) -> int:
-    """v as an int, raising `error` rather than truncating a float."""
+def _entry(v, error: type[Exception], what: str = "matrix entry") -> int:
+    """v as an int, raising `error`, which names v as `what`, rather than
+    truncating a float."""
     try:
         return operator.index(v)
     except TypeError:
-        raise error(f"matrix entry {v!r} is not an integer") from None
+        raise error(f"{what} {v!r} is not an integer") from None
 
 
 def smith_normal_form(matrix: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], int]:
@@ -115,7 +118,8 @@ def _eliminate(
     least entry of the lightest column.  A remainder in its row is the next
     pivot; once p is alone in its row, row operations take its column mod p,
     and a remainder there is the next pivot.  |p| shrinks until p is alone;
-    diagonal entries above 1 merge by diag(a, b) ~ diag(gcd, lcm).
+    diagonal entries above 1 merge into invariant factors
+    (`_invariant_factors`).
     """
     cols = [dict(col) for col in columns]
     rows: list[set[int]] = [set() for _ in range(nrows)]
@@ -187,19 +191,53 @@ def _eliminate(
             pivots.add(pivot)
         else:
             diagonal.append(abs(p))
-    # the merge is quadratic: only the non-unit entries take part, and none
-    # when, sorted, they already divide each other, as in (Z/2)^m
-    diagonal.sort()
-    if any(b % a for a, b in zip(diagonal, diagonal[1:])):
-        for s in range(len(diagonal)):
-            for t in range(s + 1, len(diagonal)):
-                g = math.gcd(diagonal[s], diagonal[t])
-                diagonal[s], diagonal[t] = g, diagonal[s] // g * diagonal[t]
-    return (1,) * units + tuple(diagonal), units + len(diagonal), cleared
+    return (1,) * units + _invariant_factors(diagonal), units + len(diagonal), cleared
+
+
+def _coprime_base(values: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers > 1 whose powers give every value > 1 as
+    a product (a gcd-free basis): a part that shares a factor g > 1 with a
+    new one is split into g and the two cofactors until none does.  Each
+    split lowers the product of the parts, so the loop ends."""
+    base: list[int] = []
+    for v in values:
+        todo = [v]
+        while todo:
+            y = todo.pop()
+            for k, b in enumerate(base):
+                g = math.gcd(b, y)
+                if g > 1:
+                    del base[k]
+                    todo += [f for f in (g, b // g, y // g) if f > 1]
+                    break
+            else:
+                if y > 1:
+                    base.append(y)
+    return base
+
+
+def _invariant_factors(diagonal: list[int]) -> tuple[int, ...]:
+    """The diagonal of the Smith normal form of diag(diagonal), entries
+    ascending, each dividing the next, 1s first: what merging every two
+    entries by diag(a, b) ~ diag(gcd, lcm) gives.  Over a coprime base of
+    the distinct entries, the k-th smallest factor holds each base element
+    to its k-th smallest exponent among the entries, so the cost is the
+    number of entries times the size of the base."""
+    factors = [1] * len(diagonal)
+    for b in _coprime_base(set(diagonal)):
+        exponents = []
+        for v in diagonal:
+            e = 0
+            while v % b == 0:
+                v, e = v // b, e + 1
+            exponents.append(e)
+        for k, e in enumerate(sorted(exponents)):
+            factors[k] *= b**e
+    return tuple(factors)
 
 
 def _checked_ranks(ranks: Sequence[int], nboundaries: int) -> tuple[int, ...]:
-    ranks = tuple(int(r) for r in ranks)
+    ranks = tuple(_entry(r, InternalConsistencyError, "rank") for r in ranks)
     if not ranks or any(r < 0 for r in ranks):
         raise InternalConsistencyError("chain complex needs nonnegative ranks")
     if nboundaries != len(ranks) - 1:
@@ -319,7 +357,8 @@ class HomologyResult:
     """
 
     def __init__(self, groups: Iterable[tuple[int, tuple[int, ...]]]):
-        self.groups = tuple((int(b), tuple(int(t) for t in ts)) for b, ts in groups)
+        entry = lambda v: _entry(v, InternalConsistencyError, "group invariant")
+        self.groups = tuple((entry(b), tuple(map(entry, ts))) for b, ts in groups)
         for b, ts in self.groups:
             # each t >= 2 divides the next; the last is paired with itself
             if b < 0 or any(t < 2 or u % t for t, u in zip(ts, ts[1:] + ts[-1:])):

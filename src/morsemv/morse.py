@@ -244,7 +244,8 @@ class GradientField:
 
     The field lives on the complex's id table, as the arrays `_up`, `_down`
     and `_lift` (see `_matching`), which `_arcs` reads; certification also
-    lists the critical ids of each degree, once.  `pairs`, `critical` and
+    lists the critical ids of each degree, once, and keeps the certifying
+    clock, if any, as `_clock`.  `pairs`, `critical` and
     `field` name them as simplices on every call."""
 
     def __init__(self, complex: SimplicialComplex):
@@ -266,10 +267,13 @@ class GradientField:
         """The field of the arrays up, down and lift on complex, certified
         by a `clock` that descends along every arc (`_descends`); without
         one, or when it does not descend, `_closed_trajectory` decides, so
-        a wrong clock never changes a verdict or a witness."""
+        a wrong clock never changes a verdict or a witness.  The field keeps
+        the clock that certified it as `_clock` (None after a search), so a
+        field built from this one can build its clock from it."""
         gvf = object.__new__(cls)
         gvf.complex, gvf._up, gvf._down, gvf._lift = complex, up, down, lift
-        if clock is None or not _descends(gvf, clock):
+        gvf._clock = clock if clock is not None and _descends(gvf, clock) else None
+        if gvf._clock is None:
             witness = _closed_trajectory(gvf)
             if witness is not None:
                 raise NotAcyclicError(f"closed trajectory through {witness[0]}", witness)
@@ -294,8 +298,8 @@ class GradientField:
 
     def critical(self, q: int | None = None) -> tuple[Simplex, ...]:
         """The unmatched simplices of dimension q (empty tuple if none), or
-        every one by ascending dimension when q is None; each degree in
-        canonical order."""
+        every one by ascending dimension when q is None; each degree in id
+        order, which is canonical on a complex closed from generators."""
         if q is None:
             return tuple(itertools.chain.from_iterable(
                 self.critical(d) for d in range(len(self._critical_ids))

@@ -11,20 +11,27 @@ has the block of 2q + 3 cells
 
 so b_member(alpha, 0) is the B-copy of alpha, b_member(alpha, q+1) its
 A-copy, and the rest lie in the prism interior.  The bottom and top
-vertices are the copies' own vertices, so the gluing is by vertex, and
-X~ is closed once, from every cell of both copies and the cells
-a_member(alpha, r) of every block.  It is closed on ints: with n the
-vertex count of X, the A-copy of vertex v is v and its B-copy n + v,
-named "A:" and "B:" plus the name of v.  `build_xtilde` then records,
-on X~'s ids, the piece of every cell, which is the copy index k of `mv`
-(0 the A-copy, 1 the B-copy, 2 the prism interior, whose critical cells
-f sends to the I-copy's generators), its ground (the id in X of the
-simplex it copies or lies over), for every id of X the ids of its A- and
-B-copies, and for every intersection id the ids of its a_member and
-b_member cells, from the cells it listed: an interior cell's ground is the
-alpha of its block, and a cell of X~ not listed is an internal fault.  The
-two fields, their censuses, the maps g and f and the trajectory
-classification read these maps; simplices are named only for reports.
+vertices are the copies' own vertices, so the gluing is by vertex.  These
+are the prism operator's simplices (Hatcher, "Algebraic Topology", section
+2.1), and their facets are again block cells, over alpha or over a facet
+of alpha, so `build_xtilde` lays X~ out from X's id table by arithmetic,
+without writing a vertex tuple or closing anything: dimension by
+dimension, the A-copy cells, the B-copy cells and the interior cells, each
+block's in a row, and each cell's facets in vertex-drop order from the
+facets of its ground in X.  As it lays them out it records, on X~'s ids,
+the piece of every cell, which is the copy index k of `mv` (0 the A-copy,
+1 the B-copy, 2 the prism interior, whose critical cells f sends to the
+I-copy's generators), its ground (the id in X of the simplex it copies or
+lies over), for every id of X the ids of its A- and B-copies, and for
+every intersection id the ids of its a_member and b_member cells.  The two
+fields, their censuses, the maps g and f and the trajectory classification
+read these maps.  A cell's vertices (with n the vertex count of X, the
+A-copy of vertex v is v and its B-copy n + v, named "A:" and "B:" plus the
+name of v) are built only to name it in a report or to find it by name.
+X~'s ids are grouped by dimension but not canonical, so where a report
+lists cells in order (the census details, the first failing pair of
+`check_main_iso`, the classification scan) it sorts them by dimension,
+then vertex tuple, the order of a complex closed from its cells.
 
 Two gradient fields on X~ carry the theory:
 
@@ -49,9 +56,14 @@ Two gradient fields on X~ carry the theory:
   the two boundary matrices agree entry by entry under f.
 
 Both fields are written as `up`/`down` id arrays on X~, checked as
-matchings of facet pairs and certified acyclic, V by its level clock and W
-by the closed-trajectory search; a fault in the block formula shows up as a
-failed certification or census, never as bad input.
+matchings of facet pairs and certified acyclic by clocks (Mrozek and Batko's
+coreduction clocks; see `morse`): V by its prism levels, and W by the
+clocks of the A- and B-copy fields, below the interior, which is ordered
+by the I-field's clock and then by the prism levels (`_w_clock`).  A field
+pinned by the caller has no clock, and W over it is certified by the
+closed-trajectory search, as is a field whose clock does not descend; a
+fault in a block shows up as a failed certification or census, never as
+bad input.
 
 `check_iso_simplicial` and `check_main_iso` re-derive all of this on a given
 decomposition and report each comparison separately, with counterexamples.
@@ -89,10 +101,11 @@ trajectories.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .complexes import SimplicialComplex, _Table
 from .errors import InternalConsistencyError, MorsemvError
@@ -151,72 +164,167 @@ class XTilde:
     _piece: bytearray
     _ground: list[int]
     _copies: tuple[list[int], list[int]]
-    _members: dict[int, tuple[list[int], list[int]]]
+    _members: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
 
 
-def _block(
-    a: tuple[int, ...], b: tuple[int, ...]
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The vertex tuples of a_member(alpha, r), 0 <= r <= q, and of
-    b_member(alpha, r), 0 <= r <= q+1, for the base simplex alpha whose
-    bottom and top vertices are `a` and `b`.  Both are sorted, since every
-    A-copy vertex comes before every B-copy one."""
-    return (
-        [(*a[: r + 1], *b[r:]) for r in range(len(a))],
-        [(*a[:r], *b[r:]) for r in range(len(a) + 1)],
+class _Cells:
+    """The vertex tuples of X~'s cells, `_Table.verts` for `_PrismTable`:
+    each is built when it is read, from the cell's piece, its ground and,
+    for an interior cell, its place in its block.  With n the vertex count
+    of X, the A-copy of vertex v is v and its B-copy n + v."""
+
+    __slots__ = ("x_verts", "n", "piece", "ground", "members")
+
+    def __init__(self, x_verts, n, piece, ground, members):
+        self.x_verts, self.n, self.piece, self.ground, self.members = (
+            x_verts, n, piece, ground, members
+        )
+
+    def __len__(self) -> int:
+        return len(self.ground)
+
+    def __getitem__(self, j: int) -> tuple[int, ...]:
+        g, p = self.ground[j], self.piece[j]
+        bottom = self.x_verts[g]
+        if p == _A:
+            return bottom
+        top = tuple([v + self.n for v in bottom])
+        if p == _B:
+            return top
+        a, b = self.members[g]
+        r = j - a[0]
+        if 0 <= r < len(a):
+            return bottom[: r + 1] + top[r:]
+        r = b.index(j)
+        return bottom[:r] + top[r:]
+
+
+class _PrismTable(_Table):
+    """X~'s id table as `build_xtilde` lays it out: names, dimension starts
+    and facets as in `_Table`, with `verts` a `_Cells` and `index` listed on
+    first use, since only naming a cell or finding one by its names reads
+    them.  Ids are grouped by dimension but are not canonical."""
+
+    __slots__ = ("_index",)
+
+    def __init__(self, names: list[str], start: list[int], facets: list[tuple[int, ...]],
+                 verts: _Cells):
+        self.names, self.rank = names, dict(zip(names, range(len(names))))
+        self.start, self.facets, self.verts = start, facets, verts
+        self._cofacets, self._index = None, None
+
+    @property
+    def index(self) -> dict[tuple[int, ...], int]:
+        if self._index is None:
+            self._index = {self.verts[i]: i for i in range(len(self))}
+        return self._index
+
+
+def _chunks(items: Iterable, k: int) -> Iterator[tuple]:
+    """The consecutive k-tuples of `items`."""
+    return zip(*[iter(items)] * k)
+
+
+@functools.cache
+def _a_member_facets(p: int) -> tuple[Callable[[tuple], tuple], tuple[int, ...]]:
+    """How the facets of the p cells a_member(alpha, r), 0 <= r < p, over a
+    (p-1)-cell alpha, p > 1, are read: `take` picks them, cell by cell in
+    vertex-drop order, from a_member(f_k, 0) of every facet f_k of alpha
+    followed by the b_member cells of alpha, and `shift` is the level added
+    to each.  With alpha = [x_0..x_q] and f_k its facet without x_k,
+    a_member(alpha, r) less a_k is a_member(f_k, r-1) for k < r, less a_r
+    b_member(alpha, r), less b_r b_member(alpha, r+1), and less b_k
+    a_member(f_k, r) for k > r."""
+    take, shift = [], []
+    for r in range(p):
+        take += [*range(r), p + r, p + r + 1, *range(r + 1, p)]
+        shift += [r - 1] * r + [0, 0] + [r] * (p - 1 - r)
+    return operator.itemgetter(*take), tuple(shift)
+
+
+@functools.cache
+def _b_member_facets(p: int) -> Callable[[tuple], tuple]:
+    """How the facets of the p interior cells b_member(alpha, r), 0 < r <=
+    p, over a p-cell alpha are read, cell by cell in vertex-drop order, from
+    the b_member cells of every facet f_k of alpha, p + 1 each:
+    b_member(alpha, r) less a_k is b_member(f_k, r-1) for k < r, and less
+    b_k b_member(f_k, r)."""
+    return operator.itemgetter(
+        *[k * (p + 1) + r - (k < r) for r in range(1, p + 1) for k in range(p + 1)]
     )
 
 
 def build_xtilde(d: Decomposition) -> XTilde:
     x_chains = _simplicial_chains(d.x, d.x._ids)
     shared = (x_chains, homology(x_chains))
-    # X~ is closed on X's vertices, ranked: the A-copy of vertex v is v and
-    # its B-copy n + v, so each copy keeps X's order and A comes before B.
     x_table = d.x._table
-    x_verts, n = x_table.verts, len(x_table.names)
-    names = [d.a_bar.tag + v for v in x_table.names] + [d.b_bar.tag + v for v in x_table.names]
-    top = lambda i: tuple([v + n for v in x_verts[i]])  # the B-copy of id i
-    in_a, in_b = list(itertools.chain(*d.a._ids)), list(itertools.chain(*d.b._ids))
-    copies = [x_verts[i] for i in in_a] + list(map(top, in_b))
-    in_iab = itertools.chain(*d.iab._ids) if d.iab is not None else ()
-    blocks = {a: _block(x_verts[a], top(a)) for a in in_iab}
-    glued = SimplicialComplex._of(
-        _Table(copies + [c for a_cells, _ in blocks.values() for c in a_cells], names)
-    )
-    table = glued._table
-
-    # Every cell is a copy's, or a block's over its ground; the interior
-    # ones are the block's a_member cells and its b_member cells but the
-    # first and last, which are the copies of its ground.
-    index = table.index
-    piece, ground = bytearray(len(table)), [-1] * len(table)
-    copy_ids = ([-1] * len(x_table), [-1] * len(x_table))
-    for p, ids, cells in ((_A, in_a, copies), (_B, in_b, copies[len(in_a):])):
-        for i, vs in zip(ids, cells):
-            j = index[vs]
-            piece[j], ground[j], copy_ids[p][i] = p, i, j
+    xf, n = x_table.facets, len(x_table)
+    flat = itertools.chain.from_iterable
+    pieces = (d.a._ids, d.b._ids)
+    i_ids = d.iab._ids if d.iab is not None else ()
+    copies = ([-1] * n, [-1] * n)
+    # for an intersection id alpha, a_of[alpha] is a_member(alpha, 0) and
+    # b_of[alpha] lists b_member(alpha, r), r = 0..q+1, the copies at its ends
+    a_of: dict[int, int] = {}
+    b_of: dict[int, tuple[int, ...]] = {}
     members = {}
-    for alpha, (a_cells, b_cells) in blocks.items():
-        a_ids = [index.get(c) for c in a_cells]
-        b_ids = [index.get(c) for c in b_cells]
-        q = len(x_verts[alpha]) - 1
-        if None in a_ids or None in b_ids or (len(a_ids), len(b_ids)) != (q + 1, q + 2):
-            raise InternalConsistencyError(
-                f"the block over {d.iab_bar.complex._simplex(alpha)} "
-                f"is not {2 * q + 3} cells of X~"
-            )
-        for j in itertools.chain(a_ids, b_ids[1:-1]):
-            piece[j], ground[j] = _INTERIOR, alpha
-        members[alpha] = (a_ids, b_ids)
-    if -1 in ground:
-        raise InternalConsistencyError(
-            f"X~ holds {glued._simplex(ground.index(-1))}, a cell of no copy and no block"
-        )
-    return XTilde(d, glued, *shared, piece, ground, copy_ids, members)
+    piece, ground, facets, start = bytearray(), [], [], [0]
+    # Dimension by dimension p: the A-copy cells, the B-copy cells, the
+    # a_member cells over the intersection's (p-1)-cells and the interior
+    # b_member cells over its p-cells, each block's in a row.  A cell's
+    # facets are laid out before it, and its facet ids are read off theirs,
+    # a whole dimension in one run.
+    for p in range(max(len(pieces[_A]), len(pieces[_B]), len(i_ids) + 1)):
+        for k, ids in enumerate(pieces):
+            cells = ids[p] if p < len(ids) else []
+            own = copies[k]
+            for j, i in enumerate(cells, len(ground)):
+                own[i] = j
+            faces = map(own.__getitem__, flat(map(xf.__getitem__, cells)))
+            facets += _chunks(faces, p + 1) if p else [()] * len(cells)
+            ground += cells
+            piece += bytes([k]) * len(cells)
+        if 0 < p <= len(i_ids):
+            alphas, j = i_ids[p - 1], len(ground)
+            span = range(j, j + p * len(alphas))
+            a_of.update(zip(alphas, span[::p]))
+            members.update(zip(alphas, zip(_chunks(span, p), map(b_of.__getitem__, alphas))))
+            if p == 1:  # over a vertex, [a_0 b_0] has the facets [b_0] and [a_0]
+                facets += map(b_of.__getitem__, alphas)
+            else:
+                take, shift = _a_member_facets(p)
+                below = _chunks(map(a_of.__getitem__, flat(map(xf.__getitem__, alphas))), p)
+                sources = map(tuple.__add__, below, map(b_of.__getitem__, alphas))
+                faces = map(operator.add, flat(map(take, sources)), itertools.cycle(shift))
+                facets += _chunks(faces, p + 1)
+            ground += flat(zip(*[alphas] * p))
+        if p < len(i_ids):
+            alphas, j = i_ids[p], len(ground)
+            if p:
+                below = flat(map(b_of.__getitem__, flat(map(xf.__getitem__, alphas))))
+                faces = flat(map(_b_member_facets(p), _chunks(below, (p + 1) ** 2)))
+                facets += _chunks(faces, p + 1)
+                ground += flat(zip(*[alphas] * p))
+            inner = iter(range(j, len(ground)))
+            ends = map(copies[_B].__getitem__, alphas), map(copies[_A].__getitem__, alphas)
+            b_of.update(zip(alphas, zip(ends[0], *[inner] * p, ends[1])))
+        piece += bytes([_INTERIOR]) * (len(ground) - len(piece))
+        start.append(len(ground))
+    names = [d.a_bar.tag + v for v in x_table.names] + [d.b_bar.tag + v for v in x_table.names]
+    verts = _Cells(x_table.verts, len(x_table.names), piece, ground, members)
+    glued = SimplicialComplex._of(_PrismTable(names, start, facets, verts))
+    return XTilde(d, glued, *shared, piece, ground, copies, members)
+
+
+def _report_order(xt: XTilde, ids) -> list[int]:
+    """The X~ ids `ids` as reports list cells: by dimension, then vertex
+    tuple, the canonical order of a complex closed from generators."""
+    verts = xt.complex._table.verts
+    return sorted(ids, key=lambda i: (len(vs := verts[i]), vs))
 
 
 def _critical_ids(gvf: GradientField) -> Iterator[int]:
-    """The critical ids of gvf, by dimension, each in canonical order."""
+    """The critical ids of gvf, by dimension, each in id order."""
     return itertools.chain.from_iterable(gvf._critical_ids)
 
 
@@ -224,8 +332,9 @@ def _census_mismatch(
     xt: XTilde, actual: set[int], expected: set[int], most: int | None = None
 ) -> str:
     """The X~ cells critical but not expected, and expected but not
-    critical: the first `most` (or all) of each, in canonical order, named."""
-    named = lambda ids: ", ".join(map(str, xt.complex._simplices_of(sorted(ids)[:most])))
+    critical: the first `most` (or all) of each, in report order, named."""
+    name = xt.complex._simplices_of
+    named = lambda ids: ", ".join(map(str, name(_report_order(xt, ids)[:most])))
     return f"unexpected [{named(actual - expected)}], missing [{named(expected - actual)}]"
 
 
@@ -268,10 +377,49 @@ def _prism_extension(xt: XTilde) -> tuple[list[tuple[int, int]], list[int]]:
     return pairs, criticals
 
 
+def _w_clock(xt: XTilde) -> list[int] | None:
+    """A clock for W, or None when a field of the decomposition has none.
+
+    No arc of W leaves a copy, so the A- and B-copy cells keep their
+    fields' clocks, shifted below every interior cell.  An interior arc
+    out of the block over a cell g either stays in the block or leads,
+    through a_member(f, 0) for a facet f of g, to the block over the cell
+    that the I-field pairs above f.  A coreduction clock puts that cell
+    below g, as it removes a cell's facets, each with its pair, before the
+    cell.  So the interior is ordered by the I-field's clock at the ground,
+    then by the prism level, -r on a_member(alpha, r): an arc in a block
+    leads from a_member(alpha, r) to a_member(alpha, r + 1).  Over a beta
+    paired with its facet 0, W pairs a_member(beta, 1) across the blocks and
+    steps on from it to a_member(beta, 0), so those two swap levels.
+    Interior b_member cells are never matched downward, and no clock reads
+    them.  A clock that does not descend only sends W to the search."""
+    d = xt.decomposition
+    fields, pieces = d._fields(), (d.a, d.b, d.iab)
+    if any(w is not None and w._clock is None for w in fields):
+        return None
+    clock = [0] * len(xt.complex._table)
+    for own, w, x in zip(xt._copies, fields, pieces):
+        ids = list(itertools.chain(*x._ids))
+        top = max(map(w._clock.__getitem__, ids)) + 1
+        for i in ids:
+            clock[own[i]] = w._clock[i] - top
+    if d.w_i is not None:
+        c, down, facets = d.w_i._clock, d.w_i._down, d.x._table.facets
+        low = min(map(c.__getitem__, itertools.chain(*d.iab._ids)))
+        levels = len(d.iab._ids) + 1  # more than any block's a_member cells
+        for alpha, (a, _) in xt._members.items():
+            base = (c[alpha] - low) * levels + len(a)
+            for r, i in enumerate(a):
+                clock[i] = base - r
+            if down[alpha] >= 0 and facets[alpha][0] == down[alpha]:
+                clock[a[0]], clock[a[1]] = clock[a[1]], clock[a[0]]
+    return clock
+
+
 def _build_w_field(xt: XTilde) -> GradientField:
-    """Assemble W and certify it, checking the critical-cell census against
-    the predicted one (A-copy criticals, B-copy criticals, one interior cell
-    per intersection critical)."""
+    """Assemble W and certify it by `_w_clock`, checking the critical-cell
+    census against the predicted one (A-copy criticals, B-copy criticals,
+    one interior cell per intersection critical)."""
     d = xt.decomposition
     pairs: list[tuple[int, int]] = []
     expected: set[int] = set()
@@ -281,7 +429,8 @@ def _build_w_field(xt: XTilde) -> GradientField:
     prism_pairs, interior_crit = _prism_extension(xt)
     expected.update(interior_crit)
     gvf = GradientField._certified(
-        xt.complex, *_matching(xt.complex, pairs + prism_pairs, InternalConsistencyError)
+        xt.complex, *_matching(xt.complex, pairs + prism_pairs, InternalConsistencyError),
+        clock=_w_clock(xt),
     )
     actual = set(_critical_ids(gvf))
     if actual != expected:
@@ -328,15 +477,15 @@ def _field_check(
 
 
 def _bijection(
-    gvf: GradientField, image: Callable[[int], Hashable], name: str, target: IntegerChainComplex
+    critical: Sequence[list[int]], image: Callable[[int], Hashable], name: str,
+    target: IntegerChainComplex,
 ) -> tuple[dict[int, Hashable] | None, CheckResult]:
-    """The check `name` that `image` maps the critical cells of `gvf` in
-    each degree, given by id, bijectively onto that degree's keys, the
-    labels of `target`, and the image of every critical id when it does
+    """The check `name` that `image` maps the critical cells of a field in
+    each degree, `critical[q]` by id, bijectively onto that degree's keys,
+    the labels of `target`, and the image of every critical id when it does
     (None when it does not)."""
-    critical = gvf._critical_ids
     try:
-        image_of = {i: image(i) for i in _critical_ids(gvf)}
+        image_of = {i: image(i) for i in itertools.chain(*critical)}
     except InternalConsistencyError as e:
         return None, CheckResult(name, False, str(e))
     for q in range(max(len(critical), target.top + 1)):
@@ -404,7 +553,8 @@ def check_iso_simplicial(xt: XTilde) -> VerifyReport:
     detail = f"{len(actual)} critical cells" if ok else _census_mismatch(xt, actual, expected, 3)
     census = CheckResult("v_critical_census", ok, detail)
     # g: critical cells of V -> ids of X (drop the copy tag)
-    g_of, bijective = _bijection(v, xt._ground.__getitem__, "g_bijective", xt.x_chains)
+    g_of, bijective = _bijection(v._critical_ids, xt._ground.__getitem__, "g_bijective",
+                                 xt.x_chains)
     if g_of is None:
         return VerifyReport((certified, census, bijective))
     same = _same_complex(
@@ -449,7 +599,7 @@ def _forbidden_step(xt: XTilde, gvf: GradientField, flow: Callable[[int], Column
     reachable from a critical cell and the trajectory can end after it: the
     split flow `flow` of W is not empty at nu, or sigma is critical."""
     arcs, down, piece = _arcs(gvf), gvf._down, xt._piece
-    todo = list(itertools.chain.from_iterable(gvf._critical_ids[1:]))
+    todo = _report_order(xt, itertools.chain.from_iterable(gvf._critical_ids[1:]))
     seen = bytearray(len(piece))
     for tau in todo:  # grows while it is read
         for _, sigma, nu in arcs(tau):
@@ -481,7 +631,10 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
     mv = _mv_tallies(d)
     keys = _generator_keys(d)
     target = _trajectory_complex(keys, keys, _sums(mv))
-    f_of, bijective = _bijection(w, partial(_f_image, xt), "f_bijective_onto_generators", target)
+    critical = [_report_order(xt, ids) for ids in w._critical_ids]
+    f_of, bijective = _bijection(
+        critical, functools.partial(_f_image, xt), "f_bijective_onto_generators", target
+    )
     if f_of is None:
         return VerifyReport((certified, bijective))
     flow = _flow(_arcs(w), w._down, _split)
@@ -490,7 +643,7 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
     # per critical pair, W's tallies against MV's, moved onto W's critical
     # ids along f
     at = {key: i for i, key in f_of.items()}
-    critical, compared = w._critical_ids, 0
+    compared = 0
     c_detail = w_detail = k_detail = ""
     for q in range(1, len(critical)):
         rank = {sigma: k for k, sigma in enumerate(critical[q - 1])}

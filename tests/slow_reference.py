@@ -23,7 +23,10 @@ pairs of V and W written cell by cell.
 The table references are the closure on tuples of vertex names that
 `morsemv.complexes` ran before it ranked the names and closed on int
 tuples, and the piece and ground maps of X~ read off its cells' names, as
-`morsemv.verify` derived them before X~ was closed on ints.
+`morsemv.verify` derived them before X~ was closed on ints.  The closed
+X~ is X~ as `morsemv.verify.build_xtilde` built it before it laid X~ out by
+the prism formula: every block's cells written as int vertex tuples,
+closed with both copies through `_Table`, and looked up again by tuple.
 
 The clock reference is the check that a certifying clock descends, as
 `morsemv.morse` ran it before it read `up`, `down` and the facet table
@@ -46,6 +49,7 @@ sparse elimination (`homology._eliminate`) took non-unit pivots too.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from typing import Sequence
 
@@ -58,7 +62,8 @@ from morsemv import (
     VectorField,
     incidence,
 )
-from morsemv.complexes import union
+from morsemv.complexes import _Table, union
+from morsemv.homology import _simplicial_chains, homology
 from morsemv.morse import (
     DEFAULT_SEED,
     GradientField,
@@ -179,6 +184,52 @@ def reference_descends(gvf: GradientField, clock: list[int]) -> bool:
         for ids in gvf.complex._ids[1:] for tau in ids if down[tau] >= 0
         for _, _, nu in arcs(tau) if nu >= 0
     )
+
+
+def _block(
+    a: tuple[int, ...], b: tuple[int, ...]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The vertex tuples of a_member(alpha, r), 0 <= r <= q, and of
+    b_member(alpha, r), 0 <= r <= q+1, for the base simplex alpha whose
+    bottom and top vertices are `a` and `b`."""
+    return (
+        [(*a[: r + 1], *b[r:]) for r in range(len(a))],
+        [(*a[:r], *b[r:]) for r in range(len(a) + 1)],
+    )
+
+
+def reference_closed_xtilde(d: Decomposition) -> XTilde:
+    """X~ closed from vertex tuples, its ids canonical: the A-copy of vertex
+    v is v and its B-copy n + v; the copies' cells and every block's
+    a_member cells are closed through `_Table`, and each copy and block
+    cell is looked up again by its tuple to fill in the maps."""
+    x_chains = _simplicial_chains(d.x, d.x._ids)
+    x_table = d.x._table
+    x_verts, n = x_table.verts, len(x_table.names)
+    names = [d.a_bar.tag + v for v in x_table.names] + [d.b_bar.tag + v for v in x_table.names]
+    top = lambda i: tuple([v + n for v in x_verts[i]])
+    in_a, in_b = list(itertools.chain(*d.a._ids)), list(itertools.chain(*d.b._ids))
+    copies = [x_verts[i] for i in in_a] + list(map(top, in_b))
+    in_iab = itertools.chain(*d.iab._ids) if d.iab is not None else ()
+    blocks = {a: _block(x_verts[a], top(a)) for a in in_iab}
+    glued = SimplicialComplex._of(
+        _Table(copies + [c for a_cells, _ in blocks.values() for c in a_cells], names)
+    )
+    index = glued._table.index
+    piece, ground = bytearray(len(index)), [-1] * len(index)
+    copy_ids = ([-1] * len(x_table), [-1] * len(x_table))
+    for p, ids, cells in ((_A, in_a, copies), (_B, in_b, copies[len(in_a):])):
+        for i, vs in zip(ids, cells):
+            j = index[vs]
+            piece[j], ground[j], copy_ids[p][i] = p, i, j
+    members = {}
+    for alpha, (a_cells, b_cells) in blocks.items():
+        a_ids, b_ids = [index[c] for c in a_cells], [index[c] for c in b_cells]
+        for j in itertools.chain(a_ids, b_ids[1:-1]):
+            piece[j], ground[j] = _INTERIOR, alpha
+        members[alpha] = (a_ids, b_ids)
+    assert -1 not in ground, "a cell of X~ in no copy and no block"
+    return XTilde(d, glued, x_chains, homology(x_chains), piece, ground, copy_ids, members)
 
 
 def reference_xtilde_maps(xt: XTilde) -> tuple[list[int], list[int]]:

@@ -4,7 +4,11 @@ committed bytes exactly, as JSON and as text.
 The greedy fields follow the order in which the complex lists facets and
 cofacets, and the trajectory order follows the facet order, so these files
 pin both.  Inputs: the octahedron split along its equator, and a cover of
-the seven-vertex torus, both under `auto random 3`.
+the seven-vertex torus, both under `auto random 3`.  `verify` has a third:
+the 3-sphere, the boundary of the 4-simplex, with A the star of v0 and B
+the facet opposite, under `auto random 3`, whose intersection, the
+boundary of that facet, is 2-dimensional, so its prism blocks have three
+levels.
 """
 from __future__ import annotations
 
@@ -56,12 +60,32 @@ def test_text_matches_golden(name, command, capsys):
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("output,suffix", [("json", "json"), ("text", "txt")])
+def test_sphere3_verify_matches_golden(output, suffix, capsys):
+    argv = ["verify", "--complex", str(GOLDEN / "sphere3.cx"),
+            "--decomposition", str(GOLDEN / "sphere3.dec"), "--output", output]
+    assert main(argv) == 0
+    want = (GOLDEN / f"sphere3.verify.{suffix}").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
+
+
 def test_failing_verify_text_matches_golden(capsys, lose_trajectories):
     """A `verify` run that loses the Mayer-Vietoris trajectories: the
     failing checks, their details and the verdict, byte for byte."""
     lose_trajectories("mv_trajectories_from")
     assert main(_text_argv("octahedron", "verify")) == 5
     want = (GOLDEN / "octahedron.verify-fail.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
+
+
+def test_failing_sphere3_verify_text_matches_golden(capsys, lose_trajectories):
+    """The same on the 3-sphere, whose first failing pair is read off W's
+    critical cells in canonical order, not in X~'s id order."""
+    lose_trajectories("mv_trajectories_from")
+    argv = ["verify", "--complex", str(GOLDEN / "sphere3.cx"),
+            "--decomposition", str(GOLDEN / "sphere3.dec"), "--output", "text"]
+    assert main(argv) == 5
+    want = (GOLDEN / "sphere3.verify-fail.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == want
 
 

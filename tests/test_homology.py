@@ -138,6 +138,23 @@ class TestSmithNormalForm:
                      for i, row in enumerate(m)]
         assert smith_normal_form(m) == reference_smith_normal_form(m)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from([0, 1, 2, 3, 4, 5, 6, 8, 9, 12, 18, 25, 27, 30, 36]),
+                    max_size=14),
+           st.randoms(use_true_random=False))
+    def test_mixed_torsion_diagonals(self, entries, rng):
+        """Diagonals whose non-unit entries do not divide each other, such
+        as 2, 3, 4, 9, 12: the merge over a coprime base gives what the
+        dense Euclidean loop gives, with the entries in any order."""
+        rng.shuffle(entries)
+        m = [[v if i == j else 0 for j in range(len(entries))] for i, v in enumerate(entries)]
+        assert smith_normal_form(m) == reference_smith_normal_form(m)
+
+    def test_mixed_torsion_merge(self):
+        assert smith_normal_form([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == ((1, 2, 12), 3)
+        m = [[v if i == j else 0 for j in range(5)] for i, v in enumerate([2, 3, 4, 9, 12])]
+        assert smith_normal_form(m) == ((1, 1, 6, 12, 36), 5)
+
     def test_any_iterable_of_rows(self):
         assert smith_normal_form(iter([[1, 2]])) == ((1,), 1)
         assert smith_normal_form(row for row in ([2, 0], [0, 3])) == ((1, 6), 2)
@@ -373,6 +390,13 @@ class TestIntegerChainComplex:
                 IntegerChainComplex.from_columns([1, 1], [[{0: entry}]])
         assert homology(IntegerChainComplex([1, 1], [[[True]]])) == HomologyResult([(0, ())])
 
+    def test_non_integral_ranks_rejected(self):
+        # a float rank was truncated: [1.7] gave H_0 = Z
+        with pytest.raises(InternalConsistencyError, match="not an integer"):
+            IntegerChainComplex([1.7], [])
+        with pytest.raises(InternalConsistencyError, match="not an integer"):
+            IntegerChainComplex.from_columns([1, 2.0], [[{}, {}]])
+
     def test_dense_views(self):
         c = IntegerChainComplex.from_columns([3, 3], [[{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}]])
         assert c.boundaries == [[[-1, -1, 0], [1, 0, -1], [0, 1, 1]]]
@@ -409,6 +433,14 @@ class TestHomologyResult:
     def test_torsion_must_be_invariant_factors(self, torsion):
         with pytest.raises(InternalConsistencyError, match="invariant-factor form"):
             HomologyResult([(1, ()), (0, torsion)])
+
+    def test_non_integral_values_rejected(self):
+        # a float was truncated: (2.5,) gave H_0 = Z + Z/2
+        with pytest.raises(InternalConsistencyError, match="not an integer"):
+            HomologyResult([(1, (2.5,))])
+        with pytest.raises(InternalConsistencyError, match="not an integer"):
+            HomologyResult([(1.0, ())])
+        assert HomologyResult([(True, (2,))]) == HomologyResult([(1, (2,))])
 
     def test_invariant_factors_accepted(self):
         assert HomologyResult([(0, (2, 2, 6, 12))]).torsion(0) == (2, 2, 6, 12)

@@ -349,8 +349,9 @@ class TestViews:
         assert self.tables_closed(monkeypatch, "homology", "torus") == 1
         assert "H_1 = Z^2" in capsys.readouterr().out
 
-    def test_verify_closes_x_and_xtilde(self, monkeypatch, capsys):
-        assert self.tables_closed(monkeypatch, "verify", "octahedron") == 2
+    def test_verify_closes_only_x(self, monkeypatch, capsys):
+        """X~ is laid out by the prism formula, not closed."""
+        assert self.tables_closed(monkeypatch, "verify", "octahedron") == 1
         assert "verdict: PASS" in capsys.readouterr().out
 
     def test_subcomplex_of_a_view_is_a_view(self):
@@ -364,8 +365,9 @@ class TestViews:
 
 @pytest.mark.parametrize("name", ["octahedron", "torus"])
 def test_only_w_and_pinned_fields_are_searched(tmp_path, monkeypatch, capsys, name):
-    """Greedy fields and V are certified by their clocks; W on X~ and
-    pinned fields by the closed-trajectory search."""
+    """Greedy fields, V, and W over greedy fields are certified by their
+    clocks; pinned fields, and W over them, by the closed-trajectory
+    search."""
     cx, dec = GOLDEN / f"{name}.cx", GOLDEN / f"{name}.dec"
 
     def searches(command: str, dec: Path) -> int:
@@ -373,7 +375,7 @@ def test_only_w_and_pinned_fields_are_searched(tmp_path, monkeypatch, capsys, na
             return calls_in_run(m, morse, "_closed_trajectory", command, cx, dec)
 
     assert searches("homology", dec) == 0
-    assert searches("verify", dec) == 1
+    assert searches("verify", dec) == 0
     assert "verdict: PASS" in capsys.readouterr().out
     _, d, _, _ = _load_decomposition(argparse.Namespace(
         complex=str(cx), decomposition=str(dec), strategy=None, seed=None))
@@ -383,6 +385,7 @@ def test_only_w_and_pinned_fields_are_searched(tmp_path, monkeypatch, capsys, na
                                      ("I", d.w_i, d.iab_bar))}
     (tmp_path / "pinned.dec").write_text(decomposition_text(d.a, d.b, fields))
     assert searches("homology", tmp_path / "pinned.dec") == 3
+    assert searches("verify", tmp_path / "pinned.dec") == 4
 
 
 def greedy_and_clock(x: SimplicialComplex, strategy: str, seed: int | None):

@@ -54,6 +54,8 @@ from slow_reference import (
     enumerated_pair_checks,
     enumerated_w_tallies,
     listed_trajectories_fit,
+    reference_closed_xtilde,
+    reference_descends,
     reference_prism,
     reference_v_pairs,
     reference_w_pairs,
@@ -67,6 +69,7 @@ homology_module = importlib.import_module("morsemv.homology")
 verify_module = importlib.import_module("morsemv.verify")
 complexes_module = importlib.import_module("morsemv.complexes")
 mv_module = importlib.import_module("morsemv.mv")
+cli_module = importlib.import_module("morsemv.cli")
 
 
 @pytest.fixture(scope="module")
@@ -200,9 +203,11 @@ def test_xtilde_and_fields_match_reference(name):
 
 
 class TestBlockFaults:
-    """A fault in the block formula is an internal fault, never bad input:
-    it fails a field certification, or `build_xtilde` itself, and `verify`
-    exits 5."""
+    """A fault in a block's member lists, which V, W and f read, is an
+    internal fault, never bad input: it fails a field certification, and
+    `verify` exits 5.  X~ itself is laid out by the prism formula, so no
+    block can lack a cell and no cell can lie outside the copies and the
+    blocks; `TestLayout` checks the layout against X~ closed from tuples."""
 
     @staticmethod
     def verify_octahedron(capsys):
@@ -212,25 +217,29 @@ class TestBlockFaults:
         return code, capsys.readouterr()
 
     @pytest.mark.parametrize("fault,detail", [
-        # the top copy of an edge moved onto the top copy of its first vertex
-        # puts that cell in two blocks and leaves the edge's top copy in none
+        # every edge block lists the top (B-) copy of the edge's first vertex
+        # as its b_member(edge, 0), the top copy of the edge
         ("top copy", "([B:v0], [A:v0 B:v0 B:v1]) is not a facet pair"),
-        # the top copy of an edge replaced by b_member(edge, 1) puts that
-        # cell twice in one block and leaves the top copy in none
+        # every edge block lists b_member(edge, 1) as b_member(edge, 0) too
         ("b_member", "[A:v0 B:v1] appears in more than one pair"),
     ])
     def test_overlapping_block_fails_v_certification(self, monkeypatch, capsys, fault, detail):
-        block = verify_module._block
+        build = verify_module.build_xtilde
 
-        def overlapping(a, b):
-            a_cells, b_cells = block(a, b)
-            if len(a) == 2 and fault == "top copy":
-                b_cells[0] = block(a[:1], b[:1])[1][0]
-            elif len(a) == 2:
-                b_cells[0] = b_cells[1]
-            return a_cells, b_cells
+        def overlapping(d):
+            xt = build(d)
+            members = {}
+            for alpha, (a_ids, b_ids) in xt._members.items():
+                b_ids = list(b_ids)
+                if len(a_ids) == 2 and fault == "top copy":
+                    # facet 1 of an edge drops its second vertex
+                    b_ids[0] = xt._copies[_B][d.x._table.facets[alpha][1]]
+                elif len(a_ids) == 2:
+                    b_ids[0] = b_ids[1]
+                members[alpha] = (a_ids, b_ids)
+            return dataclasses.replace(xt, _members=members)
 
-        monkeypatch.setattr(verify_module, "_block", overlapping)
+        monkeypatch.setattr(cli_module, "build_xtilde", overlapping)
         code, out = self.verify_octahedron(capsys)
         assert code == 5 and out.err == ""
         checks = json.loads(out.out)["checks"]
@@ -240,38 +249,55 @@ class TestBlockFaults:
         # W pairs no top copy of the intersection, so only V fails
         assert [c["ok"] for c in checks[1:]] == [True] * 7
 
-    @pytest.mark.parametrize("fault", ["dropped", "not in X~"])
-    def test_missing_block_cell_fails_build_xtilde(self, monkeypatch, capsys, fault):
-        block = verify_module._block
 
-        def missing(a, b):
-            a_cells, b_cells = block(a, b)
-            if len(a) == 2 and fault == "dropped":
-                del b_cells[1]
-            elif len(a) == 2:
-                b_cells[1] = (*a, *b)
-            return a_cells, b_cells
+def assert_layout_matches_closure(d):
+    """X~ laid out by the prism formula against X~ closed from vertex
+    tuples (`reference_closed_xtilde`): the same cells, grouped by
+    dimension, the same facets in the same order, the same piece, ground,
+    copy and member maps, and the same verify reports; W is certified by
+    its clock whenever every field of d has one."""
+    xt, ref = build_xtilde(d), reference_closed_xtilde(d)
+    table, ref_table = xt.complex._table, ref.complex._table
+    to_ref = [ref_table.index[vs] for vs in table.verts]
+    assert sorted(to_ref) == list(range(len(ref_table)))
+    assert all(table.index[vs] == j for j, vs in enumerate(table.verts))
+    assert table.start == ref_table.start
+    assert all(len(table.verts[j]) == q + 1
+               for q, (lo, hi) in enumerate(zip(table.start, table.start[1:]))
+               for j in range(lo, hi))
+    assert [tuple(to_ref[f] for f in fs) for fs in table.facets] == [
+        ref_table.facets[i] for i in to_ref
+    ]
+    assert [ref._piece[i] for i in to_ref] == list(xt._piece)
+    assert [ref._ground[i] for i in to_ref] == xt._ground
+    assert [[to_ref[j] if j >= 0 else -1 for j in own] for own in xt._copies] == list(ref._copies)
+    assert list(xt._members) == list(ref._members)
+    assert {alpha: tuple([to_ref[j] for j in ids] for ids in m)
+            for alpha, m in xt._members.items()} == ref._members
+    assert xt.complex == ref.complex and table.names == ref_table.names
+    assert check_iso_simplicial(xt) == check_iso_simplicial(ref)
+    assert check_main_iso(xt) == check_main_iso(ref)
+    w = _build_w_field(xt)
+    if all(f is None or f._clock is not None for f in d._fields()):
+        assert w._clock is not None and reference_descends(w, w._clock)
 
-        monkeypatch.setattr(verify_module, "_block", missing)
-        assert self.verify_octahedron(capsys) == (
-            5, ("", "error: the block over [I:v0 I:v1] is not 5 cells of X~\n"),
-        )
 
+class TestLayout:
+    """`build_xtilde` lays X~ out by arithmetic on X's ids; the closure it
+    replaced, now `slow_reference.reference_closed_xtilde`, checks it."""
 
-    def test_cell_of_no_block_fails_build_xtilde(self, monkeypatch, capsys):
-        """a_member(edge, 0) grown into the 3-cell on both copies of the
-        edge: X~ then holds faces that are in no copy and no block."""
-        block = verify_module._block
+    @pytest.mark.parametrize("name", ["octahedron", *sorted(corpus_complexes())])
+    def test_corpus_covers(self, name):
+        for d in reference_decompositions(name):
+            assert_layout_matches_closure(d)
 
-        def grown(a, b):
-            a_cells, b_cells = block(a, b)
-            if len(a) == 2:
-                a_cells[0] = (*a, *b)
-            return a_cells, b_cells
-
-        monkeypatch.setattr(verify_module, "_block", grown)
-        assert self.verify_octahedron(capsys) == (
-            5, ("", "error: X~ holds [A:v1 B:v0], a cell of no copy and no block\n"),
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(["lexicographic", "random"]))
+    def test_hypothesis_covers(self, rng, strategy):
+        x = random_small_complex(rng)
+        a, b = random_cover(x, rng)
+        assert_layout_matches_closure(
+            build_decomposition(x, a, b, strategy=strategy, seed=rng.randint(0, 99))
         )
 
 
