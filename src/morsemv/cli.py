@@ -21,6 +21,11 @@ returns ``(exit code, report)``, a plain dict.  `main` alone writes it:
 line through the command's renderer in `_TEXT`, which reads nothing but
 the report, so the text shows nothing the JSON lacks.
 
+`main` pauses the cyclic garbage collector for the whole command and, in a
+``finally``, gives the caller back the state it had.  A command's tables
+and memos are many small containers with almost no cycles, which the
+collector's passes would only walk; the library never touches it.
+
 The module imports at start exactly what ``homology`` runs, so the cold
 start of a fresh process is that of a real command.  Only ``verify`` needs
 `morsemv.verify`: as in the package, `__getattr__` imports it on the first
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import json
 import sys
@@ -80,6 +86,16 @@ def __getattr__(name: str):
 
 
 def main(argv: list[str] | None = None) -> int:
+    enabled = gc.isenabled()
+    gc.disable()  # for the whole command (see the module docstring)
+    try:
+        return _run(argv)
+    finally:
+        if enabled:  # a caller that had the collector off keeps it off
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     args = _parser().parse_args(argv)
     try:
         code, report = args.handler(args)

@@ -20,8 +20,9 @@ id table, the one place members are stored.  Its vertices are ranked names
 (a rank is the position among the sorted names) and its members int tuples
 of ranks, so ids follow (dimension, vertex tuple) order, the canonical order
 of every report.  Names reach ids by one rule: a generator, or a member
-looked up (`SimplicialComplex._id_of`), may name its vertices in any
-order; they are ranked, then the ranks sorted, never sorted as strings.
+looked up (`SimplicialComplex._ids_of` for a batch, such as a piece's
+lines, and `_id_of` for one), may name its vertices in any order; they are
+ranked, then the ranks sorted, never sorted as strings.
 The closure is one pass from the top dimension down, which sorts each
 level and drops each vertex of it once; the same drop lists give the
 facet ids.  The table lists each member's facets as ids in vertex-drop
@@ -342,18 +343,24 @@ class SimplicialComplex:
 
     # -- ids -----------------------------------------------------------------
 
-    def _id_of(self, vertices: Iterable[str]) -> int | None:
-        """The id of the member with these vertex names, in any order, or
-        None: ranked, then the ranks sorted, as in `_Table.of_names`.  A
-        name that is not a vertex never matches, nor does a repeated one."""
+    def _ids_of(self, named: Iterable[Iterable[str]]) -> list[int | None]:
+        """The id of the member with each list of vertex names, in any
+        order, or None: ranked, then the ranks sorted, as in
+        `_Table.of_names`.  A name that is not a vertex never matches, nor
+        does a repeated one."""
         tag, table = self._tag, self._table
         if tag:  # a name without the tag becomes None, which is no vertex
-            vertices = [v[len(tag):] if v.startswith(tag) else None for v in vertices]
-        try:
-            i = table.index[tuple(sorted(map(table.rank.__getitem__, vertices)))]
-        except KeyError:
-            return None
-        return i if self._mask[i] else None
+            n = len(tag)
+            named = [[v[n:] if v.startswith(tag) else None for v in vs] for vs in named]
+        # a name that is no vertex ranks -1, which no member holds
+        rank, index, unknown = table.rank.get, table.index.get, itertools.repeat(-1)
+        ids = [index(tuple(sorted(map(rank, vs, unknown)))) for vs in named]
+        mask = self._mask
+        return [i if i is not None and mask[i] else None for i in ids]
+
+    def _id_of(self, vertices: Iterable[str]) -> int | None:
+        """The id of the member with these vertex names (see `_ids_of`)."""
+        return self._ids_of([vertices])[0]
 
     def _id(self, s: Simplex) -> int | None:
         return self._id_of(s.vertices)
@@ -470,9 +477,8 @@ class SimplicialComplex:
         # close one dimension at a time, from the top down
         bounds, facets = table.start, table.facets
         for lo, hi in reversed(list(zip(bounds[1:], bounds[2:]))):
-            for i in itertools.compress(range(lo, hi), mask[lo:hi]):
-                for f in facets[i]:
-                    mask[f] = 1
+            for f in itertools.chain.from_iterable(itertools.compress(facets[lo:hi], mask[lo:hi])):
+                mask[f] = 1
         return self._view(mask)
 
 

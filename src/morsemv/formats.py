@@ -27,9 +27,11 @@ pieces without explicit pairs fall back to the greedy strategy.
 
 The parsers return every vertex list as written: an [A]/[B] line, a field
 pair's end (whose order is the orientation an error shows) and a complex
-line alike.  X's id table reads each by its one rule, ranking the names and
-sorting the ranks, so no line's names are sorted as strings; a `Simplex` is
-built only to word an error.
+line alike.  A file is read in one pass: its content lines are listed at
+once, and each section's lines become vertex tuples in one comprehension,
+which checks for a repeated name inline.  X's id table reads each by its
+one rule, ranking the names and sorting the ranks, so no line's names are
+sorted as strings; a `Simplex` is built only to word an error.
 
 Generator names on the command line are the tagged comma-joined vertex
 lists used in reports, e.g. `A:v5` or `I:v2,I:v3`; the tag prefix (A/B/I)
@@ -51,26 +53,36 @@ __all__ = [
 _TAG_OF_PREFIX = {"A": FROM_A, "B": FROM_B, "I": SHIFTED}
 
 
-def _content_lines(text: str):
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield number, line
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """The (line number, content) of every line with content left once its
+    comment and surrounding whitespace are cut."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    return [(number, line) for number, raw in enumerate(lines, start=1) if (line := raw.strip())]
 
 
-def _checked(tokens: list[str], number: int) -> list[str]:
-    """The vertex names of one simplex; `Simplex` words a repeated one."""
-    if len(set(tokens)) != len(tokens):
-        try:
-            Simplex(tokens)
-        except ComplexError as e:
-            raise ParseError(str(e), line=number) from None
+def _checked(tokens: tuple[str, ...], number: int) -> tuple[str, ...]:
+    """The vertex names of one simplex, which the parsers call only for a
+    line that repeats a name: `Simplex` words the error."""
+    try:
+        Simplex(tokens)
+    except ComplexError as e:
+        raise ParseError(str(e), line=number) from None
     return tokens
+
+
+def _simplices(lines: list[tuple[int, str]]) -> list[tuple[str, ...]]:
+    """The vertex names of each line, as written, each name once."""
+    return [
+        vs if len(set(vs := tuple(line.split()))) == len(vs) else _checked(vs, number)
+        for number, line in lines
+    ]
 
 
 def parse_complex(text: str) -> SimplicialComplex:
     """Read a complex file (maximal simplices, one per line)."""
-    generators = [_checked(line.split(), number) for number, line in _content_lines(text)]
+    generators = _simplices(_content_lines(text))
     if not generators:
         raise ParseError("no simplices in complex file")
     return SimplicialComplex._of(_Table.of_names(generators))
@@ -101,20 +113,19 @@ class DecompositionFile(_Record):
 
 def parse_decomposition(text: str) -> DecompositionFile:
     out = DecompositionFile()
-    section = None
-    for number, line in _content_lines(text):
-        if line in ("[A]", "[B]", "[fields]"):
-            section = line[1:-1]
-            continue
-        if line.startswith("["):
-            raise ParseError(f"unknown section {line}", line=number)
-        if section is None:
-            raise ParseError("content before any [A]/[B]/[fields] section", line=number)
-        if section == "fields":
-            _parse_fields_line(out, line, number)
+    lines = _content_lines(text)
+    heads = [k for k, (_, line) in enumerate(lines) if line[0] == "["]
+    if lines and (not heads or heads[0]):
+        raise ParseError("content before any [A]/[B]/[fields] section", line=lines[0][0])
+    for h, end in zip(heads, heads[1:] + [len(lines)]):
+        number, head = lines[h]
+        if head == "[fields]":
+            _parse_fields(out, lines[h + 1:end])
+        elif head in ("[A]", "[B]"):
+            generators = out.a_generators if head == "[A]" else out.b_generators
+            generators += _simplices(lines[h + 1:end])
         else:
-            generators = out.a_generators if section == "A" else out.b_generators
-            generators.append(tuple(_checked(line.split(), number)))
+            raise ParseError(f"unknown section {head}", line=number)
     if not out.a_generators:
         raise ParseError("decomposition file has no [A] simplices")
     if not out.b_generators:
@@ -122,37 +133,46 @@ def parse_decomposition(text: str) -> DecompositionFile:
     return out
 
 
-def _parse_fields_line(out: DecompositionFile, line: str, number: int) -> None:
-    words = line.split()
-    if words[0] == "auto":  # any other first word makes a pair line
-        if out.fields:
-            raise ParseError("auto line cannot follow explicit field pairs", line=number)
+def _parse_fields(out: DecompositionFile, lines: list[tuple[int, str]]) -> None:
+    """The lines of a `[fields]` section, each an auto line or a pair line."""
+    for number, line in lines:
+        if line.startswith("auto") and line.split(None, 1)[0] == "auto":
+            # any other first word makes a pair line
+            _parse_auto_line(out, line.split(), number)
+            continue
         if out.strategy is not None:
-            raise ParseError("more than one auto line", line=number)
-        if words[1:] in (["lex"], ["lexicographic"]):
-            out.strategy = "lexicographic"
-        elif words[1:2] + words[3:] == ["random"]:  # then at most a seed
-            out.strategy = "random"
-            if len(words) == 3:
-                try:
-                    out.seed = int(words[2])
-                except ValueError:
-                    raise ParseError(f"bad seed {words[2]!r}", line=number) from None
-        else:
-            raise ParseError(
-                "auto line must be 'auto lexicographic' or 'auto random [seed]'",
-                line=number,
-            )
-        return
+            raise ParseError("explicit field pairs cannot follow an auto line", line=number)
+        piece, colon, rest = line.partition(":")
+        lhs, arrow, rhs = rest.partition("->")
+        sigma, tau, piece = tuple(lhs.split()), tuple(rhs.split()), piece.strip()
+        if not (colon and arrow and sigma and tau) or "->" in rhs or piece not in ("A", "B", "I"):
+            raise ParseError("field lines look like 'A: v2 -> v2 v5'", line=number)
+        if len(set(sigma)) != len(sigma):
+            _checked(sigma, number)
+        if len(set(tau)) != len(tau):
+            _checked(tau, number)
+        out.fields.setdefault(piece, []).append((sigma, tau))
+
+
+def _parse_auto_line(out: DecompositionFile, words: list[str], number: int) -> None:
+    if out.fields:
+        raise ParseError("auto line cannot follow explicit field pairs", line=number)
     if out.strategy is not None:
-        raise ParseError("explicit field pairs cannot follow an auto line", line=number)
-    piece, colon, rest = line.partition(":")
-    lhs, arrow, rhs = rest.partition("->")
-    sigma, tau, piece = lhs.split(), rhs.split(), piece.strip()
-    if not (colon and arrow and sigma and tau) or "->" in rhs or piece not in ("A", "B", "I"):
-        raise ParseError("field lines look like 'A: v2 -> v2 v5'", line=number)
-    pair = (tuple(_checked(sigma, number)), tuple(_checked(tau, number)))
-    out.fields.setdefault(piece, []).append(pair)
+        raise ParseError("more than one auto line", line=number)
+    if words[1:] in (["lex"], ["lexicographic"]):
+        out.strategy = "lexicographic"
+    elif words[1:2] + words[3:] == ["random"]:  # then at most a seed
+        out.strategy = "random"
+        if len(words) == 3:
+            try:
+                out.seed = int(words[2])
+            except ValueError:
+                raise ParseError(f"bad seed {words[2]!r}", line=number) from None
+    else:
+        raise ParseError(
+            "auto line must be 'auto lexicographic' or 'auto random [seed]'",
+            line=number,
+        )
 
 
 def parse_generator_name(token: str) -> tuple[str, Simplex]:

@@ -156,13 +156,14 @@ def _matching(
     facets, name = x._table.facets, x._simplex
     up, down, lift = [-1] * len(facets), [-1] * len(facets), [1] * len(facets)
     for sigma, tau in pairs:
-        if sigma not in facets[tau]:
+        fs = facets[tau]
+        if sigma not in fs:
             raise error(f"({name(sigma)}, {name(tau)}) is not a facet pair")
-        for s in (sigma, tau):
-            if up[s] >= 0 or down[s] >= 0:
-                raise error(f"{name(s)} appears in more than one pair")
+        taken = up[sigma] >= 0 or down[sigma] >= 0
+        if taken or up[tau] >= 0 or down[tau] >= 0:
+            raise error(f"{name(sigma if taken else tau)} appears in more than one pair")
         up[sigma], down[tau] = tau, sigma
-        lift[sigma] = 1 if facets[tau].index(sigma) & 1 else -1  # -<tau, sigma>
+        lift[sigma] = 1 if fs.index(sigma) & 1 else -1  # -<tau, sigma>
     return up, down, lift
 
 
@@ -604,31 +605,36 @@ def greedy_gvf(
 
     remaining, next_critical = len(order), 0
     while remaining:
-        # pair the first candidate still with one live facet, or else
-        # declare the first live cell critical; then kill what was taken
+        # pair the first candidate still with one live facet, sigma, and
+        # kill both; or else kill the first live cell as critical.  Then
+        # walk the cofacets of what was killed.
         while candidates:
             tau = order[pop(candidates)]
             if alive[tau] and live[tau] == 1:
-                for k, sigma in enumerate(facets[tau]):
-                    if alive[sigma]:
-                        break
+                fs, k = facets[tau], 0
+                while not alive[fs[k]]:
+                    k += 1
+                sigma = fs[k]
                 up[sigma], down[tau] = tau, sigma
                 lift[sigma] = 1 if k & 1 else -1  # -<tau, sigma>
-                dead = (sigma, tau)
+                alive[sigma] = alive[tau] = 0
+                clock[sigma] = clock[tau] = -remaining  # the clock rises step by step
+                remaining -= 2
+                walk = cofacets[sigma] + cofacets[tau]
                 break
         else:
             while not alive[order[next_critical]]:
                 next_critical += 1
-            dead = (order[next_critical],)
-        for s in dead:
-            alive[s], clock[s] = 0, -remaining  # the clock rises step by step
-            for t in cofacets[s]:
-                if alive[t]:
-                    c = live[t] - 1
-                    live[t] = c
-                    if c == 1:
-                        push(candidates, position[t])
-        remaining -= len(dead)
+            s = order[next_critical]
+            alive[s], clock[s] = 0, -remaining
+            remaining -= 1
+            walk = cofacets[s]
+        for t in walk:
+            if alive[t]:
+                c = live[t] - 1
+                live[t] = c
+                if c == 1:
+                    push(candidates, position[t])
 
     if any(alive):
         raise InternalConsistencyError("greedy matching lost track of simplices")

@@ -218,17 +218,21 @@ def _field_on_copy(
 ) -> GradientField:
     """The field on `copy` pinned by `pairs` in the vertex names of X, each
     end a Simplex, vertex names in any order, or a string of them
-    (`complexes._names`), resolved to ids by `SimplicialComplex._id_of`."""
-    ids, id_of = [], piece._id_of
-    for sigma, tau in pairs:
-        ends = (id_of(_names(sigma)), id_of(_names(tau)))
-        if None in ends:
-            named = [s if isinstance(s, Simplex) else Simplex(s) for s in (sigma, tau)]
-            raise DecompositionError(
-                f"field pair ({named[0]}, {named[1]}) references {named[ends.index(None)]}, "
-                f"which is not a simplex of {piece_name}"
-            )
-        ids.append(ends)
+    (`complexes._names`), resolved to ids in one batch by
+    `SimplicialComplex._ids_of`; the ends are named as written only to
+    word an error."""
+    pairs = list(pairs)
+    # an end read from a `.dec` file is already a tuple of names
+    ends = piece._ids_of([s if type(s) is tuple else _names(s) for sigma, tau in pairs
+                         for s in (sigma, tau)])
+    if None in ends:
+        k = ends.index(None)
+        named = [s if isinstance(s, Simplex) else Simplex(s) for s in pairs[k // 2]]
+        raise DecompositionError(
+            f"field pair ({named[0]}, {named[1]}) references {named[k % 2]}, "
+            f"which is not a simplex of {piece_name}"
+        )
+    ids = zip(ends[::2], ends[1::2])
     return GradientField._certified(copy.complex, *_matching(copy.complex, ids, FieldError))
 
 
@@ -237,13 +241,13 @@ def _piece(
 ) -> SimplicialComplex:
     """The piece `name` as a view over X's table, closed from the ids of its
     generators.  `piece` is a complex, or the generators of one, each a
-    sequence of vertex names of X in any order, as `.dec` lines are read;
-    `SimplicialComplex._id_of` resolves them."""
+    sequence of vertex names of X in any order, as `.dec` lines are read,
+    which `SimplicialComplex._ids_of` resolves in one batch."""
     if isinstance(piece, SimplicialComplex):
         if piece._table is x._table and piece.is_subcomplex_of(x):
             return piece
         piece = [s.vertices for s in piece.maximal_simplices]
-    ids = [x._id_of(vs) for vs in piece]
+    ids = x._ids_of(piece)
     if None in ids:
         raise DecompositionError(f"{name} is not a subcomplex of X")
     return x._closure(ids)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morsemv.cli import main
+from conftest import decomposition_text, rp2_chain
 
 cli_module = importlib.import_module("morsemv.cli")
 
@@ -442,6 +444,76 @@ class TestSharedParser:
         # after them, a parse still holds only what its own argv and defaults say
         assert vars(cli_module._parser().parse_args(["oracle", "--complex", cx])) == {
             "complex": cx, "output": "text", "degree": None, "handler": cli_module._cmd_oracle}
+
+
+class TestCollectorPause:
+    """`main` pauses the cyclic garbage collector for the whole command and
+    gives the caller back the state it had, whatever the command's end."""
+
+    @pytest.fixture
+    def runs(self, files, tmp_path, lose_trajectories, monkeypatch):
+        """What each call of `main` should end in (an exit code, or the
+        exception it raises), and the call."""
+        cx, dec = files
+        bad_cover = tmp_path / "bad.dec"
+        bad_cover.write_text("[A]\nv0 v1 v5\n[B]\nv0 v1 v4\n")
+        cyclic = tmp_path / "cyclic.dec"
+        cyclic.write_text(DECOMPOSITION.split("[fields]")[0] + "[fields]\n"
+                          "I: v0 -> v0 v1\nI: v1 -> v1 v2\nI: v2 -> v2 v3\nI: v3 -> v0 v3\n")
+
+        def failing_verify():  # its patches stay, and no later call runs verify
+            lose_trajectories("trajectories_from")
+            return main(["verify", "--complex", cx, "--decomposition", dec])
+
+        def broken_handler():
+            with monkeypatch.context() as m:
+                m.setattr(cli_module, "mv_homology", lambda d: 1 / 0)
+                return main(["homology", "--complex", cx, "--decomposition", dec])
+
+        return [
+            (0, lambda: main(["homology", "--complex", cx, "--decomposition", dec])),
+            (2, lambda: main(["oracle", "--complex", "/nonexistent.cx"])),
+            (3, lambda: main(["homology", "--complex", cx, "--decomposition", str(bad_cover)])),
+            (4, lambda: main(["homology", "--complex", cx, "--decomposition", str(cyclic)])),
+            (5, failing_verify),
+            (SystemExit, lambda: main(["homology", "--complex", cx])),  # argparse's exit
+            (ZeroDivisionError, broken_handler),
+        ]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored(self, runs, capsys, enabled):
+        was = gc.isenabled()
+        try:
+            for expected, run in runs:
+                (gc.enable if enabled else gc.disable)()
+                try:
+                    got = run()
+                except (SystemExit, ZeroDivisionError) as e:
+                    got = type(e)
+                assert got == expected
+                assert gc.isenabled() is enabled, expected
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+
+    def test_no_collection_inside_a_command(self, tmp_path, capsys):
+        x, a, b = rp2_chain(30)  # enough allocation for many young-generation passes
+        cx, dec = tmp_path / "chain.cx", tmp_path / "chain.dec"
+        cx.write_text("".join(" ".join(s.vertices) + "\n" for s in x.maximal_simplices))
+        dec.write_text(decomposition_text(a, b, {}))
+        passes = []
+        callback = lambda phase, info: phase == "start" and passes.append(info["generation"])
+        was = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(callback)
+        try:
+            for command in ("homology", "verify"):
+                assert main([command, "--complex", str(cx), "--decomposition", str(dec)]) == 0
+        finally:
+            gc.callbacks.remove(callback)
+            (gc.enable if was else gc.disable)()
+        assert passes == []
+        capsys.readouterr()
 
 
 class TestColdStart:

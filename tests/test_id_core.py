@@ -219,6 +219,44 @@ class TestOneNameRule:
                 assert y._id_of([*shuffled[:outside], tag + "w", *shuffled[outside:]]) is None
                 assert y._id_of([tag + "w", *shuffled[1:]]) is None
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.lists(st.sampled_from(AWKWARD_NAMES), min_size=1, max_size=4, unique=True),
+        min_size=1, max_size=12,
+    ), st.randoms(use_true_random=False))
+    def test_pieces_in_one_pass(self, generators, rng):
+        """A piece read from `.dec`-style name lists in any vertex order, on
+        a complex, a view and a tagged copy, is the plain closure of the
+        lists' name sets; an unknown name, a repeated one or a simplex
+        outside the complex fails the piece with the text it always had."""
+        x = SimplicialComplex(Simplex(g) for g in generators)
+        top = list(x.maximal_simplices)
+        view = x.subcomplex(rng.sample(top, rng.randint(1, len(top))))
+        outside = [s.vertices for s in x.simplices() if s not in view]
+        for y in (x, view, copy_relabel(view, "A:").complex):
+            tag, table = y._tag, y._table
+            members = y.simplices()
+            chosen = rng.sample(members, rng.randint(1, len(members)))
+            lines = [rng.sample(s.vertices, len(s.vertices)) for s in chosen]
+            piece = _piece(y, lines, "A")
+            closed, _, _ = reference_table(
+                tuple(sorted(v[len(tag):] for v in s.vertices)) for s in chosen)
+            assert piece._table is table and piece._tag == tag
+            assert sorted(
+                (len(table.verts[i]), tuple(table.names[v] for v in table.verts[i]))
+                for i in range(len(table)) if piece._mask[i]
+            ) == sorted((len(vs), vs) for vs in closed)
+            assert piece == SimplicialComplex(chosen)
+            line = rng.choice(lines)
+            faults = [[*line[:1], tag + "w"], line + line[:1]]
+            faults += [[tag + v for v in vs] for vs in outside[:1] if y is not x]
+            for fault in faults:
+                bad = [*lines]
+                bad.insert(rng.randrange(len(bad) + 1), fault)
+                with pytest.raises(DecompositionError) as e:
+                    _piece(y, bad, "A")
+                assert str(e.value) == "A is not a subcomplex of X"
+
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_dec_lines_in_any_vertex_order(self, rng):
