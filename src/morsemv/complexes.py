@@ -205,11 +205,12 @@ class _Table:
     having i as a facet, ascending.  The closure runs once, top down: each
     level's drop lists (one per dropped position, aligned with the sorted
     level) fill the level below and, once every member has an id, become
-    the level's facets.  `simplex` is the one place a member becomes a
-    `Simplex`, with every vertex named tag + its name; it builds a fresh
-    one on every call and caches none.  `verify` lays out the table of its
-    glued complex by its own rule (`verify._PrismTable`): grouped by
-    dimension, with `start`, but not sorted."""
+    the level's facets.  `simplices` is the one place members become
+    `Simplex`es, a batch in one pass, with every vertex named tag + its
+    name (`simplex` is its one-member case); it builds fresh ones on every
+    call and caches none.  `verify` lays out the table of its glued complex
+    by its own rule (`verify._PrismTable`): grouped by dimension, with
+    `start`, but not sorted."""
 
     __slots__ = ("names", "rank", "verts", "index", "start", "facets", "_cofacets")
 
@@ -268,8 +269,14 @@ class _Table:
             self._cofacets = cof
         return self._cofacets
 
+    def simplices(self, ids: Iterable[int], tag: str) -> tuple[Simplex, ...]:
+        """The members with these ids, each a fresh `Simplex` with every
+        vertex named tag + its name."""
+        names, verts = self.names, self.verts
+        return tuple([_canonical(tuple([tag + names[v] for v in verts[i]])) for i in ids])
+
     def simplex(self, i: int, tag: str) -> Simplex:
-        return _canonical(self.vertex_names(i, tag))
+        return self.simplices((i,), tag)[0]
 
 
 def _dropping(n: int) -> list:
@@ -370,7 +377,7 @@ class SimplicialComplex:
 
     def _simplices_of(self, ids: Iterable[int]) -> tuple[Simplex, ...]:
         """The members with these ids, named with this complex's tag."""
-        return tuple(map(self._simplex, ids))
+        return self._table.simplices(ids, self._tag)
 
     def _members_in(self, other: "SimplicialComplex") -> bytearray:
         """The mask, over this table, of the members also in `other`."""

@@ -35,14 +35,20 @@ up(sigma), signed as in w.  Every sign is (-1)^k for the position k of a
 facet in the complex's facet table, which lists the facet dropping vertex k
 at position k.  An arc adds the memoised flow of its head, or ends at a
 critical cell as an entry of its node's base; `_flow` reads a node's
-arcs once, into the two, in one post-order loop.  The flow of a critical
-simplex is its boundary; summed by `_split` it maps each critical end to
-the number of trajectories and the sum of their weights, which `verify`
-checks pair by pair.  The walk of `trajectories_from` (its weights the
-products of the signs it read) and certification run on the same arcs.
-The flow and the walk take any digraph in the shape of `_arcs` with its
-`down`; `mv` runs each once on its three copies glued into one, the sign
-of each MV case on the glued arcs.
+arcs once, its ends into its base, and adds its heads' values into the
+base inline, in one post-order loop, with no callback per node.  The flow
+of a critical simplex is its boundary; a split flow (a flag of the same
+loop) maps each critical end to the number of trajectories and the sum of
+their weights instead, which `verify` checks pair by pair.  The flow
+values a batch of roots at once and returns its memo, a plain dict from
+id to value, so code that reads many values (the boundary columns,
+`verify`'s tallies and its scan) indexes the memo rather than calling
+anything per lookup.  The walk of `trajectories_from` (its
+weights the products of the signs it read) and certification run on the
+same arcs.  The flow and the walk take any digraph in the shape of
+`_arcs` with its `down`; `mv` runs each once on its three copies glued
+into one, each copy's arcs listed by `_arcs` in glued ids, with the sign
+of each MV case.
 
 A greedy field is certified by the clock of its coreduction (Mrozek and
 Batko, DCG 2009), the step at which each cell was removed: it strictly
@@ -62,7 +68,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .complexes import Simplex, SimplicialComplex
 from .errors import FieldError, InternalConsistencyError, NotAcyclicError
@@ -82,6 +88,9 @@ __all__ = [
 # Seed used whenever a caller asks for the random strategy without fixing
 # one; keeping it constant makes every default run reproducible.
 DEFAULT_SEED = 1729
+
+# an arc (c, sigma, nu) of a gradient digraph, in the shape `_arcs` lists
+_Arc = tuple[int, int, int]
 
 
 class VectorField:
@@ -413,33 +422,39 @@ def _grouped(walks: Iterable[tuple[tuple[int, ...], int]]) -> dict[int, list]:
     return out
 
 
-def _arcs(gvf: GradientField) -> Callable[[int], list[tuple[int, int, int]]]:
+def _arcs(gvf: GradientField, offset: int = 0, end: int = 1) -> Callable[[int], list[_Arc]]:
     """Forman's step rule of gvf on ids, signed, and the one description of
     its gradient digraph: arcs(tau) lists (c, sigma, nu) for every facet
     sigma of tau other than down[tau], in vertex-drop order, with nu =
     up[sigma] (-1 when sigma is not paired upward) and c the sign of the
-    step, <tau, sigma> times -<nu, sigma> when nu >= 0."""
+    step, <tau, sigma> times -<nu, sigma> when nu >= 0.  For a copy glued
+    at `offset` (see `mv._glued`), sigma and nu >= 0 are shifted by it, and
+    an arc that ends (nu < 0) is signed `end` times <tau, sigma>.  The sign
+    <tau, sigma> alternates along the facets, whatever the dimension."""
     up, down, lift, facets = gvf._up, gvf._down, gvf._lift, gvf.complex._table.facets
 
-    def arcs(tau: int) -> list[tuple[int, int, int]]:
+    def arcs(tau: int) -> list[_Arc]:
         d, out, c = down[tau], [], 1
-        for sigma in facets[tau]:
-            if sigma != d:
-                out.append((c * lift[sigma], sigma, up[sigma]))
+        for s in facets[tau]:
+            if s != d:
+                nu = up[s]
+                out.append((c * lift[s], offset + s, offset + nu) if nu >= 0
+                           else (end * c, offset + s, -1))
             c = -c
         return out
 
     return arcs
 
 
-def _transfer(piece: GradientField) -> Callable[[int], list[tuple[int, int, int]]]:
-    """The transfer of MV cases 4/5 into the field `piece`, in the shape of
-    `_arcs`: transfer(tau) is the one arc (c, tau, nu) that keeps the id
-    tau, with nu = up[tau] in the piece (-1 when tau is not paired upward)
-    and c = -<nu, tau> (1 when nu < 0), as a same-dimension step carries no
-    incidence."""
+def _transfer(piece: GradientField, offset: int = 0, sign: int = 1) -> Callable[[int], _Arc]:
+    """The transfer of MV cases 4/5 into the field `piece`, glued at
+    `offset`, as one arc in the shape of those of `_arcs`: transfer(tau) is
+    the arc (c, tau, nu) that keeps the id tau, with nu = up[tau] in the
+    piece (-1 when tau is not paired upward), both shifted by the offset,
+    and c = `sign` times -<nu, tau>, or `sign` when nu < 0, as a
+    same-dimension step carries no incidence."""
     up, lift = piece._up, piece._lift
-    return lambda tau: [(lift[tau], tau, up[tau])]
+    return lambda tau: (sign * lift[tau], offset + tau, offset + up[tau] if up[tau] >= 0 else -1)
 
 
 def _walk(start: int, arcs: Callable, down: Sequence[int]) -> Iterator[tuple[tuple, int]]:
@@ -464,58 +479,54 @@ def _walk(start: int, arcs: Callable, down: Sequence[int]) -> Iterator[tuple[tup
             del seq[-2:]
 
 
-def _combine(base: Column, terms: Iterable[tuple[int, Column]]) -> Column:
-    """base + sum(c * column for c, column in terms), added into `base`; an
-    entry that sums to zero stays, and `_boundary_columns` leaves it out."""
-    for c, col in terms:
-        for r, v in col.items():
-            base[r] = base.get(r, 0) + c * v
-    return base
-
-
-def _split(base: dict, terms: Iterable[tuple[int, dict]]) -> dict:
-    """`_combine` on the values of a split flow, added into `base`: r maps
-    to the number of paths to r and the sum of their weights (each +1 or -1,
-    so the two fix the weights), and a sign c multiplies the sum."""
-    for c, col in terms:
-        for r, (n, w) in col.items():
-            old = base.get(r)
-            base[r] = (n, c * w) if old is None else (old[0] + n, old[1] + c * w)
-    return base
-
-
-def _flow(arcs: Callable, down: Sequence[int], combine=_combine) -> Callable[[int], dict]:
+class _flow:
     """Forman's flow on ids, memoised, over a digraph in the shape of
     `_arcs` (a field's own arcs, or the glued copies of `mv._glued`), with
-    `down` telling which ends are critical: flow(tau) maps critical ids r
-    one dimension below tau to the weighted count of the gradient paths
-    tau, sigma_1, nu_1, ..., r (which may be 0),
+    `down` telling which ends are critical: the value of tau maps critical
+    ids r one dimension below tau to the weighted count of the gradient
+    paths tau, sigma_1, nu_1, ..., r (which may be 0),
 
         flow(tau) = sum over the arcs (c, sigma, nu) of tau of
                     c flow(nu)     when nu >= 0,
                     c {sigma: 1}   when sigma is critical,
 
     the second kind in the node's base, so the flow of a critical id is its
-    Thom-Smale boundary.  With `_split` as `combine` it maps r to the
-    number of those paths and the sum of their weights, a base entry (1, c).
+    Thom-Smale boundary.  A `split` flow maps r to the number of those
+    paths and the sum of their weights instead, a base entry (1, c), and a
+    sign c multiplies only the sum: each weight is +1 or -1, so the two fix
+    the weights.  An entry that sums to zero stays.
 
-    One explicit stack values a call's ids in post-order, so a path may be
-    arbitrarily long.  An id on top reads its arcs once, into its base and
-    its heads (c, nu), and is marked None in the memo; it waits for its
-    first head not yet valued, then is valued by `combine` into its base.
-    A head marked None is a cycle, reported instead of followed; the marks
-    stay, so asking again for an id on that path raises again."""
-    split = combine is _split
-    memo: dict[int, dict | None] = {}
-    get = memo.get
+    `over(roots)` values the ids `roots` and every id below them and
+    returns the memo, a plain dict from each id valued so far to its value,
+    which callers then read by indexing; flow(tau) values one id and
+    returns its value.  Every call adds to the same memo.  One explicit
+    stack, the roots at its bottom, values the ids in post-order, so a path
+    may be arbitrarily long.  An id on top reads its arcs once, into its
+    base and its heads (c, nu), and is marked None in the memo; it waits
+    for its first head not yet valued, then adds its heads' values into its
+    base, in the order of its arcs.  A head marked None is a cycle,
+    reported instead of followed; the marks stay, so asking again for an id
+    on that path raises again."""
 
-    def flow(root: int) -> dict:
-        if get(root) is not None:
-            return memo[root]
-        stack = [(root, None, None)]
+    __slots__ = ("_arcs", "_down", "_split", "_memo")
+
+    def __init__(self, arcs: Callable, down: Sequence[int], split: bool = False):
+        self._arcs, self._down, self._split, self._memo = arcs, down, split, {}
+
+    def __call__(self, root: int) -> dict:
+        return self.over((root,))[root]
+
+    def over(self, roots: Iterable[int]) -> dict[int, dict]:
+        arcs, down, split, memo = self._arcs, self._down, self._split, self._memo
+        get = memo.get
+        stack = [(root, None, None) for root in roots]
+        stack.reverse()  # the first root on top
         while stack:
             tau, base, heads = stack[-1]
             if heads is None:
+                if get(tau) is not None:  # a root already valued
+                    stack.pop()
+                    continue
                 base, heads = {}, []
                 for c, sigma, nu in arcs(tau):
                     if nu >= 0:
@@ -532,25 +543,33 @@ def _flow(arcs: Callable, down: Sequence[int], combine=_combine) -> Callable[[in
                     break
             else:
                 stack.pop()
-                memo[tau] = combine(base, [(c, memo[nu]) for c, nu in heads]) if heads else base
-        return memo[root]
+                if split:
+                    for c, nu in heads:
+                        for r, (n, w) in memo[nu].items():
+                            old = base.get(r)
+                            base[r] = (n, c * w) if old is None else (old[0] + n, old[1] + c * w)
+                else:
+                    for c, nu in heads:
+                        for r, v in memo[nu].items():
+                            base[r] = base.get(r, 0) + c * v
+                memo[tau] = base
+        return memo
 
-    return flow
 
-
-def _boundary_columns(rows: Sequence, cols: Sequence, column) -> list[Column]:
+def _boundary_columns(rows: Sequence, cols: Sequence, values: Mapping) -> list[Column]:
     """The sparse columns of the matrix with rows and columns indexed by the
-    keys `rows` and `cols`: column j is column(cols[j]), a map from row key
-    to entry, keyed by row position instead, its zero entries left out."""
+    keys `rows` and `cols`: column j is values[cols[j]], a map from row key
+    to entry (the memo of a flow valued over cols, say), keyed by row
+    position instead, its zero entries left out."""
     index = {r: i for i, r in enumerate(rows)}
-    return [{index[r]: v for r, v in column(c).items() if v} for c in cols]
+    return [{index[r]: v for r, v in values[c].items() if v} for c in cols]
 
 
-def _trajectory_complex(labels, keys, column) -> IntegerChainComplex:
+def _trajectory_complex(labels, keys, values: Mapping) -> IntegerChainComplex:
     """The chain complex with generators `labels[q]` in degree q, known to
-    `column` by the matching `keys[q]`, whose boundary columns come from
+    `values` by the matching `keys[q]`, whose boundary columns come from
     `_boundary_columns`."""
-    columns = [_boundary_columns(keys[q - 1], keys[q], column) for q in range(1, len(keys))]
+    columns = [_boundary_columns(keys[q - 1], keys[q], values) for q in range(1, len(keys))]
     return IntegerChainComplex.from_columns([len(ks) for ks in keys], columns, labels)
 
 
@@ -558,7 +577,8 @@ def thom_smale_complex(gvf: GradientField) -> IntegerChainComplex:
     """The full Thom-Smale chain complex of (X, V); its homology equals the
     simplicial homology of X."""
     labels = [gvf.critical(q) for q in range(len(gvf._critical_ids))]
-    return _trajectory_complex(labels, gvf._critical_ids, _flow(_arcs(gvf), gvf._down))
+    flow = _flow(_arcs(gvf), gvf._down).over(itertools.chain(*gvf._critical_ids[1:]))
+    return _trajectory_complex(labels, gvf._critical_ids, flow)
 
 
 def greedy_gvf(

@@ -46,9 +46,12 @@ the three copies side by side on one id space (`_glued`), an I-copy cell
 carrying its transfers into A and B before its own arcs.  The glued arcs
 carry the case signs: a case-3 path ends on one I-copy arc that ends and
 a case-4 path crosses one transfer into A, so just those arcs are negated.
-A generator is keyed by its glued id, and its column is its flow, read as
-is; a Shifted one's follows cases 3, 4 and 5 at once.  The flow is
-memoised per id, so assembly is linear in the arcs, while the number of
+Each copy's arcs come from its own field's rules, given the copy's offset
+in the glued ids and these signs, so they are listed in glued ids with
+their case signs and no list is wrapped again.  A generator is keyed by
+its glued id, and its column is its flow, read as is off the flow's memo;
+a Shifted one's follows cases 3, 4 and 5 at once.  The flow is memoised
+per id, so assembly is linear in the arcs, while the number of
 trajectories can grow exponentially.  `mv_trajectories_from` and
 `enumerate_mv` list the trajectories with one iterative depth-first walk
 over the same digraph (`morse._walk`), so neither has a depth limit.  The
@@ -68,7 +71,6 @@ from .morse import (
     GradientField,
     _arcs,
     _boundary_columns,
-    _combine,
     _flow,
     _grouped,
     _matching,
@@ -383,29 +385,26 @@ class MVTrajectory(_FrozenRecord):
 def _glued(d: Decomposition) -> tuple[Callable[[int], list[tuple[int, int, int]]], list[int]]:
     """The three copies side by side on one id space: one digraph in the
     shape of `morse._arcs`, and its `down`.  Cell i of the copy k is the id
-    `_glued_id(d, k, i)`, with the arcs of its copy's field shifted into
-    its block; an I-copy id has first its transfers into A and into B
-    (`morse._transfer`), so a walk meets the trajectories of each case in
-    the order of that case's own descent.  The transfer into A and the
-    I-copy arcs that end are negated, the signs of cases 4 and 3; all
-    other arcs keep the signs of their rules."""
+    `_glued_id(d, k, i)`, and each copy's arcs come from its own field's
+    rule, `morse._arcs` glued at the copy's offset; an I-copy id has first
+    its transfers into A and into B (`morse._transfer`, glued likewise), so
+    a walk meets the trajectories of each case in the order of that case's
+    own descent.  The transfer into A and the I-copy arcs that end are
+    negated, the signs of cases 4 and 3; all other arcs keep the signs of
+    their rules."""
     n, w_a, w_b, w_i = len(d.x._table), d.w_a, d.w_b, d.w_i
     down = list(itertools.chain.from_iterable(f._down for f in (w_a, w_b, w_i) if f is not None))
-    on_a, on_b, m = _arcs(w_a), _arcs(w_b), 2 * n
+    on_a, on_b, m = _arcs(w_a), _arcs(w_b, n), 2 * n
     if w_i is not None:
-        into_a, into_b, on_i = _transfer(w_a), _transfer(w_b), _arcs(w_i)
-    in_b = lambda steps: [(c, n + s, n + nu if nu >= 0 else -1) for c, s, nu in steps]
+        into_a, into_b, on_i = _transfer(w_a, 0, -1), _transfer(w_b, n), _arcs(w_i, m, -1)
 
     def arcs(g: int) -> list[tuple[int, int, int]]:
         if g < n:
             return on_a(g)
         if g < m:
-            return in_b(on_b(g - n))
+            return on_b(g - n)
         i = g - m
-        [(c, s, nu)] = into_a(i)
-        return [(-c, s, nu), *in_b(into_b(i)), *[
-            (c, m + s, m + nu) if nu >= 0 else (-c, m + s, -1) for c, s, nu in on_i(i)
-        ]]
+        return [into_a(i), into_b(i), *on_i(i)]
 
     return arcs, down
 
@@ -481,12 +480,14 @@ def enumerate_mv(
     return [named(alpha, ids, w) for ids, w in walks]
 
 
-def _mv_column(d: Decomposition, combine=_combine) -> Callable[[int], dict]:
-    """The MV boundary on generator keys, glued ids: the column of a key is
-    its memoised flow over the glued copies (`_glued`), summed by `combine`
-    as in `morse._flow`, read as is.  With `_combine` it maps a row's key to
-    the entry; with `_split`, to the number of trajectories and their sum."""
-    return _flow(*_glued(d), combine)
+def _mv_column(d: Decomposition, keys: Sequence[list[int]], split: bool = False) -> dict:
+    """The MV boundary on generator keys, glued ids: the memo of the flow
+    over the glued copies (`_glued`), valued over the keys of every degree
+    but the first in `keys` (as `_generator_keys(d)` lists them), `split`
+    or not as in `morse._flow`.  Its value at a key is the key's column,
+    read as is: not split, it maps a row's key to the entry; split, to the
+    number of trajectories and their sum."""
+    return _flow(*_glued(d), split).over(itertools.chain(*keys[1:]))
 
 
 def mv_boundary(d: Decomposition, q: int) -> list[list[int]]:
@@ -494,7 +495,7 @@ def mv_boundary(d: Decomposition, q: int) -> list[list[int]]:
     D_q, entries the summed trajectory weights."""
     keys = _generator_keys(d)
     rows, cols = (keys[p] if 0 <= p < len(keys) else [] for p in (q - 1, q))
-    return _dense(_boundary_columns(rows, cols, _mv_column(d)), len(rows))
+    return _dense(_boundary_columns(rows, cols, _mv_column(d, [rows, cols])), len(rows))
 
 
 def mv_chain_complex(d: Decomposition) -> IntegerChainComplex:
@@ -503,10 +504,11 @@ def mv_chain_complex(d: Decomposition) -> IntegerChainComplex:
     hard otherwise."""
     keys = _generator_keys(d)
     labels = [tuple(_named_generator(d, key) for key in ks) for ks in keys]
-    return _trajectory_complex(labels, keys, _mv_column(d))
+    return _trajectory_complex(labels, keys, _mv_column(d, keys))
 
 
 def mv_homology(d: Decomposition) -> HomologyResult:
     """Homology of X computed through the Mayer-Vietoris complex, assembled
     on generator keys: no generator is named."""
-    return homology(_trajectory_complex(None, _generator_keys(d), _mv_column(d)))
+    keys = _generator_keys(d)
+    return homology(_trajectory_complex(None, keys, _mv_column(d, keys)))

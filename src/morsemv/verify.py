@@ -87,14 +87,16 @@ failing check.
 The per-pair checks of `check_main_iso` compare counts and signed sums from
 flows, not lists of trajectories.  Every weight is +1 or -1, so a pair's
 weight multiset is fixed by the number N of its trajectories and their
-signed sum S.  Each side is read off one split flow (Forman's flow summed
-by `morse._split`), whose value at a generator maps r to (N, S), the
-number of its trajectories to r and the sum of their weights: upstairs
-that of W, in MV that of the glued copies (`mv._mv_column` with `_split`).
-Its sums S are the side's boundary; the MV one is the target complex.  A
-trajectory's case is fixed by the pieces at its ends unless it takes a
-step off the five shapes, and one scan over the reachable arcs finds any
-such step.  The flows and the scan read the arcs of W from `morse._arcs`,
+signed sum S.  Each side is read off one split flow (`morse._flow` with
+`split`), whose value at a generator maps r to (N, S), the number of its
+trajectories to r and the sum of their weights: upstairs that of W, in MV
+that of the glued copies (`mv._mv_column`, split).  Its sums S are the
+side's boundary; the MV one is the target complex.  A critical cell's two
+tallies are compared as whole maps, and its ends sorted only when they
+differ, for the first mismatch.  A trajectory's case is fixed by the
+pieces at its ends unless it takes a step off the five shapes, and one
+scan over the reachable arcs finds any such step, reading W's flow off
+its memo.  The flows and the scan read the arcs of W from `morse._arcs`,
 the one step rule of every field, so the boundary and the checks cannot
 disagree on a step or a sign.  Only the `trajectories` command enumerates
 trajectories.
@@ -105,7 +107,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .complexes import SimplicialComplex, _Table
 from .errors import InternalConsistencyError, MorsemvError
@@ -116,7 +118,6 @@ from .morse import (
     _boundary_columns,
     _flow,
     _matching,
-    _split,
     _trajectory_complex,
 )
 from .mv import (
@@ -498,27 +499,29 @@ def _bijection(
 
 
 def _same_complex(
-    column: Callable[[int], Column], source: str, image_of: dict[int, Hashable],
+    columns: Mapping[int, Column], source: str, image_of: dict[int, Hashable],
     target: IntegerChainComplex, homologies: Sequence[tuple[str, HomologyResult]],
 ) -> tuple[CheckResult, CheckResult]:
-    """Compare the Thom-Smale complex whose boundary `column` maps a critical
-    id to its column (from Forman's flow), named `source` in reports, with
-    `target`, given `image_of`, a bijection from its critical ids onto the
-    keys of target's generators: `boundary_matrices_equal` (with each
-    degree's cells ordered by their image, the Thom-Smale boundaries equal
-    the target's) and `homology_equal` (the Thom-Smale homology equals each
-    named group, the target's first).  Each column is compared with the
-    target's as it comes and then dropped; only when a degree differs are
-    the columns built again and kept, for the details and the homology."""
+    """Compare the Thom-Smale complex whose boundary `columns` maps each
+    critical id of positive degree to its column (the memo of a flow valued
+    over them, say), named `source` in reports, with `target`, given `image_of`, a
+    bijection from its critical ids onto the keys of target's generators:
+    `boundary_matrices_equal` (with each degree's cells ordered by their
+    image, the Thom-Smale boundaries equal the target's) and
+    `homology_equal` (the Thom-Smale homology equals each named group, the
+    target's first).  Each column is keyed by row position and compared
+    with the target's as it comes, then dropped; only when a degree differs
+    are the columns keyed again and kept, for the details and the
+    homology."""
     preimage = {label: i for i, label in image_of.items()}
     ordered = [[preimage[label] for label in labels] for labels in target.labels]
     got, detail = None, ""
     for q, want in enumerate(target.columns, start=1):
         index = {r: i for i, r in enumerate(ordered[q - 1])}
-        if all({index[r]: v for r, v in column(c).items() if v} == w
+        if all({index[r]: v for r, v in columns[c].items() if v} == w
                for c, w in zip(ordered[q], want)):
             continue
-        got = [_boundary_columns(ordered[p - 1], ordered[p], column)
+        got = [_boundary_columns(ordered[p - 1], ordered[p], columns)
                for p in range(1, target.top + 1)]
         spots = sorted(
             (i, j)
@@ -564,9 +567,8 @@ def check_iso_simplicial(xt: XTilde) -> VerifyReport:
                                  xt.x_chains)
     if g_of is None:
         return VerifyReport((certified, census, bijective))
-    same = _same_complex(
-        _flow(_arcs(v), v._down), "(X~,V)", g_of, xt.x_chains, [("X", xt.x_homology)]
-    )
+    flow = _flow(_arcs(v), v._down).over(itertools.chain(*v._critical_ids[1:]))
+    same = _same_complex(flow, "(X~,V)", g_of, xt.x_chains, [("X", xt.x_homology)])
     return VerifyReport((certified, census, bijective, *same))
 
 
@@ -581,36 +583,32 @@ def _f_image(xt: XTilde, i: int) -> int:
     return _glued_id(xt.decomposition, piece, ground)
 
 
-def _sums(tallies: dict) -> Callable[[Hashable], Column]:
-    """The signed boundary read off {key: {r: (count, sum)}}: key -> {r: sum}."""
-    return lambda key: {r: total for r, (_, total) in tallies[key].items()}
+def _sums(tallies: Mapping[int, dict], keys: Iterable[int]) -> dict[int, Column]:
+    """The signed boundary read off the split flow `tallies` at `keys`:
+    {key: {r: sum}} from {key: {r: (count, sum)}}."""
+    return {key: {r: total for r, (_, total) in tallies[key].items()} for key in keys}
 
 
-def _w_tallies(gvf: GradientField, flow: Callable[[int], dict]) -> dict:
-    """{tau: {r: (count, sum)}} over W's critical ids, from its split flow."""
-    return {tau: flow(tau) for tau in _critical_ids(gvf)}
+def _w_tallies(gvf: GradientField) -> dict:
+    """The memo of W's split flow valued over its critical ids: {tau: {r:
+    (count, sum)}} at each of them, and at every id below them."""
+    return _flow(_arcs(gvf), gvf._down, split=True).over(_critical_ids(gvf))
 
 
-def _mv_tallies(d: Decomposition) -> dict:
-    """{key: {r: (count, sum)}} over the MV generator keys of positive
-    degree, from the split MV flows."""
-    column = _mv_column(d, _split)
-    return {key: column(key) for keys in _generator_keys(d)[1:] for key in keys}
-
-
-def _forbidden_step(xt: XTilde, gvf: GradientField, flow: Callable[[int], Column]) -> str:
+def _forbidden_step(xt: XTilde, gvf: GradientField, tallies: Mapping[int, dict]) -> str:
     """The first step off the five shapes on a W-trajectory between critical
     cells, named, or "".  A trajectory keeps its piece, except that one from
     the prism interior may leave it once, by a step down to a facet.  An arc
     (c, sigma, nu) of `_arcs` from tau lies on such a trajectory when tau is
-    reachable from a critical cell and the trajectory can end after it: the
-    split flow `flow` of W is not empty at nu, or sigma is critical."""
-    arcs, down, piece = _arcs(gvf), gvf._down, xt._piece
+    reachable from a critical cell and the trajectory can end after it:
+    `tallies`, the memo of W's split flow valued over W's critical ids and
+    so at every id they reach, is not empty at nu, or sigma is critical."""
+    arcs, down, piece, value = _arcs(gvf), gvf._down, xt._piece, tallies.get
     todo = _report_order(xt, itertools.chain.from_iterable(gvf._critical_ids[1:]))
     seen = bytearray(len(piece))
     for tau in todo:  # grows while it is read
         for _, sigma, nu in arcs(tau):
-            if not (flow(nu) if nu >= 0 else down[sigma] < 0):
+            if not (value(nu) if nu >= 0 else down[sigma] < 0):
                 continue
             # the step down may leave the interior; there is no step up at nu < 0
             for x, y, free in ((tau, sigma, piece[tau] == _INTERIOR), (sigma, nu, nu < 0)):
@@ -635,17 +633,16 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
         return VerifyReport((certified,))
     # one split flow per side gives its boundary, its counts and its sums;
     # W's also feeds the scan
-    mv = _mv_tallies(d)
     keys = _generator_keys(d)
-    target = _trajectory_complex(keys, keys, _sums(mv))
+    mv = _mv_column(d, keys, split=True)
+    target = _trajectory_complex(keys, keys, _sums(mv, itertools.chain(*keys[1:])))
     critical = [_report_order(xt, ids) for ids in w._critical_ids]
     f_of, bijective = _bijection(
         critical, functools.partial(_f_image, xt), "f_bijective_onto_generators", target
     )
     if f_of is None:
         return VerifyReport((certified, bijective))
-    flow = _flow(_arcs(w), w._down, _split)
-    upstairs = _w_tallies(w, flow)
+    upstairs = _w_tallies(w)
 
     # per critical pair, W's tallies against MV's, moved onto W's critical
     # ids along f
@@ -657,7 +654,10 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
         compared += len(critical[q]) * len(critical[q - 1])
         for tau in critical[q]:
             g = upstairs[tau]
-            m = {at[alpha]: n for alpha, n in mv.get(f_of[tau], {}).items()}
+            m = {at[alpha]: n for alpha, n in mv[f_of[tau]].items()}
+            if g == m:
+                continue
+            # the ends of a pair that differs, by rank, for its first mismatch
             for sigma in sorted(g.keys() | m.keys(), key=rank.__getitem__):
                 have, want = g.get(sigma, (0, 0)), m.get(sigma, (0, 0))
                 if have == want:
@@ -669,7 +669,7 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
                 w_detail = w_detail or f"{pair}: weight multisets differ"
     # the pieces at its ends fix a trajectory's case unless it takes a
     # forbidden step, so the case multisets match when the counts do
-    k_detail = _forbidden_step(xt, w, flow) or k_detail
+    k_detail = _forbidden_step(xt, w, upstairs) or k_detail
     return VerifyReport((
         certified,
         bijective,
@@ -677,6 +677,6 @@ def check_main_iso(xt: XTilde) -> VerifyReport:
                     c_detail or f"{compared} critical pairs compared"),
         CheckResult("trajectory_weights_match", not w_detail, w_detail),
         CheckResult("trajectory_classification", not k_detail, k_detail),
-        *_same_complex(_sums(upstairs), "(X~,W)", f_of, target,
-                       [("MV", homology(target)), ("X", xt.x_homology)]),
+        *_same_complex(_sums(upstairs, itertools.chain(*critical[1:])), "(X~,W)", f_of,
+                       target, [("MV", homology(target)), ("X", xt.x_homology)]),
     ))

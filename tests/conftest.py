@@ -5,6 +5,7 @@ pinned by hand (so every weight and matrix it produces is reproducible).
 from __future__ import annotations
 
 import importlib
+import itertools
 import random
 
 import pytest
@@ -340,10 +341,15 @@ def lose_trajectories(monkeypatch):
     sums)."""
     verify = importlib.import_module("morsemv.verify")
     mv = importlib.import_module("morsemv.mv")
-    no_columns = lambda d, combine=None: lambda key: {}
+    flow = importlib.import_module("morsemv.morse")._flow
+    # the real kernel over a digraph without arcs: every id it values is empty
+    no_arcs = lambda arcs, down, split=False: flow(lambda tau: [], down, split)
+    no_columns = lambda d, keys, split=False: no_arcs(None, (), split).over(
+        itertools.chain(*keys[1:])
+    )
     patches = {
         "trajectories_from": [
-            (verify, "_flow", lambda arcs, down, combine=None: lambda tau: {}),
+            (verify, "_flow", no_arcs),
         ],
         "mv_trajectories_from": [
             (mv, "_mv_column", no_columns),

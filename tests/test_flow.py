@@ -17,10 +17,13 @@ also on poor fields and on a disjoint cover.  On the doubling family
 enumeration as well, and at 40 layers `verify` runs where no enumeration
 could.  The split MV flow, from which `verify` reads its target, counts
 and sums, is checked against the signed flow and the enumeration it
-replaces.
+replaces.  And the kernel itself, plain and split, is checked root by root
+against the per-end sums of the enumerated trajectories, zero sums
+included, on the glued MV digraph and on each copy's own field.
 """
 from __future__ import annotations
 
+import itertools
 import sys
 
 import pytest
@@ -49,7 +52,7 @@ from morsemv import (
     trajectories_from,
 )
 from morsemv.cli import main
-from morsemv.morse import _arcs, _boundary_columns, _flow, _split
+from morsemv.morse import _arcs, _boundary_columns, _flow
 from morsemv.mv import (
     FROM_A,
     SHIFTED,
@@ -58,13 +61,15 @@ from morsemv.mv import (
     _generator_keys,
     _glued,
     _glued_id,
+    _mv_column,
+    _named_generator,
+    _require_generator,
     mv_boundary,
     mv_trajectories_from,
 )
 from morsemv.verify import (
     _build_v_field,
     _build_w_field,
-    _mv_tallies,
     _sums,
     _w_tallies,
 )
@@ -104,7 +109,8 @@ def assert_mv_matches(d) -> None:
     assert list(gens) == sorted(gens, key=lambda g: g.sort_key)
     want = mv_reference(d)
     assert mv_chain_complex(d).columns == want
-    keys, flow = _generator_keys(d), _flow(*_glued(d))
+    keys = _generator_keys(d)
+    flow = _flow(*_glued(d)).over(itertools.chain(*keys[1:]))
     assert [_boundary_columns(keys[q - 1], keys[q], flow) for q in range(1, len(keys))] == want
     for q, columns in enumerate(want, start=1):
         dense = mv_boundary(d, q)
@@ -122,13 +128,72 @@ def assert_split_mv_flow_matches(d) -> None:
     from, against the paths it replaces: its sums (over w of w n) are the
     columns of `mv_chain_complex`, from the signed flow, and its counts (of
     n) those of the enumerated trajectories."""
-    tallies = _mv_tallies(d)
     keys = _generator_keys(d)
+    tallies = _mv_column(d, keys, split=True)
     assert [
-        _boundary_columns(keys[q - 1], keys[q], _sums(tallies)) for q in range(1, len(keys))
+        _boundary_columns(keys[q - 1], keys[q], _sums(tallies, keys[q]))
+        for q in range(1, len(keys))
     ] == mv_chain_complex(d).columns
-    counts = lambda t: {k: {r: n for r, (n, _) in tally.items()} for k, tally in t.items() if tally}
-    assert counts(tallies) == counts(enumerated_mv_tallies(d))
+    counts = lambda t, ks: {k: {r: n for r, (n, _) in t[k].items()} for k in ks if t[k]}
+    enumerated = enumerated_mv_tallies(d)
+    assert counts(tallies, itertools.chain(*keys[1:])) == counts(enumerated, enumerated)
+
+
+def assert_kernel_values_match(arcs, down, roots, paths_from, key) -> None:
+    """At every root, the plain and the split value of `morse._flow` over
+    the digraph (arcs, down) are the per-end sums over the trajectories
+    `paths_from(root)` lists, grouped by end, their weights recomputed by
+    `reference_weight` and their ends keyed by `key`: {end: sum} and {end:
+    (count, sum)}, an end whose weights cancel kept in both."""
+    plain = _flow(arcs, down).over(roots)
+    split = _flow(arcs, down, split=True).over(roots)
+    for root in roots:
+        weights = {key(end): [reference_weight(t) for t in ts]
+                   for end, ts in paths_from(root).items()}
+        assert plain[root] == {r: sum(ws) for r, ws in weights.items()}
+        assert split[root] == {r: (len(ws), sum(ws)) for r, ws in weights.items()}
+
+
+def assert_kernel_matches_enumeration(d) -> None:
+    """The kernel against the enumeration, per root: on the glued MV
+    digraph at every generator key of positive degree, and on each copy's
+    own field at every critical id of positive degree."""
+    keys = _generator_keys(d)
+    assert_kernel_values_match(
+        *_glued(d), list(itertools.chain(*keys[1:])),
+        lambda key: mv_trajectories_from(d, _named_generator(d, key)),
+        lambda alpha: _require_generator(d, alpha),
+    )
+    for gvf in d._fields():
+        if gvf is not None:
+            x = gvf.complex
+            assert_kernel_values_match(
+                _arcs(gvf), gvf._down, list(itertools.chain(*gvf._critical_ids[1:])),
+                lambda tau: trajectories_from(gvf, x._simplex(tau)), x._id,
+            )
+
+
+class TestKernelAgainstEnumeration:
+    """`morse._flow`'s plain and split values, root by root, against the
+    trajectories listed one by one, on the corpus covers and on hypothesis
+    covers under both strategies."""
+
+    @pytest.mark.parametrize("name,strategy", COVERS + INTERLEAVED)
+    def test_corpus_covers(self, name, strategy):
+        for d in cover_decompositions(name, strategy):
+            assert_kernel_matches_enumeration(d)
+
+    def test_octahedron_pinned_fields(self, oct_decomposition):
+        assert_kernel_matches_enumeration(oct_decomposition)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(["lexicographic", "random"]))
+    def test_hypothesis_covers(self, rng, strategy):
+        x = random_small_complex(rng)
+        a, b = random_cover(x, rng)
+        assert_kernel_matches_enumeration(
+            build_decomposition(x, a, b, strategy=strategy, seed=rng.randint(0, 99))
+        )
 
 
 class TestCorpus:
@@ -191,8 +256,8 @@ def pair_counts(xt, tag: str, top, bottom) -> tuple[int, int]:
     w = _build_w_field(xt)
     cell = {_glued_id(d, xt._piece[i], xt._ground[i]): i for ids in w._critical_ids for i in ids}
     beta, alpha = (_glued_id(d, _TAGS.index(tag), d.x._id(s)) for s in (top, bottom))
-    upstairs = _w_tallies(w, _flow(_arcs(w), w._down, _split))[cell[beta]][cell[alpha]]
-    return upstairs[0], _mv_tallies(d)[beta][alpha][0]
+    upstairs = _w_tallies(w)[cell[beta]][cell[alpha]]
+    return upstairs[0], _mv_column(d, _generator_keys(d), split=True)[beta][alpha][0]
 
 
 def write_branching(directory, layers: int):

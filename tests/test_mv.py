@@ -609,17 +609,23 @@ def test_flows_and_walks_read_one_signed_arc_rule(monkeypatch):
                             MVGenerator("FromA", Simplex("A:v1 A:v2"), 1))) == 1
     assert mv_chain_complex(d).columns == reference_complex_columns(mv_labels, mv_paths)
 
-    def flip(rule, at: int):
-        """`rule` with the sign of the steps out of the id `at` flipped."""
-        def flipped(gvf):
-            steps = rule(gvf)
-            return lambda tau: [(-c, s, nu) for c, s, nu in steps(tau)] if tau == at else steps(tau)
+    def flip(rule, at: int, negated):
+        """`rule` with the sign of the steps out of the id `at` flipped, by
+        `negated` on what the rule gives for one id, with the rule's glued
+        offset and sign passed on."""
+        def flipped(gvf, *glued):
+            steps = rule(gvf, *glued)
+            return lambda tau: negated(steps(tau)) if tau == at else steps(tau)
         return flipped
 
-    # which complexes a flip moves: (the intersection's, the MV complex)
-    for name, at, moved in (("_arcs", "v0 v1", [True, True]), ("_transfer", "v1 v2", [False, True])):
+    # which complexes a flip moves: (the intersection's, the MV complex);
+    # `_arcs` lists the arcs out of an id, `_transfer` gives its one arc
+    for name, at, negated, moved in (
+        ("_arcs", "v0 v1", lambda arcs: [(-c, s, nu) for c, s, nu in arcs], [True, True]),
+        ("_transfer", "v1 v2", lambda arc: (-arc[0], *arc[1:]), [False, True]),
+    ):
         with monkeypatch.context() as m:
-            rule = flip(getattr(morsemv.morse, name), d.x._id(Simplex(at)))
+            rule = flip(getattr(morsemv.morse, name), d.x._id(Simplex(at)), negated)
             for module in (morsemv.morse, morsemv.mv):
                 m.setattr(module, name, rule)
             kept = routes()
@@ -637,8 +643,8 @@ def test_the_intersection_descent_is_read_once(monkeypatch):
     d = build_decomposition(x, a, b, strategy="random", seed=5)
     rule, reads = morsemv.morse._arcs, collections.Counter()
 
-    def spied(gvf):
-        arcs = rule(gvf)
+    def spied(gvf, *glued):
+        arcs = rule(gvf, *glued)
         if gvf is not d.w_i:
             return arcs
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import itertools
 import json
 import random
 from pathlib import Path
@@ -29,7 +30,7 @@ from morsemv import (
     trajectories_from,
 )
 from morsemv.cli import main
-from morsemv.morse import _arcs, _flow, _split
+from morsemv.mv import _generator_keys, _mv_column
 from morsemv.verify import (
     _A,
     _B,
@@ -37,7 +38,6 @@ from morsemv.verify import (
     _build_v_field,
     _build_w_field,
     _forbidden_step,
-    _mv_tallies,
     _w_tallies,
 )
 from conftest import (
@@ -461,11 +461,15 @@ def assert_counts_match_enumeration(xt) -> None:
     three per-pair checks report what the enumerating ones report."""
     d = xt.decomposition
     w = _build_w_field(xt)
-    flow = _flow(_arcs(w), w._down, _split)
-    nonempty = lambda tallies: {k: t for k, t in tallies.items() if t}
-    assert nonempty(_w_tallies(w, flow)) == nonempty(enumerated_w_tallies(w))
-    assert nonempty(_mv_tallies(d)) == nonempty(enumerated_mv_tallies(d))
-    assert (_forbidden_step(xt, w, flow) == "") == listed_trajectories_fit(xt, w)
+    upstairs, keys = _w_tallies(w), _generator_keys(d)
+    mv = _mv_column(d, keys, split=True)
+    # the flows' values at their roots: W's critical ids, MV's keys of positive degree
+    nonempty = lambda tallies, roots: {k: tallies[k] for k in roots if tallies[k]}
+    listed = enumerated_w_tallies(w)
+    assert nonempty(upstairs, itertools.chain(*w._critical_ids)) == nonempty(listed, listed)
+    listed = enumerated_mv_tallies(d)
+    assert nonempty(mv, itertools.chain(*keys[1:])) == nonempty(listed, listed)
+    assert (_forbidden_step(xt, w, upstairs) == "") == listed_trajectories_fit(xt, w)
     assert check_main_iso(xt).checks[2:5] == enumerated_pair_checks(xt)
 
 
@@ -497,10 +501,11 @@ class TestCountsAgainstEnumeration:
                         xt = build_xtilde(build_decomposition(d.x, d.a, d.b, fields=fields))
                         assert_counts_match_enumeration(xt)
                         w = _build_w_field(xt)
+                        upstairs = _w_tallies(w)
                         cancelled += sum(
                             n != abs(total)
-                            for tally in _w_tallies(w, _flow(_arcs(w), w._down, _split)).values()
-                            for n, total in tally.values()
+                            for tau in itertools.chain(*w._critical_ids)
+                            for n, total in upstairs[tau].values()
                         )
         assert cancelled
 
@@ -519,7 +524,7 @@ class TestCountsAgainstEnumeration:
         when a listed trajectory fits no shape, on a trajectory or off."""
         xt = build_xtilde(next(reference_decompositions(name)))
         w = _build_w_field(xt)
-        flow = _flow(_arcs(w), w._down, _split)
+        upstairs = _w_tallies(w)
         failures = 0
         for cell, true_piece in enumerate(xt._piece):
             for wrong in {_A, _B, _INTERIOR} - {true_piece}:
@@ -527,7 +532,7 @@ class TestCountsAgainstEnumeration:
                 piece[cell] = wrong
                 bad = dataclasses.replace(xt, _piece=piece)
                 fits = listed_trajectories_fit(bad, w)
-                assert (_forbidden_step(bad, w, flow) == "") == fits, (cell, wrong)
+                assert (_forbidden_step(bad, w, upstairs) == "") == fits, (cell, wrong)
                 failures += not fits
         assert failures
 
