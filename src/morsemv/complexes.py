@@ -129,6 +129,8 @@ class Simplex:
         return hash((self.vertices, self.sign))
 
     def __lt__(self, other: "Simplex") -> bool:
+        if not isinstance(other, Simplex):
+            return NotImplemented
         return (self.key, self.sign) < (other.key, other.sign)
 
     def __neg__(self) -> "Simplex":

@@ -39,16 +39,16 @@ arcs once, its ends into its base, and adds its heads' values into the
 base inline, in one post-order loop, with no callback per node.  The flow
 of a critical simplex is its boundary; a split flow (a flag of the same
 loop) maps each critical end to the number of trajectories and the sum of
-their weights instead, which `verify` checks pair by pair.  The flow
-values a batch of roots at once and returns its memo, a plain dict from
-id to value, so code that reads many values (the boundary columns,
+their weights instead, which `verify` checks pair by pair.  The flow is
+one call: it values a batch of roots and returns its memo, a plain dict
+from id to value, so code that reads many values (the boundary columns,
 `verify`'s tallies and its scan) indexes the memo rather than calling
-anything per lookup.  The walk of `trajectories_from` (its
-weights the products of the signs it read) and certification run on the
-same arcs.  The flow and the walk take any digraph in the shape of
-`_arcs` with its `down`; `mv` runs each once on its three copies glued
-into one, each copy's arcs listed by `_arcs` in glued ids, with the sign
-of each MV case.
+anything per lookup.  The walk of `trajectories_from` and certification
+run on the same arcs, and a trajectory's weight is the product of the
+signs its walk read: no sign is read off a trajectory's steps.  The flow
+and the walk take any digraph in the shape of `_arcs` with its `down`;
+`mv` runs each once on its three copies glued into one, each copy's arcs
+listed by `_arcs` in glued ids, with the sign of each MV case.
 
 A greedy field is certified by the clock of its coreduction (Mrozek and
 Batko, DCG 2009), the step at which each cell was removed: it strictly
@@ -68,7 +68,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .complexes import Simplex, SimplicialComplex
 from .errors import FieldError, InternalConsistencyError, NotAcyclicError
@@ -325,70 +325,28 @@ class GradientField:
 
 class Trajectory:
     """An extended trajectory, stored as the alternating sequence
-    (tau_0, sigma_1, tau_1, ..., tau_k, sigma_{k+1}).  An enumerated
-    trajectory carries the weight its walk read off `_arcs`; one built by
-    hand reads it from its steps on first use (see `_path_weight`)."""
+    (tau_0, sigma_1, tau_1, ..., tau_k, sigma_{k+1}), with its weight, +1
+    or -1: the product of the signs of the arcs of `_arcs` its walk read."""
 
-    __slots__ = ("steps", "_weight")
+    __slots__ = ("steps", "weight")
 
-    def __init__(self, steps: Iterable[Simplex]):
+    def __init__(self, steps: Iterable[Simplex], weight: int):
         self.steps = tuple(steps)
         if len(self.steps) < 2 or len(self.steps) % 2:
             raise FieldError("an extended trajectory alternates tau, sigma, ..., sigma")
-        self._weight: int | None = None
-
-    @classmethod
-    def _with_weight(cls, steps: Iterable[Simplex], weight: int) -> "Trajectory":
-        t = cls(steps)
-        t._weight = weight
-        return t
-
-    @property
-    def weight(self) -> int:
-        if self._weight is None:
-            self._weight = _path_weight([abs(s) for s in self.steps], Simplex.facets)
-        return self._weight
+        if weight not in (1, -1):
+            raise FieldError(f"a trajectory's weight is +1 or -1, got {weight!r}")
+        self.weight = weight
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Trajectory) and self.steps == other.steps
+        return (isinstance(other, Trajectory) and self.steps == other.steps
+                and self.weight == other.weight)
 
     def __hash__(self) -> int:
         return hash(self.steps)
 
     def __repr__(self) -> str:
         return "Trajectory(" + ", ".join(str(s) for s in self.steps) + ")"
-
-
-def _sign(k: int) -> int:
-    """(-1)^k: the incidence <tau, sigma> of a simplex tau on its facet k,
-    the one without tau's k-th vertex.  Facet tables list facets in this
-    vertex-drop order, so a facet's position gives its sign."""
-    return -1 if k & 1 else 1
-
-
-def _path_weight(steps: Sequence[Hashable], facets: Callable[[Hashable], Sequence]) -> int:
-    """The sign of a hand-built trajectory, from its steps and `facets`,
-    which lists the facets of a step in vertex-drop order; it shares no code
-    with `_arcs`, whose signs the walks multiply.  Step by step x -> y:
-
-    * a step down to the facet k of x contributes (-1)^k, i.e. <x, y>;
-    * a step up from the facet k of y contributes -(-1)^k, i.e. -<y, x>;
-    * a same-dimension step (the transfer of MV cases 4/5) contributes
-      nothing, and any other step makes the weight 0.
-
-    For an extended trajectory this is the weight w of the module
-    docstring; an MV trajectory multiplies it by the sign of its case
-    (see `mv`)."""
-    w = 1
-    for x, y in zip(steps, steps[1:]):
-        below, above = facets(x), facets(y)
-        if y in below:
-            w *= _sign(below.index(y))
-        elif x in above:
-            w *= -_sign(above.index(x))
-        elif len(below) != len(above):
-            return 0
-    return w
 
 
 def trajectories_from(gvf: GradientField, tau: Simplex) -> dict[Simplex, list[Trajectory]]:
@@ -408,7 +366,7 @@ def trajectories_from(gvf: GradientField, tau: Simplex) -> dict[Simplex, list[Tr
         raise FieldError(f"{tau} is not critical")
     name = gvf.complex._simplices_of
     return {
-        gvf.complex._simplex(end): [Trajectory._with_weight(name(s), w) for s, w in walks]
+        gvf.complex._simplex(end): [Trajectory(name(s), w) for s, w in walks]
         for end, walks in _grouped(_walk(i, _arcs(gvf), gvf._down)).items()
     }
 
@@ -479,12 +437,14 @@ def _walk(start: int, arcs: Callable, down: Sequence[int]) -> Iterator[tuple[tup
             del seq[-2:]
 
 
-class _flow:
-    """Forman's flow on ids, memoised, over a digraph in the shape of
-    `_arcs` (a field's own arcs, or the glued copies of `mv._glued`), with
-    `down` telling which ends are critical: the value of tau maps critical
-    ids r one dimension below tau to the weighted count of the gradient
-    paths tau, sigma_1, nu_1, ..., r (which may be 0),
+def _flow(arcs: Callable, down: Sequence[int], roots: Iterable[int],
+          split: bool = False) -> dict[int, dict]:
+    """Forman's flow on ids over a digraph in the shape of `_arcs` (a
+    field's own arcs, or the glued copies of `mv._glued`), with `down`
+    telling which ends are critical, valued at the ids `roots` and every id
+    below them.  The value of tau maps critical ids r one dimension below
+    tau to the weighted count of the gradient paths tau, sigma_1, nu_1,
+    ..., r (which may be 0),
 
         flow(tau) = sum over the arcs (c, sigma, nu) of tau of
                     c flow(nu)     when nu >= 0,
@@ -496,64 +456,50 @@ class _flow:
     sign c multiplies only the sum: each weight is +1 or -1, so the two fix
     the weights.  An entry that sums to zero stays.
 
-    `over(roots)` values the ids `roots` and every id below them and
-    returns the memo, a plain dict from each id valued so far to its value,
-    which callers then read by indexing; flow(tau) values one id and
-    returns its value.  Every call adds to the same memo.  One explicit
-    stack, the roots at its bottom, values the ids in post-order, so a path
-    may be arbitrarily long.  An id on top reads its arcs once, into its
-    base and its heads (c, nu), and is marked None in the memo; it waits
-    for its first head not yet valued, then adds its heads' values into its
-    base, in the order of its arcs.  A head marked None is a cycle,
-    reported instead of followed; the marks stay, so asking again for an id
-    on that path raises again."""
-
-    __slots__ = ("_arcs", "_down", "_split", "_memo")
-
-    def __init__(self, arcs: Callable, down: Sequence[int], split: bool = False):
-        self._arcs, self._down, self._split, self._memo = arcs, down, split, {}
-
-    def __call__(self, root: int) -> dict:
-        return self.over((root,))[root]
-
-    def over(self, roots: Iterable[int]) -> dict[int, dict]:
-        arcs, down, split, memo = self._arcs, self._down, self._split, self._memo
-        get = memo.get
-        stack = [(root, None, None) for root in roots]
-        stack.reverse()  # the first root on top
-        while stack:
-            tau, base, heads = stack[-1]
-            if heads is None:
-                if get(tau) is not None:  # a root already valued
-                    stack.pop()
-                    continue
-                base, heads = {}, []
-                for c, sigma, nu in arcs(tau):
-                    if nu >= 0:
-                        heads.append((c, nu))
-                    elif down[sigma] < 0:
-                        base[sigma] = (1, c) if split else c
-                memo[tau] = None
-                stack[-1] = (tau, base, heads)
-            for _, nu in heads:
-                if get(nu) is None:
-                    if nu in memo:
-                        raise InternalConsistencyError(f"the flow runs in a cycle through id {nu}")
-                    stack.append((nu, None, None))
-                    break
-            else:
+    Returns the memo, a plain dict from each id valued to its value, which
+    callers read by indexing.  One explicit stack, the roots at its bottom,
+    values the ids in post-order, so a path may be arbitrarily long.  An id
+    on top reads its arcs once, into its base and its heads (c, nu), and is
+    marked None in the memo; it waits for its first head not yet valued,
+    then adds its heads' values into its base, in the order of its arcs.  A
+    head marked None is a cycle, reported instead of followed."""
+    memo: dict[int, dict] = {}
+    get = memo.get
+    stack = [(root, None, None) for root in roots]
+    stack.reverse()  # the first root on top
+    while stack:
+        tau, base, heads = stack[-1]
+        if heads is None:
+            if get(tau) is not None:  # a root already valued
                 stack.pop()
-                if split:
-                    for c, nu in heads:
-                        for r, (n, w) in memo[nu].items():
-                            old = base.get(r)
-                            base[r] = (n, c * w) if old is None else (old[0] + n, old[1] + c * w)
-                else:
-                    for c, nu in heads:
-                        for r, v in memo[nu].items():
-                            base[r] = base.get(r, 0) + c * v
-                memo[tau] = base
-        return memo
+                continue
+            base, heads = {}, []
+            for c, sigma, nu in arcs(tau):
+                if nu >= 0:
+                    heads.append((c, nu))
+                elif down[sigma] < 0:
+                    base[sigma] = (1, c) if split else c
+            memo[tau] = None
+            stack[-1] = (tau, base, heads)
+        for _, nu in heads:
+            if get(nu) is None:
+                if nu in memo:
+                    raise InternalConsistencyError(f"the flow runs in a cycle through id {nu}")
+                stack.append((nu, None, None))
+                break
+        else:
+            stack.pop()
+            if split:
+                for c, nu in heads:
+                    for r, (n, w) in memo[nu].items():
+                        old = base.get(r)
+                        base[r] = (n, c * w) if old is None else (old[0] + n, old[1] + c * w)
+            else:
+                for c, nu in heads:
+                    for r, v in memo[nu].items():
+                        base[r] = base.get(r, 0) + c * v
+            memo[tau] = base
+    return memo
 
 
 def _boundary_columns(rows: Sequence, cols: Sequence, values: Mapping) -> list[Column]:
@@ -577,7 +523,7 @@ def thom_smale_complex(gvf: GradientField) -> IntegerChainComplex:
     """The full Thom-Smale chain complex of (X, V); its homology equals the
     simplicial homology of X."""
     labels = [gvf.critical(q) for q in range(len(gvf._critical_ids))]
-    flow = _flow(_arcs(gvf), gvf._down).over(itertools.chain(*gvf._critical_ids[1:]))
+    flow = _flow(_arcs(gvf), gvf._down, itertools.chain(*gvf._critical_ids[1:]))
     return _trajectory_complex(labels, gvf._critical_ids, flow)
 
 

@@ -34,18 +34,20 @@ All other pairs of copies admit no trajectories.
 Every step of a route is an arc of one copy's field, signed by the one
 arc rule `morse._arcs`; the transfer of cases 4/5 (`morse._transfer`) is
 an arc in the same shape that keeps the id, signed -<up(s), s> by its step
-up from the transferred s, as it carries no incidence.  A weight is the
-product of these signs and a per-case sign:
+up from the transferred s, as it carries no incidence.  The three copies
+sit side by side on one id space (`_glued`), the glued complex of the
+paper's proof, an I-copy cell carrying its transfers into A and B before
+its own arcs.  On top of the signs of its steps, a route takes the sign
+of its case:
 
     case   1   2   3   4   5
     sign  +1  +1  -1  -1  +1
 
-The boundary sums the weights without listing the trajectories, by one
-Forman flow (`morse._flow`) on the glued complex of the paper's proof:
-the three copies side by side on one id space (`_glued`), an I-copy cell
-carrying its transfers into A and B before its own arcs.  The glued arcs
-carry the case signs: a case-3 path ends on one I-copy arc that ends and
-a case-4 path crosses one transfer into A, so just those arcs are negated.
+and the glued arcs carry it: a case-3 path ends on one I-copy arc that
+ends and a case-4 path crosses one transfer into A, so just those arcs
+are negated.  A trajectory's weight is the product of the arcs its walk
+read, and the boundary sums the weights without listing the
+trajectories, by one Forman flow (`morse._flow`) on the same arcs.
 Each copy's arcs come from its own field's rules, given the copy's offset
 in the glued ids and these signs, so they are listed in glued ids with
 their case signs and no list is wrapped again.  A generator is keyed by
@@ -64,7 +66,7 @@ import itertools
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .complexes import ComplexCopy, Simplex, SimplicialComplex, _names, copy_relabel
-from .errors import DecompositionError, FieldError, InternalConsistencyError
+from .errors import DecompositionError, FieldError
 from .homology import HomologyResult, IntegerChainComplex, _dense, homology
 from .morse import (
     DEFAULT_SEED,
@@ -74,7 +76,6 @@ from .morse import (
     _flow,
     _grouped,
     _matching,
-    _path_weight,
     _trajectory_complex,
     _transfer,
     _walk,
@@ -105,9 +106,6 @@ SHIFTED = "Shifted"
 _TAGS = (FROM_A, FROM_B, SHIFTED)
 # the case of a trajectory, by the copies of its source and its target
 _CASE = {(0, 0): 1, (1, 1): 2, (2, 2): 3, (2, 0): 4, (2, 1): 5}
-# the per-case sign on top of the signs of the steps, which the arcs of
-# `_glued` carry; read here only for a trajectory built by hand
-_CASE_SIGN = {1: 1, 2: 1, 3: -1, 4: -1, 5: 1}
 
 
 class _Record:
@@ -353,29 +351,16 @@ class MVTrajectory(_FrozenRecord):
         (tau_0)_I, sigma_1, ..., (tau_p)_I, (tau_p)_piece,
         (alpha_p)_piece, (tau_{p+1})_piece, ..., (tau_{p+l})_piece.
 
-    p and l are only meaningful for cases 4/5.  `_weight` is the product
-    of the signs the walk read, left out of equality, hash and repr; see
-    `weight`.
+    p and l are only meaningful for cases 4/5.  `weight` is the product of
+    the signs of the arcs of `_glued` that the walk which found the
+    trajectory read, its case sign included.
     """
 
-    _fields = ("case", "beta", "alpha", "steps", "p", "l")
-    __slots__ = (*_fields, "_weight")
+    __slots__ = _fields = ("case", "beta", "alpha", "steps", "p", "l", "weight")
 
     def __init__(self, case: int, beta: MVGenerator, alpha: MVGenerator,
-                 steps: tuple[Simplex, ...], p: int | None = None, l: int | None = None,
-                 _weight: int | None = None):
-        self._set(case, beta, alpha, steps, p, l, _weight)
-
-    @property
-    def weight(self) -> int:
-        """The product of the arcs of `_glued` the walk that found the
-        trajectory read, or, when it was built by hand, the case sign times
-        the signs of the steps, from `morse._path_weight`."""
-        if self._weight is not None:
-            return self._weight
-        if self.case not in _CASE_SIGN:
-            raise InternalConsistencyError(f"unknown trajectory case {self.case}")
-        return _CASE_SIGN[self.case] * _path_weight([abs(s) for s in self.steps], Simplex.facets)
+                 steps: tuple[Simplex, ...], p: int | None, l: int | None, weight: int):
+        self._set(case, beta, alpha, steps, p, l, weight)
 
     def __str__(self) -> str:
         arrows = ", ".join(str(s) for s in self.steps)
@@ -445,7 +430,7 @@ def _trajectory_namer(
             cut += 2
         p, l = (None, None) if k == source else (cut // 2, (len(ids) - cut) // 2)
         steps = named(source, ids[:cut]) + named(k, ids[cut:])
-        return MVTrajectory(_CASE[source, k], beta, alpha, steps, p, l, _weight=w)
+        return MVTrajectory(_CASE[source, k], beta, alpha, steps, p, l, w)
 
     return trajectory
 
@@ -487,7 +472,7 @@ def _mv_column(d: Decomposition, keys: Sequence[list[int]], split: bool = False)
     or not as in `morse._flow`.  Its value at a key is the key's column,
     read as is: not split, it maps a row's key to the entry; split, to the
     number of trajectories and their sum."""
-    return _flow(*_glued(d), split).over(itertools.chain(*keys[1:]))
+    return _flow(*_glued(d), itertools.chain(*keys[1:]), split)
 
 
 def mv_boundary(d: Decomposition, q: int) -> list[list[int]]:

@@ -567,7 +567,7 @@ def check_iso_simplicial(xt: XTilde) -> VerifyReport:
                                  xt.x_chains)
     if g_of is None:
         return VerifyReport((certified, census, bijective))
-    flow = _flow(_arcs(v), v._down).over(itertools.chain(*v._critical_ids[1:]))
+    flow = _flow(_arcs(v), v._down, itertools.chain(*v._critical_ids[1:]))
     same = _same_complex(flow, "(X~,V)", g_of, xt.x_chains, [("X", xt.x_homology)])
     return VerifyReport((certified, census, bijective, *same))
 
@@ -592,7 +592,7 @@ def _sums(tallies: Mapping[int, dict], keys: Iterable[int]) -> dict[int, Column]
 def _w_tallies(gvf: GradientField) -> dict:
     """The memo of W's split flow valued over its critical ids: {tau: {r:
     (count, sum)}} at each of them, and at every id below them."""
-    return _flow(_arcs(gvf), gvf._down, split=True).over(_critical_ids(gvf))
+    return _flow(_arcs(gvf), gvf._down, _critical_ids(gvf), split=True)
 
 
 def _forbidden_step(xt: XTilde, gvf: GradientField, tallies: Mapping[int, dict]) -> str:

@@ -38,9 +38,11 @@ methods did before a copy became a tag on its source's ids.
 
 The trajectory references list trajectories one by one: the validators
 recheck each enumerated trajectory against the raw definition, and the
-per-pair checks of `check_main_iso` are run here as they ran before they
-were read off flows, on every trajectory of (X~, W) and of the
-Mayer-Vietoris complex, each trajectory classified by its pieces.
+weight it carries against `incidence`; the per-pair checks of
+`check_main_iso` are run here as they ran before they were read off
+flows, on every trajectory of (X~, W), weighed by `incidence` on its
+named cells, and of the Mayer-Vietoris complex, each trajectory
+classified by its pieces.
 
 The Smith normal form reference is the dense Euclidean loop that
 `morsemv.homology.smith_normal_form` ran, on a list of rows, before one
@@ -69,7 +71,6 @@ from morsemv.morse import (
     GradientField,
     _arcs,
     _grouped,
-    _path_weight,
     _walk,
 )
 from morsemv.mv import (
@@ -301,11 +302,10 @@ def reference_closed_trajectory(
     return None
 
 
-def trajectory_weight(t) -> int:
-    """The sign of a trajectory (anything whose `steps` is a simplex
-    sequence) by `incidence`: a downward step x -> y contributes <x, y>, an
-    upward one -<y, x>, a same-dimension step nothing."""
-    steps = t.steps
+def trajectory_weight(steps: Sequence[Simplex]) -> int:
+    """The sign of a trajectory's simplex sequence by `incidence`: a
+    downward step x -> y contributes <x, y>, an upward one -<y, x>, a
+    same-dimension step nothing."""
     w = 1
     for x, y in zip(steps, steps[1:]):
         dx, dy = len(x.vertices), len(y.vertices)
@@ -322,7 +322,15 @@ CASE_SIGN = {1: 1, 2: 1, 3: -1, 4: -1, 5: 1}
 
 def reference_weight(t) -> int:
     """The weight of a Trajectory, or of an MVTrajectory with its case sign."""
-    return CASE_SIGN.get(getattr(t, "case", 1), 0) * trajectory_weight(t)
+    return CASE_SIGN.get(getattr(t, "case", 1), 0) * trajectory_weight(t.steps)
+
+
+def validate_weight(t) -> None:
+    """Raise InternalConsistencyError unless the weight a Trajectory or an
+    MVTrajectory carries is `reference_weight(t)`."""
+    want = reference_weight(t)
+    if t.weight != want:
+        raise InternalConsistencyError(f"weight {t.weight:+d}, by incidence {want:+d}")
 
 
 def reference_columns(rows, cols, paths_from) -> list[dict[int, int]]:
@@ -436,10 +444,16 @@ def reference_w_pairs(d: Decomposition) -> set[tuple[Simplex, Simplex]]:
 
 def validate_trajectory(gvf: GradientField, t: Trajectory) -> None:
     """Recheck every side condition of the trajectory definition against the
-    raw field, raising InternalConsistencyError on the first violation.
-    Deliberately independent of how the enumerator walks the complex."""
+    raw field, then the weight t carries (`validate_weight`), raising
+    InternalConsistencyError on the first violation.  Deliberately
+    independent of how the enumerator walks the complex."""
+    validate_steps(gvf, t.steps)
+    validate_weight(t)
+
+
+def validate_steps(gvf: GradientField, steps: Sequence[Simplex]) -> None:
+    """The side conditions of `validate_trajectory`, on a simplex sequence."""
     v, x = gvf.field, gvf.complex
-    steps = t.steps
     q = steps[0].dim
     for i, s in enumerate(steps):
         if s not in x:
@@ -463,7 +477,14 @@ def validate_trajectory(gvf: GradientField, t: Trajectory) -> None:
 def validate_mv_trajectory(d: Decomposition, t: MVTrajectory) -> None:
     """Recheck a trajectory against the raw case conditions (membership and
     non-membership in the three fields, facet relations, criticality of the
-    endpoints), independently of the enumerator's bookkeeping."""
+    endpoints), independently of the enumerator's bookkeeping, then the
+    weight t carries (`validate_weight`)."""
+    validate_mv_steps(d, t)
+    validate_weight(t)
+
+
+def validate_mv_steps(d: Decomposition, t: MVTrajectory) -> None:
+    """The case conditions of `validate_mv_trajectory`."""
     if t.steps[0] != t.beta.simplex:
         raise InternalConsistencyError("trajectory does not start at beta")
     route = {
@@ -480,7 +501,7 @@ def validate_mv_trajectory(d: Decomposition, t: MVTrajectory) -> None:
 
     if t.case in (1, 2, 3):
         gvf = {1: d.w_a, 2: d.w_b, 3: d.w_i}[t.case]
-        validate_trajectory(gvf, Trajectory(t.steps))
+        validate_steps(gvf, t.steps)
         if abs(t.steps[-1]) != t.alpha.simplex:
             raise InternalConsistencyError("trajectory does not end at alpha")
         return
@@ -549,11 +570,12 @@ def listed_trajectories_fit(xt: XTilde, gvf: GradientField) -> bool:
 
 def enumerated_w_tallies(gvf: GradientField) -> dict[int, dict[int, tuple[int, int]]]:
     """{tau: {sigma: (count, weight sum)}} over the critical ids of gvf, from
-    its trajectories listed one by one; pairs without one are left out."""
-    facets = gvf.complex._table.facets.__getitem__
+    its trajectories listed one by one, each weighed by `trajectory_weight`
+    on its named cells; pairs without one are left out."""
+    name = gvf.complex._simplices_of
     return {
         tau: {
-            sigma: (len(paths), sum(_path_weight(steps, facets) for steps, _ in paths))
+            sigma: (len(paths), sum(trajectory_weight(name(steps)) for steps, _ in paths))
             for sigma, paths in _grouped(_walk(tau, _arcs(gvf), gvf._down)).items()
         }
         for ids in gvf._critical_ids
@@ -582,7 +604,7 @@ def enumerated_pair_checks(xt: XTilde) -> tuple[CheckResult, ...]:
     gvf = _build_w_field(xt)
     critical = gvf._critical_ids
     f_of = {i: _named_generator(d, _f_image(xt, i)) for ids in critical for i in ids}
-    facets = xt.complex._table.facets.__getitem__
+    name = xt.complex._simplices_of
     mv = {beta: mv_trajectories_from(d, beta) for beta in mv_generators(d) if beta.degree}
     below = {tau: critical[q - 1] for q in range(1, len(critical)) for tau in critical[q]}
     counts_ok = weights_ok = classes_ok = True
@@ -601,7 +623,7 @@ def enumerated_pair_checks(xt: XTilde) -> tuple[CheckResult, ...]:
                     f"{len(g_list)} trajectories upstairs, {len(m_list)} in MV"
                 )
             if weights_ok and sorted(
-                _path_weight(steps, facets) for steps, _ in g_list
+                trajectory_weight(name(steps)) for steps, _ in g_list
             ) != sorted(t.weight for t in m_list):
                 weights_ok = False
                 w_detail = f"{f_of[tau]} -> {f_of[sigma]}: weight multisets differ"

@@ -83,6 +83,13 @@ class TestSimplex:
         items = [Simplex("a b"), Simplex("z"), Simplex("a")]
         assert sorted(items) == [Simplex("a"), Simplex("z"), Simplex("a b")]
 
+    def test_ordering_against_another_type_raises_type_error(self):
+        assert Simplex("a").__lt__("a") is NotImplemented
+        with pytest.raises(TypeError):
+            sorted([Simplex("a"), "a"])
+        with pytest.raises(TypeError):
+            Simplex("a") < 1
+
     def test_facets_of_triangle(self):
         t = Simplex("v0 v1 v2")
         assert t.facets() == (

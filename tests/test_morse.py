@@ -39,8 +39,9 @@ def cyclic_field():
 
 def brute_trajectories(gvf: GradientField, tau: Simplex, cap: int = 60):
     """Exhaustive enumeration of extended trajectories out of `tau` ending
-    at a critical simplex, straight from the definition.  Independent of the
-    library's enumerator; `cap` only guards against a cyclic field."""
+    at a critical simplex, straight from the definition, each weighed by
+    `incidence`.  Independent of the library's enumerator and its signs;
+    `cap` only guards against a cyclic field."""
     field = gvf.field
     found: list[Trajectory] = []
 
@@ -50,7 +51,7 @@ def brute_trajectories(gvf: GradientField, tau: Simplex, cap: int = 60):
             if field.down(here) == sigma:
                 continue  # would walk the matched pair backwards
             if not field.is_matched(sigma):
-                found.append(Trajectory(seq + [sigma]))
+                found.append(Trajectory(seq + [sigma], trajectory_weight(seq + [sigma])))
             else:
                 upper = field.up(sigma)
                 if upper is not None and len(seq) < cap:
@@ -159,15 +160,22 @@ class TestTrajectories:
         assert [len(t.steps) for t in ts] == [4, 4]  # k = 1 each
 
     def test_trivial_trajectory_weight_is_incidence(self):
-        t = Trajectory([Simplex("v0 v1"), Simplex("v0")])
-        assert len(t.steps) == 2  # k = 0
-        assert t.weight == incidence(Simplex("v0 v1"), Simplex("v0")) == -1
+        edge = Simplex("v0 v1")
+        gvf = GradientField.certify(VectorField([]), build_complex(["v0 v1"]))
+        out = trajectories_from(gvf, edge)
+        assert list(out) == [Simplex("v1"), Simplex("v0")]  # vertex-drop order
+        for end, (t,) in out.items():
+            assert t.steps == (edge, end)  # k = 0
+            assert t.weight == incidence(edge, end)
+        assert [t.weight for (t,) in out.values()] == [1, -1]
 
     def test_trajectory_shape_validation(self):
         with pytest.raises(FieldError):
-            Trajectory([Simplex("v0")])
+            Trajectory([Simplex("v0")], 1)
         with pytest.raises(FieldError):
-            Trajectory([Simplex("v0 v1"), Simplex("v0"), Simplex("v0 v2")])
+            Trajectory([Simplex("v0 v1"), Simplex("v0"), Simplex("v0 v2")], 1)
+        with pytest.raises(FieldError, match="weight"):
+            Trajectory([Simplex("v0 v1"), Simplex("v0")], 0)
 
     def test_dimension_zero_has_no_trajectories(self):
         gvf = greedy_gvf(circle())
@@ -200,20 +208,24 @@ class TestTrajectories:
             )
             for t in enumerated:
                 validate_trajectory(gvf, t)
-                assert t.weight == trajectory_weight(t) in (-1, 1)
+                assert t.weight == trajectory_weight(t.steps) in (-1, 1)
 
     def test_validate_rejects_corrupted_trajectories(self):
         gvf = greedy_gvf(circle())
         with pytest.raises(InternalConsistencyError):  # not a facet
-            validate_trajectory(gvf, Trajectory([Simplex("v1 v2"), Simplex("v0")]))
+            validate_trajectory(gvf, Trajectory([Simplex("v1 v2"), Simplex("v0")], 1))
         with pytest.raises(InternalConsistencyError):  # walks its own pair back
-            validate_trajectory(gvf, Trajectory([Simplex("v0 v1"), Simplex("v1")]))
+            validate_trajectory(gvf, Trajectory([Simplex("v0 v1"), Simplex("v1")], 1))
         with pytest.raises(InternalConsistencyError):  # not in the complex
-            validate_trajectory(gvf, Trajectory([Simplex("w0 w1"), Simplex("w0")]))
+            validate_trajectory(gvf, Trajectory([Simplex("w0 w1"), Simplex("w0")], 1))
         with pytest.raises(InternalConsistencyError):  # middle pair not matched
             validate_trajectory(gvf, Trajectory([
                 Simplex("v1 v2"), Simplex("v1"), Simplex("v1 v2"), Simplex("v2"),
-            ]))
+            ], 1))
+        t = trajectories_from(gvf, Simplex("v1 v2"))[Simplex("v0")][0]
+        validate_trajectory(gvf, t)
+        with pytest.raises(InternalConsistencyError, match="weight"):  # sign flipped
+            validate_trajectory(gvf, Trajectory(t.steps, -t.weight))
 
 
 class TestThomSmale:

@@ -276,11 +276,12 @@ class TestGenerators:
         h = MVGenerator("FromA", Simplex("A:v0 A:v1"), 1)
         assert g == h and hash(g) == hash(h) and g != ("FromA", g.simplex, 1)
         assert repr(g) == "MVGenerator(tag='FromA', simplex=Simplex('A:v0 A:v1'), degree=1)"
-        t = MVTrajectory(1, g, h, (Simplex("A:v0"),), _weight=-1)
-        u = MVTrajectory(1, g, h, (Simplex("A:v0"),))
+        t = MVTrajectory(1, g, h, (Simplex("A:v0"),), None, None, -1)
+        u = MVTrajectory(1, g, h, (Simplex("A:v0"),), None, None, -1)
         assert t == u and hash(t) == hash(u) and t.weight == -1
+        assert t != MVTrajectory(1, g, h, (Simplex("A:v0"),), None, None, 1)
         assert repr(t) == (f"MVTrajectory(case=1, beta={g!r}, alpha={g!r}, "
-                           "steps=(Simplex('A:v0'),), p=None, l=None)")
+                           "steps=(Simplex('A:v0'),), p=None, l=None, weight=-1)")
         with pytest.raises(AttributeError, match="cannot assign to field 'tag'"):
             g.tag = "FromB"
         with pytest.raises(AttributeError, match="cannot delete field 'p'"):
@@ -288,7 +289,7 @@ class TestGenerators:
         for record in (g, t):
             for twin in (copy.copy(record), pickle.loads(pickle.dumps(record))):
                 assert twin == record and twin is not record
-        assert pickle.loads(pickle.dumps(t))._weight == -1
+        assert pickle.loads(pickle.dumps(t)).weight == -1
 
     @pytest.mark.parametrize("name", ["circle", "torus", "rp2", "sphere2"])
     def test_euler_characteristic_of_generators(self, corpus, name):
@@ -497,15 +498,19 @@ class TestTrajectories:
         (e,) = mv_generators(d, 1)
         a5 = MVGenerator("FromA", Simplex("A:v5"), 0)
         (p1,) = enumerate_mv(d, e, a5)
-        wrong_case = MVTrajectory(5, p1.beta, p1.alpha, p1.steps, p1.p, p1.l)
+        validate_mv_trajectory(d, p1)
+        wrong_case = MVTrajectory(5, p1.beta, p1.alpha, p1.steps, p1.p, p1.l, p1.weight)
         with pytest.raises(InternalConsistencyError):
             validate_mv_trajectory(d, wrong_case)
-        wrong_p = MVTrajectory(4, p1.beta, p1.alpha, p1.steps, 1, 0)
+        wrong_p = MVTrajectory(4, p1.beta, p1.alpha, p1.steps, 1, 0, p1.weight)
         with pytest.raises(InternalConsistencyError):
             validate_mv_trajectory(d, wrong_p)
-        truncated = MVTrajectory(4, p1.beta, p1.alpha, p1.steps[:2], 0, 1)
+        truncated = MVTrajectory(4, p1.beta, p1.alpha, p1.steps[:2], 0, 1, p1.weight)
         with pytest.raises(InternalConsistencyError):
             validate_mv_trajectory(d, truncated)
+        flipped = MVTrajectory(4, p1.beta, p1.alpha, p1.steps, p1.p, p1.l, -p1.weight)
+        with pytest.raises(InternalConsistencyError, match="weight"):
+            validate_mv_trajectory(d, flipped)
 
 
 class TestBoundaryAndHomology:

@@ -17,7 +17,6 @@ from morsemv import (
     IntegerChainComplex,
     InternalConsistencyError,
     Simplex,
-    Trajectory,
     build_complex,
     build_decomposition,
     build_xtilde,
@@ -82,9 +81,9 @@ def interior(xt):
     return frozenset(xt.complex._simplex(i) for i, p in enumerate(xt._piece) if p == _INTERIOR)
 
 
-def ids(xt, t):
-    """The X~ ids of the steps of the trajectory t."""
-    return [xt.complex._id(s) for s in t.steps]
+def ids(xt, steps):
+    """The X~ ids of the simplices `steps`, a trajectory's, say."""
+    return [xt.complex._id(s) for s in steps]
 
 
 def wedge_xtilde():
@@ -420,13 +419,13 @@ class TestClassification:
         top = Simplex("A:v2 B:v2 B:v3")
         mid = Simplex("A:v2 B:v2")
         types = sorted(
-            classify_w_trajectory(xt, ids(xt, t))
+            classify_w_trajectory(xt, ids(xt, t.steps))
             for ts in trajectories_from(w, top).values()
             for t in ts
         )
         assert types == [3, 3]
         types = sorted(
-            classify_w_trajectory(xt, ids(xt, t))
+            classify_w_trajectory(xt, ids(xt, t.steps))
             for ts in trajectories_from(w, mid).values()
             for t in ts
         )
@@ -440,16 +439,15 @@ class TestClassification:
             if tau.dim == 0:
                 continue
             for ts in trajectories_from(w, tau).values():
-                seen.update(classify_w_trajectory(xt, ids(xt, t)) for t in ts)
+                seen.update(classify_w_trajectory(xt, ids(xt, t.steps)) for t in ts)
         assert 1 in seen and 2 in seen
 
     def test_unclassifiable_trajectory_raises(self, oct_xtilde):
-        bogus = Trajectory([Simplex("A:v1 A:v5"), Simplex("B:v4")])
+        bogus = [Simplex("A:v1 A:v5"), Simplex("B:v4")]
         with pytest.raises(InternalConsistencyError):
             classify_w_trajectory(oct_xtilde, ids(oct_xtilde, bogus))
         # leaves the interior into the B-copy, then crosses into the A-copy
-        bogus = Trajectory([Simplex("A:v2 B:v2"), Simplex("B:v2"),
-                            Simplex("B:v2 B:v3"), Simplex("A:v3")])
+        bogus = [Simplex("A:v2 B:v2"), Simplex("B:v2"), Simplex("B:v2 B:v3"), Simplex("A:v3")]
         with pytest.raises(InternalConsistencyError, match="no clean crossing"):
             classify_w_trajectory(oct_xtilde, ids(oct_xtilde, bogus))
 
