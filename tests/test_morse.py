@@ -51,7 +51,8 @@ def brute_trajectories(gvf: GradientField, tau: Simplex, cap: int = 60):
             if field.down(here) == sigma:
                 continue  # would walk the matched pair backwards
             if not field.is_matched(sigma):
-                found.append(Trajectory(seq + [sigma], trajectory_weight(seq + [sigma])))
+                steps = seq + [sigma]
+                found.append(Trajectory(steps, trajectory_weight(steps)))
             else:
                 upper = field.up(sigma)
                 if upper is not None and len(seq) < cap:
