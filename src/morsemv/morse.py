@@ -53,15 +53,17 @@ listed by `_arcs` in glued ids, with the sign of each MV case.
 A greedy field is certified by the clock of its coreduction (Mrozek and
 Batko, DCG 2009), the step at which each cell was removed: it strictly
 decreases along every arc, which one pass checks and which rules out a
-closed trajectory (Forman, Adv. Math. 1998).  A field without a clock
-that descends goes to the acyclicity search, an iterative three-colour
-depth-first search that reports a closed trajectory.
+closed trajectory (Forman, Adv. Math. 1998).  Any other field, and one
+whose clock does not descend, is certified by one linear topological pass
+over the same arcs (`_ordered`, Kahn's algorithm).  Only a field that the
+pass rejects goes to the acyclicity search, an iterative three-colour
+depth-first search that names a closed trajectory as the witness.
 
 The field code runs on the integer ids of the complex's table (see
 `complexes`): a certified field holds `up`/`down` id arrays and the sign
-of each pair, coreduction and the acyclicity search keep their state in
-int lists and byte masks, and simplices are named only in what is returned
-(`pairs`, `critical`, trajectories, witnesses).
+of each pair, coreduction, the topological pass and the acyclicity search
+keep their state in int lists and byte masks, and simplices are named
+only in what is returned (`pairs`, `critical`, trajectories, witnesses).
 """
 from __future__ import annotations
 
@@ -245,6 +247,37 @@ def _descends(gvf: "GradientField", clock: list[int]) -> bool:
     return True
 
 
+def _ordered(gvf: "GradientField") -> bool:
+    """Whether gvf, not yet certified, is a gradient field, by Kahn's
+    topological sort ("Topological sorting of large networks", CACM 1962)
+    of the arcs `_descends` reads: it removes every cell matched downward
+    exactly when no closed trajectory runs through one.  `heads[nu]`
+    counts the arcs into nu from cells not yet removed, and `ready` lists
+    the removed cells, growing while it is read.  Only the complex's own
+    ids are read, as in `_descends`."""
+    up, down, facets = gvf._up, gvf._down, gvf.complex._table.facets
+    heads, matched = [0] * len(up), []
+    for ids in gvf.complex._ids[1:]:
+        for tau in ids:
+            d = down[tau]
+            if d >= 0:
+                matched.append(tau)
+                for sigma in facets[tau]:
+                    nu = up[sigma]
+                    if nu >= 0 and sigma != d:
+                        heads[nu] += 1
+    ready = [tau for tau in matched if not heads[tau]]
+    for tau in ready:
+        d = down[tau]
+        for sigma in facets[tau]:
+            nu = up[sigma]
+            if nu >= 0 and sigma != d:
+                heads[nu] -= 1
+                if not heads[nu]:
+                    ready.append(nu)
+    return len(ready) == len(matched)
+
+
 class GradientField:
     """A vector field together with its complex and an acyclicity
     certificate.  The only way to obtain one is to certify it
@@ -254,8 +287,7 @@ class GradientField:
 
     The field lives on the complex's id table, as the arrays `_up`, `_down`
     and `_lift` (see `_matching`), which `_arcs` reads; certification also
-    lists the critical ids of each degree, once, and keeps the certifying
-    clock, if any, as `_clock`.  `pairs`, `critical` and
+    lists the critical ids of each degree, once.  `pairs`, `critical` and
     `field` name them as simplices on every call."""
 
     def __init__(self, complex: SimplicialComplex):
@@ -276,14 +308,13 @@ class GradientField:
     ) -> "GradientField":
         """The field of the arrays up, down and lift on complex, certified
         by a `clock` that descends along every arc (`_descends`); without
-        one, or when it does not descend, `_closed_trajectory` decides, so
-        a wrong clock never changes a verdict or a witness.  The field keeps
-        the clock that certified it as `_clock` (None after a search), so a
-        field built from this one can build its clock from it."""
+        one, or when it does not descend, by the topological pass
+        `_ordered`.  Only a field that the pass rejects goes to
+        `_closed_trajectory`, which names the witness and has the last
+        word, so a wrong clock never changes a verdict or a witness."""
         gvf = object.__new__(cls)
         gvf.complex, gvf._up, gvf._down, gvf._lift = complex, up, down, lift
-        gvf._clock = clock if clock is not None and _descends(gvf, clock) else None
-        if gvf._clock is None:
+        if not (clock is not None and _descends(gvf, clock) or _ordered(gvf)):
             witness = _closed_trajectory(gvf)
             if witness is not None:
                 raise NotAcyclicError(f"closed trajectory through {witness[0]}", witness)

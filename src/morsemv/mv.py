@@ -172,10 +172,6 @@ class MVGenerator(_FrozenRecord):
         """The tagged vertex-list form used by the command line."""
         return ",".join(self.simplex.vertices)
 
-    @property
-    def sort_key(self):
-        return (self.degree, _TAGS.index(self.tag), self.simplex.key)
-
     def __str__(self) -> str:
         return f"{self.tag}:{self.name}"
 

@@ -56,14 +56,13 @@ Two gradient fields on X~ carry the theory:
   the two boundary matrices agree entry by entry under f.
 
 Both fields are written as `up`/`down` id arrays on X~, checked as
-matchings of facet pairs and certified acyclic by clocks (Mrozek and Batko's
-coreduction clocks; see `morse`): V by its prism levels, and W by the
-clocks of the A- and B-copy fields, below the interior, which is ordered
-by the I-field's clock and then by the prism levels (`_w_clock`).  A field
-pinned by the caller has no clock, and W over it is certified by the
-closed-trajectory search, as is a field whose clock does not descend; a
-fault in a block shows up as a failed certification or census, never as
-bad input.
+matchings of facet pairs and certified acyclic as `morse` certifies every
+field: V by its prism levels, a clock that descends along its arcs, and W
+by the topological pass `morse._ordered`, which reads W's pairs alone, so
+W over pinned fields is certified as W over greedy ones.  Only a W that
+the pass rejects is searched, for the closed trajectory that names the
+failure; a fault in a block shows up as a failed certification or census,
+never as bad input.
 
 `check_iso_simplicial` and `check_main_iso` re-derive all of this on a given
 decomposition and report each comparison separately, with counterexamples.
@@ -378,49 +377,11 @@ def _prism_extension(xt: XTilde) -> tuple[list[tuple[int, int]], list[int]]:
     return pairs, criticals
 
 
-def _w_clock(xt: XTilde) -> list[int] | None:
-    """A clock for W, or None when a field of the decomposition has none.
-
-    No arc of W leaves a copy, so the A- and B-copy cells keep their
-    fields' clocks, shifted below every interior cell.  An interior arc
-    out of the block over a cell g either stays in the block or leads,
-    through a_member(f, 0) for a facet f of g, to the block over the cell
-    that the I-field pairs above f.  A coreduction clock puts that cell
-    below g, as it removes a cell's facets, each with its pair, before the
-    cell.  So the interior is ordered by the I-field's clock at the ground,
-    then by the prism level, -r on a_member(alpha, r): an arc in a block
-    leads from a_member(alpha, r) to a_member(alpha, r + 1).  Over a beta
-    paired with its facet 0, W pairs a_member(beta, 1) across the blocks and
-    steps on from it to a_member(beta, 0), so those two swap levels.
-    Interior b_member cells are never matched downward, and no clock reads
-    them.  A clock that does not descend only sends W to the search."""
-    d = xt.decomposition
-    fields, pieces = d._fields(), (d.a, d.b, d.iab)
-    if any(w is not None and w._clock is None for w in fields):
-        return None
-    clock = [0] * len(xt.complex._table)
-    for own, w, x in zip(xt._copies, fields, pieces):
-        ids = list(itertools.chain(*x._ids))
-        top = max(map(w._clock.__getitem__, ids)) + 1
-        for i in ids:
-            clock[own[i]] = w._clock[i] - top
-    if d.w_i is not None:
-        c, down, facets = d.w_i._clock, d.w_i._down, d.x._table.facets
-        low = min(map(c.__getitem__, itertools.chain(*d.iab._ids)))
-        levels = len(d.iab._ids) + 1  # more than any block's a_member cells
-        for alpha, (a, _) in xt._members.items():
-            base = (c[alpha] - low) * levels + len(a)
-            for r, i in enumerate(a):
-                clock[i] = base - r
-            if down[alpha] >= 0 and facets[alpha][0] == down[alpha]:
-                clock[a[0]], clock[a[1]] = clock[a[1]], clock[a[0]]
-    return clock
-
-
 def _build_w_field(xt: XTilde) -> GradientField:
-    """Assemble W and certify it by `_w_clock`, checking the critical-cell
-    census against the predicted one (A-copy criticals, B-copy criticals,
-    one interior cell per intersection critical)."""
+    """Assemble W and certify it by the topological pass `morse._ordered`,
+    checking the critical-cell census against the predicted one (A-copy
+    criticals, B-copy criticals, one interior cell per intersection
+    critical)."""
     d = xt.decomposition
     pairs: list[tuple[int, int]] = []
     expected: set[int] = set()
@@ -430,8 +391,7 @@ def _build_w_field(xt: XTilde) -> GradientField:
     prism_pairs, interior_crit = _prism_extension(xt)
     expected.update(interior_crit)
     gvf = GradientField._certified(
-        xt.complex, *_matching(xt.complex, pairs + prism_pairs, InternalConsistencyError),
-        clock=_w_clock(xt),
+        xt.complex, *_matching(xt.complex, pairs + prism_pairs, InternalConsistencyError)
     )
     actual = set(_critical_ids(gvf))
     if actual != expected:

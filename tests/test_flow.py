@@ -102,7 +102,9 @@ def assert_mv_matches(d) -> None:
     plain flow over the glued copies is those columns with no sign or key
     applied after it, and every enumerated weight equals the reference."""
     gens = mv_generators(d)
-    assert list(gens) == sorted(gens, key=lambda g: g.sort_key)
+    assert list(gens) == sorted(
+        gens, key=lambda g: (g.degree, _TAGS.index(g.tag), g.simplex.key)
+    )
     want = mv_reference(d)
     assert mv_chain_complex(d).columns == want
     keys = _generator_keys(d)

@@ -37,6 +37,7 @@ from morsemv.cli import _load_decomposition, main
 from morsemv.complexes import _Table, copy_relabel, intersection, union
 from morsemv.homology import _simplicial_chains, simplicial_chain_complex
 from morsemv.mv import _piece
+from morsemv.verify import _build_v_field, _build_w_field
 from morsemv import morse
 from morsemv.morse import GradientField, is_acyclic
 from conftest import (
@@ -96,16 +97,21 @@ def check_witness(field: VectorField, w) -> None:
         assert field.up(sigma) == w[i + 1]
 
 
+def spied(monkeypatch, owner, *names: str) -> list[list[tuple]]:
+    """Wrap each `owner.name` so that it records its arguments, call by
+    call: one list per name, in order."""
+    calls = []
+    for name in names:
+        inner, seen = getattr(owner, name), []
+        monkeypatch.setattr(owner, name, lambda *args, inner=inner, seen=seen:
+                            seen.append(args) or inner(*args))
+        calls.append(seen)
+    return calls
+
+
 def calls_in_run(monkeypatch, owner, name: str, command: str, cx: Path, dec: Path) -> int:
     """How many times one CLI run of `command` calls `owner.name`."""
-    calls = []
-    inner = getattr(owner, name)
-
-    def counted(*args):
-        calls.append(args)
-        return inner(*args)
-
-    monkeypatch.setattr(owner, name, counted)
+    (calls,) = spied(monkeypatch, owner, name)
     assert main([command, "--complex", str(cx), "--decomposition", str(dec)]) == 0
     return len(calls)
 
@@ -402,18 +408,20 @@ class TestViews:
 
 
 @pytest.mark.parametrize("name", ["octahedron", "torus"])
-def test_only_w_and_pinned_fields_are_searched(tmp_path, monkeypatch, capsys, name):
-    """Greedy fields, V, and W over greedy fields are certified by their
-    clocks; pinned fields, and W over them, by the closed-trajectory
-    search."""
+def test_only_w_and_pinned_fields_are_ordered(tmp_path, monkeypatch, capsys, name):
+    """Greedy fields and V are certified by their clocks; pinned fields,
+    and W over greedy or pinned fields, by the topological pass; no
+    acyclic field is searched."""
     cx, dec = GOLDEN / f"{name}.cx", GOLDEN / f"{name}.dec"
 
-    def searches(command: str, dec: Path) -> int:
+    def passes_and_searches(command: str, dec: Path) -> tuple[int, int]:
         with monkeypatch.context() as m:
-            return calls_in_run(m, morse, "_closed_trajectory", command, cx, dec)
+            passes, searches = spied(m, morse, "_ordered", "_closed_trajectory")
+            assert main([command, "--complex", str(cx), "--decomposition", str(dec)]) == 0
+        return len(passes), len(searches)
 
-    assert searches("homology", dec) == 0
-    assert searches("verify", dec) == 0
+    assert passes_and_searches("homology", dec) == (0, 0)
+    assert passes_and_searches("verify", dec) == (1, 0)
     assert "verdict: PASS" in capsys.readouterr().out
     _, d, _, _ = _load_decomposition(argparse.Namespace(
         complex=str(cx), decomposition=str(dec), strategy=None, seed=None))
@@ -422,8 +430,9 @@ def test_only_w_and_pinned_fields_are_searched(tmp_path, monkeypatch, capsys, na
               for piece, w, copy in (("A", d.w_a, d.a_bar), ("B", d.w_b, d.b_bar),
                                      ("I", d.w_i, d.iab_bar))}
     (tmp_path / "pinned.dec").write_text(decomposition_text(d.a, d.b, fields))
-    assert searches("homology", tmp_path / "pinned.dec") == 3
-    assert searches("verify", tmp_path / "pinned.dec") == 4
+    assert passes_and_searches("homology", tmp_path / "pinned.dec") == (3, 0)
+    assert passes_and_searches("verify", tmp_path / "pinned.dec") == (4, 0)
+    assert "verdict: PASS" in capsys.readouterr().out
 
 
 def greedy_and_clock(x: SimplicialComplex, strategy: str, seed: int | None):
@@ -477,11 +486,9 @@ class TestGreedyAgainstReference:
         check_greedy(SimplicialComplex(random_generators(rng)), *strategy_seed)
 
     @pytest.mark.parametrize("strategy,seed", STRATEGIES)
-    def test_a_reversed_clock_falls_back_to_the_search(self, monkeypatch, strategy, seed):
-        searched, continuing = [], 0
-        search = morse._closed_trajectory
-        monkeypatch.setattr(morse, "_closed_trajectory",
-                            lambda gvf: searched.append(gvf) or search(gvf))
+    def test_a_reversed_clock_falls_back_to_the_pass(self, monkeypatch, strategy, seed):
+        passes, searched = spied(monkeypatch, morse, "_ordered", "_closed_trajectory")
+        continuing = 0
         for name, x in sorted(corpus_complexes().items()):
             gvf, clock = greedy_and_clock(x, strategy, seed)
             arcs = morse._arcs(gvf)
@@ -491,7 +498,8 @@ class TestGreedyAgainstReference:
                 x, gvf._up, gvf._down, gvf._lift, clock=[-c for c in clock]
             )
             assert again._critical_ids == gvf._critical_ids
-        assert len(searched) == continuing > 0
+        assert len(passes) == continuing > 0
+        assert not searched
 
 
 def check_clocks(x: SimplicialComplex, rng: random.Random, tally: collections.Counter) -> None:
@@ -574,6 +582,36 @@ class TestAcyclicityAgainstReference:
             if len(field):  # the copy's members carry the tag
                 with pytest.raises(FieldError, match="not in the complex"):
                     is_acyclic(field, copy.complex)
+
+
+class TestOrderedAgainstReference:
+    """The topological pass `morse._ordered` against the reference search,
+    on random matchings, and on the fields of X~ that `verify` certifies."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_matchings_and_tagged_copies(self, rng):
+        x = SimplicialComplex(random_generators(rng))
+        copy = copy_relabel(x, "A:")
+        for _ in range(5):
+            field = random_matching(x, rng)
+            pushed = VectorField((retag(s, "", "A:"), retag(t, "", "A:")) for s, t in field)
+            assert morse._ordered(uncertified(x, field)) == (
+                reference_closed_trajectory(field, x) is None
+            )
+            assert morse._ordered(uncertified(copy.complex, pushed)) == (
+                reference_closed_trajectory(pushed, copy.complex) is None
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(["lexicographic", "random"]))
+    def test_v_and_w_on_hypothesis_covers(self, rng, strategy):
+        x = SimplicialComplex(random_generators(rng))
+        a, b = random_cover(x, rng)
+        xt = build_xtilde(build_decomposition(x, a, b, strategy=strategy,
+                                              seed=rng.randint(0, 99)))
+        assert morse._ordered(_build_v_field(xt))
+        assert morse._ordered(_build_w_field(xt))
 
 
 def load(tmp_path, x: SimplicialComplex, dec: str):
