@@ -20,9 +20,10 @@ id table, the one place members are stored.  Its vertices are ranked names
 (a rank is the position among the sorted names) and its members int tuples
 of ranks, so ids follow (dimension, vertex tuple) order, the canonical order
 of every report.  Names reach ids by one rule: a generator, or a member
-looked up (`SimplicialComplex._ids_of` for a batch, such as a piece's
-lines, and `_id_of` for one), may name its vertices in any order; they are
-ranked, then the ranks sorted, never sorted as strings.
+looked up (`SimplicialComplex._ids_of`, for a batch such as a piece's
+lines or a field's pair ends; `_id` is its one-member case), may name its
+vertices in any order; they are ranked, then the ranks sorted, never
+sorted as strings.
 The closure is one pass from the top dimension down, which sorts each
 level and drops each vertex of it once; the same drop lists give the
 facet ids.  The table lists each member's facets as ids in vertex-drop
@@ -59,6 +60,51 @@ __all__ = [
     "intersection",
     "copy_relabel",
 ]
+
+
+class _Record:
+    """A record with the equality, hash and repr a dataclass would give it
+    on the fields `_fields`, and whose `__slots__` list its constructor's
+    parameters in order.  Every record of the package is one, and no
+    module imports `dataclasses`, which imports `inspect`: a fresh process
+    would pay for both on every command, `verify` included."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, s) for s in self.__slots__])
+
+
+class _FrozenRecord(_Record):
+    """A `_Record` whose fields are set once, by its constructor."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _sort_parity(values: tuple[str, ...]) -> tuple[tuple[str, ...], int]:
@@ -367,12 +413,10 @@ class SimplicialComplex:
         mask = self._mask
         return [i if i is not None and mask[i] else None for i in ids]
 
-    def _id_of(self, vertices: Iterable[str]) -> int | None:
-        """The id of the member with these vertex names (see `_ids_of`)."""
-        return self._ids_of([vertices])[0]
-
-    def _id(self, s: Simplex) -> int | None:
-        return self._id_of(s.vertices)
+    def _id(self, s: Simplex | str | Iterable[str]) -> int | None:
+        """The id of the member named by a Simplex, a string of names or
+        names (`_names`), or None: the one-member case of `_ids_of`."""
+        return self._ids_of([_names(s)])[0]
 
     def _simplex(self, i: int) -> Simplex:
         return self._table.simplex(i, self._tag)
@@ -386,12 +430,13 @@ class SimplicialComplex:
         if other._table is self._table and other._tag == self._tag:
             both = int.from_bytes(self._mask, "little") & int.from_bytes(other._mask, "little")
             return bytearray(both.to_bytes(len(self._table), "little"))
-        table, tag = self._table, self._tag
+        table = self._table
+        ids = list(itertools.chain.from_iterable(self._ids))
+        found = other._ids_of(map(table.vertex_names, ids, itertools.repeat(self._tag)))
         mask = bytearray(len(table))
-        for ids in self._ids:
-            for i in ids:
-                if other._id_of(table.vertex_names(i, tag)) is not None:
-                    mask[i] = 1
+        for i, j in zip(ids, found):
+            if j is not None:
+                mask[i] = 1
         return mask
 
     # -- queries -----------------------------------------------------------
@@ -433,7 +478,7 @@ class SimplicialComplex:
         return self._size
 
     def __contains__(self, s) -> bool:
-        return self._id_of(_names(s)) is not None
+        return self._id(s) is not None
 
     def __eq__(self, other) -> bool:
         return (
@@ -473,9 +518,11 @@ class SimplicialComplex:
     def subcomplex(self, generators: Iterable[Simplex | str]) -> "SimplicialComplex":
         """The view closed downward from generators that are members of
         this complex; ComplexError names the first one that is not."""
-        return self._closure(
-            self._member(g if isinstance(g, Simplex) else Simplex(g)) for g in generators
-        )
+        gens = [g if isinstance(g, Simplex) else Simplex(g) for g in generators]
+        ids = self._ids_of([g.vertices for g in gens])
+        if None in ids:
+            raise ComplexError(f"{gens[ids.index(None)]} is not in the complex")
+        return self._closure(ids)
 
     def _closure(self, ids: Iterable[int]) -> "SimplicialComplex":
         """The view closed downward from these member ids."""

@@ -39,9 +39,9 @@ names the piece and selects FromA / FromB / Shifted.
 """
 from __future__ import annotations
 
-from .complexes import Simplex, SimplicialComplex, _Table
+from .complexes import Simplex, SimplicialComplex, _Record, _Table
 from .errors import ComplexError, ParseError
-from .mv import FROM_A, FROM_B, SHIFTED, _Record
+from .mv import FROM_A, FROM_B, SHIFTED
 
 __all__ = [
     "parse_complex",

@@ -72,7 +72,7 @@ import itertools
 import random
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .complexes import Simplex, SimplicialComplex
+from .complexes import Simplex, SimplicialComplex, _FrozenRecord
 from .errors import FieldError, InternalConsistencyError, NotAcyclicError
 from .homology import Column, IntegerChainComplex
 
@@ -149,12 +149,12 @@ class VectorField:
 
     def _arrays(self, x: SimplicialComplex) -> tuple[list[int], list[int], list[int]]:
         """`up`, `down` and `lift` over the id table of x (see `_matching`)."""
-        ids = [(x._id(sigma), x._id(tau)) for sigma, tau in self.pairs]
-        for (sigma, tau), (i, j) in zip(self.pairs, ids):
-            if i is None or j is None:
-                missing = sigma if i is None else tau
-                raise FieldError(f"field references {missing}, which is not in the complex")
-        return _matching(x, ids, FieldError)
+        ends = x._ids_of([s.vertices for pair in self.pairs for s in pair])
+        if None in ends:
+            k = ends.index(None)
+            missing = self.pairs[k // 2][k % 2]
+            raise FieldError(f"field references {missing}, which is not in the complex")
+        return _matching(x, zip(ends[::2], ends[1::2]), FieldError)
 
 
 def _matching(
@@ -354,30 +354,20 @@ class GradientField:
         return f"<GradientField with {pairs} pairs on {self.complex!r}>"
 
 
-class Trajectory:
+class Trajectory(_FrozenRecord):
     """An extended trajectory, stored as the alternating sequence
     (tau_0, sigma_1, tau_1, ..., tau_k, sigma_{k+1}), with its weight, +1
     or -1: the product of the signs of the arcs of `_arcs` its walk read."""
 
-    __slots__ = ("steps", "weight")
+    __slots__ = _fields = ("steps", "weight")
 
     def __init__(self, steps: Iterable[Simplex], weight: int):
-        self.steps = tuple(steps)
-        if len(self.steps) < 2 or len(self.steps) % 2:
+        steps = tuple(steps)
+        if len(steps) < 2 or len(steps) % 2:
             raise FieldError("an extended trajectory alternates tau, sigma, ..., sigma")
         if weight not in (1, -1):
             raise FieldError(f"a trajectory's weight is +1 or -1, got {weight!r}")
-        self.weight = weight
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Trajectory) and self.steps == other.steps
-                and self.weight == other.weight)
-
-    def __hash__(self) -> int:
-        return hash(self.steps)
-
-    def __repr__(self) -> str:
-        return "Trajectory(" + ", ".join(str(s) for s in self.steps) + ")"
+        self._set(steps, weight)
 
 
 def trajectories_from(gvf: GradientField, tau: Simplex) -> dict[Simplex, list[Trajectory]]:

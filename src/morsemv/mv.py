@@ -65,7 +65,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .complexes import ComplexCopy, Simplex, SimplicialComplex, _names, copy_relabel
+from .complexes import ComplexCopy, Simplex, SimplicialComplex, _FrozenRecord, _names, copy_relabel
 from .errors import DecompositionError, FieldError
 from .homology import HomologyResult, IntegerChainComplex, _dense, homology
 from .morse import (
@@ -106,51 +106,6 @@ SHIFTED = "Shifted"
 _TAGS = (FROM_A, FROM_B, SHIFTED)
 # the case of a trajectory, by the copies of its source and its target
 _CASE = {(0, 0): 1, (1, 1): 2, (2, 2): 3, (2, 0): 4, (2, 1): 5}
-
-
-class _Record:
-    """A record with the equality, hash and repr a dataclass would give it
-    on the fields `_fields`, and whose `__slots__` list its constructor's
-    parameters in order.  Plain classes rather than dataclasses, since
-    `dataclasses` imports `inspect`, which a fresh CLI process would pay
-    for on every command."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _key(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{self.__class__.__qualname__}({shown})"
-
-    def __reduce__(self):
-        return self.__class__, tuple([getattr(self, s) for s in self.__slots__])
-
-
-class _FrozenRecord(_Record):
-    """A `_Record` whose fields are set once, by its constructor."""
-
-    __slots__ = ()
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class MVGenerator(_FrozenRecord):

@@ -105,10 +105,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .complexes import SimplicialComplex, _Table
+from .complexes import SimplicialComplex, _FrozenRecord, _Table
 from .errors import InternalConsistencyError, MorsemvError
 from .homology import Column, HomologyResult, IntegerChainComplex, _simplicial_chains, homology
 from .morse import (
@@ -142,8 +141,7 @@ _A, _B, _INTERIOR = 0, 1, 2
 _PIECE_NAME = ("A-copy", "B-copy", "interior")
 
 
-@dataclass(frozen=True)
-class XTilde:
+class XTilde(_FrozenRecord):
     """The glued complex A-copy u prism(intersection copy) u B-copy, with the
     context both checks share.
 
@@ -157,14 +155,14 @@ class XTilde:
     and `_members` maps each intersection id in X to the X~ ids of its
     a_member and b_member cells (empty when the intersection is)."""
 
-    decomposition: Decomposition
-    complex: SimplicialComplex
-    x_chains: IntegerChainComplex
-    x_homology: HomologyResult
-    _piece: bytearray
-    _ground: list[int]
-    _copies: tuple[list[int], list[int]]
-    _members: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
+    __slots__ = _fields = ("decomposition", "complex", "x_chains", "x_homology",
+                           "_piece", "_ground", "_copies", "_members")
+
+    def __init__(self, decomposition: Decomposition, complex: SimplicialComplex,
+                 x_chains: IntegerChainComplex, x_homology: HomologyResult, _piece: bytearray,
+                 _ground: list[int], _copies: tuple[list[int], list[int]],
+                 _members: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]):
+        self._set(decomposition, complex, x_chains, x_homology, _piece, _ground, _copies, _members)
 
 
 class _Cells:
@@ -401,20 +399,22 @@ def _build_w_field(xt: XTilde) -> GradientField:
     return gvf
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(_FrozenRecord):
+    __slots__ = _fields = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self._set(name, ok, detail)
 
     def __str__(self) -> str:
         mark = "ok  " if self.ok else "FAIL"
         return f"{mark} {self.name}" + (f": {self.detail}" if self.detail else "")
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    checks: tuple[CheckResult, ...]
+class VerifyReport(_FrozenRecord):
+    __slots__ = _fields = ("checks",)
+
+    def __init__(self, checks: tuple[CheckResult, ...]):
+        self._set(checks)
 
     @property
     def ok(self) -> bool:

@@ -84,6 +84,51 @@ def rp2_chain(m: int) -> tuple[SimplicialComplex, SimplicialComplex, SimplicialC
     return build_complex(faces), build_complex(faces[:half]), build_complex(faces[half:])
 
 
+def suspension(
+    x: SimplicialComplex,
+) -> tuple[SimplicialComplex, SimplicialComplex, SimplicialComplex]:
+    """(sx, a, b): the suspension of x, its join with the two points
+    "north" and "south", and its two cones, a on north and b on south,
+    which meet in x."""
+    assert not {"north", "south"} & set(x.vertices)
+    a, b = ([[*s.vertices, pole] for s in x.maximal_simplices] for pole in ("north", "south"))
+    return build_complex(a + b), build_complex(a), build_complex(b)
+
+
+def product(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
+    """The staircase triangulation of |x| x |y| on the vertices "u|v": for
+    maximal simplices [u_0 ... u_p] of x and [v_0 ... v_q] of y, in their
+    sorted vertex order, one (p + q)-simplex per monotone lattice path from
+    (0, 0) to (p, q), on the vertices (u_i, v_j) the path visits: the
+    Eilenberg-Zilber shuffles (Hatcher, "Algebraic Topology", 3.B)."""
+    faces = []
+    for s, t in itertools.product(x.maximal_simplices, y.maximal_simplices):
+        p, q = s.dim, t.dim
+        for right in itertools.combinations(range(p + q), p):
+            i = j = 0
+            path = [(0, 0)]
+            for step in range(p + q):
+                i, j = (i + 1, j) if step in right else (i, j + 1)
+                path.append((i, j))
+            faces.append([f"{s.vertices[i]}|{t.vertices[j]}" for i, j in path])
+    return build_complex(faces)
+
+
+def moore(
+    k: int, m: int = 3
+) -> tuple[SimplicialComplex, SimplicialComplex, SimplicialComplex]:
+    """(x, a, b): the Moore space M(Z/k, 1), H = Z, Z/k.  A disc whose
+    boundary wraps k times round the m-cycle c0 ... c{m-1}: a ring of k m
+    vertices r_i, coned off at "o" (the disc a), and joined to the cycle
+    by the triangles c_i c_{i+1} r_{i+1} and c_i r_i r_{i+1}, indices of
+    c taken mod m (the annulus b); a and b meet in the ring."""
+    c, r = (lambda i: f"c{i % m}"), (lambda i: f"r{i % (k * m)}")
+    a = [["o", r(i), r(i + 1)] for i in range(k * m)]
+    b = [face for i in range(k * m)
+         for face in ([c(i), c(i + 1), r(i + 1)], [c(i), r(i), r(i + 1)])]
+    return build_complex(a + b), build_complex(a), build_complex(b)
+
+
 def corpus_complexes() -> dict[str, SimplicialComplex]:
     simplex_boundary = lambda n: build_complex(
         [" ".join(f"v{i}" for i in range(n + 2) if i != k) for k in range(n + 2)]

@@ -32,6 +32,10 @@ The clock reference is the check that a certifying clock descends, as
 `morsemv.morse` ran it before it read `up`, `down` and the facet table
 directly: over the signed arcs of `_arcs`, one list per cell.
 
+The lookup reference is the per-name lookup of a field's pair ends that
+`VectorField._arrays` made before it resolved every end in one batch:
+each end on its own, in pair order, signed by `incidence`.
+
 `retag` renames a simplex from one tagged copy into another (or into or
 out of the untagged complex) by its vertex names, as the copies' renaming
 methods did before a copy became a tag on its source's ids.
@@ -56,6 +60,7 @@ import random
 from typing import Sequence
 
 from morsemv import (
+    FieldError,
     InternalConsistencyError,
     MVTrajectory,
     Simplex,
@@ -92,6 +97,24 @@ def retag(s: Simplex, old: str, new: str) -> Simplex:
     preserves orientation."""
     assert all(v.startswith(old) for v in s.vertices), f"{s} is not tagged {old!r}"
     return Simplex([new + v[len(old):] for v in s.vertices], s.sign)
+
+
+def reference_arrays(
+    field: VectorField, x: SimplicialComplex
+) -> tuple[list[int], list[int], list[int]]:
+    """The arrays up, down and lift of `field` over x's id table, as
+    `VectorField._arrays` gives them, each pair end looked up by itself, in
+    pair order: the first end that is not a member of x raises the
+    FieldError that `_arrays` raises, and lift[sigma] = -<tau, sigma>."""
+    named = dict(zip(x.simplices(), itertools.chain.from_iterable(x._ids)))
+    up, down, lift = [-1] * len(x._table), [-1] * len(x._table), [1] * len(x._table)
+    for sigma, tau in field.pairs:
+        for s in (sigma, tau):
+            if s not in named:
+                raise FieldError(f"field references {s}, which is not in the complex")
+        up[named[sigma]], down[named[tau]] = named[tau], named[sigma]
+        lift[named[sigma]] = -incidence(tau, sigma)
+    return up, down, lift
 
 
 def reference_greedy(

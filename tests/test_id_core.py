@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morsemv import (
+    ComplexError,
     DecompositionError,
     FieldError,
     NotAcyclicError,
@@ -50,6 +51,7 @@ from conftest import (
 )
 from slow_reference import (
     ReferencePrism,
+    reference_arrays,
     reference_closed_trajectory,
     reference_descends,
     reference_greedy,
@@ -197,8 +199,9 @@ class TestTableAgainstReference:
 
 class TestOneNameRule:
     """Vertex names reach ids by one rule, that of `_Table.of_names`: the
-    names are ranked, then the ranks sorted.  `_id_of` reads names in any
-    order, and the pieces of a `.dec` file are read from lines as written."""
+    names are ranked, then the ranks sorted.  `_id` reads names in any
+    order, as a list, a `Simplex` or a string, and the pieces of a `.dec`
+    file are read from lines as written."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(
@@ -214,16 +217,58 @@ class TestOneNameRule:
             tag, members = y._tag, {s.vertices for s in y.simplices()}
             for s in x.simplices():
                 named = [tag + v for v in s.vertices]
-                i = y._id_of(named)
+                i = y._id(named)
                 assert (i is not None) == (tuple(named) in members)
                 if i is not None:
                     assert y._simplex(i).vertices == tuple(named)
                 shuffled = rng.sample(named, len(named))
-                assert y._id_of(shuffled) == i
-                assert y._id_of(shuffled + [named[0]]) is None  # a repeated name
+                assert y._id(shuffled) == i
+                assert y._id(Simplex(shuffled)) == y._id(-Simplex(named)) == i
+                assert y._id(" ".join(shuffled)) == i
+                assert y._id(shuffled + [named[0]]) is None  # a repeated name
                 outside = rng.randrange(len(named) + 1)
-                assert y._id_of([*shuffled[:outside], tag + "w", *shuffled[outside:]]) is None
-                assert y._id_of([tag + "w", *shuffled[1:]]) is None
+                assert y._id([*shuffled[:outside], tag + "w", *shuffled[outside:]]) is None
+                assert y._id([tag + "w", *shuffled[1:]]) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_batches_match_per_name_lookups(self, rng):
+        """`GradientField.certify` gives the arrays, or the FieldError text,
+        of one lookup per pair end (`reference_arrays`), and `==`,
+        `is_subcomplex_of` and `intersection` agree with the members' name
+        sets, on a view, complexes closed separately and tagged copies."""
+        x = SimplicialComplex(random_generators(rng))
+        top = list(x.maximal_simplices)
+        view = x.subcomplex(rng.sample(top, rng.randint(1, len(top))))
+        complexes = [x, view, SimplicialComplex(view.maximal_simplices)]
+        complexes += [copy_relabel(y, "A:").complex for y in (x, view)]
+        complexes.append(SimplicialComplex(complexes[-1].maximal_simplices))
+        field = random_matching(x, rng)
+        pushed = VectorField((retag(s, "", "A:"), retag(t, "", "A:")) for s, t in field)
+        names = [{s.vertices for s in y} for y in complexes]
+        for y, members in zip(complexes, names):
+            for v in (field, pushed):
+                try:
+                    want = reference_arrays(v, y)
+                except FieldError as e:
+                    with pytest.raises(FieldError) as got:
+                        GradientField.certify(v, y)
+                    assert str(got.value) == str(e)
+                    continue
+                try:
+                    gvf = GradientField.certify(v, y)
+                except NotAcyclicError:
+                    assert v._arrays(y) == want
+                else:
+                    assert (gvf._up, gvf._down, gvf._lift) == want
+            for z, others in zip(complexes, names):
+                assert (y == z) == (members == others)
+                assert y.is_subcomplex_of(z) == (members <= others)
+                if members & others:
+                    assert {s.vertices for s in intersection(y, z)} == members & others
+                else:
+                    with pytest.raises(ComplexError, match="share no simplices"):
+                        intersection(y, z)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(

@@ -23,6 +23,7 @@ from morsemv import (
     NotAcyclicError,
     Simplex,
     SimplicialComplex,
+    Trajectory,
     build_complex,
     build_decomposition,
     incidence,
@@ -38,6 +39,7 @@ import morsemv.complexes
 import morsemv.morse
 import morsemv.mv
 from morsemv.cli import main
+from morsemv.verify import CheckResult, VerifyReport
 from morsemv.formats import parse_complex
 from morsemv.mv import (
     SHIFTED,
@@ -270,8 +272,8 @@ class TestGenerators:
             MVGenerator(SHIFTED, Simplex("v0"), 0)  # shifted degree is dim + 1
 
     def test_records_behave_as_frozen_dataclasses(self):
-        # MVGenerator and MVTrajectory are plain classes (no `dataclasses`
-        # at CLI start) that keep what their frozen dataclasses gave
+        # the records are plain classes (no module imports `dataclasses`)
+        # that keep what their frozen dataclasses gave
         g = MVGenerator("FromA", Simplex("A:v0 A:v1"), 1)
         h = MVGenerator("FromA", Simplex("A:v0 A:v1"), 1)
         assert g == h and hash(g) == hash(h) and g != ("FromA", g.simplex, 1)
@@ -286,7 +288,27 @@ class TestGenerators:
             g.tag = "FromB"
         with pytest.raises(AttributeError, match="cannot delete field 'p'"):
             del t.p
-        for record in (g, t):
+        steps = (Simplex("v0 v1"), Simplex("v0"))
+        r = Trajectory(steps, -1)
+        assert r == Trajectory(list(steps), -1) and hash(r) == hash(Trajectory(steps, -1))
+        assert r != Trajectory(steps, 1) and r != (steps, -1)
+        assert repr(r) == "Trajectory(steps=(Simplex('v0 v1'), Simplex('v0')), weight=-1)"
+        c = CheckResult("homology_equal", False, "H_1 differs")
+        assert c == CheckResult("homology_equal", False, "H_1 differs")
+        assert hash(c) == hash(CheckResult("homology_equal", False, "H_1 differs"))
+        assert CheckResult("x", True) == CheckResult("x", True, "") != CheckResult("x", False)
+        assert repr(c) == "CheckResult(name='homology_equal', ok=False, detail='H_1 differs')"
+        v = VerifyReport((c,))
+        assert v == VerifyReport((c,)) and hash(v) == hash(VerifyReport((c,)))
+        assert v != VerifyReport(()) and not v.ok
+        assert repr(v) == f"VerifyReport(checks=({c!r},))"
+        with pytest.raises(AttributeError, match="cannot assign to field 'weight'"):
+            r.weight = 1
+        with pytest.raises(AttributeError, match="cannot assign to field 'ok'"):
+            c.ok = True
+        with pytest.raises(AttributeError, match="cannot delete field 'checks'"):
+            del v.checks
+        for record in (g, t, r, c, v):
             for twin in (copy.copy(record), pickle.loads(pickle.dumps(record))):
                 assert twin == record and twin is not record
         assert pickle.loads(pickle.dumps(t)).weight == -1

@@ -2,7 +2,6 @@
 tying the Mayer-Vietoris complex to plain simplicial homology."""
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import itertools
 import json
@@ -80,6 +79,12 @@ def oct_xtilde(oct_decomposition):
 def interior(xt):
     """The X~ cells in the prism interior, by the piece map."""
     return frozenset(xt.complex._simplex(i) for i, p in enumerate(xt._piece) if p == _INTERIOR)
+
+
+def replaced(xt, **changes):
+    """The X~ record xt with the fields named in `changes` replaced."""
+    assert set(changes) <= set(xt._fields)
+    return type(xt)(*[changes.get(f, getattr(xt, f)) for f in xt._fields])
 
 
 def ids(xt, steps):
@@ -237,7 +242,7 @@ class TestBlockFaults:
                 elif len(a_ids) == 2:
                     b_ids[0] = b_ids[1]
                 members[alpha] = (a_ids, b_ids)
-            return dataclasses.replace(xt, _members=members)
+            return replaced(xt, _members=members)
 
         monkeypatch.setattr(cli_module, "build_xtilde", overlapping)
         code, out = self.verify_octahedron(capsys)
@@ -317,7 +322,7 @@ def moved_ground(xt):
     """X~ with the ground of the critical cell [A:v5] of V and W moved to v0."""
     ground = list(xt._ground)
     ground[xt.complex._id(Simplex("A:v5"))] = xt.decomposition.x._id(Simplex("v0"))
-    return dataclasses.replace(xt, _ground=ground)
+    return replaced(xt, _ground=ground)
 
 
 def outcome(report):
@@ -352,7 +357,7 @@ class TestEarlyExits:
         members = dict(xt._members)
         other = next(a for a, (a_ids, _) in members.items() if a != v2 and len(a_ids) == 1)
         members[v2] = (members[other][0], members[v2][1])
-        report = check_main_iso(dataclasses.replace(xt, _members=members))
+        report = check_main_iso(replaced(xt, _members=members))
         assert outcome(report) == [
             ("w_field_certified", True), ("f_bijective_onto_generators", False),
         ]
@@ -377,7 +382,7 @@ class TestEarlyExits:
         piece = bytearray(xt._piece)
         top = xt._copies[_B][xt.decomposition.x._id(Simplex("v0"))]
         piece[top] = _A
-        report = check_iso_simplicial(dataclasses.replace(xt, _piece=piece))
+        report = check_iso_simplicial(replaced(xt, _piece=piece))
         assert outcome(report) == [
             ("v_field_certified", True), ("v_critical_census", False), ("g_bijective", True),
             ("boundary_matrices_equal", True), ("homology_equal", True),
@@ -392,7 +397,7 @@ class TestEarlyExits:
         xt = oct_xtilde
         piece = bytearray(xt._piece)
         piece[xt._copies[_B][xt.decomposition.x._id(Simplex("v0"))]] = _A
-        v_report = check_iso_simplicial(dataclasses.replace(xt, _piece=piece))
+        v_report = check_iso_simplicial(replaced(xt, _piece=piece))
         assert v_report.checks[1].detail == "unexpected [], missing [[B:v0]]"
         drop_last_prism_pair(monkeypatch)
         assert check_main_iso(xt).checks[0].detail == (
@@ -529,7 +534,7 @@ class TestCountsAgainstEnumeration:
             for wrong in {_A, _B, _INTERIOR} - {true_piece}:
                 piece = bytearray(xt._piece)
                 piece[cell] = wrong
-                bad = dataclasses.replace(xt, _piece=piece)
+                bad = replaced(xt, _piece=piece)
                 fits = listed_trajectories_fit(bad, w)
                 assert (_forbidden_step(bad, w, upstairs) == "") == fits, (cell, wrong)
                 failures += not fits
@@ -545,7 +550,7 @@ class TestCountsAgainstEnumeration:
         assert xt._piece[cell] == _INTERIOR
         piece = bytearray(xt._piece)
         piece[cell] = _B
-        bad = dataclasses.replace(xt, _piece=piece)
+        bad = replaced(xt, _piece=piece)
         flows = check_main_iso(bad)
         assert [c.name for c in flows.checks if not c.ok] == ["trajectory_classification"]
         assert flows.checks[4].detail == (
@@ -692,7 +697,7 @@ class TestFailingChecks:
         for row in bad:
             row[:3] = [-v for v in row[:3]]
         corrupt = IntegerChainComplex(x.ranks, [d_1, bad], x.labels)
-        report = check_iso_simplicial(dataclasses.replace(oct_xtilde, x_chains=corrupt))
+        report = check_iso_simplicial(replaced(oct_xtilde, x_chains=corrupt))
         assert self.failed(report) == ["boundary_matrices_equal"]
         good = x.boundaries[1]
         spots = [(i, j) for i, row in enumerate(bad) for j, v in enumerate(row)
