@@ -52,4 +52,12 @@ class DecompositionError(MorsemvError):
 class InternalConsistencyError(MorsemvError):
     """An invariant that the theory guarantees failed to hold at runtime
     (a boundary that does not square to zero, a critical-cell census that
-    does not match the predicted one, ...).  Always a bug, never bad input."""
+    does not match the predicted one, ...).  Always a bug, never bad input.
+
+    ``cycle``, set when Forman's flow ran into a cycle of its digraph (see
+    `morse._flow`), lists the ids of that cycle in path order.
+    """
+
+    def __init__(self, message: str, cycle: list[int] | None = None):
+        self.cycle = cycle
+        super().__init__(message)

@@ -56,14 +56,15 @@ decreases along every arc, which one pass checks and which rules out a
 closed trajectory (Forman, Adv. Math. 1998).  Any other field, and one
 whose clock does not descend, is certified by one linear topological pass
 over the same arcs (`_ordered`, Kahn's algorithm).  Only a field that the
-pass rejects goes to the acyclicity search, an iterative three-colour
-depth-first search that names a closed trajectory as the witness.
+pass rejects is valued by the flow itself, whose depth-first stack holds
+the cycle it runs into: that cycle names the closed trajectory of the
+witness, so the flow and the walk are the only searches of the arcs.
 
 The field code runs on the integer ids of the complex's table (see
 `complexes`): a certified field holds `up`/`down` id arrays and the sign
-of each pair, coreduction, the topological pass and the acyclicity search
-keep their state in int lists and byte masks, and simplices are named
-only in what is returned (`pairs`, `critical`, trajectories, witnesses).
+of each pair, coreduction and the topological pass keep their state in
+int lists and byte masks, and simplices are named only in what is
+returned (`pairs`, `critical`, trajectories, witnesses).
 """
 from __future__ import annotations
 
@@ -72,7 +73,7 @@ import itertools
 import random
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .complexes import Simplex, SimplicialComplex, _FrozenRecord
+from .complexes import Simplex, SimplicialComplex, _FrozenRecord, _names
 from .errors import FieldError, InternalConsistencyError, NotAcyclicError
 from .homology import Column, IntegerChainComplex
 
@@ -149,12 +150,23 @@ class VectorField:
 
     def _arrays(self, x: SimplicialComplex) -> tuple[list[int], list[int], list[int]]:
         """`up`, `down` and `lift` over the id table of x (see `_matching`)."""
-        ends = x._ids_of([s.vertices for pair in self.pairs for s in pair])
-        if None in ends:
-            k = ends.index(None)
-            missing = self.pairs[k // 2][k % 2]
-            raise FieldError(f"field references {missing}, which is not in the complex")
-        return _matching(x, zip(ends[::2], ends[1::2]), FieldError)
+        ids = _pair_ids(x, self.pairs, lambda pair, k: FieldError(
+            f"field references {pair[k]}, which is not in the complex"))
+        return _matching(x, ids, FieldError)
+
+
+def _pair_ids(
+    x: SimplicialComplex, pairs: Sequence[Sequence], missing: Callable[[Sequence, int], Exception]
+) -> Iterator[tuple[int, int]]:
+    """The id pairs over x of `pairs`, each end a Simplex, a string of names
+    or names (`complexes._names`), resolved in one `_ids_of` batch; the
+    first end that is not in x, end k of `pair`, raises missing(pair, k)."""
+    # an end read from a `.dec` file is already a tuple of names
+    ends = x._ids_of([s if type(s) is tuple else _names(s) for pair in pairs for s in pair])
+    if None in ends:
+        k = ends.index(None)
+        raise missing(pairs[k // 2], k % 2)
+    return zip(ends[::2], ends[1::2])
 
 
 def _matching(
@@ -190,40 +202,15 @@ def is_acyclic(v: VectorField, x: SimplicialComplex) -> bool:
 def _closed_trajectory(gvf: "GradientField") -> tuple[Simplex, ...] | None:
     """A closed trajectory (tau_0, sigma_1, ..., sigma_k, tau_k) with
     tau_k == tau_0 of the field gvf, not yet certified, or None when it is a
-    gradient field.
-
-    Runs a three-colour DFS per dimension over the arcs tau -> nu >= 0 of
-    `_arcs`; a grey-on-grey arc closes a trajectory, which is reconstructed
-    from the DFS stack, whose entries (tau, sigma, arcs) record the facet
-    sigma that led to tau.  Arcs never change dimension, so one colour
-    array serves every dimension.
-    """
-    x, arcs = gvf.complex, _arcs(gvf)
-    GRAY, BLACK = 1, 2
-    colour = bytearray(len(x._table))
-    for ids in x._ids[1:]:
-        for root in ids:
-            if colour[root]:
-                continue
-            colour[root] = GRAY
-            stack = [(root, -1, iter(arcs(root)))]
-            while stack:
-                for _, sigma, nxt in stack[-1][2]:
-                    if nxt < 0:
-                        continue
-                    c = colour[nxt]
-                    if not c:
-                        colour[nxt] = GRAY
-                        stack.append((nxt, sigma, iter(arcs(nxt))))
-                        break
-                    if c == GRAY:
-                        i = next(j for j, entry in enumerate(stack) if entry[0] == nxt)
-                        witness = [nxt]
-                        for tau, via, _ in stack[i + 1:]:
-                            witness += [via, tau]
-                        return x._simplices_of(witness + [sigma, nxt])
-                else:
-                    colour[stack.pop()[0]] = BLACK
+    gradient field: the cycle that Forman's flow runs into, valued at every
+    id of dimension >= 1 by dimension, in id order.  A step up into tau
+    always comes from down[tau], so the cycle's ids name the trajectory."""
+    x, down = gvf.complex, gvf._down
+    try:
+        _flow(_arcs(gvf), down, itertools.chain(*x._ids[1:]))
+    except InternalConsistencyError as error:
+        taus = error.cycle + error.cycle[:1]  # tau_0, ..., tau_k = tau_0
+        return x._simplices_of([taus[0], *(i for t in taus[1:] for i in (down[t], t))])
     return None
 
 
@@ -310,8 +297,9 @@ class GradientField:
         by a `clock` that descends along every arc (`_descends`); without
         one, or when it does not descend, by the topological pass
         `_ordered`.  Only a field that the pass rejects goes to
-        `_closed_trajectory`, which names the witness and has the last
-        word, so a wrong clock never changes a verdict or a witness."""
+        `_closed_trajectory`, the flow's own cycle, which names the witness
+        and has the last word, so a wrong clock never changes a verdict or
+        a witness."""
         gvf = object.__new__(cls)
         gvf.complex, gvf._up, gvf._down, gvf._lift = complex, up, down, lift
         if not (clock is not None and _descends(gvf, clock) or _ordered(gvf)):
@@ -483,7 +471,8 @@ def _flow(arcs: Callable, down: Sequence[int], roots: Iterable[int],
     on top reads its arcs once, into its base and its heads (c, nu), and is
     marked None in the memo; it waits for its first head not yet valued,
     then adds its heads' values into its base, in the order of its arcs.  A
-    head marked None is a cycle, reported instead of followed."""
+    head marked None is a cycle, reported instead of followed: the error's
+    `cycle` lists the ids of the path from that head up, in path order."""
     memo: dict[int, dict] = {}
     get = memo.get
     stack = [(root, None, None) for root in roots]
@@ -505,7 +494,11 @@ def _flow(arcs: Callable, down: Sequence[int], roots: Iterable[int],
         for _, nu in heads:
             if get(nu) is None:
                 if nu in memo:
-                    raise InternalConsistencyError(f"the flow runs in a cycle through id {nu}")
+                    k = len(stack) - 1
+                    while stack[k][0] != nu:  # a root still pending lies below the path
+                        k -= 1
+                    raise InternalConsistencyError(f"the flow runs in a cycle through id {nu}",
+                                                   [entry[0] for entry in stack[k:]])
                 stack.append((nu, None, None))
                 break
         else:

@@ -65,7 +65,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .complexes import ComplexCopy, Simplex, SimplicialComplex, _FrozenRecord, _names, copy_relabel
+from .complexes import ComplexCopy, Simplex, SimplicialComplex, _FrozenRecord, copy_relabel
 from .errors import DecompositionError, FieldError
 from .homology import HomologyResult, IntegerChainComplex, _dense, homology
 from .morse import (
@@ -76,6 +76,7 @@ from .morse import (
     _flow,
     _grouped,
     _matching,
+    _pair_ids,
     _trajectory_complex,
     _transfer,
     _walk,
@@ -170,20 +171,15 @@ def _field_on_copy(
     """The field on `copy` pinned by `pairs` in the vertex names of X, each
     end a Simplex, vertex names in any order, or a string of them
     (`complexes._names`), resolved to ids in one batch by
-    `SimplicialComplex._ids_of`; the ends are named as written only to
-    word an error."""
-    pairs = list(pairs)
-    # an end read from a `.dec` file is already a tuple of names
-    ends = piece._ids_of([s if type(s) is tuple else _names(s) for sigma, tau in pairs
-                         for s in (sigma, tau)])
-    if None in ends:
-        k = ends.index(None)
-        named = [s if isinstance(s, Simplex) else Simplex(s) for s in pairs[k // 2]]
-        raise DecompositionError(
-            f"field pair ({named[0]}, {named[1]}) references {named[k % 2]}, "
-            f"which is not a simplex of {piece_name}"
-        )
-    ids = zip(ends[::2], ends[1::2])
+    `morse._pair_ids`; the ends are named as written only to word an
+    error."""
+
+    def missing(pair: Sequence, k: int) -> DecompositionError:
+        named = [s if isinstance(s, Simplex) else Simplex(s) for s in pair]
+        return DecompositionError(f"field pair ({named[0]}, {named[1]}) references {named[k]}, "
+                                  f"which is not a simplex of {piece_name}")
+
+    ids = _pair_ids(piece, list(pairs), missing)
     return GradientField._certified(copy.complex, *_matching(copy.complex, ids, FieldError))
 
 

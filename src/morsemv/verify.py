@@ -60,9 +60,9 @@ matchings of facet pairs and certified acyclic as `morse` certifies every
 field: V by its prism levels, a clock that descends along its arcs, and W
 by the topological pass `morse._ordered`, which reads W's pairs alone, so
 W over pinned fields is certified as W over greedy ones.  Only a W that
-the pass rejects is searched, for the closed trajectory that names the
-failure; a fault in a block shows up as a failed certification or census,
-never as bad input.
+the pass rejects runs Forman's flow, whose cycle is the closed trajectory
+that names the failure; a fault in a block shows up as a failed
+certification or census, never as bad input.
 
 `check_iso_simplicial` and `check_main_iso` re-derive all of this on a given
 decomposition and report each comparison separately, with counterexamples.

@@ -95,6 +95,19 @@ def suspension(
     return build_complex(a + b), build_complex(a), build_complex(b)
 
 
+def join(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
+    """The join of x and y, on disjoint vertices: one simplex s u t for
+    every pair of maximal simplices s of x and t of y."""
+    assert not set(x.vertices) & set(y.vertices)
+    return build_complex([[*s.vertices, *t.vertices]
+                          for s in x.maximal_simplices for t in y.maximal_simplices])
+
+
+def cone(x: SimplicialComplex) -> SimplicialComplex:
+    """The cone on x: its join with the point "apex"."""
+    return join(x, build_complex(["apex"]))
+
+
 def product(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
     """The staircase triangulation of |x| x |y| on the vertices "u|v": for
     maximal simplices [u_0 ... u_p] of x and [v_0 ... v_q] of y, in their

@@ -1,8 +1,8 @@
-"""Torsion above degree 1 against closed forms: products by Künneth,
-suspensions by the suspension shift and Moore spaces by construction, the
-expected groups computed here from the factors' groups and never by an
-elimination, so a fault that the oracle and the Mayer-Vietoris route
-share cannot hide.  Each example runs on the oracle, the one-field route
+"""Torsion above degree 1 against closed forms: products by Künneth, joins
+and cones by Milnor's join formula, suspensions by the suspension shift
+and Moore spaces by construction, the expected groups computed here from
+the factors' groups and never by an elimination, so a fault that the
+oracle and the Mayer-Vietoris route share cannot hide.  Each example runs on the oracle, the one-field route
 and Mayer-Vietoris with greedy and with random fields."""
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import pytest
 
 from morsemv import (
     HomologyResult,
+    SimplicialComplex,
     build_complex,
     build_decomposition,
     build_xtilde,
@@ -24,7 +25,18 @@ from morsemv import (
     simplicial_homology,
     thom_smale_complex,
 )
-from conftest import RP2_FACES, expected_homology, moore, product, suspension
+from conftest import (
+    RP2_FACES,
+    cone,
+    corpus_complexes,
+    expected_homology,
+    join,
+    moore,
+    product,
+    suspension,
+)
+
+POINT = HomologyResult([(1, ())])
 
 
 def cyclic_orders(h: HomologyResult, q: int) -> list[int]:
@@ -53,19 +65,36 @@ def group(orders: list[int]) -> tuple[int, tuple[int, ...]]:
     return orders.count(0), tuple(sorted(factors))
 
 
+def kunneth_sums(ox: list[list[int]], oy: list[list[int]]) -> list[list[int]]:
+    """Degree n of the sum over i + j = n of X_i (x) Y_j, plus the sum over
+    i + j = n - 1 of Tor(X_i, Y_j), every group given by the orders of its
+    cyclic summands, degree by degree: Z/a (x) Z/b = Tor(Z/a, Z/b) =
+    Z/gcd(a, b), with Z as Z/0 in the tensor product and Tor vanishing on
+    Z."""
+    sums = []
+    for n in range(len(ox) + len(oy) - 1):
+        tensor = [math.gcd(a, b) for i in range(n + 1) if i < len(ox) and n - i < len(oy)
+                  for a in ox[i] for b in oy[n - i]]
+        tor = [math.gcd(a, b) for i in range(n) if i < len(ox) and n - 1 - i < len(oy)
+               for a in ox[i] for b in oy[n - 1 - i] if a and b]
+        sums.append(tensor + tor)
+    return sums
+
+
 def kunneth(hx: HomologyResult, hy: HomologyResult) -> HomologyResult:
-    """H_n(X x Y) = sum over i + j = n of H_i (x) H_j, plus the sum over
-    i + j = n - 1 of Tor(H_i, H_j) (Hatcher, 3.B): Z/a (x) Z/b =
-    Tor(Z/a, Z/b) = Z/gcd(a, b), with Z as Z/0 in the tensor product and
-    Tor vanishing on Z."""
-    groups = []
-    for n in range(len(hx) + len(hy) - 1):
-        tensor = [math.gcd(a, b) for i in range(n + 1)
-                  for a in cyclic_orders(hx, i) for b in cyclic_orders(hy, n - i)]
-        tor = [math.gcd(a, b) for i in range(n)
-               for a in cyclic_orders(hx, i) for b in cyclic_orders(hy, n - 1 - i) if a and b]
-        groups.append(group(tensor + tor))
-    return HomologyResult(groups)
+    """H_n(X x Y) is degree n of the Künneth sums of the groups of X and Y
+    (Hatcher, 3.B)."""
+    orders = lambda h: [cyclic_orders(h, q) for q in range(len(h))]
+    return HomologyResult(map(group, kunneth_sums(orders(hx), orders(hy))))
+
+
+def joined(hx: HomologyResult, hy: HomologyResult) -> HomologyResult:
+    """The groups of the join X * Y of nonempty X and Y: it is connected,
+    and reduced H_{n+1}(X * Y) is degree n of the Künneth sums of the
+    reduced groups (Milnor, "Construction of universal bundles II",
+    1956), which drop one Z from H_0."""
+    reduced = lambda h: [cyclic_orders(h, 0)[1:]] + [cyclic_orders(h, q) for q in range(1, len(h))]
+    return HomologyResult([(1, ()), *map(group, kunneth_sums(reduced(hx), reduced(hy)))])
 
 
 def suspended(h: HomologyResult) -> HomologyResult:
@@ -90,6 +119,24 @@ def suspended_rp2():
     return suspension(build_complex(RP2_FACES)), suspended(expected_homology("rp2"))
 
 
+def star_cut(x: SimplicialComplex, v: str):
+    """x cut by the star of the vertex v and the faces without v."""
+    star = [s.vertices for s in x.maximal_simplices if v in s.vertices]
+    rest = [s.vertices for s in x.maximal_simplices if v not in s.vertices]
+    return x, build_complex(star), build_complex(rest)
+
+
+def cone_on_rp2():
+    rp2 = build_complex(RP2_FACES)
+    return star_cut(cone(rp2), "1"), joined(expected_homology("rp2"), POINT)
+
+
+def rp2_join_circle():
+    circle = corpus_complexes()["circle"]
+    return (star_cut(join(build_complex(RP2_FACES), circle), "1"),
+            joined(expected_homology("rp2"), expected_homology("circle")))
+
+
 def moore_space(k: int):
     return moore(k), HomologyResult([(1, ()), (0, (k,))])
 
@@ -101,6 +148,8 @@ def suspended_moore_space(k: int):
 
 EXAMPLES = {
     "RP2 x RP2": rp2_by_rp2,
+    "cone on RP2": cone_on_rp2,
+    "RP2 * S1": rp2_join_circle,
     "suspension of RP2": suspended_rp2,
     **{f"M(Z/{k}, 1)": functools.partial(moore_space, k) for k in (3, 4, 5)},
     **{f"suspension of M(Z/{k}, 1)": functools.partial(suspended_moore_space, k)
@@ -117,6 +166,12 @@ def test_closed_forms_themselves():
     assert group([3, 5]) == (0, (15,))
     assert suspended(expected_homology("rp2")) == HomologyResult([z, (0, ()), z2])
     assert suspended(expected_homology("two_points")) == HomologyResult([z, z])
+    rp2, circle = expected_homology("rp2"), expected_homology("circle")
+    assert joined(rp2, POINT) == HomologyResult([z])
+    assert joined(rp2, circle) == HomologyResult([z, (0, ()), (0, ()), z2])
+    assert joined(circle, circle) == expected_homology("sphere3")
+    assert joined(expected_homology("two_points"), rp2) == suspended(rp2)
+    assert len(join(build_complex(RP2_FACES), corpus_complexes()["circle"])) == 223
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))

@@ -23,6 +23,7 @@ included, on the glued MV digraph and on each copy's own field.
 """
 from __future__ import annotations
 
+import gc
 import itertools
 import sys
 
@@ -33,6 +34,8 @@ from hypothesis import strategies as st
 from morsemv import (
     GradientField,
     InternalConsistencyError,
+    NotAcyclicError,
+    Simplex,
     SimplicialComplex,
     VectorField,
     build_decomposition,
@@ -72,7 +75,13 @@ from morsemv.verify import (
     _w_tallies,
 )
 from conftest import branching_complex, corpus_complexes, random_cover, random_small_complex
-from slow_reference import enumerated_mv_tallies, reference_complex_columns, reference_weight, retag
+from slow_reference import (
+    enumerated_mv_tallies,
+    reference_closed_trajectory,
+    reference_complex_columns,
+    reference_weight,
+    retag,
+)
 from test_mv import COVERS, INTERLEAVED, cover_decompositions
 from test_verify import assert_counts_match_enumeration
 
@@ -352,6 +361,24 @@ def test_long_trajectories_need_no_recursion():
     assert thom_smale_complex(gvf).columns == thom_smale_reference(gvf)
 
 
+def test_long_witnesses_need_no_recursion():
+    """Every vertex of a circle of 1500 edges paired with its forward edge:
+    the one closed trajectory runs all the way round, and certification
+    names it as the reference search does, far deeper than the
+    interpreter's recursion limit."""
+    n = 1500
+    names = [f"p{i:04d}" for i in range(n)]
+    edges = [Simplex([names[i], names[(i + 1) % n]]) for i in range(n)]
+    x = SimplicialComplex(edges)
+    field = VectorField(zip(map(Simplex, names), edges))
+    with pytest.raises(NotAcyclicError) as raised:
+        GradientField.certify(field, x)
+    witness = raised.value.witness
+    assert n > sys.getrecursionlimit()
+    assert len(witness) == 2 * n + 1
+    assert witness == reference_closed_trajectory(field, x)
+
+
 def digraph(succ: dict[int, tuple[int, int]], n: int) -> tuple:
     """A hand-made digraph in the shape of `_arcs` on the ids 0..n-1, with
     its `down`, which makes every id critical: id s has the arc (1, s, -1),
@@ -376,9 +403,28 @@ def test_a_cycle_is_reported_at_every_root_that_reaches_it():
     off the cycle, the flow raises and never returns the mark of an id in
     progress; an id off the cycle is still valued."""
     around = digraph({s: (1, t) for s, t in {0: 1, 1: 2, 2: 3, 3: 1}.items()}, 5)
+    cycles = {0: [1, 2, 3], 1: [1, 2, 3], 2: [2, 3, 1], 3: [3, 1, 2]}
     for root in (0, 1, 2, 3):  # 0 leads into the cycle 1, 2, 3
-        with pytest.raises(InternalConsistencyError, match="cycle"):
+        with pytest.raises(InternalConsistencyError, match="cycle") as raised:
             _flow(*around, [root])
-        with pytest.raises(InternalConsistencyError, match="cycle"):
+        assert raised.value.cycle == cycles[root]
+        with pytest.raises(InternalConsistencyError, match="cycle") as raised:
             _flow(*around, [4, root])
+        assert raised.value.cycle == cycles[root]  # no pending root below the path
     assert _flow(*around, [4]) == {4: {4: 1}}
+
+
+def test_a_cycle_leaves_no_garbage():
+    """The CLI runs with the collector off, so the flow's cycle error must
+    not be held by the frames of its own traceback: the memo of a flow
+    that ran into a cycle is freed with the error."""
+    around = digraph({s: (1, (s + 1) % 3) for s in range(3)}, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        _flow(*around, [0])
+    except InternalConsistencyError as error:
+        assert error.cycle == [0, 1, 2]
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
