@@ -30,25 +30,25 @@ grow exponentially, but by Forman's flow (as in Harker, Mischaikow, Mrozek
 and Nanda, "Discrete Morse theoretic algorithms for computing homology of
 complexes and maps", FoCM 2014): a weighted count memoised per simplex,
 linear in the arcs of the gradient digraph.  One signed rule, `_arcs`, gives
-those arcs: from tau down to a facet sigma other than down(tau), then up to
-up(sigma), signed as in w.  Every sign is (-1)^k for the position k of a
-facet in the complex's facet table, which lists the facet dropping vertex k
-at position k.  An arc adds the memoised flow of its head, or ends at a
-critical cell as an entry of its node's base; `_flow` reads a node's
-arcs once, its ends into its base, and adds its heads' values into the
-base inline, in one post-order loop, with no callback per node.  The flow
-of a critical simplex is its boundary; a split flow (a flag of the same
-loop) maps each critical end to the number of trajectories and the sum of
-their weights instead, which `verify` checks pair by pair.  The flow is
-one call: it values a batch of roots and returns its memo, a plain dict
-from id to value, so code that reads many values (the boundary columns,
-`verify`'s tallies and its scan) indexes the memo rather than calling
-anything per lookup.  The walk of `trajectories_from` and certification
-run on the same arcs, and a trajectory's weight is the product of the
-signs its walk read: no sign is read off a trajectory's steps.  The flow
-and the walk take any digraph in the shape of `_arcs` with its `down`;
-`mv` runs each once on its three copies glued into one, each copy's arcs
-listed by `_arcs` in glued ids, with the sign of each MV case.
+those arcs, signed as in w: from tau down to a facet sigma other than
+down(tau), then up to up(sigma), or to an end at a critical sigma, never to
+a dead end (a sigma paired downward).  Every sign is (-1)^k for the position
+k of a facet in the complex's facet table, which lists the facet dropping
+vertex k at position k.  An arc adds the memoised flow of its head, or ends
+at a critical cell as an entry of its node's base; `_flow` reads a node's
+arcs once, its ends into its base, and adds its heads' values into the base
+inline, in one post-order loop, with no callback per node.  The flow of a
+critical simplex is its boundary; a split flow (a flag of the same loop)
+maps each critical end to the number of trajectories and the sum of their
+weights instead, which `verify` checks pair by pair.  The flow is one call:
+it values a batch of roots and returns its memo, a plain dict from id to
+value, so code that reads many values (the boundary columns, `verify`'s
+tallies and its scan) indexes the memo rather than calling anything per
+lookup.  The walk of `trajectories_from` and certification run on the same
+arcs, and a trajectory's weight is the product of the signs its walk read.
+The flow and the walk take any digraph in the shape of `_arcs`; `mv` runs
+each once on its three copies glued into one, each copy's arcs listed by
+`_arcs` in glued ids, with the sign of each MV case.
 
 A greedy field is certified by the clock of its coreduction (Mrozek and
 Batko, DCG 2009), the step at which each cell was removed: it strictly
@@ -207,7 +207,7 @@ def _closed_trajectory(gvf: "GradientField") -> tuple[Simplex, ...] | None:
     always comes from down[tau], so the cycle's ids name the trajectory."""
     x, down = gvf.complex, gvf._down
     try:
-        _flow(_arcs(gvf), down, itertools.chain(*x._ids[1:]))
+        _flow(_arcs(gvf), itertools.chain(*x._ids[1:]))
     except InternalConsistencyError as error:
         taus = error.cycle + error.cycle[:1]  # tau_0, ..., tau_k = tau_0
         return x._simplices_of([taus[0], *(i for t in taus[1:] for i in (down[t], t))])
@@ -376,7 +376,7 @@ def trajectories_from(gvf: GradientField, tau: Simplex) -> dict[Simplex, list[Tr
     name = gvf.complex._simplices_of
     return {
         gvf.complex._simplex(end): [Trajectory(name(s), w) for s, w in walks]
-        for end, walks in _grouped(_walk(i, _arcs(gvf), gvf._down)).items()
+        for end, walks in _grouped(_walk(i, _arcs(gvf))).items()
     }
 
 
@@ -391,12 +391,12 @@ def _grouped(walks: Iterable[tuple[tuple[int, ...], int]]) -> dict[int, list]:
 
 def _arcs(gvf: GradientField, offset: int = 0, end: int = 1) -> Callable[[int], list[_Arc]]:
     """Forman's step rule of gvf on ids, signed, and the one description of
-    its gradient digraph: arcs(tau) lists (c, sigma, nu) for every facet
-    sigma of tau other than down[tau], in vertex-drop order, with nu =
-    up[sigma] (-1 when sigma is not paired upward) and c the sign of the
-    step, <tau, sigma> times -<nu, sigma> when nu >= 0.  For a copy glued
-    at `offset` (see `mv._glued`), sigma and nu >= 0 are shifted by it, and
-    an arc that ends (nu < 0) is signed `end` times <tau, sigma>.  The sign
+    its gradient digraph: arcs(tau) lists, in vertex-drop order, an arc
+    (c, sigma, nu) per facet sigma of tau but down[tau] that a trajectory
+    can step to: nu = up[sigma] when sigma is paired upward, c the sign of
+    the step, <tau, sigma> times -<nu, sigma>; else nu = -1, an end signed
+    `end` times <tau, sigma>, when sigma is critical.  Glued at `offset`
+    (see `mv._glued`), sigma and nu >= 0 are shifted by it.  The sign
     <tau, sigma> alternates along the facets, whatever the dimension."""
     up, down, lift, facets = gvf._up, gvf._down, gvf._lift, gvf.complex._table.facets
 
@@ -405,31 +405,34 @@ def _arcs(gvf: GradientField, offset: int = 0, end: int = 1) -> Callable[[int], 
         for s in facets[tau]:
             if s != d:
                 nu = up[s]
-                out.append((c * lift[s], offset + s, offset + nu) if nu >= 0
-                           else (end * c, offset + s, -1))
+                if nu >= 0:
+                    out.append((c * lift[s], offset + s, offset + nu))
+                elif down[s] < 0:
+                    out.append((end * c, offset + s, -1))
             c = -c
         return out
 
     return arcs
 
 
-def _transfer(piece: GradientField, offset: int = 0, sign: int = 1) -> Callable[[int], _Arc]:
+def _transfer(piece: GradientField, offset: int = 0, sign: int = 1) -> Callable[[int], list]:
     """The transfer of MV cases 4/5 into the field `piece`, glued at
-    `offset`, as one arc in the shape of those of `_arcs`: transfer(tau) is
-    the arc (c, tau, nu) that keeps the id tau, with nu = up[tau] in the
-    piece (-1 when tau is not paired upward), both shifted by the offset,
-    and c = `sign` times -<nu, tau>, or `sign` when nu < 0, as a
-    same-dimension step carries no incidence."""
-    up, lift = piece._up, piece._lift
-    return lambda tau: (sign * lift[tau], offset + tau, offset + up[tau] if up[tau] >= 0 else -1)
+    `offset`, as arcs in the shape of `_arcs` that keep the id tau: the arc
+    (c, tau, nu) to nu = up[tau] in the piece, c = `sign` times -<nu, tau>;
+    else, when tau is critical in the piece, the end (`sign`, tau, -1), as
+    a same-dimension step carries no incidence; else none.  Ids are
+    shifted by the offset."""
+    up, down, lift = piece._up, piece._down, piece._lift
+    return lambda tau: ([(sign * lift[tau], offset + tau, offset + up[tau])] if up[tau] >= 0
+                        else [(sign, offset + tau, -1)] if down[tau] < 0 else [])
 
 
-def _walk(start: int, arcs: Callable, down: Sequence[int]) -> Iterator[tuple[tuple, int]]:
+def _walk(start: int, arcs: Callable) -> Iterator[tuple[tuple, int]]:
     """Every walk from `start` along `arcs`, a digraph in the shape of
     `_arcs` (as `_flow` reads it), that ends, as (id sequence, weight),
     depth-first, the weight the product of its arcs' signs: an arc
-    (c, sigma, nu) goes on to nu >= 0 or ends the walk at a critical sigma
-    (down[sigma] < 0).  An explicit stack lets a walk be arbitrarily long."""
+    (c, sigma, nu) goes on to nu >= 0 or ends the walk at sigma, which is
+    critical.  An explicit stack lets a walk be arbitrarily long."""
     seq = [start]
     stack = [(iter(arcs(start)), 1)]
     while stack:
@@ -439,25 +442,23 @@ def _walk(start: int, arcs: Callable, down: Sequence[int]) -> Iterator[tuple[tup
                 seq += (sigma, nu)
                 stack.append((iter(arcs(nu)), w * c))
                 break
-            if down[sigma] < 0:
-                yield (*seq, sigma), w * c
+            yield (*seq, sigma), w * c
         else:
             stack.pop()
             del seq[-2:]
 
 
-def _flow(arcs: Callable, down: Sequence[int], roots: Iterable[int],
-          split: bool = False) -> dict[int, dict]:
+def _flow(arcs: Callable, roots: Iterable[int], split: bool = False) -> dict[int, dict]:
     """Forman's flow on ids over a digraph in the shape of `_arcs` (a
-    field's own arcs, or the glued copies of `mv._glued`), with `down`
-    telling which ends are critical, valued at the ids `roots` and every id
+    field's own arcs, or the glued copies of `mv._glued`), each arc going
+    on or ending at a critical id, valued at the ids `roots` and every id
     below them.  The value of tau maps critical ids r one dimension below
     tau to the weighted count of the gradient paths tau, sigma_1, nu_1,
     ..., r (which may be 0),
 
         flow(tau) = sum over the arcs (c, sigma, nu) of tau of
                     c flow(nu)     when nu >= 0,
-                    c {sigma: 1}   when sigma is critical,
+                    c {sigma: 1}   when nu < 0,
 
     the second kind in the node's base, so the flow of a critical id is its
     Thom-Smale boundary.  A `split` flow maps r to the number of those
@@ -487,7 +488,7 @@ def _flow(arcs: Callable, down: Sequence[int], roots: Iterable[int],
             for c, sigma, nu in arcs(tau):
                 if nu >= 0:
                     heads.append((c, nu))
-                elif down[sigma] < 0:
+                else:
                     base[sigma] = (1, c) if split else c
             memo[tau] = None
             stack[-1] = (tau, base, heads)
@@ -537,7 +538,7 @@ def thom_smale_complex(gvf: GradientField) -> IntegerChainComplex:
     """The full Thom-Smale chain complex of (X, V); its homology equals the
     simplicial homology of X."""
     labels = [gvf.critical(q) for q in range(len(gvf._critical_ids))]
-    flow = _flow(_arcs(gvf), gvf._down, itertools.chain(*gvf._critical_ids[1:]))
+    flow = _flow(_arcs(gvf), itertools.chain(*gvf._critical_ids[1:]))
     return _trajectory_complex(labels, gvf._critical_ids, flow)
 
 

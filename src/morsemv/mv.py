@@ -31,14 +31,14 @@ five situations, keyed by the copies of its ends:
 
 All other pairs of copies admit no trajectories.
 
-Every step of a route is an arc of one copy's field, signed by the one
-arc rule `morse._arcs`; the transfer of cases 4/5 (`morse._transfer`) is
-an arc in the same shape that keeps the id, signed -<up(s), s> by its step
-up from the transferred s, as it carries no incidence.  The three copies
-sit side by side on one id space (`_glued`), the glued complex of the
-paper's proof, an I-copy cell carrying its transfers into A and B before
-its own arcs.  On top of the signs of its steps, a route takes the sign
-of its case:
+Every step of a route is an arc of one copy's field, signed by the one arc
+rule `morse._arcs`; the transfer of cases 4/5 (`morse._transfer`) lists arcs
+in the same shape that keep the id: the step up from the transferred s,
+signed -<up(s), s>, or an end at a critical s, as it carries no incidence.
+Neither rule lists a dead end, so the arcs alone are the digraph.  The three
+copies sit side by side on one id space (`_glued`), the glued complex of the
+paper's proof, an I-copy cell carrying its transfers into A and B before its
+own arcs.  On top of its steps' signs, a route takes the sign of its case:
 
     case   1   2   3   4   5
     sign  +1  +1  -1  -1  +1
@@ -314,9 +314,9 @@ class MVTrajectory(_FrozenRecord):
         return f"case {self.case} [{arrows}] (weight {self.weight:+d})"
 
 
-def _glued(d: Decomposition) -> tuple[Callable[[int], list[tuple[int, int, int]]], list[int]]:
+def _glued(d: Decomposition) -> Callable[[int], list[tuple[int, int, int]]]:
     """The three copies side by side on one id space: one digraph in the
-    shape of `morse._arcs`, and its `down`.  Cell i of the copy k is the id
+    shape of `morse._arcs`.  Cell i of the copy k is the id
     `_glued_id(d, k, i)`, and each copy's arcs come from its own field's
     rule, `morse._arcs` glued at the copy's offset; an I-copy id has first
     its transfers into A and into B (`morse._transfer`, glued likewise), so
@@ -325,7 +325,6 @@ def _glued(d: Decomposition) -> tuple[Callable[[int], list[tuple[int, int, int]]
     negated, the signs of cases 4 and 3; all other arcs keep the signs of
     their rules."""
     n, w_a, w_b, w_i = len(d.x._table), d.w_a, d.w_b, d.w_i
-    down = list(itertools.chain.from_iterable(f._down for f in (w_a, w_b, w_i) if f is not None))
     on_a, on_b, m = _arcs(w_a), _arcs(w_b, n), 2 * n
     if w_i is not None:
         into_a, into_b, on_i = _transfer(w_a, 0, -1), _transfer(w_b, n), _arcs(w_i, m, -1)
@@ -336,9 +335,9 @@ def _glued(d: Decomposition) -> tuple[Callable[[int], list[tuple[int, int, int]]
         if g < m:
             return on_b(g - n)
         i = g - m
-        return [into_a(i), into_b(i), *on_i(i)]
+        return into_a(i) + into_b(i) + on_i(i)
 
-    return arcs, down
+    return arcs
 
 
 def mv_trajectories_from(
@@ -352,7 +351,7 @@ def mv_trajectories_from(
     start, n = _require_generator(d, beta), len(d.x._table)
     named = _trajectory_namer(d, beta, start)
     out: dict[MVGenerator, list[MVTrajectory]] = {}
-    for end, walks in sorted(_grouped(_walk(start, *_glued(d))).items(),
+    for end, walks in sorted(_grouped(_walk(start, _glued(d))).items(),
                              key=lambda group: _CASE[start // n, group[0] // n]):
         alpha = _named_generator(d, end)
         out[alpha] = [named(alpha, ids, w) for ids, w in walks]
@@ -405,7 +404,7 @@ def enumerate_mv(
             f"no trajectories between degrees {beta.degree} and {alpha.degree}"
         )
     start = _require_generator(d, beta)
-    walks = [(ids, w) for ids, w in _walk(start, *_glued(d)) if ids[-1] == end]
+    walks = [(ids, w) for ids, w in _walk(start, _glued(d)) if ids[-1] == end]
     if not walks:
         return []
     named, alpha = _trajectory_namer(d, beta, start), _named_generator(d, end)
@@ -419,7 +418,7 @@ def _mv_column(d: Decomposition, keys: Sequence[list[int]], split: bool = False)
     or not as in `morse._flow`.  Its value at a key is the key's column,
     read as is: not split, it maps a row's key to the entry; split, to the
     number of trajectories and their sum."""
-    return _flow(*_glued(d), itertools.chain(*keys[1:]), split)
+    return _flow(_glued(d), itertools.chain(*keys[1:]), split)
 
 
 def mv_boundary(d: Decomposition, q: int) -> list[list[int]]:

@@ -527,7 +527,7 @@ def check_iso_simplicial(xt: XTilde) -> VerifyReport:
                                  xt.x_chains)
     if g_of is None:
         return VerifyReport((certified, census, bijective))
-    flow = _flow(_arcs(v), v._down, itertools.chain(*v._critical_ids[1:]))
+    flow = _flow(_arcs(v), itertools.chain(*v._critical_ids[1:]))
     same = _same_complex(flow, "(X~,V)", g_of, xt.x_chains, [("X", xt.x_homology)])
     return VerifyReport((certified, census, bijective, *same))
 
@@ -552,7 +552,7 @@ def _sums(tallies: Mapping[int, dict], keys: Iterable[int]) -> dict[int, Column]
 def _w_tallies(gvf: GradientField) -> dict:
     """The memo of W's split flow valued over its critical ids: {tau: {r:
     (count, sum)}} at each of them, and at every id below them."""
-    return _flow(_arcs(gvf), gvf._down, _critical_ids(gvf), split=True)
+    return _flow(_arcs(gvf), _critical_ids(gvf), split=True)
 
 
 def _forbidden_step(xt: XTilde, gvf: GradientField, tallies: Mapping[int, dict]) -> str:
@@ -560,15 +560,15 @@ def _forbidden_step(xt: XTilde, gvf: GradientField, tallies: Mapping[int, dict])
     cells, named, or "".  A trajectory keeps its piece, except that one from
     the prism interior may leave it once, by a step down to a facet.  An arc
     (c, sigma, nu) of `_arcs` from tau lies on such a trajectory when tau is
-    reachable from a critical cell and the trajectory can end after it:
-    `tallies`, the memo of W's split flow valued over W's critical ids and
-    so at every id they reach, is not empty at nu, or sigma is critical."""
-    arcs, down, piece, value = _arcs(gvf), gvf._down, xt._piece, tallies.get
+    reachable from a critical cell and the trajectory can end after it: the
+    arc ends, or `tallies`, the memo of W's split flow valued over W's
+    critical ids and so at every id they reach, is not empty at nu."""
+    arcs, piece, value = _arcs(gvf), xt._piece, tallies.get
     todo = _report_order(xt, itertools.chain.from_iterable(gvf._critical_ids[1:]))
     seen = bytearray(len(piece))
     for tau in todo:  # grows while it is read
         for _, sigma, nu in arcs(tau):
-            if not (value(nu) if nu >= 0 else down[sigma] < 0):
+            if nu >= 0 and not value(nu):
                 continue
             # the step down may leave the interior; there is no step up at nu < 0
             for x, y, free in ((tau, sigma, piece[tau] == _INTERIOR), (sigma, nu, nu < 0)):

@@ -401,8 +401,8 @@ def lose_trajectories(monkeypatch):
     mv = importlib.import_module("morsemv.mv")
     flow = importlib.import_module("morsemv.morse")._flow
     # the real kernel over a digraph without arcs: every id it values is empty
-    no_arcs = lambda arcs, down, roots, split=False: flow(lambda tau: [], down, roots, split)
-    no_columns = lambda d, keys, split=False: no_arcs(None, (), itertools.chain(*keys[1:]), split)
+    no_arcs = lambda arcs, roots, split=False: flow(lambda tau: [], roots, split)
+    no_columns = lambda d, keys, split=False: no_arcs(None, itertools.chain(*keys[1:]), split)
     patches = {
         "trajectories_from": [
             (verify, "_flow", no_arcs),

@@ -584,7 +584,7 @@ def listed_trajectories_fit(xt: XTilde, gvf: GradientField) -> bool:
     try:
         for ids in gvf._critical_ids:
             for tau in ids:
-                for steps, _ in _walk(tau, _arcs(gvf), gvf._down):
+                for steps, _ in _walk(tau, _arcs(gvf)):
                     classify_w_trajectory(xt, steps)
     except InternalConsistencyError:
         return False
@@ -599,7 +599,7 @@ def enumerated_w_tallies(gvf: GradientField) -> dict[int, dict[int, tuple[int, i
     return {
         tau: {
             sigma: (len(paths), sum(trajectory_weight(name(steps)) for steps, _ in paths))
-            for sigma, paths in _grouped(_walk(tau, _arcs(gvf), gvf._down)).items()
+            for sigma, paths in _grouped(_walk(tau, _arcs(gvf))).items()
         }
         for ids in gvf._critical_ids
         for tau in ids
@@ -634,7 +634,7 @@ def enumerated_pair_checks(xt: XTilde) -> tuple[CheckResult, ...]:
     c_detail = w_detail = k_detail = ""
     pairs_compared = 0
     for tau, sigmas in below.items():
-        paths = _grouped(_walk(tau, _arcs(gvf), gvf._down))
+        paths = _grouped(_walk(tau, _arcs(gvf)))
         for sigma in sigmas:
             g_list = paths.get(sigma, [])
             m_list = mv[f_of[tau]].get(f_of[sigma], [])

@@ -10,6 +10,8 @@ import functools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morsemv import (
     HomologyResult,
@@ -191,3 +193,42 @@ def test_verify_passes_on_suspensions(name, strategy):
     xt = build_xtilde(build_decomposition(x, a, b, strategy=strategy, seed=7))
     assert check_iso_simplicial(xt).ok
     assert check_main_iso(xt).ok
+
+
+# factors for the hypothesis products and joins: small corpus complexes and
+# M(Z/k, 1) for k = 2..6, each with its groups; the second factor is kept
+# to the smallest, so that every example stays small
+FACTORS = {
+    **{name: lambda name=name: (corpus_complexes()[name], expected_homology(name))
+       for name in ("circle", "two_points", "wedge2circles", "sphere2", "rp2", "torus")},
+    **{f"M(Z/{k}, 1)": functools.partial(lambda k: (moore(k)[0], moore_space(k)[1]), k)
+       for k in range(2, 7)},
+}
+SMALL_FACTORS = ("circle", "two_points", "wedge2circles")
+
+
+def tagged(x: SimplicialComplex, tag: str) -> SimplicialComplex:
+    """x on its vertex names prefixed by `tag`, so that it joins any
+    complex whose names do not start with it."""
+    return build_complex([[tag + v for v in s.vertices] for s in x.maximal_simplices])
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(sorted(FACTORS)), st.sampled_from(SMALL_FACTORS),
+       st.sampled_from(["product", "join"]), st.integers(0, 99), st.data())
+def test_products_and_joins_give_the_closed_form(first, second, operation, seed, data):
+    """X x Y by Künneth and X * Y by the join formula, cut by the star of a
+    vertex that some maximal simplex misses, on the oracle, the one-field
+    route and Mayer-Vietoris with greedy and random fields."""
+    (x, hx), (y, hy) = FACTORS[first](), FACTORS[second]()
+    if operation == "product":
+        xy, want = product(x, y), kunneth(hx, hy)
+    else:
+        xy, want = join(x, tagged(y, "y")), joined(hx, hy)
+    cut = [v for v in sorted(xy.vertices)
+           if any(v not in s.vertices for s in xy.maximal_simplices)]
+    xy, a, b = star_cut(xy, data.draw(st.sampled_from(cut)))
+    assert simplicial_homology(xy) == want
+    assert homology(thom_smale_complex(greedy_gvf(xy))) == want
+    assert mv_homology(build_decomposition(xy, a, b)) == want
+    assert mv_homology(build_decomposition(xy, a, b, strategy="random", seed=seed)) == want

@@ -6,7 +6,9 @@ ids (`morse._flow`) over the arcs of the one signed step rule
 glued into one digraph (`mv._glued`), whose I-copy cells carry the
 transfer `morse._transfer` as well, and whose arcs carry the sign of
 each MV case, so the plain flow of a generator's glued id is its MV
-column.  The walks (`morse._walk`) that enumerate trajectories read the
+column.  Both rules list only the steps of extended trajectories, so
+every arc goes on or ends at a critical cell, and the arcs alone are the
+digraph.  The walks (`morse._walk`) that enumerate trajectories read the
 same digraphs.  Here each boundary is compared, column for column, with
 `slow_reference.reference_columns`, which sums the weights of the
 enumerated trajectories, recomputed with `incidence` and its own table
@@ -26,6 +28,8 @@ from __future__ import annotations
 import gc
 import itertools
 import sys
+from collections import Counter
+from typing import Callable, Iterable
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +57,7 @@ from morsemv import (
     trajectories_from,
 )
 from morsemv.cli import main
+from morsemv.complexes import copy_relabel
 from morsemv.morse import _arcs, _boundary_columns, _flow
 from morsemv.mv import (
     FROM_A,
@@ -74,7 +79,13 @@ from morsemv.verify import (
     _sums,
     _w_tallies,
 )
-from conftest import branching_complex, corpus_complexes, random_cover, random_small_complex
+from conftest import (
+    branching_complex,
+    corpus_complexes,
+    poor_field,
+    random_cover,
+    random_small_complex,
+)
 from slow_reference import (
     enumerated_mv_tallies,
     reference_closed_trajectory,
@@ -82,6 +93,7 @@ from slow_reference import (
     reference_weight,
     retag,
 )
+from test_id_core import random_matching
 from test_mv import COVERS, INTERLEAVED, cover_decompositions
 from test_verify import assert_counts_match_enumeration
 
@@ -117,7 +129,7 @@ def assert_mv_matches(d) -> None:
     want = mv_reference(d)
     assert mv_chain_complex(d).columns == want
     keys = _generator_keys(d)
-    flow = _flow(*_glued(d), itertools.chain(*keys[1:]))
+    flow = _flow(_glued(d), itertools.chain(*keys[1:]))
     assert [_boundary_columns(keys[q - 1], keys[q], flow) for q in range(1, len(keys))] == want
     for q, columns in enumerate(want, start=1):
         dense = mv_boundary(d, q)
@@ -144,14 +156,14 @@ def assert_split_mv_flow_matches(d) -> None:
     assert counts(tallies, itertools.chain(*keys[1:])) == counts(enumerated, enumerated)
 
 
-def assert_kernel_values_match(arcs, down, roots, paths_from, key) -> None:
+def assert_kernel_values_match(arcs, roots, paths_from, key) -> None:
     """At every root, the plain and the split value of `morse._flow` over
-    the digraph (arcs, down) are the per-end sums over the trajectories
+    the digraph `arcs` are the per-end sums over the trajectories
     `paths_from(root)` lists, grouped by end, their weights recomputed by
     `reference_weight` and their ends keyed by `key`: {end: sum} and {end:
     (count, sum)}, an end whose weights cancel kept in both."""
-    plain = _flow(arcs, down, roots)
-    split = _flow(arcs, down, roots, split=True)
+    plain = _flow(arcs, roots)
+    split = _flow(arcs, roots, split=True)
     for root in roots:
         weights = {key(end): [reference_weight(t) for t in ts]
                    for end, ts in paths_from(root).items()}
@@ -165,7 +177,7 @@ def assert_kernel_matches_enumeration(d) -> None:
     own field at every critical id of positive degree."""
     keys = _generator_keys(d)
     assert_kernel_values_match(
-        *_glued(d), list(itertools.chain(*keys[1:])),
+        _glued(d), list(itertools.chain(*keys[1:])),
         lambda key: mv_trajectories_from(d, _named_generator(d, key)),
         lambda alpha: _require_generator(d, alpha),
     )
@@ -173,9 +185,131 @@ def assert_kernel_matches_enumeration(d) -> None:
         if gvf is not None:
             x = gvf.complex
             assert_kernel_values_match(
-                _arcs(gvf), gvf._down, list(itertools.chain(*gvf._critical_ids[1:])),
+                _arcs(gvf), list(itertools.chain(*gvf._critical_ids[1:])),
                 lambda tau: trajectories_from(gvf, x._simplex(tau)), x._id,
             )
+
+
+def steps_and_dead_ends(gvf: GradientField, offset: int = 0, end: int = 1) -> Callable:
+    """The arcs out of an id before dead ends were left out, the oracle of
+    `TestArcsAreTrajectorySteps`: (c, sigma, nu) for every facet sigma of
+    tau other than down[tau], in vertex-drop order, going on to nu =
+    up[sigma] when sigma is paired upward and ending (nu = -1) otherwise,
+    whether or not sigma is critical, signed and glued as `_arcs` is."""
+    up, down, lift, facets = gvf._up, gvf._down, gvf._lift, gvf.complex._table.facets
+
+    def arcs(tau: int) -> list[tuple[int, int, int]]:
+        out = []
+        for k, s in enumerate(facets[tau]):
+            c = -1 if k & 1 else 1
+            if s != down[tau]:
+                out.append((c * lift[s], offset + s, offset + up[s]) if up[s] >= 0
+                           else (end * c, offset + s, -1))
+        return out
+
+    return arcs
+
+
+def transfer_and_dead_end(piece: GradientField, offset: int = 0, sign: int = 1) -> Callable:
+    """The transfer before dead ends were left out: one arc out of tau,
+    going on to up[tau] in the piece or ending at tau, critical or not."""
+    up, lift = piece._up, piece._lift
+    return lambda tau: [(sign * lift[tau], offset + tau, offset + up[tau])
+                        if up[tau] >= 0 else (sign, offset + tau, -1)]
+
+
+def dropped_dead_ends(arcs: Callable, oracle: Callable, ids: Iterable[int],
+                      critical: Callable[[int], bool], copy: Callable[[int], int]) -> Counter:
+    """Checks that arcs(g) is oracle(g) with exactly its dead ends left out,
+    at every id g in `ids`: every arc that ends, ends at a `critical` id,
+    and the arcs that go on, and the ends at critical ids, are the
+    oracle's, in order and sign.  Returns the number of dead ends left out,
+    keyed "own" when the dead end lies in the `copy` of g and "transfer"
+    when it lies in another."""
+    dropped = Counter()
+    for g in ids:
+        got, want = arcs(g), oracle(g)
+        assert all(critical(sigma) for _, sigma, nu in got if nu < 0)
+        assert got == [arc for arc in want if arc[2] >= 0 or critical(arc[1])]
+        for _, sigma, nu in want:
+            if nu < 0 and not critical(sigma):
+                dropped["own" if copy(sigma) == copy(g) else "transfer"] += 1
+    return dropped
+
+
+def field_dead_ends(gvf: GradientField) -> Counter:
+    """`dropped_dead_ends` of `_arcs` on gvf, at every id of its complex."""
+    return dropped_dead_ends(_arcs(gvf), steps_and_dead_ends(gvf),
+                             itertools.chain(*gvf.complex._ids), gvf._is_critical, lambda i: 0)
+
+
+def glued_dead_ends(d) -> Counter:
+    """`dropped_dead_ends` of `_glued(d)`, at every glued id of the three
+    copies, a glued id g naming the cell i of the copy k for (k, i) =
+    divmod(g, n), n the size of X's table; the copies' fields and their
+    own arcs are checked as well."""
+    n, fields = len(d.x._table), d._fields()
+    own = [steps_and_dead_ends(f, k * n, -1 if k == 2 else 1) if f is not None else None
+           for k, f in enumerate(fields)]
+    into = [transfer_and_dead_end(d.w_a, 0, -1), transfer_and_dead_end(d.w_b, n)]
+
+    def oracle(g: int) -> list[tuple[int, int, int]]:
+        k, i = divmod(g, n)
+        return (into[0](i) + into[1](i) if k == 2 else []) + own[k](i)
+
+    def critical(g: int) -> bool:
+        k, i = divmod(g, n)
+        return fields[k]._is_critical(i)
+
+    ids = [k * n + i for k, f in enumerate(fields) if f is not None
+           for i in itertools.chain(*f.complex._ids)]
+    for f in fields:
+        if f is not None:
+            field_dead_ends(f)
+    return dropped_dead_ends(_glued(d), oracle, ids, critical, lambda g: g // n)
+
+
+class TestArcsAreTrajectorySteps:
+    """`_arcs`, `_transfer` and `_glued` list the steps of extended
+    trajectories and nothing else: an arc that ends, ends at a critical
+    cell of its own copy, and a dead end, a step onto a cell paired
+    downward, is left out, while every other arc is kept in order and sign.
+    Greedy fields of both strategies, certified random matchings, tagged
+    copies, the glued copies of greedy and pinned covers, and W on X~."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(["lexicographic", "random"]))
+    def test_hypothesis_fields_and_covers(self, rng, strategy):
+        x = random_small_complex(rng)
+        copy = copy_relabel(x, "A:").complex
+        fields = [greedy_gvf(x, strategy, rng.randint(0, 99)),
+                  greedy_gvf(copy, strategy, rng.randint(0, 99))]
+        pushed = VectorField((retag(s, "", "A:"), retag(t, "", "A:"))
+                             for s, t in random_matching(x, rng))
+        for field, on in ((random_matching(x, rng), x), (pushed, copy)):
+            try:
+                fields.append(GradientField.certify(field, on))
+            except NotAcyclicError:
+                pass
+        for gvf in fields:
+            field_dead_ends(gvf)
+        a, b = random_cover(x, rng)
+        greedy = build_decomposition(x, a, b, strategy=strategy, seed=rng.randint(0, 99))
+        pieces = {"A": greedy.a, "B": greedy.b, "I": greedy.iab}
+        pinned = build_decomposition(x, a, b, fields={
+            k: poor_field(piece, 0.3, rng) for k, piece in pieces.items() if piece is not None})
+        for d in (greedy, pinned):
+            glued_dead_ends(d)
+            field_dead_ends(_build_w_field(build_xtilde(d)))
+
+    def test_corpus_covers_leave_out_both_kinds_of_dead_end(self):
+        """On the corpus covers, greedy and poor, both rules leave out dead
+        ends, so the checks above do not pass for want of one."""
+        dropped = Counter()
+        for name, strategy in COVERS + INTERLEAVED:
+            for d in cover_decompositions(name, strategy):
+                dropped += glued_dead_ends(d)
+        assert dropped["own"] and dropped["transfer"]
 
 
 class TestKernelAgainstEnumeration:
@@ -379,50 +513,48 @@ def test_long_witnesses_need_no_recursion():
     assert witness == reference_closed_trajectory(field, x)
 
 
-def digraph(succ: dict[int, tuple[int, int]], n: int) -> tuple:
-    """A hand-made digraph in the shape of `_arcs` on the ids 0..n-1, with
-    its `down`, which makes every id critical: id s has the arc (1, s, -1),
-    which ends at s, unless succ[s] = (c, t), which makes its one arc
-    (c, s, t) go on to t."""
-    arcs = lambda s: [(succ[s][0], s, succ[s][1]) if s in succ else (1, s, -1)]
-    return arcs, [-1] * n
+def digraph(succ: dict[int, tuple[int, int]]) -> Callable:
+    """A hand-made digraph in the shape of `_arcs`, its arcs alone: id s has
+    the arc (1, s, -1), which ends at s, unless succ[s] = (c, t), which
+    makes its one arc (c, s, t) go on to t."""
+    return lambda s: [(succ[s][0], s, succ[s][1]) if s in succ else (1, s, -1)]
 
 
 def test_a_cycle_is_reported_not_followed():
     """The flow only ever runs on certified fields; should a cycle reach it
     anyway, it raises instead of growing its stack without end."""
-    around = digraph({s: (1, (s + 1) % 3) for s in range(3)}, 3)
+    around = digraph({s: (1, (s + 1) % 3) for s in range(3)})
     with pytest.raises(InternalConsistencyError, match="cycle"):
-        _flow(*around, [0])
-    chain = digraph({s: (2, s + 1) for s in range(5000)}, 5001)
-    assert _flow(*chain, [0])[0] == {5000: 2 ** 5000}
+        _flow(around, [0])
+    chain = digraph({s: (2, s + 1) for s in range(5000)})
+    assert _flow(chain, [0])[0] == {5000: 2 ** 5000}
 
 
 def test_a_cycle_is_reported_at_every_root_that_reaches_it():
     """Valued at any id on the cycle or leading to it, alone or after an id
     off the cycle, the flow raises and never returns the mark of an id in
     progress; an id off the cycle is still valued."""
-    around = digraph({s: (1, t) for s, t in {0: 1, 1: 2, 2: 3, 3: 1}.items()}, 5)
+    around = digraph({s: (1, t) for s, t in {0: 1, 1: 2, 2: 3, 3: 1}.items()})
     cycles = {0: [1, 2, 3], 1: [1, 2, 3], 2: [2, 3, 1], 3: [3, 1, 2]}
     for root in (0, 1, 2, 3):  # 0 leads into the cycle 1, 2, 3
         with pytest.raises(InternalConsistencyError, match="cycle") as raised:
-            _flow(*around, [root])
+            _flow(around, [root])
         assert raised.value.cycle == cycles[root]
         with pytest.raises(InternalConsistencyError, match="cycle") as raised:
-            _flow(*around, [4, root])
+            _flow(around, [4, root])
         assert raised.value.cycle == cycles[root]  # no pending root below the path
-    assert _flow(*around, [4]) == {4: {4: 1}}
+    assert _flow(around, [4]) == {4: {4: 1}}
 
 
 def test_a_cycle_leaves_no_garbage():
     """The CLI runs with the collector off, so the flow's cycle error must
     not be held by the frames of its own traceback: the memo of a flow
     that ran into a cycle is freed with the error."""
-    around = digraph({s: (1, (s + 1) % 3) for s in range(3)}, 3)
+    around = digraph({s: (1, (s + 1) % 3) for s in range(3)})
     gc.collect()
     gc.disable()
     try:
-        _flow(*around, [0])
+        _flow(around, [0])
     except InternalConsistencyError as error:
         assert error.cycle == [0, 1, 2]
     finally:

@@ -644,10 +644,10 @@ def test_flows_and_walks_read_one_signed_arc_rule(monkeypatch):
         return flipped
 
     # which complexes a flip moves: (the intersection's, the MV complex);
-    # `_arcs` lists the arcs out of an id, `_transfer` gives its one arc
+    # `_arcs` and `_transfer` each list the arcs out of an id
     for name, at, negated, moved in (
         ("_arcs", "v0 v1", lambda arcs: [(-c, s, nu) for c, s, nu in arcs], [True, True]),
-        ("_transfer", "v1 v2", lambda arc: (-arc[0], *arc[1:]), [False, True]),
+        ("_transfer", "v1 v2", lambda arcs: [(-c, s, nu) for c, s, nu in arcs], [False, True]),
     ):
         with monkeypatch.context() as m:
             rule = flip(getattr(morsemv.morse, name), d.x._id(Simplex(at)), negated)
