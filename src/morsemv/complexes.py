@@ -381,10 +381,10 @@ class SimplicialComplex:
         self._ids: tuple[list[int], ...] = tuple(ids)
         self._size = sum(map(len, ids))
 
-    def _view(self, mask: bytearray, tag: str | None = None) -> "SimplicialComplex":
+    def _view(self, mask: bytearray) -> "SimplicialComplex":
         """The complex over this table with the given (closed) member mask."""
         view = object.__new__(SimplicialComplex)
-        view._setup(self._table, mask, self._tag if tag is None else tag)
+        view._setup(self._table, mask, self._tag)
         return view
 
     def _tagged(self, tag: str) -> "SimplicialComplex":

@@ -53,11 +53,12 @@ each once on its three copies glued into one, each copy's arcs listed by
 A greedy field is certified by the clock of its coreduction (Mrozek and
 Batko, DCG 2009), the step at which each cell was removed: it strictly
 decreases along every arc, which one pass checks and which rules out a
-closed trajectory (Forman, Adv. Math. 1998).  Any other field, and one
-whose clock does not descend, is certified by one linear topological pass
-over the same arcs (`_ordered`, Kahn's algorithm).  Only a field that the
-pass rejects is valued by the flow itself, whose depth-first stack holds
-the cycle it runs into: that cycle names the closed trajectory of the
+closed trajectory (Forman, Adv. Math. 1998).  That is the only clock.
+Every other field (pinned fields, `GradientField.certify`'s, the fields V
+and W of `verify`) is certified by one linear topological pass over the
+same arcs (`_ordered`, Kahn's algorithm).  Only a field that the pass
+rejects is valued by the flow itself, whose depth-first stack holds the
+cycle it runs into: that cycle names the closed trajectory of the
 witness, so the flow and the walk are the only searches of the arcs.
 
 The field code runs on the integer ids of the complex's table (see
@@ -268,9 +269,9 @@ def _ordered(gvf: "GradientField") -> bool:
 class GradientField:
     """A vector field together with its complex and an acyclicity
     certificate.  The only way to obtain one is to certify it
-    (`GradientField.certify`, or `_certified` with a clock), so holding a
-    GradientField is holding the proof that trajectory enumeration
-    terminates.
+    (`GradientField.certify`, or `_certified`, which `greedy_gvf` alone
+    gives a clock), so holding a GradientField is holding the proof that
+    trajectory enumeration terminates.
 
     The field lives on the complex's id table, as the arrays `_up`, `_down`
     and `_lift` (see `_matching`), which `_arcs` reads; certification also
@@ -294,12 +295,12 @@ class GradientField:
         clock: list[int] | None = None,
     ) -> "GradientField":
         """The field of the arrays up, down and lift on complex, certified
-        by a `clock` that descends along every arc (`_descends`); without
-        one, or when it does not descend, by the topological pass
-        `_ordered`.  Only a field that the pass rejects goes to
-        `_closed_trajectory`, the flow's own cycle, which names the witness
-        and has the last word, so a wrong clock never changes a verdict or
-        a witness."""
+        by a `clock` that descends along every arc (`_descends`), which only
+        `greedy_gvf` passes, its coreduction's; without one, or when it does
+        not descend, by the topological pass `_ordered`.  Only a field that
+        the pass rejects goes to `_closed_trajectory`, the flow's own cycle,
+        which names the witness and has the last word, so a wrong clock
+        never changes a verdict or a witness."""
         gvf = object.__new__(cls)
         gvf.complex, gvf._up, gvf._down, gvf._lift = complex, up, down, lift
         if not (clock is not None and _descends(gvf, clock) or _ordered(gvf)):

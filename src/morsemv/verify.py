@@ -30,8 +30,8 @@ A-copy of vertex v is v and its B-copy n + v, named "A:" and "B:" plus the
 name of v) are built only to name it in a report or to find it by name.
 X~'s ids are grouped by dimension but not canonical, so where a report
 lists cells in order (the census details, the first failing pair of
-`check_main_iso`, the classification scan) it sorts them by dimension,
-then vertex tuple, the order of a complex closed from its cells.
+`check_main_iso`) it sorts them by dimension, then vertex tuple, the order
+of a complex closed from its cells.
 
 Two gradient fields on X~ carry the theory:
 
@@ -57,12 +57,12 @@ Two gradient fields on X~ carry the theory:
 
 Both fields are written as `up`/`down` id arrays on X~, checked as
 matchings of facet pairs and certified acyclic as `morse` certifies every
-field: V by its prism levels, a clock that descends along its arcs, and W
-by the topological pass `morse._ordered`, which reads W's pairs alone, so
-W over pinned fields is certified as W over greedy ones.  Only a W that
-the pass rejects runs Forman's flow, whose cycle is the closed trajectory
-that names the failure; a fault in a block shows up as a failed
-certification or census, never as bad input.
+field without a coreduction clock: by the topological pass
+`morse._ordered`, which reads a field's pairs alone, so W over pinned
+fields is certified as W over greedy ones, and `verify` builds no clock.
+Only a field that the pass rejects runs Forman's flow, whose cycle is the
+closed trajectory that names the failure; a fault in a block shows up as
+a failed certification or census, never as bad input.
 
 `check_iso_simplicial` and `check_main_iso` re-derive all of this on a given
 decomposition and report each comparison separately, with counterexamples.
@@ -94,11 +94,12 @@ side's boundary; the MV one is the target complex.  A critical cell's two
 tallies are compared as whole maps, and its ends sorted only when they
 differ, for the first mismatch.  A trajectory's case is fixed by the
 pieces at its ends unless it takes a step off the five shapes, and one
-scan over the reachable arcs finds any such step, reading W's flow off
-its memo.  The flows and the scan read the arcs of W from `morse._arcs`,
-the one step rule of every field, so the boundary and the checks cannot
-disagree on a step or a sign.  Only the `trajectories` command enumerates
-trajectories.
+scan finds any such step: it reads the arcs out of the non-empty entries
+of W's flow memo, the cells on a trajectory between critical cells, and
+keeps no search of its own.  The flows and the scan read the arcs of W
+from `morse._arcs`, the one step rule of every field, so the boundary and
+the checks cannot disagree on a step or a sign.  Only the `trajectories`
+command enumerates trajectories.
 """
 from __future__ import annotations
 
@@ -338,15 +339,10 @@ def _census_mismatch(
 
 def _build_v_field(xt: XTilde) -> GradientField:
     """The collapse-the-prism field V on X~ (empty when there is no prism),
-    certified by its level clock: the only arc out of a_member(alpha, r)
-    that goes on leads to a_member(alpha, r + 1), so -r descends."""
+    certified, as W is, by the topological pass `morse._ordered`."""
     pairs = (pair for a, b in xt._members.values() for pair in zip(b, a))
-    clock = [0] * len(xt.complex._table)
-    for a, _ in xt._members.values():
-        for r, i in enumerate(a):
-            clock[i] = -r
     return GradientField._certified(
-        xt.complex, *_matching(xt.complex, pairs, InternalConsistencyError), clock=clock
+        xt.complex, *_matching(xt.complex, pairs, InternalConsistencyError)
     )
 
 
@@ -559,14 +555,16 @@ def _forbidden_step(xt: XTilde, gvf: GradientField, tallies: Mapping[int, dict])
     """The first step off the five shapes on a W-trajectory between critical
     cells, named, or "".  A trajectory keeps its piece, except that one from
     the prism interior may leave it once, by a step down to a facet.  An arc
-    (c, sigma, nu) of `_arcs` from tau lies on such a trajectory when tau is
-    reachable from a critical cell and the trajectory can end after it: the
-    arc ends, or `tallies`, the memo of W's split flow valued over W's
-    critical ids and so at every id they reach, is not empty at nu."""
+    (c, sigma, nu) of `_arcs` from tau lies on such a trajectory exactly
+    when tau is an entry of `tallies`, the memo of W's split flow valued
+    over W's critical ids and so at every id they reach, and the trajectory
+    can end after it: the arc ends, or the memo is not empty at nu.  A
+    count never cancels, so tau's tally is then not empty, and the scan
+    reads the non-empty entries in the memo's order."""
     arcs, piece, value = _arcs(gvf), xt._piece, tallies.get
-    todo = _report_order(xt, itertools.chain.from_iterable(gvf._critical_ids[1:]))
-    seen = bytearray(len(piece))
-    for tau in todo:  # grows while it is read
+    for tau, reached in tallies.items():
+        if not reached:
+            continue
         for _, sigma, nu in arcs(tau):
             if nu >= 0 and not value(nu):
                 continue
@@ -575,9 +573,6 @@ def _forbidden_step(xt: XTilde, gvf: GradientField, tallies: Mapping[int, dict])
                 if not free and piece[x] != piece[y]:
                     step = " -> ".join(map(str, xt.complex._simplices_of((x, y))))
                     return f"trajectory leaves the {_PIECE_NAME[piece[x]]} at {step}"
-            if nu >= 0 and not seen[nu]:
-                seen[nu] = 1
-                todo.append(nu)
     return ""
 
 

@@ -48,6 +48,11 @@ flows, on every trajectory of (X~, W), weighed by `incidence` on its
 named cells, and of the Mayer-Vietoris complex, each trajectory
 classified by its pieces.
 
+The scan reference is the breadth-first search for a step off the five
+shapes that `check_main_iso` ran before it read the non-empty entries of
+W's flow memo: from W's critical cells in report order, along every arc
+whose head's tally is not empty, with its own queue and mask.
+
 The Smith normal form reference is the dense Euclidean loop that
 `morsemv.homology.smith_normal_form` ran, on a list of rows, before one
 sparse elimination (`homology._eliminate`) took non-unit pivots too.
@@ -88,7 +93,17 @@ from morsemv.mv import (
     mv_generators,
     mv_trajectories_from,
 )
-from morsemv.verify import _A, _B, _INTERIOR, CheckResult, XTilde, _build_w_field, _f_image
+from morsemv.verify import (
+    _A,
+    _B,
+    _INTERIOR,
+    _PIECE_NAME,
+    CheckResult,
+    XTilde,
+    _build_w_field,
+    _f_image,
+    _report_order,
+)
 
 
 def retag(s: Simplex, old: str, new: str) -> Simplex:
@@ -667,6 +682,30 @@ def enumerated_pair_checks(xt: XTilde) -> tuple[CheckResult, ...]:
         CheckResult("trajectory_weights_match", weights_ok, w_detail),
         CheckResult("trajectory_classification", classes_ok, k_detail),
     )
+
+
+def reference_scan(xt: XTilde, gvf: GradientField, tallies) -> tuple[str, list[int]]:
+    """The first step off the five shapes on a W-trajectory between
+    critical cells, named, or "", found by a breadth-first search from the
+    critical ids of positive dimension in report order that follows an
+    arc on only when `tallies`, the memo of W's split flow, is not empty at
+    its head; and the ids it visited, the roots first, each once, in visit
+    order (every id it reaches when it finds no step)."""
+    arcs, piece, value = _arcs(gvf), xt._piece, tallies.get
+    todo = _report_order(xt, itertools.chain.from_iterable(gvf._critical_ids[1:]))
+    seen = bytearray(len(piece))
+    for tau in todo:  # grows while it is read
+        for _, sigma, nu in arcs(tau):
+            if nu >= 0 and not value(nu):
+                continue
+            for x, y, free in ((tau, sigma, piece[tau] == _INTERIOR), (sigma, nu, nu < 0)):
+                if not free and piece[x] != piece[y]:
+                    step = " -> ".join(map(str, xt.complex._simplices_of((x, y))))
+                    return f"trajectory leaves the {_PIECE_NAME[piece[x]]} at {step}", todo
+            if nu >= 0 and not seen[nu]:
+                seen[nu] = 1
+                todo.append(nu)
+    return "", todo
 
 
 def reference_smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:

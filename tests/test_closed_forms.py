@@ -117,6 +117,13 @@ def rp2_by_rp2():
     return (product(rp2, rp2), *pieces), kunneth(h, h)
 
 
+def rp2_by_circle():
+    """RP^2 x S^1 cut by the star of the vertex 1|v0."""
+    circle = corpus_complexes()["circle"]
+    return (star_cut(product(build_complex(RP2_FACES), circle), "1|v0"),
+            kunneth(expected_homology("rp2"), expected_homology("circle")))
+
+
 def suspended_rp2():
     return suspension(build_complex(RP2_FACES)), suspended(expected_homology("rp2"))
 
@@ -152,6 +159,7 @@ EXAMPLES = {
     "RP2 x RP2": rp2_by_rp2,
     "cone on RP2": cone_on_rp2,
     "RP2 * S1": rp2_join_circle,
+    "RP2 x S1": rp2_by_circle,
     "suspension of RP2": suspended_rp2,
     **{f"M(Z/{k}, 1)": functools.partial(moore_space, k) for k in (3, 4, 5)},
     **{f"suspension of M(Z/{k}, 1)": functools.partial(suspended_moore_space, k)
@@ -186,13 +194,24 @@ def test_every_route_gives_the_closed_form(name):
         assert mv_homology(build_decomposition(x, a, b, strategy="random", seed=seed)) == want
 
 
+def verify_passes(name: str, strategy: str) -> bool:
+    """Whether both checks of `verify` pass on the example `name`, cut as
+    it is, with fields by `strategy`."""
+    (x, a, b), _ = EXAMPLES[name]()
+    xt = build_xtilde(build_decomposition(x, a, b, strategy=strategy, seed=7))
+    return check_iso_simplicial(xt).ok and check_main_iso(xt).ok
+
+
 @pytest.mark.parametrize("strategy", ["lexicographic", "random"])
 @pytest.mark.parametrize("name", ["suspension of RP2", "suspension of M(Z/3, 1)"])
 def test_verify_passes_on_suspensions(name, strategy):
-    (x, a, b), _ = EXAMPLES[name]()
-    xt = build_xtilde(build_decomposition(x, a, b, strategy=strategy, seed=7))
-    assert check_iso_simplicial(xt).ok
-    assert check_main_iso(xt).ok
+    assert verify_passes(name, strategy)
+
+
+@pytest.mark.parametrize("strategy", ["lexicographic", "random"])
+@pytest.mark.parametrize("name", ["RP2 x S1", "RP2 * S1"])
+def test_verify_passes_on_products_and_joins(name, strategy):
+    assert verify_passes(name, strategy)
 
 
 # factors for the hypothesis products and joins: small corpus complexes and

@@ -312,7 +312,8 @@ class TestComplexCopy:
         piece = x.subcomplex(rng.sample(maximal, rng.randint(1, len(maximal))))
         for source in (x, piece, copy_relabel(piece, "B:").complex):
             copy = copy_relabel(source, "A:").complex
-            view = source._view(source._mask, "A:" + source._tag)
+            view = object.__new__(SimplicialComplex)  # a view under the copy's tag
+            view._setup(source._table, source._mask, "A:" + source._tag)
             assert copy._ids == view._ids
             assert len(copy) == len(view)
             assert copy.f_vector() == view.f_vector()

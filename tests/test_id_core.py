@@ -453,30 +453,40 @@ class TestViews:
 
 
 @pytest.mark.parametrize("name", ["octahedron", "torus"])
-def test_only_w_and_pinned_fields_are_ordered(tmp_path, monkeypatch, capsys, name):
-    """Greedy fields and V are certified by their clocks; pinned fields,
-    and W over greedy or pinned fields, by the topological pass; no
-    acyclic field is searched."""
+def test_only_greedy_fields_carry_a_clock(tmp_path, monkeypatch, capsys, name):
+    """Greedy fields are certified by their coreduction clocks; pinned
+    fields, and V and W over greedy or pinned fields, by the topological
+    pass, so verify's own stages check no clock; no acyclic field is
+    searched."""
     cx, dec = GOLDEN / f"{name}.cx", GOLDEN / f"{name}.dec"
+    names = ("_ordered", "_closed_trajectory", "_descends")
 
-    def passes_and_searches(command: str, dec: Path) -> tuple[int, int]:
+    def passes_searches_clocks(command: str, dec: Path) -> tuple[int, int, int]:
         with monkeypatch.context() as m:
-            passes, searches = spied(m, morse, "_ordered", "_closed_trajectory")
+            calls = spied(m, morse, *names)
             assert main([command, "--complex", str(cx), "--decomposition", str(dec)]) == 0
-        return len(passes), len(searches)
+        return tuple(map(len, calls))
 
-    assert passes_and_searches("homology", dec) == (0, 0)
-    assert passes_and_searches("verify", dec) == (1, 0)
+    assert passes_searches_clocks("homology", dec) == (0, 0, 3)
+    assert passes_searches_clocks("verify", dec) == (2, 0, 3)
     assert "verdict: PASS" in capsys.readouterr().out
-    _, d, _, _ = _load_decomposition(argparse.Namespace(
-        complex=str(cx), decomposition=str(dec), strategy=None, seed=None))
+    with monkeypatch.context() as m:
+        calls = spied(m, morse, *names)
+        _, d, _, _ = _load_decomposition(argparse.Namespace(
+            complex=str(cx), decomposition=str(dec), strategy=None, seed=None))
+    assert tuple(map(len, calls)) == (0, 0, 3)
+    with monkeypatch.context() as m:
+        calls = spied(m, morse, *names)
+        xt = build_xtilde(d)
+        assert check_iso_simplicial(xt).ok and check_main_iso(xt).ok
+    assert tuple(map(len, calls)) == (2, 0, 0)
     fields = {piece: [(retag(sigma, copy.tag, ""), retag(tau, copy.tag, ""))
                       for sigma, tau in w.pairs]
               for piece, w, copy in (("A", d.w_a, d.a_bar), ("B", d.w_b, d.b_bar),
                                      ("I", d.w_i, d.iab_bar))}
     (tmp_path / "pinned.dec").write_text(decomposition_text(d.a, d.b, fields))
-    assert passes_and_searches("homology", tmp_path / "pinned.dec") == (3, 0)
-    assert passes_and_searches("verify", tmp_path / "pinned.dec") == (4, 0)
+    assert passes_searches_clocks("homology", tmp_path / "pinned.dec") == (3, 0, 0)
+    assert passes_searches_clocks("verify", tmp_path / "pinned.dec") == (5, 0, 0)
     assert "verdict: PASS" in capsys.readouterr().out
 
 

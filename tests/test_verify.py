@@ -55,6 +55,7 @@ from slow_reference import (
     listed_trajectories_fit,
     reference_closed_xtilde,
     reference_prism,
+    reference_scan,
     reference_v_pairs,
     reference_w_pairs,
     reference_xtilde,
@@ -560,6 +561,61 @@ class TestCountsAgainstEnumeration:
         assert [c.name for c in listed if not c.ok] == ["trajectory_classification"]
         assert listed[2].detail == "interior trajectory leaves the interior"
         assert flows.checks[2:4] == listed[:2]
+
+
+def scan_against_breadth_first(xt) -> int:
+    """How many single wrong entries of the piece map make the scan find a
+    forbidden step, checked against `slow_reference.reference_scan`, the
+    breadth-first search it replaced: the ids with a non-empty tally in
+    W's flow memo, W's critical ids aside, are the ids the search reaches
+    beyond its roots, and on the true piece map and on every single wrong
+    entry of it (W stays the true field) the scan finds a step exactly when
+    the search does."""
+    w = _build_w_field(xt)
+    upstairs = _w_tallies(w)
+    step, reached = reference_scan(xt, w, upstairs)
+    assert step == _forbidden_step(xt, w, upstairs) == ""
+    roots = list(itertools.chain(*w._critical_ids[1:]))
+    assert set(reached[:len(roots)]) == set(roots) and len(set(reached)) == len(reached)
+    critical = set(itertools.chain(*w._critical_ids))
+    assert {i for i, t in upstairs.items() if t} - critical == set(reached[len(roots):])
+    piece = bytearray(xt._piece)
+    bad = replaced(xt, _piece=piece)
+    failures = 0
+    for cell, true_piece in enumerate(xt._piece):
+        for wrong in {_A, _B, _INTERIOR} - {true_piece}:
+            piece[cell] = wrong
+            found = _forbidden_step(bad, w, upstairs) != ""
+            assert found == (reference_scan(bad, w, upstairs)[0] != ""), (cell, wrong)
+            failures += found
+        piece[cell] = true_piece
+    return failures
+
+
+class TestScanAgainstBreadthFirst:
+    """`_forbidden_step` reads the non-empty entries of W's flow memo; the
+    breadth-first search it replaced checks the arcs it reads."""
+
+    @pytest.mark.parametrize("name,strategy", COVERS)
+    def test_corpus_covers(self, name, strategy):
+        assert sum(map(scan_against_breadth_first,
+                       map(build_xtilde, cover_decompositions(name, strategy))))
+
+    def test_octahedron_pinned_fields(self, oct_xtilde):
+        assert scan_against_breadth_first(oct_xtilde)
+
+    @pytest.mark.parametrize("name", sorted(corpus_complexes()))
+    def test_poor_fields(self, name):
+        assert sum(map(scan_against_breadth_first,
+                       map(build_xtilde, cover_decompositions(name, "poor"))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(["lexicographic", "random"]))
+    def test_hypothesis_complexes(self, rng, strategy):
+        x = random_small_complex(rng)
+        a, b = random_cover(x, rng)
+        d = build_decomposition(x, a, b, strategy=strategy, seed=rng.randint(0, 99))
+        scan_against_breadth_first(build_xtilde(d))
 
 
 class TestChecks:
