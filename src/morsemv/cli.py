@@ -17,9 +17,13 @@ decomposition or field data, 4 a supplied matching has a closed trajectory,
 
 One report per command: each ``_cmd_*`` computes its result once and
 returns ``(exit code, report)``, a plain dict.  `main` alone writes it:
-``--output json`` dumps the dict, ``--output text`` renders it line by
-line through the command's renderer in `_TEXT`, which reads nothing but
-the report, so the text shows nothing the JSON lacks.
+``--output json`` writes the bytes of ``json.dumps(report, indent=2)``
+through `_json_text`, ``--output text`` renders it line by line through
+the command's renderer in `_TEXT`, which reads nothing but the report, so
+the text shows nothing the JSON lacks.  Given an indent, `json.dumps`
+encodes every leaf in Python; `_json_text` lays out only the containers
+and leaves each string to json's C encoder, so ``json`` itself is never
+imported for a report.
 
 `main` pauses the cyclic garbage collector for the whole command and, in a
 ``finally``, gives the caller back the state it had.  A command's tables
@@ -42,8 +46,8 @@ import argparse
 import functools
 import gc
 import itertools
-import json
 import sys
+from _json import encode_basestring_ascii as _encode  # json's C string encoder
 from pathlib import Path
 
 from .complexes import SimplicialComplex  # bound for the benchmark's tracer
@@ -108,10 +112,42 @@ def _run(argv: list[str] | None) -> int:
     except InternalConsistencyError as e:
         return _fail(5, e)
     if args.output == "json":
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(_json_text(report, "\n") + "\n")
     else:
         print("\n".join(_TEXT[report["command"]](report)))
     return code
+
+
+def _json_text(value, indent: str) -> str:
+    """The text of `json.dumps(value, indent=2)` for a report, with
+    `indent` the line break and indent before its first item: every key (a
+    string, as in every report) and string encoded by json's C encoder,
+    every int by `int.__repr__`, as `json.dumps` encodes them."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{_encode(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_encode(v) if type(v) is str else _json_text(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
+    if isinstance(value, str):
+        return _encode(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    import json  # for a float, which no report holds, or the TypeError of json.dumps
+
+    return json.dumps(value)
 
 
 def _fail(code: int, error: Exception) -> int:
@@ -188,14 +224,12 @@ def _load_decomposition(args) -> tuple[SimplicialComplex, Decomposition, str, in
     if strategy in (None, "lex"):
         strategy = "lexicographic"
     # the pieces are views over X's table, not complexes closed again
-    d = build_decomposition(
-        x,
-        _piece(x, parsed.a_generators, "A"),
-        _piece(x, parsed.b_generators, "B"),
-        fields=parsed.fields or None,
-        strategy=strategy,
-        seed=seed,
-    )
+    a, b = _piece(x, parsed.a_generators, "A"), _piece(x, parsed.b_generators, "B")
+    fields = parsed.fields or None
+    # the .dec's vertex tuples are freed before the fields, the load's peak,
+    # are built; X keeps its lines' id map meanwhile (`_Table.line_ids`)
+    del parsed
+    d = build_decomposition(x, a, b, fields=fields, strategy=strategy, seed=seed)
     return x, d, strategy, seed
 
 

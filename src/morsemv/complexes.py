@@ -258,9 +258,10 @@ class _Table:
     name (`simplex` is its one-member case); it builds fresh ones on every
     call and caches none.  `verify` lays out the table of its glued complex
     by its own rule (`verify._PrismTable`): grouped by dimension, with
-    `start`, but not sorted."""
+    `start`, but not sorted.  A table read from the lines of a complex file
+    keeps each generator's line, and `line_ids` maps a line to its id."""
 
-    __slots__ = ("names", "rank", "verts", "index", "start", "facets", "_cofacets")
+    __slots__ = ("names", "rank", "verts", "index", "start", "facets", "_cofacets", "_by_line")
 
     def __init__(self, generators: Iterable[tuple[int, ...]], names: list[str]):
         levels: dict[int, set[tuple[int, ...]]] = {}
@@ -290,15 +291,34 @@ class _Table:
             self.facets += zip(*(map(get, faces) for faces in dropped[n]))
             dropped[n] = []  # free the level's drop lists once they are facets
         self._cofacets: list[list[int]] | None = None
+        self._by_line: dict[str, int] | tuple[list[str], list[tuple[int, ...]]] | None = None
 
     @classmethod
-    def of_names(cls, generators: list[Sequence[str]]) -> "_Table":
+    def of_names(cls, generators: list[Sequence[str]], lines: list[str] | None = None) -> "_Table":
         """The table closed from sequences of vertex names, each in any
         order: a generator is ranked, then its ranks sorted, which gives the
-        ranks of its sorted names, as ranks keep the order of names."""
+        ranks of its sorted names, as ranks keep the order of names.
+        `lines`, when given, are the strings the generators were read from,
+        one each; the table keeps them with the ranked generators."""
         names = sorted(set(itertools.chain.from_iterable(generators)))
         rank = dict(zip(names, range(len(names)))).__getitem__
-        return cls([tuple(sorted(map(rank, vs))) for vs in generators], names)
+        ranked = [tuple(sorted(map(rank, vs))) for vs in generators]
+        table = cls(ranked, names)
+        if lines is not None:
+            table._by_line = lines, ranked
+        return table
+
+    def line_ids(self, first: str) -> dict[str, int] | None:
+        """The id of each generator by the line it was read from (see
+        `of_names`), or None for a table read from no lines.  The first call
+        decides: it builds the map if its `first` line is one of them, and
+        else drops the lines, so that a decomposition file whose lines are
+        not copies of the complex file's pays one scan of them, not the map."""
+        if type(self._by_line) is tuple:
+            lines, ranked = self._by_line
+            self._by_line = (dict(zip(lines, map(self.index.__getitem__, ranked)))
+                             if first in lines else None)
+        return self._by_line
 
     def __len__(self) -> int:
         return len(self.facets)
@@ -398,18 +418,34 @@ class SimplicialComplex:
 
     # -- ids -----------------------------------------------------------------
 
-    def _ids_of(self, named: Iterable[Iterable[str]]) -> list[int | None]:
+    def _ids_of(self, named: Iterable[Iterable[str]], copied: bool = False) -> list[int | None]:
         """The id of the member with each list of vertex names, in any
         order, or None: ranked, then the ranks sorted, as in
         `_Table.of_names`.  A name that is not a vertex never matches, nor
-        does a repeated one."""
+        does a repeated one.  With `copied`, for a list of a piece's
+        generators, whose lines are often copies of the complex file's (a
+        field's pair ends, mostly faces, seldom are), the names of each list
+        joined by single spaces are first looked up among the lines X was
+        read from (`_Table.line_ids`), and only a list not found there is
+        ranked."""
         tag, table = self._tag, self._table
         if tag:  # a name without the tag becomes None, which is no vertex
             n = len(tag)
             named = [[v[n:] if v.startswith(tag) else None for v in vs] for vs in named]
         # a name that is no vertex ranks -1, which no member holds
         rank, index, unknown = table.rank.get, table.index.get, itertools.repeat(-1)
-        ids = [index(tuple(sorted(map(rank, vs, unknown)))) for vs in named]
+        ids = None
+        if copied and not tag and named:
+            try:  # a name that is not a string is on no line, and ranks as no vertex
+                known = table.line_ids(" ".join(named[0]))
+                ids = known and list(map(known.get, map(" ".join, named)))
+            except TypeError:
+                pass
+        if ids is None:
+            ids = [index(tuple(sorted(map(rank, vs, unknown)))) for vs in named]
+        elif None in ids:
+            ids = [index(tuple(sorted(map(rank, vs, unknown)))) if i is None else i
+                   for i, vs in zip(ids, named)]
         mask = self._mask
         return [i if i is not None and mask[i] else None for i in ids]
 

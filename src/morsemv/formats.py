@@ -33,6 +33,16 @@ which checks for a repeated name inline.  X's id table reads each by its
 one rule, ranking the names and sorting the ranks, so no line's names are
 sorted as strings; a `Simplex` is built only to word an error.
 
+X's table also keeps each content line of the complex file, the text
+left once the comment and surrounding whitespace are cut
+(`_Table.line_ids`).  An [A]/[B] line copied from a complex-file line
+whose names are separated by single spaces resolves to its id by one
+lookup of its names joined so; any other line resolves by its names, with
+the same validation and errors (`mv._piece`).  The first line of the
+first piece decides for X: the map behind the lookup is built if that
+line is such a copy, and else X drops its lines and every piece takes
+the name route.
+
 Generator names on the command line are the tagged comma-joined vertex
 lists used in reports, e.g. `A:v5` or `I:v2,I:v3`; the tag prefix (A/B/I)
 names the piece and selects FromA / FromB / Shifted.
@@ -82,10 +92,13 @@ def _simplices(lines: list[tuple[int, str]]) -> list[tuple[str, ...]]:
 
 def parse_complex(text: str) -> SimplicialComplex:
     """Read a complex file (maximal simplices, one per line)."""
-    generators = _simplices(_content_lines(text))
+    lines = _content_lines(text)
+    generators = _simplices(lines)
     if not generators:
         raise ParseError("no simplices in complex file")
-    return SimplicialComplex._of(_Table.of_names(generators))
+    strings = [line for _, line in lines]
+    del lines  # freed before the closure, whose collector passes, if on, would walk its pairs
+    return SimplicialComplex._of(_Table.of_names(generators, strings))
 
 
 Vertices = tuple[str, ...]

@@ -189,12 +189,13 @@ def _piece(
     """The piece `name` as a view over X's table, closed from the ids of its
     generators.  `piece` is a complex, or the generators of one, each a
     sequence of vertex names of X in any order, as `.dec` lines are read,
-    which `SimplicialComplex._ids_of` resolves in one batch."""
+    which `SimplicialComplex._ids_of` resolves in one batch, a line copied
+    from the complex file by one lookup."""
     if isinstance(piece, SimplicialComplex):
         if piece._table is x._table and piece.is_subcomplex_of(x):
             return piece
         piece = [s.vertices for s in piece.maximal_simplices]
-    ids = x._ids_of(piece)
+    ids = x._ids_of(list(piece), copied=True)
     if None in ids:
         raise DecompositionError(f"{name} is not a subcomplex of X")
     return x._closure(ids)

@@ -210,7 +210,7 @@ class _PrismTable(_Table):
                  verts: _Cells):
         self.names, self.rank = names, dict(zip(names, range(len(names))))
         self.start, self.facets, self.verts = start, facets, verts
-        self._cofacets, self._index = None, None
+        self._cofacets, self._index, self._by_line = None, None, None
 
     @property
     def index(self) -> dict[tuple[int, ...], int]:

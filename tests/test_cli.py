@@ -143,6 +143,27 @@ class TestHomologyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["strategy"] == "lexicographic"
 
+    def test_copied_and_rewritten_dec_lines_give_one_report(self, files, tmp_path, capsys):
+        """Whether the [A]/[B] lines are copied from the complex file, which
+        resolves them by one lookup, or rewritten, which resolves them by
+        their names, the report is the same."""
+        cx, dec = files
+        copied = Path(dec).read_text()
+        rewritten = "\n".join(
+            line if line.startswith("[") or not line.strip()
+            else "  ".join(reversed(line.split())) + "   # rewritten"
+            for line in copied.split("[fields]")[0].splitlines()
+        ) + "\n[fields]" + copied.split("[fields]")[1]
+        assert rewritten != copied
+        reports = []
+        for text in (copied, rewritten):
+            path = tmp_path / "piece.dec"
+            path.write_text(text)
+            assert main(["homology", "--complex", cx, "--decomposition", str(path),
+                         "--output", "json"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
 
 class TestTrajectoriesCommand:
     def test_single_case4(self, files, capsys):
@@ -406,6 +427,57 @@ class TestDeterminism:
         argv = ["homology", "--complex", cx, "--decomposition", str(plain),
                 "--strategy", "random", "--seed", "11", "--output", "json"]
         assert self.run_json(argv, capsys) == self.run_json(argv, capsys)
+
+
+# Strings with what JSON must escape: quotes, backslashes, control
+# characters, and non-ASCII text up to astral code points.
+JSON_STRINGS = st.text(st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", " ", "v", "0", "é", "Ω", "✓", "\U0001d53d"]
+)) | st.text()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | JSON_STRINGS | st.floats()
+    | st.integers() | st.integers(min_value=2**63 - 2, max_value=2**70) | st.integers(max_value=-2**63),
+    lambda inner: st.lists(inner, max_size=5) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(JSON_STRINGS, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    """`--output json` writes what `json.dumps(report, indent=2)` writes,
+    byte for byte, with strings encoded by json's C encoder."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_same_text_as_json_dumps(self, value):
+        assert cli_module._json_text(value, "\n") == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("path", sorted((Path(__file__).parent / "golden").glob("*.json")),
+                             ids=lambda path: path.name)
+    def test_goldens_reencoded(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert cli_module._json_text(json.loads(text), "\n") + "\n" == text
+
+    def test_unencodable_leaf_raises_as_json_dumps_does(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli_module._json_text({"a": [object()]}, "\n")
+
+    def test_json_output_loads_no_json_module(self, files):
+        """Writing a report needs json's C string encoder only, so a fresh
+        `homology` process with JSON output does not import `json`."""
+        cx, dec = files
+        code = f"""
+import sys
+before = set(sys.modules)
+from morsemv.cli import main
+main(["homology", "--complex", {cx!r}, "--decomposition", {dec!r}, "--output", "json"])
+print("json" in set(sys.modules) - before, file=sys.stderr)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        assert json.loads(done.stdout)["command"] == "homology"
+        assert done.stderr == "False\n"
 
 
 class TestSharedParser:

@@ -335,6 +335,58 @@ class TestOneNameRule:
             assert d.iab is None
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from([0.0, 0.5, 1.0]))
+    def test_dec_lines_copied_or_rewritten(self, rng, copied):
+        """A `.dec` line copied from a complex-file line whose names are
+        separated by single spaces resolves by one lookup of its names
+        joined so, and any other line (re-spaced, its vertices reordered, a
+        comment added) by its names; the pieces are the same either way,
+        the views `subcomplex` closes, and a line outside X fails its piece
+        with the text it always had.  `copied` is the chance that a line
+        is a copy: none, about half, or all of them."""
+        generators = random_generators(rng)
+
+        def written(vertices) -> str:  # a line naming these vertices
+            vs = rng.sample(vertices, len(vertices))
+            return (rng.choice(["", " "]) + rng.choice([" ", " ", "  ", "\t"]).join(vs)
+                    + rng.choice(["", " ", "  # a comment"]))
+
+        cx_lines = [written(g.vertices) for g in generators]
+        cx_text = "\n".join(cx_lines) + "\n"
+        x = parse_complex(cx_text)
+        lines_of = collections.defaultdict(list)
+        for g, line in zip(generators, cx_lines):
+            lines_of[g.vertices].append(line)
+        a, b = random_cover(x, rng)
+
+        def dec_lines(piece: SimplicialComplex) -> list[str]:
+            return [rng.choice(lines_of[s.vertices]) if rng.random() < copied
+                    else written(s.vertices) for s in piece.maximal_simplices]
+
+        parsed = parse_decomposition("\n".join(["[A]", *dec_lines(a), "[B]", *dec_lines(b)]))
+        pieces = (("A", parsed.a_generators, a), ("B", parsed.b_generators, b))
+        for name, gens, fresh in pieces:
+            assert _piece(x, gens, name)._mask == x.subcomplex(fresh.maximal_simplices)._mask
+            bad = rng.choice([("w",), ("w", *gens[0]), gens[0] + gens[0][:1], (*gens[0][1:], 0)])
+            k = rng.randrange(len(gens) + 1)
+            with pytest.raises(DecompositionError) as e:
+                _piece(x, gens[:k] + [bad] + gens[k:], name)
+            assert str(e.value) == f"{name} is not a subcomplex of X"
+        # with no name known, only the lookup resolves a line: a piece does
+        # when A's first line, which decides for X, and all its own are copies
+        x = parse_complex(cx_text)
+        x._table.rank = {}
+        texts = {line.split("#")[0].strip() for line in cx_lines}
+        looked_up = " ".join(parsed.a_generators[0]) in texts
+        for name, gens, fresh in pieces:
+            if looked_up and all(" ".join(vs) in texts for vs in gens):
+                assert _piece(x, gens, name) == fresh
+            else:
+                with pytest.raises(DecompositionError):
+                    _piece(x, gens, name)
+
+
 def reference_chain_columns(generators) -> list[list[dict[int, int]]]:
     """The columns of C_*(X) for the closure of `generators`, from
     `reference_table`: the column of a q-simplex holds (-1)^k at the row of
