@@ -37,8 +37,13 @@ lookup of one of its three calls and binds that name here, and
 `_cmd_verify` calls them as attributes of this module, so whoever replaces
 `build_xtilde`, `check_iso_simplicial` or `check_main_iso` here (as the
 benchmark's tracer does) sees its replacement called.  The tracer wraps
-this module's calls by name, so `SimplicialComplex` and `mv_generators`
-stay bound here although no command calls them.
+this module's calls by name, so `SimplicialComplex`, `mv_generators` and
+`parse_decomposition` stay bound here although no command calls them.
+
+A command reads the `.dec` by `formats._read_decomposition`, the walk
+`parse_decomposition` makes, given X's line map: a piece line that the
+complex file holds as written is one probe of it and is never split; any
+other line is split, checked and ranked, with the same errors.
 """
 from __future__ import annotations
 
@@ -59,7 +64,7 @@ from .errors import (
     NotAcyclicError,
     ParseError,
 )
-from .formats import parse_complex, parse_decomposition, parse_generator_name
+from .formats import _read_decomposition, parse_complex, parse_decomposition, parse_generator_name
 from .homology import HomologyResult, simplicial_homology
 from .mv import (
     Decomposition,
@@ -214,7 +219,7 @@ def _read(path: str) -> str:
 
 def _load_decomposition(args) -> tuple[SimplicialComplex, Decomposition, str, int | None]:
     x = parse_complex(_read(args.complex))
-    parsed = parse_decomposition(_read(args.decomposition))
+    parsed = _read_decomposition(_read(args.decomposition), x._table.line_ids)
     strategy = args.strategy
     seed = args.seed
     if strategy is None:
@@ -223,7 +228,8 @@ def _load_decomposition(args) -> tuple[SimplicialComplex, Decomposition, str, in
             seed = parsed.seed
     if strategy in (None, "lex"):
         strategy = "lexicographic"
-    # the pieces are views over X's table, not complexes closed again
+    # the pieces are views over X's table, not complexes closed again; a
+    # generator that is an id came from X's line map and was never split
     a, b = _piece(x, parsed.a_generators, "A"), _piece(x, parsed.b_generators, "B")
     fields = parsed.fields or None
     # the .dec's vertex tuples are freed before the fields, the load's peak,

@@ -313,7 +313,11 @@ class _Table:
         `of_names`), or None for a table read from no lines.  The first call
         decides: it builds the map if its `first` line is one of them, and
         else drops the lines, so that a decomposition file whose lines are
-        not copies of the complex file's pays one scan of them, not the map."""
+        not copies of the complex file's pays one scan of them, not the map.
+        A `.dec` piece line that the map holds as written is one probe of
+        it and is never split (`formats._read_decomposition`); any other is
+        split, checked for a repeated name and ranked
+        (`SimplicialComplex._ids_of`), with the same errors."""
         if type(self._by_line) is tuple:
             lines, ranked = self._by_line
             self._by_line = (dict(zip(lines, map(self.index.__getitem__, ranked)))
@@ -418,34 +422,21 @@ class SimplicialComplex:
 
     # -- ids -----------------------------------------------------------------
 
-    def _ids_of(self, named: Iterable[Iterable[str]], copied: bool = False) -> list[int | None]:
+    def _ids_of(self, named: Iterable[Iterable[str]]) -> list[int | None]:
         """The id of the member with each list of vertex names, in any
         order, or None: ranked, then the ranks sorted, as in
         `_Table.of_names`.  A name that is not a vertex never matches, nor
-        does a repeated one.  With `copied`, for a list of a piece's
-        generators, whose lines are often copies of the complex file's (a
-        field's pair ends, mostly faces, seldom are), the names of each list
-        joined by single spaces are first looked up among the lines X was
-        read from (`_Table.line_ids`), and only a list not found there is
-        ranked."""
+        does a repeated one.  A `.dec` piece line that the complex file
+        holds as written never comes here: it is one probe of
+        `_Table.line_ids`, never split; any other line comes as the names
+        it was split into, already checked, and is ranked here."""
         tag, table = self._tag, self._table
         if tag:  # a name without the tag becomes None, which is no vertex
             n = len(tag)
             named = [[v[n:] if v.startswith(tag) else None for v in vs] for vs in named]
         # a name that is no vertex ranks -1, which no member holds
         rank, index, unknown = table.rank.get, table.index.get, itertools.repeat(-1)
-        ids = None
-        if copied and not tag and named:
-            try:  # a name that is not a string is on no line, and ranks as no vertex
-                known = table.line_ids(" ".join(named[0]))
-                ids = known and list(map(known.get, map(" ".join, named)))
-            except TypeError:
-                pass
-        if ids is None:
-            ids = [index(tuple(sorted(map(rank, vs, unknown)))) for vs in named]
-        elif None in ids:
-            ids = [index(tuple(sorted(map(rank, vs, unknown)))) if i is None else i
-                   for i, vs in zip(ids, named)]
+        ids = [index(tuple(sorted(map(rank, vs, unknown)))) for vs in named]
         mask = self._mask
         return [i if i is not None and mask[i] else None for i in ids]
 

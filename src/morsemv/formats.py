@@ -35,19 +35,22 @@ sorted as strings; a `Simplex` is built only to word an error.
 
 X's table also keeps each content line of the complex file, the text
 left once the comment and surrounding whitespace are cut
-(`_Table.line_ids`).  An [A]/[B] line copied from a complex-file line
-whose names are separated by single spaces resolves to its id by one
-lookup of its names joined so; any other line resolves by its names, with
-the same validation and errors (`mv._piece`).  The first line of the
-first piece decides for X: the map behind the lookup is built if that
-line is such a copy, and else X drops its lines and every piece takes
-the name route.
+(`_Table.line_ids`).  The command line reads a decomposition file by the
+same walk over its sections as `parse_decomposition`
+(`_read_decomposition`), given that map: an [A]/[B] line that the complex
+file holds as written is one probe, its id, and is never split; any other
+line is split, checked and ranked, with the same errors in the same
+order.  The first [A] line decides for X: the map is built if the
+complex file holds that line, and else X drops its lines and every line
+is split.
 
 Generator names on the command line are the tagged comma-joined vertex
 lists used in reports, e.g. `A:v5` or `I:v2,I:v3`; the tag prefix (A/B/I)
 names the piece and selects FromA / FromB / Shifted.
 """
 from __future__ import annotations
+
+from typing import Callable
 
 from .complexes import Simplex, SimplicialComplex, _Record, _Table
 from .errors import ComplexError, ParseError
@@ -82,8 +85,11 @@ def _checked(tokens: tuple[str, ...], number: int) -> tuple[str, ...]:
     return tokens
 
 
-def _simplices(lines: list[tuple[int, str]]) -> list[tuple[str, ...]]:
-    """The vertex names of each line, as written, each name once."""
+def _simplices(lines: list[tuple[int, str]], known: dict[str, int] | None = None) -> list:
+    """The vertex names of each line, as written, each name once; a line
+    that `known` holds as written is its id there instead, never split."""
+    if known:
+        return [known[line] if line in known else _simplices([(n, line)])[0] for n, line in lines]
     return [
         vs if len(set(vs := tuple(line.split()))) == len(vs) else _checked(vs, number)
         for number, line in lines
@@ -125,18 +131,30 @@ class DecompositionFile(_Record):
 
 
 def parse_decomposition(text: str) -> DecompositionFile:
+    return _read_decomposition(text)
+
+
+def _read_decomposition(text: str, line_ids: Callable | None = None) -> DecompositionFile:
+    """The sections of a decomposition file, read in file order.  Given
+    `line_ids` (X's `_Table.line_ids`), it is called once with the first
+    [A] line, and an [A]/[B] line that the map it returns holds as written
+    is its id in X, never split; every other line is read as
+    `parse_decomposition` reads it, with the same errors in the same order."""
     out = DecompositionFile()
     lines = _content_lines(text)
     heads = [k for k, (_, line) in enumerate(lines) if line[0] == "["]
     if lines and (not heads or heads[0]):
         raise ParseError("content before any [A]/[B]/[fields] section", line=lines[0][0])
-    for h, end in zip(heads, heads[1:] + [len(lines)]):
+    ends = heads[1:] + [len(lines)]
+    firsts = [h + 1 for h, end in zip(heads, ends) if h + 1 < end and lines[h][1] == "[A]"]
+    known = line_ids(lines[firsts[0]][1]) if line_ids and firsts else None
+    for h, end in zip(heads, ends):
         number, head = lines[h]
         if head == "[fields]":
             _parse_fields(out, lines[h + 1:end])
         elif head in ("[A]", "[B]"):
             generators = out.a_generators if head == "[A]" else out.b_generators
-            generators += _simplices(lines[h + 1:end])
+            generators += _simplices(lines[h + 1:end], known)
         else:
             raise ParseError(f"unknown section {head}", line=number)
     if not out.a_generators:

@@ -184,18 +184,21 @@ def _field_on_copy(
 
 
 def _piece(
-    x: SimplicialComplex, piece: SimplicialComplex | Iterable[Sequence[str]], name: str
+    x: SimplicialComplex, piece: SimplicialComplex | Iterable[int | Sequence[str]], name: str
 ) -> SimplicialComplex:
     """The piece `name` as a view over X's table, closed from the ids of its
-    generators.  `piece` is a complex, or the generators of one, each a
-    sequence of vertex names of X in any order, as `.dec` lines are read,
-    which `SimplicialComplex._ids_of` resolves in one batch, a line copied
-    from the complex file by one lookup."""
+    generators.  `piece` is a complex, or the generators of one, each an
+    id of X (a `.dec` line that the complex file holds as written, never
+    split; `formats._read_decomposition`) or a sequence of vertex names of
+    X in any order, which `SimplicialComplex._ids_of` resolves in one batch."""
     if isinstance(piece, SimplicialComplex):
         if piece._table is x._table and piece.is_subcomplex_of(x):
             return piece
         piece = [s.vertices for s in piece.maximal_simplices]
-    ids = x._ids_of(list(piece), copied=True)
+    piece = list(piece)
+    ids = [i for i in piece if type(i) is int]
+    if len(ids) < len(piece):
+        ids += x._ids_of([vs for vs in piece if type(vs) is not int] if ids else piece)
     if None in ids:
         raise DecompositionError(f"{name} is not a subcomplex of X")
     return x._closure(ids)

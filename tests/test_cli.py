@@ -1,6 +1,7 @@
 """The command-line interface: reports, output formats, and exit codes."""
 from __future__ import annotations
 
+import ast
 import contextlib
 import gc
 import importlib
@@ -638,6 +639,21 @@ print(sorted(set(morsemv.__all__) - set(names)))
         assert len(calls) == 1
         for n in self.VERIFY_CALLS:
             assert getattr(cli_module, n) is (spy if n == name else getattr(verify_module, n))
+
+    def test_every_call_the_tracer_wraps_is_bound(self):
+        """The benchmark's tracer wraps the calls named in `_CLI_CALLS` of
+        `perfbench/tracing.py` by `getattr(cli, name)`, so each must stay an
+        attribute of `morsemv.cli`, `parse_decomposition` among them, though
+        commands read the `.dec` by `formats._read_decomposition`.  The file
+        is read, not imported."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        (calls,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                    and [target.id for target in node.targets] == ["_CLI_CALLS"]]
+        names = [entry.elts[0].value for entry in calls.elts]
+        assert "parse_decomposition" in names and "parse_complex" in names
+        for name in names:
+            assert callable(getattr(cli_module, name)), name
 
 
 # ---------------------------------------------------------------------------

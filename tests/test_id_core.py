@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import argparse
 import collections
+import dataclasses
+import importlib
 import json
 import random
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +22,7 @@ from morsemv import (
     DecompositionError,
     FieldError,
     NotAcyclicError,
+    ParseError,
     Simplex,
     SimplicialComplex,
     VectorField,
@@ -34,6 +38,7 @@ from morsemv import (
     parse_decomposition,
     simplicial_homology,
 )
+from morsemv import cli, formats
 from morsemv.cli import _load_decomposition, main
 from morsemv.complexes import _Table, copy_relabel, intersection, union
 from morsemv.homology import _simplicial_chains, simplicial_chain_complex
@@ -338,13 +343,14 @@ class TestOneNameRule:
     @settings(max_examples=100, deadline=None)
     @given(st.randoms(use_true_random=False), st.sampled_from([0.0, 0.5, 1.0]))
     def test_dec_lines_copied_or_rewritten(self, rng, copied):
-        """A `.dec` line copied from a complex-file line whose names are
-        separated by single spaces resolves by one lookup of its names
-        joined so, and any other line (re-spaced, its vertices reordered, a
-        comment added) by its names; the pieces are the same either way,
-        the views `subcomplex` closes, and a line outside X fails its piece
-        with the text it always had.  `copied` is the chance that a line
-        is a copy: none, about half, or all of them."""
+        """On the CLI's route, a `.dec` line that the complex file holds as
+        written resolves by one probe of X's line map, never split, and
+        any other line (re-spaced, its vertices reordered, a comment added)
+        by its names, as every line does through `parse_decomposition`; the
+        pieces are the same either way, the views `subcomplex` closes, and
+        a line outside X fails its piece with the text it always had.
+        `copied` is the chance that a line is a copy: none, about half, or
+        all of them."""
         generators = random_generators(rng)
 
         def written(vertices) -> str:  # a line naming these vertices
@@ -364,7 +370,9 @@ class TestOneNameRule:
             return [rng.choice(lines_of[s.vertices]) if rng.random() < copied
                     else written(s.vertices) for s in piece.maximal_simplices]
 
-        parsed = parse_decomposition("\n".join(["[A]", *dec_lines(a), "[B]", *dec_lines(b)]))
+        a_lines, b_lines = dec_lines(a), dec_lines(b)
+        dec_text = "\n".join(["[A]", *a_lines, "[B]", *b_lines])
+        parsed = parse_decomposition(dec_text)
         pieces = (("A", parsed.a_generators, a), ("B", parsed.b_generators, b))
         for name, gens, fresh in pieces:
             assert _piece(x, gens, name)._mask == x.subcomplex(fresh.maximal_simplices)._mask
@@ -373,18 +381,180 @@ class TestOneNameRule:
             with pytest.raises(DecompositionError) as e:
                 _piece(x, gens[:k] + [bad] + gens[k:], name)
             assert str(e.value) == f"{name} is not a subcomplex of X"
-        # with no name known, only the lookup resolves a line: a piece does
-        # when A's first line, which decides for X, and all its own are copies
+        # with no name known, only X's line map resolves a line, on the CLI's
+        # route: a piece does when A's first line, which decides for X, and
+        # all its own lines are held by the complex file as written
         x = parse_complex(cx_text)
         x._table.rank = {}
-        texts = {line.split("#")[0].strip() for line in cx_lines}
-        looked_up = " ".join(parsed.a_generators[0]) in texts
-        for name, gens, fresh in pieces:
-            if looked_up and all(" ".join(vs) in texts for vs in gens):
+        held = {content(line) for line in cx_lines}.__contains__
+        parsed = cli._read_decomposition(dec_text, x._table.line_ids)
+        looked_up = held(content(a_lines[0]))
+        for name, gens, lines, fresh in (("A", parsed.a_generators, a_lines, a),
+                                         ("B", parsed.b_generators, b_lines, b)):
+            if looked_up and all(map(held, map(content, lines))):
                 assert _piece(x, gens, name) == fresh
             else:
                 with pytest.raises(DecompositionError):
                     _piece(x, gens, name)
+
+
+def content(line: str) -> str:
+    """A file line as the parsers see it: its comment and surrounding
+    whitespace cut."""
+    return line.split("#")[0].strip()
+
+
+class _Loaded(Exception):
+    """Stops `cli._load_decomposition` where it would build the fields."""
+
+
+def cli_route(cx_text: str, dec_text: str, x: SimplicialComplex | None = None):
+    """What `cli._load_decomposition` reads from a complex and a `.dec` file:
+    the `.dec` as its reader returned it, and the pieces it hands to
+    `build_decomposition`, which is stopped there.  X is read from
+    `cx_text`, or is `x` when one is given."""
+    seen, read = {}, cli._read_decomposition
+
+    def reader(text, line_ids):
+        seen["parsed"] = read(text, line_ids)
+        return seen["parsed"]
+
+    def build(x, a, b, **kwargs):
+        seen["pieces"] = a, b
+        raise _Loaded
+
+    patches = {"_read": {"x.cx": cx_text, "x.dec": dec_text}.__getitem__,
+               "_read_decomposition": reader, "build_decomposition": build}
+    if x is not None:
+        patches["parse_complex"] = lambda text: x
+    with mock.patch.multiple(cli, **patches), pytest.raises(_Loaded):
+        _load_decomposition(argparse.Namespace(
+            complex="x.cx", decomposition="x.dec", strategy=None, seed=None))
+    return seen["parsed"], seen["pieces"]
+
+
+def public_route(cx_text: str, dec_text: str):
+    """The same through the public parsers, each piece resolved by `_piece`."""
+    x = parse_complex(cx_text)
+    parsed = parse_decomposition(dec_text)
+    return parsed, (_piece(x, parsed.a_generators, "A"), _piece(x, parsed.b_generators, "B"))
+
+
+def outcome(route, cx_text: str, dec_text: str) -> tuple:
+    """The piece masks, fields, strategy and seed a route reads, or the
+    class, text and line number of the error it raises."""
+    try:
+        parsed, (a, b) = route(cx_text, dec_text)
+    except (ParseError, DecompositionError) as e:
+        return type(e), str(e), getattr(e, "line", None)
+    return bytes(a._mask), bytes(b._mask), parsed.fields, parsed.strategy, parsed.seed
+
+
+def split_lines(route, *args) -> list[tuple[int, str]]:
+    """The (number, line) of every line that `formats._simplices` splits
+    into names while `route(*args)` runs."""
+    split, inner = [], formats._simplices
+
+    def spy(lines, known=None):
+        if not known:
+            split.extend(lines)
+        return inner(lines, known)
+
+    with mock.patch.object(formats, "_simplices", spy):
+        route(*args)
+    return split
+
+
+def benchmark_module(name: str):
+    """A module of the benchmark (`perfbench/`), imported to read its
+    workloads; nothing there is changed."""
+    path = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if path not in sys.path:
+        sys.path.insert(0, path)
+    return importlib.import_module(name)
+
+
+class TestDecReaders:
+    """The CLI reads a `.dec` by the walk `parse_decomposition` makes, given
+    X's line map: a piece line the complex file holds as written is its id,
+    never split, and every other line is read as the public parser reads it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(corpus_complexes())), st.randoms(use_true_random=False),
+           st.sampled_from([None, None, "repeat", "unknown", "fields", "empty", "outside"]))
+    def test_both_readers_agree(self, name, rng, fault):
+        """On random covers of corpus complexes, with lines copied from the
+        complex file or rewritten (re-spaced, reordered, tab-separated, a
+        trailing comment), sections in any order, and one injected fault or
+        none, the CLI's route and the public parser with `_piece` read the
+        same piece masks, fields, strategy and seed, or raise the same
+        exception with the same text and line number."""
+        x = corpus_complexes()[name]
+
+        def written(vertices) -> str:  # a line naming these vertices
+            vs = rng.sample(vertices, len(vertices))
+            return (rng.choice(["", " ", "\t"]) + rng.choice([" ", "  ", "\t", " \t"]).join(vs)
+                    + rng.choice(["", " ", "  # a comment", "\t#"]))
+
+        cx = {s.vertices: written(s.vertices) for s in x.maximal_simplices}
+        cx_lines = list(cx.values())
+        rng.shuffle(cx_lines)
+        a, b = random_cover(x, rng)
+
+        def piece_lines(piece: SimplicialComplex) -> list[str]:
+            return [cx[s.vertices] if rng.random() < 0.7 else written(s.vertices)
+                    for s in piece.maximal_simplices]
+
+        sections = [["[A]", *piece_lines(a)], ["[B]", *piece_lines(b)]]
+        if len(sections[0]) > 2 and rng.random() < 0.3:  # A over two sections
+            cut = rng.randrange(2, len(sections[0]))
+            sections.append(["[A]", *sections[0][cut:]])
+            del sections[0][cut:]
+        rng.shuffle(sections)
+        top = rng.choice(list(x.maximal_simplices)).vertices
+        fields = rng.choice([[], ["auto lexicographic"], [f"auto random {rng.randrange(9)}"],
+                             [f"A: {top[0]} -> {' '.join(top)}", f"I: {top[-1]} -> {top[-1]}"]])
+        pieces = list(sections)  # the [A] and [B] sections, before any other is added
+        if fault in ("repeat", "fields"):
+            section = rng.choice(pieces)
+            section.insert(rng.randrange(1, len(section) + 1), " ".join([*top, top[0]]))
+        if fault == "fields":  # before or after the bad piece line, by section order
+            fields.insert(rng.randrange(len(fields) + 1), f"A: {top[0]}")
+        if fault == "unknown":
+            sections.insert(rng.randrange(len(sections) + 1), ["[C]", written(top)])
+        if fault == "empty":
+            head = rng.choice(["[A]", "[B]"])
+            for section in sections:
+                if section[0] == head:
+                    del section[1:]
+        if fault == "outside":
+            section = rng.choice(pieces)
+            section.insert(rng.randrange(1, len(section) + 1), f"{top[0]} w")
+        if fields:
+            sections.insert(rng.randrange(len(sections) + 1), ["[fields]", *fields])
+        cx_text = "\n".join(cx_lines) + "\n"
+        dec_text = "\n".join(line for section in sections for line in section) + "\n"
+        assert outcome(cli_route, cx_text, dec_text) == outcome(public_route, cx_text, dec_text)
+
+    @pytest.mark.parametrize("workload", ["torus", "cube", "path", "random"])
+    def test_copied_lines_are_never_split(self, tmp_path, workload):
+        """On each benchmark workload at benchmark size, whose `.dec` copies
+        every [A]/[B] line from the complex file, the CLI's route splits no
+        piece line; with each line's vertices reversed, so that the complex
+        file holds none of them, it splits every piece line once, in file
+        order.  The public parser splits every line either way."""
+        run = benchmark_module("run")
+        family = run.WORKLOADS[workload].make(1)
+        rewritten = dataclasses.replace(family, a=[s[::-1] for s in family.a],
+                                        b=[s[::-1] for s in family.b])
+        numbers = [*range(2, len(family.a) + 2),
+                   *range(len(family.a) + 3, len(family.a) + len(family.b) + 3)]
+        for label, written, split in (("copied", family, []), ("reversed", rewritten, numbers)):
+            cx, dec = run.families.write(written, tmp_path / label)
+            cx_text, dec_text = cx.read_text(encoding="utf-8"), dec.read_text(encoding="utf-8")
+            x = parse_complex(cx_text)
+            assert [n for n, _ in split_lines(cli_route, cx_text, dec_text, x)] == split
+            assert [n for n, _ in split_lines(parse_decomposition, dec_text)] == numbers
 
 
 def reference_chain_columns(generators) -> list[list[dict[int, int]]]:
