@@ -28,7 +28,10 @@ The closure is one pass from the top dimension down, which sorts each
 level and drops each vertex of it once; the same drop lists give the
 facet ids.  The table lists each member's facets as ids in vertex-drop
 order, so facet k of a positive tau has <tau, facet k> = (-1)^k, and
-each member's cofacets as ascending ids.
+each member's cofacets as ascending ids.  It keeps one int object per
+id, and every list of ids (its index, facets and cofacets, the views,
+the fields of `morse` and their clocks) holds those objects, so an id
+costs one int however many lists name it.
 That table is the single source of facet order and boundary sign; the
 public accessors `facets` and `cofacets` read it, and the field and
 trajectory code in `morse` and `mv` walks its ids directly.
@@ -44,6 +47,7 @@ one copy to another.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import operator
 from typing import Iterable, Iterator, Sequence
@@ -259,21 +263,29 @@ class _Table:
     call and caches none.  `verify` lays out the table of its glued complex
     by its own rule (`verify._PrismTable`): grouped by dimension, with
     `start`, but not sorted.  A table read from the lines of a complex file
-    keeps each generator's line, and `line_ids` maps a line to its id."""
+    keeps each generator's line, and `line_ids` maps a line to its id.
 
-    __slots__ = ("names", "rank", "verts", "index", "start", "facets", "_cofacets", "_by_line")
+    `ids` is `list(range(n))`, the one int object of each id, and every
+    other id is drawn from it: the values of `index`, so the facet tuples
+    and the line map, the ids of every view (`SimplicialComplex._setup`),
+    the cofacet lists and `morse.greedy_gvf`'s heap, arrays and clock;
+    `verify._PrismTable` keeps its own list, from which X~'s ids are
+    drawn."""
+
+    __slots__ = ("names", "rank", "verts", "ids", "index", "start", "facets", "_cofacets",
+                 "_by_line")
 
     def __init__(self, generators: Iterable[tuple[int, ...]], names: list[str]):
-        levels: dict[int, set[tuple[int, ...]]] = {}
+        levels: dict[int, set[tuple[int, ...]]] = collections.defaultdict(set)
         for vs in generators:
-            levels.setdefault(len(vs), set()).add(vs)
+            levels[len(vs)].add(vs)
         top = max(levels)
         ordered: list[list[tuple[int, ...]]] = [[]] * (top + 1)
         dropped: list[list[list[tuple[int, ...]]]] = [[]] * (top + 1)
         for n in range(top, 0, -1):
             level = ordered[n] = sorted(levels.pop(n))
             if n > 1:
-                lower = levels.setdefault(n - 1, set())
+                lower = levels[n - 1]
                 dropped[n] = [list(map(drop, level)) for drop in _dropping(n)]
                 for faces in dropped[n]:
                     lower.update(faces)
@@ -284,7 +296,8 @@ class _Table:
         for level in ordered[1:]:
             self.verts += level
             self.start.append(len(self.verts))
-        self.index = dict(zip(self.verts, range(len(self.verts))))
+        self.ids = list(range(len(self.verts)))
+        self.index = dict(zip(self.verts, self.ids))
         get = self.index.__getitem__
         self.facets: list[tuple[int, ...]] = [()] * self.start[1]
         for n in range(2, top + 1):
@@ -335,8 +348,9 @@ class _Table:
     def cofacets(self) -> list[list[int]]:
         if self._cofacets is None:
             cof: list[list[int]] = [[] for _ in self.facets]
-            for t in range(self.start[1], len(self.facets)):
-                for f in self.facets[t]:
+            lo = self.start[1]
+            for t, fs in zip(self.ids[lo:], self.facets[lo:]):
+                for f in fs:
                     cof[f].append(t)
             self._cofacets = cof
         return self._cofacets
@@ -393,9 +407,10 @@ class SimplicialComplex:
         if mask is None:
             mask = bytearray(b"\x01") * len(table)
         self._table, self._mask, self._tag = table, mask, tag
-        bounds = table.start
+        # each id is the table's own int object: a view holds no int of its own
+        bounds, every = table.start, table.ids
         ids = [
-            list(itertools.compress(range(lo, hi), mask[lo:hi]))
+            list(itertools.compress(every[lo:hi], mask[lo:hi]))
             for lo, hi in zip(bounds, bounds[1:])
         ]
         while ids and not ids[-1]:

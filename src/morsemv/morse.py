@@ -51,9 +51,10 @@ each once on its three copies glued into one, each copy's arcs listed by
 `_arcs` in glued ids, with the sign of each MV case.
 
 A greedy field is certified by the clock of its coreduction (Mrozek and
-Batko, DCG 2009), the step at which each cell was removed: it strictly
-decreases along every arc, which one pass checks and which rules out a
-closed trajectory (Forman, Adv. Math. 1998).  That is the only clock.
+Batko, DCG 2009), which gives each cell the number of cells removed
+before the step that removed it: it strictly decreases along every arc,
+which one pass checks and which rules out a closed trajectory (Forman,
+Adv. Math. 1998).  That is the only clock.
 Every other field (pinned fields, `GradientField.certify`'s, the fields V
 and W of `verify`) is certified by one linear topological pass over the
 same arcs (`_ordered`, Kahn's algorithm).  Only a field that the pass
@@ -65,7 +66,9 @@ The field code runs on the integer ids of the complex's table (see
 `complexes`): a certified field holds `up`/`down` id arrays and the sign
 of each pair, coreduction and the topological pass keep their state in
 int lists and byte masks, and simplices are named only in what is
-returned (`pairs`, `critical`, trajectories, witnesses).
+returned (`pairs`, `critical`, trajectories, witnesses).  Every id they
+hold, the clock included, is one of the table's own int objects
+(`complexes._Table.ids`), never a fresh one.
 """
 from __future__ import annotations
 
@@ -556,11 +559,15 @@ def greedy_gvf(
     simplex critical.  "Smallest" orders by dimension first, then by the
     canonical vertex order ("lexicographic") or a seeded shuffle ("random").
 
-    The field is certified by its clock, the step that removed each cell
-    (one per pair): the other facets of tau, and the cells paired above
-    them, went earlier, so the clock descends along every arc.  The
-    coreduction runs on x's ids: the heap holds positions in `order`, the
-    ids by dimension, then rank; the live set is a byte mask.
+    The field is certified by its clock, which gives each cell the number
+    of cells removed before the step that removed it (one step per pair or
+    critical cell), read from the table's id list: the other facets of
+    tau, and the cells paired above them, went earlier, so the clock
+    descends along every arc.  The coreduction runs on x's ids, which
+    ascend by dimension, then vertex tuple: for the lexicographic strategy
+    the heap holds the ids themselves, and for the random one their
+    positions in `order`, the ids by dimension, then shuffled rank.  The
+    live set is a byte mask.
 
     >>> f = greedy_gvf(SimplicialComplex(["v0 v1"]))
     >>> f.pairs
@@ -568,30 +575,34 @@ def greedy_gvf(
     >>> f.critical()
     (Simplex('v0'),)
     """
-    order = list(itertools.chain.from_iterable(x._ids))
     table = x._table
-    verts, facets, cofacets = table.verts, table.facets, table.cofacets
+    ids, verts, facets, cofacets = table.ids, table.verts, table.facets, table.cofacets
+    order = list(itertools.chain.from_iterable(x._ids))
+    n, size = len(table), len(order)
+    position = None  # the heap holds ids, ascending as `order` is
     if strategy == "random":
         random.Random(DEFAULT_SEED if seed is None else seed).shuffle(order)
         order.sort(key=lambda i: len(verts[i]))  # stable: shuffled within a dimension
+        position = [0] * n  # the heap holds positions in `order`
+        for i, p in zip(order, ids):
+            position[i] = p
     elif strategy not in ("lex", "lexicographic"):
         raise FieldError(f"unknown strategy {strategy!r}")
-    n = len(table)
-    position, live = [0] * n, list(map(len, facets))
-    for p, i in enumerate(order):
-        position[i] = p
-    alive = bytearray(x._mask)
+    bounds, alive = table.start, bytearray(x._mask)
+    live = [0] * bounds[1]  # the live facets of each cell: at first all, k of k vertices
+    for k in range(2, len(bounds)):
+        live += [k] * (bounds[k] - bounds[k - 1])
     candidates: list[int] = []
     up, down, lift, clock = [-1] * n, [-1] * n, [1] * n, [0] * n
     push, pop = heapq.heappush, heapq.heappop
 
-    remaining, next_critical = len(order), 0
-    while remaining:
+    removed, next_critical = 0, 0
+    while removed < size:
         # pair the first candidate still with one live facet, sigma, and
         # kill both; or else kill the first live cell as critical.  Then
         # walk the cofacets of what was killed.
         while candidates:
-            tau = order[pop(candidates)]
+            tau = pop(candidates) if position is None else order[pop(candidates)]
             if alive[tau] and live[tau] == 1:
                 fs, k = facets[tau], 0
                 while not alive[fs[k]]:
@@ -600,24 +611,25 @@ def greedy_gvf(
                 up[sigma], down[tau] = tau, sigma
                 lift[sigma] = 1 if k & 1 else -1  # -<tau, sigma>
                 alive[sigma] = alive[tau] = 0
-                clock[sigma] = clock[tau] = -remaining  # the clock rises step by step
-                remaining -= 2
-                walk = cofacets[sigma] + cofacets[tau]
+                clock[sigma] = clock[tau] = ids[removed]  # the cells removed before
+                removed += 2
+                walks = cofacets[sigma], cofacets[tau]
                 break
         else:
             while not alive[order[next_critical]]:
                 next_critical += 1
             s = order[next_critical]
-            alive[s], clock[s] = 0, -remaining
-            remaining -= 1
-            walk = cofacets[s]
-        for t in walk:
-            if alive[t]:
-                c = live[t] - 1
-                live[t] = c
-                if c == 1:
-                    push(candidates, position[t])
+            alive[s], clock[s] = 0, ids[removed]
+            removed += 1
+            walks = (cofacets[s],)
+        for walk in walks:
+            for t in walk:
+                if alive[t]:
+                    c = live[t] - 1
+                    live[t] = c
+                    if c == 1:
+                        push(candidates, t if position is None else position[t])
 
-    if any(alive):
+    if 1 in alive:
         raise InternalConsistencyError("greedy matching lost track of simplices")
     return GradientField._certified(x, up, down, lift, clock=clock)

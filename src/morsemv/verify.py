@@ -15,7 +15,8 @@ vertices are the copies' own vertices, so the gluing is by vertex.  These
 are the prism operator's simplices (Hatcher, "Algebraic Topology", section
 2.1), and their facets are again block cells, over alpha or over a facet
 of alpha, so `build_xtilde` lays X~ out from X's id table by arithmetic,
-without writing a vertex tuple or closing anything: dimension by
+without writing a vertex tuple or closing anything, every X~ id it writes
+drawn from the one list of X~'s ids, as a table's are: dimension by
 dimension, the A-copy cells, the B-copy cells and the interior cells, each
 block's in a row, and each cell's facets in vertex-drop order from the
 facets of its ground in X.  As it lays them out it records, on X~'s ids,
@@ -199,23 +200,24 @@ class _Cells:
 
 
 class _PrismTable(_Table):
-    """X~'s id table as `build_xtilde` lays it out: names, dimension starts
-    and facets as in `_Table`, with `verts` a `_Cells` and `index` listed on
-    first use, since only naming a cell or finding one by its names reads
-    them.  Ids are grouped by dimension but are not canonical."""
+    """X~'s id table as `build_xtilde` lays it out: names, dimension starts,
+    facets and `ids`, the one int object of each id, as in `_Table`, with
+    `verts` a `_Cells` and `index` listed on first use, since only naming
+    a cell or finding one by its names reads them.  Ids are grouped by
+    dimension but are not canonical."""
 
     __slots__ = ("_index",)
 
     def __init__(self, names: list[str], start: list[int], facets: list[tuple[int, ...]],
-                 verts: _Cells):
+                 verts: _Cells, ids: list[int]):
         self.names, self.rank = names, dict(zip(names, range(len(names))))
-        self.start, self.facets, self.verts = start, facets, verts
+        self.start, self.facets, self.verts, self.ids = start, facets, verts, ids
         self._cofacets, self._index, self._by_line = None, None, None
 
     @property
     def index(self) -> dict[tuple[int, ...], int]:
         if self._index is None:
-            self._index = {self.verts[i]: i for i in range(len(self))}
+            self._index = dict(zip(map(self.verts.__getitem__, self.ids), self.ids))
         return self._index
 
 
@@ -261,6 +263,10 @@ def build_xtilde(d: Decomposition) -> XTilde:
     flat = itertools.chain.from_iterable
     pieces = (d.a._ids, d.b._ids)
     i_ids = d.iab._ids if d.iab is not None else ()
+    # X~'s ids, one int object each, from which every X~ id below is drawn:
+    # the copies, and 2q + 1 interior cells over each q-cell of the intersection
+    tilde = list(range(len(d.a) + len(d.b) + sum(
+        (2 * q + 1) * len(alphas) for q, alphas in enumerate(i_ids))))
     copies = ([-1] * n, [-1] * n)
     # for an intersection id alpha, a_of[alpha] is a_member(alpha, 0) and
     # b_of[alpha] lists b_member(alpha, r), r = 0..q+1, the copies at its ends
@@ -276,8 +282,8 @@ def build_xtilde(d: Decomposition) -> XTilde:
     for p in range(max(len(pieces[_A]), len(pieces[_B]), len(i_ids) + 1)):
         for k, ids in enumerate(pieces):
             cells = ids[p] if p < len(ids) else []
-            own = copies[k]
-            for j, i in enumerate(cells, len(ground)):
+            own, first = copies[k], len(ground)
+            for i, j in zip(cells, tilde[first : first + len(cells)]):
                 own[i] = j
             faces = map(own.__getitem__, flat(map(xf.__getitem__, cells)))
             facets += _chunks(faces, p + 1) if p else [()] * len(cells)
@@ -285,7 +291,7 @@ def build_xtilde(d: Decomposition) -> XTilde:
             piece += bytes([k]) * len(cells)
         if 0 < p <= len(i_ids):
             alphas, j = i_ids[p - 1], len(ground)
-            span = range(j, j + p * len(alphas))
+            span = tilde[j : j + p * len(alphas)]
             a_of.update(zip(alphas, span[::p]))
             members.update(zip(alphas, zip(_chunks(span, p), map(b_of.__getitem__, alphas))))
             if p == 1:  # over a vertex, [a_0 b_0] has the facets [b_0] and [a_0]
@@ -295,7 +301,7 @@ def build_xtilde(d: Decomposition) -> XTilde:
                 below = _chunks(map(a_of.__getitem__, flat(map(xf.__getitem__, alphas))), p)
                 sources = map(tuple.__add__, below, map(b_of.__getitem__, alphas))
                 faces = map(operator.add, flat(map(take, sources)), itertools.cycle(shift))
-                facets += _chunks(faces, p + 1)
+                facets += _chunks(map(tilde.__getitem__, faces), p + 1)
             ground += flat(zip(*[alphas] * p))
         if p < len(i_ids):
             alphas, j = i_ids[p], len(ground)
@@ -304,14 +310,14 @@ def build_xtilde(d: Decomposition) -> XTilde:
                 faces = flat(map(_b_member_facets(p), _chunks(below, (p + 1) ** 2)))
                 facets += _chunks(faces, p + 1)
                 ground += flat(zip(*[alphas] * p))
-            inner = iter(range(j, len(ground)))
+            inner = iter(tilde[j : len(ground)])
             ends = map(copies[_B].__getitem__, alphas), map(copies[_A].__getitem__, alphas)
             b_of.update(zip(alphas, zip(ends[0], *[inner] * p, ends[1])))
         piece += bytes([_INTERIOR]) * (len(ground) - len(piece))
         start.append(len(ground))
     names = [d.a_bar.tag + v for v in x_table.names] + [d.b_bar.tag + v for v in x_table.names]
     verts = _Cells(x_table.verts, len(x_table.names), piece, ground, members)
-    glued = SimplicialComplex._of(_PrismTable(names, start, facets, verts))
+    glued = SimplicialComplex._of(_PrismTable(names, start, facets, verts, tilde))
     return XTilde(d, glued, *shared, piece, ground, copies, members)
 
 

@@ -134,11 +134,14 @@ def reference_arrays(
 
 def reference_greedy(
     x: SimplicialComplex, strategy: str = "lexicographic", seed: int | None = None
-) -> tuple[tuple[tuple[Simplex, Simplex], ...], tuple[Simplex, ...]]:
+) -> tuple[tuple[tuple[Simplex, Simplex], ...], tuple[Simplex, ...], dict[Simplex, int]]:
     """(pairs ordered by tau, critical simplices by dimension then canonical
-    order) of the greedy coreduction field, with the tie-breaks of
-    `greedy_gvf`: smallest (dimension, rank) first, rank the canonical
-    position ("lexicographic") or a seeded shuffle of it ("random")."""
+    order, the step that removed each simplex) of the greedy coreduction
+    field, with the tie-breaks of `greedy_gvf`: smallest (dimension, rank)
+    first, rank the canonical position ("lexicographic") or a seeded
+    shuffle of it ("random").  Steps count from 0, one per pair (both of
+    its simplices) or critical simplex, in the order the coreduction takes
+    them."""
     ordered = list(x.simplices())
     if strategy == "random":
         random.Random(DEFAULT_SEED if seed is None else seed).shuffle(ordered)
@@ -160,6 +163,7 @@ def reference_greedy(
 
     pairs: list[tuple[Simplex, Simplex]] = []
     critical: list[Simplex] = []
+    steps: dict[Simplex, int] = {}
     while alive:
         tau = None
         while candidates:
@@ -171,6 +175,7 @@ def reference_greedy(
         if tau is not None:
             (sigma,) = (f for f in x.facets(tau) if f in alive)
             pairs.append((sigma, tau))
+            steps[sigma] = steps[tau] = len(pairs) + len(critical) - 1
             kill(sigma)
             kill(tau)
         else:
@@ -178,11 +183,13 @@ def reference_greedy(
                 s = heapq.heappop(criticals_heap)[2]
                 if s in alive:
                     critical.append(s)
+                    steps[s] = len(pairs) + len(critical) - 1
                     kill(s)
                     break
     return (
         tuple(sorted(pairs, key=lambda p: p[1].key)),
         tuple(sorted(critical, key=lambda s: s.key)),
+        steps,
     )
 
 

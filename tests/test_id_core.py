@@ -7,6 +7,7 @@ import argparse
 import collections
 import dataclasses
 import importlib
+import itertools
 import json
 import random
 import sys
@@ -51,8 +52,10 @@ from conftest import (
     decomposition_text,
     expected_homology,
     poor_field,
+    product,
     random_cover,
     random_generators,
+    seven_vertex_torus,
 )
 from slow_reference import (
     ReferencePrism,
@@ -736,11 +739,31 @@ def uncertified(x: SimplicialComplex, field: VectorField) -> GradientField:
 
 def check_greedy(x: SimplicialComplex, strategy: str, seed: int | None) -> None:
     gvf, clock = greedy_and_clock(x, strategy, seed)
-    pairs, critical = reference_greedy(x, strategy, seed)
+    pairs, critical, steps = reference_greedy(x, strategy, seed)
     assert gvf.pairs == pairs
     assert gvf.critical() == critical
     assert morse._descends(gvf, clock)
+    # the certifying clock orders x's cells exactly as the reference
+    # removes them: one clock value per step, rising step by step
+    ids = dict(zip(x.simplices(), itertools.chain.from_iterable(x._ids)))
+    assert len(steps) == len(ids)
+    ticks = sorted({(step, clock[ids[s]]) for s, step in steps.items()})
+    assert all(s < t and c < d for (s, c), (t, d) in zip(ticks, ticks[1:]))
     assert reference_closed_trajectory(gvf.field, x) is None
+
+
+def torus_times_circle() -> SimplicialComplex:
+    """The staircase triangulation of T^2 x S^1, a table of 546 ids, so
+    that most of its ids are above 256, past CPython's cached small ints."""
+    return product(seven_vertex_torus(), corpus_complexes()["circle"])
+
+
+def small_b(x: SimplicialComplex) -> tuple[SimplicialComplex, SimplicialComplex]:
+    """A cover of x whose B is every 40th maximal simplex and A the rest,
+    so that A n B is a small view scattered over x's table."""
+    maximal = x.maximal_simplices
+    return (x.subcomplex(s for k, s in enumerate(maximal) if k % 40),
+            x.subcomplex(maximal[::40]))
 
 
 class TestGreedyAgainstReference:
@@ -763,6 +786,16 @@ class TestGreedyAgainstReference:
         check_greedy(SimplicialComplex(random_generators(rng)), *strategy_seed)
 
     @pytest.mark.parametrize("strategy,seed", STRATEGIES)
+    def test_a_small_i_copy_of_a_large_table(self, strategy, seed):
+        """The heap of ids (lexicographic) and the heap of positions
+        (random) on a copy whose ids are few and far apart, some above 256."""
+        x = torus_times_circle()
+        copy = build_decomposition(x, *small_b(x)).iab_bar.complex
+        ids = list(itertools.chain.from_iterable(copy._ids))
+        assert 10 * len(ids) < len(x._table) and ids[-1] > 256
+        check_greedy(copy, strategy, seed)
+
+    @pytest.mark.parametrize("strategy,seed", STRATEGIES)
     def test_a_reversed_clock_falls_back_to_the_pass(self, monkeypatch, strategy, seed):
         passes, searched = spied(monkeypatch, morse, "_ordered", "_closed_trajectory")
         continuing = 0
@@ -777,6 +810,57 @@ class TestGreedyAgainstReference:
             assert again._critical_ids == gvf._critical_ids
         assert len(passes) == continuing > 0
         assert not searched
+
+
+def shared(every: list[int], ids) -> bool:
+    """Whether each id is the very int object at its place in `every`, a
+    table's list of its ids, rather than an equal int made elsewhere."""
+    return all(i is every[i] for i in ids)
+
+
+def check_one_object_per_id(x: SimplicialComplex, a: SimplicialComplex,
+                            b: SimplicialComplex) -> None:
+    """Every id that x's table, its pieces, their copies and greedy fields,
+    and X~ hold is drawn from its table's list."""
+    flat, table = itertools.chain.from_iterable, x._table
+    every = table.ids
+    assert every == list(range(len(table)))
+    assert shared(every, table.index.values())
+    assert shared(every, flat(table.facets)) and shared(every, flat(table.cofacets))
+    d = build_decomposition(x, a, b)
+    copies = [c.complex for c in (d.a_bar, d.b_bar, d.iab_bar) if c is not None]
+    for view in [x, d.a, d.b, d.iab, *copies]:
+        if view is not None:
+            assert shared(every, flat(view._ids))
+    for copy in copies:
+        for strategy, seed in STRATEGIES[:2]:
+            gvf, clock = greedy_and_clock(copy, strategy, seed)
+            assert shared(every, [i for i in gvf._up + gvf._down if i >= 0])
+            assert shared(every, flat(gvf._critical_ids)) and shared(every, clock)
+    xt = build_xtilde(d)
+    glued = xt.complex._table
+    assert glued.ids == list(range(len(glued)))
+    assert shared(glued.ids, flat(xt.complex._ids)) and shared(glued.ids, flat(glued.facets))
+    assert shared(glued.ids, [j for own in xt._copies for j in own if j >= 0])
+    assert shared(glued.ids, flat(flat(xt._members.values())))
+    assert shared(every, xt._ground)
+
+
+class TestOneObjectPerId:
+    @pytest.mark.parametrize("name", [*sorted(corpus_complexes()), "torus x circle"])
+    def test_corpus_covers(self, name):
+        x = torus_times_circle() if name == "torus x circle" else corpus_complexes()[name]
+        rng = random.Random(len(name))
+        covers = [random_cover(x, rng) for _ in range(3)]
+        for a, b in covers + [small_b(x)] if len(x) > 256 else covers:
+            check_one_object_per_id(x, a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_hypothesis_complexes(self, rng):
+        x = SimplicialComplex(random_generators(rng))
+        if len(x.maximal_simplices) > 1:
+            check_one_object_per_id(x, *random_cover(x, rng))
 
 
 def check_clocks(x: SimplicialComplex, rng: random.Random, tally: collections.Counter) -> None:
