@@ -22,8 +22,9 @@ through `_json_text`, ``--output text`` renders it line by line through
 the command's renderer in `_TEXT`, which reads nothing but the report, so
 the text shows nothing the JSON lacks.  Given an indent, `json.dumps`
 encodes every leaf in Python; `_json_text` lays out only the containers
-and leaves each string to json's C encoder, so ``json`` itself is never
-imported for a report.
+and leaves each string to json's C encoder, a list of strings (such as a
+trajectory step's vertices) in one join over it, so ``json`` itself is
+never imported for a report.
 
 `main` pauses the cyclic garbage collector for the whole command and, in a
 ``finally``, gives the caller back the state it had.  A command's tables
@@ -127,7 +128,11 @@ def _json_text(value, indent: str) -> str:
     """The text of `json.dumps(value, indent=2)` for a report, with
     `indent` the line break and indent before its first item: every key (a
     string, as in every report) and string encoded by json's C encoder,
-    every int by `int.__repr__`, as `json.dumps` encodes them."""
+    every int by `int.__repr__`, as `json.dumps` encodes them.  A list or
+    tuple of strings is laid out in one join over the encoder, whose
+    TypeError on any other item sends the list item by item; there, an
+    item that is itself a list of strings is joined inline, not by a call
+    of its own."""
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -138,7 +143,22 @@ def _json_text(value, indent: str) -> str:
         if not value:
             return "[]"
         inner = indent + "  "
-        items = [_encode(v) if type(v) is str else _json_text(v, inner) for v in value]
+        try:  # a list of strings, in one join; any other item raises TypeError
+            return f"[{inner}{(',' + inner).join(map(_encode, value))}{indent}]"
+        except TypeError:
+            pass
+        deeper, items = inner + "  ", []
+        for v in value:
+            if type(v) is str:
+                items.append(_encode(v))
+                continue
+            if v and type(v) in (list, tuple):  # a list of strings, inline
+                try:
+                    items.append(f"[{deeper}{(',' + deeper).join(map(_encode, v))}{inner}]")
+                    continue
+                except TypeError:
+                    pass
+            items.append(_json_text(v, inner))
         return f"[{inner}{(',' + inner).join(items)}{indent}]"
     if isinstance(value, str):
         return _encode(value)
@@ -317,7 +337,7 @@ def _cmd_trajectories(args) -> tuple[int, dict]:
         "weight_sum": sum(t.weight for t in found),
         "trajectories": [
             {"case": t.case, "p": t.p, "l": t.l, "weight": t.weight,
-             "steps": [list(s.vertices) for s in t.steps]}
+             "steps": [s.vertices for s in t.steps]}
             for t in found
         ],
     }

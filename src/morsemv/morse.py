@@ -58,7 +58,7 @@ Adv. Math. 1998).  That is the only clock.
 Every other field (pinned fields, `GradientField.certify`'s, the fields V
 and W of `verify`) is certified by one linear topological pass over the
 same arcs (`_ordered`, Kahn's algorithm).  Only a field that the pass
-rejects is valued by the flow itself, whose depth-first stack holds the
+rejects is valued by the flow itself, whose depth-first path holds the
 cycle it runs into: that cycle names the closed trajectory of the
 witness, so the flow and the walk are the only searches of the arcs.
 
@@ -471,43 +471,30 @@ def _flow(arcs: Callable, roots: Iterable[int], split: bool = False) -> dict[int
     the weights.  An entry that sums to zero stays.
 
     Returns the memo, a plain dict from each id valued to its value, which
-    callers read by indexing.  One explicit stack, the roots at its bottom,
-    values the ids in post-order, so a path may be arbitrarily long.  An id
-    on top reads its arcs once, into its base and its heads (c, nu), and is
-    marked None in the memo; it waits for its first head not yet valued,
-    then adds its heads' values into its base, in the order of its arcs.  A
-    head marked None is a cycle, reported instead of followed: the error's
-    `cycle` lists the ids of the path from that head up, in path order."""
+    callers read by indexing.  The roots are valued one after another, in
+    post-order, along one explicit path, so a path may be arbitrarily
+    long; the path holds only the ids being valued.  An id reads its arcs
+    once, into its base and its heads (c, nu); with no heads it is valued
+    there, else it is marked None in the memo and enters the path as the
+    frame (tau, base, heads, next), which waits at its first head not yet
+    valued and resumes at the next one, so each head is looked at once.
+    When none is left, it adds its heads' values into its base, in the
+    order of its arcs.  The roots are the heads of the frame at the
+    bottom of the path.  A head marked None is a cycle, reported instead
+    of followed: the error's `cycle` lists the ids of the path from that
+    head up, in path order."""
     memo: dict[int, dict] = {}
     get = memo.get
-    stack = [(root, None, None) for root in roots]
-    stack.reverse()  # the first root on top
-    while stack:
-        tau, base, heads = stack[-1]
-        if heads is None:
-            if get(tau) is not None:  # a root already valued
-                stack.pop()
-                continue
-            base, heads = {}, []
-            for c, sigma, nu in arcs(tau):
-                if nu >= 0:
-                    heads.append((c, nu))
-                else:
-                    base[sigma] = (1, c) if split else c
-            memo[tau] = None
-            stack[-1] = (tau, base, heads)
-        for _, nu in heads:
+    path = []  # the frames below tau's
+    tau = base = heads = None
+    nxt = enumerate(roots)  # the roots, as heads (k, root) of no id
+    while True:
+        for _, nu in nxt:
             if get(nu) is None:
-                if nu in memo:
-                    k = len(stack) - 1
-                    while stack[k][0] != nu:  # a root still pending lies below the path
-                        k -= 1
-                    raise InternalConsistencyError(f"the flow runs in a cycle through id {nu}",
-                                                   [entry[0] for entry in stack[k:]])
-                stack.append((nu, None, None))
                 break
-        else:
-            stack.pop()
+        else:  # every head valued
+            if not path:
+                return memo
             if split:
                 for c, nu in heads:
                     for r, (n, w) in memo[nu].items():
@@ -518,7 +505,25 @@ def _flow(arcs: Callable, roots: Iterable[int], split: bool = False) -> dict[int
                     for r, v in memo[nu].items():
                         base[r] = base.get(r, 0) + c * v
             memo[tau] = base
-    return memo
+            tau, base, heads, nxt = path.pop()
+            continue
+        if nu in memo:
+            ids = [frame[0] for frame in path[1:]] + [tau]
+            raise InternalConsistencyError(f"the flow runs in a cycle through id {nu}",
+                                           ids[ids.index(nu):])
+        path.append((tau, base, heads, nxt))
+        tau, base, heads = nu, {}, []
+        for c, sigma, nu in arcs(tau):
+            if nu >= 0:
+                heads.append((c, nu))
+            else:
+                base[sigma] = (1, c) if split else c
+        if heads:
+            memo[tau] = None
+            nxt = iter(heads)
+        else:  # valued as read
+            memo[tau] = base
+            tau, base, heads, nxt = path.pop()
 
 
 def _boundary_columns(rows: Sequence, cols: Sequence, values: Mapping) -> list[Column]:
@@ -567,7 +572,11 @@ def greedy_gvf(
     ascend by dimension, then vertex tuple: for the lexicographic strategy
     the heap holds the ids themselves, and for the random one their
     positions in `order`, the ids by dimension, then shuffled rank.  The
-    live set is a byte mask.
+    live set is a byte mask.  A step pays for what it kills: sigma is the
+    live facet found by iterating tau's facets, its sign flipping along
+    them, and `lift` is written only where it is -1; the next critical
+    cell comes from one iterator over `order`; and the cofacets of the
+    cells killed are walked inline.
 
     >>> f = greedy_gvf(SimplicialComplex(["v0 v1"]))
     >>> f.pairs
@@ -596,39 +605,44 @@ def greedy_gvf(
     up, down, lift, clock = [-1] * n, [-1] * n, [1] * n, [0] * n
     push, pop = heapq.heappush, heapq.heappop
 
-    removed, next_critical = 0, 0
+    removed, criticals = 0, iter(order)
     while removed < size:
-        # pair the first candidate still with one live facet, sigma, and
-        # kill both; or else kill the first live cell as critical.  Then
-        # walk the cofacets of what was killed.
+        # pair the first candidate still with one live facet, sigma, kill
+        # both and walk sigma's cofacets, then tau's as s; or else kill the
+        # first live cell s as critical.  Then walk the cofacets of s.
         while candidates:
-            tau = pop(candidates) if position is None else order[pop(candidates)]
-            if alive[tau] and live[tau] == 1:
-                fs, k = facets[tau], 0
-                while not alive[fs[k]]:
-                    k += 1
-                sigma = fs[k]
-                up[sigma], down[tau] = tau, sigma
-                lift[sigma] = 1 if k & 1 else -1  # -<tau, sigma>
-                alive[sigma] = alive[tau] = 0
-                clock[sigma] = clock[tau] = ids[removed]  # the cells removed before
+            s = pop(candidates) if position is None else order[pop(candidates)]
+            if alive[s] and live[s] == 1:
+                sign = -1  # -<tau, sigma>, alternating along the facets
+                for sigma in facets[s]:
+                    if alive[sigma]:
+                        break
+                    sign = -sign
+                up[sigma], down[s] = s, sigma
+                if sign < 0:  # lift is 1 where not written
+                    lift[sigma] = sign
+                alive[sigma] = alive[s] = 0
+                clock[sigma] = clock[s] = ids[removed]  # the cells removed before
                 removed += 2
-                walks = cofacets[sigma], cofacets[tau]
+                for t in cofacets[sigma]:
+                    if alive[t]:
+                        c = live[t] - 1
+                        live[t] = c
+                        if c == 1:
+                            push(candidates, t if position is None else position[t])
                 break
         else:
-            while not alive[order[next_critical]]:
-                next_critical += 1
-            s = order[next_critical]
+            for s in criticals:
+                if alive[s]:
+                    break
             alive[s], clock[s] = 0, ids[removed]
             removed += 1
-            walks = (cofacets[s],)
-        for walk in walks:
-            for t in walk:
-                if alive[t]:
-                    c = live[t] - 1
-                    live[t] = c
-                    if c == 1:
-                        push(candidates, t if position is None else position[t])
+        for t in cofacets[s]:
+            if alive[t]:
+                c = live[t] - 1
+                live[t] = c
+                if c == 1:
+                    push(candidates, t if position is None else position[t])
 
     if 1 in alive:
         raise InternalConsistencyError("greedy matching lost track of simplices")

@@ -28,6 +28,16 @@ X~ is X~ as `morsemv.verify.build_xtilde` built it before it laid X~ out by
 the prism formula: every block's cells written as int vertex tuples,
 closed with both copies through `_Table`, and looked up again by tuple.
 
+The loop reference is `morse.greedy_gvf`'s coreduction loop as it ran
+before it walked the cofacets of the cells it killed inline, returning
+its arrays (up, down, lift, clock) uncertified, so a test can require the
+same arrays, entry for entry, of the loop that replaced it.
+
+The flow reference is `morse._flow` as it ran before its frames resumed
+at their next head: one stack with the pending roots below the path,
+each id on top rescanning its heads.  Tests require the same memo, in
+the same key orders, and the same cycle.
+
 The clock reference is the check that a certifying clock descends, as
 `morsemv.morse` ran it before it read `up`, `down` and the facet table
 directly: over the signed arcs of `_arcs`, one list per cell.
@@ -62,7 +72,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from morsemv import (
     FieldError,
@@ -232,6 +242,74 @@ def reference_descends(gvf: GradientField, clock: list[int]) -> bool:
     )
 
 
+def reference_greedy_loop(
+    x: SimplicialComplex, strategy: str = "lexicographic", seed: int | None = None
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The arrays (up, down, lift, clock) of `morse.greedy_gvf`'s
+    coreduction as its loop ran before it walked the cofacets inline:
+    the cofacet lists of what a step killed gathered in a tuple, sigma
+    found by indexing tau's facets, the next critical cell by an index
+    into `order`, and lift written at every pair."""
+    table = x._table
+    ids, verts, facets, cofacets = table.ids, table.verts, table.facets, table.cofacets
+    order = list(itertools.chain.from_iterable(x._ids))
+    n, size = len(table), len(order)
+    position = None  # the heap holds ids, ascending as `order` is
+    if strategy == "random":
+        random.Random(DEFAULT_SEED if seed is None else seed).shuffle(order)
+        order.sort(key=lambda i: len(verts[i]))  # stable: shuffled within a dimension
+        position = [0] * n  # the heap holds positions in `order`
+        for i, p in zip(order, ids):
+            position[i] = p
+    elif strategy not in ("lex", "lexicographic"):
+        raise FieldError(f"unknown strategy {strategy!r}")
+    bounds, alive = table.start, bytearray(x._mask)
+    live = [0] * bounds[1]  # the live facets of each cell: at first all, k of k vertices
+    for k in range(2, len(bounds)):
+        live += [k] * (bounds[k] - bounds[k - 1])
+    candidates: list[int] = []
+    up, down, lift, clock = [-1] * n, [-1] * n, [1] * n, [0] * n
+    push, pop = heapq.heappush, heapq.heappop
+
+    removed, next_critical = 0, 0
+    while removed < size:
+        # pair the first candidate still with one live facet, sigma, and
+        # kill both; or else kill the first live cell as critical.  Then
+        # walk the cofacets of what was killed.
+        while candidates:
+            tau = pop(candidates) if position is None else order[pop(candidates)]
+            if alive[tau] and live[tau] == 1:
+                fs, k = facets[tau], 0
+                while not alive[fs[k]]:
+                    k += 1
+                sigma = fs[k]
+                up[sigma], down[tau] = tau, sigma
+                lift[sigma] = 1 if k & 1 else -1  # -<tau, sigma>
+                alive[sigma] = alive[tau] = 0
+                clock[sigma] = clock[tau] = ids[removed]  # the cells removed before
+                removed += 2
+                walks = cofacets[sigma], cofacets[tau]
+                break
+        else:
+            while not alive[order[next_critical]]:
+                next_critical += 1
+            s = order[next_critical]
+            alive[s], clock[s] = 0, ids[removed]
+            removed += 1
+            walks = (cofacets[s],)
+        for walk in walks:
+            for t in walk:
+                if alive[t]:
+                    c = live[t] - 1
+                    live[t] = c
+                    if c == 1:
+                        push(candidates, t if position is None else position[t])
+
+    if 1 in alive:
+        raise InternalConsistencyError("greedy matching lost track of simplices")
+    return up, down, lift, clock
+
+
 def _block(
     a: tuple[int, ...], b: tuple[int, ...]
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -345,6 +423,55 @@ def reference_closed_trajectory(
                     if via:
                         via.pop()
     return None
+
+
+def reference_flow(arcs: Callable, roots: Iterable[int], split: bool = False) -> dict[int, dict]:
+    """`morse._flow` as it ran before its frames resumed at their next
+    head: one stack holding the pending roots below the path, each id on
+    top rescanning its heads from the first until one is not yet valued.
+    The same memo, key for key and in the same orders, and the same
+    cycle error."""
+    memo: dict[int, dict] = {}
+    get = memo.get
+    stack = [(root, None, None) for root in roots]
+    stack.reverse()  # the first root on top
+    while stack:
+        tau, base, heads = stack[-1]
+        if heads is None:
+            if get(tau) is not None:  # a root already valued
+                stack.pop()
+                continue
+            base, heads = {}, []
+            for c, sigma, nu in arcs(tau):
+                if nu >= 0:
+                    heads.append((c, nu))
+                else:
+                    base[sigma] = (1, c) if split else c
+            memo[tau] = None
+            stack[-1] = (tau, base, heads)
+        for _, nu in heads:
+            if get(nu) is None:
+                if nu in memo:
+                    k = len(stack) - 1
+                    while stack[k][0] != nu:  # a root still pending lies below the path
+                        k -= 1
+                    raise InternalConsistencyError(f"the flow runs in a cycle through id {nu}",
+                                                   [entry[0] for entry in stack[k:]])
+                stack.append((nu, None, None))
+                break
+        else:
+            stack.pop()
+            if split:
+                for c, nu in heads:
+                    for r, (n, w) in memo[nu].items():
+                        old = base.get(r)
+                        base[r] = (n, c * w) if old is None else (old[0] + n, old[1] + c * w)
+            else:
+                for c, nu in heads:
+                    for r, v in memo[nu].items():
+                        base[r] = base.get(r, 0) + c * v
+            memo[tau] = base
+    return memo
 
 
 def trajectory_weight(steps: Sequence[Simplex]) -> int:

@@ -443,6 +443,23 @@ JSON_VALUES = st.recursive(
     max_leaves=30,
 )
 
+# Lists laid out in one join and the fallbacks from it: lists and tuples of
+# strings, lists of those, empty lists, and string lists with one item of
+# another kind at any place.
+STRING_LISTS = st.lists(JSON_STRINGS, max_size=4) | st.lists(JSON_STRINGS, max_size=4).map(tuple)
+MIXED_LISTS = st.tuples(
+    st.lists(JSON_STRINGS, max_size=3),
+    st.integers() | st.none() | st.floats() | st.booleans()
+    | st.dictionaries(JSON_STRINGS, JSON_STRINGS, max_size=2) | STRING_LISTS,
+    st.lists(JSON_STRINGS, max_size=3),
+).map(lambda parts: [*parts[0], parts[1], *parts[2]])
+LIST_VALUES = st.recursive(
+    STRING_LISTS | MIXED_LISTS | st.just([]),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(JSON_STRINGS, inner, max_size=3),
+    max_leaves=12,
+)
+
 
 class TestJsonText:
     """`--output json` writes what `json.dumps(report, indent=2)` writes,
@@ -451,6 +468,11 @@ class TestJsonText:
     @settings(max_examples=300, deadline=None)
     @given(JSON_VALUES)
     def test_same_text_as_json_dumps(self, value):
+        assert cli_module._json_text(value, "\n") == json.dumps(value, indent=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(LIST_VALUES)
+    def test_string_lists_and_their_fallbacks(self, value):
         assert cli_module._json_text(value, "\n") == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize("path", sorted((Path(__file__).parent / "golden").glob("*.json")),
@@ -462,6 +484,9 @@ class TestJsonText:
     def test_unencodable_leaf_raises_as_json_dumps_does(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
             cli_module._json_text({"a": [object()]}, "\n")
+        for value in ({"a": ["b", object()]}, [["b", "c"], ["d", object()]], ("b", [object()])):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                cli_module._json_text(value, "\n")
 
     def test_json_output_loads_no_json_module(self, files):
         """Writing a report needs json's C string encoder only, so a fresh

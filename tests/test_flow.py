@@ -21,7 +21,11 @@ could.  The split MV flow, from which `verify` reads its target, counts
 and sums, is checked against the signed flow and the enumeration it
 replaces.  And the kernel itself, plain and split, is checked root by root
 against the per-end sums of the enumerated trajectories, zero sums
-included, on the glued MV digraph and on each copy's own field.
+included, on the glued MV digraph and on each copy's own field.  Its
+memos, key order included, and its cycle errors equal those of the flow
+it replaced (`slow_reference.reference_flow`), on hypothesis digraphs,
+cyclic ones too, and on every flow of the corpus covers and of the
+benchmark workloads.
 """
 from __future__ import annotations
 
@@ -76,6 +80,7 @@ from morsemv.mv import (
 from morsemv.verify import (
     _build_v_field,
     _build_w_field,
+    _critical_ids,
     _sums,
     _w_tallies,
 )
@@ -90,10 +95,11 @@ from slow_reference import (
     enumerated_mv_tallies,
     reference_closed_trajectory,
     reference_complex_columns,
+    reference_flow,
     reference_weight,
     retag,
 )
-from test_id_core import random_matching
+from test_id_core import benchmark_decomposition, random_matching
 from test_mv import COVERS, INTERLEAVED, cover_decompositions
 from test_verify import assert_counts_match_enumeration
 
@@ -560,3 +566,89 @@ def test_a_cycle_leaves_no_garbage():
     finally:
         gc.enable()
     assert gc.collect() == 0
+
+
+def assert_same_memo(arcs: Callable, roots: Iterable[int], split: bool = False) -> None:
+    """`morse._flow` returns what `slow_reference.reference_flow` returns:
+    the same ids in the same order, each value's keys in the same order
+    with equal values, or the same cycle error and the same `cycle`."""
+    roots = list(roots)
+    try:
+        want = reference_flow(arcs, roots, split)
+    except InternalConsistencyError as error:
+        with pytest.raises(InternalConsistencyError) as raised:
+            _flow(arcs, roots, split)
+        assert (str(raised.value), raised.value.cycle) == (str(error), error.cycle)
+        return
+    got = _flow(arcs, roots, split)
+    assert list(got) == list(want)
+    assert all(list(got[tau].items()) == list(value.items()) for tau, value in want.items())
+
+
+def assert_flows_match_reference(d) -> None:
+    """The MV flow, plain and split, V's flow and W's split flow of a
+    decomposition, with the roots `mv` and `verify` value them at."""
+    keys = _generator_keys(d)
+    assert_same_memo(_glued(d), itertools.chain(*keys[1:]))
+    assert_same_memo(_glued(d), itertools.chain(*keys[1:]), split=True)
+    xt = build_xtilde(d)
+    v, w = _build_v_field(xt), _build_w_field(xt)
+    assert_same_memo(_arcs(v), itertools.chain(*v._critical_ids[1:]))
+    assert_same_memo(_arcs(w), _critical_ids(w), split=True)
+
+
+@st.composite
+def digraphs(draw):
+    """A digraph in the shape of `_arcs` on ids 0..n-1, its arcs alone, and
+    roots, repeats allowed: each id has up to four arcs (c, sigma, nu),
+    going on to an id nu or ending (nu = -1) at a sigma, ends repeated
+    across ids and within one; cyclic or, with heads only above their
+    tail, acyclic."""
+    n = draw(st.integers(1, 12))
+    acyclic = draw(st.booleans())
+    table = []
+    for tau in range(n):
+        if not acyclic:
+            heads = st.integers(0, n - 1)
+        elif tau + 1 < n:
+            heads = st.integers(tau + 1, n - 1)
+        else:
+            heads = st.just(-1)  # the last id only ends
+        arc = st.tuples(st.sampled_from([1, -1, 2]), st.integers(100, 104),
+                        heads | st.just(-1))
+        table.append(draw(st.lists(arc, max_size=4)))
+    roots = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    return table.__getitem__, roots
+
+
+class TestFlowAgainstReference:
+    """The flow whose frames resume at their next head, with the roots
+    looped over, against the stack of pending roots that rescanned its
+    heads, which it replaced: the same memo in the same orders, split or
+    not, and the same cycle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs(), st.booleans())
+    def test_hypothesis_digraphs(self, graph, split):
+        assert_same_memo(*graph, split)
+
+    @pytest.mark.parametrize("succ,roots", [
+        ({s: (1, (s + 1) % 3) for s in range(3)}, [0]),
+        ({s: (2, s + 1) for s in range(5000)}, [0]),
+        ({0: (1, 1), 1: (1, 2), 2: (1, 3), 3: (1, 1)}, [0]),
+        ({0: (1, 1), 1: (1, 2), 2: (1, 3), 3: (1, 1)}, [4, 2]),
+        ({0: (1, 1), 1: (1, 2), 2: (1, 3), 3: (1, 1)}, [4]),
+        ({0: (-1, 0)}, [1, 0]),
+    ])
+    def test_hand_made_digraphs(self, succ, roots):
+        for split in (False, True):
+            assert_same_memo(digraph(succ), roots, split)
+
+    @pytest.mark.parametrize("name,strategy", COVERS + INTERLEAVED)
+    def test_corpus_covers(self, name, strategy):
+        for d in cover_decompositions(name, strategy):
+            assert_flows_match_reference(d)
+
+    @pytest.mark.parametrize("workload", ["torus", "cube", "path", "random"])
+    def test_benchmark_workloads(self, tmp_path, workload):
+        assert_flows_match_reference(benchmark_decomposition(workload, tmp_path))

@@ -63,6 +63,7 @@ from slow_reference import (
     reference_closed_trajectory,
     reference_descends,
     reference_greedy,
+    reference_greedy_loop,
     reference_table,
     reference_xtilde_maps,
     retag,
@@ -477,6 +478,15 @@ def benchmark_module(name: str):
     return importlib.import_module(name)
 
 
+def benchmark_decomposition(workload: str, directory: Path):
+    """The decomposition the CLI loads for a benchmark workload at
+    benchmark size, seed 1."""
+    run = benchmark_module("run")
+    cx, dec = run.families.write(run.WORKLOADS[workload].make(1), directory)
+    return _load_decomposition(argparse.Namespace(
+        complex=str(cx), decomposition=str(dec), strategy=None, seed=None))[1]
+
+
 class TestDecReaders:
     """The CLI reads a `.dec` by the walk `parse_decomposition` makes, given
     X's line map: a piece line the complex file holds as written is its id,
@@ -739,6 +749,8 @@ def uncertified(x: SimplicialComplex, field: VectorField) -> GradientField:
 
 def check_greedy(x: SimplicialComplex, strategy: str, seed: int | None) -> None:
     gvf, clock = greedy_and_clock(x, strategy, seed)
+    # the same arrays as the loop that walked its cofacets through a tuple
+    assert (gvf._up, gvf._down, gvf._lift, clock) == reference_greedy_loop(x, strategy, seed)
     pairs, critical, steps = reference_greedy(x, strategy, seed)
     assert gvf.pairs == pairs
     assert gvf.critical() == critical
@@ -794,6 +806,16 @@ class TestGreedyAgainstReference:
         ids = list(itertools.chain.from_iterable(copy._ids))
         assert 10 * len(ids) < len(x._table) and ids[-1] > 256
         check_greedy(copy, strategy, seed)
+
+    @pytest.mark.parametrize("strategy,seed",
+                             [("lexicographic", None), ("random", 0), ("random", 1), ("random", 2)])
+    @pytest.mark.parametrize("workload", ["torus", "cube", "path", "random"])
+    def test_benchmark_copies(self, tmp_path, workload, strategy, seed):
+        """The A-, B- and I-copies of each benchmark workload at benchmark
+        size, whose tables are X's."""
+        d = benchmark_decomposition(workload, tmp_path)
+        for copy in (d.a_bar, d.b_bar, d.iab_bar):
+            check_greedy(copy.complex, strategy, seed)
 
     @pytest.mark.parametrize("strategy,seed", STRATEGIES)
     def test_a_reversed_clock_falls_back_to_the_pass(self, monkeypatch, strategy, seed):
