@@ -17,16 +17,18 @@ satisfies boundary-of-boundary = 0 (see Hatcher, "Algebraic Topology", ch. 2).
 
 A `SimplicialComplex` closes a finite generating family downward into an
 id table, the one place members are stored.  Its vertices are ranked names
-(a rank is the position among the sorted names) and its members int tuples
-of ranks, so ids follow (dimension, vertex tuple) order, the canonical order
-of every report.  Names reach ids by one rule: a generator, or a member
+(a rank is the position among the sorted names) and each member one int,
+its key: its ranks packed behind a leading bit, so that ascending keys,
+and so ids, follow (dimension, vertex tuple) order, the canonical order of
+every report.  Names reach ids by one rule: a generator, or a member
 looked up (`SimplicialComplex._ids_of`, for a batch such as a piece's
 lines or a field's pair ends; `_id` is its one-member case), may name its
 vertices in any order; they are ranked, then the ranks sorted, never
-sorted as strings.
-The closure is one pass from the top dimension down, which sorts each
-level and drops each vertex of it once; the same drop lists give the
-facet ids.  The table lists each member's facets as ids in vertex-drop
+sorted as strings, and packed into a key.
+The closure is one pass from the top dimension down, on keys: it sorts
+each level and drops each vertex of it once, by shifts and masks; the
+same drop lists give the facet ids.  A member's vertex tuple is decoded
+from its key only to name it.  The table lists each member's facets as ids in vertex-drop
 order, so facet k of a positive tau has <tau, facet k> = (-1)^k, and
 each member's cofacets as ascending ids.  It keeps one int object per
 id, and every list of ids (its index, facets and cofacets, the views,
@@ -47,9 +49,8 @@ one copy to another.
 """
 from __future__ import annotations
 
-import collections
+import bisect
 import itertools
-import operator
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ComplexError
@@ -247,23 +248,37 @@ def incidence(tau: Simplex, sigma: Simplex) -> int:
 
 
 class _Table:
-    """The id table of a closed complex: every member once, as its tuple of
-    int vertices, with ids ascending by (dimension, vertex tuple).
+    """The id table of a closed complex: every member once, as one int, its
+    key, with ids ascending by key, which is ascending by (dimension,
+    vertex tuple).
 
     Vertex v is named `names[v]`, and `rank` maps a name back; ranks keep
-    the order of names.  `start[q]` is the first id of dimension q
-    (`start[-1]` the member count), `facets[i]` the facet ids of member i in
-    vertex-drop order, and `cofacets[i]`, listed on first use, the ids
-    having i as a facet, ascending.  The closure runs once, top down: each
-    level's drop lists (one per dropped position, aligned with the sorted
-    level) fill the level below and, once every member has an id, become
-    the level's facets.  `simplices` is the one place members become
-    `Simplex`es, a batch in one pass, with every vertex named tag + its
-    name (`simplex` is its one-member case); it builds fresh ones on every
-    call and caches none.  `verify` lays out the table of its glued complex
-    by its own rule (`verify._PrismTable`): grouped by dimension, with
-    `start`, but not sorted.  A table read from the lines of a complex file
-    keeps each generator's line, and `line_ids` maps a line to its id.
+    the order of names.  A rank takes `width` bits,
+    s = max(1, (|V| - 1).bit_length()), and the member on ranks
+    v_0 < ... < v_k has the key 1 << s(k+1) | v_0 << sk | ... | v_k
+    (`_key`).  The leading bit puts dimension first, so ascending keys are
+    ascending (dimension, vertex tuple), and keeps edge (0, 1) apart from
+    vertex 1.  `keys[i]` is the key of member i and `index` maps a key back
+    to its id; a key has no fixed size, so the rule holds at any width and
+    dimension.  `start[q]` is the first id of dimension q (`start[-1]` the
+    member count), `facets[i]` the facet ids of member i in vertex-drop
+    order, and `cofacets[i]`, listed on first use, the ids having i as a
+    facet, ascending.
+
+    The closure runs once, top down, on keys: each level is sorted, its drop
+    lists (one per dropped position, aligned with the sorted level, each
+    key's by shifts and masks, `_drops`) fill the level below as a set of
+    keys, and, once every member has an id, become the level's facets.
+    Vertex tuples are decoded from the keys (`_ranks`) only to name a
+    member: `simplices` is the one place members become `Simplex`es, a batch
+    in one pass, with every vertex named tag + its name (`simplex` is its
+    one-member case); it builds fresh ones on every call and caches none.
+    `verts`, every member's tuple, is decoded afresh on each read, and no
+    command reads it.  `verify` lays out the table of its glued complex by
+    its own rule (`verify._PrismTable`): grouped by dimension, with `start`,
+    but not sorted, its tuples read from its cells and its `index` keyed by
+    the same rule.  A table read from the lines of a complex file keeps
+    each generator's line and key, and `line_ids` maps a line to its id.
 
     `ids` is `list(range(n))`, the one int object of each id, and every
     other id is drawn from it: the values of `index`, so the facet tuples
@@ -272,77 +287,77 @@ class _Table:
     `verify._PrismTable` keeps its own list, from which X~'s ids are
     drawn."""
 
-    __slots__ = ("names", "rank", "verts", "ids", "index", "start", "facets", "_cofacets",
-                 "_by_line")
+    __slots__ = ("names", "rank", "width", "keys", "ids", "index", "start", "facets",
+                 "_cofacets", "_by_line")
 
-    def __init__(self, generators: Iterable[tuple[int, ...]], names: list[str]):
-        levels: dict[int, set[tuple[int, ...]]] = collections.defaultdict(set)
-        for vs in generators:
-            levels[len(vs)].add(vs)
-        top = max(levels)
-        ordered: list[list[tuple[int, ...]]] = [[]] * (top + 1)
-        dropped: list[list[list[tuple[int, ...]]]] = [[]] * (top + 1)
+    def __init__(self, keys: Iterable[int], names: list[str]):
+        self.names, self.rank = names, dict(zip(names, range(len(names))))
+        self.width = s = _width(len(names))
+        gens = sorted(set(keys))
+        top = (gens[-1].bit_length() - 1) // s
+        ordered: list[list[int]] = [[]] * (top + 1)
+        dropped: list[list[list[int]]] = [[]] * (top + 1)
+        lower, hi = set(), len(gens)
         for n in range(top, 0, -1):
-            level = ordered[n] = sorted(levels.pop(n))
+            lo = bisect.bisect_left(gens, 1 << s * n, 0, hi)
+            level = ordered[n] = sorted(lower.union(gens[lo:hi])) if lower else gens[lo:hi]
+            hi = lo
             if n > 1:
-                lower = levels[n - 1]
-                dropped[n] = [list(map(drop, level)) for drop in _dropping(n)]
-                for faces in dropped[n]:
-                    lower.update(faces)
-        self.names = names
-        self.rank = dict(zip(names, range(len(names))))
-        self.verts: list[tuple[int, ...]] = []
-        self.start = [0]
-        for level in ordered[1:]:
-            self.verts += level
-            self.start.append(len(self.verts))
-        self.ids = list(range(len(self.verts)))
-        self.index = dict(zip(self.verts, self.ids))
+                dropped[n] = _drops(level, n, s)
+                lower = set().union(*dropped[n])
+        self.keys = list(itertools.chain.from_iterable(ordered))
+        self.start = list(itertools.accumulate(map(len, ordered)))
+        self.ids = list(range(len(self.keys)))
+        self.index = dict(zip(self.keys, self.ids))
         get = self.index.__getitem__
         self.facets: list[tuple[int, ...]] = [()] * self.start[1]
         for n in range(2, top + 1):
             self.facets += zip(*(map(get, faces) for faces in dropped[n]))
             dropped[n] = []  # free the level's drop lists once they are facets
         self._cofacets: list[list[int]] | None = None
-        self._by_line: dict[str, int] | tuple[list[str], list[tuple[int, ...]]] | None = None
+        self._by_line: dict[str, int] | tuple[list[str], list[int]] | None = None
 
     @classmethod
     def of_names(cls, generators: list[Sequence[str]], lines: list[str] | None = None) -> "_Table":
         """The table closed from sequences of vertex names, each in any
         order: a generator is ranked, then its ranks sorted, which gives the
-        ranks of its sorted names, as ranks keep the order of names.
-        `lines`, when given, are the strings the generators were read from,
-        one each; the table keeps them with the ranked generators."""
+        ranks of its sorted names, as ranks keep the order of names, and
+        those are packed into its key (`_key`).  `lines`, when given, are
+        the strings the generators were read from, one each; the table
+        keeps them with the generators' keys."""
         names = sorted(set(itertools.chain.from_iterable(generators)))
         rank = dict(zip(names, range(len(names)))).__getitem__
-        ranked = [tuple(sorted(map(rank, vs))) for vs in generators]
-        table = cls(ranked, names)
+        s = _width(len(names))
+        keys = [_key(sorted(map(rank, vs)), s) for vs in generators]
+        table = cls(keys, names)
         if lines is not None:
-            table._by_line = lines, ranked
+            table._by_line = lines, keys
         return table
 
     def line_ids(self, first: str) -> dict[str, int] | None:
         """The id of each generator by the line it was read from (see
         `of_names`), or None for a table read from no lines.  The first call
-        decides: it builds the map if its `first` line is one of them, and
-        else drops the lines, so that a decomposition file whose lines are
-        not copies of the complex file's pays one scan of them, not the map.
-        A `.dec` piece line that the map holds as written is one probe of
-        it and is never split (`formats._read_decomposition`); any other is
-        split, checked for a repeated name and ranked
-        (`SimplicialComplex._ids_of`), with the same errors."""
+        decides: it builds the map, through each generator's key, if its
+        `first` line is one of them, and else drops the lines, so that a
+        decomposition file whose lines are not copies of the complex file's
+        pays one scan of them, not the map.  A `.dec` piece line that the
+        map holds as written is one probe of it and is never split
+        (`formats._read_decomposition`); any other is split, checked for a
+        repeated name and ranked (`SimplicialComplex._ids_of`), with the
+        same errors."""
         if type(self._by_line) is tuple:
-            lines, ranked = self._by_line
-            self._by_line = (dict(zip(lines, map(self.index.__getitem__, ranked)))
+            lines, keys = self._by_line
+            self._by_line = (dict(zip(lines, map(self.index.__getitem__, keys)))
                              if first in lines else None)
         return self._by_line
 
     def __len__(self) -> int:
         return len(self.facets)
 
-    def vertex_names(self, i: int, tag: str) -> tuple[str, ...]:
-        names = self.names
-        return tuple([tag + names[v] for v in self.verts[i]])
+    @property
+    def verts(self) -> list[tuple[int, ...]]:
+        """The rank tuple of every member, by id, decoded afresh from its key."""
+        return list(map(_ranks, self.keys, itertools.repeat(self.width)))
 
     @property
     def cofacets(self) -> list[list[int]]:
@@ -357,21 +372,53 @@ class _Table:
 
     def simplices(self, ids: Iterable[int], tag: str) -> tuple[Simplex, ...]:
         """The members with these ids, each a fresh `Simplex` with every
-        vertex named tag + its name."""
-        names, verts = self.names, self.verts
-        return tuple([_canonical(tuple([tag + names[v] for v in verts[i]])) for i in ids])
+        vertex named tag + its name, read off its key: a vertex's and an
+        edge's, the cells a trajectory steps through, without a loop."""
+        names, keys, s = self.names, self.keys, self.width
+        mask, edge, triangle = (1 << s) - 1, 1 << 2 * s, 1 << 3 * s
+        return tuple([_canonical(
+            (tag + names[k & mask],) if k < edge
+            else (tag + names[k >> s & mask], tag + names[k & mask]) if k < triangle
+            else tuple([tag + names[v] for v in _ranks(k, s)])
+        ) for k in map(keys.__getitem__, ids)])
 
     def simplex(self, i: int, tag: str) -> Simplex:
         return self.simplices((i,), tag)[0]
 
 
-def _dropping(n: int) -> list:
-    """For k = 0..n-1, the function taking an n-tuple to the (n-1)-tuple
-    without its k-th entry, each an `operator.itemgetter`: of the other
-    entries, or for an edge of a one-entry slice, which keeps it a tuple."""
-    if n == 2:
-        return [operator.itemgetter(slice(1, 2)), operator.itemgetter(slice(0, 1))]
-    return [operator.itemgetter(*(j for j in range(n) if j != k)) for k in range(n)]
+def _width(count: int) -> int:
+    """The bits of a rank among `count` names."""
+    return max(1, (count - 1).bit_length())
+
+
+def _key(ranks: Iterable[int], width: int) -> int:
+    """The key of the member on these ranks, ascending, `width` bits each
+    (see `_Table`); a rank of -1, which no vertex has, gives a negative
+    key, which no member has."""
+    key = 1
+    for v in ranks:
+        key = key << width | v
+    return key
+
+
+def _ranks(key: int, width: int) -> tuple[int, ...]:
+    """The ranks, ascending, that `key` packs `width` bits each (`_key`)."""
+    mask, low = (1 << width) - 1, (key.bit_length() - 1) // width * width
+    return tuple([key >> sh & mask for sh in range(low - width, -1, -width)])
+
+
+def _drops(level: list[int], n: int, s: int) -> list[list[int]]:
+    """For k = 0..n-1, the keys of `level`, each of n vertices of s bits,
+    without their k-th vertex: the bits above it shifted down onto the
+    bits below it, or for the first, the leading bit set just above them."""
+    low = s * (n - 1)  # the bits of the ranks after the one dropped
+    below, lead = (1 << low) - 1, 1 << low
+    drops = [[key & below | lead for key in level]]
+    for low in range(low - s, 0, -s):
+        high, below = low + s, (1 << low) - 1
+        drops.append([key >> high << low | key & below for key in level])
+    drops.append([key >> s for key in level])
+    return drops
 
 
 class SimplicialComplex:
@@ -439,19 +486,19 @@ class SimplicialComplex:
 
     def _ids_of(self, named: Iterable[Iterable[str]]) -> list[int | None]:
         """The id of the member with each list of vertex names, in any
-        order, or None: ranked, then the ranks sorted, as in
-        `_Table.of_names`.  A name that is not a vertex never matches, nor
-        does a repeated one.  A `.dec` piece line that the complex file
-        holds as written never comes here: it is one probe of
+        order, or None: ranked, then the ranks sorted and packed into a key,
+        as in `_Table.of_names`.  A name that is not a vertex never
+        matches, nor does a repeated one.  A `.dec` piece line that the
+        complex file holds as written never comes here: it is one probe of
         `_Table.line_ids`, never split; any other line comes as the names
         it was split into, already checked, and is ranked here."""
         tag, table = self._tag, self._table
         if tag:  # a name without the tag becomes None, which is no vertex
             n = len(tag)
             named = [[v[n:] if v.startswith(tag) else None for v in vs] for vs in named]
-        # a name that is no vertex ranks -1, which no member holds
-        rank, index, unknown = table.rank.get, table.index.get, itertools.repeat(-1)
-        ids = [index(tuple(sorted(map(rank, vs, unknown)))) for vs in named]
+        # a name that is no vertex ranks -1, whose key no member has
+        rank, index, unknown, s = table.rank.get, table.index.get, itertools.repeat(-1), table.width
+        ids = [index(_key(sorted(map(rank, vs, unknown)), s)) for vs in named]
         mask = self._mask
         return [i if i is not None and mask[i] else None for i in ids]
 
@@ -472,10 +519,9 @@ class SimplicialComplex:
         if other._table is self._table and other._tag == self._tag:
             both = int.from_bytes(self._mask, "little") & int.from_bytes(other._mask, "little")
             return bytearray(both.to_bytes(len(self._table), "little"))
-        table = self._table
         ids = list(itertools.chain.from_iterable(self._ids))
-        found = other._ids_of(map(table.vertex_names, ids, itertools.repeat(self._tag)))
-        mask = bytearray(len(table))
+        found = other._ids_of(s.vertices for s in self._simplices_of(ids))
+        mask = bytearray(len(self._table))
         for i, j in zip(ids, found):
             if j is not None:
                 mask[i] = 1
@@ -489,8 +535,7 @@ class SimplicialComplex:
 
     @property
     def vertices(self) -> tuple[str, ...]:
-        tag, names, verts = self._tag, self._table.names, self._table.verts
-        return tuple(tag + names[verts[i][0]] for i in self._ids[0])
+        return tuple([s.vertices[0] for s in self._simplices_of(self._ids[0])])
 
     def _maximal_ids(self) -> list[int]:
         """The ids of the members that are facets of no member, ascending."""

@@ -30,8 +30,10 @@ pair's end (whose order is the orientation an error shows) and a complex
 line alike.  A file is read in one pass: its content lines are listed at
 once, and each section's lines become vertex tuples in one comprehension,
 which checks for a repeated name inline.  X's id table reads each by its
-one rule, ranking the names and sorting the ranks, so no line's names are
-sorted as strings; a `Simplex` is built only to word an error.
+one rule, ranking the names, sorting the ranks and packing them into the
+line's key (`complexes._key`), so no line's names are sorted as strings
+and X is closed on one int per simplex; a `Simplex` is built only to
+word an error.
 
 X's table also keeps each content line of the complex file, the text
 left once the comment and surrounding whitespace are cut
@@ -39,8 +41,8 @@ left once the comment and surrounding whitespace are cut
 same walk over its sections as `parse_decomposition`
 (`_read_decomposition`), given that map: an [A]/[B] line that the complex
 file holds as written is one probe, its id, and is never split; any other
-line is split, checked and ranked, with the same errors in the same
-order.  The first [A] line decides for X: the map is built if the
+line is split, checked, ranked and keyed, with the same errors in the
+same order.  The first [A] line decides for X: the map is built if the
 complex file holds that line, and else X drops its lines and every line
 is split.
 

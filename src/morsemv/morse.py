@@ -72,6 +72,8 @@ hold, the clock included, is one of the table's own int objects
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import heapq
 import itertools
 import random
@@ -585,19 +587,20 @@ def greedy_gvf(
     (Simplex('v0'),)
     """
     table = x._table
-    ids, verts, facets, cofacets = table.ids, table.verts, table.facets, table.cofacets
+    ids, facets, cofacets, bounds = table.ids, table.facets, table.cofacets, table.start
     order = list(itertools.chain.from_iterable(x._ids))
     n, size = len(table), len(order)
     position = None  # the heap holds ids, ascending as `order` is
     if strategy == "random":
         random.Random(DEFAULT_SEED if seed is None else seed).shuffle(order)
-        order.sort(key=lambda i: len(verts[i]))  # stable: shuffled within a dimension
+        # stable: shuffled within a dimension, read off the table's starts
+        order.sort(key=functools.partial(bisect.bisect, bounds))
         position = [0] * n  # the heap holds positions in `order`
         for i, p in zip(order, ids):
             position[i] = p
     elif strategy not in ("lex", "lexicographic"):
         raise FieldError(f"unknown strategy {strategy!r}")
-    bounds, alive = table.start, bytearray(x._mask)
+    alive = bytearray(x._mask)
     live = [0] * bounds[1]  # the live facets of each cell: at first all, k of k vertices
     for k in range(2, len(bounds)):
         live += [k] * (bounds[k] - bounds[k - 1])

@@ -109,7 +109,8 @@ import itertools
 import operator
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .complexes import SimplicialComplex, _FrozenRecord, _Table
+from .complexes import (Simplex, SimplicialComplex, _canonical, _FrozenRecord, _key, _ranks,
+                        _Table, _width)
 from .errors import InternalConsistencyError, MorsemvError
 from .homology import Column, HomologyResult, IntegerChainComplex, _simplicial_chains, homology
 from .morse import (
@@ -168,24 +169,22 @@ class XTilde(_FrozenRecord):
 
 
 class _Cells:
-    """The vertex tuples of X~'s cells, `_Table.verts` for `_PrismTable`:
-    each is built when it is read, from the cell's piece, its ground and,
-    for an interior cell, its place in its block.  With n the vertex count
-    of X, the A-copy of vertex v is v and its B-copy n + v."""
+    """The vertex tuples of X~'s cells, `_PrismTable.verts`: each is built
+    when it is read, from the cell's piece, its ground, whose tuple is
+    decoded from its key in X, and, for an interior cell, its place in its
+    block.  With n the vertex count of X, the A-copy of vertex v is v and
+    its B-copy n + v."""
 
-    __slots__ = ("x_verts", "n", "piece", "ground", "members")
+    __slots__ = ("x_table", "n", "piece", "ground", "members")
 
-    def __init__(self, x_verts, n, piece, ground, members):
-        self.x_verts, self.n, self.piece, self.ground, self.members = (
-            x_verts, n, piece, ground, members
+    def __init__(self, x_table, n, piece, ground, members):
+        self.x_table, self.n, self.piece, self.ground, self.members = (
+            x_table, n, piece, ground, members
         )
-
-    def __len__(self) -> int:
-        return len(self.ground)
 
     def __getitem__(self, j: int) -> tuple[int, ...]:
         g, p = self.ground[j], self.piece[j]
-        bottom = self.x_verts[g]
+        bottom = _ranks(self.x_table.keys[g], self.x_table.width)
         if p == _A:
             return bottom
         top = tuple([v + self.n for v in bottom])
@@ -202,22 +201,29 @@ class _Cells:
 class _PrismTable(_Table):
     """X~'s id table as `build_xtilde` lays it out: names, dimension starts,
     facets and `ids`, the one int object of each id, as in `_Table`, with
-    `verts` a `_Cells` and `index` listed on first use, since only naming
-    a cell or finding one by its names reads them.  Ids are grouped by
+    no keys: `verts` is a `_Cells`, which `simplices` names, and `index`,
+    keyed by `_Table`'s rule, is listed on first use, since only naming a
+    cell or finding one by its names reads them.  Ids are grouped by
     dimension but are not canonical."""
 
-    __slots__ = ("_index",)
+    __slots__ = ("verts", "_index")
 
     def __init__(self, names: list[str], start: list[int], facets: list[tuple[int, ...]],
                  verts: _Cells, ids: list[int]):
         self.names, self.rank = names, dict(zip(names, range(len(names))))
+        self.width = _width(len(names))
         self.start, self.facets, self.verts, self.ids = start, facets, verts, ids
         self._cofacets, self._index, self._by_line = None, None, None
 
+    def simplices(self, ids: Iterable[int], tag: str) -> tuple[Simplex, ...]:
+        names, verts = self.names, self.verts
+        return tuple([_canonical(tuple([tag + names[v] for v in verts[i]])) for i in ids])
+
     @property
-    def index(self) -> dict[tuple[int, ...], int]:
+    def index(self) -> dict[int, int]:
         if self._index is None:
-            self._index = dict(zip(map(self.verts.__getitem__, self.ids), self.ids))
+            keys = map(_key, map(self.verts.__getitem__, self.ids), itertools.repeat(self.width))
+            self._index = dict(zip(keys, self.ids))
         return self._index
 
 
@@ -316,7 +322,7 @@ def build_xtilde(d: Decomposition) -> XTilde:
         piece += bytes([_INTERIOR]) * (len(ground) - len(piece))
         start.append(len(ground))
     names = [d.a_bar.tag + v for v in x_table.names] + [d.b_bar.tag + v for v in x_table.names]
-    verts = _Cells(x_table.verts, len(x_table.names), piece, ground, members)
+    verts = _Cells(x_table, len(x_table.names), piece, ground, members)
     glued = SimplicialComplex._of(_PrismTable(names, start, facets, verts, tilde))
     return XTilde(d, glued, *shared, piece, ground, copies, members)
 

@@ -22,11 +22,14 @@ pairs of V and W written cell by cell.
 
 The table references are the closure on tuples of vertex names that
 `morsemv.complexes` ran before it ranked the names and closed on int
-tuples, and the piece and ground maps of X~ read off its cells' names, as
-`morsemv.verify` derived them before X~ was closed on ints.  The closed
-X~ is X~ as `morsemv.verify.build_xtilde` built it before it laid X~ out by
-the prism formula: every block's cells written as int vertex tuples,
-closed with both copies through `_Table`, and looked up again by tuple.
+tuples (`reference_closure`); the closure on int tuples that it ran
+before it closed on one packed int key per simplex (`reference_table`,
+its lookup of names included); and the piece and ground maps of X~ read
+off its cells' names, as `morsemv.verify` derived them before X~ was
+closed on ints.  The closed X~ is X~ as `morsemv.verify.build_xtilde`
+built it before it laid X~ out by the prism formula: every block's cells
+written as int vertex tuples, closed with both copies through `_Table`
+(each cell by its key), and looked up again by its key.
 
 The loop reference is `morse.greedy_gvf`'s coreduction loop as it ran
 before it walked the cofacets of the cells it killed inline, returning
@@ -69,8 +72,11 @@ sparse elimination (`homology._eliminate`) took non-unit pivots too.
 """
 from __future__ import annotations
 
+import collections
+import functools
 import heapq
 import itertools
+import operator
 import random
 from typing import Callable, Iterable, Sequence
 
@@ -84,7 +90,7 @@ from morsemv import (
     VectorField,
     incidence,
 )
-from morsemv.complexes import _Table, union
+from morsemv.complexes import _key, _Table, _width, union
 from morsemv.homology import _simplicial_chains, homology
 from morsemv.morse import (
     DEFAULT_SEED,
@@ -203,7 +209,7 @@ def reference_greedy(
     )
 
 
-def reference_table(
+def reference_closure(
     generators,
 ) -> tuple[list[tuple[str, ...]], list[tuple[int, ...]], list[list[int]]]:
     """(verts, facets, cofacets) of the closure of `generators`, sorted
@@ -229,6 +235,77 @@ def reference_table(
         for f in fs:
             cofacets[f].append(t)
     return verts, facets, cofacets
+
+
+class reference_table:
+    """`complexes._Table` as it closed a complex before it packed each
+    member into one int key: every member once, as its tuple of int
+    vertices, with ids ascending by (dimension, vertex tuple), `index`
+    mapping a tuple to its id.  The closure, `of_names` and `cofacets` are
+    kept as they ran; `ids_of` is the lookup of `SimplicialComplex._ids_of`
+    on an untagged complex of every member, as it ran then."""
+
+    def __init__(self, generators: Iterable[tuple[int, ...]], names: list[str]):
+        levels: dict[int, set[tuple[int, ...]]] = collections.defaultdict(set)
+        for vs in generators:
+            levels[len(vs)].add(vs)
+        top = max(levels)
+        ordered: list[list[tuple[int, ...]]] = [[]] * (top + 1)
+        dropped: list[list[list[tuple[int, ...]]]] = [[]] * (top + 1)
+        for n in range(top, 0, -1):
+            level = ordered[n] = sorted(levels.pop(n))
+            if n > 1:
+                lower = levels[n - 1]
+                dropped[n] = [list(map(drop, level)) for drop in _dropping(n)]
+                for faces in dropped[n]:
+                    lower.update(faces)
+        self.names = names
+        self.rank = dict(zip(names, range(len(names))))
+        self.verts: list[tuple[int, ...]] = []
+        self.start = [0]
+        for level in ordered[1:]:
+            self.verts += level
+            self.start.append(len(self.verts))
+        self.ids = list(range(len(self.verts)))
+        self.index = dict(zip(self.verts, self.ids))
+        get = self.index.__getitem__
+        self.facets: list[tuple[int, ...]] = [()] * self.start[1]
+        for n in range(2, top + 1):
+            self.facets += zip(*(map(get, faces) for faces in dropped[n]))
+            dropped[n] = []  # free the level's drop lists once they are facets
+        self._cofacets: list[list[int]] | None = None
+
+    @classmethod
+    def of_names(cls, generators: list[Sequence[str]]) -> "reference_table":
+        names = sorted(set(itertools.chain.from_iterable(generators)))
+        rank = dict(zip(names, range(len(names)))).__getitem__
+        ranked = [tuple(sorted(map(rank, vs))) for vs in generators]
+        return cls(ranked, names)
+
+    @property
+    def cofacets(self) -> list[list[int]]:
+        if self._cofacets is None:
+            cof: list[list[int]] = [[] for _ in self.facets]
+            lo = self.start[1]
+            for t, fs in zip(self.ids[lo:], self.facets[lo:]):
+                for f in fs:
+                    cof[f].append(t)
+            self._cofacets = cof
+        return self._cofacets
+
+    def ids_of(self, named: Iterable[Iterable[str]]) -> list[int | None]:
+        # a name that is no vertex ranks -1, which no member holds
+        rank, index, unknown = self.rank.get, self.index.get, itertools.repeat(-1)
+        return [index(tuple(sorted(map(rank, vs, unknown)))) for vs in named]
+
+
+def _dropping(n: int) -> list:
+    """For k = 0..n-1, the function taking an n-tuple to the (n-1)-tuple
+    without its k-th entry, each an `operator.itemgetter`: of the other
+    entries, or for an edge of a one-entry slice, which keeps it a tuple."""
+    if n == 2:
+        return [operator.itemgetter(slice(1, 2)), operator.itemgetter(slice(0, 1))]
+    return [operator.itemgetter(*(j for j in range(n) if j != k)) for k in range(n)]
 
 
 def reference_descends(gvf: GradientField, clock: list[int]) -> bool:
@@ -326,7 +403,7 @@ def reference_closed_xtilde(d: Decomposition) -> XTilde:
     """X~ closed from vertex tuples, its ids canonical: the A-copy of vertex
     v is v and its B-copy n + v; the copies' cells and every block's
     a_member cells are closed through `_Table`, and each copy and block
-    cell is looked up again by its tuple to fill in the maps."""
+    cell is looked up again by its tuple's key to fill in the maps."""
     x_chains = _simplicial_chains(d.x, d.x._ids)
     x_table = d.x._table
     x_verts, n = x_table.verts, len(x_table.names)
@@ -336,19 +413,20 @@ def reference_closed_xtilde(d: Decomposition) -> XTilde:
     copies = [x_verts[i] for i in in_a] + list(map(top, in_b))
     in_iab = itertools.chain(*d.iab._ids) if d.iab is not None else ()
     blocks = {a: _block(x_verts[a], top(a)) for a in in_iab}
+    key = functools.partial(_key, width=_width(len(names)))
     glued = SimplicialComplex._of(
-        _Table(copies + [c for a_cells, _ in blocks.values() for c in a_cells], names)
+        _Table(map(key, copies + [c for a_cells, _ in blocks.values() for c in a_cells]), names)
     )
     index = glued._table.index
     piece, ground = bytearray(len(index)), [-1] * len(index)
     copy_ids = ([-1] * len(x_table), [-1] * len(x_table))
     for p, ids, cells in ((_A, in_a, copies), (_B, in_b, copies[len(in_a):])):
         for i, vs in zip(ids, cells):
-            j = index[vs]
+            j = index[key(vs)]
             piece[j], ground[j], copy_ids[p][i] = p, i, j
     members = {}
     for alpha, (a_cells, b_cells) in blocks.items():
-        a_ids, b_ids = [index[c] for c in a_cells], [index[c] for c in b_cells]
+        a_ids, b_ids = [index[key(c)] for c in a_cells], [index[key(c)] for c in b_cells]
         for j in itertools.chain(a_ids, b_ids[1:-1]):
             piece[j], ground[j] = _INTERIOR, alpha
         members[alpha] = (a_ids, b_ids)

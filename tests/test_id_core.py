@@ -61,6 +61,7 @@ from slow_reference import (
     ReferencePrism,
     reference_arrays,
     reference_closed_trajectory,
+    reference_closure,
     reference_descends,
     reference_greedy,
     reference_greedy_loop,
@@ -137,16 +138,18 @@ class TestIdTable:
         complexes += [SimplicialComplex(random_generators(rng)) for _ in range(40)]
         for x in complexes:
             table = x._table
+            verts = table.verts  # decoded from the keys, once
             assert table.names == sorted(table.names)
-            assert all(isinstance(v, int) for vs in table.verts for v in vs)
-            named = [tuple(table.names[v] for v in vs) for vs in table.verts]
+            assert all(isinstance(v, int) for vs in verts for v in vs)
+            assert table.keys == sorted(table.keys)
+            named = [tuple(table.names[v] for v in vs) for vs in verts]
             keys = [(len(vs), vs) for vs in named]
             assert keys == sorted(keys) and len(set(keys)) == len(keys)
             for q in range(x.dim + 1):
                 lo, hi = table.start[q], table.start[q + 1]
-                assert all(len(vs) == q + 1 for vs in table.verts[lo:hi])
-            for i, vs in enumerate(table.verts):
-                assert [table.verts[f] for f in table.facets[i]] == [
+                assert all(len(vs) == q + 1 for vs in verts[lo:hi])
+            for i, vs in enumerate(verts):
+                assert [verts[f] for f in table.facets[i]] == [
                     vs[:k] + vs[k + 1:] for k in range(len(vs)) if len(vs) > 1
                 ]
                 cof = table.cofacets[i]
@@ -159,6 +162,32 @@ class TestIdTable:
 # names, and names holding the copy tags' colon
 AWKWARD_NAMES = ["v9", "v10", "v2", "v1", "é", "Ωmega", "a:b", "A:v1", ":", "z:"]
 
+# vertex counts on both sides of each step in the bits of a rank: 1, 2, 3,
+# 8, 9 and 11 bits
+VERTEX_COUNTS = [1, 2, 3, 4, 5, 8, 9, 255, 256, 257, 1025]
+
+
+def check_against_tuple_closure(generators: list[list[str]], rng: random.Random) -> _Table:
+    """The table closed on keys against the closure on int tuples it
+    replaced (`reference_table`), from the same name lists: the same names,
+    starts, ids, facets and cofacets, keys ascending and decoding to the
+    reference's vertex tuples, and the same id, or None, for members named
+    in any order, other name lists, unknown names, repeated names and no
+    name."""
+    table, ref = _Table.of_names(generators), reference_table.of_names(generators)
+    assert table.names == ref.names and table.start == ref.start and table.ids == ref.ids
+    assert table.keys == sorted(table.keys) and table.verts == ref.verts
+    assert table.facets == ref.facets and table.cofacets == ref.cofacets
+    names = ref.names
+    members = [[names[v] for v in vs] for vs in ref.verts]
+    named = [rng.sample(vs, len(vs)) for vs in rng.sample(members, min(len(members), 200))]
+    named += [[*vs, rng.choice(vs)] for vs in named[:20]]  # a repeated name
+    named += [[*vs, "w"] for vs in named[:10]] + [["w", *vs[1:]] for vs in named[:10]]
+    named += [rng.sample(names, rng.randint(1, min(len(names), 10))) for _ in range(50)]
+    named.append([])
+    assert SimplicialComplex._of(table)._ids_of(named) == ref.ids_of(named)
+    return table
+
 
 class TestTableAgainstReference:
     @settings(max_examples=100, deadline=None)
@@ -167,7 +196,7 @@ class TestTableAgainstReference:
         min_size=1, max_size=12,
     ))
     def test_int_table_matches_name_closure(self, generators):
-        verts, facets, cofacets = reference_table(tuple(sorted(g)) for g in generators)
+        verts, facets, cofacets = reference_closure(tuple(sorted(g)) for g in generators)
         text = "".join(" ".join(g) + "\n" for g in generators)
         for x in (SimplicialComplex(Simplex(g) for g in generators), parse_complex(text)):
             table = x._table
@@ -191,10 +220,40 @@ class TestTableAgainstReference:
             rng.shuffle(line)
         rng.shuffle(lines)
         table = parse_complex("".join(" ".join(line) + "\n" for line in lines))._table
-        verts, facets, cofacets = reference_table(tuple(sorted(g)) for g in generators)
+        verts, facets, cofacets = reference_closure(tuple(sorted(g)) for g in generators)
         assert [tuple(table.names[v] for v in vs) for vs in table.verts] == verts
         assert table.facets == facets
         assert table.cofacets == cofacets
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(VERTEX_COUNTS), st.randoms(use_true_random=False))
+    def test_keys_match_tuple_closure(self, count, rng):
+        """Complexes of dimension up to 8 on `count` names, every name a
+        vertex, so that a rank takes each width around its steps."""
+        names = [f"v{i}" for i in range(count)]
+        generators = [rng.sample(names, rng.randint(1, min(count, 9)))
+                      for _ in range(rng.randint(1, 5))]
+        generators += [[v] for v in names]
+        rng.shuffle(generators)
+        table = check_against_tuple_closure(generators, rng)
+        assert table.width == max(1, (count - 1).bit_length())
+
+    @pytest.mark.parametrize("others,bits", [(0, 53), (1011, 144)])
+    def test_the_boundary_of_the_13_simplex(self, others, bits):
+        """∂Δ^13, 16,382 members up to dimension 12, on its own 14 names
+        and among 1025, where its keys take 144 bits."""
+        sphere = [f"v{i}" for i in range(14)]
+        generators = [[v for v in sphere if v != w] for w in sphere]
+        generators += [[f"w{i}"] for i in range(others)]
+        table = check_against_tuple_closure(generators, random.Random(others))
+        assert len(table) == 2 ** 14 - 2 + others and table.keys[-1].bit_length() == bits
+
+    def test_an_8_simplex_on_1025_names(self):
+        """Nine of 1025 names, a rank of 11 bits: keys of up to 100 bits."""
+        names = [f"v{i}" for i in range(1025)]
+        generators = [names[::128], *([v] for v in names)]
+        table = check_against_tuple_closure(generators, random.Random(9))
+        assert table.keys[-1] > 2 ** 63 and table.keys[-1].bit_length() == 100
 
     def test_xtilde_piece_and_ground_match_names(self):
         for name, x in sorted(corpus_complexes().items()):
@@ -204,6 +263,41 @@ class TestTableAgainstReference:
                 piece, ground = reference_xtilde_maps(xt)
                 assert list(xt._piece) == piece
                 assert xt._ground == ground
+
+
+class TestDecodeOnlyToName:
+    """Vertex tuples are decoded from the keys only to name a cell: no
+    field, count or closure reads every member's tuple (`_Table.verts`)."""
+
+    @staticmethod
+    def full_decodes(monkeypatch) -> list[int]:
+        """The size of each table decoded whole from here on."""
+        decodes, full = [], _Table.verts
+        monkeypatch.setattr(_Table, "verts", property(
+            lambda table: decodes.append(len(table)) or full.fget(table)))
+        return decodes
+
+    def test_the_spy_counts_a_full_decode(self, monkeypatch):
+        decodes = self.full_decodes(monkeypatch)
+        table = SimplicialComplex(["v0 v1 v2"])._table
+        assert table.verts == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+        assert decodes == [7]
+
+    @pytest.mark.parametrize("workload", ["torus", "cube", "path", "random"])
+    def test_commands_decode_no_table_whole(self, tmp_path, monkeypatch, capsys, workload):
+        """`homology`, `oracle` and the workload's other operations
+        (`verify`, `trajectories`) on each benchmark workload at benchmark
+        size, seed 1, their outputs checked as the benchmark checks them;
+        `random`'s fields are random, their order by dimension read off the
+        table's starts."""
+        run = benchmark_module("run")
+        workload = run.WORKLOADS[workload]
+        inputs = run.Inputs(workload.make(1), tmp_path)
+        decodes = self.full_decodes(monkeypatch)
+        for command in dict.fromkeys(["homology", "oracle", *workload.ops]):
+            assert main(inputs.argv(command)) == 0
+            inputs.check(command, capsys.readouterr().out)
+        assert decodes == []
 
 
 class TestOneNameRule:
@@ -295,15 +389,16 @@ class TestOneNameRule:
         outside = [s.vertices for s in x.simplices() if s not in view]
         for y in (x, view, copy_relabel(view, "A:").complex):
             tag, table = y._tag, y._table
+            verts = table.verts
             members = y.simplices()
             chosen = rng.sample(members, rng.randint(1, len(members)))
             lines = [rng.sample(s.vertices, len(s.vertices)) for s in chosen]
             piece = _piece(y, lines, "A")
-            closed, _, _ = reference_table(
+            closed, _, _ = reference_closure(
                 tuple(sorted(v[len(tag):] for v in s.vertices)) for s in chosen)
             assert piece._table is table and piece._tag == tag
             assert sorted(
-                (len(table.verts[i]), tuple(table.names[v] for v in table.verts[i]))
+                (len(verts[i]), tuple(table.names[v] for v in verts[i]))
                 for i in range(len(table)) if piece._mask[i]
             ) == sorted((len(vs), vs) for vs in closed)
             assert piece == SimplicialComplex(chosen)
@@ -572,9 +667,9 @@ class TestDecReaders:
 
 def reference_chain_columns(generators) -> list[list[dict[int, int]]]:
     """The columns of C_*(X) for the closure of `generators`, from
-    `reference_table`: the column of a q-simplex holds (-1)^k at the row of
+    `reference_closure`: the column of a q-simplex holds (-1)^k at the row of
     its facet k, the facet's position among the (q-1)-simplices."""
-    verts, facets, _ = reference_table(tuple(s.vertices) for s in generators)
+    verts, facets, _ = reference_closure(tuple(s.vertices) for s in generators)
     first: dict[int, int] = {}
     for i, vs in enumerate(verts):
         first.setdefault(len(vs), i)

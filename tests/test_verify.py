@@ -2,6 +2,7 @@
 tying the Mayer-Vietoris complex to plain simplicial homology."""
 from __future__ import annotations
 
+import functools
 import importlib
 import itertools
 import json
@@ -29,6 +30,7 @@ from morsemv import (
     trajectories_from,
 )
 from morsemv.cli import main
+from morsemv.complexes import _key
 from morsemv.mv import _generator_keys, _mv_column
 from morsemv.verify import (
     _A,
@@ -264,11 +266,12 @@ def assert_layout_matches_closure(d):
     no search."""
     xt, ref = build_xtilde(d), reference_closed_xtilde(d)
     table, ref_table = xt.complex._table, ref.complex._table
-    to_ref = [ref_table.index[vs] for vs in table.verts]
+    verts, key = table.verts, functools.partial(_key, width=table.width)
+    to_ref = [ref_table.index[key(vs)] for vs in verts]
     assert sorted(to_ref) == list(range(len(ref_table)))
-    assert all(table.index[vs] == j for j, vs in enumerate(table.verts))
+    assert all(table.index[key(vs)] == j for j, vs in enumerate(verts))
     assert table.start == ref_table.start
-    assert all(len(table.verts[j]) == q + 1
+    assert all(len(verts[j]) == q + 1
                for q, (lo, hi) in enumerate(zip(table.start, table.start[1:]))
                for j in range(lo, hi))
     assert [tuple(to_ref[f] for f in fs) for fs in table.facets] == [
